@@ -1,33 +1,39 @@
 """CSV persistence for trial and prediction records, plus JSON run manifests.
 
-Real fields are serialized with 17 significant digits, which round-trips
-float64 exactly, so reruns can be compared byte for byte.
+One columnar codec, driven by a schema of ``(name, kind)`` columns, writes and
+reads every CSV a block of rows at a time. Real fields are serialized with
+``%.17g``, which round-trips float64 exactly, so reruns can be compared byte
+for byte. Fields are never quoted: a ``"`` is rejected on write and on read.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .prediction import PredictionTable, as_prediction_table
 from .trials import TrialTable, as_table
 
-TRIAL_HEADER = ("trial_index", "settings_id", "raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2", "seed")
-PREDICTION_HEADER = (
-    "trial_index",
-    "settings_id",
-    "trajectory_mean1",
-    "trajectory_mean2",
-    "predicted1",
-    "predicted2",
-    "actual1",
-    "actual2",
-    "seed",
+_BLOCK_ROWS = 65536
+# printf format per column kind; "str" is unquoted text, the rest are numpy dtypes
+_FORMATS = {"int64": "%d", "uint64": "%d", "float64": "%.17g", "str": "%s"}
+
+_I, _F = "int64", "float64"
+TRIAL_SCHEMA = (
+    ("trial_index", _I), ("settings_id", "str"), ("raw1", _F), ("raw2", _F),
+    ("alpha1", _F), ("alpha2", _F), ("beta1", _I), ("beta2", _I), ("seed", "uint64"),
 )
-SWEEP_HEADER = ("v", "exact_chsh", "empirical_chsh", "chsh_stderr", "verdict")
+PREDICTION_SCHEMA = (
+    ("trial_index", _I), ("settings_id", "str"), ("trajectory_mean1", _F), ("trajectory_mean2", _F),
+    ("predicted1", _I), ("predicted2", _I), ("actual1", _I), ("actual2", _I), ("seed", "uint64"),
+)
+SWEEP_SCHEMA = (("v", _F), ("exact_chsh", _F), ("empirical_chsh", _F), ("chsh_stderr", _F), ("verdict", "str"))
+TRIAL_HEADER = tuple(name for name, _ in TRIAL_SCHEMA)
+PREDICTION_HEADER = tuple(name for name, _ in PREDICTION_SCHEMA)
+SWEEP_HEADER = tuple(name for name, _ in SWEEP_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -53,128 +59,122 @@ class RunManifest:
     output_paths: list
 
 
-def _real(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _check_id(sid: str) -> str:
-    if any(ch in sid for ch in (",", "\n", "\r")):
-        raise ValueError(f"settings_id {sid!r} contains CSV delimiter characters")
-    return sid
+def _check_id(sid: str) -> None:
+    if any(ch in sid for ch in (",", '"', "\n", "\r")):
+        raise ValueError(f"settings_id {sid!r} contains CSV delimiter or quote characters")
 
 
 def _is_empty(records) -> bool:
-    if isinstance(records, (TrialTable, PredictionTable)):
-        return len(records) == 0
-    if isinstance(records, (list, tuple)):
-        return len(records) == 0
-    return False
+    return isinstance(records, (TrialTable, PredictionTable, list, tuple)) and len(records) == 0
+
+
+def _write_csv(path: str, schema, blocks) -> str:
+    """Write the header, then each block (a list of columns in schema order)."""
+    template = ",".join(_FORMATS[kind] for _, kind in schema) + "\n"
+    with open(path, "w", newline="") as f:
+        f.write(",".join(name for name, _ in schema) + "\n")
+        for columns in blocks:
+            f.write("".join(map(template.__mod__, zip(*columns))))
+    return path
+
+
+def _emit_table(table, schema, path: str) -> str:
+    """Write a record table (None when empty) column-wise, _BLOCK_ROWS rows at a time."""
+    n = 0 if table is None else len(table)
+    sid = table.settings_id if n else ""
+    ids = None if isinstance(sid, str) else table.settings_ids()
+    for s in {sid} if ids is None else set(ids.tolist()):
+        _check_id(s)
+
+    def blocks():
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            yield [
+                (repeat(sid) if ids is None else ids[rows].tolist())
+                if kind == "str"
+                else getattr(table, name)[rows].tolist()
+                for name, kind in schema
+            ]
+
+    return _write_csv(path, schema, blocks())
+
+
+def _read_header(f, schema, what: str) -> None:
+    header = f.readline().rstrip("\n")
+    if tuple(header.split(",")) != tuple(name for name, _ in schema):
+        raise ValueError(f"unexpected {what} CSV header {header!r}")
+
+
+def _read_table(path: str, schema, what: str):
+    """Read a record CSV into (numeric columns, settings id: a str if shared, else an object array)."""
+    k = [kind for _, kind in schema].index("str")
+    usecols = [i for i, (_, kind) in enumerate(schema) if kind != "str"]
+    dtype = np.dtype([(schema[i][0], schema[i][1]) for i in usecols])
+    commas = len(schema) - 1
+    parts, id_parts, seen, first = [], [], set(), 2
+    with open(path, "r") as f:
+        _read_header(f, schema, what)
+        while lines := list(islice(f, _BLOCK_ROWS)):
+            try:
+                data = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, usecols=usecols, ndmin=1)
+            except ValueError as exc:
+                where = f"lines {first}-{first + len(lines) - 1}"
+                raise ValueError(f"malformed {what} CSV row in {where}: {exc}") from None
+            # loadtxt skips blank lines and ignores extra fields, so count both here
+            if len(data) != len(lines) or sum(map(str.count, lines, repeat(","))) != commas * len(lines):
+                bad = next(ln for ln in lines if ln.count(",") != commas)
+                raise ValueError(f"malformed {what} CSV row: {bad!r}")
+            ids = [ln.split(",", k + 1)[k] for ln in lines]
+            distinct = set(ids)
+            for s in distinct:
+                if '"' in s:
+                    raise ValueError(f"malformed {what} CSV row: quoted settings_id {s!r}")
+            parts.append(data)
+            id_parts.append(ids if len(distinct) > 1 else [ids[0]] * len(ids))
+            seen |= distinct
+            first += len(lines)
+    if not parts:
+        raise ValueError(f"{what} CSV {path} holds no records")
+    columns = [np.concatenate([p[name] for p in parts]) for name in dtype.names]
+    sid = next(iter(seen)) if len(seen) == 1 else np.array(list(chain.from_iterable(id_parts)), dtype=object)
+    return columns, sid
 
 
 def emit_records(records, path: str) -> str:
     """Write trial records as CSV; an empty record set yields a header-only file."""
-    with open(path, "w", newline="") as f:
-        f.write(",".join(TRIAL_HEADER) + "\n")
-        if _is_empty(records):
-            return path
-        t = as_table(records)
-        sids = [_check_id(s) for s in t.settings_ids()]
-        f.writelines(
-            f"{t.trial_index[i]},{sids[i]},{_real(t.raw1[i])},{_real(t.raw2[i])},"
-            f"{_real(t.alpha1[i])},{_real(t.alpha2[i])},{t.beta1[i]},{t.beta2[i]},{t.seed[i]}\n"
-            for i in range(len(t))
-        )
-    return path
+    return _emit_table(None if _is_empty(records) else as_table(records), TRIAL_SCHEMA, path)
 
 
 def read_records(path: str) -> TrialTable:
     """Read a trial CSV back into a table; exact inverse of emit_records."""
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader, ()))
-        if header != TRIAL_HEADER:
-            raise ValueError(f"unexpected trial CSV header {header!r}")
-        index, sids, raw1, raw2, alpha1, alpha2, beta1, beta2, seed = [], [], [], [], [], [], [], [], []
-        for row in reader:
-            if len(row) != len(TRIAL_HEADER):
-                raise ValueError(f"malformed trial CSV row: {row!r}")
-            index.append(int(row[0]))
-            sids.append(row[1])
-            raw1.append(float(row[2]))
-            raw2.append(float(row[3]))
-            alpha1.append(float(row[4]))
-            alpha2.append(float(row[5]))
-            beta1.append(int(row[6]))
-            beta2.append(int(row[7]))
-            seed.append(int(row[8]))
-    if not index:
-        raise ValueError(f"trial CSV {path} holds no records")
-    sid = sids[0] if len(set(sids)) == 1 else np.array(sids, dtype=object)
+    (index, raw1, raw2, alpha1, alpha2, beta1, beta2, seed), sid = _read_table(path, TRIAL_SCHEMA, "trial")
     return TrialTable(index, raw1, raw2, alpha1, alpha2, beta1, beta2, sid, seed)
 
 
 def emit_predictions(records, path: str) -> str:
     """Write prediction records as CSV; empty set yields a header-only file."""
-    with open(path, "w", newline="") as f:
-        f.write(",".join(PREDICTION_HEADER) + "\n")
-        if _is_empty(records):
-            return path
-        t = as_prediction_table(records)
-        sids = [_check_id(s) for s in t.settings_ids()]
-        f.writelines(
-            f"{t.trial_index[i]},{sids[i]},{_real(t.trajectory_mean1[i])},"
-            f"{_real(t.trajectory_mean2[i])},{t.predicted1[i]},{t.predicted2[i]},"
-            f"{t.actual1[i]},{t.actual2[i]},{t.seed[i]}\n"
-            for i in range(len(t))
-        )
-    return path
+    return _emit_table(None if _is_empty(records) else as_prediction_table(records), PREDICTION_SCHEMA, path)
 
 
 def read_predictions(path: str) -> PredictionTable:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader, ()))
-        if header != PREDICTION_HEADER:
-            raise ValueError(f"unexpected prediction CSV header {header!r}")
-        cols = ([], [], [], [], [], [], [], [], [])
-        for row in reader:
-            if len(row) != len(PREDICTION_HEADER):
-                raise ValueError(f"malformed prediction CSV row: {row!r}")
-            cols[0].append(int(row[0]))
-            cols[1].append(row[1])
-            cols[2].append(float(row[2]))
-            cols[3].append(float(row[3]))
-            cols[4].append(int(row[4]))
-            cols[5].append(int(row[5]))
-            cols[6].append(int(row[6]))
-            cols[7].append(int(row[7]))
-            cols[8].append(int(row[8]))
-    if not cols[0]:
-        raise ValueError(f"prediction CSV {path} holds no records")
-    sid = cols[1][0] if len(set(cols[1])) == 1 else np.array(cols[1], dtype=object)
-    return PredictionTable(cols[0], cols[2], cols[3], cols[4], cols[5], cols[6], cols[7], sid, cols[8])
+    """Read a prediction CSV back into a table; exact inverse of emit_predictions."""
+    (index, mean1, mean2, pred1, pred2, act1, act2, seed), sid = _read_table(path, PREDICTION_SCHEMA, "prediction")
+    return PredictionTable(index, mean1, mean2, pred1, pred2, act1, act2, sid, seed)
 
 
 def emit_sweep(rows, path: str) -> str:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(SWEEP_HEADER) + "\n")
-        f.writelines(
-            f"{_real(r.v)},{_real(r.exact_chsh)},{_real(r.empirical_chsh)},"
-            f"{_real(r.chsh_stderr)},{r.verdict}\n"
-            for r in rows
-        )
-    return path
+    rows = list(rows)
+    return _write_csv(path, SWEEP_SCHEMA, [[[getattr(r, name) for r in rows] for name, _ in SWEEP_SCHEMA]])
 
 
 def read_sweep(path: str) -> list:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader, ()))
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep CSV header {header!r}")
-        return [
-            SweepRow(float(r[0]), float(r[1]), float(r[2]), float(r[3]), r[4]) for r in reader
-        ]
+    with open(path, "r") as f:
+        _read_header(f, SWEEP_SCHEMA, "sweep")
+        rows = [ln.rstrip("\n").split(",") for ln in f]
+    for r in rows:
+        if len(r) != len(SWEEP_SCHEMA) or '"' in r[4]:
+            raise ValueError(f"malformed sweep CSV row: {r!r}")
+    return [SweepRow(float(r[0]), float(r[1]), float(r[2]), float(r[3]), r[4]) for r in rows]
 
 
 def emit_manifest(manifest: RunManifest, path: str) -> str:

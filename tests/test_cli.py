@@ -168,6 +168,20 @@ def test_audit_errors_exit_1(tmp_path, capsys):
     assert main(["audit", "--in", str(junk), "--v", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_audit_out_of_range_field_exits_1_with_one_line(tmp_path, capsys, seed):
+    path = tmp_path / "run.csv"
+    assert main(["simulate", "--v", "0.3", "--trials", "20", "--seed", "1", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + seed
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blgisim: error: malformed trial CSV row")
+    assert err.count("\n") == 1
+
+
 def test_predict_writes_records_and_summary(tmp_path, capsys):
     out = tmp_path / "pred.csv"
     code = main(

@@ -1,10 +1,12 @@
-"""CSV and manifest persistence: exact round trips, header checks."""
+"""CSV and manifest persistence: exact round trips, header checks, golden bytes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from blgisim.cli import main
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.qubits import NoiseModel
 from blgisim.records import (
@@ -88,6 +90,12 @@ def test_emit_rejects_delimiters_inside_settings_id(tmp_path):
         emit_records([bad, bad], str(tmp_path / "bad.csv"))
 
 
+def test_emit_rejects_quotes_inside_settings_id(tmp_path):
+    bad = TrialRecord(0, 1.0, 1.0, 1.0, 1.0, 1, 1, 'say "hi"', 0)
+    with pytest.raises(ValueError, match="quote"):
+        emit_records([bad], str(tmp_path / "bad.csv"))
+
+
 def test_prediction_round_trip_is_bit_exact(tmp_path):
     table = prediction_batch(
         prediction_settings(0.6), SequentialReadoutParams(v=0.3, steps=30), 40, master_seed=2
@@ -151,3 +159,104 @@ def test_manifest_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert data["master_seed"] == 42
     assert read_manifest(str(path)) == manifest
+
+
+# ------------------------------------------------------------- golden bytes
+
+# SHA-256 of the record CSVs as the format stands; a change that moves these
+# bytes must bump the layout version and say so.
+GOLDEN = [
+    (
+        "simulate --v 0.2 --noise-sigma 0.3 --trials 140000 --seed 3",
+        "8081b366f0c8e3f3ff159271ad5159c255050e4c7d06945ca1698cf8dd95a1a0",
+    ),
+    (
+        "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
+        "60fb37dabfc969f97761e4bb1d7199b26b1bca8a07db3b976372c5ec88a7fa7e",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN)
+def test_cli_record_bytes_match_golden_hashes(tmp_path, capsys, command, digest):
+    out = tmp_path / "records.csv"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ----------------------------------------------------------- hostile inputs
+
+
+def _trial_row(i, sid="s"):
+    return f"{i},{sid},0.5,-0.25,2.5,-1.25,1,-1,{i + 7}"
+
+
+def _prediction_row(i, sid="s"):
+    return f"{i},{sid},0.5,-0.25,1,-1,-1,1,{i + 7}"
+
+
+READERS = {
+    "trial": (TRIAL_HEADER, _trial_row, read_records, emit_records),
+    "prediction": (PREDICTION_HEADER, _prediction_row, read_predictions, emit_predictions),
+}
+
+
+def _with_seed(row, seed):
+    return row.rsplit(",", 1)[0] + "," + seed
+
+
+# Each case maps (header line, row maker) to (file text, outcome). The outcome
+# is an error pattern, or the text that emitting the table read back must give.
+HOSTILE = {
+    "extra field": lambda h, row: (f"{h}\n{row(0)},9\n", "malformed"),
+    "short row": lambda h, row: (f"{h}\n0,s,0.5\n", "malformed"),
+    "blank line inside": lambda h, row: (f"{h}\n{row(0)}\n\n{row(1)}\n", "malformed"),
+    "blank line at end": lambda h, row: (f"{h}\n{row(0)}\n{row(1)}\n\n", "malformed"),
+    # as many commas as two good rows, so only the row count can tell
+    "blank line after a doubled row": lambda h, row: (f"{h}\n{row(0)}{',1' * 8}\n\n", "malformed"),
+    "non-numeric field": lambda h, row: (f"{h}\n{row(0).replace('0.5', 'abc')}\n", "malformed"),
+    "empty field": lambda h, row: (f"{h}\n{row(0).replace('0.5', '')}\n", "malformed"),
+    "seed of 2**64": lambda h, row: (f"{h}\n{_with_seed(row(0), str(2**64))}\n", "malformed"),
+    "negative seed": lambda h, row: (f"{h}\n{_with_seed(row(0), '-1')}\n", "malformed"),
+    "non-integer int field": lambda h, row: (f"{h}\n{row(0).replace(',1,', ',1.5,')}\n", "malformed"),
+    "index past int64": lambda h, row: (f"{h}\n{row(0).replace('0,', str(2**63) + ',', 1)}\n", "malformed"),
+    "quoted settings id": lambda h, row: (f'{h}\n{row(0, chr(34) + "s" + chr(34))}\n', "malformed"),
+    "quoted number": lambda h, row: (f"{h}\n{row(0).replace('0.5', chr(34) + '0.5' + chr(34))}\n", "malformed"),
+    "foreign header": lambda h, row: (f"a,b,c\n{row(0)}\n", "header"),
+    "empty file": lambda h, row: ("", "header"),
+    "header only": lambda h, row: (f"{h}\n", "no records"),
+    "hash in settings id": lambda h, row: (f"{h}\n{row(0, 'a#b')}\n", f"{h}\n{row(0, 'a#b')}\n"),
+    "CRLF line endings": lambda h, row: (f"{h}\r\n{row(0)}\r\n{row(1)}\r\n", f"{h}\n{row(0)}\n{row(1)}\n"),
+    "no final newline": lambda h, row: (f"{h}\n{row(0)}\n{row(1)}", f"{h}\n{row(0)}\n{row(1)}\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE))
+@pytest.mark.parametrize("kind", list(READERS))
+def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
+    header, row, read, emit = READERS[kind]
+    text, outcome = HOSTILE[case](",".join(header), row)
+    path = tmp_path / "hostile.csv"
+    path.write_bytes(text.encode())
+    if outcome in ("malformed", "header", "no records"):
+        with pytest.raises(ValueError, match=outcome):
+            read(str(path))
+        return
+    back = tmp_path / "back.csv"
+    emit(read(str(path)), str(back))
+    assert back.read_bytes() == outcome.encode()
+
+
+@pytest.mark.parametrize("switch", [65530, 65536])
+@pytest.mark.parametrize("kind", list(READERS))
+def test_mixed_settings_ids_across_a_block_boundary(tmp_path, kind, switch):
+    header, row, read, emit = READERS[kind]
+    ids = ["a" if i < switch else "b" for i in range(65540)]
+    text = ",".join(header) + "\n" + "".join(row(i, sid) + "\n" for i, sid in enumerate(ids))
+    path = tmp_path / "mixed.csv"
+    path.write_text(text)
+    table = read(str(path))
+    assert list(table.settings_ids()) == ids
+    emit(table, str(tmp_path / "back.csv"))
+    assert (tmp_path / "back.csv").read_text() == text
+

@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import streams
 from .qubits import NO_NOISE, NoiseModel, check_strength
-from .trials import TrialTable, as_table, estimate_chsh
+from .trials import TrialTable, _noisy, as_table, estimate_chsh
 
 MIN_RECORDS = 100     # below this the test has no power
 STDERR_CAP = 0.2      # combined-stderr cap for a conclusive verdict
@@ -124,6 +123,10 @@ def chsh_bound_check(sequence) -> float:
 
 
 def _check_record_integrity(table: TrialTable, v: float) -> None:
+    if not isinstance(table.settings_id, str):
+        n_ids = len(set(table.settings_ids().tolist()))
+        if n_ids > 1:
+            raise ValueError(f"malformed records: {n_ids} distinct settings ids in one record set")
     for name in ("raw1", "raw2", "alpha1", "alpha2"):
         col = getattr(table, name)
         if not np.isfinite(col).all():
@@ -224,13 +227,7 @@ def hidden_variable_records(
         config.signs[k] * np.where(lam < config.thresholds[k], 1, -1).astype(np.int64)
         for k in range(4)
     ]
-    raws = []
-    for i in (0, 1):
-        if noise.sigma > 0.0:
-            g = ndtri(np.maximum(u[:, 1 + i], 2.0**-53))
-        else:
-            g = 0.0
-        raws.append(v * signal[i].astype(float) + noise.bias + noise.sigma * g)
+    raws = [_noisy(v * signal[i].astype(float), noise, u[:, 1 + i]) for i in (0, 1)]
     index = np.arange(start, start + n_trials, dtype=np.int64)
     sid = (
         f"hidden;idx={config.index};v={v:.12g};"

@@ -269,16 +269,19 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(command, master_seed: int, parameters: dict, started: str, output_paths: list) -> RunManifest:
-    return RunManifest(
+def _write_manifest(cmd, master_seed: int, out: str, started: str) -> str:
+    """Write <out>.manifest.json; its parameters are the command's parsed flags."""
+    flags = vars(_build_parser().parse_args(cmd.argv))
+    manifest = RunManifest(
         tool_version=__version__,
-        command=shlex.join(command.argv),
+        command=shlex.join(cmd.argv),
         master_seed=master_seed,
-        parameters=parameters,
+        parameters={name: value for name, value in flags.items() if name != "command"},
         started=started,
         finished=_now(),
-        output_paths=output_paths,
+        output_paths=[out],
     )
+    return emit_manifest(manifest, out + ".manifest.json")
 
 
 def _emit(obj: dict) -> None:
@@ -314,20 +317,7 @@ def _do_simulate(cmd: SimulateCommand) -> int:
     started = _now()
     table = simulate_trials(cmd.settings, cmd.trials, cmd.seed, workers=cmd.workers)
     emit_records(table, cmd.out)
-    s = cmd.settings
-    parameters = {
-        "v": s.v,
-        "trials": cmd.trials,
-        "seed": cmd.seed,
-        "angles_deg": [math.degrees(x) for x in (s.a1, s.a2, s.b1, s.b2)],
-        "bell": s.bell_kind,
-        "noise_sigma": s.noise.sigma,
-        "noise_bias": s.noise.bias,
-        "out": cmd.out,
-        "workers": cmd.workers,
-    }
-    manifest_path = cmd.out + ".manifest.json"
-    emit_manifest(_manifest(cmd, cmd.seed, parameters, started, [cmd.out]), manifest_path)
+    manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
     summary = {"records": len(table), "out": cmd.out, "manifest": manifest_path}
     if len(table) >= 2:
         report = estimate_chsh(table)
@@ -353,17 +343,7 @@ def _do_predict(cmd: PredictCommand) -> int:
     emit_predictions(table, cmd.out)
     accuracy = prediction_accuracy(table)
     post = post_protocol_chsh(cmd.settings, cmd.readout, n_trials=max(8, cmd.trials), master_seed=cmd.seed)
-    parameters = {
-        "v": cmd.settings.v,
-        "readout_v": cmd.readout.v,
-        "steps": cmd.readout.steps,
-        "trials": cmd.trials,
-        "seed": cmd.seed,
-        "out": cmd.out,
-        "workers": cmd.workers,
-    }
-    manifest_path = cmd.out + ".manifest.json"
-    emit_manifest(_manifest(cmd, cmd.seed, parameters, started, [cmd.out]), manifest_path)
+    manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
     _emit(
         {
             "records": len(table),
@@ -387,15 +367,7 @@ def _do_sweep(cmd: SweepCommand) -> int:
     started = _now()
     rows = run_sweep(cmd.spec, Settings(v=cmd.spec.v_values[0]), cmd.seed, workers=cmd.workers)
     emit_sweep(rows, cmd.out)
-    parameters = {
-        "v_grid": list(cmd.spec.v_values),
-        "trials": cmd.spec.trials_per_point,
-        "seed": cmd.seed,
-        "out": cmd.out,
-        "workers": cmd.workers,
-    }
-    manifest_path = cmd.out + ".manifest.json"
-    emit_manifest(_manifest(cmd, cmd.seed, parameters, started, [cmd.out]), manifest_path)
+    manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
     _emit(
         {
             "points": len(rows),

@@ -25,8 +25,8 @@ violation decays toward the classical bound as V grows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,16 +38,18 @@ from .qubits import (
     axis_projectors,
     check_strength,
     lift1,
-    nonselective_weak,
     weak_kraus,
     weak_measure,
 )
 from .trials import (
     ChshReport,
     CorrelatorEstimate,
+    RecordTable,
     Settings,
     chsh_combine,
+    coupled_state,
     prepare_bell,
+    run_chunked,
 )
 
 SATURATION_THRESHOLD = 25.0  # steps * v^2 at which readout is treated as saturated
@@ -108,94 +110,24 @@ class AccuracyEstimate:
     count: int
 
 
-class PredictionTable:
+# CSV column order and numpy dtype per field; "str" is the unquoted settings id
+PREDICTION_SCHEMA = (
+    ("trial_index", "int64"), ("settings_id", "str"),
+    ("trajectory_mean1", "float64"), ("trajectory_mean2", "float64"),
+    ("predicted1", "int64"), ("predicted2", "int64"), ("actual1", "int64"), ("actual2", "int64"),
+    ("seed", "uint64"),
+)
+
+
+class PredictionTable(RecordTable):
     """Column-oriented batch of prediction records."""
 
-    __slots__ = (
-        "trial_index",
-        "trajectory_mean1",
-        "trajectory_mean2",
-        "predicted1",
-        "predicted2",
-        "actual1",
-        "actual2",
-        "settings_id",
-        "seed",
-    )
-
-    def __init__(self, trial_index, mean1, mean2, pred1, pred2, act1, act2, settings_id, seed):
-        self.trial_index = np.asarray(trial_index, dtype=np.int64)
-        self.trajectory_mean1 = np.asarray(mean1, dtype=float)
-        self.trajectory_mean2 = np.asarray(mean2, dtype=float)
-        self.predicted1 = np.asarray(pred1, dtype=np.int64)
-        self.predicted2 = np.asarray(pred2, dtype=np.int64)
-        self.actual1 = np.asarray(act1, dtype=np.int64)
-        self.actual2 = np.asarray(act2, dtype=np.int64)
-        self.settings_id = settings_id
-        self.seed = np.asarray(seed, dtype=np.uint64)
-
-    def __len__(self) -> int:
-        return self.trial_index.shape[0]
-
-    def settings_ids(self) -> np.ndarray:
-        if isinstance(self.settings_id, str):
-            return np.full(len(self), self.settings_id, dtype=object)
-        return np.asarray(self.settings_id, dtype=object)
-
-    def row(self, i: int) -> PredictionRecord:
-        sid = self.settings_id if isinstance(self.settings_id, str) else str(self.settings_id[i])
-        return PredictionRecord(
-            trial_index=int(self.trial_index[i]),
-            trajectory_mean1=float(self.trajectory_mean1[i]),
-            trajectory_mean2=float(self.trajectory_mean2[i]),
-            predicted1=int(self.predicted1[i]),
-            predicted2=int(self.predicted2[i]),
-            actual1=int(self.actual1[i]),
-            actual2=int(self.actual2[i]),
-            settings_id=sid,
-            seed=int(self.seed[i]),
-        )
-
-    @classmethod
-    def concat(cls, parts: "list[PredictionTable]") -> "PredictionTable":
-        if not parts:
-            raise ValueError("cannot concatenate zero tables")
-        if all(isinstance(p.settings_id, str) for p in parts) and len({p.settings_id for p in parts}) == 1:
-            sid = parts[0].settings_id
-        else:
-            sid = np.concatenate([p.settings_ids() for p in parts])
-        return cls(
-            np.concatenate([p.trial_index for p in parts]),
-            np.concatenate([p.trajectory_mean1 for p in parts]),
-            np.concatenate([p.trajectory_mean2 for p in parts]),
-            np.concatenate([p.predicted1 for p in parts]),
-            np.concatenate([p.predicted2 for p in parts]),
-            np.concatenate([p.actual1 for p in parts]),
-            np.concatenate([p.actual2 for p in parts]),
-            sid,
-            np.concatenate([p.seed for p in parts]),
-        )
+    record = PredictionRecord
+    schema = PREDICTION_SCHEMA
 
 
 def as_prediction_table(records) -> PredictionTable:
-    if isinstance(records, PredictionTable):
-        return records
-    rows = list(records)
-    if not rows:
-        raise ValueError("empty record set")
-    ids = {r.settings_id for r in rows}
-    sid = rows[0].settings_id if len(ids) == 1 else np.array([r.settings_id for r in rows], dtype=object)
-    return PredictionTable(
-        [r.trial_index for r in rows],
-        [r.trajectory_mean1 for r in rows],
-        [r.trajectory_mean2 for r in rows],
-        [r.predicted1 for r in rows],
-        [r.predicted2 for r in rows],
-        [r.actual1 for r in rows],
-        [r.actual2 for r in rows],
-        sid,
-        [r.seed for r in rows],
-    )
+    return PredictionTable.from_records(records)
 
 
 def predict(mean: float) -> int:
@@ -229,11 +161,10 @@ def sequential_weak_sequence(
 # Batch engine
 
 
-def _bell_branch_probs(settings: Settings) -> np.ndarray:
-    """P(t1, t2) for projective axes (b1, b2), in _BRANCHES order."""
-    rho = prepare_bell(settings.bell_kind).density()
-    plus1, minus1 = axis_projectors(settings.b1)
-    plus2, minus2 = axis_projectors(settings.b2)
+def _pair_probs(rho: np.ndarray, th1: float, th2: float) -> np.ndarray:
+    """P(t1, t2) of projective tests along (th1, th2) on state rho, in _BRANCHES order."""
+    plus1, minus1 = axis_projectors(th1)
+    plus2, minus2 = axis_projectors(th2)
     pick1 = {1: plus1, -1: minus1}
     pick2 = {1: plus2, -1: minus2}
     probs = np.array(
@@ -276,7 +207,7 @@ def _readout_chain(m0: np.ndarray, readout: SequentialReadoutParams, u: np.ndarr
 def _predict_range(
     settings: Settings, readout: SequentialReadoutParams, start: int, count: int, master_seed: int
 ) -> PredictionTable:
-    probs = _bell_branch_probs(settings)
+    probs = _pair_probs(prepare_bell(settings.bell_kind).density(), settings.b1, settings.b2)
     u_bell = streams.window_uniforms(master_seed, streams.PREDICT_BELL_STREAM, start, count, 1)
     t1, t2 = _sample_branches(probs, u_bell[:, 0])
 
@@ -300,10 +231,6 @@ def _predict_range(
         settings.settings_id,
         streams.derived_seed(master_seed, index),
     )
-
-
-def _predict_task(args) -> PredictionTable:
-    return _predict_range(*args)
 
 
 def _require_same_axis(settings: Settings) -> None:
@@ -341,18 +268,8 @@ def prediction_batch(
     Identical output for every chunk size and worker count.
     """
     _require_same_axis(settings)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    spans = [
-        (settings, readout, s, min(chunk, start + n_trials - s), master_seed)
-        for s in range(start, start + n_trials, chunk)
-    ]
-    if workers > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_predict_task, spans))
-    else:
-        parts = [_predict_task(span) for span in spans]
-    return parts[0] if len(parts) == 1 else PredictionTable.concat(parts)
+    task = partial(_predict_range, settings, readout, master_seed=master_seed)
+    return run_chunked(task, n_trials, start, chunk, workers)
 
 
 def prediction_accuracy(records) -> AccuracyEstimate:
@@ -388,14 +305,12 @@ def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
     conditioned on ancilla i having collapsed to branch c_i, which at
     saturated readout applies the selective Kraus branch.
     """
-    state = prepare_bell(settings.bell_kind)
     if post_select is None:
-        state = nonselective_weak(state, 0, settings.a1, settings.v)
-        return nonselective_weak(state, 1, settings.a2, settings.v)
+        return coupled_state(settings.v, settings.a1, settings.a2, settings.bell_kind)
     c1, c2 = post_select
     if c1 not in (-1, 1) or c2 not in (-1, 1):
         raise ValueError(f"post_select branches must be -1 or +1, got {post_select!r}")
-    rho = state.density()
+    rho = prepare_bell(settings.bell_kind).density()
     for qubit, axis, c in ((0, settings.a1, c1), (1, settings.a2, c2)):
         big = lift1(weak_kraus(settings.v, axis).operator(c), qubit, 2)
         rho = big @ rho @ big.conj().T
@@ -406,24 +321,13 @@ def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
     return QuantumState.from_density((rho + rho.conj().T) / 2.0)
 
 
-def _post_pair_probs(rho: np.ndarray, th1: float, th2: float) -> np.ndarray:
-    plus1, minus1 = axis_projectors(th1)
-    plus2, minus2 = axis_projectors(th2)
-    pick1 = {1: plus1, -1: minus1}
-    pick2 = {1: plus2, -1: minus2}
-    probs = np.array(
-        [float(np.trace(np.kron(pick1[t1], pick2[t2]) @ rho).real) for t1, t2 in _BRANCHES]
-    )
-    return np.clip(probs, 0.0, 1.0)
-
-
 def exact_post_protocol_chsh(settings: Settings, post_select=None) -> float:
     """Exact combination the after-protocol Bell check converges to."""
     rho = post_coupling_state(settings, post_select).density()
     corr = {}
     for i, th1 in enumerate(POST_TEST_AXES_1):
         for j, th2 in enumerate(POST_TEST_AXES_2):
-            probs = _post_pair_probs(rho, th1, th2)
+            probs = _pair_probs(rho, th1, th2)
             corr[(i, j)] = float(sum(t1 * t2 * p for (t1, t2), p in zip(_BRANCHES, probs)))
     return corr[(0, 0)] + corr[(0, 1)] + corr[(1, 0)] - corr[(1, 1)]
 
@@ -455,7 +359,7 @@ def post_protocol_chsh(
     rho = post_coupling_state(settings, post_select).density()
     estimates = {}
     for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        probs = _post_pair_probs(rho, POST_TEST_AXES_1[i], POST_TEST_AXES_2[j])
+        probs = _pair_probs(rho, POST_TEST_AXES_1[i], POST_TEST_AXES_2[j])
         u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, k * n_per, n_per, 1)
         t1, t2 = _sample_branches(probs, u[:, 0])
         products = (t1 * t2).astype(float)

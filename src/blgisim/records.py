@@ -14,22 +14,14 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .prediction import PredictionTable, as_prediction_table
-from .trials import TrialTable, as_table
+from .prediction import PREDICTION_SCHEMA, PredictionTable
+from .trials import TRIAL_SCHEMA, RecordTable, TrialTable
 
 _BLOCK_ROWS = 65536
 # printf format per column kind; "str" is unquoted text, the rest are numpy dtypes
 _FORMATS = {"int64": "%d", "uint64": "%d", "float64": "%.17g", "str": "%s"}
 
-_I, _F = "int64", "float64"
-TRIAL_SCHEMA = (
-    ("trial_index", _I), ("settings_id", "str"), ("raw1", _F), ("raw2", _F),
-    ("alpha1", _F), ("alpha2", _F), ("beta1", _I), ("beta2", _I), ("seed", "uint64"),
-)
-PREDICTION_SCHEMA = (
-    ("trial_index", _I), ("settings_id", "str"), ("trajectory_mean1", _F), ("trajectory_mean2", _F),
-    ("predicted1", _I), ("predicted2", _I), ("actual1", _I), ("actual2", _I), ("seed", "uint64"),
-)
+_F = "float64"
 SWEEP_SCHEMA = (("v", _F), ("exact_chsh", _F), ("empirical_chsh", _F), ("chsh_stderr", _F), ("verdict", "str"))
 TRIAL_HEADER = tuple(name for name, _ in TRIAL_SCHEMA)
 PREDICTION_HEADER = tuple(name for name, _ in PREDICTION_SCHEMA)
@@ -65,7 +57,7 @@ def _check_id(sid: str) -> None:
 
 
 def _is_empty(records) -> bool:
-    return isinstance(records, (TrialTable, PredictionTable, list, tuple)) and len(records) == 0
+    return isinstance(records, (RecordTable, list, tuple)) and len(records) == 0
 
 
 def _write_csv(path: str, schema, blocks) -> str:
@@ -105,8 +97,9 @@ def _read_header(f, schema, what: str) -> None:
         raise ValueError(f"unexpected {what} CSV header {header!r}")
 
 
-def _read_table(path: str, schema, what: str):
-    """Read a record CSV into (numeric columns, settings id: a str if shared, else an object array)."""
+def _read_table(path: str, cls, what: str):
+    """Read a record CSV into a cls table (settings id: a str if shared, else an object array)."""
+    schema = cls.schema
     k = [kind for _, kind in schema].index("str")
     usecols = [i for i, (_, kind) in enumerate(schema) if kind != "str"]
     dtype = np.dtype([(schema[i][0], schema[i][1]) for i in usecols])
@@ -135,31 +128,33 @@ def _read_table(path: str, schema, what: str):
             first += len(lines)
     if not parts:
         raise ValueError(f"{what} CSV {path} holds no records")
-    columns = [np.concatenate([p[name] for p in parts]) for name in dtype.names]
-    sid = next(iter(seen)) if len(seen) == 1 else np.array(list(chain.from_iterable(id_parts)), dtype=object)
-    return columns, sid
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in dtype.names}
+    ids = next(iter(seen)) if len(seen) == 1 else np.array(list(chain.from_iterable(id_parts)), dtype=object)
+    return cls(*(ids if name == "settings_id" else columns[name] for name in cls.field_names))
+
+
+def _emit(records, cls, path: str) -> str:
+    return _emit_table(None if _is_empty(records) else cls.from_records(records), cls.schema, path)
 
 
 def emit_records(records, path: str) -> str:
     """Write trial records as CSV; an empty record set yields a header-only file."""
-    return _emit_table(None if _is_empty(records) else as_table(records), TRIAL_SCHEMA, path)
+    return _emit(records, TrialTable, path)
 
 
 def read_records(path: str) -> TrialTable:
     """Read a trial CSV back into a table; exact inverse of emit_records."""
-    (index, raw1, raw2, alpha1, alpha2, beta1, beta2, seed), sid = _read_table(path, TRIAL_SCHEMA, "trial")
-    return TrialTable(index, raw1, raw2, alpha1, alpha2, beta1, beta2, sid, seed)
+    return _read_table(path, TrialTable, "trial")
 
 
 def emit_predictions(records, path: str) -> str:
     """Write prediction records as CSV; empty set yields a header-only file."""
-    return _emit_table(None if _is_empty(records) else as_prediction_table(records), PREDICTION_SCHEMA, path)
+    return _emit(records, PredictionTable, path)
 
 
 def read_predictions(path: str) -> PredictionTable:
     """Read a prediction CSV back into a table; exact inverse of emit_predictions."""
-    (index, mean1, mean2, pred1, pred2, act1, act2, seed), sid = _read_table(path, PREDICTION_SCHEMA, "prediction")
-    return PredictionTable(index, mean1, mean2, pred1, pred2, act1, act2, sid, seed)
+    return _read_table(path, PredictionTable, "prediction")
 
 
 def emit_sweep(rows, path: str) -> str:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -125,22 +126,36 @@ class ChshReport:
     chsh_stderr: float
 
 
-class TrialTable:
-    """Column-oriented batch of trial records."""
+_I, _F = "int64", "float64"
+# CSV column order and numpy dtype per field; "str" is the unquoted settings id
+TRIAL_SCHEMA = (
+    ("trial_index", _I), ("settings_id", "str"), ("raw1", _F), ("raw2", _F),
+    ("alpha1", _F), ("alpha2", _F), ("beta1", _I), ("beta2", _I), ("seed", "uint64"),
+)
+_SCALARS = {"int64": int, "uint64": int, "float64": float, "str": str}
 
-    __slots__ = ("trial_index", "raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2", "settings_id", "seed")
 
-    def __init__(self, trial_index, raw1, raw2, alpha1, alpha2, beta1, beta2, settings_id, seed):
-        self.trial_index = np.asarray(trial_index, dtype=np.int64)
-        self.raw1 = np.asarray(raw1, dtype=float)
-        self.raw2 = np.asarray(raw2, dtype=float)
-        self.alpha1 = np.asarray(alpha1, dtype=float)
-        self.alpha2 = np.asarray(alpha2, dtype=float)
-        self.beta1 = np.asarray(beta1, dtype=np.int64)
-        self.beta2 = np.asarray(beta2, dtype=np.int64)
-        # one id string per table when homogeneous, else an array of ids
-        self.settings_id = settings_id
-        self.seed = np.asarray(seed, dtype=np.uint64)
+class RecordTable:
+    """Column-oriented batch of records of one kind.
+
+    A subclass names its `record` dataclass and its `schema`; the constructor
+    takes one column per record field, in field order, each cast to its schema
+    dtype.  settings_id is one str when every row shares it, else an array.
+    """
+
+    record: type
+    schema: tuple
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.field_names = tuple(f.name for f in fields(cls.record))
+        cls._kinds = tuple(dict(cls.schema)[name] for name in cls.field_names)
+
+    def __init__(self, *columns):
+        if len(columns) != len(self.field_names):
+            raise TypeError(f"{type(self).__name__} takes {len(self.field_names)} columns, got {len(columns)}")
+        for name, kind, col in zip(self.field_names, self._kinds, columns):
+            setattr(self, name, col if kind == "str" else np.asarray(col, dtype=kind))
 
     def __len__(self) -> int:
         return self.trial_index.shape[0]
@@ -150,27 +165,12 @@ class TrialTable:
             return np.full(len(self), self.settings_id, dtype=object)
         return np.asarray(self.settings_id, dtype=object)
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in FIELDS:
-            raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
-        return getattr(self, name).astype(float, copy=False)
-
-    def row(self, i: int) -> TrialRecord:
-        sid = self.settings_id if isinstance(self.settings_id, str) else str(self.settings_id[i])
-        return TrialRecord(
-            trial_index=int(self.trial_index[i]),
-            raw1=float(self.raw1[i]),
-            raw2=float(self.raw2[i]),
-            alpha1=float(self.alpha1[i]),
-            alpha2=float(self.alpha2[i]),
-            beta1=int(self.beta1[i]),
-            beta2=int(self.beta2[i]),
-            settings_id=sid,
-            seed=int(self.seed[i]),
-        )
+    def row(self, i: int):
+        columns = (getattr(self, name) for name in self.field_names)
+        return self.record(*(c if isinstance(c, str) else _SCALARS[k](c[i]) for c, k in zip(columns, self._kinds)))
 
     @classmethod
-    def concat(cls, parts: "list[TrialTable]") -> "TrialTable":
+    def concat(cls, parts: list):
         if not parts:
             raise ValueError("cannot concatenate zero tables")
         if all(isinstance(p.settings_id, str) for p in parts) and len({p.settings_id for p in parts}) == 1:
@@ -178,38 +178,38 @@ class TrialTable:
         else:
             sid = np.concatenate([p.settings_ids() for p in parts])
         return cls(
-            np.concatenate([p.trial_index for p in parts]),
-            np.concatenate([p.raw1 for p in parts]),
-            np.concatenate([p.raw2 for p in parts]),
-            np.concatenate([p.alpha1 for p in parts]),
-            np.concatenate([p.alpha2 for p in parts]),
-            np.concatenate([p.beta1 for p in parts]),
-            np.concatenate([p.beta2 for p in parts]),
-            sid,
-            np.concatenate([p.seed for p in parts]),
+            *(sid if name == "settings_id" else np.concatenate([getattr(p, name) for p in parts]) for name in cls.field_names)
         )
+
+    @classmethod
+    def from_records(cls, records):
+        """Normalize a table of this kind or an iterable of its records into a table."""
+        if isinstance(records, cls):
+            return records
+        rows = list(records)
+        if not rows:
+            raise ValueError("empty record set")
+        columns = {name: [getattr(r, name) for r in rows] for name in cls.field_names}
+        ids = columns["settings_id"]
+        columns["settings_id"] = ids[0] if len(set(ids)) == 1 else np.array(ids, dtype=object)
+        return cls(*columns.values())
+
+
+class TrialTable(RecordTable):
+    """Column-oriented batch of trial records."""
+
+    record = TrialRecord
+    schema = TRIAL_SCHEMA
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in FIELDS:
+            raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
+        return getattr(self, name).astype(float, copy=False)
 
 
 def as_table(records) -> TrialTable:
     """Normalize a TrialTable or an iterable of TrialRecord into a table."""
-    if isinstance(records, TrialTable):
-        return records
-    rows = list(records)
-    if not rows:
-        raise ValueError("empty record set")
-    ids = {r.settings_id for r in rows}
-    sid = rows[0].settings_id if len(ids) == 1 else np.array([r.settings_id for r in rows], dtype=object)
-    return TrialTable(
-        [r.trial_index for r in rows],
-        [r.raw1 for r in rows],
-        [r.raw2 for r in rows],
-        [r.alpha1 for r in rows],
-        [r.alpha2 for r in rows],
-        [r.beta1 for r in rows],
-        [r.beta2 for r in rows],
-        sid,
-        [r.seed for r in rows],
-    )
+    return TrialTable.from_records(records)
 
 
 def prepare_bell(kind: str) -> QuantumState:
@@ -278,8 +278,23 @@ def _simulate_range(settings: Settings, start: int, count: int, master_seed: int
     )
 
 
-def _range_task(args) -> TrialTable:
-    return _simulate_range(*args)
+def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
+    """Concatenate task(chunk_start, count) over the chunks of [start, start + n_trials).
+
+    With workers > 1 the chunks run in a process pool of at most one worker
+    per chunk; parts are joined in chunk order, so the result is the same
+    for every chunk size and worker count.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    starts = range(start, start + n_trials, chunk)
+    counts = [min(chunk, start + n_trials - s) for s in starts]
+    if workers > 1 and len(starts) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            parts = list(pool.map(task, starts, counts))
+    else:
+        parts = list(map(task, starts, counts))
+    return parts[0] if len(parts) == 1 else type(parts[0]).concat(parts)
 
 
 def run_trial(settings: Settings, trial_index: int, master_seed: int) -> TrialRecord:
@@ -300,18 +315,7 @@ def simulate_trials(
     Chunked over the per-trial counter windows; results are identical for
     every chunk size and worker count.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    spans = [
-        (settings, s, min(chunk, start + n_trials - s), master_seed)
-        for s in range(start, start + n_trials, chunk)
-    ]
-    if workers > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_range_task, spans))
-    else:
-        parts = [_range_task(span) for span in spans]
-    return parts[0] if len(parts) == 1 else TrialTable.concat(parts)
+    return run_chunked(partial(_simulate_range, settings, master_seed=master_seed), n_trials, start, chunk, workers)
 
 
 # ---------------------------------------------------------------------------

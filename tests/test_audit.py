@@ -1,5 +1,6 @@
 """Binary-data bound, decomposition verdicts, hidden-variable control source."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,16 @@ from blgisim.audit import (
     per_trial_term,
 )
 from blgisim.qubits import NoiseModel
-from blgisim.trials import Settings, TrialRecord, default_settings, estimate_chsh, exact_chsh, simulate_trials
+from blgisim.records import emit_records
+from blgisim.trials import (
+    Settings,
+    TrialRecord,
+    TrialTable,
+    default_settings,
+    estimate_chsh,
+    exact_chsh,
+    simulate_trials,
+)
 
 
 def binary_columns(table):
@@ -195,6 +205,23 @@ def test_decomposition_rejects_malformed_records():
         decomposition_test(good[:-1] + [rec(raw1=math.nan, alpha1=math.nan)], v=0.5)
 
 
+def test_decomposition_rejects_mixed_settings_ids():
+    # two experiments pooled into one record set must not get a verdict
+    mixed = TrialTable.concat(
+        [
+            simulate_trials(Settings(v=0.2), 5000, 1),
+            simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
+        ]
+    )
+    with pytest.raises(ValueError, match="malformed records: .*settings ids"):
+        decomposition_test(mixed, v=0.2)
+    # a per-row id array that holds one id is still one experiment
+    one = simulate_trials(Settings(v=0.2), 200, 1)
+    expected = decomposition_test(one, v=0.2)
+    one.settings_id = one.settings_ids()
+    assert decomposition_test(one, v=0.2) == expected
+
+
 # ------------------------------------------------------ hidden-variable source
 
 
@@ -226,6 +253,23 @@ def test_hidden_variable_records_slice_invariance():
     assert np.array_equal(tail.beta2, full.beta2[100:])
     with pytest.raises(ValueError):
         hidden_variable_records(config, 0, v=0.5)
+
+
+@pytest.mark.parametrize(
+    "noise, digest",
+    [
+        (NoiseModel(), "2b1c01eed72b6140e9da1228f38c6405bbf0acb9fa6fdfe7ee02868da683c292"),
+        (
+            NoiseModel(bias=0.05, sigma=0.3),
+            "91ede6f5bc12a5143b02f03584c4223f77cfdcddffc866f4c51527d1e58702a1",
+        ),
+    ],
+)
+def test_hidden_variable_record_bytes_match_golden_hashes(tmp_path, noise, digest):
+    records = hidden_variable_records(hidden_variable_config(5, 2), 1000, v=0.4, noise=noise, master_seed=6)
+    path = tmp_path / "hidden.csv"
+    emit_records(records, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_hidden_variable_exact_chsh_hand_case():

@@ -18,8 +18,8 @@ from blgisim.cli import (
     parse_invocation,
     run_sweep,
 )
-from blgisim.records import read_manifest, read_records, read_sweep
-from blgisim.trials import Settings, default_settings
+from blgisim.records import emit_records, read_manifest, read_records, read_sweep
+from blgisim.trials import Settings, TrialTable, default_settings, simulate_trials
 
 
 def last_json(capsys) -> dict:
@@ -157,6 +157,49 @@ def test_audit_rejects_weak_coupling_run(tmp_path, capsys):
     assert verdict["chsh_value"] > 2.0
     assert verdict["threshold_sigmas"] == 3.0
     assert verdict["chsh_stderr"] > 0.0
+
+
+def test_audit_mixed_settings_ids_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    mixed = TrialTable.concat(
+        [
+            simulate_trials(Settings(v=0.2), 5000, 1),
+            simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
+        ]
+    )
+    emit_records(mixed, str(path))
+    assert main(["audit", "--in", str(path), "--v", "0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("blgisim: error: malformed records:")
+    assert "settings ids" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["simulate", "--v", "0.4", "--trials", "30", "--angles", "10,80,30,-20", "--bell", "psi-",
+             "--noise-sigma", "0.2", "--noise-bias", "0.1", "--seed", "4"],
+            {"v": 0.4, "trials": 30, "angles": [math.radians(a) for a in (10, 80, 30, -20)], "bell": "psi-",
+             "noise_sigma": 0.2, "noise_bias": 0.1, "workers": 1},
+        ),
+        (
+            ["predict", "--v", "0.5", "--readout-v", "0.5", "--steps", "20", "--trials", "16", "--seed", "4"],
+            {"v": 0.5, "readout_v": 0.5, "steps": 20, "trials": 16, "workers": 1},
+        ),
+        (
+            ["sweep", "--v-grid", "0.3,0.9", "--trials", "200", "--seed", "4", "--workers", "2"],
+            {"v_grid": [0.3, 0.9], "trials": 200, "workers": 2},
+        ),
+    ],
+)
+def test_manifest_parameters_are_the_parsed_flags(tmp_path, capsys, argv, expected):
+    out = str(tmp_path / "out.csv")
+    assert main([*argv, "--out", out]) == 0
+    parameters = read_manifest(last_json(capsys)["manifest"]).parameters
+    assert parameters == {**expected, "seed": 4, "out": out}
 
 
 def test_audit_errors_exit_1(tmp_path, capsys):

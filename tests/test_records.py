@@ -1,5 +1,6 @@
 """CSV and manifest persistence: exact round trips, header checks, golden bytes."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from blgisim.cli import main
-from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
+from blgisim.prediction import (
+    PredictionRecord,
+    PredictionTable,
+    SequentialReadoutParams,
+    prediction_batch,
+    prediction_settings,
+)
 from blgisim.qubits import NoiseModel
 from blgisim.records import (
     PREDICTION_HEADER,
@@ -25,6 +32,14 @@ from blgisim.records import (
     read_sweep,
 )
 from blgisim.trials import TrialRecord, TrialTable, default_settings, simulate_trials
+
+
+@pytest.mark.parametrize("table, record", [(TrialTable, TrialRecord), (PredictionTable, PredictionRecord)])
+def test_table_schema_names_are_the_record_fields(table, record):
+    names = [name for name, _ in table.schema]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(record))
+    assert table.field_names == tuple(f.name for f in dataclasses.fields(record))
 
 
 def test_trial_round_trip_is_bit_exact(tmp_path):
@@ -173,6 +188,15 @@ GOLDEN = [
     (
         "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
         "60fb37dabfc969f97761e4bb1d7199b26b1bca8a07db3b976372c5ec88a7fa7e",
+    ),
+    # two chunks per grid point: the only output that goes through the process pool
+    (
+        "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 1",
+        "0e522f612508911be3658f6b7bd383e023c9939b95fde68846ea1f54e5a60cd8",
+    ),
+    (
+        "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 2",
+        "0e522f612508911be3658f6b7bd383e023c9939b95fde68846ea1f54e5a60cd8",
     ),
 ]
 

@@ -207,6 +207,36 @@ def test_simulate_trials_rejects_empty():
 # --------------------------------------------------------------- table shape
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs map in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
+    monkeypatch.setattr(trials, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    settings = default_settings(0.4, NoiseModel(sigma=0.2))
+    pooled = simulate_trials(settings, 70_000, master_seed=3, workers=10_000)
+    assert _InlinePool.max_workers == [2]  # 70,000 trials are 2 chunks of 65,536
+    serial = simulate_trials(settings, 70_000, master_seed=3, workers=1)
+    assert _InlinePool.max_workers == [2]
+    for name in TrialTable.field_names:
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
+
+
 def test_as_table_round_trip_and_concat():
     settings = default_settings(0.8)
     records = [run_trial(settings, i, 1) for i in range(6)]

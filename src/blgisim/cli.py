@@ -29,6 +29,7 @@ from .prediction import (
     exact_post_protocol_chsh,
     post_protocol_chsh,
     prediction_accuracy,
+    prediction_accuracy_exact,
     prediction_batch,
     prediction_settings,
 )
@@ -42,7 +43,7 @@ from .records import (
     emit_sweep,
     read_records,
 )
-from .streams import derived_seed
+from .streams import LAYOUT_VERSION, derived_seed
 from .trials import Settings, estimate_chsh, exact_chsh, simulate_trials
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
@@ -280,6 +281,7 @@ def _write_manifest(cmd, master_seed: int, out: str, started: str) -> str:
         started=started,
         finished=_now(),
         output_paths=[out],
+        layout_version=LAYOUT_VERSION,
     )
     return emit_manifest(manifest, out + ".manifest.json")
 
@@ -354,6 +356,7 @@ def _do_predict(cmd: PredictCommand) -> int:
             "ci_high": accuracy.ci_high,
             "matches": accuracy.matches,
             "count": accuracy.count,
+            "exact_accuracy": prediction_accuracy_exact(cmd.settings, cmd.readout),
             "expected_accuracy_saturated": (1.0 + cmd.settings.v) / 2.0,
             "post_protocol_chsh": post.chsh,
             "post_protocol_chsh_stderr": post.chsh_stderr,

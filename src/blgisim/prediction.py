@@ -10,25 +10,36 @@ Because the coupling and the projective test share an axis, every
 operation on the Bell side is diagonal in the same eigenbasis, so the
 joint distribution factors exactly: the projective outcome pair (t1, t2)
 follows the Born rule of the undisturbed Bell state, and conditioned on
-t_i the ancilla is a z-diagonal qubit with <sigma_z> = t_i * V.  The
-batch engine samples that factorization directly; it is not a shortcut
-around the physics but an exact reformulation, and the test suite checks
-it against the explicit coupling-unitary route.
+t_i the ancilla is a z-diagonal qubit with <sigma_z> = m0 = t_i * V.
+
+A weak z readout of a z-diagonal ancilla is a classical Bayes filter on
+its hidden eigenvalue c = +-1: the conditioned update
+m' = (m + o v)/(1 + o v m) is exactly the posterior mean of c.  So the
+readout sequence has an exact two-stage law: c = +1 with probability
+(1 + m0)/2, then the count K of +1 outcomes is Binomial(steps,
+(1 + c v)/2), and the trajectory mean is (2K - steps)/steps.  The batch
+engine samples that law with two draws per ancilla (one picks c, one
+inverts the binomial CDF for K).  It is not a shortcut around the
+physics but an exact reformulation; the test suite checks it against
+enumeration of the Kraus readout sequence and against the scalar
+step-by-step route.
 
 At saturated readout (steps * v^2 >= 25) the readout sign recovers the
 ancilla eigenbranch almost surely, so prediction accuracy approaches
-(1 + V)/2: perfect at V = 1, coin-flip as V -> 0.  The complementary
-post_protocol_chsh shows what the coupling costs: the Bell pair's own
-violation decays toward the classical bound as V grows.
+(1 + V)/2: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
+prediction_accuracy_exact gives the accuracy the batch converges to.  The
+complementary post_protocol_chsh shows what the coupling costs: the Bell
+pair's own violation decays toward the classical bound as V grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
+from scipy.special import bdtr, bdtrc
 
 from . import streams
 from .qubits import (
@@ -54,6 +65,10 @@ from .trials import (
 
 SATURATION_THRESHOLD = 25.0  # steps * v^2 at which readout is treated as saturated
 
+# Cap on the readout length: each (steps, v) builds two (steps + 1)-entry CDF
+# tables, 80 MB each at the cap.
+MAX_STEPS = 10**7
+
 # Projective test axes for the after-protocol Bell check (radians):
 # qubit 1 in {0, pi/2}, qubit 2 in {pi/4, -pi/4} maximize the ideal combination.
 POST_TEST_AXES_1 = (0.0, math.pi / 2)
@@ -74,16 +89,12 @@ class SequentialReadoutParams:
 
     def __post_init__(self) -> None:
         check_strength(self.v)
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps}")
+        if int(self.steps) != self.steps or not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {self.steps}")
 
     @property
     def saturated(self) -> bool:
         return self.steps * self.v**2 >= SATURATION_THRESHOLD
-
-    @property
-    def blocks_per_trial(self) -> int:
-        return -(-int(self.steps) // streams.DRAWS_PER_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -181,27 +192,34 @@ def _sample_branches(probs: np.ndarray, u: np.ndarray) -> tuple:
     return t1, t2
 
 
-def _readout_chain(m0: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
-    """Run z-readout chains on z-diagonal ancillas, vectorized over trials.
+@lru_cache(maxsize=8)
+def _count_cdfs(steps: int, v: float) -> tuple:
+    """Read-only tables F_c(k) = P(K <= k | c), k = 0..steps, for c = +1 and c = -1.
 
-    m0 holds each ancilla's initial <sigma_z>; u has one uniform per
-    (trial, step), rows contiguous per step after transpose.  Returns the
-    per-trial mean of the +-1 readout outcomes.  Per step: outcome o = +-1
-    with P(+) = (1 + v m)/2, then the conditioned Bloch-z update
-    m' = (m + o v)/(1 + o v m).
+    K | c ~ Binomial(steps, (1 + c v)/2) counts the +1 readout outcomes.
     """
-    v = readout.v
+    k = np.arange(steps + 1)
+    tables = tuple(bdtr(k, steps, (1.0 + c * v) / 2.0) for c in (1, -1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _readout_means(m0: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
+    """Trajectory means of z-readout sequences on z-diagonal ancillas.
+
+    m0 holds each ancilla's initial <sigma_z>; row i of u is trial i's
+    block.  Draw 0 picks the eigenvalue c = +1 iff u0 < (1 + m0)/2; draw 1
+    picks K = min{k : F_c(k) > u1}.  Returns (2K - steps)/steps.
+    """
     steps = int(readout.steps)
-    by_step = np.ascontiguousarray(u[:, :steps].T)
-    m = m0.astype(float).copy()
-    total = np.zeros(m.shape, dtype=np.int64)
-    for s in range(steps):
-        p_plus = (1.0 + v * m) / 2.0
-        o = np.where(by_step[s] < p_plus, 1, -1)
-        total += o
-        ov = o * v
-        m = (m + ov) / (1.0 + ov * m)
-    return total / steps
+    cdf_plus, cdf_minus = _count_cdfs(steps, readout.v)
+    k = np.where(
+        u[:, 0] < (1.0 + m0) / 2.0,
+        np.searchsorted(cdf_plus, u[:, 1], side="right"),
+        np.searchsorted(cdf_minus, u[:, 1], side="right"),
+    )
+    return (2 * k - steps) / steps
 
 
 def _predict_range(
@@ -211,13 +229,10 @@ def _predict_range(
     u_bell = streams.window_uniforms(master_seed, streams.PREDICT_BELL_STREAM, start, count, 1)
     t1, t2 = _sample_branches(probs, u_bell[:, 0])
 
-    blocks = readout.blocks_per_trial
-    u1 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA1_STREAM, start, count, blocks)
-    mean1 = _readout_chain(t1 * settings.v, readout, u1)
-    del u1
-    u2 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA2_STREAM, start, count, blocks)
-    mean2 = _readout_chain(t2 * settings.v, readout, u2)
-    del u2
+    u1 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA1_STREAM, start, count, 1)
+    mean1 = _readout_means(t1 * settings.v, readout, u1)
+    u2 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA2_STREAM, start, count, 1)
+    mean2 = _readout_means(t2 * settings.v, readout, u2)
 
     index = np.arange(start, start + count, dtype=np.int64)
     return PredictionTable(
@@ -291,6 +306,33 @@ def prediction_accuracy(records) -> AccuracyEstimate:
         matches=matches,
         count=n,
     )
+
+
+def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutParams) -> float:
+    """Exact pooled accuracy that prediction_accuracy of a batch converges to.
+
+    Valid for any `steps`.  Given the projective outcome t, the ancilla
+    eigenvalue is c = t with probability (1 + V)/2, K | c is binomial, and
+    the sign rule predicts +1 iff K >= ceil(steps/2) (a zero mean predicts
+    +1).  t_i follows the Bell pair's projective marginal; the result is
+    averaged over both qubits.
+    """
+    _require_same_axis(settings)
+    steps = int(readout.steps)
+    below = (steps - 1) // 2  # largest K with a negative mean, so predicting -1
+
+    def hit(t: int) -> float:
+        """P(prediction = t | projective outcome t)."""
+        total = 0.0
+        for c in (1, -1):
+            p = (1.0 + c * readout.v) / 2.0
+            tail = bdtrc(below, steps, p) if t > 0 else bdtr(below, steps, p)
+            total += (1.0 + c * t * settings.v) / 2.0 * float(tail)
+        return total
+
+    probs = _pair_probs(prepare_bell(settings.bell_kind).density(), settings.b1, settings.b2)
+    plus = (2.0 * probs[0] + probs[1] + probs[2]) / 2.0  # P(t_i = +1), averaged over i
+    return float(plus * hit(1) + (1.0 - plus) * hit(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ class RunManifest:
     started: str
     finished: str
     output_paths: list
+    layout_version: int = 1  # streams.LAYOUT_VERSION of the run; absent (1) in older manifests
 
 
 def _check_id(sid: str) -> None:

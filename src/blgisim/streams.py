@@ -20,6 +20,13 @@ from numpy.random import Generator, Philox
 
 DRAWS_PER_BLOCK = 4
 
+# Version of the draw layout that run manifests record.  Bumped whenever a
+# consumer changes which draws it takes or what it does with them, because
+# the same master seed then writes different record bytes.
+#   1: the sequential readout took one draw per readout step.
+#   2: the sequential readout takes two draws per ancilla (eigenvalue, count).
+LAYOUT_VERSION = 2
+
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.
 TRIAL_STREAM = 0x01

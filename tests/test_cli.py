@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import blgisim
 from blgisim import cli
 from blgisim.cli import (
     AuditCommand,
@@ -18,7 +22,14 @@ from blgisim.cli import (
     parse_invocation,
     run_sweep,
 )
+from blgisim.prediction import (
+    MAX_STEPS,
+    SequentialReadoutParams,
+    prediction_accuracy_exact,
+    prediction_settings,
+)
 from blgisim.records import emit_records, read_manifest, read_records, read_sweep
+from blgisim.streams import LAYOUT_VERSION
 from blgisim.trials import Settings, TrialTable, default_settings, simulate_trials
 
 
@@ -90,6 +101,24 @@ def test_parse_defaults():
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
+
+
+def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys):
+    # rejected while parsing, before any table or draw array is allocated
+    assert main(["predict", "--v", "0.5", "--out", "p.csv", "--steps", str(10 * MAX_STEPS)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln for ln in lines if ln.startswith("usage:")] == lines[:1]
+    assert lines[1:] == [f"blgisim: error: steps must be an integer in [1, {MAX_STEPS}], got {10 * MAX_STEPS}"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import, which every command would pay
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blgisim.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, blgisim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_help_and_version_exit_0(capsys):
@@ -248,6 +277,17 @@ def test_predict_writes_records_and_summary(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 65
     manifest = read_manifest(summary["manifest"])
     assert manifest.parameters["steps"] == 200
+
+
+def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):
+    out = tmp_path / "pred.csv"
+    argv = ["predict", "--v", "0.4", "--readout-v", "0.3", "--steps", "7", "--trials", "50", "--seed", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = last_json(capsys)
+    readout = SequentialReadoutParams(v=0.3, steps=7)
+    assert summary["exact_accuracy"] == prediction_accuracy_exact(prediction_settings(0.4), readout)
+    assert summary["exact_accuracy"] < summary["expected_accuracy_saturated"]
+    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 2
 
 
 def test_sweep_verdict_transition(tmp_path, capsys):

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import bdtr
 
 from blgisim import prediction, streams
 from blgisim.prediction import (
+    MAX_STEPS,
     POST_TEST_AXES_1,
     POST_TEST_AXES_2,
     PredictionTable,
@@ -18,6 +20,7 @@ from blgisim.prediction import (
     post_protocol_chsh,
     predict,
     prediction_accuracy,
+    prediction_accuracy_exact,
     prediction_batch,
     prediction_settings,
     run_prediction_experiment,
@@ -55,9 +58,11 @@ def test_readout_saturation_threshold():
     assert SequentialReadoutParams(v=1.0, steps=25).saturated
 
 
-def test_readout_blocks_per_trial():
-    assert SequentialReadoutParams(v=0.1, steps=10).blocks_per_trial == 3
-    assert SequentialReadoutParams(v=0.1, steps=8).blocks_per_trial == 2
+def test_readout_steps_are_capped():
+    # constructing the parameters allocates nothing, so the cap itself is safe to build
+    assert SequentialReadoutParams(v=0.5, steps=MAX_STEPS).steps == MAX_STEPS
+    with pytest.raises(ValueError, match="steps"):
+        SequentialReadoutParams(v=0.5, steps=MAX_STEPS + 1)
 
 
 def test_predict_sign_rule():
@@ -132,11 +137,12 @@ def test_long_readout_collapses_the_ancilla():
 
 
 def reference_prediction(settings: Settings, readout, index: int, master_seed: int):
-    """Scalar re-derivation of one prediction trial from single-shot ops.
+    """Scalar re-derivation of one prediction trial from the draw layout.
 
-    Samples the projective pair from its Born law, conditions each ancilla
-    on the sampled branch, and runs the readout chain through
-    qubits.weak_measure, consuming the same counter windows as the batch.
+    Samples the projective pair from its Born law, then per ancilla takes
+    the two draws of its counter block: the first picks the eigenvalue c,
+    the second the count K of +1 readouts by walking the binomial CDF one
+    k at a time.
     """
     psi = BELL_AMPLITUDES[settings.bell_kind]
     rho = np.outer(psi, psi.conj())
@@ -154,18 +160,24 @@ def reference_prediction(settings: Settings, readout, index: int, master_seed: i
         acc += probs[idx]
     t1, t2 = prediction._BRANCHES[idx]
 
+    n = readout.steps
     means = []
     for qubit_tag, t in (
         (streams.PREDICT_ANCILLA1_STREAM, t1),
         (streams.PREDICT_ANCILLA2_STREAM, t2),
     ):
-        gen = streams.stream(master_seed, qubit_tag, index=index, blocks=readout.blocks_per_trial)
-        mean, _ = sequential_weak_sequence(z_diagonal(t * settings.v), 0, 0.0, readout, gen)
-        means.append(mean)
+        gen = streams.stream(master_seed, qubit_tag, index=index, blocks=1)
+        u_c, u_k = gen.random(), gen.random()
+        c = 1 if u_c < (1.0 + t * settings.v) / 2.0 else -1
+        p = (1.0 + c * readout.v) / 2.0
+        k = 0
+        while bdtr(k, n, p) <= u_k:
+            k += 1
+        means.append((2 * k - n) / n)
     return means[0], means[1], t1, t2
 
 
-def test_batch_matches_scalar_operator_reference():
+def test_batch_matches_scalar_layout_reference():
     settings = prediction_settings(0.6)
     readout = SequentialReadoutParams(v=0.3, steps=40)
     table = prediction_batch(settings, readout, 30, master_seed=77)
@@ -177,6 +189,61 @@ def test_batch_matches_scalar_operator_reference():
         assert row.actual1 == t1 and row.actual2 == t2
         assert row.predicted1 == predict(mean1)
         assert row.predicted2 == predict(mean2)
+
+
+def binomial_mixture_pmf(m0: float, v: float, steps: int) -> np.ndarray:
+    """P(K = k) of the two-stage law: c = +1 w.p. (1 + m0)/2, K | c ~ Bin(steps, (1 + c v)/2)."""
+    pmf = np.zeros(steps + 1)
+    for c in (1, -1):
+        p = (1.0 + c * v) / 2.0
+        for k in range(steps + 1):
+            pmf[k] += (1.0 + c * m0) / 2.0 * math.comb(steps, k) * p**k * (1.0 - p) ** (steps - k)
+    return pmf
+
+
+def kraus_count_pmf(m0: float, v: float, steps: int) -> np.ndarray:
+    """P(K = k) from all 2^steps readout sequences of weak_kraus operators.
+
+    Each sequence's probability is the trace of its unnormalized branch
+    state; sequences are grouped by their count K of +1 outcomes.
+    """
+    pair = weak_kraus(v, 0.0)
+    branches = [(z_diagonal(m0).density().astype(complex), 0)]
+    for _ in range(steps):
+        branches = [
+            (pair.operator(o) @ rho @ pair.operator(o).conj().T, k + (o > 0))
+            for rho, k in branches
+            for o in (1, -1)
+        ]
+    assert len(branches) == 2**steps
+    pmf = np.zeros(steps + 1)
+    for rho, k in branches:
+        pmf[k] += float(np.trace(rho).real)
+    return pmf
+
+
+def test_readout_count_law_matches_kraus_enumeration():
+    for m0, v in ((0.0, 0.3), (0.6, 0.3), (-0.45, 0.7), (1.0, 0.2), (0.3, 1.0)):
+        for steps in range(1, 11):
+            law = binomial_mixture_pmf(m0, v, steps)
+            assert np.abs(kraus_count_pmf(m0, v, steps) - law).max() < 1e-12, (m0, v, steps)
+            # the sampler inverts exactly this law's CDF
+            cdf_plus, cdf_minus = prediction._count_cdfs(steps, v)
+            mixture = (1.0 + m0) / 2.0 * cdf_plus + (1.0 - m0) / 2.0 * cdf_minus
+            assert np.abs(mixture - np.cumsum(law)).max() < 1e-12, (m0, v, steps)
+
+
+def test_scalar_readout_route_matches_count_law():
+    m0, steps, n = 0.3, 5, 2000
+    params = SequentialReadoutParams(v=0.4, steps=steps)
+    rng = np.random.default_rng(21)
+    counts = np.zeros(steps + 1)
+    for _ in range(n):
+        mean, _ = sequential_weak_sequence(z_diagonal(m0), 0, 0.0, params, rng)
+        counts[round((mean + 1.0) * steps / 2.0)] += 1
+    law = binomial_mixture_pmf(m0, params.v, steps)
+    se = np.sqrt(law * (1.0 - law) / n)
+    assert np.all(np.abs(counts / n - law) < 5.0 * se), (counts / n, law)
 
 
 def test_run_prediction_experiment_is_deterministic():
@@ -259,9 +326,8 @@ def test_accuracy_tracks_coupling_strength_when_saturated():
         assert abs(est.accuracy - target) < 4.0 * spread + 1e-12
 
 
-def test_small_chain_accuracy_matches_exact_enumeration():
-    # steps = 3 is far from saturation; enumerate all 2^3 outcome sequences
-    system_v, chain = 0.5, SequentialReadoutParams(v=0.6, steps=3)
+def enumerated_accuracy(system_v: float, chain: SequentialReadoutParams) -> float:
+    """Pooled accuracy from all 2^steps outcome sequences of the readout chain."""
 
     def chain_prob(seq, m):
         p = 1.0
@@ -276,6 +342,13 @@ def test_small_chain_accuracy_matches_exact_enumeration():
         for seq in itertools.product((1, -1), repeat=chain.steps):
             if predict(sum(seq) / chain.steps) == t:
                 exact += 0.5 * chain_prob(seq, t * system_v)
+    return exact
+
+
+def test_small_chain_accuracy_matches_exact_enumeration():
+    # steps = 3 is far from saturation; enumerate all 2^3 outcome sequences
+    system_v, chain = 0.5, SequentialReadoutParams(v=0.6, steps=3)
+    exact = enumerated_accuracy(system_v, chain)
 
     table = prediction_batch(prediction_settings(system_v), chain, 30_000, master_seed=13)
     est = prediction_accuracy(table)
@@ -283,6 +356,26 @@ def test_small_chain_accuracy_matches_exact_enumeration():
     assert abs(est.accuracy - exact) < 4.0 * spread
     # not yet saturated: short chains predict worse than the asymptote
     assert exact < (1.0 + system_v) / 2.0
+
+    # the exact accuracy, even steps included (a tie K = steps/2 predicts +1)
+    for system_v, readout_v in ((0.5, 0.6), (0.9, 0.2), (1.0, 0.7)):
+        for steps in range(1, 9):
+            chain = SequentialReadoutParams(v=readout_v, steps=steps)
+            got = prediction_accuracy_exact(prediction_settings(system_v), chain)
+            assert abs(got - enumerated_accuracy(system_v, chain)) < 1e-12, (system_v, readout_v, steps)
+
+
+def test_exact_accuracy_reaches_one_plus_v_over_two_at_saturation():
+    readout = SequentialReadoutParams(v=0.05, steps=10_000)
+    assert readout.saturated
+    for v in (0.01, 0.3, 0.6, 1.0):
+        exact = prediction_accuracy_exact(prediction_settings(v), readout)
+        # the misassignment probability at steps * v^2 = 25 is below 1e-6
+        assert 0.0 <= (1.0 + v) / 2.0 - exact < 1e-6, v
+    psi_minus = Settings(a1=0.0, a2=math.pi / 2, b1=0.0, b2=math.pi / 2, v=0.3, bell_kind="psi_minus")
+    assert abs(prediction_accuracy_exact(psi_minus, readout) - 0.65) < 1e-6
+    shallow = SequentialReadoutParams(v=0.05, steps=100)
+    assert prediction_accuracy_exact(prediction_settings(0.3), shallow) < 0.65 - 1e-3
 
 
 # -------------------------------------------------------- after the protocol

@@ -176,6 +176,21 @@ def test_manifest_round_trip(tmp_path):
     assert read_manifest(str(path)) == manifest
 
 
+def test_manifest_without_layout_version_reads_as_layout_1(tmp_path):
+    old = {
+        "tool_version": "0.1.0",
+        "command": "predict --v 0.5 --out x.csv",
+        "master_seed": 3,
+        "parameters": {"v": 0.5},
+        "started": "2026-01-01T00:00:00+00:00",
+        "finished": "2026-01-01T00:00:05+00:00",
+        "output_paths": ["x.csv"],
+    }
+    path = tmp_path / "old.manifest.json"
+    path.write_text(json.dumps(old))
+    assert read_manifest(str(path)).layout_version == 1
+
+
 # ------------------------------------------------------------- golden bytes
 
 # SHA-256 of the record CSVs as the format stands; a change that moves these
@@ -186,8 +201,9 @@ GOLDEN = [
         "8081b366f0c8e3f3ff159271ad5159c255050e4c7d06945ca1698cf8dd95a1a0",
     ),
     (
+        # draw layout 2: the readout is sampled from its exact two-stage law
         "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
-        "60fb37dabfc969f97761e4bb1d7199b26b1bca8a07db3b976372c5ec88a7fa7e",
+        "26e28ab52aa8fa4ef414dd90ebbd58115cd9f9a63d3fe2b08390c887312ff3aa",
     ),
     # two chunks per grid point: the only output that goes through the process pool
     (

@@ -16,7 +16,6 @@ plus unbiased noise, as the consistent control for the test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -50,7 +50,6 @@ from .qubits import (
     check_strength,
     lift1,
     weak_kraus,
-    weak_measure,
 )
 from .trials import (
     ChshReport,
@@ -61,6 +60,7 @@ from .trials import (
     coupled_state,
     prepare_bell,
     run_chunked,
+    sample_branches,
 )
 
 SATURATION_THRESHOLD = 25.0  # steps * v^2 at which readout is treated as saturated
@@ -76,7 +76,7 @@ POST_TEST_AXES_2 = (math.pi / 4, -math.pi / 4)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-# Outcome pairs in cumulative-probability order for branch sampling.
+# Outcome pairs in the nested (+1, -1) order of trials.sample_branches.
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -151,23 +151,6 @@ def prediction_settings(v: float) -> Settings:
     return Settings(a1=0.0, a2=math.pi / 2, b1=0.0, b2=math.pi / 2, v=v)
 
 
-def sequential_weak_sequence(
-    state: QuantumState, qubit: int, axis: float, params: SequentialReadoutParams, rng: np.random.Generator
-) -> tuple:
-    """Read one qubit out `steps` times at per-step strength params.v.
-
-    Returns (mean of the +-1 raw outcomes, final conditioned state).  Each
-    step consumes exactly one uniform draw.  The conditioned state performs
-    a random walk that collapses toward a sigma(axis) eigenstate; the walk's
-    <sigma(axis)> sequence is a martingale.
-    """
-    total = 0
-    for _ in range(params.steps):
-        raw, state = weak_measure(state, qubit, axis, params.v, rng)
-        total += raw
-    return total / params.steps, state
-
-
 # ---------------------------------------------------------------------------
 # Batch engine
 
@@ -182,14 +165,6 @@ def _pair_probs(rho: np.ndarray, th1: float, th2: float) -> np.ndarray:
         [float(np.trace(np.kron(pick1[t1], pick2[t2]) @ rho).real) for t1, t2 in _BRANCHES]
     )
     return np.clip(probs, 0.0, 1.0)
-
-
-def _sample_branches(probs: np.ndarray, u: np.ndarray) -> tuple:
-    cum = np.cumsum(probs)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(_BRANCHES) - 1)
-    t1 = np.where(idx < 2, 1, -1).astype(np.int64)
-    t2 = np.where(idx % 2 == 0, 1, -1).astype(np.int64)
-    return t1, t2
 
 
 @lru_cache(maxsize=8)
@@ -227,7 +202,7 @@ def _predict_range(
 ) -> PredictionTable:
     probs = _pair_probs(prepare_bell(settings.bell_kind).density(), settings.b1, settings.b2)
     u_bell = streams.window_uniforms(master_seed, streams.PREDICT_BELL_STREAM, start, count, 1)
-    t1, t2 = _sample_branches(probs, u_bell[:, 0])
+    t1, t2 = sample_branches(probs, u_bell[:, 0], 2)
 
     u1 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA1_STREAM, start, count, 1)
     mean1 = _readout_means(t1 * settings.v, readout, u1)
@@ -403,7 +378,7 @@ def post_protocol_chsh(
     for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         probs = _pair_probs(rho, POST_TEST_AXES_1[i], POST_TEST_AXES_2[j])
         u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, k * n_per, n_per, 1)
-        t1, t2 = _sample_branches(probs, u[:, 0])
+        t1, t2 = sample_branches(probs, u[:, 0], 2)
         products = (t1 * t2).astype(float)
         estimates[(i, j)] = CorrelatorEstimate(
             value=float(products.mean()),

@@ -5,10 +5,12 @@ Measurement axes live in the x-z plane and are given by a single angle
 theta measured from +z, so the observable is sigma(theta) =
 cos(theta)*sigma_z + sin(theta)*sigma_x.
 
-Random draws: every stochastic operation consumes EXACTLY ONE uniform from
-the generator it is handed (Gaussians go through the inverse normal CDF).
-Fixed draw budgets are what make counter-based trial windows reproducible;
-see streams.py.
+weak_measure is the scalar, state-updating route: it draws one uniform
+from the generator it is handed and returns the outcome with the
+renormalized post-measurement state.  The package's samplers do not call
+it; they draw from exact laws built from these operators (see
+trials.branch_distribution).  The tests run it as an independent check of
+those laws.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -84,27 +85,6 @@ def weak_kraus(v: float, theta: float) -> KrausPair:
     hi = np.sqrt((1.0 + v) / 2.0)
     lo = np.sqrt((1.0 - v) / 2.0)
     return KrausPair(hi * p_plus + lo * p_minus, lo * p_plus + hi * p_minus)
-
-
-def coupling_unitary(v: float, theta: float) -> np.ndarray:
-    """Equivalent 2-qubit system+ancilla representation of weak_kraus.
-
-    Controlled rotation: conditioned on the system's sigma(theta)
-    eigenbranch, the ancilla (second factor, prepared in |0>) is rotated to
-    a pointer state with <sigma_z> = +-v.  Projecting the ancilla along z
-    afterwards reproduces the weak_kraus outcome statistics and back-action
-    exactly; the unit tests assert that equality.
-    """
-    v = check_strength(v)
-    p_plus, p_minus = axis_projectors(theta)
-
-    def rot_y(phi: float) -> np.ndarray:
-        c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-
-    phi_plus = 2.0 * np.arccos(np.sqrt((1.0 + v) / 2.0))
-    phi_minus = 2.0 * np.arccos(np.sqrt((1.0 - v) / 2.0))
-    return np.kron(p_plus, rot_y(phi_plus)) + np.kron(p_minus, rot_y(phi_minus))
 
 
 @dataclass(frozen=True)
@@ -247,17 +227,6 @@ def weak_measure(
     return raw, _apply_branch(state, pair.operator(raw), qubit, prob)
 
 
-def projective_measure(
-    state: QuantumState, qubit: int, theta: float, rng: np.random.Generator
-) -> tuple[int, QuantumState]:
-    """Strong measurement along theta: the v = 1 weak channel.
-
-    Returns (beta, post_state) with beta in {+1, -1}; the post state is the
-    eigenprojection. Consumes exactly one uniform draw.
-    """
-    return weak_measure(state, qubit, theta, 1.0, rng)
-
-
 def nonselective_weak(state: QuantumState, qubit: int, theta: float, v: float) -> QuantumState:
     """Deterministic outcome-averaged weak channel, as a density operator.
 
@@ -271,41 +240,6 @@ def nonselective_weak(state: QuantumState, qubit: int, theta: float, v: float) -
     rho = state.density()
     out = (1.0 + u) / 2.0 * rho + (1.0 - u) / 2.0 * (big @ rho @ big)
     return QuantumState(out, state.num_qubits, False)
-
-
-def rescale(raw: float, v: float) -> float:
-    """Normalize a raw weak outcome by the coupling strength: alpha = raw / v."""
-    return float(raw) / check_strength(v)
-
-
-def apply_readout_noise(raw: float, noise: NoiseModel, rng: np.random.Generator) -> float:
-    """Contaminate a raw signal: raw + bias + Gaussian(0, sigma).
-
-    Raw-side convention: called on the +-1 signal before rescaling, so under
-    alpha = raw/V the noise standard deviation scales by 1/V.
-    Consumes exactly one uniform draw (inverse-CDF Gaussian), even when
-    sigma = 0, to keep per-trial draw budgets fixed.
-    """
-    u = max(rng.random(), 2.0**-53)  # keep the inverse CDF finite at u = 0
-    gaussian = noise.sigma * float(ndtri(u)) if noise.sigma > 0.0 else 0.0
-    return float(raw) + noise.bias + gaussian
-
-
-def partial_trace(state: QuantumState, keep) -> QuantumState:
-    """Reduced density operator on the kept qubits (in ascending order)."""
-    keep = sorted(set(int(q) for q in keep))
-    n = state.num_qubits
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep set {keep} out of range for {n} qubits")
-    rho = state.density().reshape((2,) * (2 * n))
-    for q in reversed(range(n)):
-        if q in keep:
-            continue
-        rho = np.trace(rho, axis1=q, axis2=q + rho.ndim // 2)
-    dim = 2 ** len(keep)
-    return QuantumState(rho.reshape(dim, dim), len(keep), False)
 
 
 def concurrence(state: QuantumState) -> float:

@@ -25,7 +25,8 @@ DRAWS_PER_BLOCK = 4
 # the same master seed then writes different record bytes.
 #   1: the sequential readout took one draw per readout step.
 #   2: the sequential readout takes two draws per ancilla (eigenvalue, count).
-LAYOUT_VERSION = 2
+#   3: a trial takes one block: branch, noise 1, noise 2.
+LAYOUT_VERSION = 3
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.

@@ -6,10 +6,17 @@ projectively measure qubit 1 along b1 and qubit 2 along b2, rescale the
 noisy raws by 1/V.  The four correlators E(alpha_i, beta_j) combine into
 the CHSH-style statistic e11 + e12 + e21 - e22.
 
-Two execution paths share one draw layout: run_trial produces a single
-record, simulate_trials a columnar batch; both read the same per-trial
-counter window, so a trial's record is identical no matter which path,
-chunking, or worker count produced it.
+The trial engine does not evolve a state.  branch_distribution gives the
+exact joint law of (raw1, raw2, beta1, beta2), sixteen branches, and
+sample_branches draws each trial's branch from it with one uniform; two
+more uniforms carry the detector noise.  This is an exact reformulation,
+not an approximation: the test suite checks the law against an
+independent matrix-root enumeration and against the scalar Kraus chain of
+qubits.weak_measure.
+
+run_trial produces a single record, simulate_trials a columnar batch; both
+read the same per-trial counter window, so a trial's record is identical
+no matter which path, chunking, or worker count produced it.
 """
 
 from __future__ import annotations
@@ -24,13 +31,9 @@ from scipy.special import ndtri
 
 from . import streams
 from .qubits import (
-    ATOL,
-    MIN_BRANCH_PROB,
-    DegenerateBranchError,
     NO_NOISE,
     NoiseModel,
     QuantumState,
-    bloch_observable,
     check_strength,
     concurrence,
     lift1,
@@ -51,10 +54,9 @@ BELL_AMPLITUDES = {
 
 FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
 
-# Per-trial draw window: 2 Philox blocks = 8 draws, 6 consumed, in order:
-# weak qubit 1, weak qubit 2, noise raw 1, noise raw 2, projective qubit 1,
-# projective qubit 2.
-TRIAL_BLOCKS = 2
+# Per-trial draw window: 1 Philox block = 4 draws, 3 consumed, in order:
+# the (raw1, raw2, beta1, beta2) branch, noise raw 1, noise raw 2.
+TRIAL_BLOCKS = 1
 _MIN_UNIFORM = 2.0**-53  # floor before inverse-CDF so ndtri stays finite
 
 
@@ -220,31 +222,23 @@ def prepare_bell(kind: str) -> QuantumState:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized trial engine
+# Trial engine: sample the exact branch law
 
 
-def _measure_columns(amps: np.ndarray, theta: float, v: float, qubit: int, u: np.ndarray):
-    """Sample one x-z measurement across a batch of pure 2-qubit states.
+def sample_branches(probs, u: np.ndarray, outcomes: int) -> tuple:
+    """Draw joint +-1 outcomes from their pmf, one draw per entry of u.
 
-    amps has shape (n, 4); u is one uniform per row.  Returns (outcomes,
-    updated amplitudes).  Same probabilities and update as qubits.weak_measure.
+    probs holds the 2**outcomes branch probabilities in nested (+1, -1)
+    order, first outcome outermost.  Branch k is the first whose cumulative
+    probability exceeds u; negative round-off is clipped to 0, and a u past
+    the last cumulative value goes to the last branch of positive
+    probability, so a branch of probability 0 is never returned.  Returns
+    one int64 array of +-1 per outcome.
     """
-    obs = lift1(bloch_observable(theta), qubit, 2)
-    pair = weak_kraus(v, theta)
-    k_plus = lift1(pair.k_plus, qubit, 2)
-    k_minus = lift1(pair.k_minus, qubit, 2)
-
-    mean = np.einsum("ni,ij,nj->n", amps.conj(), obs, amps).real
-    p_plus = np.clip((1.0 + v * mean) / 2.0, 0.0, 1.0)
-    out = np.where(u < p_plus, 1, -1)
-    prob = np.where(out > 0, p_plus, 1.0 - p_plus)
-    if prob.size and float(prob.min()) < MIN_BRANCH_PROB:
-        raise DegenerateBranchError("sampled branch probability below 1e-15")
-    branch_plus = amps @ k_plus.T
-    branch_minus = amps @ k_minus.T
-    amps = np.where((out > 0)[:, None], branch_plus, branch_minus)
-    amps /= np.sqrt(prob)[:, None]
-    return out, amps
+    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    last = int(np.flatnonzero(probs)[-1])
+    idx = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), last)
+    return tuple(1 - 2 * ((idx >> (outcomes - 1 - k)) & 1) for k in range(outcomes))
 
 
 def _noisy(raw: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
@@ -255,14 +249,10 @@ def _noisy(raw: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
 def _simulate_range(settings: Settings, start: int, count: int, master_seed: int) -> TrialTable:
     """Trials [start, start+count) of the stream owned by master_seed."""
     u = streams.window_uniforms(master_seed, streams.TRIAL_STREAM, start, count, TRIAL_BLOCKS)
-    amps = np.broadcast_to(BELL_AMPLITUDES[settings.bell_kind], (count, 4)).copy()
-
-    raw1, amps = _measure_columns(amps, settings.a1, settings.v, 0, u[:, 0])
-    raw2, amps = _measure_columns(amps, settings.a2, settings.v, 1, u[:, 1])
-    noisy1 = _noisy(raw1.astype(float), settings.noise, u[:, 2])
-    noisy2 = _noisy(raw2.astype(float), settings.noise, u[:, 3])
-    beta1, amps = _measure_columns(amps, settings.b1, 1.0, 0, u[:, 4])
-    beta2, _ = _measure_columns(amps, settings.b2, 1.0, 1, u[:, 5])
+    probs = list(branch_distribution(settings).values())
+    raw1, raw2, beta1, beta2 = sample_branches(probs, u[:, 0], 4)
+    noisy1 = _noisy(raw1.astype(float), settings.noise, u[:, 1])
+    noisy2 = _noisy(raw2.astype(float), settings.noise, u[:, 2])
 
     index = np.arange(start, start + count, dtype=np.int64)
     return TrialTable(
@@ -363,9 +353,11 @@ def estimate_chsh(records) -> ChshReport:
 def branch_distribution(settings: Settings) -> dict:
     """Joint pmf of (raw1, raw2, beta1, beta2) before detector noise.
 
-    Sixteen branches: the evolving density operator is conditioned through
-    weak Kraus updates on both qubits and eigenprojections on both qubits,
-    in the same order as run_trial.  Probabilities sum to 1.
+    Sixteen branches: the Bell state's density operator is conditioned
+    through weak Kraus updates on both qubits, then eigenprojections on both
+    qubits.  Keys come in nested (+1, -1) order, raw1 outermost, which is
+    the order sample_branches takes; the trial engine samples this law
+    directly.  Probabilities sum to 1.
     """
     rho = prepare_bell(settings.bell_kind).density()
     pair1 = weak_kraus(settings.v, settings.a1)

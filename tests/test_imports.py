@@ -1,0 +1,23 @@
+"""Tooling guard: no package module imports a name it never references."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import blgisim
+
+MODULES = sorted(p for p in Path(blgisim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_references_every_name_it_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - referenced) == []

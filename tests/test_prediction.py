@@ -24,10 +24,10 @@ from blgisim.prediction import (
     prediction_batch,
     prediction_settings,
     run_prediction_experiment,
-    sequential_weak_sequence,
 )
 from blgisim.qubits import SIGMA_Z, QuantumState, axis_projectors, lift1, weak_kraus
 from blgisim.trials import BELL_AMPLITUDES, Settings
+from reference import sequential_weak_sequence
 
 
 def z_diagonal(m: float) -> QuantumState:

@@ -12,20 +12,16 @@ from blgisim.qubits import (
     DegenerateBranchError,
     NoiseModel,
     QuantumState,
-    apply_readout_noise,
     axis_projectors,
     bloch_observable,
     check_strength,
     concurrence,
-    coupling_unitary,
     lift1,
     nonselective_weak,
-    partial_trace,
-    projective_measure,
-    rescale,
     weak_kraus,
     weak_measure,
 )
+from reference import apply_readout_noise, coupling_unitary, partial_trace, projective_measure, rescale
 
 ATOL = 1e-12
 

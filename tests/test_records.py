@@ -197,8 +197,9 @@ def test_manifest_without_layout_version_reads_as_layout_1(tmp_path):
 # bytes must bump the layout version and say so.
 GOLDEN = [
     (
+        # draw layout 3: each trial's branch is drawn from the exact 16-branch law
         "simulate --v 0.2 --noise-sigma 0.3 --trials 140000 --seed 3",
-        "8081b366f0c8e3f3ff159271ad5159c255050e4c7d06945ca1698cf8dd95a1a0",
+        "a4b375cb8ca3c0b4f6b8dec12b84e6492cb23e64ec975f46a67e2fdd7f6f289e",
     ),
     (
         # draw layout 2: the readout is sampled from its exact two-stage law
@@ -208,11 +209,11 @@ GOLDEN = [
     # two chunks per grid point: the only output that goes through the process pool
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 1",
-        "0e522f612508911be3658f6b7bd383e023c9939b95fde68846ea1f54e5a60cd8",
+        "f50b9b9ce8a95096b86ed01b07b65f0093f8ac61d32a805fb418d098d71b53e4",
     ),
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 2",
-        "0e522f612508911be3658f6b7bd383e023c9939b95fde68846ea1f54e5a60cd8",
+        "f50b9b9ce8a95096b86ed01b07b65f0093f8ac61d32a805fb418d098d71b53e4",
     ),
 ]
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import sqrtm
 
-from blgisim import qubits, streams, trials
+from blgisim import prediction, qubits, streams, trials
 from blgisim.qubits import NO_NOISE, NoiseModel
 from blgisim.trials import (
     BELL_AMPLITUDES,
@@ -27,10 +27,16 @@ from blgisim.trials import (
     exact_mean,
     prepare_bell,
     run_trial,
+    sample_branches,
     simulate_trials,
 )
+from reference import apply_readout_noise, projective_measure, rescale
 
 SQRT_HALF = math.sqrt(0.5)
+
+# psi- tested along z on both qubits at full strength: 14 of the 16 branches,
+# the last one included, have probability exactly 0
+ZERO_BRANCH_SETTINGS = Settings(a1=0.0, a2=0.0, b1=0.0, b2=0.0, v=1.0, bell_kind="psi_minus")
 
 
 def closed_form_chsh(v: float) -> float:
@@ -40,28 +46,36 @@ def closed_form_chsh(v: float) -> float:
 
 
 def reference_trial(settings: Settings, index: int, master_seed: int):
-    """Scalar re-derivation of one trial from single-shot operators.
+    """Scalar re-derivation of one trial from draw layout 3.
 
-    Reads the same counter window as the vectorized engine but goes through
-    qubits.weak_measure / apply_readout_noise / projective_measure one call
-    at a time, so it checks both the physics path and the draw layout.
+    Reads the same counter window as the batch engine: draw 0 walks the
+    16-branch law one branch at a time (the first branch whose cumulative
+    probability exceeds it, else the last branch of positive probability),
+    then apply_readout_noise takes draws 1 and 2 and rescale divides by V.
+    It checks the draw layout, the noise and the rescaling exactly.
     """
     gen = streams.stream(master_seed, streams.TRIAL_STREAM, index=index, blocks=trials.TRIAL_BLOCKS)
+    u = gen.random()
+    acc = 0.0
+    for branch, p in branch_distribution(settings).items():
+        if p > 0.0:
+            picked, acc = branch, acc + p
+            if u < acc:
+                break
+    raw1, raw2, beta1, beta2 = picked
+    noisy1 = apply_readout_noise(float(raw1), settings.noise, gen)
+    noisy2 = apply_readout_noise(float(raw2), settings.noise, gen)
+    return noisy1, noisy2, rescale(noisy1, settings.v), rescale(noisy2, settings.v), beta1, beta2
+
+
+def scalar_chain_branch(settings: Settings, rng: np.random.Generator) -> tuple:
+    """(raw1, raw2, beta1, beta2) of one trial run through the scalar Kraus chain."""
     state = prepare_bell(settings.bell_kind)
-    raw1, state = qubits.weak_measure(state, 0, settings.a1, settings.v, gen)
-    raw2, state = qubits.weak_measure(state, 1, settings.a2, settings.v, gen)
-    noisy1 = qubits.apply_readout_noise(float(raw1), settings.noise, gen)
-    noisy2 = qubits.apply_readout_noise(float(raw2), settings.noise, gen)
-    beta1, state = qubits.projective_measure(state, 0, settings.b1, gen)
-    beta2, _ = qubits.projective_measure(state, 1, settings.b2, gen)
-    return (
-        noisy1,
-        noisy2,
-        qubits.rescale(noisy1, settings.v),
-        qubits.rescale(noisy2, settings.v),
-        beta1,
-        beta2,
-    )
+    raw1, state = qubits.weak_measure(state, 0, settings.a1, settings.v, rng)
+    raw2, state = qubits.weak_measure(state, 1, settings.a2, settings.v, rng)
+    beta1, state = projective_measure(state, 0, settings.b1, rng)
+    beta2, _ = projective_measure(state, 1, settings.b2, rng)
+    return raw1, raw2, beta1, beta2
 
 
 def matrix_root_pmf(settings: Settings) -> dict:
@@ -153,25 +167,61 @@ def test_batch_rows_equal_single_trials():
         assert table.row(i) == run_trial(settings, i, master_seed=9)
 
 
-def test_engine_matches_scalar_operator_reference():
-    # noisy, biased, weak coupling: every field must agree exactly
-    settings = Settings(v=0.6, noise=NoiseModel(bias=0.05, sigma=0.3))
-    table = simulate_trials(settings, 150, master_seed=2024)
-    for i in range(150):
-        noisy1, noisy2, alpha1, alpha2, beta1, beta2 = reference_trial(settings, i, 2024)
-        row = table.row(i)
-        assert row.raw1 == noisy1 and row.raw2 == noisy2
-        assert row.alpha1 == alpha1 and row.alpha2 == alpha2
-        assert row.beta1 == beta1 and row.beta2 == beta2
+def test_engine_matches_scalar_layout_reference():
+    # draw-exact: noisy, biased, weak coupling, then random-angle projective
+    cases = (
+        (Settings(v=0.6, noise=NoiseModel(bias=0.05, sigma=0.3)), 150, 2024),
+        (Settings(a1=0.3, a2=1.1, b1=0.9, b2=-0.4, v=1.0), 50, 7),
+    )
+    for settings, n, seed in cases:
+        table = simulate_trials(settings, n, master_seed=seed)
+        for i in range(n):
+            row = table.row(i)
+            got = (row.raw1, row.raw2, row.alpha1, row.alpha2, row.beta1, row.beta2)
+            assert got == reference_trial(settings, i, seed), (settings, i)
 
 
-def test_engine_matches_scalar_operator_reference_projective():
-    settings = Settings(a1=0.3, a2=1.1, b1=0.9, b2=-0.4, v=1.0)
-    table = simulate_trials(settings, 50, master_seed=7)
-    for i in range(50):
-        ref = reference_trial(settings, i, 7)
-        row = table.row(i)
-        assert (row.raw1, row.raw2, row.alpha1, row.alpha2, row.beta1, row.beta2) == ref
+def test_scalar_kraus_chain_matches_branch_law():
+    # the physics check independent of the engine: the state-updating scalar
+    # chain against the exact law the engine samples, every cell within 5 SE
+    rng = np.random.default_rng(4242)
+    a1, a2, b1, b2 = rng.uniform(-np.pi, np.pi, 4)
+    n = 4000
+    for settings in (
+        default_settings(0.3),
+        Settings(a1=a1, a2=a2, b1=b1, b2=b2, v=0.7, bell_kind="psi_minus"),
+        ZERO_BRANCH_SETTINGS,
+    ):
+        pmf = branch_distribution(settings)
+        counts = {branch: 0 for branch in pmf}
+        for _ in range(n):
+            counts[scalar_chain_branch(settings, rng)] += 1
+        for branch, p in pmf.items():
+            p = max(p, 0.0)  # a cell of probability 0 gets no tolerance: it must never be hit
+            assert abs(counts[branch] / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), (settings, branch)
+
+
+def test_sample_branches_never_returns_a_zero_probability_branch():
+    # u at 0, at every cumulative boundary and just below 1, on two laws
+    # whose last branch has probability 0
+    psi_minus = prepare_bell("psi_minus").density()
+    zero_law = branch_distribution(ZERO_BRANCH_SETTINGS)
+    laws = (
+        (prediction._pair_probs(psi_minus, 0.0, 0.0), list(prediction._BRANCHES)),
+        (list(zero_law.values()), list(zero_law)),
+    )
+    for probs, branches in laws:
+        probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+        assert probs[-1] == 0.0
+        cum = np.cumsum(probs)
+        u = np.concatenate([[0.0], cum, [np.nextafter(1.0, 0.0)]])
+        outcomes = len(branches[0])
+        drawn = list(zip(*(d.tolist() for d in sample_branches(probs, u, outcomes))))
+        last = max(k for k, p in enumerate(probs) if p > 0.0)
+        for x, got in zip(u, drawn):
+            want = min(int(np.searchsorted(cum, x, side="right")), last)
+            assert probs[branches.index(got)] > 0.0, (x, got)
+            assert got == branches[want], (x, got)
 
 
 def test_projective_same_axis_repeats_outcome():

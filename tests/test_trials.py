@@ -167,18 +167,25 @@ def test_batch_rows_equal_single_trials():
         assert table.row(i) == run_trial(settings, i, master_seed=9)
 
 
-def test_engine_matches_scalar_layout_reference():
-    # draw-exact: noisy, biased, weak coupling, then random-angle projective
-    cases = (
-        (Settings(v=0.6, noise=NoiseModel(bias=0.05, sigma=0.3)), 150, 2024),
-        (Settings(a1=0.3, a2=1.1, b1=0.9, b2=-0.4, v=1.0), 50, 7),
-    )
-    for settings, n, seed in cases:
-        table = simulate_trials(settings, n, master_seed=seed)
-        for i in range(n):
-            row = table.row(i)
-            got = (row.raw1, row.raw2, row.alpha1, row.alpha2, row.beta1, row.beta2)
-            assert got == reference_trial(settings, i, seed), (settings, i)
+def _assert_engine_matches_reference(settings, n, seed):
+    # draw-exact: every row bit-equal to the scalar layout-3 reference
+    table = simulate_trials(settings, n, master_seed=seed)
+    for i in range(n):
+        row = table.row(i)
+        got = (row.raw1, row.raw2, row.alpha1, row.alpha2, row.beta1, row.beta2)
+        assert got == reference_trial(settings, i, seed), (settings, i)
+
+
+def test_engine_matches_scalar_operator_reference():
+    # noisy, biased, weak coupling
+    settings = Settings(v=0.6, noise=NoiseModel(bias=0.05, sigma=0.3))
+    _assert_engine_matches_reference(settings, 150, 2024)
+
+
+def test_engine_matches_scalar_operator_reference_projective():
+    # random-angle projective coupling
+    settings = Settings(a1=0.3, a2=1.1, b1=0.9, b2=-0.4, v=1.0)
+    _assert_engine_matches_reference(settings, 50, 7)
 
 
 def test_scalar_kraus_chain_matches_branch_law():

@@ -122,10 +122,6 @@ def chsh_bound_check(sequence) -> float:
 
 
 def _check_record_integrity(table: TrialTable, v: float) -> None:
-    if not isinstance(table.settings_id, str):
-        n_ids = len(set(table.settings_ids().tolist()))
-        if n_ids > 1:
-            raise ValueError(f"malformed records: {n_ids} distinct settings ids in one record set")
     for name in ("raw1", "raw2", "alpha1", "alpha2"):
         col = getattr(table, name)
         if not np.isfinite(col).all():

@@ -46,9 +46,9 @@ from .qubits import (
     MIN_BRANCH_PROB,
     DegenerateBranchError,
     QuantumState,
-    axis_projectors,
     check_strength,
     lift1,
+    outcome_law,
     weak_kraus,
 )
 from .trials import (
@@ -157,14 +157,7 @@ def prediction_settings(v: float) -> Settings:
 
 def _pair_probs(rho: np.ndarray, th1: float, th2: float) -> np.ndarray:
     """P(t1, t2) of projective tests along (th1, th2) on state rho, in _BRANCHES order."""
-    plus1, minus1 = axis_projectors(th1)
-    plus2, minus2 = axis_projectors(th2)
-    pick1 = {1: plus1, -1: minus1}
-    pick2 = {1: plus2, -1: minus2}
-    probs = np.array(
-        [float(np.trace(np.kron(pick1[t1], pick2[t2]) @ rho).real) for t1, t2 in _BRANCHES]
-    )
-    return np.clip(probs, 0.0, 1.0)
+    return outcome_law(rho, ((0, weak_kraus(1.0, th1)), (1, weak_kraus(1.0, th2))))
 
 
 @lru_cache(maxsize=8)

@@ -5,12 +5,9 @@ Measurement axes live in the x-z plane and are given by a single angle
 theta measured from +z, so the observable is sigma(theta) =
 cos(theta)*sigma_z + sin(theta)*sigma_x.
 
-weak_measure is the scalar, state-updating route: it draws one uniform
-from the generator it is handed and returns the outcome with the
-renormalized post-measurement state.  The package's samplers do not call
-it; they draw from exact laws built from these operators (see
-trials.branch_distribution).  The tests run it as an independent check of
-those laws.
+outcome_law is the package's one Born rule: the joint pmf of a sequence of
+two-outcome measurements on a density operator.  The samplers draw from
+laws it builds (see trials.branch_distribution); nothing here draws.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ MAX_QUBITS = 4
 
 
 class DegenerateBranchError(RuntimeError):
-    """A sampled measurement branch has probability below MIN_BRANCH_PROB."""
+    """A measurement branch to condition on has probability below MIN_BRANCH_PROB."""
 
 
 def check_strength(v: float) -> float:
@@ -170,13 +167,6 @@ class QuantumState:
         if smallest < EIG_FLOOR:
             raise ValueError(f"density operator has eigenvalue {smallest} below floor")
 
-    def expect(self, op_1q: np.ndarray, qubit: int) -> float:
-        """Expectation of a single-qubit Hermitian operator on one qubit."""
-        big = lift1(op_1q, qubit, self.num_qubits)
-        if self.is_pure:
-            return float(np.real(np.vdot(self.data, big @ self.data)))
-        return float(np.real(np.trace(big @ self.data)))
-
 
 def _qubit_count(dim: int) -> int:
     n = int(dim).bit_length() - 1
@@ -195,36 +185,20 @@ def lift1(op_1q: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     return out
 
 
-def _apply_branch(state: QuantumState, kraus_1q: np.ndarray, qubit: int, prob: float) -> QuantumState:
-    big = lift1(kraus_1q, qubit, state.num_qubits)
-    scale = 1.0 / np.sqrt(prob)
-    if state.is_pure:
-        return QuantumState(scale * (big @ state.data), state.num_qubits, True)
-    post = big @ state.data @ big.conj().T
-    return QuantumState((post + post.conj().T) * (0.5 / prob), state.num_qubits, False)
+def outcome_law(rho: np.ndarray, steps) -> np.ndarray:
+    """Born pmf of two-outcome measurements applied in turn to density rho.
 
-
-def weak_measure(
-    state: QuantumState, qubit: int, theta: float, v: float, rng: np.random.Generator
-) -> tuple[int, QuantumState]:
-    """Sample one weak measurement of strength v along theta on one qubit.
-
-    Returns (raw, post_state) with raw in {+1, -1} drawn with
-    p+- = (1 +- v*<sigma(theta)>)/2 and post_state the renormalized Kraus
-    update, so E[raw] = v*<sigma(theta)> holds exactly.
-
-    Consumes exactly one uniform draw from ``rng``.
+    steps is a sequence of (qubit, KrausPair).  Branch probabilities
+    tr(M rho M^dagger), M the product of the chosen Kraus operators, come in
+    nested (+1, -1) order, first step outermost: the order
+    trials.sample_branches takes.  They sum to 1 up to round-off.
     """
-    pair = weak_kraus(v, theta)
-    mean = state.expect(bloch_observable(theta), qubit)
-    p_plus = min(1.0, max(0.0, (1.0 + v * mean) / 2.0))
-    raw = 1 if rng.random() < p_plus else -1
-    prob = p_plus if raw > 0 else 1.0 - p_plus
-    if prob < MIN_BRANCH_PROB:
-        raise DegenerateBranchError(
-            f"sampled branch raw={raw} has probability {prob}; state and axis are degenerate"
-        )
-    return raw, _apply_branch(state, pair.operator(raw), qubit, prob)
+    num_qubits = _qubit_count(rho.shape[0])
+    products = [np.eye(rho.shape[0], dtype=complex)]
+    for qubit, pair in steps:
+        ops = [lift1(pair.operator(outcome), qubit, num_qubits) for outcome in (1, -1)]
+        products = [op @ m for m in products for op in ops]
+    return np.array([np.trace(m @ rho @ m.conj().T).real for m in products])
 
 
 def nonselective_weak(state: QuantumState, qubit: int, theta: float, v: float) -> QuantumState:

@@ -4,13 +4,15 @@ One columnar codec, driven by a schema of ``(name, kind)`` columns, writes and
 reads every CSV a block of rows at a time. Real fields are serialized with
 ``%.17g``, which round-trips float64 exactly, so reruns can be compared byte
 for byte. Fields are never quoted: a ``"`` is rejected on write and on read.
+A record file holds one experiment, like the table it is written from: every
+row carries the same settings id, and a second id is rejected on read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -75,19 +77,12 @@ def _emit_table(table, schema, path: str) -> str:
     """Write a record table (None when empty) column-wise, _BLOCK_ROWS rows at a time."""
     n = 0 if table is None else len(table)
     sid = table.settings_id if n else ""
-    ids = None if isinstance(sid, str) else table.settings_ids()
-    for s in {sid} if ids is None else set(ids.tolist()):
-        _check_id(s)
+    _check_id(sid)
 
     def blocks():
         for start in range(0, n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            yield [
-                (repeat(sid) if ids is None else ids[rows].tolist())
-                if kind == "str"
-                else getattr(table, name)[rows].tolist()
-                for name, kind in schema
-            ]
+            yield [repeat(sid) if kind == "str" else getattr(table, name)[rows].tolist() for name, kind in schema]
 
     return _write_csv(path, schema, blocks())
 
@@ -99,13 +94,13 @@ def _read_header(f, schema, what: str) -> None:
 
 
 def _read_table(path: str, cls, what: str):
-    """Read a record CSV into a cls table (settings id: a str if shared, else an object array)."""
+    """Read a record CSV into a cls table; every row must carry the first row's settings id."""
     schema = cls.schema
     k = [kind for _, kind in schema].index("str")
     usecols = [i for i, (_, kind) in enumerate(schema) if kind != "str"]
     dtype = np.dtype([(schema[i][0], schema[i][1]) for i in usecols])
     commas = len(schema) - 1
-    parts, id_parts, seen, first = [], [], set(), 2
+    parts, sid, first = [], None, 2
     with open(path, "r") as f:
         _read_header(f, schema, what)
         while lines := list(islice(f, _BLOCK_ROWS)):
@@ -123,15 +118,19 @@ def _read_table(path: str, cls, what: str):
             for s in distinct:
                 if '"' in s:
                     raise ValueError(f"malformed {what} CSV row: quoted settings_id {s!r}")
+            sid = ids[0] if sid is None else sid
+            if distinct != {sid}:
+                at = next(i for i, s in enumerate(ids) if s != sid)
+                raise ValueError(
+                    f"malformed records: 2 distinct settings ids in one record set; "
+                    f"line {first + at} of {path} carries {ids[at]!r} after {sid!r}"
+                )
             parts.append(data)
-            id_parts.append(ids if len(distinct) > 1 else [ids[0]] * len(ids))
-            seen |= distinct
             first += len(lines)
     if not parts:
         raise ValueError(f"{what} CSV {path} holds no records")
     columns = {name: np.concatenate([p[name] for p in parts]) for name in dtype.names}
-    ids = next(iter(seen)) if len(seen) == 1 else np.array(list(chain.from_iterable(id_parts)), dtype=object)
-    return cls(*(ids if name == "settings_id" else columns[name] for name in cls.field_names))
+    return cls(*(columns.get(name, sid) for name in cls.field_names))
 
 
 def _emit(records, cls, path: str) -> str:

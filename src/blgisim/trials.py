@@ -11,12 +11,14 @@ exact joint law of (raw1, raw2, beta1, beta2), sixteen branches, and
 sample_branches draws each trial's branch from it with one uniform; two
 more uniforms carry the detector noise.  This is an exact reformulation,
 not an approximation: the test suite checks the law against an
-independent matrix-root enumeration and against the scalar Kraus chain of
-qubits.weak_measure.
+independent matrix-root enumeration and against a scalar state-updating
+Kraus chain.  The exact oracle reads every moment it reports from one
+such law per call.
 
 run_trial produces a single record, simulate_trials a columnar batch; both
 read the same per-trial counter window, so a trial's record is identical
-no matter which path, chunking, or worker count produced it.
+no matter which path, chunking, or worker count produced it.  A record
+table holds one experiment: one settings id for all of its rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,8 +39,8 @@ from .qubits import (
     QuantumState,
     check_strength,
     concurrence,
-    lift1,
     nonselective_weak,
+    outcome_law,
     weak_kraus,
 )
 
@@ -53,6 +56,10 @@ BELL_AMPLITUDES = {
 }
 
 FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
+# The (left, right) fields of e11, e12, e21, e22.
+CHSH_PAIRS = (("alpha1", "beta1"), ("alpha1", "beta2"), ("alpha2", "beta1"), ("alpha2", "beta2"))
+# The 16 (raw1, raw2, beta1, beta2) branches in nested (+1, -1) order, raw1 outermost.
+BRANCHES = tuple(product((1, -1), repeat=4))
 
 # Per-trial draw window: 1 Philox block = 4 draws, 3 consumed, in order:
 # the (raw1, raw2, beta1, beta2) branch, noise raw 1, noise raw 2.
@@ -138,11 +145,12 @@ _SCALARS = {"int64": int, "uint64": int, "float64": float, "str": str}
 
 
 class RecordTable:
-    """Column-oriented batch of records of one kind.
+    """Column-oriented batch of the records of one experiment.
 
     A subclass names its `record` dataclass and its `schema`; the constructor
     takes one column per record field, in field order, each cast to its schema
-    dtype.  settings_id is one str when every row shares it, else an array.
+    dtype.  Every array column is 1-D and as long as trial_index; settings_id
+    is one str for the whole table, so a table never pools two experiments.
     """
 
     record: type
@@ -157,28 +165,25 @@ class RecordTable:
         if len(columns) != len(self.field_names):
             raise TypeError(f"{type(self).__name__} takes {len(self.field_names)} columns, got {len(columns)}")
         for name, kind, col in zip(self.field_names, self._kinds, columns):
+            if kind == "str" and not isinstance(col, str):
+                raise TypeError(f"{name} must be one str per table, got {type(col).__name__}")
             setattr(self, name, col if kind == "str" else np.asarray(col, dtype=kind))
+        shapes = {name: getattr(self, name).shape for name, kind in zip(self.field_names, self._kinds) if kind != "str"}
+        if len(set(shapes.values())) != 1 or len(self.trial_index.shape) != 1:
+            raise ValueError(f"every column must be 1-D and match trial_index; got shapes {shapes}")
 
     def __len__(self) -> int:
         return self.trial_index.shape[0]
 
-    def settings_ids(self) -> np.ndarray:
-        if isinstance(self.settings_id, str):
-            return np.full(len(self), self.settings_id, dtype=object)
-        return np.asarray(self.settings_id, dtype=object)
-
     def row(self, i: int):
         columns = (getattr(self, name) for name in self.field_names)
-        return self.record(*(c if isinstance(c, str) else _SCALARS[k](c[i]) for c, k in zip(columns, self._kinds)))
+        return self.record(*(c if k == "str" else _SCALARS[k](c[i]) for c, k in zip(columns, self._kinds)))
 
     @classmethod
     def concat(cls, parts: list):
         if not parts:
             raise ValueError("cannot concatenate zero tables")
-        if all(isinstance(p.settings_id, str) for p in parts) and len({p.settings_id for p in parts}) == 1:
-            sid = parts[0].settings_id
-        else:
-            sid = np.concatenate([p.settings_ids() for p in parts])
+        sid = _one_settings_id(p.settings_id for p in parts)
         return cls(
             *(sid if name == "settings_id" else np.concatenate([getattr(p, name) for p in parts]) for name in cls.field_names)
         )
@@ -192,9 +197,16 @@ class RecordTable:
         if not rows:
             raise ValueError("empty record set")
         columns = {name: [getattr(r, name) for r in rows] for name in cls.field_names}
-        ids = columns["settings_id"]
-        columns["settings_id"] = ids[0] if len(set(ids)) == 1 else np.array(ids, dtype=object)
+        columns["settings_id"] = _one_settings_id(columns["settings_id"])
         return cls(*columns.values())
+
+
+def _one_settings_id(ids) -> str:
+    """The one settings id of a record set; a second id is malformed input."""
+    distinct = set(ids)
+    if len(distinct) > 1:
+        raise ValueError(f"malformed records: {len(distinct)} distinct settings ids in one record set")
+    return distinct.pop()
 
 
 class TrialTable(RecordTable):
@@ -338,12 +350,7 @@ def chsh_combine(
 
 def estimate_chsh(records) -> ChshReport:
     table = as_table(records)
-    return chsh_combine(
-        estimate_correlator(table, "alpha1", "beta1"),
-        estimate_correlator(table, "alpha1", "beta2"),
-        estimate_correlator(table, "alpha2", "beta1"),
-        estimate_correlator(table, "alpha2", "beta2"),
-    )
+    return chsh_combine(*(estimate_correlator(table, left, right) for left, right in CHSH_PAIRS))
 
 
 # ---------------------------------------------------------------------------
@@ -359,77 +366,62 @@ def branch_distribution(settings: Settings) -> dict:
     the order sample_branches takes; the trial engine samples this law
     directly.  Probabilities sum to 1.
     """
-    rho = prepare_bell(settings.bell_kind).density()
-    pair1 = weak_kraus(settings.v, settings.a1)
-    pair2 = weak_kraus(settings.v, settings.a2)
-    proj1 = weak_kraus(1.0, settings.b1)
-    proj2 = weak_kraus(1.0, settings.b2)
-    pmf = {}
-    for r1 in (1, -1):
-        m1 = lift1(pair1.operator(r1), 0, 2)
-        for r2 in (1, -1):
-            m2 = lift1(pair2.operator(r2), 1, 2) @ m1
-            for s1 in (1, -1):
-                m3 = lift1(proj1.operator(s1), 0, 2) @ m2
-                for s2 in (1, -1):
-                    m = lift1(proj2.operator(s2), 1, 2) @ m3
-                    pmf[(r1, r2, s1, s2)] = float(np.trace(m @ rho @ m.conj().T).real)
-    return pmf
+    steps = (
+        (0, weak_kraus(settings.v, settings.a1)),
+        (1, weak_kraus(settings.v, settings.a2)),
+        (0, weak_kraus(1.0, settings.b1)),
+        (1, weak_kraus(1.0, settings.b2)),
+    )
+    probs = outcome_law(prepare_bell(settings.bell_kind).density(), steps)
+    return dict(zip(BRANCHES, probs.tolist()))
 
 
-_FIELD_SLOT = {"alpha1": 0, "alpha2": 1, "beta1": 2, "beta2": 3}
+def _exact_moments(settings: Settings, products) -> list:
+    """E[product of the named fields], per tuple of FIELDS names, all from one 16-branch law.
+
+    Row k of the 16x4 value matrix holds branch k's noiseless FIELDS values,
+    the alphas rescaled by 1/V after the detector bias is added.  The noise
+    is independent and zero-mean, so it drops out of every moment except a
+    squared alpha, which gains (sigma / V)^2.  Sums run term by term in
+    branch order, so no reordered (pairwise or BLAS) sum moves a moment's
+    last bit.
+    """
+    unknown = sorted({name for names in products for name in names} - set(FIELDS))
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}; choose one of {FIELDS}")
+    probs = list(branch_distribution(settings).values())
+    values = np.array(BRANCHES, dtype=float)
+    values[:, :2] = (values[:, :2] + settings.noise.bias) / settings.v
+    moments = []
+    for cols in ([FIELDS.index(name) for name in names] for names in products):
+        total = 0.0
+        for p, x in zip(probs, values[:, cols].prod(axis=1).tolist()):
+            total += p * x
+        if len(cols) == 2 and cols[0] == cols[1] < 2:
+            total += (settings.noise.sigma / settings.v) ** 2
+        moments.append(total)
+    return moments
 
 
 def exact_correlator(settings: Settings, left: str, right: str) -> float:
-    """E[left * right] from the 16-branch enumeration; no sampling.
+    """E[left * right] from the 16-branch law; no sampling.
 
     Detector noise enters analytically: independent zero-mean Gaussians drop
     out of cross moments, bias shifts alpha means, and the same-field alpha
     second moment picks up sigma^2.  Rescaling by 1/V is applied to alphas.
     """
-    for name in (left, right):
-        if name not in _FIELD_SLOT:
-            raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
-    pmf = branch_distribution(settings)
-    v, bias, sigma = settings.v, settings.noise.bias, settings.noise.sigma
-    li, ri = _FIELD_SLOT[left], _FIELD_SLOT[right]
-    total = 0.0
-    for branch, p in pmf.items():
-        if li < 2 and ri < 2:
-            if li == ri:
-                term = ((branch[li] + bias) ** 2 + sigma**2) / v**2
-            else:
-                term = (branch[li] + bias) * (branch[ri] + bias) / v**2
-        elif li < 2:
-            term = (branch[li] + bias) / v * branch[ri]
-        elif ri < 2:
-            term = branch[li] * (branch[ri] + bias) / v
-        else:
-            term = 1.0 if li == ri else branch[li] * branch[ri]
-        total += p * term
-    return total
+    return _exact_moments(settings, [(left, right)])[0]
 
 
 def exact_mean(settings: Settings, field: str) -> float:
-    """E[field] from the 16-branch enumeration (alphas include bias/V)."""
-    if field not in _FIELD_SLOT:
-        raise ValueError(f"unknown field {field!r}; choose one of {FIELDS}")
-    pmf = branch_distribution(settings)
-    slot = _FIELD_SLOT[field]
-    raw_mean = sum(p * branch[slot] for branch, p in pmf.items())
-    if slot < 2:
-        return (raw_mean + settings.noise.bias) / settings.v
-    return raw_mean
+    """E[field] from the 16-branch law (alphas include bias/V)."""
+    return _exact_moments(settings, [(field,)])[0]
 
 
 def exact_chsh(settings: Settings) -> float:
-    """Exact e11 + e12 + e21 - e22 for the alpha_i x beta_j pairing."""
-    return (
-        exact_correlator(settings, "alpha1", "beta1")
-        + exact_correlator(settings, "alpha1", "beta2")
-        + exact_correlator(settings, "alpha2", "beta1")
-        - exact_correlator(settings, "alpha2", "beta2")
-    )
+    """Exact e11 + e12 + e21 - e22 for the alpha_i x beta_j pairing, from one law."""
+    e11, e12, e21, e22 = _exact_moments(settings, CHSH_PAIRS)
+    return e11 + e12 + e21 - e22
 
 
 def chsh_curve(settings: Settings, v_grid) -> list:

@@ -1,23 +1,82 @@
 """Scalar reference routes that only the tests use.
 
 Each one re-derives, one operator or one draw at a time, something the
-package computes another way: the system+ancilla unitary behind the weak
-Kraus pair, the reduced state by partial trace, one trial's detector noise
-and rescaling, and the step-by-step sequential readout.  They stay
-independent oracles for the package's exact laws and batch samplers.
+package computes another way: the state-updating weak measurement, the
+system+ancilla unitary behind the weak Kraus pair, the reduced state by
+partial trace, one trial's detector noise and rescaling, and the
+step-by-step sequential readout.  They stay independent oracles for the
+package's exact laws and batch samplers.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
 from blgisim.prediction import SequentialReadoutParams
 from blgisim.qubits import (
+    MIN_BRANCH_PROB,
+    DegenerateBranchError,
     NoiseModel,
     QuantumState,
     axis_projectors,
+    bloch_observable,
     check_strength,
-    weak_measure,
+    lift1,
+    weak_kraus,
 )
+
+
+def _expect_lifted(state: QuantumState, big: np.ndarray) -> float:
+    if state.is_pure:
+        return float(np.real(np.vdot(state.data, big @ state.data)))
+    return float(np.real(np.trace(big @ state.data)))
+
+
+def expect(state: QuantumState, op_1q: np.ndarray, qubit: int) -> float:
+    """Expectation of a single-qubit Hermitian operator on one qubit of state."""
+    return _expect_lifted(state, lift1(op_1q, qubit, state.num_qubits))
+
+
+@lru_cache(maxsize=256)
+def _lifted_weak_operators(v: float, theta: float, qubit: int, num_qubits: int) -> tuple:
+    """sigma(theta) and the weak Kraus pair (k+, k-) at strength v, lifted onto one qubit; read-only."""
+    pair = weak_kraus(v, theta)
+    ops = tuple(lift1(op, qubit, num_qubits) for op in (bloch_observable(theta), pair.k_plus, pair.k_minus))
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+def _apply_branch(state: QuantumState, big: np.ndarray, prob: float) -> QuantumState:
+    scale = 1.0 / np.sqrt(prob)
+    if state.is_pure:
+        return QuantumState(scale * (big @ state.data), state.num_qubits, True)
+    post = big @ state.data @ big.conj().T
+    return QuantumState((post + post.conj().T) * (0.5 / prob), state.num_qubits, False)
+
+
+def weak_measure(
+    state: QuantumState, qubit: int, theta: float, v: float, rng: np.random.Generator
+) -> tuple[int, QuantumState]:
+    """Sample one weak measurement of strength v along theta on one qubit.
+
+    Returns (raw, post_state) with raw in {+1, -1} drawn with
+    p+- = (1 +- v*<sigma(theta)>)/2 and post_state the renormalized Kraus
+    update, so E[raw] = v*<sigma(theta)> holds exactly.
+
+    Consumes exactly one uniform draw from ``rng``.
+    """
+    obs, k_plus, k_minus = _lifted_weak_operators(v, theta, qubit, state.num_qubits)
+    mean = _expect_lifted(state, obs)
+    p_plus = min(1.0, max(0.0, (1.0 + v * mean) / 2.0))
+    raw = 1 if rng.random() < p_plus else -1
+    prob = p_plus if raw > 0 else 1.0 - p_plus
+    if prob < MIN_BRANCH_PROB:
+        raise DegenerateBranchError(
+            f"sampled branch raw={raw} has probability {prob}; state and axis are degenerate"
+        )
+    return raw, _apply_branch(state, k_plus if raw > 0 else k_minus, prob)
 
 
 def coupling_unitary(v: float, theta: float) -> np.ndarray:

@@ -206,20 +206,16 @@ def test_decomposition_rejects_malformed_records():
 
 
 def test_decomposition_rejects_mixed_settings_ids():
-    # two experiments pooled into one record set must not get a verdict
-    mixed = TrialTable.concat(
-        [
-            simulate_trials(Settings(v=0.2), 5000, 1),
-            simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
-        ]
-    )
+    # two experiments pooled into one record set must not get a verdict:
+    # such a table cannot be built, from tables or from records
+    parts = [
+        simulate_trials(Settings(v=0.2), 5000, 1),
+        simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
+    ]
     with pytest.raises(ValueError, match="malformed records: .*settings ids"):
-        decomposition_test(mixed, v=0.2)
-    # a per-row id array that holds one id is still one experiment
-    one = simulate_trials(Settings(v=0.2), 200, 1)
-    expected = decomposition_test(one, v=0.2)
-    one.settings_id = one.settings_ids()
-    assert decomposition_test(one, v=0.2) == expected
+        TrialTable.concat(parts)
+    with pytest.raises(ValueError, match="malformed records: .*settings ids"):
+        decomposition_test([parts[0].row(0), parts[1].row(0)], v=0.2)
 
 
 # ------------------------------------------------------ hidden-variable source

@@ -27,7 +27,7 @@ from blgisim.prediction import (
 )
 from blgisim.qubits import SIGMA_Z, QuantumState, axis_projectors, lift1, weak_kraus
 from blgisim.trials import BELL_AMPLITUDES, Settings
-from reference import sequential_weak_sequence
+from reference import expect, sequential_weak_sequence
 
 
 def z_diagonal(m: float) -> QuantumState:
@@ -95,7 +95,7 @@ def test_projective_readout_repeats_first_outcome():
         rng = np.random.default_rng(seed)
         mean, final = sequential_weak_sequence(z_diagonal(0.0), 0, 0.0, params, rng)
         assert mean in (-1.0, 1.0)
-        assert abs(final.expect(SIGMA_Z, 0) - mean) < 1e-10
+        assert abs(expect(final, SIGMA_Z, 0) - mean) < 1e-10
 
 
 def test_eigenstate_trajectory_mean_approaches_strength():
@@ -104,7 +104,7 @@ def test_eigenstate_trajectory_mean_approaches_strength():
     mean, final = sequential_weak_sequence(z_diagonal(1.0), 0, 0.0, params, np.random.default_rng(4))
     spread = math.sqrt(1.0 - 0.2**2) / math.sqrt(params.steps)
     assert abs(mean - 0.2) < 4.0 * spread
-    assert abs(final.expect(SIGMA_Z, 0) - 1.0) < 1e-10
+    assert abs(expect(final, SIGMA_Z, 0) - 1.0) < 1e-10
 
 
 def test_conditioned_expectation_is_a_martingale():
@@ -114,7 +114,7 @@ def test_conditioned_expectation_is_a_martingale():
     finals = []
     for _ in range(300):
         _, final = sequential_weak_sequence(z_diagonal(0.3), 0, 0.0, params, rng)
-        finals.append(final.expect(SIGMA_Z, 0))
+        finals.append(expect(final, SIGMA_Z, 0))
     finals = np.array(finals)
     stderr = finals.std(ddof=1) / math.sqrt(len(finals))
     assert abs(finals.mean() - 0.3) < 4.0 * stderr
@@ -126,7 +126,7 @@ def test_long_readout_collapses_the_ancilla():
     collapsed = 0
     for _ in range(20):
         mean, final = sequential_weak_sequence(z_diagonal(0.0), 0, 0.0, params, rng)
-        m = final.expect(SIGMA_Z, 0)
+        m = expect(final, SIGMA_Z, 0)
         if abs(m) > 0.99:
             collapsed += 1
             assert predict(mean) == (1 if m > 0 else -1)

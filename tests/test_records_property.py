@@ -43,26 +43,21 @@ def tables(draw, kind):
     n = draw(st.integers(1, 12))
     columns = {}
     for name, k in schema:
-        if k == "str" and draw(st.booleans()):
+        if k == "str":
             columns[name] = draw(ELEMENTS[k])  # one id for the whole table
         else:
             columns[name] = draw(st.lists(ELEMENTS[k], min_size=n, max_size=n))
-    sid = columns.pop("settings_id")
-    numeric = list(columns.values())
-    if not isinstance(sid, str):
-        sid = np.array(sid, dtype=object)
-    return cls(*numeric[:-1], sid, numeric[-1])
+    return cls(*(columns[name] for name in cls.field_names))
 
 
 def reference_csv(schema, table) -> str:
     """The record CSV written one row and one field at a time."""
-    sids = table.settings_ids()
     lines = [",".join(name for name, _ in schema)]
     for i in range(len(table)):
         fields = []
         for name, kind in schema:
             if kind == "str":
-                fields.append(str(sids[i]))
+                fields.append(table.settings_id)
             elif kind == "float64":
                 fields.append(f"{float(getattr(table, name)[i]):.17g}")
             else:
@@ -89,7 +84,7 @@ def test_emit_read_is_bit_exact_and_matches_per_row_reference(kind, data):
     assert text == reference_csv(schema, table)
     for name, k in schema:
         if k == "str":
-            assert list(back.settings_ids()) == list(table.settings_ids())
+            assert back.settings_id == table.settings_id
             continue
         got, want = getattr(back, name), getattr(table, name)
         assert got.dtype == want.dtype, name

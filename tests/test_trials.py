@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import sqrtm
 
 from blgisim import prediction, qubits, streams, trials
 from blgisim.qubits import NO_NOISE, NoiseModel
@@ -30,7 +29,7 @@ from blgisim.trials import (
     sample_branches,
     simulate_trials,
 )
-from reference import apply_readout_noise, projective_measure, rescale
+from reference import apply_readout_noise, projective_measure, rescale, weak_measure
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -71,8 +70,8 @@ def reference_trial(settings: Settings, index: int, master_seed: int):
 def scalar_chain_branch(settings: Settings, rng: np.random.Generator) -> tuple:
     """(raw1, raw2, beta1, beta2) of one trial run through the scalar Kraus chain."""
     state = prepare_bell(settings.bell_kind)
-    raw1, state = qubits.weak_measure(state, 0, settings.a1, settings.v, rng)
-    raw2, state = qubits.weak_measure(state, 1, settings.a2, settings.v, rng)
+    raw1, state = weak_measure(state, 0, settings.a1, settings.v, rng)
+    raw2, state = weak_measure(state, 1, settings.a2, settings.v, rng)
     beta1, state = projective_measure(state, 0, settings.b1, rng)
     beta2, _ = projective_measure(state, 1, settings.b2, rng)
     return raw1, raw2, beta1, beta2
@@ -81,8 +80,9 @@ def scalar_chain_branch(settings: Settings, rng: np.random.Generator) -> tuple:
 def matrix_root_pmf(settings: Settings) -> dict:
     """Independent 16-branch enumeration built from matrix square roots.
 
-    Kraus operators come from scipy.linalg.sqrtm rather than the eigenbasis
-    closed form, and the qubit embedding is spelled out with plain kron.
+    Kraus operators are square roots taken on a numerical eigendecomposition
+    (numpy.linalg.eigh) rather than the closed form on the sigma(theta)
+    projectors, and the qubit embedding is spelled out with plain kron.
     """
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -90,7 +90,8 @@ def matrix_root_pmf(settings: Settings) -> dict:
 
     def kraus(theta, v, outcome):
         obs = math.cos(theta) * sz + math.sin(theta) * sx
-        return np.asarray(sqrtm((eye + outcome * v * obs) / 2.0), dtype=complex)
+        vals, vecs = np.linalg.eigh((eye + outcome * v * obs) / 2.0)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
     psi = BELL_AMPLITUDES[settings.bell_kind]
     rho = np.outer(psi, psi.conj())
@@ -303,11 +304,8 @@ def test_as_table_round_trip_and_concat():
     assert table.row(3) == records[3]
 
     other = simulate_trials(default_settings(0.3), 4, master_seed=1)
-    merged = TrialTable.concat([as_table(records), other])
-    assert len(merged) == 10
-    ids = merged.settings_ids()
-    assert ids[0] == settings.settings_id
-    assert ids[9] == default_settings(0.3).settings_id
+    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids"):
+        TrialTable.concat([as_table(records), other])
     with pytest.raises(ValueError):
         TrialTable.concat([])
     with pytest.raises(ValueError):
@@ -409,6 +407,20 @@ def test_exact_correlator_frozen_values():
     assert abs(exact_correlator(default_settings(0.6), "alpha1", "beta2") - 0.5656854249492381) < 1e-12
     assert abs(exact_correlator(default_settings(1.0), "alpha1", "beta2")) < 1e-12
     assert abs(exact_chsh(default_settings(0.2)) - 2.799854208428197) < 1e-12
+
+
+def test_exact_chsh_builds_one_law_per_call(monkeypatch):
+    calls = []
+
+    def counted(settings):
+        calls.append(settings)
+        return branch_distribution(settings)
+
+    settings = default_settings(0.45, NoiseModel(bias=0.1, sigma=0.2))
+    expected = exact_chsh(settings)
+    monkeypatch.setattr(trials, "branch_distribution", counted)
+    assert exact_chsh(settings) == expected
+    assert calls == [settings]
 
 
 def test_exact_chsh_matches_closed_form_curve():

@@ -59,8 +59,8 @@ class SweepSpec:
             raise ValueError("sweep grid must be nonempty")
         for v in self.v_values:
             check_strength(v)
-        if self.trials_per_point < 1:
-            raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
+        if self.trials_per_point < 2:
+            raise ValueError(f"trials_per_point must be >= 2 to estimate a correlator, got {self.trials_per_point}")
 
 
 @dataclass(frozen=True)
@@ -127,17 +127,24 @@ def _seed(text: str) -> int:
     return value
 
 
-def _nonneg(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _nonneg(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -182,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", help="test a record CSV against the binary+unbiased-noise model")
     aud.add_argument("--in", dest="in_path", required=True, help="input record CSV")
     aud.add_argument("--v", type=_strength, required=True)
-    aud.add_argument("--threshold-sigmas", type=_nonneg, default=DEFAULT_THRESHOLD_SIGMAS)
+    aud.add_argument("--threshold-sigmas", type=_positive, default=DEFAULT_THRESHOLD_SIGMAS)
 
     pre = sub.add_parser("predict", help="sequential-readout prediction of projective Bell outcomes")
     pre.add_argument("--v", type=_strength, required=True, help="system-ancilla coupling strength")

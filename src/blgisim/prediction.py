@@ -6,59 +6,51 @@ read each ancilla out through a long sequence of very weak z measurements
 (strength v = readout.v, `steps` repetitions), average the readouts, and
 predict the later projective outcome from the sign of that average.
 
-Because the coupling and the projective test share an axis, every
-operation on the Bell side is diagonal in the same eigenbasis, so the
-joint distribution factors exactly: the projective outcome pair (t1, t2)
-follows the Born rule of the undisturbed Bell state, and conditioned on
-t_i the ancilla is a z-diagonal qubit with <sigma_z> = m0 = t_i * V.
+Coupling at strength V and later finding ancilla i in its z eigenstate
+c_i = +-1 is the weak measurement of strength V with outcome c_i.  With
+the coupling axes equal to the test axes (a_i = b_i), the 16-branch trial
+law trials.branch_distribution is therefore exactly the joint law of
+(c1, c2, t1, t2), t_i the projective outcome.
 
 A weak z readout of a z-diagonal ancilla is a classical Bayes filter on
-its hidden eigenvalue c = +-1: the conditioned update
-m' = (m + o v)/(1 + o v m) is exactly the posterior mean of c.  So the
-readout sequence has an exact two-stage law: c = +1 with probability
-(1 + m0)/2, then the count K of +1 outcomes is Binomial(steps,
-(1 + c v)/2), and the trajectory mean is (2K - steps)/steps.  The batch
-engine samples that law with two draws per ancilla (one picks c, one
-inverts the binomial CDF for K).  It is not a shortcut around the
-physics but an exact reformulation; the test suite checks it against
-enumeration of the Kraus readout sequence and against the scalar
+its hidden eigenvalue c: the conditioned update
+m' = (m + o v)/(1 + o v m) is exactly the posterior mean of c.  So given
+c, the count K of +1 readout outcomes is Binomial(steps, (1 + c v)/2),
+and the trajectory mean is (2K - steps)/steps.  A trial takes one counter
+block: draw 0 picks (c1, c2, t1, t2) from the 16-branch law, draws 1 and
+2 invert the binomial CDFs of K1 | c1 and K2 | c2.  It is not a shortcut
+around the physics but an exact reformulation; the test suite checks it
+against enumeration of the Kraus readout sequence and against the scalar
 step-by-step route.
 
 At saturated readout (steps * v^2 >= 25) the readout sign recovers the
 ancilla eigenbranch almost surely, so prediction accuracy approaches
 (1 + V)/2: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
-prediction_accuracy_exact gives the accuracy the batch converges to.  The
-complementary post_protocol_chsh shows what the coupling costs: the Bell
-pair's own violation decays toward the classical bound as V grows.
+prediction_accuracy_exact sums the same law to the accuracy the batch
+converges to.  The complementary post_protocol_chsh shows what the
+coupling costs: it reads the same law at the Bell test axes, with the
+ancilla eigenvalues summed out (or fixed, to post-select), and the pair's
+own violation decays toward the classical bound as V grows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import bdtr, bdtrc
 
 from . import streams
-from .qubits import (
-    MIN_BRANCH_PROB,
-    DegenerateBranchError,
-    QuantumState,
-    check_strength,
-    lift1,
-    outcome_law,
-    weak_kraus,
-)
+from .qubits import MIN_BRANCH_PROB, DegenerateBranchError, check_strength
 from .trials import (
     ChshReport,
-    CorrelatorEstimate,
     RecordTable,
     Settings,
+    _correlator,
+    branch_distribution,
     chsh_combine,
-    coupled_state,
-    prepare_bell,
     run_chunked,
     sample_branches,
 )
@@ -75,9 +67,6 @@ POST_TEST_AXES_1 = (0.0, math.pi / 2)
 POST_TEST_AXES_2 = (math.pi / 4, -math.pi / 4)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-
-# Outcome pairs in the nested (+1, -1) order of trials.sample_branches.
-_BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -155,11 +144,6 @@ def prediction_settings(v: float) -> Settings:
 # Batch engine
 
 
-def _pair_probs(rho: np.ndarray, th1: float, th2: float) -> np.ndarray:
-    """P(t1, t2) of projective tests along (th1, th2) on state rho, in _BRANCHES order."""
-    return outcome_law(rho, ((0, weak_kraus(1.0, th1)), (1, weak_kraus(1.0, th2))))
-
-
 @lru_cache(maxsize=8)
 def _count_cdfs(steps: int, v: float) -> tuple:
     """Read-only tables F_c(k) = P(K <= k | c), k = 0..steps, for c = +1 and c = -1.
@@ -173,34 +157,26 @@ def _count_cdfs(steps: int, v: float) -> tuple:
     return tables
 
 
-def _readout_means(m0: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
-    """Trajectory means of z-readout sequences on z-diagonal ancillas.
+def _readout_means(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
+    """Trajectory means of z-readout sequences on ancillas of eigenvalue c.
 
-    m0 holds each ancilla's initial <sigma_z>; row i of u is trial i's
-    block.  Draw 0 picks the eigenvalue c = +1 iff u0 < (1 + m0)/2; draw 1
-    picks K = min{k : F_c(k) > u1}.  Returns (2K - steps)/steps.
+    One draw per ancilla picks K = min{k : F_c(k) > u}.  Returns
+    (2K - steps)/steps.
     """
     steps = int(readout.steps)
     cdf_plus, cdf_minus = _count_cdfs(steps, readout.v)
-    k = np.where(
-        u[:, 0] < (1.0 + m0) / 2.0,
-        np.searchsorted(cdf_plus, u[:, 1], side="right"),
-        np.searchsorted(cdf_minus, u[:, 1], side="right"),
-    )
+    k = np.where(c > 0, np.searchsorted(cdf_plus, u, side="right"), np.searchsorted(cdf_minus, u, side="right"))
     return (2 * k - steps) / steps
 
 
 def _predict_range(
     settings: Settings, readout: SequentialReadoutParams, start: int, count: int, master_seed: int
 ) -> PredictionTable:
-    probs = _pair_probs(prepare_bell(settings.bell_kind).density(), settings.b1, settings.b2)
-    u_bell = streams.window_uniforms(master_seed, streams.PREDICT_BELL_STREAM, start, count, 1)
-    t1, t2 = sample_branches(probs, u_bell[:, 0], 2)
-
-    u1 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA1_STREAM, start, count, 1)
-    mean1 = _readout_means(t1 * settings.v, readout, u1)
-    u2 = streams.window_uniforms(master_seed, streams.PREDICT_ANCILLA2_STREAM, start, count, 1)
-    mean2 = _readout_means(t2 * settings.v, readout, u2)
+    """Trials [start, start+count): one block each, in order (c1, c2, t1, t2), K1, K2."""
+    u = streams.window_uniforms(master_seed, streams.PREDICT_STREAM, start, count, 1)
+    c1, c2, t1, t2 = sample_branches(list(branch_distribution(settings).values()), u[:, 0], 4)
+    mean1 = _readout_means(c1, readout, u[:, 1])
+    mean2 = _readout_means(c2, readout, u[:, 2])
 
     index = np.arange(start, start + count, dtype=np.int64)
     return PredictionTable(
@@ -279,67 +255,61 @@ def prediction_accuracy(records) -> AccuracyEstimate:
 def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutParams) -> float:
     """Exact pooled accuracy that prediction_accuracy of a batch converges to.
 
-    Valid for any `steps`.  Given the projective outcome t, the ancilla
-    eigenvalue is c = t with probability (1 + V)/2, K | c is binomial, and
-    the sign rule predicts +1 iff K >= ceil(steps/2) (a zero mean predicts
-    +1).  t_i follows the Bell pair's projective marginal; the result is
-    averaged over both qubits.
+    Valid for any `steps`.  Sums the 16-branch law of (c1, c2, t1, t2)
+    against P(sign = t_i | c_i), averaged over both qubits: K | c is
+    binomial, and the sign rule predicts +1 iff K >= ceil(steps/2) (a zero
+    mean predicts +1).
     """
     _require_same_axis(settings)
     steps = int(readout.steps)
     below = (steps - 1) // 2  # largest K with a negative mean, so predicting -1
-
-    def hit(t: int) -> float:
-        """P(prediction = t | projective outcome t)."""
-        total = 0.0
-        for c in (1, -1):
-            p = (1.0 + c * readout.v) / 2.0
-            tail = bdtrc(below, steps, p) if t > 0 else bdtr(below, steps, p)
-            total += (1.0 + c * t * settings.v) / 2.0 * float(tail)
-        return total
-
-    probs = _pair_probs(prepare_bell(settings.bell_kind).density(), settings.b1, settings.b2)
-    plus = (2.0 * probs[0] + probs[1] + probs[2]) / 2.0  # P(t_i = +1), averaged over i
-    return float(plus * hit(1) + (1.0 - plus) * hit(-1))
+    hit = {}  # P(sign = t | c)
+    for c in (1, -1):
+        p = (1.0 + c * readout.v) / 2.0
+        hit[(c, 1)], hit[(c, -1)] = float(bdtrc(below, steps, p)), float(bdtr(below, steps, p))
+    total = 0.0
+    for (c1, c2, t1, t2), p in branch_distribution(settings).items():
+        total += p * (hit[(c1, t1)] + hit[(c2, t2)]) / 2.0
+    return total
 
 
 # ---------------------------------------------------------------------------
 # The after-protocol Bell check on the Bell qubits alone
 
 
-def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
-    """Bell pair after ancilla coupling along (a1, a2) at strength settings.v.
+def _post_pair_laws(settings: Settings, post_select) -> list:
+    """P(t1, t2) at each test-axis pair, in (0, 0), (0, 1), (1, 0), (1, 1) order.
 
-    Default marginalizes the ancilla record (non-selective channel).  With
-    post_select = (c1, c2), c_i in {-1, +1}, the state is instead
-    conditioned on ancilla i having collapsed to branch c_i, which at
-    saturated readout applies the selective Kraus branch.
+    Each is read from the 16-branch law at coupling axes (a1, a2) and test
+    axes (theta1, theta2).  Default sums out the ancilla eigenvalues (the
+    non-selective coupling).  With post_select = (c1, c2), c_i in
+    {-1, +1}, it takes the row of ancilla i collapsed to branch c_i and
+    normalizes it, which at saturated readout is the selective Kraus branch.
     """
-    if post_select is None:
-        return coupled_state(settings.v, settings.a1, settings.a2, settings.bell_kind)
-    c1, c2 = post_select
-    if c1 not in (-1, 1) or c2 not in (-1, 1):
-        raise ValueError(f"post_select branches must be -1 or +1, got {post_select!r}")
-    rho = prepare_bell(settings.bell_kind).density()
-    for qubit, axis, c in ((0, settings.a1, c1), (1, settings.a2, c2)):
-        big = lift1(weak_kraus(settings.v, axis).operator(c), qubit, 2)
-        rho = big @ rho @ big.conj().T
-        p = float(np.trace(rho).real)
-        if p < MIN_BRANCH_PROB:
-            raise DegenerateBranchError(f"post-selected branch {c} on qubit {qubit} has probability {p}")
-        rho = rho / p
-    return QuantumState.from_density((rho + rho.conj().T) / 2.0)
+    if post_select is not None:
+        c1, c2 = post_select
+        if c1 not in (-1, 1) or c2 not in (-1, 1):
+            raise ValueError(f"post_select branches must be -1 or +1, got {post_select!r}")
+    laws = []
+    for th1 in POST_TEST_AXES_1:
+        for th2 in POST_TEST_AXES_2:
+            law = list(branch_distribution(replace(settings, b1=th1, b2=th2)).values())
+            rows = np.array(law).reshape(4, 4)  # one (t1, t2) row per (c1, c2), nested (+1, -1) order
+            if post_select is None:
+                laws.append(rows.sum(axis=0))
+                continue
+            row = rows[2 * (c1 < 0) + (c2 < 0)]
+            p = float(row.sum())
+            if p < MIN_BRANCH_PROB:
+                raise DegenerateBranchError(f"post-selected ancilla branch {(c1, c2)} has probability {p}")
+            laws.append(row / p)
+    return laws
 
 
 def exact_post_protocol_chsh(settings: Settings, post_select=None) -> float:
     """Exact combination the after-protocol Bell check converges to."""
-    rho = post_coupling_state(settings, post_select).density()
-    corr = {}
-    for i, th1 in enumerate(POST_TEST_AXES_1):
-        for j, th2 in enumerate(POST_TEST_AXES_2):
-            probs = _pair_probs(rho, th1, th2)
-            corr[(i, j)] = float(sum(t1 * t2 * p for (t1, t2), p in zip(_BRANCHES, probs)))
-    return corr[(0, 0)] + corr[(0, 1)] + corr[(1, 0)] - corr[(1, 1)]
+    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in _post_pair_laws(settings, post_select))
+    return e11 + e12 + e21 - e22
 
 
 def post_protocol_chsh(
@@ -353,10 +323,11 @@ def post_protocol_chsh(
 
     Estimates the four correlators at the fixed test axes from n_trials
     projective samples (n_trials // 4 per axis pair) of the marginal
-    (or post-selected) coupled state.  The marginal distribution of the
+    (or post-selected) pair law.  The marginal distribution of the
     Bell pair is unchanged by how the ancillas were read out, so `readout`
     does not shift this estimate; it is accepted because post-selection is
-    only defined at saturated readout, which is validated here.
+    only defined at saturated readout, which is validated here.  The four
+    correlators use disjoint trials, so their stderrs add in quadrature.
     """
     if post_select is not None and not readout.saturated:
         raise ValueError(
@@ -366,16 +337,9 @@ def post_protocol_chsh(
     n_per = n_trials // 4
     if n_per < 2:
         raise ValueError(f"n_trials must be >= 8 to estimate four correlators, got {n_trials}")
-    rho = post_coupling_state(settings, post_select).density()
-    estimates = {}
-    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        probs = _pair_probs(rho, POST_TEST_AXES_1[i], POST_TEST_AXES_2[j])
+    estimates = []
+    for k, law in enumerate(_post_pair_laws(settings, post_select)):
         u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, k * n_per, n_per, 1)
-        t1, t2 = sample_branches(probs, u[:, 0], 2)
-        products = (t1 * t2).astype(float)
-        estimates[(i, j)] = CorrelatorEstimate(
-            value=float(products.mean()),
-            stderr=float(products.std(ddof=1) / math.sqrt(n_per)),
-            count=n_per,
-        )
-    return chsh_combine(estimates[(0, 0)], estimates[(0, 1)], estimates[(1, 0)], estimates[(1, 1)])
+        t1, t2 = sample_branches(law, u[:, 0], 2)
+        estimates.append(_correlator((t1 * t2).astype(float)))
+    return chsh_combine(*estimates)

@@ -24,18 +24,17 @@ DRAWS_PER_BLOCK = 4
 # consumer changes which draws it takes or what it does with them, because
 # the same master seed then writes different record bytes.
 #   1: the sequential readout took one draw per readout step.
-#   2: the sequential readout takes two draws per ancilla (eigenvalue, count).
-#   3: a trial takes one block: branch, noise 1, noise 2.
-LAYOUT_VERSION = 3
+#   2: the sequential readout took two draws per ancilla (eigenvalue, count).
+#   3: a simulate trial takes one block: branch, noise 1, noise 2.
+#   4: a prediction trial takes one block: branch (c1, c2, t1, t2), count 1, count 2.
+LAYOUT_VERSION = 4
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.
 TRIAL_STREAM = 0x01
 HIDDEN_VAR_STREAM = 0x02
 HIDDEN_VAR_CONFIG_STREAM = 0x03
-PREDICT_BELL_STREAM = 0x04
-PREDICT_ANCILLA1_STREAM = 0x05
-PREDICT_ANCILLA2_STREAM = 0x06
+PREDICT_STREAM = 0x04
 POST_CHSH_STREAM = 0x07
 
 _U64 = np.uint64

@@ -324,16 +324,19 @@ def simulate_trials(
 # Estimation
 
 
+def _correlator(products: np.ndarray) -> CorrelatorEstimate:
+    """Sample mean and stderr of per-trial products."""
+    n = len(products)
+    if n < 2:
+        raise ValueError(f"need at least 2 records to estimate a correlator, got {n}")
+    stderr = float(products.std(ddof=1) / math.sqrt(n))
+    return CorrelatorEstimate(value=float(products.mean()), stderr=stderr, count=n)
+
+
 def estimate_correlator(records, left: str, right: str) -> CorrelatorEstimate:
     """Sample mean and stderr of the product of two record fields."""
     table = as_table(records)
-    n = len(table)
-    if n < 2:
-        raise ValueError(f"need at least 2 records to estimate a correlator, got {n}")
-    products = table.column(left) * table.column(right)
-    value = float(products.mean())
-    stderr = float(products.std(ddof=1) / math.sqrt(n))
-    return CorrelatorEstimate(value=value, stderr=stderr, count=n)
+    return _correlator(table.column(left) * table.column(right))
 
 
 def chsh_combine(

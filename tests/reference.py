@@ -3,8 +3,9 @@
 Each one re-derives, one operator or one draw at a time, something the
 package computes another way: the state-updating weak measurement, the
 system+ancilla unitary behind the weak Kraus pair, the reduced state by
-partial trace, one trial's detector noise and rescaling, and the
-step-by-step sequential readout.  They stay independent oracles for the
+partial trace, one trial's detector noise and rescaling, the
+step-by-step sequential readout, and the Bell pair's density operator
+after the ancilla coupling.  They stay independent oracles for the
 package's exact laws and batch samplers.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from blgisim.prediction import SequentialReadoutParams
+from blgisim.trials import Settings, coupled_state, prepare_bell
 from blgisim.qubits import (
     MIN_BRANCH_PROB,
     DegenerateBranchError,
@@ -161,3 +163,27 @@ def sequential_weak_sequence(
         raw, state = weak_measure(state, qubit, axis, params.v, rng)
         total += raw
     return total / params.steps, state
+
+
+def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
+    """Bell pair after ancilla coupling along (a1, a2) at strength settings.v.
+
+    Default marginalizes the ancilla record (non-selective channel).  With
+    post_select = (c1, c2), c_i in {-1, +1}, the state is instead
+    conditioned on ancilla i having collapsed to branch c_i, which at
+    saturated readout applies the selective Kraus branch.
+    """
+    if post_select is None:
+        return coupled_state(settings.v, settings.a1, settings.a2, settings.bell_kind)
+    c1, c2 = post_select
+    if c1 not in (-1, 1) or c2 not in (-1, 1):
+        raise ValueError(f"post_select branches must be -1 or +1, got {post_select!r}")
+    rho = prepare_bell(settings.bell_kind).density()
+    for qubit, axis, c in ((0, settings.a1, c1), (1, settings.a2, c2)):
+        big = lift1(weak_kraus(settings.v, axis).operator(c), qubit, 2)
+        rho = big @ rho @ big.conj().T
+        p = float(np.trace(rho).real)
+        if p < MIN_BRANCH_PROB:
+            raise DegenerateBranchError(f"post-selected branch {c} on qubit {qubit} has probability {p}")
+        rho = rho / p
+    return QuantumState.from_density((rho + rho.conj().T) / 2.0)

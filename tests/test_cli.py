@@ -111,6 +111,30 @@ def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys):
     assert lines[1:] == [f"blgisim: error: steps must be an integer in [1, {MAX_STEPS}], got {10 * MAX_STEPS}"]
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (
+            "audit --in {out} --v 0.5 --threshold-sigmas 0",
+            "blgisim audit: error: argument --threshold-sigmas: must be finite and > 0, got 0",
+        ),
+        (
+            "sweep --v-grid 0.5,0.9 --trials 1 --out {out}",
+            "blgisim: error: trials_per_point must be >= 2 to estimate a correlator, got 1",
+        ),
+    ],
+)
+def test_usage_errors_found_before_any_work_exit_2_with_one_usage_line(command, error, tmp_path, capsys, monkeypatch):
+    # wide enough that argparse prints each usage on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    out = tmp_path / "out.csv"
+    assert main(command.format(out=out).split()) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("usage:")
+    assert lines[1] == error
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import, which every command would pay
     src = os.path.dirname(os.path.dirname(os.path.abspath(blgisim.__file__)))
@@ -287,7 +311,7 @@ def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):
     readout = SequentialReadoutParams(v=0.3, steps=7)
     assert summary["exact_accuracy"] == prediction_accuracy_exact(prediction_settings(0.4), readout)
     assert summary["exact_accuracy"] < summary["expected_accuracy_saturated"]
-    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 3
+    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 4
 
 
 def test_sweep_verdict_transition(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from blgisim.prediction import (
     SequentialReadoutParams,
     as_prediction_table,
     exact_post_protocol_chsh,
-    post_coupling_state,
     post_protocol_chsh,
     predict,
     prediction_accuracy,
@@ -25,9 +25,17 @@ from blgisim.prediction import (
     prediction_settings,
     run_prediction_experiment,
 )
-from blgisim.qubits import SIGMA_Z, QuantumState, axis_projectors, lift1, weak_kraus
+from blgisim.qubits import (
+    SIGMA_Z,
+    DegenerateBranchError,
+    QuantumState,
+    axis_projectors,
+    bloch_observable,
+    lift1,
+    weak_kraus,
+)
 from blgisim.trials import BELL_AMPLITUDES, Settings
-from reference import expect, sequential_weak_sequence
+from reference import expect, post_coupling_state, sequential_weak_sequence
 
 
 def z_diagonal(m: float) -> QuantumState:
@@ -137,38 +145,37 @@ def test_long_readout_collapses_the_ancilla():
 
 
 def reference_prediction(settings: Settings, readout, index: int, master_seed: int):
-    """Scalar re-derivation of one prediction trial from the draw layout.
+    """Scalar re-derivation of one prediction trial from draw layout 4.
 
-    Samples the projective pair from its Born law, then per ancilla takes
-    the two draws of its counter block: the first picks the eigenvalue c,
-    the second the count K of +1 readouts by walking the binomial CDF one
-    k at a time.
+    Builds the law of (c1, c2, t1, t2) branch by branch as the Born trace
+    of a kron-ed operator: per qubit, the weak Kraus operator of ancilla
+    eigenvalue c_i, then the projector on outcome t_i.  Draw 0 of the
+    trial's block picks the branch by a cumulative walk; draws 1 and 2
+    pick the counts K1 and K2 by walking the binomial CDFs of c1 and c2
+    one k at a time.
     """
     psi = BELL_AMPLITUDES[settings.bell_kind]
     rho = np.outer(psi, psi.conj())
-    pr1 = axis_projectors(settings.b1)
-    pr2 = axis_projectors(settings.b2)
-    pick = {1: 0, -1: 1}
-    probs = [
-        float(np.trace(np.kron(pr1[pick[t1]], pr2[pick[t2]]) @ rho).real)
-        for t1, t2 in prediction._BRANCHES
-    ]
-    u = streams.stream(master_seed, streams.PREDICT_BELL_STREAM, index=index, blocks=1).random()
+    branches = list(itertools.product((1, -1), repeat=4))
+
+    def local(a: float, b: float, c: int, t: int) -> np.ndarray:
+        return axis_projectors(b)[(1 - t) // 2] @ weak_kraus(settings.v, a).operator(c)
+
+    probs = []
+    for c1, c2, t1, t2 in branches:
+        m = np.kron(local(settings.a1, settings.b1, c1, t1), local(settings.a2, settings.b2, c2, t2))
+        probs.append(float(np.trace(m @ rho @ m.conj().T).real))
+    gen = streams.stream(master_seed, streams.PREDICT_STREAM, index=index, blocks=1)
+    u_branch, u_k1, u_k2 = gen.random(), gen.random(), gen.random()
     idx, acc = 0, probs[0]
-    while u >= acc and idx < 3:
+    while u_branch >= acc and idx < len(branches) - 1:
         idx += 1
         acc += probs[idx]
-    t1, t2 = prediction._BRANCHES[idx]
+    c1, c2, t1, t2 = branches[idx]
 
     n = readout.steps
     means = []
-    for qubit_tag, t in (
-        (streams.PREDICT_ANCILLA1_STREAM, t1),
-        (streams.PREDICT_ANCILLA2_STREAM, t2),
-    ):
-        gen = streams.stream(master_seed, qubit_tag, index=index, blocks=1)
-        u_c, u_k = gen.random(), gen.random()
-        c = 1 if u_c < (1.0 + t * settings.v) / 2.0 else -1
+    for c, u_k in ((c1, u_k1), (c2, u_k2)):
         p = (1.0 + c * readout.v) / 2.0
         k = 0
         while bdtr(k, n, p) <= u_k:
@@ -178,17 +185,18 @@ def reference_prediction(settings: Settings, readout, index: int, master_seed: i
 
 
 def test_batch_matches_scalar_layout_reference():
-    settings = prediction_settings(0.6)
     readout = SequentialReadoutParams(v=0.3, steps=40)
-    table = prediction_batch(settings, readout, 30, master_seed=77)
-    for i in range(30):
-        mean1, mean2, t1, t2 = reference_prediction(settings, readout, i, 77)
-        row = table.row(i)
-        assert row.trajectory_mean1 == mean1
-        assert row.trajectory_mean2 == mean2
-        assert row.actual1 == t1 and row.actual2 == t2
-        assert row.predicted1 == predict(mean1)
-        assert row.predicted2 == predict(mean2)
+    for bell_kind in ("phi_plus", "psi_minus"):
+        settings = replace(prediction_settings(0.6), bell_kind=bell_kind)
+        table = prediction_batch(settings, readout, 30, master_seed=77)
+        for i in range(30):
+            mean1, mean2, t1, t2 = reference_prediction(settings, readout, i, 77)
+            row = table.row(i)
+            assert row.trajectory_mean1 == mean1, (bell_kind, i)
+            assert row.trajectory_mean2 == mean2, (bell_kind, i)
+            assert row.actual1 == t1 and row.actual2 == t2, (bell_kind, i)
+            assert row.predicted1 == predict(mean1)
+            assert row.predicted2 == predict(mean2)
 
 
 def binomial_mixture_pmf(m0: float, v: float, steps: int) -> np.ndarray:
@@ -422,6 +430,42 @@ def test_exact_post_protocol_chsh_closed_form():
     for v in np.linspace(0.05, 1.0, 20):
         got = exact_post_protocol_chsh(prediction_settings(float(v)))
         assert abs(got - closed_form_post_chsh(float(v))) < 1e-12
+
+
+def density_route_post_chsh(settings: Settings, post_select=None) -> float:
+    """The after-protocol combination from the coupled density operator and projective traces."""
+    rho = post_coupling_state(settings, post_select).density()
+    corr = [
+        float(np.trace(np.kron(bloch_observable(th1), bloch_observable(th2)) @ rho).real)
+        for th1 in POST_TEST_AXES_1
+        for th2 in POST_TEST_AXES_2
+    ]
+    return corr[0] + corr[1] + corr[2] - corr[3]
+
+
+@pytest.mark.parametrize("bell_kind", ["phi_plus", "psi_minus"])
+def test_post_protocol_law_matches_density_route(bell_kind):
+    for v in (0.05, 0.3, 0.5, 0.7071, 0.9, 0.99, 1.0):
+        settings = replace(prediction_settings(v), bell_kind=bell_kind)
+        for post_select in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            got = exact_post_protocol_chsh(settings, post_select)
+            assert abs(got - density_route_post_chsh(settings, post_select)) < 1e-12, (v, post_select)
+
+
+def test_post_selecting_a_zero_probability_branch_raises():
+    # phi+ coupled along z on both qubits at V = 1: the ancillas always agree
+    settings = Settings(a1=0.0, a2=0.0, b1=0.0, b2=0.0, v=1.0)
+    saturated = SequentialReadoutParams(v=0.05, steps=10_000)
+    with pytest.raises(DegenerateBranchError):
+        post_coupling_state(settings, post_select=(1, -1))
+    with pytest.raises(DegenerateBranchError):
+        exact_post_protocol_chsh(settings, post_select=(1, -1))
+    with pytest.raises(DegenerateBranchError):
+        post_protocol_chsh(settings, saturated, n_trials=400, post_select=(1, -1))
+    agree = exact_post_protocol_chsh(settings, post_select=(1, 1))
+    assert abs(agree - density_route_post_chsh(settings, (1, 1))) < 1e-12
+    with pytest.raises(ValueError):
+        exact_post_protocol_chsh(settings, post_select=(0, 1))
 
 
 def test_post_protocol_tradeoff_curve():

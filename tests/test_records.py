@@ -237,9 +237,9 @@ GOLDEN = [
         "a4b375cb8ca3c0b4f6b8dec12b84e6492cb23e64ec975f46a67e2fdd7f6f289e",
     ),
     (
-        # draw layout 2: the readout is sampled from its exact two-stage law
+        # draw layout 4: one block per trial, the branch drawn from the 16-branch law
         "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
-        "26e28ab52aa8fa4ef414dd90ebbd58115cd9f9a63d3fe2b08390c887312ff3aa",
+        "f635af306399befdf1ae5d8219be7fa7e2d1730f652986b54bfa983c23b9ff20",
     ),
     # two chunks per grid point: the only output that goes through the process pool
     (

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blgisim import prediction, qubits, streams, trials
-from blgisim.qubits import NO_NOISE, NoiseModel
+from blgisim import qubits, streams, trials
+from blgisim.qubits import NO_NOISE, NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
     BELL_AMPLITUDES,
     Settings,
@@ -213,9 +213,10 @@ def test_sample_branches_never_returns_a_zero_probability_branch():
     # u at 0, at every cumulative boundary and just below 1, on two laws
     # whose last branch has probability 0
     psi_minus = prepare_bell("psi_minus").density()
+    z_tests = ((0, weak_kraus(1.0, 0.0)), (1, weak_kraus(1.0, 0.0)))
     zero_law = branch_distribution(ZERO_BRANCH_SETTINGS)
     laws = (
-        (prediction._pair_probs(psi_minus, 0.0, 0.0), list(prediction._BRANCHES)),
+        (outcome_law(psi_minus, z_tests), [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
         (list(zero_law.values()), list(zero_law)),
     )
     for probs, branches in laws:

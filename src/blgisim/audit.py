@@ -22,7 +22,7 @@ import numpy as np
 
 from . import streams
 from .qubits import NO_NOISE, NoiseModel, check_strength
-from .trials import TrialTable, _noisy, as_table, estimate_chsh
+from .trials import TrialTable, _noisy, estimate_chsh
 
 MIN_RECORDS = 100     # below this the test has no power
 STDERR_CAP = 0.2      # combined-stderr cap for a conclusive verdict
@@ -143,19 +143,21 @@ def decomposition_test(records, v: float, threshold_sigmas: float = DEFAULT_THRE
     |E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)| from the record fields.
     Under the binary-plus-unbiased-noise model its mean is <= 2, so an
     excess beyond threshold_sigmas combined standard errors rejects the
-    model.  Verdicts are INCONCLUSIVE below MIN_RECORDS records or when
-    the combined stderr exceeds STDERR_CAP.
+    model.  records is a TrialTable.  Fewer than 2 records cannot give a
+    standard error and raise ValueError; verdicts are INCONCLUSIVE below
+    MIN_RECORDS records or when the combined stderr exceeds STDERR_CAP.
     """
     v = check_strength(v)
     if not (np.isfinite(threshold_sigmas) and threshold_sigmas > 0):
         raise ValueError(f"threshold_sigmas must be positive, got {threshold_sigmas}")
-    table = as_table(records)
-    _check_record_integrity(table, v)
-    report = estimate_chsh(table)
+    if len(records) < 2:
+        raise ValueError(f"need at least 2 records to test a decomposition, got {len(records)}")
+    _check_record_integrity(records, v)
+    report = estimate_chsh(records)
     value = abs(report.chsh)
     stderr = report.chsh_stderr
 
-    if len(table) < MIN_RECORDS or stderr > STDERR_CAP:
+    if len(records) < MIN_RECORDS or stderr > STDERR_CAP:
         verdict = INCONCLUSIVE
     elif value - 2.0 > threshold_sigmas * stderr:
         verdict = REJECT
@@ -230,13 +232,13 @@ def hidden_variable_records(
     )
     return TrialTable(
         index,
+        sid,
         raws[0],
         raws[1],
         raws[0] / v,
         raws[1] / v,
         signal[2],
         signal[3],
-        sid,
         streams.derived_seed(master_seed, index),
     )
 

@@ -87,19 +87,6 @@ class SequentialReadoutParams:
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    trial_index: int
-    trajectory_mean1: float
-    trajectory_mean2: float
-    predicted1: int
-    predicted2: int
-    actual1: int
-    actual2: int
-    settings_id: str
-    seed: int
-
-
-@dataclass(frozen=True)
 class AccuracyEstimate:
     """Pooled match fraction with a Wilson 95% interval."""
 
@@ -122,12 +109,7 @@ PREDICTION_SCHEMA = (
 class PredictionTable(RecordTable):
     """Column-oriented batch of prediction records."""
 
-    record = PredictionRecord
     schema = PREDICTION_SCHEMA
-
-
-def as_prediction_table(records) -> PredictionTable:
-    return PredictionTable.from_records(records)
 
 
 def predict(mean: float) -> int:
@@ -181,13 +163,13 @@ def _predict_range(
     index = np.arange(start, start + count, dtype=np.int64)
     return PredictionTable(
         index,
+        settings.settings_id,
         mean1,
         mean2,
         np.where(mean1 < 0, -1, 1),
         np.where(mean2 < 0, -1, 1),
         t1,
         t2,
-        settings.settings_id,
         streams.derived_seed(master_seed, index),
     )
 
@@ -198,19 +180,6 @@ def _require_same_axis(settings: Settings) -> None:
             "prediction protocol requires coupling axes equal to projective axes "
             f"(a1={settings.a1}, b1={settings.b1}, a2={settings.a2}, b2={settings.b2})"
         )
-
-
-def run_prediction_experiment(
-    settings: Settings, readout: SequentialReadoutParams, trial_index: int, master_seed: int
-) -> PredictionRecord:
-    """One prediction trial, fully determined by (master_seed, trial_index).
-
-    settings.v is the system-ancilla coupling strength; settings must have
-    a_i = b_i (the protocol couples along the axes to be tested).  Detector
-    noise in settings is not part of this protocol and is ignored.
-    """
-    _require_same_axis(settings)
-    return _predict_range(settings, readout, trial_index, 1, master_seed).row(0)
 
 
 def prediction_batch(
@@ -224,7 +193,11 @@ def prediction_batch(
 ) -> PredictionTable:
     """Batch of prediction trials [start, start + n_trials), chunked.
 
-    Identical output for every chunk size and worker count.
+    settings.v is the system-ancilla coupling strength; settings must have
+    a_i = b_i (the protocol couples along the axes to be tested).  Detector
+    noise in settings is not part of this protocol and is ignored.  Identical
+    output for every chunk size and worker count, so trial i alone is
+    prediction_batch(settings, readout, 1, master_seed, start=i).
     """
     _require_same_axis(settings)
     task = partial(_predict_range, settings, readout, master_seed=master_seed)
@@ -232,11 +205,15 @@ def prediction_batch(
 
 
 def prediction_accuracy(records) -> AccuracyEstimate:
-    """Fraction of predicted_i = actual_i, pooled over both qubits."""
-    table = as_prediction_table(records)
-    n = 2 * len(table)
-    matches = int((table.predicted1 == table.actual1).sum()) + int(
-        (table.predicted2 == table.actual2).sum()
+    """Fraction of predicted_i = actual_i in a PredictionTable, pooled over both qubits.
+
+    A table of no rows has no accuracy and raises ValueError.
+    """
+    if len(records) < 1:
+        raise ValueError("need at least 1 record to estimate prediction accuracy, got 0")
+    n = 2 * len(records)
+    matches = int((records.predicted1 == records.actual1).sum()) + int(
+        (records.predicted2 == records.actual2).sum()
     )
     p = matches / n
     z2 = _WILSON_Z**2

@@ -1,9 +1,10 @@
-"""CSV persistence for trial and prediction records, plus JSON run manifests.
+"""CSV persistence for trial and prediction tables, plus JSON run manifests.
 
-One columnar codec, driven by a schema of ``(name, kind)`` columns, writes and
-reads every CSV a block of rows at a time. Real fields are serialized with
-``%.17g``, which round-trips float64 exactly, so reruns can be compared byte
-for byte. Fields are never quoted: a ``"`` is rejected on write and on read.
+One columnar codec, driven by a table's schema of ``(name, kind)`` columns,
+writes and reads every CSV a block of rows at a time. Each emitter writes a
+table of its own kind and each reader returns one. Real fields are serialized
+with ``%.17g``, which round-trips float64 exactly, so reruns can be compared
+byte for byte. Fields are never quoted: a ``"`` is rejected on write and on read.
 A record file holds one experiment, like the table it is written from: every
 row carries the same settings id, and a second id is rejected on read.
 """
@@ -17,7 +18,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .prediction import PREDICTION_SCHEMA, PredictionTable
-from .trials import TRIAL_SCHEMA, RecordTable, TrialTable
+from .trials import TRIAL_SCHEMA, TrialTable
 
 _BLOCK_ROWS = 65536
 # printf format per column kind; "str" is unquoted text, the rest are numpy dtypes
@@ -59,10 +60,6 @@ def _check_id(sid: str) -> None:
         raise ValueError(f"settings_id {sid!r} contains CSV delimiter or quote characters")
 
 
-def _is_empty(records) -> bool:
-    return isinstance(records, (RecordTable, list, tuple)) and len(records) == 0
-
-
 def _write_csv(path: str, schema, blocks) -> str:
     """Write the header, then each block (a list of columns in schema order)."""
     template = ",".join(_FORMATS[kind] for _, kind in schema) + "\n"
@@ -73,14 +70,15 @@ def _write_csv(path: str, schema, blocks) -> str:
     return path
 
 
-def _emit_table(table, schema, path: str) -> str:
-    """Write a record table (None when empty) column-wise, _BLOCK_ROWS rows at a time."""
-    n = 0 if table is None else len(table)
-    sid = table.settings_id if n else ""
+def _emit_table(table, cls, path: str) -> str:
+    """Write a cls table column-wise, _BLOCK_ROWS rows at a time; no rows writes the header only."""
+    if not isinstance(table, cls):
+        raise TypeError(f"expected a {cls.__name__} to write, got {type(table).__name__}")
+    sid, schema = table.settings_id, cls.schema
     _check_id(sid)
 
     def blocks():
-        for start in range(0, n, _BLOCK_ROWS):
+        for start in range(0, len(table), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             yield [repeat(sid) if kind == "str" else getattr(table, name)[rows].tolist() for name, kind in schema]
 
@@ -133,13 +131,9 @@ def _read_table(path: str, cls, what: str):
     return cls(*(columns.get(name, sid) for name in cls.field_names))
 
 
-def _emit(records, cls, path: str) -> str:
-    return _emit_table(None if _is_empty(records) else cls.from_records(records), cls.schema, path)
-
-
 def emit_records(records, path: str) -> str:
-    """Write trial records as CSV; an empty record set yields a header-only file."""
-    return _emit(records, TrialTable, path)
+    """Write a TrialTable as CSV; a table of no rows yields a header-only file."""
+    return _emit_table(records, TrialTable, path)
 
 
 def read_records(path: str) -> TrialTable:
@@ -148,8 +142,8 @@ def read_records(path: str) -> TrialTable:
 
 
 def emit_predictions(records, path: str) -> str:
-    """Write prediction records as CSV; empty set yields a header-only file."""
-    return _emit(records, PredictionTable, path)
+    """Write a PredictionTable as CSV; a table of no rows yields a header-only file."""
+    return _emit_table(records, PredictionTable, path)
 
 
 def read_predictions(path: str) -> PredictionTable:

@@ -15,17 +15,18 @@ independent matrix-root enumeration and against a scalar state-updating
 Kraus chain.  The exact oracle reads every moment it reports from one
 such law per call.
 
-run_trial produces a single record, simulate_trials a columnar batch; both
-read the same per-trial counter window, so a trial's record is identical
-no matter which path, chunking, or worker count produced it.  A record
-table holds one experiment: one settings id for all of its rows.
+simulate_trials produces a columnar batch of trials [start, start + n);
+each trial reads its own counter window, so its row is identical no
+matter which start, chunking, or worker count produced it, and a single
+trial i is simulate_trials(settings, 1, seed, start=i).  A record table
+holds one experiment: one settings id for all of its rows.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 
@@ -104,21 +105,6 @@ def default_settings(v: float, noise: NoiseModel = NO_NOISE, bell_kind: str = "p
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One realization: noisy raws, rescaled alphas, binary betas."""
-
-    trial_index: int
-    raw1: float
-    raw2: float
-    alpha1: float
-    alpha2: float
-    beta1: int
-    beta2: int
-    settings_id: str
-    seed: int
-
-
-@dataclass(frozen=True)
 class CorrelatorEstimate:
     value: float
     stderr: float
@@ -141,89 +127,60 @@ TRIAL_SCHEMA = (
     ("trial_index", _I), ("settings_id", "str"), ("raw1", _F), ("raw2", _F),
     ("alpha1", _F), ("alpha2", _F), ("beta1", _I), ("beta2", _I), ("seed", "uint64"),
 )
-_SCALARS = {"int64": int, "uint64": int, "float64": float, "str": str}
 
 
 class RecordTable:
     """Column-oriented batch of the records of one experiment.
 
-    A subclass names its `record` dataclass and its `schema`; the constructor
-    takes one column per record field, in field order, each cast to its schema
-    dtype.  Every array column is 1-D and as long as trial_index; settings_id
-    is one str for the whole table, so a table never pools two experiments.
+    A subclass names its `schema` of (name, kind) columns; field_names are
+    the schema's names, and the constructor takes one column per name, in
+    schema (CSV) order, each cast to its kind's dtype.  Every array column
+    is 1-D and as long as trial_index; settings_id is one str for the whole
+    table, so a table never pools two experiments.
     """
 
-    record: type
     schema: tuple
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.field_names = tuple(f.name for f in fields(cls.record))
-        cls._kinds = tuple(dict(cls.schema)[name] for name in cls.field_names)
+        cls.field_names = tuple(name for name, _ in cls.schema)
 
     def __init__(self, *columns):
-        if len(columns) != len(self.field_names):
-            raise TypeError(f"{type(self).__name__} takes {len(self.field_names)} columns, got {len(columns)}")
-        for name, kind, col in zip(self.field_names, self._kinds, columns):
+        if len(columns) != len(self.schema):
+            raise TypeError(f"{type(self).__name__} takes {len(self.schema)} columns, got {len(columns)}")
+        for (name, kind), col in zip(self.schema, columns):
             if kind == "str" and not isinstance(col, str):
                 raise TypeError(f"{name} must be one str per table, got {type(col).__name__}")
             setattr(self, name, col if kind == "str" else np.asarray(col, dtype=kind))
-        shapes = {name: getattr(self, name).shape for name, kind in zip(self.field_names, self._kinds) if kind != "str"}
+        shapes = {name: getattr(self, name).shape for name, kind in self.schema if kind != "str"}
         if len(set(shapes.values())) != 1 or len(self.trial_index.shape) != 1:
             raise ValueError(f"every column must be 1-D and match trial_index; got shapes {shapes}")
 
     def __len__(self) -> int:
         return self.trial_index.shape[0]
 
-    def row(self, i: int):
-        columns = (getattr(self, name) for name in self.field_names)
-        return self.record(*(c if k == "str" else _SCALARS[k](c[i]) for c, k in zip(columns, self._kinds)))
-
     @classmethod
     def concat(cls, parts: list):
         if not parts:
             raise ValueError("cannot concatenate zero tables")
-        sid = _one_settings_id(p.settings_id for p in parts)
+        ids = {p.settings_id for p in parts}
+        if len(ids) > 1:
+            raise ValueError(f"malformed records: {len(ids)} distinct settings ids in one record set")
+        sid = ids.pop()
         return cls(
-            *(sid if name == "settings_id" else np.concatenate([getattr(p, name) for p in parts]) for name in cls.field_names)
+            *(sid if kind == "str" else np.concatenate([getattr(p, name) for p in parts]) for name, kind in cls.schema)
         )
-
-    @classmethod
-    def from_records(cls, records):
-        """Normalize a table of this kind or an iterable of its records into a table."""
-        if isinstance(records, cls):
-            return records
-        rows = list(records)
-        if not rows:
-            raise ValueError("empty record set")
-        columns = {name: [getattr(r, name) for r in rows] for name in cls.field_names}
-        columns["settings_id"] = _one_settings_id(columns["settings_id"])
-        return cls(*columns.values())
-
-
-def _one_settings_id(ids) -> str:
-    """The one settings id of a record set; a second id is malformed input."""
-    distinct = set(ids)
-    if len(distinct) > 1:
-        raise ValueError(f"malformed records: {len(distinct)} distinct settings ids in one record set")
-    return distinct.pop()
 
 
 class TrialTable(RecordTable):
     """Column-oriented batch of trial records."""
 
-    record = TrialRecord
     schema = TRIAL_SCHEMA
 
     def column(self, name: str) -> np.ndarray:
         if name not in FIELDS:
             raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
         return getattr(self, name).astype(float, copy=False)
-
-
-def as_table(records) -> TrialTable:
-    """Normalize a TrialTable or an iterable of TrialRecord into a table."""
-    return TrialTable.from_records(records)
 
 
 def prepare_bell(kind: str) -> QuantumState:
@@ -269,13 +226,13 @@ def _simulate_range(settings: Settings, start: int, count: int, master_seed: int
     index = np.arange(start, start + count, dtype=np.int64)
     return TrialTable(
         index,
+        settings.settings_id,
         noisy1,
         noisy2,
         noisy1 / settings.v,
         noisy2 / settings.v,
         beta1,
         beta2,
-        settings.settings_id,
         streams.derived_seed(master_seed, index),
     )
 
@@ -289,6 +246,8 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     starts = range(start, start + n_trials, chunk)
     counts = [min(chunk, start + n_trials - s) for s in starts]
     if workers > 1 and len(starts) > 1:
@@ -297,11 +256,6 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
     else:
         parts = list(map(task, starts, counts))
     return parts[0] if len(parts) == 1 else type(parts[0]).concat(parts)
-
-
-def run_trial(settings: Settings, trial_index: int, master_seed: int) -> TrialRecord:
-    """One trial, fully determined by (master_seed, trial_index)."""
-    return _simulate_range(settings, trial_index, 1, master_seed).row(0)
 
 
 def simulate_trials(
@@ -334,9 +288,8 @@ def _correlator(products: np.ndarray) -> CorrelatorEstimate:
 
 
 def estimate_correlator(records, left: str, right: str) -> CorrelatorEstimate:
-    """Sample mean and stderr of the product of two record fields."""
-    table = as_table(records)
-    return _correlator(table.column(left) * table.column(right))
+    """Sample mean and stderr of the product of two fields of a TrialTable."""
+    return _correlator(records.column(left) * records.column(right))
 
 
 def chsh_combine(
@@ -352,8 +305,7 @@ def chsh_combine(
 
 
 def estimate_chsh(records) -> ChshReport:
-    table = as_table(records)
-    return chsh_combine(*(estimate_correlator(table, left, right) for left, right in CHSH_PAIRS))
+    return chsh_combine(*(estimate_correlator(records, left, right) for left, right in CHSH_PAIRS))
 
 
 # ---------------------------------------------------------------------------

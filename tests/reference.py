@@ -6,7 +6,9 @@ system+ancilla unitary behind the weak Kraus pair, the reduced state by
 partial trace, one trial's detector noise and rescaling, the
 step-by-step sequential readout, and the Bell pair's density operator
 after the ancilla coupling.  They stay independent oracles for the
-package's exact laws and batch samplers.
+package's exact laws and batch samplers.  Two table helpers close the
+file: a record table's rows as tuples, for whole-row comparisons, and a
+table of no rows.
 """
 
 from functools import lru_cache
@@ -187,3 +189,21 @@ def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
             raise DegenerateBranchError(f"post-selected branch {c} on qubit {qubit} has probability {p}")
         rho = rho / p
     return QuantumState.from_density((rho + rho.conj().T) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Record tables, row by row
+
+
+def table_rows(table) -> list:
+    """The rows of a record table as tuples of Python scalars, in schema order."""
+    columns = [
+        [table.settings_id] * len(table) if kind == "str" else getattr(table, name).tolist()
+        for name, kind in table.schema
+    ]
+    return list(zip(*columns))
+
+
+def empty_table(cls, settings_id: str = "s"):
+    """A cls table of no rows."""
+    return cls(*(settings_id if kind == "str" else [] for _, kind in cls.schema))

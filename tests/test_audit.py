@@ -25,13 +25,13 @@ from blgisim.qubits import NoiseModel
 from blgisim.records import emit_records
 from blgisim.trials import (
     Settings,
-    TrialRecord,
     TrialTable,
     default_settings,
     estimate_chsh,
     exact_chsh,
     simulate_trials,
 )
+from reference import empty_table
 
 
 def binary_columns(table):
@@ -189,33 +189,40 @@ def test_decomposition_validates_arguments():
 
 
 def test_decomposition_rejects_malformed_records():
-    sid = "test;v=0.5"
+    n = 120
 
-    def rec(raw1=0.5, alpha1=1.0, beta1=1):
-        return TrialRecord(0, raw1, 0.5, alpha1, 1.0, beta1, 1, sid, 0)
+    def records(raw1=0.5, alpha1=1.0, beta1=1):
+        """n well-formed rows, the last one with the given raw1, alpha1 and beta1."""
+        raw1s, alpha1s, beta1s = [0.5] * n, [1.0] * n, [1] * n
+        raw1s[-1], alpha1s[-1], beta1s[-1] = raw1, alpha1, beta1
+        return TrialTable([0] * n, "test;v=0.5", raw1s, [0.5] * n, alpha1s, [1.0] * n, beta1s, [1] * n, [0] * n)
 
-    good = [rec() for _ in range(120)]
-    decomposition_test(good, v=0.5)  # sanity: well-formed passes
+    decomposition_test(records(), v=0.5)  # sanity: well-formed passes
 
     with pytest.raises(ValueError, match="beta"):
-        decomposition_test(good[:-1] + [rec(beta1=2)], v=0.5)
+        decomposition_test(records(beta1=2), v=0.5)
     with pytest.raises(ValueError, match="alpha"):
-        decomposition_test(good[:-1] + [rec(alpha1=0.3)], v=0.5)
+        decomposition_test(records(alpha1=0.3), v=0.5)
     with pytest.raises(ValueError, match="finite"):
-        decomposition_test(good[:-1] + [rec(raw1=math.nan, alpha1=math.nan)], v=0.5)
+        decomposition_test(records(raw1=math.nan, alpha1=math.nan), v=0.5)
+
+
+def test_decomposition_needs_two_records():
+    one = simulate_trials(default_settings(0.5), 1, master_seed=7)
+    for table in (empty_table(TrialTable), one):
+        with pytest.raises(ValueError, match="at least 2 records"):
+            decomposition_test(table, v=0.5)
 
 
 def test_decomposition_rejects_mixed_settings_ids():
     # two experiments pooled into one record set must not get a verdict:
-    # such a table cannot be built, from tables or from records
+    # such a table cannot be built
     parts = [
         simulate_trials(Settings(v=0.2), 5000, 1),
         simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
     ]
     with pytest.raises(ValueError, match="malformed records: .*settings ids"):
         TrialTable.concat(parts)
-    with pytest.raises(ValueError, match="malformed records: .*settings ids"):
-        decomposition_test([parts[0].row(0), parts[1].row(0)], v=0.2)
 
 
 # ------------------------------------------------------ hidden-variable source

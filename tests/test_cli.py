@@ -264,6 +264,16 @@ def test_audit_errors_exit_1(tmp_path, capsys):
     assert main(["audit", "--in", str(junk), "--v", "0.5"]) == 1
 
 
+def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    assert main(["simulate", "--v", "0.3", "--trials", "1", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "blgisim: error: need at least 2 records to test a decomposition, got 1\n"
+
+
 @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
 def test_audit_out_of_range_field_exits_1_with_one_line(tmp_path, capsys, seed):
     path = tmp_path / "run.csv"

@@ -1,6 +1,8 @@
-"""Tooling guard: no package module imports a name it never references."""
+"""Tooling guards: no package module imports a name it never references, and
+the package's ``__all__`` lists exactly the public names it binds."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,11 @@ def test_module_references_every_name_it_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - referenced) == []
+
+
+def test_all_lists_each_public_name_bound_in_the_package_once():
+    public = {
+        name for name, value in vars(blgisim).items() if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(blgisim.__all__) == len(set(blgisim.__all__))
+    assert set(blgisim.__all__) == public | {"__version__"}

@@ -15,7 +15,6 @@ from blgisim.prediction import (
     POST_TEST_AXES_2,
     PredictionTable,
     SequentialReadoutParams,
-    as_prediction_table,
     exact_post_protocol_chsh,
     post_protocol_chsh,
     predict,
@@ -23,7 +22,6 @@ from blgisim.prediction import (
     prediction_accuracy_exact,
     prediction_batch,
     prediction_settings,
-    run_prediction_experiment,
 )
 from blgisim.qubits import (
     SIGMA_Z,
@@ -35,7 +33,7 @@ from blgisim.qubits import (
     weak_kraus,
 )
 from blgisim.trials import BELL_AMPLITUDES, Settings
-from reference import expect, post_coupling_state, sequential_weak_sequence
+from reference import empty_table, expect, post_coupling_state, sequential_weak_sequence, table_rows
 
 
 def z_diagonal(m: float) -> QuantumState:
@@ -89,7 +87,7 @@ def test_same_axis_requirement_is_enforced():
     readout = SequentialReadoutParams(v=0.1, steps=16)
     crooked = Settings(a1=0.0, a2=1.0, b1=0.5, b2=1.0, v=0.5)
     with pytest.raises(ValueError):
-        run_prediction_experiment(crooked, readout, 0, 0)
+        prediction_accuracy_exact(crooked, readout)
     with pytest.raises(ValueError):
         prediction_batch(crooked, readout, 10, 0)
 
@@ -191,12 +189,11 @@ def test_batch_matches_scalar_layout_reference():
         table = prediction_batch(settings, readout, 30, master_seed=77)
         for i in range(30):
             mean1, mean2, t1, t2 = reference_prediction(settings, readout, i, 77)
-            row = table.row(i)
-            assert row.trajectory_mean1 == mean1, (bell_kind, i)
-            assert row.trajectory_mean2 == mean2, (bell_kind, i)
-            assert row.actual1 == t1 and row.actual2 == t2, (bell_kind, i)
-            assert row.predicted1 == predict(mean1)
-            assert row.predicted2 == predict(mean2)
+            assert table.trajectory_mean1[i] == mean1, (bell_kind, i)
+            assert table.trajectory_mean2[i] == mean2, (bell_kind, i)
+            assert table.actual1[i] == t1 and table.actual2[i] == t2, (bell_kind, i)
+            assert table.predicted1[i] == predict(mean1)
+            assert table.predicted2[i] == predict(mean2)
 
 
 def binomial_mixture_pmf(m0: float, v: float, steps: int) -> np.ndarray:
@@ -254,16 +251,17 @@ def test_scalar_readout_route_matches_count_law():
     assert np.all(np.abs(counts / n - law) < 5.0 * se), (counts / n, law)
 
 
-def test_run_prediction_experiment_is_deterministic():
+def test_single_prediction_trial_is_deterministic():
     settings = prediction_settings(0.5)
     readout = SequentialReadoutParams(v=0.2, steps=64)
-    rec = run_prediction_experiment(settings, readout, 9, master_seed=123)
-    assert rec == run_prediction_experiment(settings, readout, 9, master_seed=123)
-    assert rec.trial_index == 9
-    assert rec.seed == streams.derived_seed(123, 9)
-    assert rec.predicted1 == predict(rec.trajectory_mean1)
-    assert rec.actual1 in (-1, 1) and rec.actual2 in (-1, 1)
-    assert rec != run_prediction_experiment(settings, readout, 10, master_seed=123)
+    one = prediction_batch(settings, readout, 1, master_seed=123, start=9)
+    [rec] = table_rows(one)
+    assert table_rows(prediction_batch(settings, readout, 1, master_seed=123, start=9)) == [rec]
+    assert one.trial_index.tolist() == [9]
+    assert one.seed[0] == streams.derived_seed(123, 9)
+    assert one.predicted1[0] == predict(one.trajectory_mean1[0])
+    assert one.actual1[0] in (-1, 1) and one.actual2[0] in (-1, 1)
+    assert table_rows(prediction_batch(settings, readout, 1, master_seed=123, start=10)) != [rec]
 
 
 def test_prediction_batch_chunk_and_slice_invariance():
@@ -276,7 +274,11 @@ def test_prediction_batch_chunk_and_slice_invariance():
     tail = prediction_batch(settings, readout, 100, master_seed=1, start=677)
     assert np.array_equal(tail.trajectory_mean1, whole.trajectory_mean1[677:])
     for i in range(0, 777, 311):
-        assert whole.row(i) == run_prediction_experiment(settings, readout, i, master_seed=1)
+        one = prediction_batch(settings, readout, 1, master_seed=1, start=i)
+        for name, kind in PredictionTable.schema:
+            if kind != "str":
+                assert np.array_equal(getattr(one, name), getattr(whole, name)[i : i + 1]), (i, name)
+        assert one.settings_id == whole.settings_id
     with pytest.raises(ValueError):
         prediction_batch(settings, readout, 0, master_seed=1)
 
@@ -284,15 +286,14 @@ def test_prediction_batch_chunk_and_slice_invariance():
 def test_prediction_table_round_trip():
     settings = prediction_settings(0.5)
     readout = SequentialReadoutParams(v=0.2, steps=8)
-    records = [run_prediction_experiment(settings, readout, i, 3) for i in range(5)]
-    table = as_prediction_table(records)
+    singles = [prediction_batch(settings, readout, 1, 3, start=i) for i in range(5)]
+    table = PredictionTable.concat(singles)
     assert len(table) == 5
-    assert table.row(2) == records[2]
+    assert table_rows(table) == table_rows(prediction_batch(settings, readout, 5, 3))
+    assert table_rows(table)[2] == table_rows(singles[2])[0]
     merged = PredictionTable.concat([table, table])
     assert len(merged) == 10
     assert isinstance(merged.settings_id, str)
-    with pytest.raises(ValueError):
-        as_prediction_table([])
     with pytest.raises(ValueError):
         PredictionTable.concat([])
 
@@ -301,19 +302,25 @@ def test_prediction_table_round_trip():
 
 
 def test_prediction_accuracy_counts():
-    settings_id = "x"
+    def records(*pairs):
+        """One row per (predicted1, actual1) pair, with predicted2 = actual2 = 1."""
+        p1, a1 = (list(col) for col in zip(*pairs))
+        n = len(pairs)
+        return PredictionTable(range(n), "x", [0.1] * n, [0.1] * n, p1, [1] * n, a1, [1] * n, [0] * n)
 
-    def rec(i, p1, a1):
-        return prediction.PredictionRecord(i, 0.1, 0.1, p1, 1, a1, 1, settings_id, 0)
-
-    est = prediction_accuracy([rec(0, 1, 1), rec(1, 1, -1)])
+    est = prediction_accuracy(records((1, 1), (1, -1)))
     assert est.matches == 3 and est.count == 4
     assert est.accuracy == 0.75
     assert 0.0 < est.ci_low < 0.75 < est.ci_high < 1.0
 
-    perfect = prediction_accuracy([rec(0, 1, 1), rec(1, -1, -1)])
+    perfect = prediction_accuracy(records((1, 1), (-1, -1)))
     assert perfect.accuracy == 1.0
     assert perfect.ci_high == 1.0
+
+
+def test_prediction_accuracy_rejects_an_empty_table():
+    with pytest.raises(ValueError, match="at least 1 record"):
+        prediction_accuracy(empty_table(PredictionTable))
 
 
 def test_accuracy_at_full_coupling_is_near_perfect():

@@ -1,6 +1,5 @@
 """CSV and manifest persistence: exact round trips, header checks, golden bytes."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -9,7 +8,6 @@ import pytest
 
 from blgisim.cli import main
 from blgisim.prediction import (
-    PredictionRecord,
     PredictionTable,
     SequentialReadoutParams,
     prediction_batch,
@@ -31,23 +29,22 @@ from blgisim.records import (
     read_records,
     read_sweep,
 )
-from blgisim.trials import TrialRecord, TrialTable, default_settings, simulate_trials
+from blgisim.trials import TrialTable, default_settings, simulate_trials
+from reference import empty_table
 
 
-@pytest.mark.parametrize("table, record", [(TrialTable, TrialRecord), (PredictionTable, PredictionRecord)])
-def test_table_schema_names_are_the_record_fields(table, record):
+@pytest.mark.parametrize("table", [TrialTable, PredictionTable])
+def test_table_field_names_are_the_schema_names(table):
+    # one column order: the schema's, which is the CSV's and the constructor's
     names = [name for name, _ in table.schema]
     assert len(names) == len(set(names))
-    assert sorted(names) == sorted(f.name for f in dataclasses.fields(record))
-    assert table.field_names == tuple(f.name for f in dataclasses.fields(record))
+    assert table.field_names == tuple(names)
+    assert names[:2] == ["trial_index", "settings_id"]
 
 
 def _table_columns(table_cls, n):
-    """Valid columns of an n-row table of table_cls, in field order."""
-    return [
-        "one;experiment" if kind == "str" else np.arange(n, dtype=kind)
-        for kind in (dict(table_cls.schema)[name] for name in table_cls.field_names)
-    ]
+    """Valid columns of an n-row table of table_cls, in schema order."""
+    return ["one;experiment" if kind == "str" else np.arange(n, dtype=kind) for _, kind in table_cls.schema]
 
 
 @pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
@@ -76,8 +73,6 @@ def test_table_holds_one_settings_id(table_cls):
     columns[k] = "b"
     with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
         table_cls.concat([one, table_cls(*columns)])
-    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
-        table_cls.from_records([one.row(0), table_cls(*columns).row(1)])
     assert table_cls.concat([one, one]).settings_id == "a"
 
 
@@ -98,7 +93,7 @@ def test_trial_round_trip_handles_extreme_floats(tmp_path):
     raws = [0.1, -1.0 / 3.0, 1e300, 5e-324, 0.0, 123456789.123456789]
     n = len(raws)
     table = TrialTable(
-        range(n), raws, raws, raws, raws, [1] * n, [-1] * n, "edge;case", range(n)
+        range(n), "edge;case", raws, raws, raws, raws, [1] * n, [-1] * n, range(n)
     )
     path = tmp_path / "edge.csv"
     emit_records(table, str(path))
@@ -116,7 +111,7 @@ def test_concat_rejects_two_experiments():
 
 def test_empty_trial_set_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_records([], str(path))
+    emit_records(empty_table(TrialTable), str(path))
     assert path.read_text() == ",".join(TRIAL_HEADER) + "\n"
     with pytest.raises(ValueError, match="no records"):
         read_records(str(path))
@@ -134,16 +129,29 @@ def test_trial_read_rejects_foreign_files(tmp_path):
         read_records(str(truncated))
 
 
+def _trial_table(settings_id, n):
+    return TrialTable([0] * n, settings_id, [1.0] * n, [1.0] * n, [1.0] * n, [1.0] * n, [1] * n, [1] * n, [0] * n)
+
+
 def test_emit_rejects_delimiters_inside_settings_id(tmp_path):
-    bad = TrialRecord(0, 1.0, 1.0, 1.0, 1.0, 1, 1, "has,comma", 0)
+    bad = _trial_table("has,comma", 2)
     with pytest.raises(ValueError, match="delimiter"):
-        emit_records([bad, bad], str(tmp_path / "bad.csv"))
+        emit_records(bad, str(tmp_path / "bad.csv"))
 
 
 def test_emit_rejects_quotes_inside_settings_id(tmp_path):
-    bad = TrialRecord(0, 1.0, 1.0, 1.0, 1.0, 1, 1, 'say "hi"', 0)
+    bad = _trial_table('say "hi"', 1)
     with pytest.raises(ValueError, match="quote"):
-        emit_records([bad], str(tmp_path / "bad.csv"))
+        emit_records(bad, str(tmp_path / "bad.csv"))
+
+
+@pytest.mark.parametrize("emit, other", [(emit_records, PredictionTable), (emit_predictions, TrialTable)])
+def test_emitters_reject_the_other_table_kind_before_opening_the_file(tmp_path, emit, other):
+    path = tmp_path / "wrong_kind.csv"
+    wanted = "PredictionTable" if other is TrialTable else "TrialTable"
+    with pytest.raises(TypeError, match=f"{wanted}.*got {other.__name__}"):
+        emit(empty_table(other), str(path))
+    assert not path.exists()
 
 
 def test_prediction_round_trip_is_bit_exact(tmp_path):
@@ -169,7 +177,7 @@ def test_prediction_round_trip_is_bit_exact(tmp_path):
 
 def test_prediction_empty_and_header_checks(tmp_path):
     path = tmp_path / "pred_empty.csv"
-    emit_predictions([], str(path))
+    emit_predictions(empty_table(PredictionTable), str(path))
     assert path.read_text() == ",".join(PREDICTION_HEADER) + "\n"
     with pytest.raises(ValueError, match="no records"):
         read_predictions(str(path))

@@ -7,12 +7,12 @@ import pytest
 from scipy import stats
 
 from blgisim import qubits, streams, trials
+from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.qubits import NO_NOISE, NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
     BELL_AMPLITUDES,
     Settings,
     TrialTable,
-    as_table,
     branch_distribution,
     chsh_combine,
     chsh_curve,
@@ -25,11 +25,10 @@ from blgisim.trials import (
     exact_correlator,
     exact_mean,
     prepare_bell,
-    run_trial,
     sample_branches,
     simulate_trials,
 )
-from reference import apply_readout_noise, projective_measure, rescale, weak_measure
+from reference import apply_readout_noise, projective_measure, rescale, table_rows, weak_measure
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -147,33 +146,36 @@ def test_prepare_bell_states():
 # -------------------------------------------------------------- trial engine
 
 
-def test_run_trial_is_deterministic_and_well_formed():
+def test_single_trial_is_deterministic_and_well_formed():
     settings = default_settings(0.4, NoiseModel(bias=0.05, sigma=0.2))
-    rec = run_trial(settings, 17, master_seed=42)
-    again = run_trial(settings, 17, master_seed=42)
-    assert rec == again
-    assert rec.trial_index == 17
-    assert rec.beta1 in (-1, 1) and rec.beta2 in (-1, 1)
-    assert rec.alpha1 == rec.raw1 / 0.4 and rec.alpha2 == rec.raw2 / 0.4
-    assert rec.settings_id == settings.settings_id
-    assert rec.seed == streams.derived_seed(42, 17)
-    assert rec != run_trial(settings, 18, master_seed=42)
-    assert rec != run_trial(settings, 17, master_seed=43)
+    one = simulate_trials(settings, 1, master_seed=42, start=17)
+    [rec] = table_rows(one)
+    assert table_rows(simulate_trials(settings, 1, master_seed=42, start=17)) == [rec]
+    assert one.trial_index.tolist() == [17]
+    assert one.beta1[0] in (-1, 1) and one.beta2[0] in (-1, 1)
+    assert one.alpha1[0] == one.raw1[0] / 0.4 and one.alpha2[0] == one.raw2[0] / 0.4
+    assert one.settings_id == settings.settings_id
+    assert one.seed[0] == streams.derived_seed(42, 17)
+    assert table_rows(simulate_trials(settings, 1, master_seed=42, start=18)) != [rec]
+    assert table_rows(simulate_trials(settings, 1, master_seed=43, start=17)) != [rec]
 
 
 def test_batch_rows_equal_single_trials():
     settings = default_settings(0.7, NoiseModel(sigma=0.1))
     table = simulate_trials(settings, 10, master_seed=9)
     for i in range(10):
-        assert table.row(i) == run_trial(settings, i, master_seed=9)
+        one = simulate_trials(settings, 1, master_seed=9, start=i)
+        for name, kind in TrialTable.schema:
+            if kind != "str":
+                assert np.array_equal(getattr(one, name), getattr(table, name)[i : i + 1]), (i, name)
+        assert one.settings_id == table.settings_id
 
 
 def _assert_engine_matches_reference(settings, n, seed):
     # draw-exact: every row bit-equal to the scalar layout-3 reference
     table = simulate_trials(settings, n, master_seed=seed)
     for i in range(n):
-        row = table.row(i)
-        got = (row.raw1, row.raw2, row.alpha1, row.alpha2, row.beta1, row.beta2)
+        got = tuple(getattr(table, name)[i].item() for name in ("raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2"))
         assert got == reference_trial(settings, i, seed), (settings, i)
 
 
@@ -263,6 +265,15 @@ def test_simulate_trials_rejects_empty():
         simulate_trials(default_settings(0.5), 0, master_seed=1)
 
 
+def test_samplers_reject_chunk_below_one():
+    readout = SequentialReadoutParams(v=0.2, steps=8)
+    for chunk in (0, -1, -5):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            simulate_trials(default_settings(0.5), 10, master_seed=1, chunk=chunk)
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            prediction_batch(prediction_settings(0.5), readout, 10, master_seed=1, chunk=chunk)
+
+
 # --------------------------------------------------------------- table shape
 
 
@@ -296,21 +307,20 @@ def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
         assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
 
 
-def test_as_table_round_trip_and_concat():
+def test_concat_of_single_trials_equals_the_batch():
     settings = default_settings(0.8)
-    records = [run_trial(settings, i, 1) for i in range(6)]
-    table = as_table(records)
+    singles = [simulate_trials(settings, 1, 1, start=i) for i in range(6)]
+    table = TrialTable.concat(singles)
     assert len(table) == 6
     assert isinstance(table.settings_id, str)
-    assert table.row(3) == records[3]
+    assert table_rows(table) == table_rows(simulate_trials(settings, 6, 1))
+    assert table_rows(table)[3] == table_rows(singles[3])[0]
 
     other = simulate_trials(default_settings(0.3), 4, master_seed=1)
     with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids"):
-        TrialTable.concat([as_table(records), other])
+        TrialTable.concat([table, other])
     with pytest.raises(ValueError):
         TrialTable.concat([])
-    with pytest.raises(ValueError):
-        as_table([])
 
 
 def test_table_column_validation():
@@ -323,27 +333,29 @@ def test_table_column_validation():
 
 
 def test_estimate_correlator_known_cases():
-    settings = default_settings(1.0)
-    base = run_trial(settings, 0, 0)
+    sid = default_settings(1.0).settings_id
 
-    def rec(a1, b1):
-        return trials.TrialRecord(0, a1, 1.0, a1, 1.0, b1, 1, base.settings_id, 0)
+    def records(*pairs):
+        """One row per (alpha1, beta1) pair, with raw1 = alpha1 and raw2 = alpha2 = beta2 = 1."""
+        a1, b1 = (list(col) for col in zip(*pairs))
+        n = len(pairs)
+        return TrialTable([0] * n, sid, a1, [1.0] * n, a1, [1.0] * n, b1, [1] * n, [0] * n)
 
-    perfect = estimate_correlator([rec(1.0, 1), rec(-1.0, -1)], "alpha1", "beta1")
+    perfect = estimate_correlator(records((1.0, 1), (-1.0, -1)), "alpha1", "beta1")
     assert perfect.value == 1.0 and perfect.stderr == 0.0 and perfect.count == 2
 
-    split = estimate_correlator([rec(1.0, 1), rec(1.0, -1)], "alpha1", "beta1")
+    split = estimate_correlator(records((1.0, 1), (1.0, -1)), "alpha1", "beta1")
     assert split.value == 0.0
     assert abs(split.stderr - 1.0) < 1e-15
 
     # rescaled signals are unbounded, so the mean product can exceed 1
-    big = estimate_correlator([rec(2.0, 1), rec(2.0, 1)], "alpha1", "beta1")
+    big = estimate_correlator(records((2.0, 1), (2.0, 1)), "alpha1", "beta1")
     assert big.value == 2.0
 
     with pytest.raises(ValueError):
-        estimate_correlator([rec(1.0, 1)], "alpha1", "beta1")
+        estimate_correlator(records((1.0, 1)), "alpha1", "beta1")
     with pytest.raises(ValueError):
-        estimate_correlator([rec(1.0, 1), rec(1.0, 1)], "alpha1", "gamma")
+        estimate_correlator(records((1.0, 1), (1.0, 1)), "alpha1", "gamma")
 
 
 def test_chsh_combine_signature_and_quadrature():

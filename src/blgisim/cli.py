@@ -26,8 +26,7 @@ from .audit import (
 )
 from .prediction import (
     SequentialReadoutParams,
-    exact_post_protocol_chsh,
-    post_protocol_chsh,
+    _post_protocol_check,
     prediction_accuracy,
     prediction_accuracy_exact,
     prediction_batch,
@@ -223,6 +222,8 @@ def parse_invocation(argv) -> object:
         if ns.command == "verify-theorem":
             return VerifyTheoremCommand(argv=tup)
         if ns.command == "simulate":
+            if ns.trials < 2:
+                raise ValueError(f"trials must be >= 2 to estimate the correlators, got {ns.trials}")
             a1, a2, b1, b2 = ns.angles
             settings = Settings(
                 a1=a1,
@@ -327,13 +328,17 @@ def _do_simulate(cmd: SimulateCommand) -> int:
     table = simulate_trials(cmd.settings, cmd.trials, cmd.seed, workers=cmd.workers)
     emit_records(table, cmd.out)
     manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
-    summary = {"records": len(table), "out": cmd.out, "manifest": manifest_path}
-    if len(table) >= 2:
-        report = estimate_chsh(table)
-        summary["chsh"] = report.chsh
-        summary["chsh_stderr"] = report.chsh_stderr
-        summary["exact_chsh"] = exact_chsh(cmd.settings)
-    _emit(summary)
+    report = estimate_chsh(table)
+    _emit(
+        {
+            "records": len(table),
+            "out": cmd.out,
+            "manifest": manifest_path,
+            "chsh": report.chsh,
+            "chsh_stderr": report.chsh_stderr,
+            "exact_chsh": exact_chsh(cmd.settings),
+        }
+    )
     return 0
 
 
@@ -351,7 +356,7 @@ def _do_predict(cmd: PredictCommand) -> int:
     )
     emit_predictions(table, cmd.out)
     accuracy = prediction_accuracy(table)
-    post = post_protocol_chsh(cmd.settings, cmd.readout, n_trials=max(8, cmd.trials), master_seed=cmd.seed)
+    post, exact_post = _post_protocol_check(cmd.settings, cmd.readout, max(8, cmd.trials), cmd.seed)
     manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
     _emit(
         {
@@ -367,7 +372,7 @@ def _do_predict(cmd: PredictCommand) -> int:
             "expected_accuracy_saturated": (1.0 + cmd.settings.v) / 2.0,
             "post_protocol_chsh": post.chsh,
             "post_protocol_chsh_stderr": post.chsh_stderr,
-            "exact_post_protocol_chsh": exact_post_protocol_chsh(cmd.settings),
+            "exact_post_protocol_chsh": exact_post,
         }
     )
     return 0

@@ -18,14 +18,18 @@ m' = (m + o v)/(1 + o v m) is exactly the posterior mean of c.  So given
 c, the count K of +1 readout outcomes is Binomial(steps, (1 + c v)/2),
 and the trajectory mean is (2K - steps)/steps.  A trial takes one counter
 block: draw 0 picks (c1, c2, t1, t2) from the 16-branch law, draws 1 and
-2 invert the binomial CDFs of K1 | c1 and K2 | c2.  It is not a shortcut
+2 invert the binomial CDFs of K1 | c1 and K2 | c2.  Those CDF tables are
+the cumulative sums of one binomial pmf, built by the ratio recurrence
+outward from its mode (numpy only; at steps = 10**7 it is accurate near
+the mode where scipy's bdtr is off by about 1e-3).  It is not a shortcut
 around the physics but an exact reformulation; the test suite checks it
 against enumeration of the Kraus readout sequence and against the scalar
 step-by-step route.
 
-At saturated readout (steps * v^2 >= 25) the readout sign recovers the
-ancilla eigenbranch almost surely, so prediction accuracy approaches
-(1 + V)/2: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
+At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
+ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
+SATURATION_THRESHOLD), so prediction accuracy is (1 + V)/2 to that
+precision: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
 prediction_accuracy_exact sums the same law to the accuracy the batch
 converges to.  The complementary post_protocol_chsh shows what the
 coupling costs: it reads the same law at the Bell test axes, with the
@@ -40,7 +44,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import bdtr, bdtrc
 
 from . import streams
 from .qubits import MIN_BRANCH_PROB, DegenerateBranchError, check_strength
@@ -55,7 +58,15 @@ from .trials import (
     sample_branches,
 )
 
-SATURATION_THRESHOLD = 25.0  # steps * v^2 at which readout is treated as saturated
+# steps * v^2 at which the readout is saturated.  The readout sign then
+# misassigns the ancilla eigenvalue c, P(sign != c), about as often as a
+# 5-sigma normal tail, Phi(-5) = 2.87e-7: the mean is c v with spread
+# sqrt((1 - v^2)/steps), about v/5.  Summed from _binomial_pmf at
+# steps * v^2 = 25: P(sign = -1 | c = +1) is 2.68e-7 at (steps, v) =
+# (10**4, 0.05) and 2.41e-7 at (2500, 0.1).  A zero mean predicts +1, so
+# P(sign = +1 | c = -1) adds the tie P(K = steps/2) and reaches 2.97e-7 at
+# both; averaged over c it is 2.82e-7 and 2.69e-7.
+SATURATION_THRESHOLD = 25.0
 
 # Cap on the readout length: each (steps, v) builds two (steps + 1)-entry CDF
 # tables, 80 MB each at the cap.
@@ -83,6 +94,7 @@ class SequentialReadoutParams:
 
     @property
     def saturated(self) -> bool:
+        """steps * v^2 >= SATURATION_THRESHOLD: the sign misassigns c about as often as Phi(-5)."""
         return self.steps * self.v**2 >= SATURATION_THRESHOLD
 
 
@@ -126,17 +138,51 @@ def prediction_settings(v: float) -> Settings:
 # Batch engine
 
 
+def _binomial_pmf(steps: int, p: float) -> np.ndarray:
+    """P(K = k), k = 0..steps, for K ~ Binomial(steps, p), 0 < p <= 1.
+
+    Starts at 1 at the mode and multiplies outward by the ratios of
+    neighbouring terms, each at most 1, then divides by the sum.  Far
+    tails underflow to 0 rather than lose accuracy near the mode.  Works in
+    place on one (steps + 1)-array plus one temporary.
+    """
+    q = 1.0 - p
+    mode = min(int((steps + 1) * p), steps)
+    pmf = np.arange(steps + 1, dtype=float)  # k
+    rest = steps - pmf  # steps - k
+    up, down = pmf[mode + 1:], pmf[:mode]
+    # above the mode P(k)/P(k-1) = (steps - k + 1) p / (k q); q = 0 leaves up empty
+    rest[mode + 1:] += 1.0
+    np.divide(rest[mode + 1:], up, out=up)
+    if q > 0.0:
+        up *= p / q
+    # below it P(k)/P(k+1) = (k + 1) q / ((steps - k) p)
+    down += 1.0
+    down /= rest[:mode]
+    down *= q / p
+    del rest
+    pmf[mode] = 1.0
+    np.cumprod(pmf[mode:], out=pmf[mode:])
+    np.cumprod(pmf[mode::-1], out=pmf[mode::-1])
+    pmf /= pmf.sum()
+    return pmf
+
+
 @lru_cache(maxsize=8)
 def _count_cdfs(steps: int, v: float) -> tuple:
     """Read-only tables F_c(k) = P(K <= k | c), k = 0..steps, for c = +1 and c = -1.
 
-    K | c ~ Binomial(steps, (1 + c v)/2) counts the +1 readout outcomes.
+    K | c ~ Binomial(steps, (1 + c v)/2) counts the +1 readout outcomes;
+    the c = -1 law is the c = +1 law mirrored, K -> steps - K.  Each table
+    is the cumsum of one pmf, divided by its last entry so it ends at 1.
     """
-    k = np.arange(steps + 1)
-    tables = tuple(bdtr(k, steps, (1.0 + c * v) / 2.0) for c in (1, -1))
-    for table in tables:
+    pmf = _binomial_pmf(steps, (1.0 + v) / 2.0)
+    minus = np.cumsum(pmf[::-1])
+    plus = np.cumsum(pmf, out=pmf)
+    for table in (plus, minus):
+        table /= table[-1]
         table.flags.writeable = False
-    return tables
+    return plus, minus
 
 
 def _readout_means(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
@@ -240,10 +286,10 @@ def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutPara
     _require_same_axis(settings)
     steps = int(readout.steps)
     below = (steps - 1) // 2  # largest K with a negative mean, so predicting -1
-    hit = {}  # P(sign = t | c)
-    for c in (1, -1):
-        p = (1.0 + c * readout.v) / 2.0
-        hit[(c, 1)], hit[(c, -1)] = float(bdtrc(below, steps, p)), float(bdtr(below, steps, p))
+    pmf = _binomial_pmf(steps, (1.0 + readout.v) / 2.0)
+    hit = {}  # P(sign = t | c); the c = -1 pmf is the c = +1 pmf reversed
+    for c, law in ((1, pmf), (-1, pmf[::-1])):
+        hit[(c, 1)], hit[(c, -1)] = float(law[below + 1:].sum()), float(law[:below + 1].sum())
     total = 0.0
     for (c1, c2, t1, t2), p in branch_distribution(settings).items():
         total += p * (hit[(c1, t1)] + hit[(c2, t2)]) / 2.0
@@ -283,10 +329,14 @@ def _post_pair_laws(settings: Settings, post_select) -> list:
     return laws
 
 
+def _exact_chsh_of(laws) -> float:
+    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in laws)
+    return e11 + e12 + e21 - e22
+
+
 def exact_post_protocol_chsh(settings: Settings, post_select=None) -> float:
     """Exact combination the after-protocol Bell check converges to."""
-    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in _post_pair_laws(settings, post_select))
-    return e11 + e12 + e21 - e22
+    return _exact_chsh_of(_post_pair_laws(settings, post_select))
 
 
 def post_protocol_chsh(
@@ -306,6 +356,13 @@ def post_protocol_chsh(
     only defined at saturated readout, which is validated here.  The four
     correlators use disjoint trials, so their stderrs add in quadrature.
     """
+    return _post_protocol_check(settings, readout, n_trials, master_seed, post_select)[0]
+
+
+def _post_protocol_check(
+    settings: Settings, readout: SequentialReadoutParams, n_trials: int, master_seed: int, post_select=None
+) -> tuple:
+    """(post_protocol_chsh, exact_post_protocol_chsh) from one build of the four pair laws."""
     if post_select is not None and not readout.saturated:
         raise ValueError(
             "post-selection conditions on the readout collapse branch, which requires "
@@ -314,9 +371,10 @@ def post_protocol_chsh(
     n_per = n_trials // 4
     if n_per < 2:
         raise ValueError(f"n_trials must be >= 8 to estimate four correlators, got {n_trials}")
+    laws = _post_pair_laws(settings, post_select)
     estimates = []
-    for k, law in enumerate(_post_pair_laws(settings, post_select)):
+    for k, law in enumerate(laws):
         u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, k * n_per, n_per, 1)
         t1, t2 = sample_branches(law, u[:, 0], 2)
         estimates.append(_correlator((t1 * t2).astype(float)))
-    return chsh_combine(*estimates)
+    return chsh_combine(*estimates), _exact_chsh_of(laws)

@@ -160,10 +160,15 @@ def read_sweep(path: str) -> list:
     with open(path, "r") as f:
         _read_header(f, SWEEP_SCHEMA, "sweep")
         rows = [ln.rstrip("\n").split(",") for ln in f]
-    for r in rows:
-        if len(r) != len(SWEEP_SCHEMA) or '"' in r[4]:
-            raise ValueError(f"malformed sweep CSV row: {r!r}")
-    return [SweepRow(float(r[0]), float(r[1]), float(r[2]), float(r[3]), r[4]) for r in rows]
+    out = []
+    for line, r in enumerate(rows, start=2):
+        try:
+            if len(r) != len(SWEEP_SCHEMA) or '"' in r[4]:
+                raise ValueError(f"expected {len(SWEEP_SCHEMA)} unquoted fields")
+            out.append(SweepRow(float(r[0]), float(r[1]), float(r[2]), float(r[3]), r[4]))
+        except ValueError as exc:
+            raise ValueError(f"malformed sweep CSV row at line {line}: {r!r}: {exc}") from None
+    return out
 
 
 def emit_manifest(manifest: RunManifest, path: str) -> str:

@@ -9,7 +9,9 @@ the CHSH-style statistic e11 + e12 + e21 - e22.
 The trial engine does not evolve a state.  branch_distribution gives the
 exact joint law of (raw1, raw2, beta1, beta2), sixteen branches, and
 sample_branches draws each trial's branch from it with one uniform; two
-more uniforms carry the detector noise.  This is an exact reformulation,
+more uniforms carry the detector noise, each turned into a standard normal
+by _ndtri, a numpy port of the cephes inverse normal CDF that returns
+scipy.special.ndtri's bits.  This is an exact reformulation,
 not an approximation: the test suite checks the law against an
 independent matrix-root enumeration and against a scalar state-updating
 Kraus chain.  The exact oracle reads every moment it reports from one
@@ -31,7 +33,6 @@ from functools import partial
 from itertools import product
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import streams
 from .qubits import (
@@ -65,7 +66,31 @@ BRANCHES = tuple(product((1, -1), repeat=4))
 # Per-trial draw window: 1 Philox block = 4 draws, 3 consumed, in order:
 # the (raw1, raw2, beta1, beta2) branch, noise raw 1, noise raw 2.
 TRIAL_BLOCKS = 1
-_MIN_UNIFORM = 2.0**-53  # floor before inverse-CDF so ndtri stays finite
+_MIN_UNIFORM = 2.0**-53  # floor before inverse-CDF so _ndtri stays finite
+
+# Coefficients of cephes ndtri, highest power first: P0/Q0 on the centre band
+# exp(-2) < u <= 1 - exp(-2); in the tails, on z = 1/x with
+# x = sqrt(-2 log y), P1/Q1 for x < 8 and P2/Q2 for x >= 8.  Each Q's
+# leading 1 is implicit.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
 @dataclass(frozen=True)
@@ -210,8 +235,77 @@ def sample_branches(probs, u: np.ndarray, outcomes: int) -> tuple:
     return tuple(1 - 2 * ((idx >> (outcomes - 1 - k)) & 1) for k in range(outcomes))
 
 
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """cephes polevl: the polynomial with coefficients coef, highest first, by Horner in cephes' order."""
+    ans = x * coef[0] + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """cephes p1evl: as _polevl with an implicit leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_log(y: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, as in cephes; np.log's SIMD loop can
+    # differ from it in the last bit.
+    return np.fromiter(map(math.log, y.tolist()), float, len(y))
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of u in (0, 1), bit-equal to scipy.special.ndtri.
+
+    cephes ndtri vectorized: a rational function of (u - 1/2)^2 on the
+    centre band, and in each tail (y = min(u, 1 - u) < exp(-2)) the
+    asymptotic x - log(x)/x - z P(z)/Q(z) with x = sqrt(-2 log y), z = 1/x.
+    """
+    out = np.empty_like(u)
+    in_centre = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
+    # index arrays: gathers and scatters by index are several times faster than by mask
+    centre, tail = np.flatnonzero(in_centre), np.flatnonzero(~in_centre)
+    y = u[centre]
+    y -= 0.5
+    y2 = y * y
+    r = _polevl(y2, _P0)
+    r *= y2
+    r /= _p1evl(y2, _Q0)
+    r *= y
+    r += y
+    r *= _SQRT_2PI
+    out[centre] = r
+
+    y = u[tail]
+    upper = y > 0.5
+    np.subtract(1.0, y, out=y, where=upper)
+    x = _libm_log(y)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = 1.0 / x
+    x1 = _polevl(z, _P1)
+    x1 *= z
+    x1 /= _p1evl(z, _Q1)
+    far = x >= 8.0  # y < exp(-32)
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    x0 = _libm_log(x)
+    x0 /= x
+    np.subtract(x, x0, out=x0)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper)
+    out[tail] = x0
+    return out
+
+
 def _noisy(raw: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
-    g = ndtri(np.maximum(u, _MIN_UNIFORM)) if noise.sigma > 0.0 else 0.0
+    g = _ndtri(np.maximum(u, _MIN_UNIFORM)) if noise.sigma > 0.0 else 0.0
     return raw + noise.bias + noise.sigma * g
 
 

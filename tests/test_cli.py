@@ -25,6 +25,8 @@ from blgisim.cli import (
 from blgisim.prediction import (
     MAX_STEPS,
     SequentialReadoutParams,
+    exact_post_protocol_chsh,
+    post_protocol_chsh,
     prediction_accuracy_exact,
     prediction_settings,
 )
@@ -119,6 +121,10 @@ def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys):
             "blgisim audit: error: argument --threshold-sigmas: must be finite and > 0, got 0",
         ),
         (
+            "simulate --v 0.3 --trials 1 --out {out}",
+            "blgisim: error: trials must be >= 2 to estimate the correlators, got 1",
+        ),
+        (
             "sweep --v-grid 0.5,0.9 --trials 1 --out {out}",
             "blgisim: error: trials_per_point must be >= 2 to estimate a correlator, got 1",
         ),
@@ -135,11 +141,12 @@ def test_usage_errors_found_before_any_work_exit_2_with_one_usage_line(command, 
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import, which every command would pay
+def test_cli_import_loads_no_scipy_module():
+    # scipy is a test-only dependency; importing scipy.special alone would
+    # about double every command's start-up
     src = os.path.dirname(os.path.dirname(os.path.abspath(blgisim.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, blgisim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = "import sys, blgisim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -265,9 +272,9 @@ def test_audit_errors_exit_1(tmp_path, capsys):
 
 
 def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
+    # simulate refuses --trials 1, so the one-row file is written directly
     path = tmp_path / "one.csv"
-    assert main(["simulate", "--v", "0.3", "--trials", "1", "--seed", "1", "--out", str(path)]) == 0
-    capsys.readouterr()
+    emit_records(simulate_trials(default_settings(0.3), 1, 1), str(path))
     assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -308,6 +315,10 @@ def test_predict_writes_records_and_summary(tmp_path, capsys):
     assert 0.0 <= summary["accuracy"] <= 1.0
     assert summary["expected_accuracy_saturated"] == 0.75
     assert abs(summary["exact_post_protocol_chsh"] - 2.0 * math.sqrt(2.0) * math.sqrt(0.75)) < 1e-12
+    # one build of the after-protocol laws serves both figures, unchanged
+    settings, readout = prediction_settings(0.5), SequentialReadoutParams(v=0.5, steps=200)
+    assert summary["exact_post_protocol_chsh"] == exact_post_protocol_chsh(settings)
+    assert summary["post_protocol_chsh"] == post_protocol_chsh(settings, readout, 64, 5).chsh
     assert len(out.read_text().splitlines()) == 65
     manifest = read_manifest(summary["manifest"])
     assert manifest.parameters["steps"] == 200

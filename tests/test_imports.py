@@ -1,5 +1,6 @@
-"""Tooling guards: no package module imports a name it never references, and
-the package's ``__all__`` lists exactly the public names it binds."""
+"""Tooling guards: no package module imports a name it never references or
+imports scipy, and the package's ``__all__`` lists exactly the public names
+it binds."""
 
 import ast
 import inspect
@@ -9,7 +10,8 @@ import pytest
 
 import blgisim
 
-MODULES = sorted(p for p in Path(blgisim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(blgisim.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -31,3 +33,15 @@ def test_all_lists_each_public_name_bound_in_the_package_once():
     }
     assert len(blgisim.__all__) == len(set(blgisim.__all__))
     assert set(blgisim.__all__) == public | {"__version__"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_does_not_import_scipy(path):
+    # scipy is a test-only dependency (the oracle for ndtri and bdtr)
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +35,7 @@ from blgisim.qubits import (
     lift1,
     weak_kraus,
 )
-from blgisim.trials import BELL_AMPLITUDES, Settings
+from blgisim.trials import BELL_AMPLITUDES, Settings, branch_distribution
 from reference import empty_table, expect, post_coupling_state, sequential_weak_sequence, table_rows
 
 
@@ -236,6 +239,69 @@ def test_readout_count_law_matches_kraus_enumeration():
             cdf_plus, cdf_minus = prediction._count_cdfs(steps, v)
             mixture = (1.0 + m0) / 2.0 * cdf_plus + (1.0 - m0) / 2.0 * cdf_minus
             assert np.abs(mixture - np.cumsum(law)).max() < 1e-12, (m0, v, steps)
+
+
+@pytest.mark.parametrize("v", [0.05, 0.6])
+def test_count_pmf_and_tables_match_exact_binomial_sums(v):
+    p = (1.0 + v) / 2.0
+    a, d = p.as_integer_ratio()  # p = a/d exactly, d a power of 2
+    row = [1]  # C(n, k) a^k (d - a)^(n - k) = P(K = k) d^n at steps n, as exact integers
+    for n in range(1, 401):
+        row = [x * (d - a) + y * a for x, y in zip(row + [0], [0] + row)]
+        scale = d**n
+        exact = [x / scale for x in row]  # int / int rounds once
+        cdf = [x / scale for x in itertools.accumulate(row)]
+        mirrored = [x / scale for x in itertools.accumulate(reversed(row))]  # c = -1: K -> n - K
+        cdf_plus, cdf_minus = prediction._count_cdfs(n, v)
+        assert np.abs(prediction._binomial_pmf(n, p) - exact).max() < 2e-15, n
+        assert np.abs(cdf_plus - cdf).max() < 2e-15, n
+        assert np.abs(cdf_minus - mirrored).max() < 2e-15, n
+        assert cdf_plus[-1] == cdf_minus[-1] == 1.0
+
+
+def test_count_tables_at_max_steps_are_accurate_and_fit_in_memory():
+    # Reference: P(K <= 5_005_000) for K ~ Binomial(10**7, p), p the double
+    # nearest 0.5005 = (1 + 0.001)/2, summed in mpmath at 50 digits: the
+    # pmf at k = 5_005_000 from loggamma, then 10**5 terms down by the
+    # ratio recurrence (the rest is below 1e-870).  scipy's bdtr gives
+    # 0.50149 here.  Run apart so the peak RSS is the table build's own; the
+    # bdtr tables peaked at 284 MB.  The peak is the process's VmHWM, which,
+    # unlike ru_maxrss, does not inherit the forking test process's peak.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prediction.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import os; from blgisim.prediction import MAX_STEPS, _count_cdfs\n"
+        "plus, minus = _count_cdfs(MAX_STEPS, 0.001)\n"
+        "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else 'VmHWM: 0 kB'\n"
+        "peak_kb = next(ln.split()[1] for ln in status.splitlines() if ln.startswith('VmHWM:'))\n"
+        "print(float(plus[5_005_000]), float(minus[4_994_999]), peak_kb)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    at_mode, mirrored, peak_kb = proc.stdout.split()
+    assert abs(float(at_mode) - 0.500126114633939077559678) < 1e-12
+    assert abs(float(mirrored) + float(at_mode) - 1.0) < 1e-12  # P(K- <= n - k - 1) = 1 - P(K+ <= k)
+    assert int(peak_kb) / 1024 <= 284  # reads 0 where there is no /proc
+
+
+def test_saturation_threshold_is_a_five_sigma_misassignment():
+    phi_minus_5 = math.erfc(5.0 / math.sqrt(2.0)) / 2.0  # 2.87e-7
+    for steps, v, wrong_plus in ((10_000, 0.05, 2.68e-7), (2_500, 0.1, 2.41e-7)):
+        readout = SequentialReadoutParams(v=v, steps=steps)
+        assert math.isclose(steps * v**2, prediction.SATURATION_THRESHOLD) and readout.saturated
+        pmf = prediction._binomial_pmf(steps, (1.0 + v) / 2.0)
+        half = steps // 2  # both steps are even
+        # c = +1 is misread when the mean is negative, K < steps/2.  c = -1
+        # (K -> steps - K) is misread when the mean is >= 0, so the tie
+        # K = steps/2, which predicts +1, counts against it.
+        miss_plus, miss_minus = pmf[:half].sum(), pmf[: half + 1].sum()
+        assert abs(miss_plus - wrong_plus) < 0.005e-7 and miss_plus <= phi_minus_5
+        assert abs(miss_minus - 2.97e-7) < 0.005e-7
+        # at V = 1 the ancilla eigenvalue is the projective outcome, so the
+        # exact accuracy misses by the misassignment averaged over c
+        pooled = 1.0 - prediction_accuracy_exact(prediction_settings(1.0), readout)
+        assert abs(pooled - (miss_plus + miss_minus) / 2.0) < 1e-12
+        assert pooled <= phi_minus_5
 
 
 def test_scalar_readout_route_matches_count_law():
@@ -494,6 +560,21 @@ def test_post_protocol_chsh_sampling_matches_exact():
     assert abs(report.chsh - exact) < 4.0 * report.chsh_stderr
     again = post_protocol_chsh(settings, readout, n_trials=40_000, master_seed=3)
     assert report == again
+
+
+def test_post_protocol_check_builds_the_four_laws_once(monkeypatch):
+    settings = prediction_settings(0.5)
+    readout = SequentialReadoutParams(v=0.05, steps=10_000)
+    expected = (post_protocol_chsh(settings, readout, 400, 3), exact_post_protocol_chsh(settings))
+    calls = []
+
+    def counted(s):
+        calls.append((s.b1, s.b2))
+        return branch_distribution(s)
+
+    monkeypatch.setattr(prediction, "branch_distribution", counted)
+    assert prediction._post_protocol_check(settings, readout, 400, 3) == expected
+    assert calls == [(t1, t2) for t1 in POST_TEST_AXES_1 for t2 in POST_TEST_AXES_2]
 
 
 def test_post_protocol_chsh_argument_validation():

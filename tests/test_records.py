@@ -202,6 +202,17 @@ def test_sweep_round_trip(tmp_path):
         read_sweep(str(wrong))
 
 
+def test_read_sweep_names_the_line_of_a_malformed_row(tmp_path):
+    path = tmp_path / "sweep.csv"
+    good = "0.1,2.82,2.81,0.01,REJECT"
+    path.write_text(",".join(SWEEP_HEADER) + f"\n{good}\n0.5,2.5,abc,0.01,REJECT\n")
+    with pytest.raises(ValueError, match=r"^malformed sweep CSV row at line 3: .*'abc'"):
+        read_sweep(str(path))
+    path.write_text(",".join(SWEEP_HEADER) + f"\n{good}\n{good}\n0.5,2.5\n")
+    with pytest.raises(ValueError, match="^malformed sweep CSV row at line 4"):
+        read_sweep(str(path))
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = RunManifest(
         tool_version="0.1.0",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from blgisim import qubits, streams, trials
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
@@ -496,6 +497,20 @@ def test_sampled_branches_match_oracle_distribution():
     f_obs = [observed[k] for k in keys]
     f_exp = [pmf[k] * len(table) for k in keys]
     assert stats.chisquare(f_obs, f_exp).pvalue > 1e-3
+
+
+def test_ndtri_port_is_bit_equal_to_scipy():
+    e2, e32 = math.exp(-2.0), math.exp(-32.0)
+    # 2**-53 is the floor _noisy applies; exp(-2) and 1 - exp(-2) bound the
+    # centre band; exp(-32) is where the tail switches from P1/Q1 to P2/Q2
+    edges = [2.0**-53, np.nextafter(1.0, 0.0), 0.5, 1e-300]
+    for x in (e2, 1.0 - e2, e32, 1.0 - e32):
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+    rng = np.random.default_rng(2016)
+    batches = [np.array(edges), np.exp(-40.0 * rng.random(100_000))]
+    batches += [rng.random(1_000_000) for _ in range(10)]
+    for u in batches:
+        assert np.array_equal(trials._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
 
 
 def test_noisy_estimates_agree_with_exact_oracle():

@@ -1,8 +1,14 @@
 """Command-line harness: argument parsing, sweeps, persistence, manifests.
 
-Subcommands: verify-theorem, simulate, audit, predict, sweep.  Exit codes:
-0 success, 1 runtime or I/O failure, 2 usage error, 3 self-test failure
-(verify-theorem only).
+Subcommands: verify-theorem, simulate, audit, predict, sweep.  argv is parsed
+once, and the parsed ``argparse.Namespace`` is the command.  Every value check
+is an argparse ``type=`` (the library's own checks, such as ``check_strength``
+and ``check_steps``, where there is one), so a bad flag or value is a usage
+error before any work or output.  Each subcommand sets its handler on the
+namespace; the handler builds the library objects it needs from the flags,
+and the run manifest records the same flags.  Exit codes: 0 success, 1
+runtime or I/O failure, 2 usage error, 3 self-test failure (verify-theorem
+only).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 import math
 import shlex
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,8 +31,10 @@ from .audit import (
     exhaustive_verify,
 )
 from .prediction import (
+    MAX_STEPS,
     SequentialReadoutParams,
     _post_protocol_check,
+    check_steps,
     prediction_accuracy,
     prediction_accuracy_exact,
     prediction_batch,
@@ -34,8 +42,8 @@ from .prediction import (
 )
 from .qubits import DegenerateBranchError, NoiseModel, check_strength
 from .records import (
+    SWEEP_HEADER,
     RunManifest,
-    SweepRow,
     emit_manifest,
     emit_predictions,
     emit_records,
@@ -46,122 +54,66 @@ from .streams import LAYOUT_VERSION, derived_seed
 from .trials import Settings, estimate_chsh, exact_chsh, simulate_trials
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
+# namespace entries that are not flags: the command's name, its handler and its argv
+_NOT_FLAGS = ("argv", "command", "handler")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    v_values: tuple
-    trials_per_point: int
-
-    def __post_init__(self) -> None:
-        if not self.v_values:
-            raise ValueError("sweep grid must be nonempty")
-        for v in self.v_values:
-            check_strength(v)
-        if self.trials_per_point < 2:
-            raise ValueError(f"trials_per_point must be >= 2 to estimate a correlator, got {self.trials_per_point}")
-
-
-@dataclass(frozen=True)
-class VerifyTheoremCommand:
-    argv: tuple
-
-
-@dataclass(frozen=True)
-class SimulateCommand:
-    settings: Settings
-    trials: int
-    seed: int
-    out: str
-    workers: int
-    argv: tuple
-
-
-@dataclass(frozen=True)
-class AuditCommand:
-    in_path: str
-    v: float
-    threshold_sigmas: float
-    argv: tuple
-
-
-@dataclass(frozen=True)
-class PredictCommand:
-    settings: Settings
-    readout: SequentialReadoutParams
-    trials: int
-    seed: int
-    out: str
-    workers: int
-    argv: tuple
-
-
-@dataclass(frozen=True)
-class SweepCommand:
-    spec: SweepSpec
-    seed: int
-    out: str
-    workers: int
-    argv: tuple
-
-
-def _strength(text: str):
+def _parse(convert, text: str, expected: str, ok=lambda value: True):
+    """convert(text) if it converts and ok accepts the value, else a usage
+    error that names the expected value."""
     try:
-        return check_strength(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        value = convert(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
+def _strength(text: str) -> float:
+    return _parse(lambda t: check_strength(float(t)), text, "a coupling strength in (0, 1]")
+
+
+def _steps(text: str) -> int:
+    return _parse(lambda t: check_steps(int(t)), text, f"an integer in [1, {MAX_STEPS}]")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _parse(int, text, "an integer >= 1", lambda n: n >= 1)
+
+
+def _trials(text: str) -> int:
+    return _parse(int, text, "an integer >= 2 (a correlator needs two trials)", lambda n: n >= 2)
 
 
 def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value}")
-    return value
+    return _parse(int, text, "a 64-bit unsigned integer", lambda n: 0 <= n < 2**64)
 
 
 def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+    return _parse(float, text, "a finite number", math.isfinite)
 
 
 def _nonneg(text: str) -> float:
-    value = _finite(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+    return _parse(float, text, "a finite number >= 0", lambda x: 0.0 <= x < math.inf)
 
 
 def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+    return _parse(float, text, "a finite number > 0", lambda x: 0.0 < x < math.inf)
 
 
 def _angles(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected a1,a2,b1,b2 in degrees, got {text!r}")
     try:
-        return tuple(math.radians(float(p)) for p in parts)
+        angles = tuple(math.radians(float(p)) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"angles must be numeric, got {text!r}") from None
+        angles = ()
+    if len(angles) != 4 or not all(map(math.isfinite, angles)):
+        raise argparse.ArgumentTypeError(f"expected four finite angles a1,a2,b1,b2 in degrees, got {text!r}")
+    return angles
 
 
 def _v_grid(text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("v grid must be nonempty")
-    return tuple(_strength(p) for p in parts)
+    return tuple(_strength(p) for p in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,11 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sub.add_parser("verify-theorem", help="enumerate the binary bound and check it on random sequences")
+    ver = sub.add_parser("verify-theorem", help="enumerate the binary bound and check it on random sequences")
+    ver.set_defaults(handler=_do_verify_theorem)
 
     sim = sub.add_parser("simulate", help="run weak+projective trials and write a record CSV")
     sim.add_argument("--v", type=_strength, required=True, help="coupling strength in (0, 1]")
-    sim.add_argument("--trials", type=_positive_int, default=100000)
+    sim.add_argument("--trials", type=_trials, default=100000)
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--angles", type=_angles, default=_angles("0,90,45,-45"), metavar="A1,A2,B1,B2", help="axes in degrees (default 0,90,45,-45)")
     sim.add_argument("--bell", choices=sorted(_BELL_FLAGS), default="phi+")
@@ -184,121 +137,90 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-bias", type=_finite, default=0.0)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--workers", type=_positive_int, default=1)
+    sim.set_defaults(handler=_do_simulate)
 
     aud = sub.add_parser("audit", help="test a record CSV against the binary+unbiased-noise model")
     aud.add_argument("--in", dest="in_path", required=True, help="input record CSV")
     aud.add_argument("--v", type=_strength, required=True)
     aud.add_argument("--threshold-sigmas", type=_positive, default=DEFAULT_THRESHOLD_SIGMAS)
+    aud.set_defaults(handler=_do_audit)
 
     pre = sub.add_parser("predict", help="sequential-readout prediction of projective Bell outcomes")
     pre.add_argument("--v", type=_strength, required=True, help="system-ancilla coupling strength")
     pre.add_argument("--readout-v", type=_strength, default=0.05, help="per-step readout strength")
-    pre.add_argument("--steps", type=_positive_int, default=10000)
+    pre.add_argument("--steps", type=_steps, default=10000)
     pre.add_argument("--trials", type=_positive_int, default=1000)
     pre.add_argument("--seed", type=_seed, default=0)
     pre.add_argument("--out", required=True, help="output CSV path")
     pre.add_argument("--workers", type=_positive_int, default=1)
+    pre.set_defaults(handler=_do_predict)
 
     swe = sub.add_parser("sweep", help="exact and empirical combination across a V grid")
     swe.add_argument("--v-grid", type=_v_grid, required=True, metavar="V1,V2,...")
-    swe.add_argument("--trials", type=_positive_int, default=50000, help="trials per grid point")
+    swe.add_argument("--trials", type=_trials, default=50000, help="trials per grid point")
     swe.add_argument("--seed", type=_seed, default=0)
     swe.add_argument("--out", required=True, help="output CSV path")
     swe.add_argument("--workers", type=_positive_int, default=1)
+    swe.set_defaults(handler=_do_sweep)
     return parser
 
 
-def parse_invocation(argv) -> object:
-    """Parse and validate argv into a typed command object.
+def parse_invocation(argv) -> argparse.Namespace:
+    """Parse argv (sys.argv[1:] when None) into the command: a namespace of
+    the parsed flags, plus ``command``, ``handler`` and ``argv`` itself.
 
-    Raises SystemExit(2) with usage text on invalid flags or values, and
-    SystemExit(0) for --help.
+    Every value is checked while parsing, so a bad flag or value raises
+    SystemExit(2) with usage text before any work; --help and --version
+    raise SystemExit(0).
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    tup = tuple(argv)
-    try:
-        if ns.command == "verify-theorem":
-            return VerifyTheoremCommand(argv=tup)
-        if ns.command == "simulate":
-            if ns.trials < 2:
-                raise ValueError(f"trials must be >= 2 to estimate the correlators, got {ns.trials}")
-            a1, a2, b1, b2 = ns.angles
-            settings = Settings(
-                a1=a1,
-                a2=a2,
-                b1=b1,
-                b2=b2,
-                v=ns.v,
-                noise=NoiseModel(bias=ns.noise_bias, sigma=ns.noise_sigma),
-                bell_kind=_BELL_FLAGS[ns.bell],
-            )
-            return SimulateCommand(settings, ns.trials, ns.seed, ns.out, ns.workers, tup)
-        if ns.command == "audit":
-            return AuditCommand(ns.in_path, ns.v, ns.threshold_sigmas, tup)
-        if ns.command == "predict":
-            readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
-            return PredictCommand(prediction_settings(ns.v), readout, ns.trials, ns.seed, ns.out, ns.workers, tup)
-        if ns.command == "sweep":
-            spec = SweepSpec(v_values=ns.v_grid, trials_per_point=ns.trials)
-            return SweepCommand(spec, ns.seed, ns.out, ns.workers, tup)
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError(f"unhandled command {ns.command!r}")
+    argv = tuple(sys.argv[1:] if argv is None else argv)
+    return _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
 
 
-def run_sweep(spec: SweepSpec, settings: Settings, master_seed: int, workers: int = 1) -> list:
-    """One row per grid point: exact combination, empirical combination,
-    stderr, and the decomposition-test verdict.
+def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict:
+    """Simulate `trials` trials of default_settings(v) per grid point.
 
-    Each point uses a seed derived from (master_seed, point index), so rows
-    are independent and insensitive to evaluation order and worker count.
+    Returns columns keyed by SWEEP_HEADER, one entry per point: v, the exact
+    combination, the empirical one and its stderr, and the decomposition-test
+    verdict. Each point uses a seed derived from (master_seed, point index),
+    so points are independent and insensitive to evaluation order and worker
+    count.
     """
-    rows = []
-    for k, v in enumerate(spec.v_values):
-        point = replace(settings, v=v)
-        point_seed = int(derived_seed(master_seed, k))
-        table = simulate_trials(point, spec.trials_per_point, point_seed, workers=workers)
+    columns = {name: [] for name in SWEEP_HEADER}
+    for k, v in enumerate(v_values):
+        point = Settings(v=v)
+        table = simulate_trials(point, trials, int(derived_seed(master_seed, k)), workers=workers)
         report = estimate_chsh(table)
-        verdict = decomposition_test(table, v).verdict
-        rows.append(
-            SweepRow(
-                v=v,
-                exact_chsh=exact_chsh(point),
-                empirical_chsh=report.chsh,
-                chsh_stderr=report.chsh_stderr,
-                verdict=verdict,
-            )
-        )
-    return rows
+        row = (v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_test(table, v).verdict)
+        for column, value in zip(columns.values(), row):
+            column.append(value)
+    return columns
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(cmd, master_seed: int, out: str, started: str) -> str:
+def _write_manifest(ns: argparse.Namespace, started: str) -> str:
     """Write <out>.manifest.json; its parameters are the command's parsed flags."""
-    flags = vars(_build_parser().parse_args(cmd.argv))
     manifest = RunManifest(
         tool_version=__version__,
-        command=shlex.join(cmd.argv),
-        master_seed=master_seed,
-        parameters={name: value for name, value in flags.items() if name != "command"},
+        command=shlex.join(ns.argv),
+        master_seed=ns.seed,
+        parameters={name: value for name, value in vars(ns).items() if name not in _NOT_FLAGS},
         started=started,
         finished=_now(),
-        output_paths=[out],
+        output_paths=[ns.out],
         layout_version=LAYOUT_VERSION,
     )
-    return emit_manifest(manifest, out + ".manifest.json")
+    return emit_manifest(manifest, ns.out + ".manifest.json")
 
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _do_verify_theorem(cmd: VerifyTheoremCommand) -> int:
+def _do_verify_theorem(ns: argparse.Namespace) -> int:
     report = exhaustive_verify()
     rng = np.random.default_rng(12345)
     worst = 0.0
@@ -323,53 +245,55 @@ def _do_verify_theorem(cmd: VerifyTheoremCommand) -> int:
     return 0 if ok else 3
 
 
-def _do_simulate(cmd: SimulateCommand) -> int:
+def _do_simulate(ns: argparse.Namespace) -> int:
     started = _now()
-    table = simulate_trials(cmd.settings, cmd.trials, cmd.seed, workers=cmd.workers)
-    emit_records(table, cmd.out)
-    manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
+    noise = NoiseModel(bias=ns.noise_bias, sigma=ns.noise_sigma)
+    settings = Settings(*ns.angles, v=ns.v, noise=noise, bell_kind=_BELL_FLAGS[ns.bell])
+    table = simulate_trials(settings, ns.trials, ns.seed, workers=ns.workers)
+    emit_records(table, ns.out)
+    manifest_path = _write_manifest(ns, started)
     report = estimate_chsh(table)
     _emit(
         {
             "records": len(table),
-            "out": cmd.out,
+            "out": ns.out,
             "manifest": manifest_path,
             "chsh": report.chsh,
             "chsh_stderr": report.chsh_stderr,
-            "exact_chsh": exact_chsh(cmd.settings),
+            "exact_chsh": exact_chsh(settings),
         }
     )
     return 0
 
 
-def _do_audit(cmd: AuditCommand) -> int:
-    table = read_records(cmd.in_path)
-    verdict = decomposition_test(table, cmd.v, cmd.threshold_sigmas)
+def _do_audit(ns: argparse.Namespace) -> int:
+    table = read_records(ns.in_path)
+    verdict = decomposition_test(table, ns.v, ns.threshold_sigmas)
     _emit(asdict(verdict))
     return 0
 
 
-def _do_predict(cmd: PredictCommand) -> int:
+def _do_predict(ns: argparse.Namespace) -> int:
     started = _now()
-    table = prediction_batch(
-        cmd.settings, cmd.readout, cmd.trials, cmd.seed, workers=cmd.workers
-    )
-    emit_predictions(table, cmd.out)
+    settings = prediction_settings(ns.v)
+    readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
+    table = prediction_batch(settings, readout, ns.trials, ns.seed, workers=ns.workers)
+    emit_predictions(table, ns.out)
     accuracy = prediction_accuracy(table)
-    post, exact_post = _post_protocol_check(cmd.settings, cmd.readout, max(8, cmd.trials), cmd.seed)
-    manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
+    post, exact_post = _post_protocol_check(settings, readout, max(8, ns.trials), ns.seed)
+    manifest_path = _write_manifest(ns, started)
     _emit(
         {
             "records": len(table),
-            "out": cmd.out,
+            "out": ns.out,
             "manifest": manifest_path,
             "accuracy": accuracy.accuracy,
             "ci_low": accuracy.ci_low,
             "ci_high": accuracy.ci_high,
             "matches": accuracy.matches,
             "count": accuracy.count,
-            "exact_accuracy": prediction_accuracy_exact(cmd.settings, cmd.readout),
-            "expected_accuracy_saturated": (1.0 + cmd.settings.v) / 2.0,
+            "exact_accuracy": prediction_accuracy_exact(settings, readout),
+            "expected_accuracy_saturated": (1.0 + settings.v) / 2.0,
             "post_protocol_chsh": post.chsh,
             "post_protocol_chsh_stderr": post.chsh_stderr,
             "exact_post_protocol_chsh": exact_post,
@@ -378,17 +302,17 @@ def _do_predict(cmd: PredictCommand) -> int:
     return 0
 
 
-def _do_sweep(cmd: SweepCommand) -> int:
+def _do_sweep(ns: argparse.Namespace) -> int:
     started = _now()
-    rows = run_sweep(cmd.spec, Settings(v=cmd.spec.v_values[0]), cmd.seed, workers=cmd.workers)
-    emit_sweep(rows, cmd.out)
-    manifest_path = _write_manifest(cmd, cmd.seed, cmd.out, started)
+    columns = run_sweep(ns.v_grid, ns.trials, ns.seed, workers=ns.workers)
+    emit_sweep(columns, ns.out)
+    manifest_path = _write_manifest(ns, started)
     _emit(
         {
-            "points": len(rows),
-            "out": cmd.out,
+            "points": len(ns.v_grid),
+            "out": ns.out,
             "manifest": manifest_path,
-            "verdicts": [r.verdict for r in rows],
+            "verdicts": columns["verdict"],
         }
     )
     return 0
@@ -396,19 +320,12 @@ def _do_sweep(cmd: SweepCommand) -> int:
 
 def main(argv=None) -> int:
     try:
-        cmd = parse_invocation(argv)
+        ns = parse_invocation(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    handlers = {
-        VerifyTheoremCommand: _do_verify_theorem,
-        SimulateCommand: _do_simulate,
-        AuditCommand: _do_audit,
-        PredictCommand: _do_predict,
-        SweepCommand: _do_sweep,
-    }
     try:
-        return handlers[type(cmd)](cmd)
+        return ns.handler(ns)
     except (OSError, ValueError, DegenerateBranchError) as exc:
         print(f"blgisim: error: {exc}", file=sys.stderr)
         return 1

@@ -80,6 +80,13 @@ POST_TEST_AXES_2 = (math.pi / 4, -math.pi / 4)
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
+def check_steps(steps: int) -> int:
+    """Validate a readout length: an integer in [1, MAX_STEPS]."""
+    if int(steps) != steps or not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {steps}")
+    return steps
+
+
 @dataclass(frozen=True)
 class SequentialReadoutParams:
     """Per-step strength and length of the ancilla readout sequence."""
@@ -89,8 +96,7 @@ class SequentialReadoutParams:
 
     def __post_init__(self) -> None:
         check_strength(self.v)
-        if int(self.steps) != self.steps or not 1 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {self.steps}")
+        check_steps(self.steps)
 
     @property
     def saturated(self) -> bool:

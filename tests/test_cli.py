@@ -11,17 +11,7 @@ import pytest
 
 import blgisim
 from blgisim import cli
-from blgisim.cli import (
-    AuditCommand,
-    PredictCommand,
-    SimulateCommand,
-    SweepCommand,
-    SweepSpec,
-    VerifyTheoremCommand,
-    main,
-    parse_invocation,
-    run_sweep,
-)
+from blgisim.cli import main, parse_invocation, run_sweep
 from blgisim.prediction import (
     MAX_STEPS,
     SequentialReadoutParams,
@@ -30,9 +20,10 @@ from blgisim.prediction import (
     prediction_accuracy_exact,
     prediction_settings,
 )
+from blgisim.qubits import NoiseModel
 from blgisim.records import emit_records, read_manifest, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
-from blgisim.trials import Settings, default_settings, simulate_trials
+from blgisim.trials import Settings, default_settings, exact_chsh, simulate_trials
 
 
 def last_json(capsys) -> dict:
@@ -44,40 +35,56 @@ def last_json(capsys) -> dict:
 
 
 def test_parse_simulate_full_flags():
-    cmd = parse_invocation(
-        shlex.split(
-            "simulate --v 0.2 --trials 500 --seed 7 --angles 0,90,45,-45 "
-            "--bell psi- --noise-sigma 0.3 --noise-bias 0.1 --out x.csv --workers 2"
-        )
+    argv = shlex.split(
+        "simulate --v 0.2 --trials 500 --seed 7 --angles 0,90,45,-45 "
+        "--bell psi- --noise-sigma 0.3 --noise-bias 0.1 --out x.csv --workers 2"
     )
-    assert isinstance(cmd, SimulateCommand)
-    s = cmd.settings
-    assert s.v == 0.2 and s.bell_kind == "psi_minus"
-    assert (s.a1, s.a2) == (0.0, math.pi / 2)
-    assert abs(s.b1 - math.pi / 4) < 1e-15 and abs(s.b2 + math.pi / 4) < 1e-15
-    assert s.noise.sigma == 0.3 and s.noise.bias == 0.1
-    assert cmd.trials == 500 and cmd.seed == 7 and cmd.out == "x.csv" and cmd.workers == 2
+    ns = parse_invocation(argv)
+    assert ns.handler is cli._do_simulate and ns.argv == tuple(argv)
+    assert ns.v == 0.2 and ns.bell == "psi-"
+    a1, a2, b1, b2 = ns.angles
+    assert (a1, a2) == (0.0, math.pi / 2)
+    assert abs(b1 - math.pi / 4) < 1e-15 and abs(b2 + math.pi / 4) < 1e-15
+    assert ns.noise_sigma == 0.3 and ns.noise_bias == 0.1
+    assert ns.trials == 500 and ns.seed == 7 and ns.out == "x.csv" and ns.workers == 2
+
+
+def test_simulate_builds_its_settings_from_every_flag(tmp_path, capsys):
+    # the flags reach Settings through the handler: angles, v, bell state and both noise terms
+    out = tmp_path / "x.csv"
+    argv = shlex.split(
+        "simulate --v 0.2 --trials 500 --seed 7 --angles 10,80,30,-60 "
+        f"--bell psi- --noise-sigma 0.3 --noise-bias 0.1 --out {out} --workers 2"
+    )
+    assert main(argv) == 0
+    angles = (math.radians(x) for x in (10, 80, 30, -60))
+    settings = Settings(*angles, v=0.2, noise=NoiseModel(bias=0.1, sigma=0.3), bell_kind="psi_minus")
+    assert last_json(capsys)["exact_chsh"] == exact_chsh(settings)
+    expected = tmp_path / "expected.csv"
+    emit_records(simulate_trials(settings, 500, 7), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_parse_defaults():
-    cmd = parse_invocation(["simulate", "--v", "1", "--out", "x.csv"])
-    assert cmd.trials == 100000 and cmd.seed == 0 and cmd.workers == 1
-    assert cmd.settings == default_settings(1.0)
+    ns = parse_invocation(["simulate", "--v", "1", "--out", "x.csv"])
+    assert ns.trials == 100000 and ns.seed == 0 and ns.workers == 1
+    s = default_settings(1.0)
+    assert ns.v == s.v and ns.angles == (s.a1, s.a2, s.b1, s.b2)
+    assert (ns.bell, ns.noise_sigma, ns.noise_bias) == ("phi+", 0.0, 0.0)
 
     pre = parse_invocation(["predict", "--v", "0.4", "--out", "p.csv"])
-    assert isinstance(pre, PredictCommand)
-    assert pre.readout.v == 0.05 and pre.readout.steps == 10000
-    assert pre.settings.a1 == pre.settings.b1 and pre.settings.a2 == pre.settings.b2
+    assert pre.handler is cli._do_predict
+    assert pre.readout_v == 0.05 and pre.steps == 10000 and pre.trials == 1000
 
     aud = parse_invocation(["audit", "--in", "x.csv", "--v", "0.5"])
-    assert isinstance(aud, AuditCommand)
+    assert aud.handler is cli._do_audit
     assert aud.threshold_sigmas == 3.0 and aud.in_path == "x.csv"
 
     swe = parse_invocation(["sweep", "--v-grid", "0.1,0.5", "--out", "s.csv"])
-    assert isinstance(swe, SweepCommand)
-    assert swe.spec == SweepSpec(v_values=(0.1, 0.5), trials_per_point=50000)
+    assert swe.handler is cli._do_sweep
+    assert swe.v_grid == (0.1, 0.5) and swe.trials == 50000
 
-    assert isinstance(parse_invocation(["verify-theorem"]), VerifyTheoremCommand)
+    assert parse_invocation(["verify-theorem"]).handler is cli._do_verify_theorem
 
 
 @pytest.mark.parametrize(
@@ -99,18 +106,32 @@ def test_parse_defaults():
         ["sweep", "--v-grid", "0.5,2.0", "--out", "s.csv"],
         ["audit", "--v", "0.5"],
         ["no-such-command"],
+        ["simulate", "--v", "0.5", "--out", "x.csv", "--trials", "1.5"],
+        ["simulate", "--v", "0.5", "--out", "x.csv", "--seed", "abc"],
     ],
 )
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # wide enough that argparse prints each usage on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("usage:") and ": error: " in lines[1]
+    # a usage error names the expected value, not a private parsing function
+    assert "_positive_int" not in lines[1] and "invalid _" not in lines[1]
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys):
-    # rejected while parsing, before any table or draw array is allocated
+def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys, monkeypatch):
+    # rejected while parsing, before any table or draw array is allocated;
+    # wide enough that argparse prints the subcommand's usage on one line
+    monkeypatch.setenv("COLUMNS", "200")
     assert main(["predict", "--v", "0.5", "--out", "p.csv", "--steps", str(10 * MAX_STEPS)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert [ln for ln in lines if ln.startswith("usage:")] == lines[:1]
-    assert lines[1:] == [f"blgisim: error: steps must be an integer in [1, {MAX_STEPS}], got {10 * MAX_STEPS}"]
+    assert lines[1:] == [
+        f"blgisim predict: error: argument --steps: expected an integer in [1, {MAX_STEPS}], got '{10 * MAX_STEPS}'"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -118,15 +139,36 @@ def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys):
     [
         (
             "audit --in {out} --v 0.5 --threshold-sigmas 0",
-            "blgisim audit: error: argument --threshold-sigmas: must be finite and > 0, got 0",
+            "blgisim audit: error: argument --threshold-sigmas: expected a finite number > 0, got '0'",
         ),
         (
             "simulate --v 0.3 --trials 1 --out {out}",
-            "blgisim: error: trials must be >= 2 to estimate the correlators, got 1",
+            "blgisim simulate: error: argument --trials: expected an integer >= 2 (a correlator needs two trials), got '1'",
         ),
         (
             "sweep --v-grid 0.5,0.9 --trials 1 --out {out}",
-            "blgisim: error: trials_per_point must be >= 2 to estimate a correlator, got 1",
+            "blgisim sweep: error: argument --trials: expected an integer >= 2 (a correlator needs two trials), got '1'",
+        ),
+        (
+            "sweep --v-grid 0.5,,0.9 --out {out}",
+            "blgisim sweep: error: argument --v-grid: expected a coupling strength in (0, 1], got ''",
+        ),
+        (
+            "simulate --v 0.3 --trials 1.5 --out {out}",
+            "blgisim simulate: error: argument --trials: expected an integer >= 2 (a correlator needs two trials), got '1.5'",
+        ),
+        (
+            "simulate --v 0.3 --seed abc --out {out}",
+            "blgisim simulate: error: argument --seed: expected a 64-bit unsigned integer, got 'abc'",
+        ),
+        (
+            "predict --v 0.3 --steps 2.5 --out {out}",
+            f"blgisim predict: error: argument --steps: expected an integer in [1, {MAX_STEPS}], got '2.5'",
+        ),
+        (
+            "simulate --v 0.3 --angles 0,90,inf,-45 --out {out}",
+            "blgisim simulate: error: argument --angles: "
+            "expected four finite angles a1,a2,b1,b2 in degrees, got '0,90,inf,-45'",
         ),
     ],
 )
@@ -345,16 +387,21 @@ def test_sweep_verdict_transition(tmp_path, capsys):
     assert summary["points"] == 3
     assert summary["verdicts"] == ["REJECT", "REJECT", "CONSISTENT"]
 
-    rows = read_sweep(str(out))
-    assert [r.v for r in rows] == [0.1, 0.5, 0.95]
-    for row in rows:
-        assert abs(row.exact_chsh - math.sqrt(2.0) * (1.0 + math.sqrt(1.0 - row.v**2))) < 1e-9
-        assert abs(row.empirical_chsh - row.exact_chsh) < 5.0 * row.chsh_stderr
+    columns = read_sweep(str(out))
+    assert columns["v"] == [0.1, 0.5, 0.95]
+    for v, exact, empirical, stderr, _ in zip(*columns.values()):  # SWEEP_HEADER order
+        assert abs(exact - math.sqrt(2.0) * (1.0 + math.sqrt(1.0 - v**2))) < 1e-9
+        assert abs(empirical - exact) < 5.0 * stderr
+
+
+def test_sweep_file_reads_back_as_run_sweep_columns(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--v-grid", "0.3,1.0", "--trials", "3000", "--seed", "6", "--out", str(out)]) == 0
+    assert read_sweep(str(out)) == run_sweep((0.3, 1.0), 3000, 6)
 
 
 def test_run_sweep_uses_independent_point_seeds():
-    spec = SweepSpec(v_values=(0.5, 0.5), trials_per_point=2000)
-    rows = run_sweep(spec, Settings(v=0.5), master_seed=4)
+    columns = run_sweep((0.5, 0.5), 2000, master_seed=4)
     # same v, different derived seed per point: distinct empirical values
-    assert rows[0].empirical_chsh != rows[1].empirical_chsh
-    assert rows[0].exact_chsh == rows[1].exact_chsh
+    assert columns["empirical_chsh"][0] != columns["empirical_chsh"][1]
+    assert columns["exact_chsh"][0] == columns["exact_chsh"][1]

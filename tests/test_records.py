@@ -19,7 +19,6 @@ from blgisim.records import (
     SWEEP_HEADER,
     TRIAL_HEADER,
     RunManifest,
-    SweepRow,
     emit_manifest,
     emit_predictions,
     emit_records,
@@ -188,14 +187,31 @@ def test_prediction_empty_and_header_checks(tmp_path):
 
 
 def test_sweep_round_trip(tmp_path):
-    rows = [
-        SweepRow(v=0.1, exact_chsh=2.82, empirical_chsh=2.81, chsh_stderr=0.01, verdict="REJECT"),
-        SweepRow(v=0.95, exact_chsh=1.85, empirical_chsh=1.86, chsh_stderr=0.02, verdict="CONSISTENT"),
-    ]
+    columns = {
+        "v": [0.1, 0.95],
+        "exact_chsh": [2.82, 1.85],
+        "empirical_chsh": [2.81, 1.86],
+        "chsh_stderr": [0.01, 0.02],
+        "verdict": ["REJECT", "CONSISTENT"],
+    }
     path = tmp_path / "sweep.csv"
-    emit_sweep(rows, str(path))
-    assert path.read_text().splitlines()[0] == ",".join(SWEEP_HEADER)
-    assert read_sweep(str(path)) == rows
+    emit_sweep(columns, str(path))
+    assert path.read_text().splitlines() == [
+        ",".join(SWEEP_HEADER),
+        "0.10000000000000001,2.8199999999999998,2.8100000000000001,0.01,REJECT",
+        "0.94999999999999996,1.8500000000000001,1.8600000000000001,0.02,CONSISTENT",
+    ]
+    assert read_sweep(str(path)) == columns
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_sweep(str(crlf)) == columns
+    with pytest.raises(ValueError, match="equally long"):
+        emit_sweep({**columns, "verdict": ["REJECT"]}, str(tmp_path / "short.csv"))
+    assert not (tmp_path / "short.csv").exists()
+    empty = {name: [] for name in SWEEP_HEADER}
+    emit_sweep(empty, str(path))
+    assert path.read_text() == ",".join(SWEEP_HEADER) + "\n"
+    assert read_sweep(str(path)) == empty
     wrong = tmp_path / "bad_sweep.csv"
     wrong.write_text("nope\n")
     with pytest.raises(ValueError, match="header"):
@@ -211,6 +227,15 @@ def test_read_sweep_names_the_line_of_a_malformed_row(tmp_path):
     path.write_text(",".join(SWEEP_HEADER) + f"\n{good}\n{good}\n0.5,2.5\n")
     with pytest.raises(ValueError, match="^malformed sweep CSV row at line 4"):
         read_sweep(str(path))
+    for rows, error in [
+        (f"{good}\n\n{good}\n", "at line 3: '': expected 5 fields"),  # blank line
+        (f"{good}\n{good},9\n", "at line 3: .*: expected 5 fields"),  # extra field
+        (f'{good}\n0.5,2.5,2.4,0.01,"REJECT"\n', "at line 3: quoted verdict"),
+        (f"{good}\n{good.replace('2.81', '')}\n", "at line 3: "),  # empty field
+    ]:
+        path.write_text(",".join(SWEEP_HEADER) + "\n" + rows)
+        with pytest.raises(ValueError, match=f"^malformed sweep CSV row {error}"):
+            read_sweep(str(path))
 
 
 def test_manifest_round_trip(tmp_path):
@@ -230,19 +255,35 @@ def test_manifest_round_trip(tmp_path):
     assert read_manifest(str(path)) == manifest
 
 
+# every key of a manifest written before layout versions were recorded
+MANIFEST_FIELDS = {
+    "tool_version": "0.1.0",
+    "command": "predict --v 0.5 --out x.csv",
+    "master_seed": 3,
+    "parameters": {"v": 0.5},
+    "started": "2026-01-01T00:00:00+00:00",
+    "finished": "2026-01-01T00:00:05+00:00",
+    "output_paths": ["x.csv"],
+}
+
+
 def test_manifest_without_layout_version_reads_as_layout_1(tmp_path):
-    old = {
-        "tool_version": "0.1.0",
-        "command": "predict --v 0.5 --out x.csv",
-        "master_seed": 3,
-        "parameters": {"v": 0.5},
-        "started": "2026-01-01T00:00:00+00:00",
-        "finished": "2026-01-01T00:00:05+00:00",
-        "output_paths": ["x.csv"],
-    }
     path = tmp_path / "old.manifest.json"
-    path.write_text(json.dumps(old))
+    path.write_text(json.dumps(MANIFEST_FIELDS))
     assert read_manifest(str(path)).layout_version == 1
+
+
+
+@pytest.mark.parametrize(
+    "data",
+    [["not", "an", "object"], {"tool_version": "0.1.0"}, {**MANIFEST_FIELDS, "extra": 1}],
+    ids=["non-object", "missing key", "unknown key"],
+)
+def test_read_manifest_names_the_file_of_a_malformed_manifest(tmp_path, data):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"^malformed manifest {path}: "):
+        read_manifest(str(path))
 
 
 # ------------------------------------------------------------- golden bytes
@@ -340,6 +381,17 @@ def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
     back = tmp_path / "back.csv"
     emit(read(str(path)), str(back))
     assert back.read_bytes() == outcome.encode()
+
+
+@pytest.mark.parametrize("line", [7, 65540])
+def test_trial_reader_names_the_file_line_of_a_bad_field(tmp_path, line):
+    # the second case sits in the second block of rows
+    rows = [_trial_row(i) for i in range(line)]
+    rows[line - 2] = rows[line - 2].replace("0.5", "abc")
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(TRIAL_HEADER) + "\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(ValueError, match=f"^malformed trial CSV row at line {line}: '{line - 2},s,abc,.*': raw1 'abc' does not parse as float64$"):
+        read_records(str(path))
 
 
 @pytest.mark.parametrize("switch", [65530, 65536])

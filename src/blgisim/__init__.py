@@ -4,9 +4,11 @@ sequential-readout predictor.
 Modules:
   qubits     exact few-qubit states, channels, entanglement
   streams    counter-based random streams for reproducible parallel runs
-  trials     the weak+projective trial protocol, estimators, exact oracle,
-             the record table type and the chunk/pool driver
-  audit      the binary bound and the binary+unbiased-noise rejection test
+  trials     the weak+projective trial protocol: every source a 16-branch
+             law plus detector noise, one sampler, estimators, the exact
+             oracle, the record table type and the chunk/pool driver
+  audit      the binary bound, the binary+unbiased-noise rejection test and
+             the hidden-variable control source
   prediction sequential ancilla readout and the after-protocol Bell check
   records    CSV/JSON persistence and run manifests
   cli        command-line harness
@@ -26,8 +28,7 @@ from .audit import (
     decomposition_test,
     exhaustive_verify,
     hidden_variable_config,
-    hidden_variable_exact_chsh,
-    hidden_variable_records,
+    hidden_variable_source,
     per_trial_term,
 )
 from .cli import main, parse_invocation, run_sweep
@@ -72,10 +73,10 @@ from .trials import (
     ChshReport,
     CorrelatorEstimate,
     Settings,
+    Source,
     TrialTable,
     branch_distribution,
     chsh_combine,
-    chsh_curve,
     coupled_state,
     default_settings,
     entanglement_curve,
@@ -111,6 +112,7 @@ __all__ = [
     "SWEEP_HEADER",
     "SequentialReadoutParams",
     "Settings",
+    "Source",
     "TRIAL_HEADER",
     "TrialTable",
     "bloch_observable",
@@ -118,7 +120,6 @@ __all__ = [
     "check_strength",
     "chsh_bound_check",
     "chsh_combine",
-    "chsh_curve",
     "concurrence",
     "coupled_state",
     "decomposition_test",
@@ -136,8 +137,7 @@ __all__ = [
     "exact_post_protocol_chsh",
     "exhaustive_verify",
     "hidden_variable_config",
-    "hidden_variable_exact_chsh",
-    "hidden_variable_records",
+    "hidden_variable_source",
     "main",
     "nonselective_weak",
     "parse_invocation",

@@ -10,8 +10,10 @@ the combination above 2 beyond statistical error therefore cannot be
 binary signals contaminated only by unbiased noise, which is exactly what
 decomposition_test checks.
 
-The hidden-variable generator at the bottom produces data that IS binary
-plus unbiased noise, as the consistent control for the test.
+The hidden-variable source at the bottom produces data that IS binary
+plus unbiased noise, as the consistent control for the test.  It is a law
+on the 16 (A1, A2, B1, B2) branches, so trials.simulate_trials samples it
+and trials.exact_chsh reads its exact value, as for the quantum source.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import streams
 from .qubits import NO_NOISE, NoiseModel, check_strength
-from .trials import TrialTable, _noisy, estimate_chsh
+from .trials import BRANCHES, Source, TrialTable, estimate_chsh
 
 MIN_RECORDS = 100     # below this the test has no power
 STDERR_CAP = 0.2      # combined-stderr cap for a conclusive verdict
@@ -89,15 +91,11 @@ def exhaustive_verify() -> EnumerationReport:
     A violation here would be a bug, not data.
     """
     rows = []
-    for a1 in (1, -1):
-        for a2 in (1, -1):
-            for b1 in (1, -1):
-                for b2 in (1, -1):
-                    t = BinaryTuple(a1, a2, b1, b2)
-                    term = per_trial_term(t)
-                    if term not in (-2, 2):
-                        raise AssertionError(f"per-trial term {term} for {t} is not +-2")
-                    rows.append((t, term))
+    for t in (BinaryTuple(*branch) for branch in BRANCHES):
+        term = per_trial_term(t)
+        if term not in (-2, 2):
+            raise AssertionError(f"per-trial term {term} for {t} is not +-2")
+        rows.append((t, term))
     plus = sum(1 for _, term in rows if term == 2)
     minus = len(rows) - plus
     mean = sum(term for _, term in rows) / len(rows)
@@ -175,7 +173,7 @@ def decomposition_test(records, v: float, threshold_sigmas: float = DEFAULT_THRE
 
 @dataclass(frozen=True)
 class HiddenVariableConfig:
-    """Deterministic-response sampler: shared uniform lambda per trial;
+    """Deterministic responses to a uniform lambda that all four signals share:
     signal k is sign_k * (+1 if lambda < threshold_k else -1)."""
 
     thresholds: tuple
@@ -199,62 +197,24 @@ def hidden_variable_config(master_seed: int, index: int = 0) -> HiddenVariableCo
     return HiddenVariableConfig(thresholds=thresholds, signs=signs, index=index)
 
 
-def hidden_variable_records(
-    config: HiddenVariableConfig,
-    n_trials: int,
-    v: float,
-    noise: NoiseModel = NO_NOISE,
-    master_seed: int = 0,
-    start: int = 0,
-) -> TrialTable:
-    """Binary signals from a shared hidden variable, plus detector noise.
+def hidden_variable_source(config: HiddenVariableConfig, v: float, noise: NoiseModel = NO_NOISE) -> Source:
+    """config's binary signals as a source: weak channels raw_i = v * A_i + noise, projective B_j.
 
-    Per trial: lambda ~ U[0,1) is shared by all four signals; the two weak
-    channels report raw_i = v * A_i + bias + Gaussian(0, sigma) which is
-    rescaled to alpha_i = raw_i / v; the projective channels report the
-    binary B_j directly.  The noiseless signals are strictly binary, so
-    the combination of these records obeys the bound of 2.
-    """
-    v = check_strength(v)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    u = streams.window_uniforms(master_seed, streams.HIDDEN_VAR_STREAM, start, n_trials, blocks=1)
-    lam = u[:, 0]
-    signal = [
-        config.signs[k] * np.where(lam < config.thresholds[k], 1, -1).astype(np.int64)
-        for k in range(4)
-    ]
-    raws = [_noisy(v * signal[i].astype(float), noise, u[:, 1 + i]) for i in (0, 1)]
-    index = np.arange(start, start + n_trials, dtype=np.int64)
-    sid = (
-        f"hidden;idx={config.index};v={v:.12g};"
-        f"bias={noise.bias:.12g};sigma={noise.sigma:.12g}"
-    )
-    return TrialTable(
-        index,
-        sid,
-        raws[0],
-        raws[1],
-        raws[0] / v,
-        raws[1] / v,
-        signal[2],
-        signal[3],
-        streams.derived_seed(master_seed, index),
-    )
-
-
-def hidden_variable_exact_chsh(config: HiddenVariableConfig, v: float = 1.0, noise: NoiseModel = NO_NOISE) -> float:
-    """Population value of the combination for a hidden-variable source.
-
-    For signals k and j with thresholds t and signs s,
-    E[A_k * B_j] = s_k * s_j * (1 - 2|t_k - t_j|); a rescaled bias adds
-    (bias/v) * E[B_j].  Always <= 2 in absolute value when bias = 0.
+    The thresholds cut the shared lambda's range [0, 1) into at most five
+    intervals; every signal is constant on each, so an interval's length
+    is the probability of one (A1, A2, B1, B2) branch.  The noiseless
+    signals are binary, so the combination obeys the bound of 2.
     """
     v = check_strength(v)
     t, s = config.thresholds, config.signs
-
-    def pair(k: int, j: int) -> float:
-        core = s[k] * s[j] * (1.0 - 2.0 * abs(t[k] - t[j]))
-        return core + (noise.bias / v) * s[j] * (2.0 * t[j] - 1.0)
-
-    return abs(pair(0, 2) + pair(0, 3) + pair(1, 2) - pair(1, 3))
+    cuts = sorted({0.0, 1.0, *t})
+    law = [0.0] * len(BRANCHES)
+    for lo, hi in zip(cuts, cuts[1:]):
+        # each threshold is a cut, so lambda < t_k on all of [lo, hi) exactly when lo < t_k
+        branch = tuple(sk * (1 if lo < tk else -1) for tk, sk in zip(t, s))
+        law[BRANCHES.index(branch)] += hi - lo
+    sid = (
+        f"hidden;idx={config.index};t={':'.join(f'{tk:.17g}' for tk in t)};"
+        f"s={':'.join(map(str, s))};v={v:.12g};bias={noise.bias:.12g};sigma={noise.sigma:.12g}"
+    )
+    return Source(sid, tuple(law), v, noise, raw_scale=v)

@@ -49,9 +49,10 @@ class RunManifest:
     layout_version: int = 1  # streams.LAYOUT_VERSION of the run; absent (1) in older manifests
 
 
-def _check_id(sid: str) -> None:
-    if any(ch in sid for ch in (",", '"', "\n", "\r")):
-        raise ValueError(f"settings_id {sid!r} contains CSV delimiter or quote characters")
+def _check_text(text: str, name: str = "settings_id") -> None:
+    """Reject a str field that would split or quote its CSV row."""
+    if any(ch in text for ch in (",", '"', "\n", "\r")):
+        raise ValueError(f"{name} {text!r} contains CSV delimiter or quote characters")
 
 
 def _write_csv(path: str, schema, blocks) -> str:
@@ -69,7 +70,7 @@ def _emit_table(table, cls, path: str) -> str:
     if not isinstance(table, cls):
         raise TypeError(f"expected a {cls.__name__} to write, got {type(table).__name__}")
     sid, schema = table.settings_id, cls.schema
-    _check_id(sid)
+    _check_text(sid)
 
     def blocks():
         for start in range(0, len(table), _BLOCK_ROWS):
@@ -183,6 +184,8 @@ def emit_sweep(columns: dict, path: str) -> str:
     lengths = {name: len(columns[name]) for name in SWEEP_HEADER}
     if len(set(lengths.values())) > 1:  # writing would silently drop the longer columns' tails
         raise ValueError(f"sweep columns must be equally long, got lengths {lengths}")
+    for verdict in set(columns["verdict"]):
+        _check_text(verdict, "verdict")
     return _write_csv(path, SWEEP_SCHEMA, [[columns[name] for name in SWEEP_HEADER]])
 
 

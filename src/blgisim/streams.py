@@ -27,12 +27,13 @@ DRAWS_PER_BLOCK = 4
 #   2: the sequential readout took two draws per ancilla (eigenvalue, count).
 #   3: a simulate trial takes one block: branch, noise 1, noise 2.
 #   4: a prediction trial takes one block: branch (c1, c2, t1, t2), count 1, count 2.
-LAYOUT_VERSION = 4
+#   5: a hidden-variable trial is a simulate trial of its 16-branch law, on
+#      the trial stream, not a lambda threshold test on a stream of its own.
+LAYOUT_VERSION = 5
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.
 TRIAL_STREAM = 0x01
-HIDDEN_VAR_STREAM = 0x02
 HIDDEN_VAR_CONFIG_STREAM = 0x03
 PREDICT_STREAM = 0x04
 POST_CHSH_STREAM = 0x07

@@ -6,21 +6,22 @@ projectively measure qubit 1 along b1 and qubit 2 along b2, rescale the
 noisy raws by 1/V.  The four correlators E(alpha_i, beta_j) combine into
 the CHSH-style statistic e11 + e12 + e21 - e22.
 
-The trial engine does not evolve a state.  branch_distribution gives the
-exact joint law of (raw1, raw2, beta1, beta2), sixteen branches, and
-sample_branches draws each trial's branch from it with one uniform; two
-more uniforms carry the detector noise, each turned into a standard normal
-by _ndtri, a numpy port of the cephes inverse normal CDF that returns
-scipy.special.ndtri's bits.  This is an exact reformulation,
-not an approximation: the test suite checks the law against an
-independent matrix-root enumeration and against a scalar state-updating
-Kraus chain.  The exact oracle reads every moment it reports from one
-such law per call.
+Every source of trials is a law on the sixteen (A1, A2, B1, B2) BRANCHES
+plus detector noise: weak channel i reports raw_i = raw_scale * A_i +
+bias + sigma * g_i and alpha_i = raw_i / V.  A Settings is the quantum
+source, whose law is branch_distribution and whose raw_scale is 1; a
+Source holds any other law, such as audit.hidden_variable_source.  No
+state is evolved: sample_branches draws each trial's branch with one
+uniform, and two more carry the noise through _ndtri, a numpy port of the
+cephes inverse normal CDF that returns scipy.special.ndtri's bits.  The
+tests check the quantum law against an independent matrix-root
+enumeration and a scalar Kraus chain.  The exact oracle reads every
+moment it reports from one law per call.
 
 simulate_trials produces a columnar batch of trials [start, start + n);
 each trial reads its own counter window, so its row is identical no
 matter which start, chunking, or worker count produced it, and a single
-trial i is simulate_trials(settings, 1, seed, start=i).  A record table
+trial i is simulate_trials(source, 1, seed, start=i).  A record table
 holds one experiment: one settings id for all of its rows.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -105,6 +106,8 @@ class Settings:
     noise: NoiseModel = NO_NOISE
     bell_kind: str = "phi_plus"
 
+    raw_scale = 1.0  # a class attribute, not a field: raw_i = A_i + noise
+
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "b1", "b2"):
             if not np.isfinite(getattr(self, name)):
@@ -123,6 +126,27 @@ class Settings:
             f"b1={self.b1:.12g};b2={self.b2:.12g};v={self.v:.12g};"
             f"bias={n.bias:.12g};sigma={n.sigma:.12g}"
         )
+
+    @property
+    def law(self) -> tuple:
+        """branch_distribution's 16 probabilities, in BRANCHES order."""
+        return tuple(branch_distribution(self).values())
+
+
+@dataclass(frozen=True)
+class Source:
+    """A law on the 16 BRANCHES, in their order, plus detector noise: raw_i = raw_scale * A_i + noise."""
+
+    settings_id: str
+    law: tuple
+    v: float
+    noise: NoiseModel = NO_NOISE
+    raw_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_strength(self.v)
+        if len(self.law) != len(BRANCHES):
+            raise ValueError(f"a source law has {len(BRANCHES)} branch probabilities, got {len(self.law)}")
 
 
 def default_settings(v: float, noise: NoiseModel = NO_NOISE, bell_kind: str = "phi_plus") -> Settings:
@@ -309,22 +333,21 @@ def _noisy(raw: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
     return raw + noise.bias + noise.sigma * g
 
 
-def _simulate_range(settings: Settings, start: int, count: int, master_seed: int) -> TrialTable:
-    """Trials [start, start+count) of the stream owned by master_seed."""
+def _simulate_range(source, start: int, count: int, master_seed: int) -> TrialTable:
+    """Trials [start, start+count) of the stream owned by master_seed, from a Settings or Source."""
     u = streams.window_uniforms(master_seed, streams.TRIAL_STREAM, start, count, TRIAL_BLOCKS)
-    probs = list(branch_distribution(settings).values())
-    raw1, raw2, beta1, beta2 = sample_branches(probs, u[:, 0], 4)
-    noisy1 = _noisy(raw1.astype(float), settings.noise, u[:, 1])
-    noisy2 = _noisy(raw2.astype(float), settings.noise, u[:, 2])
+    raw1, raw2, beta1, beta2 = sample_branches(source.law, u[:, 0], 4)
+    noisy1 = _noisy(source.raw_scale * raw1, source.noise, u[:, 1])
+    noisy2 = _noisy(source.raw_scale * raw2, source.noise, u[:, 2])
 
     index = np.arange(start, start + count, dtype=np.int64)
     return TrialTable(
         index,
-        settings.settings_id,
+        source.settings_id,
         noisy1,
         noisy2,
-        noisy1 / settings.v,
-        noisy2 / settings.v,
+        noisy1 / source.v,
+        noisy2 / source.v,
         beta1,
         beta2,
         streams.derived_seed(master_seed, index),
@@ -353,19 +376,19 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
 
 
 def simulate_trials(
-    settings: Settings,
+    source,
     n_trials: int,
     master_seed: int,
     start: int = 0,
     workers: int = 1,
     chunk: int = 1 << 16,
 ) -> TrialTable:
-    """Monte Carlo batch of trials [start, start + n_trials).
+    """Monte Carlo batch of trials [start, start + n_trials) of a Settings or Source.
 
     Chunked over the per-trial counter windows; results are identical for
     every chunk size and worker count.
     """
-    return run_chunked(partial(_simulate_range, settings, master_seed=master_seed), n_trials, start, chunk, workers)
+    return run_chunked(partial(_simulate_range, source, master_seed=master_seed), n_trials, start, chunk, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -425,60 +448,51 @@ def branch_distribution(settings: Settings) -> dict:
     return dict(zip(BRANCHES, probs.tolist()))
 
 
-def _exact_moments(settings: Settings, products) -> list:
-    """E[product of the named fields], per tuple of FIELDS names, all from one 16-branch law.
+def _exact_moments(source, products) -> list:
+    """E[product of the named fields], per tuple of FIELDS names, all from the source's one law.
 
     Row k of the 16x4 value matrix holds branch k's noiseless FIELDS values,
-    the alphas rescaled by 1/V after the detector bias is added.  The noise
-    is independent and zero-mean, so it drops out of every moment except a
-    squared alpha, which gains (sigma / V)^2.  Sums run term by term in
-    branch order, so no reordered (pairwise or BLAS) sum moves a moment's
-    last bit.
+    the alphas (raw_scale * A_i + bias) / V.  The noise is independent and
+    zero-mean, so it drops out of every moment except a squared alpha,
+    which gains (sigma / V)^2.  Sums run term by term in branch order, so
+    no reordered (pairwise or BLAS) sum moves a moment's last bit.
     """
     unknown = sorted({name for names in products for name in names} - set(FIELDS))
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r}; choose one of {FIELDS}")
-    probs = list(branch_distribution(settings).values())
+    law = source.law
     values = np.array(BRANCHES, dtype=float)
-    values[:, :2] = (values[:, :2] + settings.noise.bias) / settings.v
+    values[:, :2] = (source.raw_scale * values[:, :2] + source.noise.bias) / source.v
     moments = []
     for cols in ([FIELDS.index(name) for name in names] for names in products):
         total = 0.0
-        for p, x in zip(probs, values[:, cols].prod(axis=1).tolist()):
+        for p, x in zip(law, values[:, cols].prod(axis=1).tolist()):
             total += p * x
         if len(cols) == 2 and cols[0] == cols[1] < 2:
-            total += (settings.noise.sigma / settings.v) ** 2
+            total += (source.noise.sigma / source.v) ** 2
         moments.append(total)
     return moments
 
 
-def exact_correlator(settings: Settings, left: str, right: str) -> float:
-    """E[left * right] from the 16-branch law; no sampling.
+def exact_correlator(source, left: str, right: str) -> float:
+    """E[left * right] from a Settings' or Source's 16-branch law; no sampling.
 
     Detector noise enters analytically: independent zero-mean Gaussians drop
     out of cross moments, bias shifts alpha means, and the same-field alpha
     second moment picks up sigma^2.  Rescaling by 1/V is applied to alphas.
     """
-    return _exact_moments(settings, [(left, right)])[0]
+    return _exact_moments(source, [(left, right)])[0]
 
 
-def exact_mean(settings: Settings, field: str) -> float:
+def exact_mean(source, field: str) -> float:
     """E[field] from the 16-branch law (alphas include bias/V)."""
-    return _exact_moments(settings, [(field,)])[0]
+    return _exact_moments(source, [(field,)])[0]
 
 
-def exact_chsh(settings: Settings) -> float:
+def exact_chsh(source) -> float:
     """Exact e11 + e12 + e21 - e22 for the alpha_i x beta_j pairing, from one law."""
-    e11, e12, e21, e22 = _exact_moments(settings, CHSH_PAIRS)
+    e11, e12, e21, e22 = _exact_moments(source, CHSH_PAIRS)
     return e11 + e12 + e21 - e22
-
-
-def chsh_curve(settings: Settings, v_grid) -> list:
-    """Exact combination per coupling strength, as (v, chsh) pairs."""
-    grid = [check_strength(v) for v in v_grid]
-    if not grid:
-        raise ValueError("v grid must be nonempty")
-    return [(v, exact_chsh(replace(settings, v=v))) for v in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Each one re-derives, one operator or one draw at a time, something the
 package computes another way: the state-updating weak measurement, the
 system+ancilla unitary behind the weak Kraus pair, the reduced state by
-partial trace, one trial's detector noise and rescaling, the
-step-by-step sequential readout, and the Bell pair's density operator
-after the ancilla coupling.  They stay independent oracles for the
-package's exact laws and batch samplers.  Two table helpers close the
+partial trace, one trial's detector noise and rescaling, one whole
+trial of any source, the step-by-step sequential readout, the Bell
+pair's density operator after the ancilla coupling, and the closed-form
+combination of a hidden-variable source.  They stay independent oracles
+for the package's exact laws and batch samplers.  Two table helpers close the
 file: a record table's rows as tuples, for whole-row comparisons, and a
 table of no rows.
 """
@@ -16,10 +17,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
+from blgisim import streams
 from blgisim.prediction import SequentialReadoutParams
-from blgisim.trials import Settings, coupled_state, prepare_bell
+from blgisim.trials import BRANCHES, TRIAL_BLOCKS, Settings, coupled_state, prepare_bell
 from blgisim.qubits import (
     MIN_BRANCH_PROB,
+    NO_NOISE,
     DegenerateBranchError,
     NoiseModel,
     QuantumState,
@@ -131,6 +134,46 @@ def apply_readout_noise(raw: float, noise: NoiseModel, rng: np.random.Generator)
     u = max(rng.random(), 2.0**-53)  # keep the inverse CDF finite at u = 0
     gaussian = noise.sigma * float(ndtri(u)) if noise.sigma > 0.0 else 0.0
     return float(raw) + noise.bias + gaussian
+
+
+def reference_trial(source, index: int, master_seed: int) -> tuple:
+    """Scalar re-derivation of one trial of a Settings or Source, from draw layout 5.
+
+    Reads the same counter window as the batch engine: draw 0 walks
+    source.law one branch at a time (the first branch whose cumulative
+    probability exceeds it, else the last branch of positive probability),
+    then apply_readout_noise takes draws 1 and 2 on raw_scale * A_i and
+    rescale divides by V.  Returns (raw1, raw2, alpha1, alpha2, beta1, beta2).
+    """
+    gen = streams.stream(master_seed, streams.TRIAL_STREAM, index=index, blocks=TRIAL_BLOCKS)
+    u = gen.random()
+    acc = 0.0
+    for branch, p in zip(BRANCHES, source.law):
+        if p > 0.0:
+            picked, acc = branch, acc + p
+            if u < acc:
+                break
+    a1, a2, beta1, beta2 = picked
+    noisy1 = apply_readout_noise(source.raw_scale * a1, source.noise, gen)
+    noisy2 = apply_readout_noise(source.raw_scale * a2, source.noise, gen)
+    return noisy1, noisy2, rescale(noisy1, source.v), rescale(noisy2, source.v), beta1, beta2
+
+
+def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NO_NOISE) -> float:
+    """|e11 + e12 + e21 - e22| of a hidden-variable source, in closed form.
+
+    For signals k and j with thresholds t and signs s under a shared
+    lambda ~ U[0, 1), E[A_k * B_j] = s_k * s_j * (1 - 2|t_k - t_j|); a
+    rescaled bias adds (bias/v) * E[B_j].  Always <= 2 when bias = 0.
+    """
+    v = check_strength(v)
+    t, s = config.thresholds, config.signs
+
+    def pair(k: int, j: int) -> float:
+        core = s[k] * s[j] * (1.0 - 2.0 * abs(t[k] - t[j]))
+        return core + (noise.bias / v) * s[j] * (2.0 * t[j] - 1.0)
+
+    return abs(pair(0, 2) + pair(0, 3) + pair(1, 2) - pair(1, 3))
 
 
 def partial_trace(state: QuantumState, keep) -> QuantumState:

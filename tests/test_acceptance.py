@@ -81,7 +81,7 @@ def test_criterion_4_auditor_separates_quantum_from_binary_noise():
     assert audit.decomposition_test(quantum, v=0.2).verdict == audit.REJECT
 
     config = audit.hidden_variable_config(99)
-    binary = audit.hidden_variable_records(config, 1_000_000, v=0.2, noise=noise, master_seed=42)
+    binary = simulate_trials(audit.hidden_variable_source(config, 0.2, noise), 1_000_000, master_seed=42)
     assert audit.decomposition_test(binary, v=0.2).verdict == audit.CONSISTENT
 
     # false-REJECT rate over randomized binary+noise generators
@@ -91,8 +91,8 @@ def test_criterion_4_auditor_separates_quantum_from_binary_noise():
         cfg = audit.hidden_variable_config(7, index=k)
         v = float(rng.uniform(0.1, 1.0))
         sigma = float(rng.uniform(0.0, 0.5))
-        records = audit.hidden_variable_records(
-            cfg, 20_000, v=v, noise=NoiseModel(sigma=sigma), master_seed=1000 + k
+        records = simulate_trials(
+            audit.hidden_variable_source(cfg, v, NoiseModel(sigma=sigma)), 20_000, master_seed=1000 + k
         )
         if audit.decomposition_test(records, v=v).verdict == audit.REJECT:
             rejects += 1

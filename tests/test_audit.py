@@ -17,13 +17,13 @@ from blgisim.audit import (
     decomposition_test,
     exhaustive_verify,
     hidden_variable_config,
-    hidden_variable_exact_chsh,
-    hidden_variable_records,
+    hidden_variable_source,
     per_trial_term,
 )
 from blgisim.qubits import NoiseModel
 from blgisim.records import emit_records
 from blgisim.trials import (
+    BRANCHES,
     Settings,
     TrialTable,
     default_settings,
@@ -31,7 +31,7 @@ from blgisim.trials import (
     exact_chsh,
     simulate_trials,
 )
-from reference import empty_table
+from reference import empty_table, hidden_variable_exact_chsh
 
 
 def binary_columns(table):
@@ -146,7 +146,7 @@ def test_decomposition_statistic_is_absolute():
 def test_decomposition_consistent_for_hidden_variable_records():
     config = hidden_variable_config(99)
     noise = NoiseModel(sigma=0.3)
-    table = hidden_variable_records(config, 200_000, v=0.2, noise=noise, master_seed=4)
+    table = simulate_trials(hidden_variable_source(config, 0.2, noise), 200_000, 4)
     verdict = decomposition_test(table, v=0.2)
     assert verdict.verdict == CONSISTENT
     expected = hidden_variable_exact_chsh(config, v=0.2, noise=noise)
@@ -155,7 +155,7 @@ def test_decomposition_consistent_for_hidden_variable_records():
 
 def test_decomposition_inconclusive_below_min_records():
     config = hidden_variable_config(5)
-    table = hidden_variable_records(config, 50, v=1.0, master_seed=5)
+    table = simulate_trials(hidden_variable_source(config, 1.0), 50, 5)
     assert decomposition_test(table, v=1.0).verdict == INCONCLUSIVE
 
 
@@ -174,7 +174,7 @@ def test_decomposition_never_rejects_binary_noise_sources():
         config = hidden_variable_config(200, index=k)
         v = float(rng.uniform(0.1, 1.0))
         noise = NoiseModel(sigma=float(rng.uniform(0.0, 0.5)))
-        table = hidden_variable_records(config, 20_000, v=v, noise=noise, master_seed=300 + k)
+        table = simulate_trials(hidden_variable_source(config, v, noise), 20_000, 300 + k)
         assert decomposition_test(table, v=v).verdict != REJECT
 
 
@@ -238,9 +238,33 @@ def test_hidden_variable_config_is_deterministic():
     assert hidden_variable_config(98) != a
 
 
+def test_hidden_variable_settings_id_names_its_thresholds_and_signs():
+    # configs 98 and 99 differ in thresholds and signs, so their records are
+    # two experiments and must not pool into one table
+    configs = [hidden_variable_config(98), hidden_variable_config(99)]
+    parts = [simulate_trials(hidden_variable_source(c, 0.5), 5000, 1) for c in configs]
+    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids"):
+        TrialTable.concat(parts)
+    for config, part in zip(configs, parts):
+        assert all(f"{t:.17g}" in part.settings_id for t in config.thresholds)
+        assert "," not in part.settings_id and '"' not in part.settings_id
+
+
+def test_hidden_variable_source_law():
+    # thresholds (0.25, 0.5, 0.5, 1.0) cut [0, 1) into [0, .25), [.25, .5), [.5, 1)
+    source = hidden_variable_source(audit.HiddenVariableConfig((0.25, 0.5, 0.5, 1.0), (1, -1, 1, 1)), 0.5)
+    law = dict(zip(BRANCHES, source.law))
+    assert {branch: p for branch, p in law.items() if p} == {
+        (1, -1, 1, 1): 0.25,
+        (-1, -1, 1, 1): 0.25,
+        (-1, 1, -1, 1): 0.5,
+    }
+    assert source.raw_scale == source.v == 0.5
+
+
 def test_hidden_variable_records_are_binary_under_zero_noise():
     config = hidden_variable_config(42)
-    table = hidden_variable_records(config, 5000, v=0.3, master_seed=8)
+    table = simulate_trials(hidden_variable_source(config, 0.3), 5000, 8)
     assert set(np.unique(table.alpha1)) <= {-1.0, 1.0}
     assert set(np.unique(table.alpha2)) <= {-1.0, 1.0}
     assert set(np.unique(table.raw1)) <= {-0.3, 0.3}
@@ -250,26 +274,27 @@ def test_hidden_variable_records_are_binary_under_zero_noise():
 
 def test_hidden_variable_records_slice_invariance():
     config = hidden_variable_config(42)
-    full = hidden_variable_records(config, 150, v=0.5, master_seed=9)
-    tail = hidden_variable_records(config, 50, v=0.5, master_seed=9, start=100)
+    source = hidden_variable_source(config, 0.5)
+    full = simulate_trials(source, 150, 9)
+    tail = simulate_trials(source, 50, 9, start=100)
     assert np.array_equal(tail.alpha1, full.alpha1[100:])
     assert np.array_equal(tail.beta2, full.beta2[100:])
     with pytest.raises(ValueError):
-        hidden_variable_records(config, 0, v=0.5)
+        simulate_trials(source, 0, 9)
 
 
 @pytest.mark.parametrize(
     "noise, digest",
     [
-        (NoiseModel(), "2b1c01eed72b6140e9da1228f38c6405bbf0acb9fa6fdfe7ee02868da683c292"),
+        (NoiseModel(), "1e95fbfb42433578ae3fc9f24282af8428e97951126bce79c99c380c557bed9a"),
         (
             NoiseModel(bias=0.05, sigma=0.3),
-            "91ede6f5bc12a5143b02f03584c4223f77cfdcddffc866f4c51527d1e58702a1",
+            "783ff89fb2de94a8a479731d1f7e2afe637379facf4594c0e0d50adeb35f5940",
         ),
     ],
 )
 def test_hidden_variable_record_bytes_match_golden_hashes(tmp_path, noise, digest):
-    records = hidden_variable_records(hidden_variable_config(5, 2), 1000, v=0.4, noise=noise, master_seed=6)
+    records = simulate_trials(hidden_variable_source(hidden_variable_config(5, 2), 0.4, noise), 1000, 6)
     path = tmp_path / "hidden.csv"
     emit_records(records, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -278,16 +303,19 @@ def test_hidden_variable_record_bytes_match_golden_hashes(tmp_path, noise, diges
 def test_hidden_variable_exact_chsh_hand_case():
     # thresholds (0.5, 0.5, 0.25, 0.75), all signs +1:
     # pairs are 0.5, 0.5, 0.5, 0.5 giving |0.5 + 0.5 + 0.5 - 0.5| = 1
+    # the closed form and the source's 16-branch law agree on both
     config = audit.HiddenVariableConfig((0.5, 0.5, 0.25, 0.75), (1, 1, 1, 1))
     assert abs(hidden_variable_exact_chsh(config) - 1.0) < 1e-15
+    assert abs(exact_chsh(hidden_variable_source(config, 1.0)) - 1.0) < 1e-15
     aligned = audit.HiddenVariableConfig((0.5, 0.5, 0.5, 0.5), (1, 1, 1, 1))
     assert hidden_variable_exact_chsh(aligned) == 2.0
+    assert exact_chsh(hidden_variable_source(aligned, 1.0)) == 2.0
 
 
 def test_hidden_variable_exact_chsh_matches_sampling():
     config = hidden_variable_config(99)
     noise = NoiseModel(bias=0.1, sigma=0.2)
-    table = hidden_variable_records(config, 100_000, v=0.6, noise=noise, master_seed=10)
+    table = simulate_trials(hidden_variable_source(config, 0.6, noise), 100_000, 10)
     report = estimate_chsh(table)
     expected = hidden_variable_exact_chsh(config, v=0.6, noise=noise)
     assert abs(abs(report.chsh) - expected) < 4.0 * report.chsh_stderr
@@ -296,7 +324,7 @@ def test_hidden_variable_exact_chsh_matches_sampling():
 def test_hidden_variable_pair_correlation_formula():
     # E[B1 * B2] = s3 * s4 * (1 - 2|t3 - t4|) under a shared lambda
     config = hidden_variable_config(17)
-    table = hidden_variable_records(config, 100_000, v=1.0, master_seed=11)
+    table = simulate_trials(hidden_variable_source(config, 1.0), 100_000, 11)
     products = table.beta1 * table.beta2
     t, s = config.thresholds, config.signs
     expected = s[2] * s[3] * (1.0 - 2.0 * abs(t[2] - t[3]))

@@ -1,6 +1,7 @@
 """Tooling guards: no package module imports a name it never references or
 imports scipy, the package's ``__all__`` lists exactly the public names it
-binds, and every name the benchmark tracer patches exists."""
+binds, one sampler builds every TrialTable, and every name the benchmark
+tracer patches exists."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import blgisim
+from blgisim import trials
 
 PACKAGE = sorted(Path(blgisim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -46,6 +48,19 @@ def test_module_does_not_import_scipy(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.append(node.module)
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def test_one_sampler_builds_every_trial_table():
+    # every source is a branch law that trials._simulate_range samples; a
+    # second TrialTable(...) call site would be a second trial engine
+    sites = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TrialTable"
+    ]
+    lines, first = inspect.getsourcelines(trials._simulate_range)
+    assert [(name, first <= line < first + len(lines)) for name, line in sites] == [("trials.py", True)]
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,

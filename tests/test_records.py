@@ -186,6 +186,16 @@ def test_prediction_empty_and_header_checks(tmp_path):
         read_predictions(str(wrong))
 
 
+@pytest.mark.parametrize("verdict", ["RE,JECT", 'say "hi"', "REJECT\n", "REJECT\r"])
+def test_emit_sweep_rejects_delimiters_inside_a_verdict(tmp_path, verdict):
+    # such a row would not read back; nothing is written
+    columns = {name: [1.0] for name in SWEEP_HEADER[:-1]}
+    path = tmp_path / "bad_sweep.csv"
+    with pytest.raises(ValueError, match="verdict .* contains CSV delimiter or quote characters"):
+        emit_sweep({**columns, "verdict": [verdict]}, str(path))
+    assert not path.exists()
+
+
 def test_sweep_round_trip(tmp_path):
     columns = {
         "v": [0.1, 0.95],

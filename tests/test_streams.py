@@ -14,7 +14,7 @@ def test_stream_is_deterministic():
 
 def test_distinct_tags_give_distinct_draws():
     a = streams.stream(42, streams.TRIAL_STREAM).random(8)
-    b = streams.stream(42, streams.HIDDEN_VAR_STREAM).random(8)
+    b = streams.stream(42, streams.HIDDEN_VAR_CONFIG_STREAM).random(8)
     assert not np.array_equal(a, b)
 
 

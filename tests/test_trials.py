@@ -16,7 +16,6 @@ from blgisim.trials import (
     TrialTable,
     branch_distribution,
     chsh_combine,
-    chsh_curve,
     coupled_state,
     default_settings,
     entanglement_curve,
@@ -29,7 +28,8 @@ from blgisim.trials import (
     sample_branches,
     simulate_trials,
 )
-from reference import apply_readout_noise, projective_measure, rescale, table_rows, weak_measure
+from blgisim.audit import hidden_variable_config, hidden_variable_source
+from reference import projective_measure, reference_trial, table_rows, weak_measure
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -42,29 +42,6 @@ def closed_form_chsh(v: float) -> float:
     # Default axes: same-qubit terms are v-independent, cross terms carry
     # the sqrt(1 - v^2) back-action factor.
     return math.sqrt(2.0) * (1.0 + math.sqrt(1.0 - v * v))
-
-
-def reference_trial(settings: Settings, index: int, master_seed: int):
-    """Scalar re-derivation of one trial from draw layout 3.
-
-    Reads the same counter window as the batch engine: draw 0 walks the
-    16-branch law one branch at a time (the first branch whose cumulative
-    probability exceeds it, else the last branch of positive probability),
-    then apply_readout_noise takes draws 1 and 2 and rescale divides by V.
-    It checks the draw layout, the noise and the rescaling exactly.
-    """
-    gen = streams.stream(master_seed, streams.TRIAL_STREAM, index=index, blocks=trials.TRIAL_BLOCKS)
-    u = gen.random()
-    acc = 0.0
-    for branch, p in branch_distribution(settings).items():
-        if p > 0.0:
-            picked, acc = branch, acc + p
-            if u < acc:
-                break
-    raw1, raw2, beta1, beta2 = picked
-    noisy1 = apply_readout_noise(float(raw1), settings.noise, gen)
-    noisy2 = apply_readout_noise(float(raw2), settings.noise, gen)
-    return noisy1, noisy2, rescale(noisy1, settings.v), rescale(noisy2, settings.v), beta1, beta2
 
 
 def scalar_chain_branch(settings: Settings, rng: np.random.Generator) -> tuple:
@@ -172,12 +149,12 @@ def test_batch_rows_equal_single_trials():
         assert one.settings_id == table.settings_id
 
 
-def _assert_engine_matches_reference(settings, n, seed):
-    # draw-exact: every row bit-equal to the scalar layout-3 reference
-    table = simulate_trials(settings, n, master_seed=seed)
+def _assert_engine_matches_reference(source, n, seed):
+    # draw-exact: every row bit-equal to the scalar layout-5 reference
+    table = simulate_trials(source, n, master_seed=seed)
     for i in range(n):
         got = tuple(getattr(table, name)[i].item() for name in ("raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2"))
-        assert got == reference_trial(settings, i, seed), (settings, i)
+        assert got == reference_trial(source, i, seed), (source, i)
 
 
 def test_engine_matches_scalar_operator_reference():
@@ -190,6 +167,13 @@ def test_engine_matches_scalar_operator_reference_projective():
     # random-angle projective coupling
     settings = Settings(a1=0.3, a2=1.1, b1=0.9, b2=-0.4, v=1.0)
     _assert_engine_matches_reference(settings, 50, 7)
+
+
+def test_engine_matches_scalar_reference_on_the_hidden_variable_source():
+    # the one sampler on a law of 5 branches, with raw_scale = v
+    source = hidden_variable_source(hidden_variable_config(42), 0.3, NoiseModel(bias=0.05, sigma=0.3))
+    _assert_engine_matches_reference(source, 150, 2025)
+    _assert_engine_matches_reference(hidden_variable_source(hidden_variable_config(5, 2), 0.4), 50, 6)
 
 
 def test_scalar_kraus_chain_matches_branch_law():
@@ -245,11 +229,14 @@ def test_projective_same_axis_repeats_outcome():
 
 
 def test_batch_is_chunk_invariant():
-    settings = default_settings(0.5, NoiseModel(sigma=0.25))
-    whole = simulate_trials(settings, 1000, master_seed=5, chunk=1000)
-    pieces = simulate_trials(settings, 1000, master_seed=5, chunk=137)
-    for name in ("trial_index", "raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2", "seed"):
-        assert np.array_equal(getattr(whole, name), getattr(pieces, name))
+    hidden = hidden_variable_source(hidden_variable_config(42), 0.5, NoiseModel(bias=0.1, sigma=0.25))
+    for source in (default_settings(0.5, NoiseModel(sigma=0.25)), hidden):
+        whole = simulate_trials(source, 1000, master_seed=5, chunk=1000)
+        pieces = simulate_trials(source, 1000, master_seed=5, chunk=137)
+        pooled = simulate_trials(source, 1000, master_seed=5, chunk=137, workers=2)
+        for name in TrialTable.field_names:
+            assert np.array_equal(getattr(whole, name), getattr(pieces, name)), (source, name)
+            assert np.array_equal(getattr(whole, name), getattr(pooled, name)), (source, name)
 
 
 def test_batch_start_offset_matches_full_run():
@@ -466,16 +453,6 @@ def test_exact_means():
     assert abs(exact_mean(shifted, "beta1")) < 1e-12
     with pytest.raises(ValueError):
         exact_mean(default_settings(0.3), "raw1")
-
-
-def test_chsh_curve_shape():
-    settings = default_settings(0.5)
-    curve = chsh_curve(settings, [0.2, 0.6, 1.0])
-    assert [v for v, _ in curve] == [0.2, 0.6, 1.0]
-    for v, value in curve:
-        assert abs(value - closed_form_chsh(v)) < 1e-9
-    with pytest.raises(ValueError):
-        chsh_curve(settings, [])
 
 
 # ----------------------------------------------------- sampling vs the oracle

@@ -42,6 +42,7 @@ from .prediction import (
 )
 from .qubits import DegenerateBranchError, NoiseModel, check_strength
 from .records import (
+    RECORD_FORMAT,
     SWEEP_HEADER,
     RunManifest,
     emit_manifest,
@@ -212,6 +213,7 @@ def _write_manifest(ns: argparse.Namespace, started: str) -> str:
         finished=_now(),
         output_paths=[ns.out],
         layout_version=LAYOUT_VERSION,
+        record_format=RECORD_FORMAT,
     )
     return emit_manifest(manifest, ns.out + ".manifest.json")
 
@@ -250,7 +252,7 @@ def _do_simulate(ns: argparse.Namespace) -> int:
     noise = NoiseModel(bias=ns.noise_bias, sigma=ns.noise_sigma)
     settings = Settings(*ns.angles, v=ns.v, noise=noise, bell_kind=_BELL_FLAGS[ns.bell])
     table = simulate_trials(settings, ns.trials, ns.seed, workers=ns.workers)
-    emit_records(table, ns.out)
+    emit_records(table, ns.out, settings.v, ns.seed)
     manifest_path = _write_manifest(ns, started)
     report = estimate_chsh(table)
     _emit(
@@ -267,7 +269,7 @@ def _do_simulate(ns: argparse.Namespace) -> int:
 
 
 def _do_audit(ns: argparse.Namespace) -> int:
-    table = read_records(ns.in_path)
+    table = read_records(ns.in_path, v=ns.v)
     verdict = decomposition_test(table, ns.v, ns.threshold_sigmas)
     _emit(asdict(verdict))
     return 0
@@ -278,7 +280,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
     settings = prediction_settings(ns.v)
     readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
     table = prediction_batch(settings, readout, ns.trials, ns.seed, workers=ns.workers)
-    emit_predictions(table, ns.out)
+    emit_predictions(table, ns.out, readout.steps, ns.seed)
     accuracy = prediction_accuracy(table)
     post, exact_post = _post_protocol_check(settings, readout, max(8, ns.trials), ns.seed)
     manifest_path = _write_manifest(ns, started)

@@ -191,16 +191,24 @@ def _count_cdfs(steps: int, v: float) -> tuple:
     return plus, minus
 
 
-def _readout_means(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
-    """Trajectory means of z-readout sequences on ancillas of eigenvalue c.
+def _readout_counts(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
+    """Counts K of +1 outcomes in z-readout sequences on ancillas of eigenvalue c.
 
-    One draw per ancilla picks K = min{k : F_c(k) > u}.  Returns
-    (2K - steps)/steps.
+    One draw per ancilla picks K = min{k : F_c(k) > u}.
     """
-    steps = int(readout.steps)
-    cdf_plus, cdf_minus = _count_cdfs(steps, readout.v)
-    k = np.where(c > 0, np.searchsorted(cdf_plus, u, side="right"), np.searchsorted(cdf_minus, u, side="right"))
-    return (2 * k - steps) / steps
+    cdf_plus, cdf_minus = _count_cdfs(int(readout.steps), readout.v)
+    return np.where(c > 0, np.searchsorted(cdf_plus, u, side="right"), np.searchsorted(cdf_minus, u, side="right"))
+
+
+def _readout_columns(k1, k2, steps: int) -> tuple:
+    """(trajectory_mean1, trajectory_mean2, predicted1, predicted2) of two readouts of
+    `steps` outcomes with K1 and K2 of them +1.
+
+    A mean is (2K - steps)/steps and its prediction the sign rule of predict.
+    The sampler and the record reader both build these columns here.
+    """
+    means = [(2 * np.asarray(k, dtype=np.int64) - steps) / steps for k in (k1, k2)]
+    return (*means, *(np.where(mean < 0, -1, 1) for mean in means))
 
 
 def _predict_range(
@@ -209,8 +217,9 @@ def _predict_range(
     """Trials [start, start+count): one block each, in order (c1, c2, t1, t2), K1, K2."""
     u = streams.window_uniforms(master_seed, streams.PREDICT_STREAM, start, count, 1)
     c1, c2, t1, t2 = sample_branches(list(branch_distribution(settings).values()), u[:, 0], 4)
-    mean1 = _readout_means(c1, readout, u[:, 1])
-    mean2 = _readout_means(c2, readout, u[:, 2])
+    k1 = _readout_counts(c1, readout, u[:, 1])
+    k2 = _readout_counts(c2, readout, u[:, 2])
+    mean1, mean2, predicted1, predicted2 = _readout_columns(k1, k2, int(readout.steps))
 
     index = np.arange(start, start + count, dtype=np.int64)
     return PredictionTable(
@@ -218,8 +227,8 @@ def _predict_range(
         settings.settings_id,
         mean1,
         mean2,
-        np.where(mean1 < 0, -1, 1),
-        np.where(mean2 < 0, -1, 1),
+        predicted1,
+        predicted2,
         t1,
         t2,
         streams.derived_seed(master_seed, index),
@@ -361,6 +370,8 @@ def post_protocol_chsh(
     does not shift this estimate; it is accepted because post-selection is
     only defined at saturated readout, which is validated here.  The four
     correlators use disjoint trials, so their stderrs add in quadrature.
+    Quadrature is exact here, with no covariance term left out; it is not
+    for estimate_chsh, whose four correlators share one set of trials.
     """
     return _post_protocol_check(settings, readout, n_trials, master_seed, post_select)[0]
 

@@ -75,9 +75,10 @@ def window_uniforms(
 def derived_seed(master_seed: int, trial_index) -> "int | np.ndarray":
     """64-bit per-trial identifier mixed from (master_seed, trial_index).
 
-    splitmix64 finalizer over a golden-ratio index walk. Recorded in output
-    rows as a stable per-trial tag; reproduction itself needs only the
-    manifest's master seed.  Accepts scalar or integer array indices.
+    splitmix64 finalizer over a golden-ratio index walk: every table's
+    stable per-trial tag.  Format-2 record files do not store it; their
+    reader recomputes it from the master seed in the file's header.
+    Accepts scalar or integer array indices.
     """
     idx = np.asarray(trial_index, dtype=_U64)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point

@@ -7,12 +7,14 @@ partial trace, one trial's detector noise and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
 pair's density operator after the ancilla coupling, and the closed-form
 combination of a hidden-variable source.  They stay independent oracles
-for the package's exact laws and batch samplers.  Two table helpers close the
-file: a record table's rows as tuples, for whole-row comparisons, and a
-table of no rows.
+for the package's exact laws and batch samplers.  Three table helpers close
+the file: a record table's rows as tuples, for whole-row comparisons, a
+table of no rows, and the record-format-1 writer, which keeps the format-1
+golden bytes pinned now that the package writes format 2.
 """
 
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtri
@@ -250,3 +252,20 @@ def table_rows(table) -> list:
 def empty_table(cls, settings_id: str = "s"):
     """A cls table of no rows."""
     return cls(*(settings_id if kind == "str" else [] for _, kind in cls.schema))
+
+
+_FORMAT1_FIELDS = {"int64": "%d", "uint64": "%d", "float64": "%.17g", "str": "%s"}
+
+
+def emit_format1(table, path: str) -> str:
+    """Write a record table as a format-1 CSV: the header of every table
+    column, then one row per trial holding every column, the settings id
+    included."""
+    template = ",".join(_FORMAT1_FIELDS[kind] for _, kind in table.schema) + "\n"
+    columns = [
+        repeat(table.settings_id) if kind == "str" else getattr(table, name).tolist() for name, kind in table.schema
+    ]
+    with open(path, "w", newline="") as f:
+        f.write(",".join(table.field_names) + "\n")
+        f.writelines(map(template.__mod__, zip(*columns)))
+    return path

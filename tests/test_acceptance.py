@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from blgisim import audit, prediction, qubits, streams, trials
+from blgisim import audit, prediction, qubits, trials
 from blgisim.cli import main
 from blgisim.qubits import NoiseModel, QuantumState
 from blgisim.trials import default_settings, simulate_trials

@@ -31,7 +31,7 @@ from blgisim.trials import (
     exact_chsh,
     simulate_trials,
 )
-from reference import empty_table, hidden_variable_exact_chsh
+from reference import emit_format1, empty_table, hidden_variable_exact_chsh
 
 
 def binary_columns(table):
@@ -294,9 +294,24 @@ def test_hidden_variable_records_slice_invariance():
     ],
 )
 def test_hidden_variable_record_bytes_match_golden_hashes(tmp_path, noise, digest):
+    # record format 1, through the format-1 writer
     records = simulate_trials(hidden_variable_source(hidden_variable_config(5, 2), 0.4, noise), 1000, 6)
     path = tmp_path / "hidden.csv"
-    emit_records(records, str(path))
+    emit_format1(records, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "noise, digest",
+    [
+        (NoiseModel(), "96c42c15e31fcfc597b199dcaf5fd13b9802bcdd6f91d4abc0b655c6d0f669da"),
+        (NoiseModel(bias=0.05, sigma=0.3), "f18751df95467664c58c17be7cf20674943e6117d6f5205fe79e0bb6668d67bc"),
+    ],
+)
+def test_hidden_variable_format_2_record_bytes_match_golden_hashes(tmp_path, noise, digest):
+    records = simulate_trials(hidden_variable_source(hidden_variable_config(5, 2), 0.4, noise), 1000, 6)
+    path = tmp_path / "hidden.csv"
+    emit_records(records, str(path), 0.4, 6)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

@@ -21,9 +21,10 @@ from blgisim.prediction import (
     prediction_settings,
 )
 from blgisim.qubits import NoiseModel
-from blgisim.records import emit_records, read_manifest, read_records, read_sweep
+from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
 from blgisim.trials import Settings, default_settings, exact_chsh, simulate_trials
+from reference import emit_format1
 
 
 def last_json(capsys) -> dict:
@@ -61,7 +62,7 @@ def test_simulate_builds_its_settings_from_every_flag(tmp_path, capsys):
     settings = Settings(*angles, v=0.2, noise=NoiseModel(bias=0.1, sigma=0.3), bell_kind="psi_minus")
     assert last_json(capsys)["exact_chsh"] == exact_chsh(settings)
     expected = tmp_path / "expected.csv"
-    emit_records(simulate_trials(settings, 500, 7), str(expected))
+    emit_records(simulate_trials(settings, 500, 7), str(expected), 0.2, 7)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -230,6 +231,7 @@ def test_simulate_writes_records_and_manifest(tmp_path, capsys):
     assert manifest.parameters["trials"] == 400
     assert manifest.output_paths == [str(out)]
     assert shlex.split(manifest.command)[0] == "simulate"
+    assert manifest.record_format == RECORD_FORMAT == 2
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
@@ -262,12 +264,13 @@ def test_audit_rejects_weak_coupling_run(tmp_path, capsys):
 
 
 def test_audit_mixed_settings_ids_exits_1_with_one_line(tmp_path, capsys):
-    # no table holds two experiments, so join two record files by hand
+    # no table holds two experiments, so join two format-1 record files by
+    # hand; a format-2 file names its one settings id in its header
     path = tmp_path / "mixed.csv"
     text = ""
     for k, settings in enumerate((Settings(v=0.2), Settings(v=0.2, b1=0.0, b2=0.0))):
         part = tmp_path / f"part{k}.csv"
-        emit_records(simulate_trials(settings, 5000, k + 1), str(part))
+        emit_format1(simulate_trials(settings, 5000, k + 1), str(part))
         text += part.read_text().split("\n", 1)[1] if k else part.read_text()
     path.write_text(text)
     assert main(["audit", "--in", str(path), "--v", "0.2"]) == 1
@@ -316,7 +319,7 @@ def test_audit_errors_exit_1(tmp_path, capsys):
 def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
     # simulate refuses --trials 1, so the one-row file is written directly
     path = tmp_path / "one.csv"
-    emit_records(simulate_trials(default_settings(0.3), 1, 1), str(path))
+    emit_records(simulate_trials(default_settings(0.3), 1, 1), str(path), 0.3, 1)
     assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -325,8 +328,9 @@ def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
 def test_audit_out_of_range_field_exits_1_with_one_line(tmp_path, capsys, seed):
+    # a format-1 file, whose rows end in the seed column
     path = tmp_path / "run.csv"
-    assert main(["simulate", "--v", "0.3", "--trials", "20", "--seed", "1", "--out", str(path)]) == 0
+    emit_format1(simulate_trials(default_settings(0.3), 20, 1), str(path))
     lines = path.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + "," + seed
     path.write_text("\n".join(lines) + "\n")
@@ -335,6 +339,51 @@ def test_audit_out_of_range_field_exits_1_with_one_line(tmp_path, capsys, seed):
     err = capsys.readouterr().err
     assert err.startswith("blgisim: error: malformed trial CSV row")
     assert err.count("\n") == 1
+
+
+def _simulate_format_2(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    assert main(["simulate", "--v", "0.3", "--trials", "200", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path, path.read_text().splitlines()
+
+
+def _audit_error(path, capsys, v="0.3") -> str:
+    assert main(["audit", "--in", str(path), "--v", v]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("blgisim: error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+V_FIELD = '"v": 0.29999999999999999'
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda lines: lines[1:], "record format 2 rows with no header comment at line 1"),
+        (lambda lines: [lines[0][:-3], *lines[1:]], "line 1: header comment is not JSON"),
+        (lambda lines: [lines[0], *lines], "a second header comment at line 2"),
+        (lambda lines: [lines[0].replace('"format": 2', '"format": 3'), *lines[1:]], "record format 3"),
+        (lambda lines: [lines[0].replace(V_FIELD, '"v": NaN'), *lines[1:]], "coupling strength must lie in"),
+        (lambda lines: [lines[0].replace(V_FIELD, '"v": 1e999'), *lines[1:]], "coupling strength must lie in"),
+        (lambda lines: [lines[0].replace(V_FIELD, '"v": 1.25'), *lines[1:]], "coupling strength must lie in"),
+        (lambda lines: [*lines[:9], lines[9].rsplit(",", 1)[0] + ",x", *lines[10:]], "CSV row at line 10: '7,"),
+    ],
+    ids=["no comment", "garbled comment", "two comments", "format 3", "NaN v", "infinite v", "v above 1", "bad row"],
+)
+def test_audit_of_a_hostile_format_2_header_exits_1_with_one_line(tmp_path, capsys, edit, error):
+    path, lines = _simulate_format_2(tmp_path, capsys)
+    assert lines[0].endswith(V_FIELD + "}")
+    path.write_text("\n".join(edit(lines)) + "\n")
+    assert error in _audit_error(path, capsys)
+
+
+def test_audit_at_another_v_than_the_header_exits_1_naming_both(tmp_path, capsys):
+    path, _ = _simulate_format_2(tmp_path, capsys)
+    err = _audit_error(path, capsys, v="0.35")
+    assert "v=0.3" in err and "v=0.35" in err
 
 
 def test_predict_writes_records_and_summary(tmp_path, capsys):
@@ -361,7 +410,7 @@ def test_predict_writes_records_and_summary(tmp_path, capsys):
     settings, readout = prediction_settings(0.5), SequentialReadoutParams(v=0.5, steps=200)
     assert summary["exact_post_protocol_chsh"] == exact_post_protocol_chsh(settings)
     assert summary["post_protocol_chsh"] == post_protocol_chsh(settings, readout, 64, 5).chsh
-    assert len(out.read_text().splitlines()) == 65
+    assert len(out.read_text().splitlines()) == 66  # header comment, column header, 64 rows
     manifest = read_manifest(summary["manifest"])
     assert manifest.parameters["steps"] == 200
 

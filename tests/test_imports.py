@@ -1,7 +1,7 @@
-"""Tooling guards: no package module imports a name it never references or
-imports scipy, the package's ``__all__`` lists exactly the public names it
-binds, one sampler builds every TrialTable, and every name the benchmark
-tracer patches exists."""
+"""Tooling guards: no package or test module imports a name it never
+references, no package module imports scipy, the package's ``__all__``
+lists exactly the public names it binds, one sampler builds every
+TrialTable, and every name the benchmark tracer patches exists."""
 
 import ast
 import importlib
@@ -15,9 +15,10 @@ from blgisim import trials
 
 PACKAGE = sorted(Path(blgisim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_references_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

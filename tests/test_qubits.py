@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blgisim import qubits
 from blgisim.qubits import (
     ID2,
     SIGMA_X,

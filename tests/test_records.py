@@ -1,11 +1,17 @@
-"""CSV and manifest persistence: exact round trips, header checks, golden bytes."""
+"""CSV and manifest persistence: exact round trips, header checks, golden bytes.
 
+Record files are written in format 2; format-1 files come from the
+reference writer, ``reference.emit_format1``, and must still read."""
+
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from blgisim.audit import decomposition_test
 from blgisim.cli import main
 from blgisim.prediction import (
     PredictionTable,
@@ -16,8 +22,10 @@ from blgisim.prediction import (
 from blgisim.qubits import NoiseModel
 from blgisim.records import (
     PREDICTION_HEADER,
+    PREDICTION_ROW_SCHEMA,
     SWEEP_HEADER,
     TRIAL_HEADER,
+    TRIAL_ROW_SCHEMA,
     RunManifest,
     emit_manifest,
     emit_predictions,
@@ -28,8 +36,9 @@ from blgisim.records import (
     read_records,
     read_sweep,
 )
+from blgisim.streams import derived_seed
 from blgisim.trials import TrialTable, default_settings, simulate_trials
-from reference import empty_table
+from reference import emit_format1, empty_table
 
 
 @pytest.mark.parametrize("table", [TrialTable, PredictionTable])
@@ -79,26 +88,28 @@ def test_trial_round_trip_is_bit_exact(tmp_path):
     settings = default_settings(0.3, NoiseModel(bias=0.05, sigma=0.25))
     table = simulate_trials(settings, 50, master_seed=5)
     path = tmp_path / "trials.csv"
-    emit_records(table, str(path))
+    emit_records(table, str(path), 0.3, 5)
     back = read_records(str(path))
     for name in ("trial_index", "raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2", "seed"):
         assert np.array_equal(getattr(back, name), getattr(table, name)), name
     assert back.settings_id == table.settings_id
     assert isinstance(back.settings_id, str)
+    assert read_records(str(path), v=0.3).settings_id == table.settings_id
 
 
 def test_trial_round_trip_handles_extreme_floats(tmp_path):
-    # %.17g must reproduce every double exactly, including denormals
+    # %.17g must reproduce every double exactly, including denormals, in both formats
     raws = [0.1, -1.0 / 3.0, 1e300, 5e-324, 0.0, 123456789.123456789]
     n = len(raws)
-    table = TrialTable(
-        range(n), "edge;case", raws, raws, raws, raws, [1] * n, [-1] * n, range(n)
-    )
-    path = tmp_path / "edge.csv"
-    emit_records(table, str(path))
-    back = read_records(str(path))
-    assert np.array_equal(back.raw1, np.asarray(raws))
-    assert np.array_equal(back.alpha2, np.asarray(raws))
+    format_2 = (derived_seed(0, np.arange(n)), lambda table, path: emit_records(table, path, 1.0, 0))
+    for seeds, emit in ((range(n), emit_format1), format_2):
+        table = TrialTable(range(n), "edge;case", raws, raws, raws, raws, [1] * n, [-1] * n, seeds)
+        path = tmp_path / "edge.csv"
+        emit(table, str(path))
+        back = read_records(str(path))
+        assert np.array_equal(back.raw1, np.asarray(raws))
+        assert np.array_equal(back.alpha2, np.asarray(raws))
+        assert np.array_equal(back.seed, table.seed)
 
 
 def test_concat_rejects_two_experiments():
@@ -110,8 +121,11 @@ def test_concat_rejects_two_experiments():
 
 def test_empty_trial_set_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_records(empty_table(TrialTable), str(path))
-    assert path.read_text() == ",".join(TRIAL_HEADER) + "\n"
+    emit_records(empty_table(TrialTable), str(path), 0.5, 9)
+    assert path.read_text().splitlines() == [
+        '# {"format": 2, "master_seed": 9, "settings_id": "s", "v": 0.5}',
+        ",".join(name for name, _ in TRIAL_ROW_SCHEMA),
+    ]
     with pytest.raises(ValueError, match="no records"):
         read_records(str(path))
 
@@ -129,19 +143,22 @@ def test_trial_read_rejects_foreign_files(tmp_path):
 
 
 def _trial_table(settings_id, n):
-    return TrialTable([0] * n, settings_id, [1.0] * n, [1.0] * n, [1.0] * n, [1.0] * n, [1] * n, [1] * n, [0] * n)
+    # a table that format 2 holds at v = 1 and master seed 0
+    seeds = [derived_seed(0, 0)] * n
+    return TrialTable([0] * n, settings_id, [1.0] * n, [1.0] * n, [1.0] * n, [1.0] * n, [1] * n, [1] * n, seeds)
 
 
 def test_emit_rejects_delimiters_inside_settings_id(tmp_path):
     bad = _trial_table("has,comma", 2)
     with pytest.raises(ValueError, match="delimiter"):
-        emit_records(bad, str(tmp_path / "bad.csv"))
+        emit_records(bad, str(tmp_path / "bad.csv"), 1.0, 0)
+    emit_records(_trial_table("no;comma", 2), str(tmp_path / "good.csv"), 1.0, 0)
 
 
 def test_emit_rejects_quotes_inside_settings_id(tmp_path):
     bad = _trial_table('say "hi"', 1)
     with pytest.raises(ValueError, match="quote"):
-        emit_records(bad, str(tmp_path / "bad.csv"))
+        emit_records(bad, str(tmp_path / "bad.csv"), 1.0, 0)
 
 
 @pytest.mark.parametrize("emit, other", [(emit_records, PredictionTable), (emit_predictions, TrialTable)])
@@ -149,7 +166,7 @@ def test_emitters_reject_the_other_table_kind_before_opening_the_file(tmp_path, 
     path = tmp_path / "wrong_kind.csv"
     wanted = "PredictionTable" if other is TrialTable else "TrialTable"
     with pytest.raises(TypeError, match=f"{wanted}.*got {other.__name__}"):
-        emit(empty_table(other), str(path))
+        emit(empty_table(other), str(path), 1, 0)  # v = 1 or steps = 1, master seed 0
     assert not path.exists()
 
 
@@ -158,7 +175,7 @@ def test_prediction_round_trip_is_bit_exact(tmp_path):
         prediction_settings(0.6), SequentialReadoutParams(v=0.3, steps=30), 40, master_seed=2
     )
     path = tmp_path / "pred.csv"
-    emit_predictions(table, str(path))
+    emit_predictions(table, str(path), 30, 2)
     back = read_predictions(str(path))
     for name in (
         "trial_index",
@@ -176,8 +193,11 @@ def test_prediction_round_trip_is_bit_exact(tmp_path):
 
 def test_prediction_empty_and_header_checks(tmp_path):
     path = tmp_path / "pred_empty.csv"
-    emit_predictions(empty_table(PredictionTable), str(path))
-    assert path.read_text() == ",".join(PREDICTION_HEADER) + "\n"
+    emit_predictions(empty_table(PredictionTable), str(path), 40, 2**64 - 1)
+    assert path.read_text().splitlines() == [
+        f'# {{"format": 2, "master_seed": {2**64 - 1}, "settings_id": "s", "steps": 40}}',
+        "trial_index,K1,K2,actual1,actual2",
+    ]
     with pytest.raises(ValueError, match="no records"):
         read_predictions(str(path))
     wrong = tmp_path / "trials_not_predictions.csv"
@@ -283,6 +303,12 @@ def test_manifest_without_layout_version_reads_as_layout_1(tmp_path):
     assert read_manifest(str(path)).layout_version == 1
 
 
+def test_manifest_without_record_format_reads_as_format_1(tmp_path):
+    path = tmp_path / "old.manifest.json"
+    path.write_text(json.dumps({**MANIFEST_FIELDS, "layout_version": 5}))
+    manifest = read_manifest(str(path))
+    assert (manifest.layout_version, manifest.record_format) == (5, 1)
+
 
 @pytest.mark.parametrize(
     "data",
@@ -298,8 +324,10 @@ def test_read_manifest_names_the_file_of_a_malformed_manifest(tmp_path, data):
 
 # ------------------------------------------------------------- golden bytes
 
-# SHA-256 of the record CSVs as the format stands; a change that moves these
-# bytes must bump the layout version and say so.
+# SHA-256 of the CSVs in record format 1: a simulate or predict file is read
+# back and rewritten through the format-1 writer, a sweep file is hashed as
+# written. A change that moves these bytes must bump the layout version and
+# say so.
 GOLDEN = [
     (
         # draw layout 3: each trial's branch is drawn from the exact 16-branch law
@@ -323,11 +351,55 @@ GOLDEN = [
 ]
 
 
+RECORD_READERS = {"simulate": read_records, "predict": read_predictions}
+
+
 @pytest.mark.parametrize("command, digest", GOLDEN)
 def test_cli_record_bytes_match_golden_hashes(tmp_path, capsys, command, digest):
     out = tmp_path / "records.csv"
     assert main([*command.split(), "--out", str(out)]) == 0
+    read = RECORD_READERS.get(command.split()[0])
+    if read is not None:
+        emit_format1(read(str(out)), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the record CSVs as the CLI writes them, in record format 2
+GOLDEN_FORMAT_2 = [
+    (
+        "simulate --v 0.2 --noise-sigma 0.3 --trials 140000 --seed 3",
+        "549d8d1d8383d42f8e315f7048e38f95bf4bf4803b617d1637bae536e035fce9",
+    ),
+    (
+        "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
+        "c193b78d446cd4b07adffdec6ffd02b004748fc47852f51c2e0b8802bcd71971",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN_FORMAT_2)
+def test_cli_format_2_record_bytes_match_golden_hashes(tmp_path, capsys, command, digest):
+    out = tmp_path / "records.csv"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    assert out.read_text().startswith('# {"format": 2, "master_seed": 3, "settings_id": ')
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_format_1_and_format_2_files_of_one_run_audit_alike(tmp_path, capsys):
+    two, one = tmp_path / "two.csv", tmp_path / "one.csv"
+    assert main(["simulate", "--v", "0.4", "--noise-sigma", "0.2", "--trials", "3000", "--seed", "8",
+                 "--out", str(two)]) == 0
+    emit_format1(read_records(str(two)), str(one))
+    assert not one.read_text().startswith("#") and two.read_text().startswith("#")
+    verdicts = []
+    for path in (one, two):
+        capsys.readouterr()
+        assert main(["audit", "--in", str(path), "--v", "0.4"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        verdict = decomposition_test(read_records(str(path)), 0.4)
+        assert summary == dataclasses.asdict(verdict)
+        verdicts.append(verdict)
+    assert dataclasses.astuple(verdicts[0]) == dataclasses.astuple(verdicts[1])
 
 
 # ----------------------------------------------------------- hostile inputs
@@ -341,9 +413,10 @@ def _prediction_row(i, sid="s"):
     return f"{i},{sid},0.5,-0.25,1,-1,-1,1,{i + 7}"
 
 
+# format-1 files: the round-trip cases rewrite them through the format-1 writer
 READERS = {
-    "trial": (TRIAL_HEADER, _trial_row, read_records, emit_records),
-    "prediction": (PREDICTION_HEADER, _prediction_row, read_predictions, emit_predictions),
+    "trial": (TRIAL_HEADER, _trial_row, read_records, emit_format1),
+    "prediction": (PREDICTION_HEADER, _prediction_row, read_predictions, emit_format1),
 }
 
 
@@ -417,3 +490,164 @@ def test_mixed_settings_ids_across_a_block_boundary(tmp_path, kind, switch):
     with pytest.raises(ValueError, match=f"malformed records: 2 distinct settings ids .* line {switch + 2} "):
         read(str(path))
 
+
+# ------------------------------------------------- format-2 headers and rows
+
+
+READOUT_30 = SequentialReadoutParams(v=0.3, steps=30)
+
+
+def _format_2_file(kind, rows=3):
+    """(table, its comment line, emitter, parameter) of a format-2 file of `kind` at master seed 4."""
+    if kind == "trial":
+        table = simulate_trials(default_settings(0.2), rows, master_seed=4)
+        emit, param, field = emit_records, 0.2, '"v": 0.20000000000000001'
+    else:
+        table = prediction_batch(prediction_settings(0.6), READOUT_30, rows, master_seed=4)
+        emit, param, field = emit_predictions, 30, '"steps": 30'
+    comment = f'# {{"format": 2, "master_seed": 4, "settings_id": "{table.settings_id}", {field}}}'
+    return table, comment, emit, param
+
+
+FORMAT_2_READERS = {"trial": read_records, "prediction": read_predictions}
+PARAM_FIELDS = {"trial": '"v": 0.20000000000000001', "prediction": '"steps": 30'}
+
+
+def _sub(old, new):
+    """The file lines with one substitution in the comment line."""
+    return lambda comment, rest: [comment.replace(old, new, 1), *rest]
+
+
+# Each case maps (comment line, the lines after it) to the edited file lines
+# and the error they must raise.
+HOSTILE_HEADERS = {
+    "missing comment line": (lambda c, rest: rest, "no header comment at line 1"),
+    "garbled comment line": (lambda c, rest: [c[:-5], *rest], "line 1: header comment is not JSON"),
+    "comment not an object": (lambda c, rest: ["# [2]", *rest], "not a JSON object"),
+    "duplicated comment line": (lambda c, rest: [c, c, *rest], "second header comment at line 2"),
+    "format 3": (_sub('"format": 2', '"format": 3'), "record format 3; this version reads formats 1 and 2"),
+    "format true": (_sub('"format": 2', '"format": true'), "record format True"),
+    "missing key": (_sub('"master_seed": 4, ', ""), "header keys"),
+    "unknown key": (_sub("{", '{"extra": 1, '), "header keys"),
+    "master seed of 2**64": (_sub('"master_seed": 4', f'"master_seed": {2**64}'), "master_seed must be"),
+    "negative master seed": (_sub('"master_seed": 4', '"master_seed": -1'), "master_seed must be"),
+    "settings id with a comma": (_sub("phi_plus;", "phi_plus,"), "delimiter"),
+    "settings id not a string": (
+        lambda c, rest: [re.sub('"settings_id": "[^"]*"', '"settings_id": 7', c), *rest],
+        "settings_id must be a string, got 7",
+    ),
+    "no rows": (lambda c, rest: [c, rest[0]], "holds no records"),
+    "blank line before the rows": (lambda c, rest: [c, rest[0], "", *rest[1:]], "malformed .* CSV row at line 3: ''"),
+}
+# the kind's own parameter: each value is out of range or of the wrong type
+HOSTILE_PARAMS = {
+    "trial": ['"v": NaN', '"v": Infinity', '"v": 1e999', '"v": 0', '"v": -0.2', '"v": 1.5', '"v": "0.2"', '"v": true'],
+    "prediction": ['"steps": 0', '"steps": 2.5', '"steps": 10000001', '"steps": "30"', '"steps": null'],
+}
+
+
+def _read_edited(tmp_path, kind, edit):
+    """Read back a valid format-2 file of `kind` whose lines went through edit(comment line, other lines)."""
+    table, comment, emit, param = _format_2_file(kind)
+    path = tmp_path / "hostile.csv"
+    emit(table, str(path), param, 4)
+    first, *rest = path.read_text().splitlines()
+    assert first == comment
+    path.write_text("\n".join(edit(first, rest)) + "\n")
+    return FORMAT_2_READERS[kind](str(path))
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_HEADERS))
+@pytest.mark.parametrize("kind", list(FORMAT_2_READERS))
+def test_format_2_readers_reject_hostile_headers(tmp_path, kind, case):
+    edit, error = HOSTILE_HEADERS[case]
+    with pytest.raises(ValueError, match=error) as info:
+        _read_edited(tmp_path, kind, edit)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind, field", [(k, f) for k, fields in HOSTILE_PARAMS.items() for f in fields])
+def test_format_2_readers_reject_a_bad_header_parameter(tmp_path, kind, field):
+    with pytest.raises(ValueError, match=r"^malformed .* line 1: (coupling strength|steps) must") as info:
+        _read_edited(tmp_path, kind, _sub(PARAM_FIELDS[kind], field))
+    assert "\n" not in str(info.value)
+
+
+def test_read_records_refuses_another_v_and_names_both(tmp_path):
+    table, _, _, _ = _format_2_file("trial")
+    path = tmp_path / "run.csv"
+    emit_records(table, str(path), 0.2, 4)
+    assert len(read_records(str(path), v=0.2)) == 3
+    with pytest.raises(ValueError, match=r"written at v=0\.2, not at the given v=0\.20000000000000004$"):
+        read_records(str(path), v=0.20000000000000004)
+    # a format-1 file has no header v; audit checks alpha * v == raw instead
+    emit_format1(table, str(path))
+    assert len(read_records(str(path), v=0.7)) == 3
+
+
+@pytest.mark.parametrize("kind", list(FORMAT_2_READERS))
+def test_format_2_round_trip_survives_crlf_and_a_missing_final_newline(tmp_path, kind):
+    table, _, emit, param = _format_2_file(kind)
+    path = tmp_path / "run.csv"
+    emit(table, str(path), param, 4)
+    good = path.read_bytes()
+    for text in (good.replace(b"\n", b"\r\n"), good[:-1]):
+        path.write_bytes(text)
+        emit(FORMAT_2_READERS[kind](str(path)), str(path), param, 4)
+        assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("line", [5, 65540])
+@pytest.mark.parametrize("kind", list(FORMAT_2_READERS))
+def test_format_2_reader_names_the_file_line_of_a_bad_field(tmp_path, kind, line):
+    # line 1 is the header comment and line 2 the column header; the second
+    # case sits in the second block of rows
+    table, _, emit, param = _format_2_file(kind, rows=line - 2)
+    path = tmp_path / "bad.csv"
+    emit(table, str(path), param, 4)
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[2] = "abc"
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    name, kind_of = (TRIAL_ROW_SCHEMA if kind == "trial" else PREDICTION_ROW_SCHEMA)[2]
+    pattern = f"^malformed {kind} CSV row at line {line}: '{line - 3},.*': {name} 'abc' does not parse as {kind_of}$"
+    with pytest.raises(ValueError, match=pattern):
+        FORMAT_2_READERS[kind](str(path))
+
+
+def test_emitters_refuse_tables_that_format_2_cannot_reproduce(tmp_path):
+    path = tmp_path / "refused.csv"
+    trials = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 20, master_seed=1)
+    for args, error in [
+        ((0.30000000000000004, 1), "alpha1 is not raw / v"),
+        ((0.3, 2), r"seed is not derived_seed\(2, trial_index\)"),
+        ((0.0, 1), "coupling strength must lie in"),
+        ((0.3, -1), "master_seed must be"),
+        ((0.3, 2**64), "master_seed must be"),
+        ((0.3, 1.0), "master_seed must be an integer, got 1.0"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            emit_records(trials, str(path), *args)
+        assert not path.exists()
+    predictions = prediction_batch(prediction_settings(0.6), READOUT_30, 20, master_seed=2)
+
+    def replaced(name, column):
+        return PredictionTable(*(column if n == name else getattr(predictions, n) for n in PredictionTable.field_names))
+
+    mean = predictions.trajectory_mean1.copy()
+    mean[3] = np.nextafter(mean[3], 2.0)
+    huge = np.where(predictions.trajectory_mean2 < 0, -1e308, 1e308)  # the sign rule holds
+    for table, steps, error in [
+        (predictions, 31, "^trajectory_mean1 is not"),
+        (predictions, 0, "^steps must be an integer in"),
+        (predictions, 2.5, "^steps must be an integer, got 2.5"),
+        (replaced("trajectory_mean1", mean), 30, "^trajectory_mean1 is not"),
+        (replaced("predicted2", -predictions.predicted2), 30, "^predicted2 is not"),
+        (replaced("trajectory_mean2", huge), 30, "^trajectory_mean2 is not"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            emit_predictions(table, str(path), steps, 2)
+        assert not path.exists()
+    emit_predictions(predictions, str(path), 30, 2)
+    assert path.exists()

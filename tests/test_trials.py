@@ -9,7 +9,7 @@ from scipy.special import ndtri
 
 from blgisim import qubits, streams, trials
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
-from blgisim.qubits import NO_NOISE, NoiseModel, outcome_law, weak_kraus
+from blgisim.qubits import NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
     BELL_AMPLITUDES,
     Settings,

@@ -11,7 +11,8 @@ Modules:
              the hidden-variable control source
   prediction sequential ancilla readout and the after-protocol Bell check
   records    CSV/JSON persistence and run manifests
-  cli        command-line harness
+  cli        command-line harness; not imported here, so that
+             ``python -m blgisim.cli`` runs it as a fresh module
 """
 
 from ._version import __version__
@@ -31,7 +32,6 @@ from .audit import (
     hidden_variable_source,
     per_trial_term,
 )
-from .cli import main, parse_invocation, run_sweep
 from .prediction import (
     AccuracyEstimate,
     PredictionTable,
@@ -56,9 +56,7 @@ from .qubits import (
     weak_kraus,
 )
 from .records import (
-    PREDICTION_HEADER,
     SWEEP_HEADER,
-    TRIAL_HEADER,
     RunManifest,
     emit_manifest,
     emit_predictions,
@@ -104,7 +102,6 @@ __all__ = [
     "INCONCLUSIVE",
     "NO_NOISE",
     "NoiseModel",
-    "PREDICTION_HEADER",
     "PredictionTable",
     "QuantumState",
     "REJECT",
@@ -113,7 +110,6 @@ __all__ = [
     "SequentialReadoutParams",
     "Settings",
     "Source",
-    "TRIAL_HEADER",
     "TrialTable",
     "bloch_observable",
     "branch_distribution",
@@ -138,9 +134,7 @@ __all__ = [
     "exhaustive_verify",
     "hidden_variable_config",
     "hidden_variable_source",
-    "main",
     "nonselective_weak",
-    "parse_invocation",
     "per_trial_term",
     "post_protocol_chsh",
     "predict",
@@ -153,7 +147,6 @@ __all__ = [
     "read_predictions",
     "read_records",
     "read_sweep",
-    "run_sweep",
     "simulate_trials",
     "weak_kraus",
 ]

@@ -34,9 +34,6 @@ CONSISTENT = "CONSISTENT"
 REJECT = "REJECT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# Record-integrity tolerance for alpha * v == raw.
-_INTEGRITY_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BinaryTuple:
@@ -72,10 +69,12 @@ class EnumerationReport:
 
 
 def as_binary_tuple(item) -> BinaryTuple:
+    """item as a BinaryTuple of ints; 1.0 reads as 1, while 1.7 is rejected, not truncated."""
     if isinstance(item, BinaryTuple):
         return item
     a1, a2, b1, b2 = item
-    return BinaryTuple(int(a1), int(a2), int(b1), int(b2))
+    # a value outside {-1, +1} goes to BinaryTuple as it is, which rejects it by name
+    return BinaryTuple(*(int(x) if x in (-1, 1) else x for x in (a1, a2, b1, b2)))
 
 
 def per_trial_term(t: BinaryTuple) -> int:
@@ -105,35 +104,34 @@ def exhaustive_verify() -> EnumerationReport:
 def chsh_bound_check(sequence) -> float:
     """(1/N) |sum a1b1 + sum a1b2 + sum a2b1 - sum a2b2| for binary tuples.
 
-    Sums are accumulated in exact integer arithmetic, so the returned value
-    is <= 2 with no tolerance for every binary sequence.
+    The tuples form one int64 (N, 4) array once every value is checked to
+    be -1 or +1 (1.0 is 1; 1.7 is a ValueError, not truncated), so the sums
+    are exact integers and the returned value is <= 2 with no tolerance.
     """
-    total = 0
-    count = 0
-    for item in sequence:
-        t = as_binary_tuple(item)
-        total += t.a1 * (t.b1 + t.b2) + t.a2 * (t.b1 - t.b2)
-        count += 1
-    if count == 0:
+    if not isinstance(sequence, np.ndarray):
+        sequence = [(t.a1, t.a2, t.b1, t.b2) if isinstance(t, BinaryTuple) else t for t in sequence]
+    values = np.asarray(sequence)
+    if len(values) == 0:
         raise ValueError("sequence must be nonempty")
-    return abs(total) / count
+    if values.ndim != 2 or values.shape[1] != 4:
+        raise ValueError(f"each tuple must hold four values (a1, a2, b1, b2), got shape {values.shape}")
+    binary = (values == 1) | (values == -1)
+    if not binary.all():
+        raise ValueError(f"tuple values must be -1 or +1, got {values[~binary][0].item()!r}")
+    a1, a2, b1, b2 = values.astype(np.int64).T
+    return abs(int((a1 * (b1 + b2) + a2 * (b1 - b2)).sum())) / len(values)
 
 
-def _check_record_integrity(table: TrialTable, v: float) -> None:
+def _check_record_integrity(table: TrialTable) -> None:
     for name in ("raw1", "raw2", "alpha1", "alpha2"):
-        col = getattr(table, name)
-        if not np.isfinite(col).all():
+        if not np.isfinite(getattr(table, name)).all():
             raise ValueError(f"malformed records: non-finite {name}")
     for b in (table.beta1, table.beta2):
         if not np.isin(b, (-1, 1)).all():
             raise ValueError("malformed records: beta outside {-1, +1}")
-    for alpha, raw in ((table.alpha1, table.raw1), (table.alpha2, table.raw2)):
-        scale = max(1.0, float(np.abs(raw).max()))
-        if float(np.abs(alpha * v - raw).max()) > _INTEGRITY_ATOL * scale:
-            raise ValueError("malformed records: alpha * v does not reproduce raw")
 
 
-def decomposition_test(records, v: float, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:
+def decomposition_test(records, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:
     """Can these records be binary signals plus setting-independent
     zero-mean noise?  REJECT means no such decomposition exists.
 
@@ -141,16 +139,17 @@ def decomposition_test(records, v: float, threshold_sigmas: float = DEFAULT_THRE
     |E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)| from the record fields.
     Under the binary-plus-unbiased-noise model its mean is <= 2, so an
     excess beyond threshold_sigmas combined standard errors rejects the
-    model.  records is a TrialTable.  Fewer than 2 records cannot give a
-    standard error and raise ValueError; verdicts are INCONCLUSIVE below
-    MIN_RECORDS records or when the combined stderr exceeds STDERR_CAP.
+    model.  records is a TrialTable, whose v rescales its raws.  Fewer than
+    2 records cannot give a standard error and raise ValueError; verdicts
+    are INCONCLUSIVE below MIN_RECORDS records or when the combined stderr
+    exceeds STDERR_CAP.
     """
-    v = check_strength(v)
+    check_strength(records.v)
     if not (np.isfinite(threshold_sigmas) and threshold_sigmas > 0):
         raise ValueError(f"threshold_sigmas must be positive, got {threshold_sigmas}")
     if len(records) < 2:
         raise ValueError(f"need at least 2 records to test a decomposition, got {len(records)}")
-    _check_record_integrity(records, v)
+    _check_record_integrity(records)
     report = estimate_chsh(records)
     value = abs(report.chsh)
     stderr = report.chsh_stderr

@@ -192,7 +192,7 @@ def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict
         point = Settings(v=v)
         table = simulate_trials(point, trials, int(derived_seed(master_seed, k)), workers=workers)
         report = estimate_chsh(table)
-        row = (v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_test(table, v).verdict)
+        row = (v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_test(table).verdict)
         for column, value in zip(columns.values(), row):
             column.append(value)
     return columns
@@ -252,7 +252,7 @@ def _do_simulate(ns: argparse.Namespace) -> int:
     noise = NoiseModel(bias=ns.noise_bias, sigma=ns.noise_sigma)
     settings = Settings(*ns.angles, v=ns.v, noise=noise, bell_kind=_BELL_FLAGS[ns.bell])
     table = simulate_trials(settings, ns.trials, ns.seed, workers=ns.workers)
-    emit_records(table, ns.out, settings.v, ns.seed)
+    emit_records(table, ns.out)
     manifest_path = _write_manifest(ns, started)
     report = estimate_chsh(table)
     _emit(
@@ -270,7 +270,7 @@ def _do_simulate(ns: argparse.Namespace) -> int:
 
 def _do_audit(ns: argparse.Namespace) -> int:
     table = read_records(ns.in_path, v=ns.v)
-    verdict = decomposition_test(table, ns.v, ns.threshold_sigmas)
+    verdict = decomposition_test(table, ns.threshold_sigmas)
     _emit(asdict(verdict))
     return 0
 
@@ -280,7 +280,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
     settings = prediction_settings(ns.v)
     readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
     table = prediction_batch(settings, readout, ns.trials, ns.seed, workers=ns.workers)
-    emit_predictions(table, ns.out, readout.steps, ns.seed)
+    emit_predictions(table, ns.out)
     accuracy = prediction_accuracy(table)
     post, exact_post = _post_protocol_check(settings, readout, max(8, ns.trials), ns.seed)
     manifest_path = _write_manifest(ns, started)

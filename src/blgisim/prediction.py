@@ -24,7 +24,10 @@ outward from its mode (numpy only; at steps = 10**7 it is accurate near
 the mode where scipy's bdtr is off by about 1e-3).  It is not a shortcut
 around the physics but an exact reformulation; the test suite checks it
 against enumeration of the Kraus readout sequence and against the scalar
-step-by-step route.
+step-by-step route.  A PredictionTable holds what its record file holds:
+the counts K1, K2 and the projective outcomes as columns, and the settings
+id, `steps` and master seed as scalars; each trajectory mean and its sign
+prediction is computed from its count on access.
 
 At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
 ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
@@ -115,19 +118,25 @@ class AccuracyEstimate:
     count: int
 
 
-# CSV column order and numpy dtype per field; "str" is the unquoted settings id
+# a prediction record's columns, in CSV order, with their numpy dtypes: K_i
+# counts the +1 outcomes of ancilla i's readout, actual_i is the projective outcome
 PREDICTION_SCHEMA = (
-    ("trial_index", "int64"), ("settings_id", "str"),
-    ("trajectory_mean1", "float64"), ("trajectory_mean2", "float64"),
-    ("predicted1", "int64"), ("predicted2", "int64"), ("actual1", "int64"), ("actual2", "int64"),
-    ("seed", "uint64"),
+    ("trial_index", "int64"), ("K1", "int64"), ("K2", "int64"), ("actual1", "int64"), ("actual2", "int64"),
 )
 
 
 class PredictionTable(RecordTable):
-    """Column-oriented batch of prediction records."""
+    """Column-oriented batch of prediction records of `steps`-outcome readouts,
+    from the stream of master_seed; each trajectory mean and its prediction
+    is computed from K_i on access."""
 
     schema = PREDICTION_SCHEMA
+    scalars = ("settings_id", "steps", "master_seed")
+
+    trajectory_mean1 = property(lambda self: _readout_columns(self.K1, self.steps)[0])
+    trajectory_mean2 = property(lambda self: _readout_columns(self.K2, self.steps)[0])
+    predicted1 = property(lambda self: _readout_columns(self.K1, self.steps)[1])
+    predicted2 = property(lambda self: _readout_columns(self.K2, self.steps)[1])
 
 
 def predict(mean: float) -> int:
@@ -200,15 +209,13 @@ def _readout_counts(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarr
     return np.where(c > 0, np.searchsorted(cdf_plus, u, side="right"), np.searchsorted(cdf_minus, u, side="right"))
 
 
-def _readout_columns(k1, k2, steps: int) -> tuple:
-    """(trajectory_mean1, trajectory_mean2, predicted1, predicted2) of two readouts of
-    `steps` outcomes with K1 and K2 of them +1.
+def _readout_columns(k: np.ndarray, steps: int) -> tuple:
+    """(trajectory mean, prediction) columns of readouts of `steps` outcomes, K of them +1.
 
     A mean is (2K - steps)/steps and its prediction the sign rule of predict.
-    The sampler and the record reader both build these columns here.
     """
-    means = [(2 * np.asarray(k, dtype=np.int64) - steps) / steps for k in (k1, k2)]
-    return (*means, *(np.where(mean < 0, -1, 1) for mean in means))
+    mean = (2 * np.asarray(k, dtype=np.int64) - steps) / steps
+    return mean, np.where(mean < 0, -1, 1)
 
 
 def _predict_range(
@@ -216,22 +223,12 @@ def _predict_range(
 ) -> PredictionTable:
     """Trials [start, start+count): one block each, in order (c1, c2, t1, t2), K1, K2."""
     u = streams.window_uniforms(master_seed, streams.PREDICT_STREAM, start, count, 1)
-    c1, c2, t1, t2 = sample_branches(list(branch_distribution(settings).values()), u[:, 0], 4)
+    c1, c2, t1, t2 = sample_branches(settings.law, u[:, 0], 4)
     k1 = _readout_counts(c1, readout, u[:, 1])
     k2 = _readout_counts(c2, readout, u[:, 2])
-    mean1, mean2, predicted1, predicted2 = _readout_columns(k1, k2, int(readout.steps))
-
     index = np.arange(start, start + count, dtype=np.int64)
     return PredictionTable(
-        index,
-        settings.settings_id,
-        mean1,
-        mean2,
-        predicted1,
-        predicted2,
-        t1,
-        t2,
-        streams.derived_seed(master_seed, index),
+        index, k1, k2, t1, t2, settings_id=settings.settings_id, steps=int(readout.steps), master_seed=master_seed
     )
 
 

@@ -6,19 +6,16 @@ malformed row. Real fields are serialized with ``%.17g``, which round-trips
 float64 exactly, so reruns can be compared byte for byte. Fields are never
 quoted: a ``"`` is rejected on write and on read.
 
-A record file holds one experiment, like the table it is written from.
-Record format 2 (``RECORD_FORMAT``) writes only what the reader cannot
-recompute. Line 1 is ``# `` and a JSON object with sorted keys: ``format``,
-``master_seed``, ``settings_id`` and the one parameter the reader needs,
-``v`` for trials or ``steps`` for predictions (a float as ``%.17g``). Then
-come the column header and rows of ``TRIAL_ROW_SCHEMA`` or
-``PREDICTION_ROW_SCHEMA``. The reader recomputes alpha_i = raw_i / v, the
-trajectory means (2K - steps)/steps with their sign predictions, and every
-seed as streams.derived_seed(master_seed, trial_index): bit for bit what
-the samplers produce. The emitters refuse, before opening the file, a table
-for which that would not hold, so the format is an exact inverse of every
-table it accepts. Format-1 files, whose rows hold every table column and
-the settings id, still read; every row must carry the first row's id.
+A record file holds one experiment, like the table it is written from, and
+holds exactly what the table holds. Line 1 (record format 2,
+``RECORD_FORMAT``) is ``# `` and a JSON object with sorted keys: ``format``
+and the table's scalars, ``master_seed``, ``settings_id`` and ``v`` for
+trials or ``steps`` for predictions (a float as ``%.17g``). Then come the
+column header and rows of the table's schema. The emitters check the
+scalars and write the columns; the readers check the header and parse the
+columns; nothing is recomputed either way. A file with no header comment,
+such as one of the retired record format 1, is refused: rerun the command
+in its manifest.
 
 A sweep is a dict of plain column lists keyed by ``SWEEP_HEADER``, as
 ``cli.run_sweep`` returns it, written with no comment line.
@@ -30,31 +27,25 @@ import json
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable
 
 import numpy as np
 
-from .prediction import PREDICTION_SCHEMA, PredictionTable, _readout_columns, check_steps
+from .prediction import PredictionTable, check_steps
 from .qubits import check_strength
-from .streams import derived_seed
-from .trials import TRIAL_SCHEMA, TrialTable
+from .trials import TrialTable
 
 # Version of the record file format that run manifests record.
-#   1: every table column on every row, settings id included; no comment line.
-#   2: a JSON comment line, then only the columns that cannot be recomputed.
+#   1: every column on every row, settings id and derived ones included; no
+#      comment line.  No longer read.
+#   2: a JSON comment line of the table's scalars, then the table's columns.
 RECORD_FORMAT = 2
 
 _BLOCK_ROWS = 65536
 # printf format per column kind; "str" is unquoted text, the rest are numpy dtypes
-_FORMATS = {"int64": "%d", "uint64": "%d", "float64": "%.17g", "str": "%s"}
+_FORMATS = {"int64": "%d", "float64": "%.17g", "str": "%s"}
 
-_I, _F = "int64", "float64"
+_F = "float64"
 SWEEP_SCHEMA = (("v", _F), ("exact_chsh", _F), ("empirical_chsh", _F), ("chsh_stderr", _F), ("verdict", "str"))
-TRIAL_ROW_SCHEMA = (("trial_index", _I), ("raw1", _F), ("raw2", _F), ("beta1", _I), ("beta2", _I))
-PREDICTION_ROW_SCHEMA = (("trial_index", _I), ("K1", _I), ("K2", _I), ("actual1", _I), ("actual2", _I))
-# format-1 headers: every table column, in schema order
-TRIAL_HEADER = tuple(name for name, _ in TRIAL_SCHEMA)
-PREDICTION_HEADER = tuple(name for name, _ in PREDICTION_SCHEMA)
 SWEEP_HEADER = tuple(name for name, _ in SWEEP_SCHEMA)
 
 
@@ -104,66 +95,16 @@ def _check_steps(steps) -> int:
     return int(check_steps(_typed(steps, _INTEGER, "steps")))
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def _check_id(settings_id) -> str:
+    if not isinstance(settings_id, str):
+        raise ValueError(f"settings_id must be a string, got {settings_id!r}")
+    _check_text(settings_id)
+    return settings_id
 
 
-def _trial_rows(table: TrialTable, v: float) -> dict:
-    """The stored columns of a trial table; each alpha must be what the reader recomputes."""
-    for alpha, raw in (("alpha1", table.raw1), ("alpha2", table.raw2)):
-        with np.errstate(over="ignore"):  # an alpha past the float range is inf, as the sampler makes it
-            recomputed = raw / v
-        if not _same_bits(getattr(table, alpha), recomputed):
-            raise ValueError(f"{alpha} is not raw / v at v={v!r} bit for bit, so record format 2 cannot hold it")
-    return {name: getattr(table, name) for name, _ in TRIAL_ROW_SCHEMA}
-
-
-def _trial_columns(rows: dict, v: float) -> dict:
-    with np.errstate(over="ignore"):  # inf, which audit then rejects as non-finite
-        return {**rows, "alpha1": rows["raw1"] / v, "alpha2": rows["raw2"] / v}
-
-
-_READOUT_NAMES = ("trajectory_mean1", "trajectory_mean2", "predicted1", "predicted2")
-
-
-def _prediction_rows(table: PredictionTable, steps: int) -> dict:
-    """The stored columns of a prediction table; each mean and prediction must be what the reader recomputes."""
-    # the nearest count in [0, steps]; a mean it does not reproduce fails below
-    with np.errstate(over="ignore"):
-        k1, k2 = (
-            np.clip(np.nan_to_num(np.rint((getattr(table, name) + 1.0) * (steps / 2.0))), 0, steps).astype(np.int64)
-            for name in _READOUT_NAMES[:2]
-        )
-    for name, column in zip(_READOUT_NAMES, _readout_columns(k1, k2, steps)):
-        if not _same_bits(getattr(table, name), column):
-            raise ValueError(
-                f"{name} is not (2K - steps)/steps, or its sign, for an integer K in [0, {steps}] bit for bit, "
-                "so record format 2 cannot hold it"
-            )
-    return {"trial_index": table.trial_index, "K1": k1, "K2": k2, "actual1": table.actual1, "actual2": table.actual2}
-
-
-def _prediction_columns(rows: dict, steps: int) -> dict:
-    return {**rows, **dict(zip(_READOUT_NAMES, _readout_columns(rows["K1"], rows["K2"], steps)))}
-
-
-@dataclass(frozen=True)
-class _Codec:
-    """How one table kind maps to format-2 rows and back."""
-
-    cls: type
-    what: str
-    rows: tuple  # the row schema
-    param: str  # the header key the reader needs besides the master seed
-    check_param: Callable
-    encode: Callable  # (table, param) -> stored columns; raises if they cannot reproduce the table
-    decode: Callable  # (stored columns, param) -> every column but seed and settings_id
-
-
-_TRIALS = _Codec(TrialTable, "trial", TRIAL_ROW_SCHEMA, "v", _check_v, _trial_rows, _trial_columns)
-_PREDICTIONS = _Codec(
-    PredictionTable, "prediction", PREDICTION_ROW_SCHEMA, "steps", _check_steps, _prediction_rows, _prediction_columns
-)
+# the check of each table scalar that a record header holds
+_SCALAR_CHECKS = {"settings_id": _check_id, "master_seed": _check_seed, "v": _check_v, "steps": _check_steps}
+_KIND_NAMES = {TrialTable: "trial", PredictionTable: "prediction"}
 
 
 def _comment(header: dict) -> str:
@@ -182,23 +123,18 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
     return path
 
 
-def _emit_table(table, codec: _Codec, path: str, param, master_seed) -> str:
+def _emit_table(table, cls: type, path: str) -> str:
     """Write a table in record format 2, _BLOCK_ROWS rows at a time, after
-    checking everything; no rows writes the two header lines only."""
-    if not isinstance(table, codec.cls):
-        raise TypeError(f"expected a {codec.cls.__name__} to write, got {type(table).__name__}")
-    _check_text(table.settings_id)
-    param, master_seed = codec.check_param(param), _check_seed(master_seed)
-    rows = codec.encode(table, param)
-    if not np.array_equal(table.seed, derived_seed(master_seed, table.trial_index)):
-        raise ValueError(f"seed is not derived_seed({master_seed}, trial_index), so record format 2 cannot hold it")
-    header = {"format": RECORD_FORMAT, "master_seed": master_seed, "settings_id": table.settings_id, codec.param: param}
+    checking its scalars; no rows writes the two header lines only."""
+    if not isinstance(table, cls):
+        raise TypeError(f"expected a {cls.__name__} to write, got {type(table).__name__}")
+    header = {"format": RECORD_FORMAT, **{name: _SCALAR_CHECKS[name](getattr(table, name)) for name in cls.scalars}}
 
     def blocks():
         for start in range(0, len(table), _BLOCK_ROWS):
-            yield [rows[name][start:start + _BLOCK_ROWS].tolist() for name, _ in codec.rows]
+            yield [getattr(table, name)[start:start + _BLOCK_ROWS].tolist() for name in cls.field_names]
 
-    return _write_csv(path, codec.rows, blocks(), _comment(header))
+    return _write_csv(path, cls.schema, blocks(), _comment(header))
 
 
 def _parses(line: str, col: int, kind: str) -> bool:
@@ -271,9 +207,8 @@ def _read_blocks(f, schema, what: str, first: int):
         first += len(lines)
 
 
-def _read_comment(line: str, codec: _Codec, path: str) -> dict:
-    """The checked header of a format-2 file from its line 1."""
-    where = f"{codec.what} CSV {path} line 1"
+def _read_comment(line: str, cls: type, where: str) -> dict:
+    """The checked scalars of a cls table from line 1 of its file."""
     try:
         header = json.loads(line[1:])
     except ValueError as exc:
@@ -282,102 +217,68 @@ def _read_comment(line: str, codec: _Codec, path: str) -> dict:
         raise ValueError(f"malformed {where}: header comment is not a JSON object")
     fmt = header.get("format")
     if fmt != RECORD_FORMAT or isinstance(fmt, bool):
-        raise ValueError(
-            f"unsupported {where}: record format {fmt!r}; this version reads formats 1 and {RECORD_FORMAT}"
-        )
-    keys = {"format", "master_seed", "settings_id", codec.param}
+        raise ValueError(f"unsupported {where}: record format {fmt!r}; this version reads format {RECORD_FORMAT} only")
+    keys = {"format", *cls.scalars}
     if set(header) != keys:
         raise ValueError(f"malformed {where}: header keys {sorted(header)}, expected {sorted(keys)}")
     try:
-        if not isinstance(header["settings_id"], str):
-            raise ValueError(f"settings_id must be a string, got {header['settings_id']!r}")
-        _check_text(header["settings_id"])
-        header["master_seed"] = _check_seed(header["master_seed"])
-        header[codec.param] = codec.check_param(header[codec.param])
+        return {name: _SCALAR_CHECKS[name](header[name]) for name in cls.scalars}
     except ValueError as exc:
         raise ValueError(f"malformed {where}: {exc}") from None
-    return header
 
 
-def _read_table(path: str, codec: _Codec, param=None):
-    """Read a record CSV of either format into a codec.cls table.
-
-    Given param, a format-2 header must hold that value of codec.param.
-    """
-    what, parts, header = codec.what, [], None
+def _read_table(path: str, cls: type, v: float | None = None):
+    """Read a record CSV into a cls table; given v, the header must hold that v."""
+    what = _KIND_NAMES[cls]
     with open(path, "r") as f:
         line = f.readline()
+        if not line.startswith("#"):
+            raise ValueError(
+                f"{what} CSV {path} has no header comment at line 1: record format 1 is no longer read; "
+                "rerun the command in its manifest"
+            )
+        scalars = _read_comment(line, cls, f"{what} CSV {path} line 1")
+        if v is not None and scalars["v"] != v:
+            raise ValueError(f"{what} CSV {path} was written at v={scalars['v']!r}, not at the given v={v!r}")
+        line = f.readline()
         if line.startswith("#"):
-            header = _read_comment(line, codec, path)
-            key, written = codec.param, header[codec.param]
-            if param is not None and written != param:
-                raise ValueError(
-                    f"{what} CSV {path} was written at {key}={written!r}, not at the given {key}={param!r}"
-                )
-            line = f.readline()
-            if line.startswith("#"):
-                raise ValueError(f"malformed {what} CSV {path}: a second header comment at line 2")
-            _check_header(line, codec.rows, what)
-            parts = [data for _, data, _ in _read_blocks(f, codec.rows, what, 3)]
-            sid = header["settings_id"]
-        else:
-            if tuple(line.rstrip("\n").split(",")) == tuple(name for name, _ in codec.rows):
-                raise ValueError(f"malformed {what} CSV {path}: record format 2 rows with no header comment at line 1")
-            _check_header(line, codec.cls.schema, what)
-            sid = None
-            for first, data, ids in _read_blocks(f, codec.cls.schema, what, 2):
-                sid = ids[0] if sid is None else sid
-                if ids.count(sid) != len(ids):
-                    at = next(i for i, s in enumerate(ids) if s != sid)
-                    raise ValueError(
-                        f"malformed records: 2 distinct settings ids in one record set; "
-                        f"line {first + at} of {path} carries {ids[at]!r} after {sid!r}"
-                    )
-                parts.append(data)
+            raise ValueError(f"malformed {what} CSV {path}: a second header comment at line 2")
+        _check_header(line, cls.schema, what)
+        parts = [data for _, data, _ in _read_blocks(f, cls.schema, what, 3)]
     if not parts:
         raise ValueError(f"{what} CSV {path} holds no records")
-    columns = {name: np.concatenate([p[name] for p in parts]) for name in parts[0].dtype.names}
-    del parts  # before the recomputed columns are allocated
-    if header is not None:
-        columns = codec.decode(columns, header[codec.param])
-        columns["seed"] = derived_seed(header["master_seed"], columns["trial_index"])
-    return codec.cls(*(sid if name == "settings_id" else columns[name] for name in codec.cls.field_names))
+    return cls(*(np.concatenate([p[name] for p in parts]) for name in cls.field_names), **scalars)
 
 
-def emit_records(records, path: str, v: float, master_seed: int) -> str:
+def emit_records(records, path: str) -> str:
     """Write a TrialTable in record format 2; a table of no rows yields the two header lines only.
 
-    v is the coupling strength and master_seed the seed of the run. Before
-    the file is opened, alpha_i must equal raw_i / v and seed
-    derived_seed(master_seed, trial_index), bit for bit, or a ValueError
-    names the column.
+    Before the file is opened, the table's settings id, v and master seed
+    must be what the reader accepts, or a ValueError names the scalar.
     """
-    return _emit_table(records, _TRIALS, path, v, master_seed)
+    return _emit_table(records, TrialTable, path)
 
 
 def read_records(path: str, v: float | None = None) -> TrialTable:
-    """Read a trial CSV of format 1 or 2 back into a table; exact inverse of emit_records.
+    """Read a trial CSV back into a table; exact inverse of emit_records.
 
-    Given v, a format-2 file must have been written at that v.
+    Given v, the file must have been written at that v.
     """
-    return _read_table(path, _TRIALS, None if v is None else check_strength(v))
+    return _read_table(path, TrialTable, None if v is None else check_strength(v))
 
 
-def emit_predictions(records, path: str, steps: int, master_seed: int) -> str:
+def emit_predictions(records, path: str) -> str:
     """Write a PredictionTable in record format 2; a table of no rows yields the two header lines only.
 
-    steps is the readout length and master_seed the seed of the run. Before
-    the file is opened, each trajectory mean must be (2K - steps)/steps for
-    an integer K in [0, steps], each prediction its sign rule, and seed
-    derived_seed(master_seed, trial_index), bit for bit, or a ValueError
-    names the column.
+    Before the file is opened, the table's settings id, steps and master
+    seed must be what the reader accepts, or a ValueError names the scalar.
     """
-    return _emit_table(records, _PREDICTIONS, path, steps, master_seed)
+    return _emit_table(records, PredictionTable, path)
 
 
 def read_predictions(path: str) -> PredictionTable:
-    """Read a prediction CSV of format 1 or 2 back into a table; exact inverse of emit_predictions."""
-    return _read_table(path, _PREDICTIONS)
+    """Read a prediction CSV back into a table; exact inverse of emit_predictions."""
+    return _read_table(path, PredictionTable)
 
 
 def emit_sweep(columns: dict, path: str) -> str:

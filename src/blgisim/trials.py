@@ -21,8 +21,10 @@ moment it reports from one law per call.
 simulate_trials produces a columnar batch of trials [start, start + n);
 each trial reads its own counter window, so its row is identical no
 matter which start, chunking, or worker count produced it, and a single
-trial i is simulate_trials(source, 1, seed, start=i).  A record table
-holds one experiment: one settings id for all of its rows.
+trial i is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
+one experiment: the columns its record file stores (trial_index, raw_i,
+beta_i) and the scalars its header stores (settings id, V, master seed).
+alpha_i = raw_i / V is computed from them on access.
 """
 
 from __future__ import annotations
@@ -171,37 +173,41 @@ class ChshReport:
 
 
 _I, _F = "int64", "float64"
-# CSV column order and numpy dtype per field; "str" is the unquoted settings id
-TRIAL_SCHEMA = (
-    ("trial_index", _I), ("settings_id", "str"), ("raw1", _F), ("raw2", _F),
-    ("alpha1", _F), ("alpha2", _F), ("beta1", _I), ("beta2", _I), ("seed", "uint64"),
-)
+# a trial record's columns, in CSV order, with their numpy dtypes
+TRIAL_SCHEMA = (("trial_index", _I), ("raw1", _F), ("raw2", _F), ("beta1", _I), ("beta2", _I))
 
 
 class RecordTable:
     """Column-oriented batch of the records of one experiment.
 
-    A subclass names its `schema` of (name, kind) columns; field_names are
-    the schema's names, and the constructor takes one column per name, in
-    schema (CSV) order, each cast to its kind's dtype.  Every array column
-    is 1-D and as long as trial_index; settings_id is one str for the whole
-    table, so a table never pools two experiments.
+    A subclass names its `schema` of (name, kind) columns and its `scalars`,
+    the experiment's values that every row shares, settings_id among them.
+    field_names are the schema's names.  The constructor takes one column
+    per name, in schema (CSV) order, each cast to its kind's dtype, and each
+    scalar by keyword.  Every column is 1-D and as long as trial_index;
+    settings_id is one str for the whole table, so a table never pools two
+    experiments.
     """
 
     schema: tuple
+    scalars: tuple
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.field_names = tuple(name for name, _ in cls.schema)
 
-    def __init__(self, *columns):
+    def __init__(self, *columns, **scalars):
+        table = type(self).__name__
         if len(columns) != len(self.schema):
-            raise TypeError(f"{type(self).__name__} takes {len(self.schema)} columns, got {len(columns)}")
+            raise TypeError(f"{table} takes {len(self.schema)} columns, got {len(columns)}")
+        if sorted(scalars) != sorted(self.scalars):
+            raise TypeError(f"{table} takes the scalars {sorted(self.scalars)}, got {sorted(scalars)}")
+        if not isinstance(scalars["settings_id"], str):
+            raise TypeError(f"settings_id must be one str per table, got {type(scalars['settings_id']).__name__}")
+        self.__dict__.update(scalars)
         for (name, kind), col in zip(self.schema, columns):
-            if kind == "str" and not isinstance(col, str):
-                raise TypeError(f"{name} must be one str per table, got {type(col).__name__}")
-            setattr(self, name, col if kind == "str" else np.asarray(col, dtype=kind))
-        shapes = {name: getattr(self, name).shape for name, kind in self.schema if kind != "str"}
+            setattr(self, name, np.asarray(col, dtype=kind))
+        shapes = {name: getattr(self, name).shape for name in self.field_names}
         if len(set(shapes.values())) != 1 or len(self.trial_index.shape) != 1:
             raise ValueError(f"every column must be 1-D and match trial_index; got shapes {shapes}")
 
@@ -212,19 +218,30 @@ class RecordTable:
     def concat(cls, parts: list):
         if not parts:
             raise ValueError("cannot concatenate zero tables")
-        ids = {p.settings_id for p in parts}
-        if len(ids) > 1:
-            raise ValueError(f"malformed records: {len(ids)} distinct settings ids in one record set")
-        sid = ids.pop()
+        for name in cls.scalars:
+            values = {getattr(p, name) for p in parts}
+            if len(values) > 1:
+                what = "settings ids" if name == "settings_id" else f"{name} values"
+                raise ValueError(f"malformed records: {len(values)} distinct {what} in one record set")
         return cls(
-            *(sid if kind == "str" else np.concatenate([getattr(p, name) for p in parts]) for name, kind in cls.schema)
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in cls.field_names),
+            **{name: getattr(parts[0], name) for name in cls.scalars},
         )
 
 
 class TrialTable(RecordTable):
-    """Column-oriented batch of trial records."""
+    """Column-oriented batch of trial records at coupling strength v, from
+    the stream of master_seed; alpha_i = raw_i / v is computed on access."""
 
     schema = TRIAL_SCHEMA
+    scalars = ("settings_id", "v", "master_seed")
+
+    def _rescaled(self, raw: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an alpha past the float range is inf, which audit rejects
+            return raw / self.v
+
+    alpha1 = property(lambda self: self._rescaled(self.raw1))
+    alpha2 = property(lambda self: self._rescaled(self.raw2))
 
     def column(self, name: str) -> np.ndarray:
         if name not in FIELDS:
@@ -342,15 +359,7 @@ def _simulate_range(source, start: int, count: int, master_seed: int) -> TrialTa
 
     index = np.arange(start, start + count, dtype=np.int64)
     return TrialTable(
-        index,
-        source.settings_id,
-        noisy1,
-        noisy2,
-        noisy1 / source.v,
-        noisy2 / source.v,
-        beta1,
-        beta2,
-        streams.derived_seed(master_seed, index),
+        index, noisy1, noisy2, beta1, beta2, settings_id=source.settings_id, v=source.v, master_seed=master_seed
     )
 
 

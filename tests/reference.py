@@ -7,10 +7,11 @@ partial trace, one trial's detector noise and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
 pair's density operator after the ancilla coupling, and the closed-form
 combination of a hidden-variable source.  They stay independent oracles
-for the package's exact laws and batch samplers.  Three table helpers close
+for the package's exact laws and batch samplers.  Four table helpers close
 the file: a record table's rows as tuples, for whole-row comparisons, a
-table of no rows, and the record-format-1 writer, which keeps the format-1
-golden bytes pinned now that the package writes format 2.
+table of no rows, a copy of a table with other scalars, and the
+record-format-1 writer, which keeps the format-1 golden bytes pinned now
+that the package writes and reads format 2 only.
 """
 
 from functools import lru_cache
@@ -20,8 +21,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from blgisim import streams
-from blgisim.prediction import SequentialReadoutParams
-from blgisim.trials import BRANCHES, TRIAL_BLOCKS, Settings, coupled_state, prepare_bell
+from blgisim.prediction import PredictionTable, SequentialReadoutParams
+from blgisim.trials import BRANCHES, TRIAL_BLOCKS, Settings, TrialTable, coupled_state, prepare_bell
 from blgisim.qubits import (
     MIN_BRANCH_PROB,
     NO_NOISE,
@@ -241,31 +242,56 @@ def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
 
 
 def table_rows(table) -> list:
-    """The rows of a record table as tuples of Python scalars, in schema order."""
-    columns = [
-        [table.settings_id] * len(table) if kind == "str" else getattr(table, name).tolist()
-        for name, kind in table.schema
-    ]
-    return list(zip(*columns))
+    """The rows of a record table's columns as tuples of Python scalars, in schema order."""
+    return list(zip(*(getattr(table, name).tolist() for name in table.field_names)))
 
 
-def empty_table(cls, settings_id: str = "s"):
-    """A cls table of no rows."""
-    return cls(*(settings_id if kind == "str" else [] for _, kind in cls.schema))
+# scalars of a table built by empty_table or with_scalars unless given
+_SCALAR_DEFAULTS = {"settings_id": "s", "master_seed": 0, "v": 1.0, "steps": 1}
 
 
-_FORMAT1_FIELDS = {"int64": "%d", "uint64": "%d", "float64": "%.17g", "str": "%s"}
+def empty_table(cls, **scalars):
+    """A cls table of no rows, with settings id "s", master seed 0 and v or steps 1 unless given."""
+    return cls(*([] for _ in cls.schema), **{name: scalars.get(name, _SCALAR_DEFAULTS[name]) for name in cls.scalars})
+
+
+def with_scalars(table, **scalars):
+    """table's columns with the given scalars in place of its own."""
+    own = {name: getattr(table, name) for name in table.scalars}
+    return type(table)(*(getattr(table, name) for name in table.field_names), **{**own, **scalars})
+
+
+# record format 1: on every row, every column a table held before format 2,
+# the settings id and the per-trial seed included, with its printf format
+_FORMAT1_SCHEMAS = {
+    TrialTable: (
+        ("trial_index", "%d"), ("settings_id", "%s"), ("raw1", "%.17g"), ("raw2", "%.17g"),
+        ("alpha1", "%.17g"), ("alpha2", "%.17g"), ("beta1", "%d"), ("beta2", "%d"), ("seed", "%d"),
+    ),
+    PredictionTable: (
+        ("trial_index", "%d"), ("settings_id", "%s"), ("trajectory_mean1", "%.17g"), ("trajectory_mean2", "%.17g"),
+        ("predicted1", "%d"), ("predicted2", "%d"), ("actual1", "%d"), ("actual2", "%d"), ("seed", "%d"),
+    ),
+}
+
+
+def _format1_column(table, name: str):
+    if name == "settings_id":
+        return repeat(table.settings_id)
+    if name == "seed":
+        return streams.derived_seed(table.master_seed, table.trial_index).tolist()
+    return getattr(table, name).tolist()
 
 
 def emit_format1(table, path: str) -> str:
-    """Write a record table as a format-1 CSV: the header of every table
-    column, then one row per trial holding every column, the settings id
-    included."""
-    template = ",".join(_FORMAT1_FIELDS[kind] for _, kind in table.schema) + "\n"
-    columns = [
-        repeat(table.settings_id) if kind == "str" else getattr(table, name).tolist() for name, kind in table.schema
-    ]
+    """Write a record table as a format-1 CSV: the header of every format-1
+    column, then one row per trial holding each of them.  The alphas, means
+    and predictions come from the table's properties, and each seed is
+    derived_seed(table.master_seed, trial_index)."""
+    schema = _FORMAT1_SCHEMAS[type(table)]
+    template = ",".join(fmt for _, fmt in schema) + "\n"
+    columns = [_format1_column(table, name) for name, _ in schema]
     with open(path, "w", newline="") as f:
-        f.write(",".join(table.field_names) + "\n")
+        f.write(",".join(name for name, _ in schema) + "\n")
         f.writelines(map(template.__mod__, zip(*columns)))
     return path

@@ -78,11 +78,11 @@ def test_criterion_4_auditor_separates_quantum_from_binary_noise():
     noise = NoiseModel(sigma=0.3)
 
     quantum = simulate_trials(default_settings(0.2, noise), 1_000_000, master_seed=41)
-    assert audit.decomposition_test(quantum, v=0.2).verdict == audit.REJECT
+    assert audit.decomposition_test(quantum).verdict == audit.REJECT
 
     config = audit.hidden_variable_config(99)
     binary = simulate_trials(audit.hidden_variable_source(config, 0.2, noise), 1_000_000, master_seed=42)
-    assert audit.decomposition_test(binary, v=0.2).verdict == audit.CONSISTENT
+    assert audit.decomposition_test(binary).verdict == audit.CONSISTENT
 
     # false-REJECT rate over randomized binary+noise generators
     rng = np.random.default_rng(77)
@@ -94,7 +94,7 @@ def test_criterion_4_auditor_separates_quantum_from_binary_noise():
         records = simulate_trials(
             audit.hidden_variable_source(cfg, v, NoiseModel(sigma=sigma)), 20_000, master_seed=1000 + k
         )
-        if audit.decomposition_test(records, v=v).verdict == audit.REJECT:
+        if audit.decomposition_test(records).verdict == audit.REJECT:
             rejects += 1
     assert rejects <= 1
 

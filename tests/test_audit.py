@@ -31,7 +31,7 @@ from blgisim.trials import (
     exact_chsh,
     simulate_trials,
 )
-from reference import emit_format1, empty_table, hidden_variable_exact_chsh
+from reference import emit_format1, empty_table, hidden_variable_exact_chsh, with_scalars
 
 
 def binary_columns(table):
@@ -55,6 +55,8 @@ def test_binary_tuple_validation():
         BinaryTuple(0, 1, 1, 1)
     with pytest.raises(ValueError):
         as_binary_tuple((1, 1, 2, 1))
+    with pytest.raises(ValueError, match="a1 must be -1 or \\+1, got 1.7"):
+        as_binary_tuple((1.7, -1.2, 1, 1))  # not truncated to (1, -1, 1, 1)
     assert as_binary_tuple((1.0, -1.0, 1.0, -1.0)) == BinaryTuple(1, -1, 1, -1)
 
 
@@ -100,6 +102,10 @@ def test_bound_holds_for_random_sequences():
         n = int(rng.integers(1, 400))
         seq = rng.choice([-1, 1], size=(n, 4))
         assert chsh_bound_check(seq) <= 2.0
+        # the scalar loop over per-trial terms is the reference, for an array and for BinaryTuples
+        tuples = [BinaryTuple(*(int(x) for x in row)) for row in seq]
+        expected = abs(sum(per_trial_term(t) for t in tuples)) / n
+        assert chsh_bound_check(seq) == chsh_bound_check(tuples) == expected
 
 
 def test_bound_rejects_bad_input():
@@ -107,6 +113,10 @@ def test_bound_rejects_bad_input():
         chsh_bound_check([])
     with pytest.raises(ValueError):
         chsh_bound_check([(1, 1, 1, 0)])
+    with pytest.raises(ValueError, match="got 1.5"):
+        chsh_bound_check([(1.5, 1, 1, 1), (-1.9, 1, 1, 1)])  # not truncated to a bound value of 0
+    with pytest.raises(ValueError, match="four values"):
+        chsh_bound_check([(1, 1, 1)])
 
 
 # --------------------------------------------------------------- the verdict
@@ -115,7 +125,7 @@ def test_bound_rejects_bad_input():
 def test_decomposition_rejects_weak_coupling_quantum_records():
     settings = default_settings(0.2, NoiseModel(sigma=0.3))
     table = simulate_trials(settings, 200_000, master_seed=1)
-    verdict = decomposition_test(table, v=0.2)
+    verdict = decomposition_test(table)
     assert verdict.verdict == REJECT
     assert verdict.chsh_value > 2.0
     assert verdict.chsh_value - 2.0 > 3.0 * verdict.chsh_stderr
@@ -127,7 +137,7 @@ def test_decomposition_consistent_for_strong_coupling_quantum_records():
     settings = default_settings(0.95)
     table = simulate_trials(settings, 100_000, master_seed=2)
     assert exact_chsh(settings) < 2.0
-    assert decomposition_test(table, v=0.95).verdict == CONSISTENT
+    assert decomposition_test(table).verdict == CONSISTENT
 
 
 def test_decomposition_statistic_is_absolute():
@@ -138,7 +148,7 @@ def test_decomposition_statistic_is_absolute():
     )
     assert exact_chsh(settings) < -2.0
     table = simulate_trials(settings, 100_000, master_seed=3)
-    verdict = decomposition_test(table, v=0.2)
+    verdict = decomposition_test(table)
     assert verdict.chsh_value > 2.0
     assert verdict.verdict == REJECT
 
@@ -147,7 +157,7 @@ def test_decomposition_consistent_for_hidden_variable_records():
     config = hidden_variable_config(99)
     noise = NoiseModel(sigma=0.3)
     table = simulate_trials(hidden_variable_source(config, 0.2, noise), 200_000, 4)
-    verdict = decomposition_test(table, v=0.2)
+    verdict = decomposition_test(table)
     assert verdict.verdict == CONSISTENT
     expected = hidden_variable_exact_chsh(config, v=0.2, noise=noise)
     assert abs(verdict.chsh_value - expected) < 4.0 * verdict.chsh_stderr
@@ -156,14 +166,14 @@ def test_decomposition_consistent_for_hidden_variable_records():
 def test_decomposition_inconclusive_below_min_records():
     config = hidden_variable_config(5)
     table = simulate_trials(hidden_variable_source(config, 1.0), 50, 5)
-    assert decomposition_test(table, v=1.0).verdict == INCONCLUSIVE
+    assert decomposition_test(table).verdict == INCONCLUSIVE
 
 
 def test_decomposition_inconclusive_when_stderr_blows_up():
     # heavy noise at tiny coupling: rescaled spread ~ sigma/v = 6 per signal
     settings = default_settings(0.05, NoiseModel(sigma=0.3))
     table = simulate_trials(settings, 150, master_seed=6)
-    verdict = decomposition_test(table, v=0.05)
+    verdict = decomposition_test(table)
     assert verdict.verdict == INCONCLUSIVE
     assert verdict.chsh_stderr > audit.STDERR_CAP
 
@@ -175,43 +185,44 @@ def test_decomposition_never_rejects_binary_noise_sources():
         v = float(rng.uniform(0.1, 1.0))
         noise = NoiseModel(sigma=float(rng.uniform(0.0, 0.5)))
         table = simulate_trials(hidden_variable_source(config, v, noise), 20_000, 300 + k)
-        assert decomposition_test(table, v=v).verdict != REJECT
+        assert decomposition_test(table).verdict != REJECT
 
 
 def test_decomposition_validates_arguments():
     table = simulate_trials(default_settings(0.5), 200, master_seed=7)
     with pytest.raises(ValueError):
-        decomposition_test(table, v=0.0)
+        decomposition_test(with_scalars(table, v=0.0))
     with pytest.raises(ValueError):
-        decomposition_test(table, v=0.5, threshold_sigmas=0.0)
+        decomposition_test(table, threshold_sigmas=0.0)
     with pytest.raises(ValueError):
-        decomposition_test(table, v=0.5, threshold_sigmas=float("nan"))
+        decomposition_test(table, threshold_sigmas=float("nan"))
 
 
 def test_decomposition_rejects_malformed_records():
     n = 120
 
-    def records(raw1=0.5, alpha1=1.0, beta1=1):
-        """n well-formed rows, the last one with the given raw1, alpha1 and beta1."""
-        raw1s, alpha1s, beta1s = [0.5] * n, [1.0] * n, [1] * n
-        raw1s[-1], alpha1s[-1], beta1s[-1] = raw1, alpha1, beta1
-        return TrialTable([0] * n, "test;v=0.5", raw1s, [0.5] * n, alpha1s, [1.0] * n, beta1s, [1] * n, [0] * n)
+    def records(raw1=0.5, beta1=1, v=0.5):
+        """n well-formed rows at v, the last one with the given raw1 and beta1."""
+        raw1s, beta1s = [0.5] * n, [1] * n
+        raw1s[-1], beta1s[-1] = raw1, beta1
+        return TrialTable([0] * n, raw1s, [0.5] * n, beta1s, [1] * n, settings_id="test;v=0.5", v=v, master_seed=0)
 
-    decomposition_test(records(), v=0.5)  # sanity: well-formed passes
+    decomposition_test(records())  # sanity: well-formed passes
 
     with pytest.raises(ValueError, match="beta"):
-        decomposition_test(records(beta1=2), v=0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        decomposition_test(records(alpha1=0.3), v=0.5)
-    with pytest.raises(ValueError, match="finite"):
-        decomposition_test(records(raw1=math.nan, alpha1=math.nan), v=0.5)
+        decomposition_test(records(beta1=2))
+    with pytest.raises(ValueError, match="non-finite raw1"):
+        decomposition_test(records(raw1=math.nan))
+    # a finite raw whose alpha = raw / v overflows to inf
+    with pytest.raises(ValueError, match="non-finite alpha1"):
+        decomposition_test(records(raw1=1e308, v=1e-10))
 
 
 def test_decomposition_needs_two_records():
     one = simulate_trials(default_settings(0.5), 1, master_seed=7)
     for table in (empty_table(TrialTable), one):
         with pytest.raises(ValueError, match="at least 2 records"):
-            decomposition_test(table, v=0.5)
+            decomposition_test(table)
 
 
 def test_decomposition_rejects_mixed_settings_ids():
@@ -311,7 +322,7 @@ def test_hidden_variable_record_bytes_match_golden_hashes(tmp_path, noise, diges
 def test_hidden_variable_format_2_record_bytes_match_golden_hashes(tmp_path, noise, digest):
     records = simulate_trials(hidden_variable_source(hidden_variable_config(5, 2), 0.4, noise), 1000, 6)
     path = tmp_path / "hidden.csv"
-    emit_records(records, str(path), 0.4, 6)
+    emit_records(records, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

@@ -24,7 +24,6 @@ from blgisim.qubits import NoiseModel
 from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
 from blgisim.trials import Settings, default_settings, exact_chsh, simulate_trials
-from reference import emit_format1
 
 
 def last_json(capsys) -> dict:
@@ -62,7 +61,7 @@ def test_simulate_builds_its_settings_from_every_flag(tmp_path, capsys):
     settings = Settings(*angles, v=0.2, noise=NoiseModel(bias=0.1, sigma=0.3), bell_kind="psi_minus")
     assert last_json(capsys)["exact_chsh"] == exact_chsh(settings)
     expected = tmp_path / "expected.csv"
-    emit_records(simulate_trials(settings, 500, 7), str(expected), 0.2, 7)
+    emit_records(simulate_trials(settings, 500, 7), str(expected))
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -195,6 +194,19 @@ def test_cli_import_loads_no_scipy_module():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_entry_point_runs_without_warnings():
+    # the package does not import blgisim.cli, so runpy finds no copy of it
+    # in sys.modules and prints no RuntimeWarning
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blgisim.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "blgisim.cli", "--version"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"blgisim {blgisim.__version__}\n"
+
+
 def test_help_and_version_exit_0(capsys):
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
@@ -264,20 +276,21 @@ def test_audit_rejects_weak_coupling_run(tmp_path, capsys):
 
 
 def test_audit_mixed_settings_ids_exits_1_with_one_line(tmp_path, capsys):
-    # no table holds two experiments, so join two format-1 record files by
-    # hand; a format-2 file names its one settings id in its header
+    # no table holds two experiments, so join two record files by hand: a
+    # file names its one settings id in its header comment, and the second
+    # file's comment, at line 5003, is no row of the first
     path = tmp_path / "mixed.csv"
     text = ""
     for k, settings in enumerate((Settings(v=0.2), Settings(v=0.2, b1=0.0, b2=0.0))):
         part = tmp_path / f"part{k}.csv"
-        emit_format1(simulate_trials(settings, 5000, k + 1), str(part))
-        text += part.read_text().split("\n", 1)[1] if k else part.read_text()
+        emit_records(simulate_trials(settings, 5000, k + 1), str(part))
+        text += part.read_text()
     path.write_text(text)
     assert main(["audit", "--in", str(path), "--v", "0.2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("blgisim: error: malformed records:")
-    assert "settings ids" in captured.err
+    assert captured.err.startswith("blgisim: error: malformed trial CSV row at line 5003: '# {")
+    assert Settings(v=0.2, b1=0.0, b2=0.0).settings_id in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -319,7 +332,7 @@ def test_audit_errors_exit_1(tmp_path, capsys):
 def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
     # simulate refuses --trials 1, so the one-row file is written directly
     path = tmp_path / "one.csv"
-    emit_records(simulate_trials(default_settings(0.3), 1, 1), str(path), 0.3, 1)
+    emit_records(simulate_trials(default_settings(0.3), 1, 1), str(path))
     assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -328,16 +341,16 @@ def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
 def test_audit_out_of_range_field_exits_1_with_one_line(tmp_path, capsys, seed):
-    # a format-1 file, whose rows end in the seed column
+    # the master seed, from which every per-trial seed derives, is in the header comment
     path = tmp_path / "run.csv"
-    emit_format1(simulate_trials(default_settings(0.3), 20, 1), str(path))
+    emit_records(simulate_trials(default_settings(0.3), 20, 1), str(path))
     lines = path.read_text().splitlines()
-    lines[5] = lines[5].rsplit(",", 1)[0] + "," + seed
+    lines[0] = lines[0].replace('"master_seed": 1,', f'"master_seed": {seed},')
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("blgisim: error: malformed trial CSV row")
+    assert err.startswith(f"blgisim: error: malformed trial CSV {path} line 1: master_seed must be")
     assert err.count("\n") == 1
 
 
@@ -362,7 +375,7 @@ V_FIELD = '"v": 0.29999999999999999'
 @pytest.mark.parametrize(
     "edit, error",
     [
-        (lambda lines: lines[1:], "record format 2 rows with no header comment at line 1"),
+        (lambda lines: lines[1:], "no header comment at line 1: record format 1 is no longer read"),
         (lambda lines: [lines[0][:-3], *lines[1:]], "line 1: header comment is not JSON"),
         (lambda lines: [lines[0], *lines], "a second header comment at line 2"),
         (lambda lines: [lines[0].replace('"format": 2', '"format": 3'), *lines[1:]], "record format 3"),

@@ -1,7 +1,8 @@
 """Tooling guards: no package or test module imports a name it never
 references, no package module imports scipy, the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
-TrialTable, and every name the benchmark tracer patches exists."""
+TrialTable and one every PredictionTable, and every name the benchmark
+tracer patches exists."""
 
 import ast
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import blgisim
-from blgisim import trials
+from blgisim import prediction, trials
 
 PACKAGE = sorted(Path(blgisim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -51,17 +52,31 @@ def test_module_does_not_import_scipy(path):
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
-def test_one_sampler_builds_every_trial_table():
-    # every source is a branch law that trials._simulate_range samples; a
-    # second TrialTable(...) call site would be a second trial engine
-    sites = [
+def _call_sites(name: str) -> list:
+    """(file name, line) of every call of `name` in the package."""
+    return [
         (path.name, node.lineno)
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TrialTable"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
-    lines, first = inspect.getsourcelines(trials._simulate_range)
-    assert [(name, first <= line < first + len(lines)) for name, line in sites] == [("trials.py", True)]
+
+
+def _inside(function, sites) -> list:
+    """(file name, whether the line is inside function) per call site."""
+    lines, first = inspect.getsourcelines(function)
+    return [(name, first <= line < first + len(lines)) for name, line in sites]
+
+
+def test_one_sampler_builds_every_trial_table():
+    # every source is a branch law that trials._simulate_range samples; a
+    # second TrialTable(...) call site would be a second trial engine
+    assert _inside(trials._simulate_range, _call_sites("TrialTable")) == [("trials.py", True)]
+
+
+def test_one_sampler_builds_every_prediction_table():
+    # the readers build tables through their class, never by name
+    assert _inside(prediction._predict_range, _call_sites("PredictionTable")) == [("prediction.py", True)]
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,

@@ -324,7 +324,7 @@ def test_single_prediction_trial_is_deterministic():
     [rec] = table_rows(one)
     assert table_rows(prediction_batch(settings, readout, 1, master_seed=123, start=9)) == [rec]
     assert one.trial_index.tolist() == [9]
-    assert one.seed[0] == streams.derived_seed(123, 9)
+    assert (one.steps, one.master_seed) == (64, 123)
     assert one.predicted1[0] == predict(one.trajectory_mean1[0])
     assert one.actual1[0] in (-1, 1) and one.actual2[0] in (-1, 1)
     assert table_rows(prediction_batch(settings, readout, 1, master_seed=123, start=10)) != [rec]
@@ -335,15 +335,14 @@ def test_prediction_batch_chunk_and_slice_invariance():
     readout = SequentialReadoutParams(v=0.25, steps=24)
     whole = prediction_batch(settings, readout, 777, master_seed=1, chunk=777)
     pieces = prediction_batch(settings, readout, 777, master_seed=1, chunk=123)
-    for name in ("trajectory_mean1", "trajectory_mean2", "predicted1", "actual2", "seed"):
+    for name in ("K1", "K2", "trajectory_mean1", "trajectory_mean2", "predicted1", "actual2"):
         assert np.array_equal(getattr(whole, name), getattr(pieces, name))
     tail = prediction_batch(settings, readout, 100, master_seed=1, start=677)
     assert np.array_equal(tail.trajectory_mean1, whole.trajectory_mean1[677:])
     for i in range(0, 777, 311):
         one = prediction_batch(settings, readout, 1, master_seed=1, start=i)
-        for name, kind in PredictionTable.schema:
-            if kind != "str":
-                assert np.array_equal(getattr(one, name), getattr(whole, name)[i : i + 1]), (i, name)
+        for name in PredictionTable.field_names:
+            assert np.array_equal(getattr(one, name), getattr(whole, name)[i : i + 1]), (i, name)
         assert one.settings_id == whole.settings_id
     with pytest.raises(ValueError):
         prediction_batch(settings, readout, 0, master_seed=1)
@@ -369,10 +368,11 @@ def test_prediction_table_round_trip():
 
 def test_prediction_accuracy_counts():
     def records(*pairs):
-        """One row per (predicted1, actual1) pair, with predicted2 = actual2 = 1."""
+        """One row per (predicted1, actual1) pair, with predicted2 = actual2 = 1, from 2-step readouts."""
         p1, a1 = (list(col) for col in zip(*pairs))
         n = len(pairs)
-        return PredictionTable(range(n), "x", [0.1] * n, [0.1] * n, p1, [1] * n, a1, [1] * n, [0] * n)
+        k1 = [2 if p > 0 else 0 for p in p1]  # K = 2 of 2 outcomes +1 predicts +1, K = 0 predicts -1
+        return PredictionTable(range(n), k1, [2] * n, a1, [1] * n, settings_id="x", steps=2, master_seed=0)
 
     est = prediction_accuracy(records((1, 1), (1, -1)))
     assert est.matches == 3 and est.count == 4
@@ -382,6 +382,15 @@ def test_prediction_accuracy_counts():
     perfect = prediction_accuracy(records((1, 1), (-1, -1)))
     assert perfect.accuracy == 1.0
     assert perfect.ci_high == 1.0
+
+
+def test_table_means_and_predictions_follow_the_counts():
+    # K of 2 readout outcomes +1: a tie (K = 1) has mean 0, which predicts +1 as predict does
+    table = PredictionTable([0, 1, 2], [0, 1, 2], [2, 1, 0], [1] * 3, [1] * 3, settings_id="x", steps=2, master_seed=0)
+    assert table.trajectory_mean1.tolist() == [-1.0, 0.0, 1.0]
+    assert table.trajectory_mean2.tolist() == [1.0, 0.0, -1.0]
+    assert table.predicted1.tolist() == [predict(m) for m in table.trajectory_mean1] == [-1, 1, 1]
+    assert table.predicted2.tolist() == [predict(m) for m in table.trajectory_mean2] == [1, 1, -1]
 
 
 def test_prediction_accuracy_rejects_an_empty_table():

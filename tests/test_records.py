@@ -1,19 +1,20 @@
 """CSV and manifest persistence: exact round trips, header checks, golden bytes.
 
-Record files are written in format 2; format-1 files come from the
-reference writer, ``reference.emit_format1``, and must still read."""
+Record files are written and read in format 2.  Format-1 files come from
+the reference writer, ``reference.emit_format1``, which keeps the format-1
+golden bytes pinned; the readers refuse them."""
 
-import dataclasses
 import hashlib
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from blgisim.audit import decomposition_test
 from blgisim.cli import main
 from blgisim.prediction import (
+    PREDICTION_SCHEMA,
     PredictionTable,
     SequentialReadoutParams,
     prediction_batch,
@@ -21,11 +22,7 @@ from blgisim.prediction import (
 )
 from blgisim.qubits import NoiseModel
 from blgisim.records import (
-    PREDICTION_HEADER,
-    PREDICTION_ROW_SCHEMA,
     SWEEP_HEADER,
-    TRIAL_HEADER,
-    TRIAL_ROW_SCHEMA,
     RunManifest,
     emit_manifest,
     emit_predictions,
@@ -36,9 +33,8 @@ from blgisim.records import (
     read_records,
     read_sweep,
 )
-from blgisim.streams import derived_seed
-from blgisim.trials import TrialTable, default_settings, simulate_trials
-from reference import emit_format1, empty_table
+from blgisim.trials import TRIAL_SCHEMA, TrialTable, default_settings, simulate_trials
+from reference import emit_format1, empty_table, with_scalars
 
 
 @pytest.mark.parametrize("table", [TrialTable, PredictionTable])
@@ -47,69 +43,98 @@ def test_table_field_names_are_the_schema_names(table):
     names = [name for name, _ in table.schema]
     assert len(names) == len(set(names))
     assert table.field_names == tuple(names)
-    assert names[:2] == ["trial_index", "settings_id"]
+    assert names[0] == "trial_index" and table.scalars[0] == "settings_id"
+    assert not set(names) & set(table.scalars)
 
 
 def _table_columns(table_cls, n):
     """Valid columns of an n-row table of table_cls, in schema order."""
-    return ["one;experiment" if kind == "str" else np.arange(n, dtype=kind) for _, kind in table_cls.schema]
+    return [np.arange(n, dtype=kind) for _, kind in table_cls.schema]
+
+
+def _scalars(table_cls, **changes):
+    """Valid scalars of a table_cls table, with the given changes."""
+    valid = {"settings_id": "one;experiment", "v": 0.5, "steps": 3, "master_seed": 1}
+    return {name: changes.get(name, valid[name]) for name in table_cls.scalars}
 
 
 @pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
 def test_table_rejects_columns_that_do_not_match_trial_index(table_cls):
-    assert len(table_cls(*_table_columns(table_cls, 3))) == 3
-    for k, name in enumerate(table_cls.field_names):
-        if name == "settings_id":
-            continue
+    assert len(table_cls(*_table_columns(table_cls, 3), **_scalars(table_cls))) == 3
+    for k in range(len(table_cls.field_names)):
         for bad in (np.arange(2), np.arange(4), np.zeros((3, 1)), 0):
             columns = _table_columns(table_cls, 3)
             columns[k] = bad
             with pytest.raises(ValueError, match="1-D and match trial_index"):
-                table_cls(*columns)
+                table_cls(*columns, **_scalars(table_cls))
 
 
 @pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
 def test_table_holds_one_settings_id(table_cls):
     columns = _table_columns(table_cls, 2)
-    k = table_cls.field_names.index("settings_id")
     for bad in (np.array(["a", "b"], dtype=object), np.array(["a", "a"], dtype=object), ["a", "a"], None):
-        columns[k] = bad
         with pytest.raises(TypeError, match="one str per table"):
-            table_cls(*columns)
-    columns[k] = "a"
-    one = table_cls(*columns)
-    columns[k] = "b"
+            table_cls(*columns, **_scalars(table_cls, settings_id=bad))
+    one = table_cls(*columns, **_scalars(table_cls, settings_id="a"))
     with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
-        table_cls.concat([one, table_cls(*columns)])
+        table_cls.concat([one, table_cls(*columns, **_scalars(table_cls, settings_id="b"))])
     assert table_cls.concat([one, one]).settings_id == "a"
+
+
+@pytest.mark.parametrize(
+    "table_cls, name, other",
+    [
+        (TrialTable, "settings_id", "b"),
+        (TrialTable, "v", 0.5000000000000001),
+        (TrialTable, "master_seed", 2),
+        (PredictionTable, "settings_id", "b"),
+        (PredictionTable, "steps", 4),
+        (PredictionTable, "master_seed", 2),
+    ],
+)
+def test_concat_rejects_tables_that_differ_in_one_scalar(table_cls, name, other):
+    columns = _table_columns(table_cls, 2)
+    one, two = (table_cls(*columns, **_scalars(table_cls, **change)) for change in ({}, {name: other}))
+    what = "settings ids" if name == "settings_id" else f"{name} values"
+    with pytest.raises(ValueError, match=f"^malformed records: 2 distinct {what} in one record set$"):
+        table_cls.concat([one, two])
+    assert len(table_cls.concat([two, two])) == 4
+
+
+@pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
+def test_table_takes_exactly_its_scalars(table_cls):
+    columns = _table_columns(table_cls, 2)
+    scalars = _scalars(table_cls)
+    missing = dict(list(scalars.items())[1:])
+    for bad in (missing, {**scalars, "seed": 1}):
+        with pytest.raises(TypeError, match="takes the scalars"):
+            table_cls(*columns, **bad)
 
 
 def test_trial_round_trip_is_bit_exact(tmp_path):
     settings = default_settings(0.3, NoiseModel(bias=0.05, sigma=0.25))
     table = simulate_trials(settings, 50, master_seed=5)
     path = tmp_path / "trials.csv"
-    emit_records(table, str(path), 0.3, 5)
+    emit_records(table, str(path))
     back = read_records(str(path))
-    for name in ("trial_index", "raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2", "seed"):
+    for name in ("trial_index", "raw1", "raw2", "alpha1", "alpha2", "beta1", "beta2"):
         assert np.array_equal(getattr(back, name), getattr(table, name)), name
-    assert back.settings_id == table.settings_id
+    assert (back.settings_id, back.v, back.master_seed) == (table.settings_id, 0.3, 5)
     assert isinstance(back.settings_id, str)
     assert read_records(str(path), v=0.3).settings_id == table.settings_id
 
 
 def test_trial_round_trip_handles_extreme_floats(tmp_path):
-    # %.17g must reproduce every double exactly, including denormals, in both formats
+    # %.17g must reproduce every double exactly, including denormals
     raws = [0.1, -1.0 / 3.0, 1e300, 5e-324, 0.0, 123456789.123456789]
     n = len(raws)
-    format_2 = (derived_seed(0, np.arange(n)), lambda table, path: emit_records(table, path, 1.0, 0))
-    for seeds, emit in ((range(n), emit_format1), format_2):
-        table = TrialTable(range(n), "edge;case", raws, raws, raws, raws, [1] * n, [-1] * n, seeds)
-        path = tmp_path / "edge.csv"
-        emit(table, str(path))
-        back = read_records(str(path))
-        assert np.array_equal(back.raw1, np.asarray(raws))
-        assert np.array_equal(back.alpha2, np.asarray(raws))
-        assert np.array_equal(back.seed, table.seed)
+    table = TrialTable(range(n), raws, raws, [1] * n, [-1] * n, settings_id="edge;case", v=1.0, master_seed=2**64 - 1)
+    path = tmp_path / "edge.csv"
+    emit_records(table, str(path))
+    back = read_records(str(path))
+    assert np.array_equal(back.raw1, np.asarray(raws))
+    assert np.array_equal(back.alpha2, np.asarray(raws))
+    assert back.master_seed == 2**64 - 1
 
 
 def test_concat_rejects_two_experiments():
@@ -121,10 +146,10 @@ def test_concat_rejects_two_experiments():
 
 def test_empty_trial_set_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_records(empty_table(TrialTable), str(path), 0.5, 9)
+    emit_records(empty_table(TrialTable, v=0.5, master_seed=9), str(path))
     assert path.read_text().splitlines() == [
         '# {"format": 2, "master_seed": 9, "settings_id": "s", "v": 0.5}',
-        ",".join(name for name, _ in TRIAL_ROW_SCHEMA),
+        ",".join(name for name, _ in TRIAL_SCHEMA),
     ]
     with pytest.raises(ValueError, match="no records"):
         read_records(str(path))
@@ -137,28 +162,26 @@ def test_trial_read_rejects_foreign_files(tmp_path):
         read_records(str(wrong))
 
     truncated = tmp_path / "short.csv"
-    truncated.write_text(",".join(TRIAL_HEADER) + "\n" + "0,id,1.0\n")
+    truncated.write_text(_head("trial") + "\n" + "0,1.0\n")
     with pytest.raises(ValueError, match="malformed"):
         read_records(str(truncated))
 
 
 def _trial_table(settings_id, n):
-    # a table that format 2 holds at v = 1 and master seed 0
-    seeds = [derived_seed(0, 0)] * n
-    return TrialTable([0] * n, settings_id, [1.0] * n, [1.0] * n, [1.0] * n, [1.0] * n, [1] * n, [1] * n, seeds)
+    return TrialTable([0] * n, [1.0] * n, [1.0] * n, [1] * n, [1] * n, settings_id=settings_id, v=1.0, master_seed=0)
 
 
 def test_emit_rejects_delimiters_inside_settings_id(tmp_path):
     bad = _trial_table("has,comma", 2)
     with pytest.raises(ValueError, match="delimiter"):
-        emit_records(bad, str(tmp_path / "bad.csv"), 1.0, 0)
-    emit_records(_trial_table("no;comma", 2), str(tmp_path / "good.csv"), 1.0, 0)
+        emit_records(bad, str(tmp_path / "bad.csv"))
+    emit_records(_trial_table("no;comma", 2), str(tmp_path / "good.csv"))
 
 
 def test_emit_rejects_quotes_inside_settings_id(tmp_path):
     bad = _trial_table('say "hi"', 1)
     with pytest.raises(ValueError, match="quote"):
-        emit_records(bad, str(tmp_path / "bad.csv"), 1.0, 0)
+        emit_records(bad, str(tmp_path / "bad.csv"))
 
 
 @pytest.mark.parametrize("emit, other", [(emit_records, PredictionTable), (emit_predictions, TrialTable)])
@@ -166,7 +189,7 @@ def test_emitters_reject_the_other_table_kind_before_opening_the_file(tmp_path, 
     path = tmp_path / "wrong_kind.csv"
     wanted = "PredictionTable" if other is TrialTable else "TrialTable"
     with pytest.raises(TypeError, match=f"{wanted}.*got {other.__name__}"):
-        emit(empty_table(other), str(path), 1, 0)  # v = 1 or steps = 1, master seed 0
+        emit(empty_table(other), str(path))
     assert not path.exists()
 
 
@@ -175,25 +198,26 @@ def test_prediction_round_trip_is_bit_exact(tmp_path):
         prediction_settings(0.6), SequentialReadoutParams(v=0.3, steps=30), 40, master_seed=2
     )
     path = tmp_path / "pred.csv"
-    emit_predictions(table, str(path), 30, 2)
+    emit_predictions(table, str(path))
     back = read_predictions(str(path))
     for name in (
         "trial_index",
+        "K1",
+        "K2",
         "trajectory_mean1",
         "trajectory_mean2",
         "predicted1",
         "predicted2",
         "actual1",
         "actual2",
-        "seed",
     ):
         assert np.array_equal(getattr(back, name), getattr(table, name)), name
-    assert back.settings_id == table.settings_id
+    assert (back.settings_id, back.steps, back.master_seed) == (table.settings_id, 30, 2)
 
 
 def test_prediction_empty_and_header_checks(tmp_path):
     path = tmp_path / "pred_empty.csv"
-    emit_predictions(empty_table(PredictionTable), str(path), 40, 2**64 - 1)
+    emit_predictions(empty_table(PredictionTable, steps=40, master_seed=2**64 - 1), str(path))
     assert path.read_text().splitlines() == [
         f'# {{"format": 2, "master_seed": {2**64 - 1}, "settings_id": "s", "steps": 40}}',
         "trial_index,K1,K2,actual1,actual2",
@@ -201,8 +225,8 @@ def test_prediction_empty_and_header_checks(tmp_path):
     with pytest.raises(ValueError, match="no records"):
         read_predictions(str(path))
     wrong = tmp_path / "trials_not_predictions.csv"
-    wrong.write_text(",".join(TRIAL_HEADER) + "\n")
-    with pytest.raises(ValueError, match="header"):
+    wrong.write_text(_head("prediction", columns=",".join(name for name, _ in TRIAL_SCHEMA)) + "\n")
+    with pytest.raises(ValueError, match="^unexpected prediction CSV header"):
         read_predictions(str(wrong))
 
 
@@ -385,76 +409,93 @@ def test_cli_format_2_record_bytes_match_golden_hashes(tmp_path, capsys, command
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_format_1_and_format_2_files_of_one_run_audit_alike(tmp_path, capsys):
-    two, one = tmp_path / "two.csv", tmp_path / "one.csv"
-    assert main(["simulate", "--v", "0.4", "--noise-sigma", "0.2", "--trials", "3000", "--seed", "8",
-                 "--out", str(two)]) == 0
-    emit_format1(read_records(str(two)), str(one))
-    assert not one.read_text().startswith("#") and two.read_text().startswith("#")
-    verdicts = []
-    for path in (one, two):
-        capsys.readouterr()
-        assert main(["audit", "--in", str(path), "--v", "0.4"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        verdict = decomposition_test(read_records(str(path)), 0.4)
-        assert summary == dataclasses.asdict(verdict)
-        verdicts.append(verdict)
-    assert dataclasses.astuple(verdicts[0]) == dataclasses.astuple(verdicts[1])
+READOUT_30 = SequentialReadoutParams(v=0.3, steps=30)
+
+
+def test_a_format_1_file_is_refused_with_one_line_naming_the_manifest(tmp_path, capsys):
+    path = tmp_path / "old.csv"
+    emit_format1(simulate_trials(default_settings(0.4), 300, 8), str(path))
+    message = (
+        f"trial CSV {path} has no header comment at line 1: record format 1 is no longer read; "
+        "rerun the command in its manifest"
+    )
+    capsys.readouterr()
+    assert main(["audit", "--in", str(path), "--v", "0.4"]) == 1
+    assert capsys.readouterr() == ("", f"blgisim: error: {message}\n")
+    emit_format1(prediction_batch(prediction_settings(0.6), READOUT_30, 5, master_seed=2), str(path))
+    with pytest.raises(ValueError) as info:
+        read_predictions(str(path))
+    assert str(info.value) == message.replace("trial", "prediction", 1)
 
 
 # ----------------------------------------------------------- hostile inputs
 
 
-def _trial_row(i, sid="s"):
-    return f"{i},{sid},0.5,-0.25,2.5,-1.25,1,-1,{i + 7}"
+def _trial_row(i):
+    return f"{i},0.5,-0.25,1,-1"
 
 
-def _prediction_row(i, sid="s"):
-    return f"{i},{sid},0.5,-0.25,1,-1,-1,1,{i + 7}"
+def _prediction_row(i):
+    return f"{i},5,25,-1,1"
 
 
-# format-1 files: the round-trip cases rewrite them through the format-1 writer
+# (schema, header parameter, row maker, reader, emitter) per kind
 READERS = {
-    "trial": (TRIAL_HEADER, _trial_row, read_records, emit_format1),
-    "prediction": (PREDICTION_HEADER, _prediction_row, read_predictions, emit_format1),
+    "trial": (TRIAL_SCHEMA, '"v": 0.5', _trial_row, read_records, emit_records),
+    "prediction": (PREDICTION_SCHEMA, '"steps": 30', _prediction_row, read_predictions, emit_predictions),
 }
 
 
-def _with_seed(row, seed):
-    return row.rsplit(",", 1)[0] + "," + seed
+def _head(kind, sid='"s"', seed=7, columns=None):
+    """The header comment and column header of a `kind` record file, as emitted; sid is JSON text."""
+    schema, param = READERS[kind][:2]
+    columns = ",".join(name for name, _ in schema) if columns is None else columns
+    return f'# {{"format": 2, "master_seed": {seed}, "settings_id": {sid}, {param}}}\n{columns}'
 
 
-# Each case maps (header line, row maker) to (file text, outcome). The outcome
+def _put(row, k, text):
+    """row with field k replaced by text."""
+    fields = row.split(",")
+    fields[k] = text
+    return ",".join(fields)
+
+
+Q = chr(34)  # a double quote
+
+# Each case maps (header maker, row maker) to (file text, outcome). The outcome
 # is an error pattern, or the text that emitting the table read back must give.
 HOSTILE = {
-    "extra field": lambda h, row: (f"{h}\n{row(0)},9\n", "malformed"),
-    "short row": lambda h, row: (f"{h}\n0,s,0.5\n", "malformed"),
-    "blank line inside": lambda h, row: (f"{h}\n{row(0)}\n\n{row(1)}\n", "malformed"),
-    "blank line at end": lambda h, row: (f"{h}\n{row(0)}\n{row(1)}\n\n", "malformed"),
+    "extra field": lambda h, row: (f"{h()}\n{row(0)},9\n", "malformed"),
+    "short row": lambda h, row: (f"{h()}\n{row(0).rsplit(',', 3)[0]}\n", "malformed"),
+    "blank line inside": lambda h, row: (f"{h()}\n{row(0)}\n\n{row(1)}\n", "malformed"),
+    "blank line at end": lambda h, row: (f"{h()}\n{row(0)}\n{row(1)}\n\n", "malformed"),
     # as many commas as two good rows, so only the row count can tell
-    "blank line after a doubled row": lambda h, row: (f"{h}\n{row(0)}{',1' * 8}\n\n", "malformed"),
-    "non-numeric field": lambda h, row: (f"{h}\n{row(0).replace('0.5', 'abc')}\n", "malformed"),
-    "empty field": lambda h, row: (f"{h}\n{row(0).replace('0.5', '')}\n", "malformed"),
-    "seed of 2**64": lambda h, row: (f"{h}\n{_with_seed(row(0), str(2**64))}\n", "malformed"),
-    "negative seed": lambda h, row: (f"{h}\n{_with_seed(row(0), '-1')}\n", "malformed"),
-    "non-integer int field": lambda h, row: (f"{h}\n{row(0).replace(',1,', ',1.5,')}\n", "malformed"),
-    "index past int64": lambda h, row: (f"{h}\n{row(0).replace('0,', str(2**63) + ',', 1)}\n", "malformed"),
-    "quoted settings id": lambda h, row: (f'{h}\n{row(0, chr(34) + "s" + chr(34))}\n', "malformed"),
-    "quoted number": lambda h, row: (f"{h}\n{row(0).replace('0.5', chr(34) + '0.5' + chr(34))}\n", "malformed"),
-    "foreign header": lambda h, row: (f"a,b,c\n{row(0)}\n", "header"),
+    "blank line after a doubled row": lambda h, row: (f"{h()}\n{row(0)}{',1' * 4}\n\n", "malformed"),
+    "non-numeric field": lambda h, row: (f"{h()}\n{_put(row(0), 1, 'abc')}\n", "malformed"),
+    "empty field": lambda h, row: (f"{h()}\n{_put(row(0), 1, '')}\n", "malformed"),
+    # the master seed, from which every per-trial seed derives, is in the header comment
+    "seed of 2**64": lambda h, row: (f"{h(seed=2**64)}\n{row(0)}\n", "malformed"),
+    "negative seed": lambda h, row: (f"{h(seed=-1)}\n{row(0)}\n", "malformed"),
+    "non-integer int field": lambda h, row: (f"{h()}\n{_put(row(0), 4, '1.5')}\n", "malformed"),
+    "index past int64": lambda h, row: (f"{h()}\n{_put(row(0), 0, str(2**63))}\n", "malformed"),
+    "quoted settings id": lambda h, row: (f"{h(sid=json.dumps(Q + 's' + Q))}\n{row(0)}\n", "malformed"),
+    "quoted number": lambda h, row: (f"{h()}\n{_put(row(0), 1, Q + '5' + Q)}\n", "malformed"),
+    "foreign header": lambda h, row: (f"{h(columns='a,b,c')}\n{row(0)}\n", "header"),
     "empty file": lambda h, row: ("", "header"),
-    "header only": lambda h, row: (f"{h}\n", "no records"),
-    "hash in settings id": lambda h, row: (f"{h}\n{row(0, 'a#b')}\n", f"{h}\n{row(0, 'a#b')}\n"),
-    "CRLF line endings": lambda h, row: (f"{h}\r\n{row(0)}\r\n{row(1)}\r\n", f"{h}\n{row(0)}\n{row(1)}\n"),
-    "no final newline": lambda h, row: (f"{h}\n{row(0)}\n{row(1)}", f"{h}\n{row(0)}\n{row(1)}\n"),
+    "header only": lambda h, row: (f"{h()}\n", "no records"),
+    "hash in settings id": lambda h, row: (f"{h(sid=Q + 'a#b' + Q)}\n{row(0)}\n",) * 2,
+    "CRLF line endings": lambda h, row: (
+        f"{h()}\n{row(0)}\n{row(1)}\n".replace("\n", "\r\n"), f"{h()}\n{row(0)}\n{row(1)}\n"
+    ),
+    "no final newline": lambda h, row: (f"{h()}\n{row(0)}\n{row(1)}", f"{h()}\n{row(0)}\n{row(1)}\n"),
 }
 
 
 @pytest.mark.parametrize("case", list(HOSTILE))
 @pytest.mark.parametrize("kind", list(READERS))
 def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
-    header, row, read, emit = READERS[kind]
-    text, outcome = HOSTILE[case](",".join(header), row)
+    _, _, row, read, emit = READERS[kind]
+    text, outcome = HOSTILE[case](partial(_head, kind), row)
     path = tmp_path / "hostile.csv"
     path.write_bytes(text.encode())
     if outcome in ("malformed", "header", "no records"):
@@ -468,45 +509,42 @@ def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
 
 @pytest.mark.parametrize("line", [7, 65540])
 def test_trial_reader_names_the_file_line_of_a_bad_field(tmp_path, line):
-    # the second case sits in the second block of rows
-    rows = [_trial_row(i) for i in range(line)]
-    rows[line - 2] = rows[line - 2].replace("0.5", "abc")
+    # rows start at line 3; the second case sits in the second block of rows
+    rows = [_trial_row(i) for i in range(line - 2)]
+    rows[-1] = _put(rows[-1], 1, "abc")
     path = tmp_path / "bad.csv"
-    path.write_text(",".join(TRIAL_HEADER) + "\n" + "".join(r + "\n" for r in rows))
-    with pytest.raises(ValueError, match=f"^malformed trial CSV row at line {line}: '{line - 2},s,abc,.*': raw1 'abc' does not parse as float64$"):
+    path.write_text(_head("trial") + "\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(ValueError, match=f"^malformed trial CSV row at line {line}: '{line - 3},abc,.*': raw1 'abc' does not parse as float64$"):
         read_records(str(path))
 
 
 @pytest.mark.parametrize("switch", [65530, 65536])
 @pytest.mark.parametrize("kind", list(READERS))
 def test_mixed_settings_ids_across_a_block_boundary(tmp_path, kind, switch):
-    # a second id is malformed at the line where it first appears, inside a
-    # block or at the first row of the next one
-    header, row, read, _ = READERS[kind]
-    ids = ["a" if i < switch else "b" for i in range(65540)]
-    text = ",".join(header) + "\n" + "".join(row(i, sid) + "\n" for i, sid in enumerate(ids))
+    # two experiments joined into one file: the second one's header comment
+    # is malformed at its line, inside a block or at the first row of the next one
+    row, read = READERS[kind][2:4]
+    text = _head(kind, sid='"a"') + "\n" + "".join(row(i) + "\n" for i in range(switch))
+    text += _head(kind, sid='"b"') + "\n" + "".join(row(i) + "\n" for i in range(switch, 65540))
     path = tmp_path / "mixed.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=f"malformed records: 2 distinct settings ids .* line {switch + 2} "):
+    with pytest.raises(ValueError, match=f"^malformed {kind} CSV row at line {switch + 3}: '# "):
         read(str(path))
 
 
 # ------------------------------------------------- format-2 headers and rows
 
 
-READOUT_30 = SequentialReadoutParams(v=0.3, steps=30)
-
-
 def _format_2_file(kind, rows=3):
-    """(table, its comment line, emitter, parameter) of a format-2 file of `kind` at master seed 4."""
+    """(table, its comment line, emitter) of a format-2 file of `kind` at master seed 4."""
     if kind == "trial":
         table = simulate_trials(default_settings(0.2), rows, master_seed=4)
-        emit, param, field = emit_records, 0.2, '"v": 0.20000000000000001'
+        emit, field = emit_records, '"v": 0.20000000000000001'
     else:
         table = prediction_batch(prediction_settings(0.6), READOUT_30, rows, master_seed=4)
-        emit, param, field = emit_predictions, 30, '"steps": 30'
+        emit, field = emit_predictions, '"steps": 30'
     comment = f'# {{"format": 2, "master_seed": 4, "settings_id": "{table.settings_id}", {field}}}'
-    return table, comment, emit, param
+    return table, comment, emit
 
 
 FORMAT_2_READERS = {"trial": read_records, "prediction": read_predictions}
@@ -525,7 +563,7 @@ HOSTILE_HEADERS = {
     "garbled comment line": (lambda c, rest: [c[:-5], *rest], "line 1: header comment is not JSON"),
     "comment not an object": (lambda c, rest: ["# [2]", *rest], "not a JSON object"),
     "duplicated comment line": (lambda c, rest: [c, c, *rest], "second header comment at line 2"),
-    "format 3": (_sub('"format": 2', '"format": 3'), "record format 3; this version reads formats 1 and 2"),
+    "format 3": (_sub('"format": 2', '"format": 3'), "record format 3; this version reads format 2 only"),
     "format true": (_sub('"format": 2', '"format": true'), "record format True"),
     "missing key": (_sub('"master_seed": 4, ', ""), "header keys"),
     "unknown key": (_sub("{", '{"extra": 1, '), "header keys"),
@@ -548,9 +586,9 @@ HOSTILE_PARAMS = {
 
 def _read_edited(tmp_path, kind, edit):
     """Read back a valid format-2 file of `kind` whose lines went through edit(comment line, other lines)."""
-    table, comment, emit, param = _format_2_file(kind)
+    table, comment, emit = _format_2_file(kind)
     path = tmp_path / "hostile.csv"
-    emit(table, str(path), param, 4)
+    emit(table, str(path))
     first, *rest = path.read_text().splitlines()
     assert first == comment
     path.write_text("\n".join(edit(first, rest)) + "\n")
@@ -574,26 +612,23 @@ def test_format_2_readers_reject_a_bad_header_parameter(tmp_path, kind, field):
 
 
 def test_read_records_refuses_another_v_and_names_both(tmp_path):
-    table, _, _, _ = _format_2_file("trial")
+    table, _, _ = _format_2_file("trial")
     path = tmp_path / "run.csv"
-    emit_records(table, str(path), 0.2, 4)
+    emit_records(table, str(path))
     assert len(read_records(str(path), v=0.2)) == 3
     with pytest.raises(ValueError, match=r"written at v=0\.2, not at the given v=0\.20000000000000004$"):
         read_records(str(path), v=0.20000000000000004)
-    # a format-1 file has no header v; audit checks alpha * v == raw instead
-    emit_format1(table, str(path))
-    assert len(read_records(str(path), v=0.7)) == 3
 
 
 @pytest.mark.parametrize("kind", list(FORMAT_2_READERS))
 def test_format_2_round_trip_survives_crlf_and_a_missing_final_newline(tmp_path, kind):
-    table, _, emit, param = _format_2_file(kind)
+    table, _, emit = _format_2_file(kind)
     path = tmp_path / "run.csv"
-    emit(table, str(path), param, 4)
+    emit(table, str(path))
     good = path.read_bytes()
     for text in (good.replace(b"\n", b"\r\n"), good[:-1]):
         path.write_bytes(text)
-        emit(FORMAT_2_READERS[kind](str(path)), str(path), param, 4)
+        emit(FORMAT_2_READERS[kind](str(path)), str(path))
         assert path.read_bytes() == good
 
 
@@ -602,52 +637,38 @@ def test_format_2_round_trip_survives_crlf_and_a_missing_final_newline(tmp_path,
 def test_format_2_reader_names_the_file_line_of_a_bad_field(tmp_path, kind, line):
     # line 1 is the header comment and line 2 the column header; the second
     # case sits in the second block of rows
-    table, _, emit, param = _format_2_file(kind, rows=line - 2)
+    table, _, emit = _format_2_file(kind, rows=line - 2)
     path = tmp_path / "bad.csv"
-    emit(table, str(path), param, 4)
+    emit(table, str(path))
     lines = path.read_text().splitlines()
     fields = lines[line - 1].split(",")
     fields[2] = "abc"
     lines[line - 1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    name, kind_of = (TRIAL_ROW_SCHEMA if kind == "trial" else PREDICTION_ROW_SCHEMA)[2]
+    name, kind_of = (TRIAL_SCHEMA if kind == "trial" else PREDICTION_SCHEMA)[2]
     pattern = f"^malformed {kind} CSV row at line {line}: '{line - 3},.*': {name} 'abc' does not parse as {kind_of}$"
     with pytest.raises(ValueError, match=pattern):
         FORMAT_2_READERS[kind](str(path))
 
 
 def test_emitters_refuse_tables_that_format_2_cannot_reproduce(tmp_path):
+    # a scalar that the reader would refuse in the header is refused before the file is opened
     path = tmp_path / "refused.csv"
     trials = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 20, master_seed=1)
-    for args, error in [
-        ((0.30000000000000004, 1), "alpha1 is not raw / v"),
-        ((0.3, 2), r"seed is not derived_seed\(2, trial_index\)"),
-        ((0.0, 1), "coupling strength must lie in"),
-        ((0.3, -1), "master_seed must be"),
-        ((0.3, 2**64), "master_seed must be"),
-        ((0.3, 1.0), "master_seed must be an integer, got 1.0"),
-    ]:
-        with pytest.raises(ValueError, match=error):
-            emit_records(trials, str(path), *args)
-        assert not path.exists()
     predictions = prediction_batch(prediction_settings(0.6), READOUT_30, 20, master_seed=2)
-
-    def replaced(name, column):
-        return PredictionTable(*(column if n == name else getattr(predictions, n) for n in PredictionTable.field_names))
-
-    mean = predictions.trajectory_mean1.copy()
-    mean[3] = np.nextafter(mean[3], 2.0)
-    huge = np.where(predictions.trajectory_mean2 < 0, -1e308, 1e308)  # the sign rule holds
-    for table, steps, error in [
-        (predictions, 31, "^trajectory_mean1 is not"),
-        (predictions, 0, "^steps must be an integer in"),
-        (predictions, 2.5, "^steps must be an integer, got 2.5"),
-        (replaced("trajectory_mean1", mean), 30, "^trajectory_mean1 is not"),
-        (replaced("predicted2", -predictions.predicted2), 30, "^predicted2 is not"),
-        (replaced("trajectory_mean2", huge), 30, "^trajectory_mean2 is not"),
+    for table, emit, error in [
+        (with_scalars(trials, v=0.0), emit_records, "coupling strength must lie in"),
+        (with_scalars(trials, v=1.5), emit_records, "coupling strength must lie in"),
+        (with_scalars(trials, v="0.3"), emit_records, "coupling strength must be a number"),
+        (with_scalars(trials, master_seed=-1), emit_records, "master_seed must be"),
+        (with_scalars(trials, master_seed=2**64), emit_records, "master_seed must be"),
+        (with_scalars(trials, master_seed=1.0), emit_records, "master_seed must be an integer, got 1.0"),
+        (with_scalars(predictions, steps=0), emit_predictions, "^steps must be an integer in"),
+        (with_scalars(predictions, steps=2.5), emit_predictions, "^steps must be an integer, got 2.5"),
+        (with_scalars(predictions, master_seed=True), emit_predictions, "^master_seed must be an integer, got True"),
     ]:
         with pytest.raises(ValueError, match=error):
-            emit_predictions(table, str(path), steps, 2)
+            emit(table, str(path))
         assert not path.exists()
-    emit_predictions(predictions, str(path), 30, 2)
+    emit_predictions(predictions, str(path))
     assert path.exists()

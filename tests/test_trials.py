@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from blgisim import qubits, streams, trials
+from blgisim import qubits, trials
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.qubits import NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
@@ -133,7 +133,7 @@ def test_single_trial_is_deterministic_and_well_formed():
     assert one.beta1[0] in (-1, 1) and one.beta2[0] in (-1, 1)
     assert one.alpha1[0] == one.raw1[0] / 0.4 and one.alpha2[0] == one.raw2[0] / 0.4
     assert one.settings_id == settings.settings_id
-    assert one.seed[0] == streams.derived_seed(42, 17)
+    assert (one.v, one.master_seed) == (0.4, 42)
     assert table_rows(simulate_trials(settings, 1, master_seed=42, start=18)) != [rec]
     assert table_rows(simulate_trials(settings, 1, master_seed=43, start=17)) != [rec]
 
@@ -143,9 +143,8 @@ def test_batch_rows_equal_single_trials():
     table = simulate_trials(settings, 10, master_seed=9)
     for i in range(10):
         one = simulate_trials(settings, 1, master_seed=9, start=i)
-        for name, kind in TrialTable.schema:
-            if kind != "str":
-                assert np.array_equal(getattr(one, name), getattr(table, name)[i : i + 1]), (i, name)
+        for name in TrialTable.field_names:
+            assert np.array_equal(getattr(one, name), getattr(table, name)[i : i + 1]), (i, name)
         assert one.settings_id == table.settings_id
 
 
@@ -327,7 +326,7 @@ def test_estimate_correlator_known_cases():
         """One row per (alpha1, beta1) pair, with raw1 = alpha1 and raw2 = alpha2 = beta2 = 1."""
         a1, b1 = (list(col) for col in zip(*pairs))
         n = len(pairs)
-        return TrialTable([0] * n, sid, a1, [1.0] * n, a1, [1.0] * n, b1, [1] * n, [0] * n)
+        return TrialTable([0] * n, a1, [1.0] * n, b1, [1] * n, settings_id=sid, v=1.0, master_seed=0)
 
     perfect = estimate_correlator(records((1.0, 1), (-1.0, -1)), "alpha1", "beta1")
     assert perfect.value == 1.0 and perfect.stderr == 0.0 and perfect.count == 2

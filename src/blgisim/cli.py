@@ -20,6 +20,7 @@ import shlex
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .records import (
     read_records,
 )
 from .streams import LAYOUT_VERSION, derived_seed
-from .trials import Settings, estimate_chsh, exact_chsh, simulate_trials
+from .trials import Settings, _pool_map, estimate_chsh, exact_chsh, simulate_trials
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
 # namespace entries that are not flags: the command's name, its handler and its argv
@@ -178,24 +179,33 @@ def parse_invocation(argv) -> argparse.Namespace:
     return _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
 
 
+def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
+    """Grid point k's sweep row: v, the exact combination, the empirical one
+    and its stderr, and the decomposition-test verdict.
+
+    Its trials are sampled serially from the seed derived from
+    (master_seed, k), so the row does not depend on where it runs.
+    """
+    point = Settings(v=v)
+    table = simulate_trials(point, trials, int(derived_seed(master_seed, k)))
+    report = estimate_chsh(table)
+    return v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_test(table).verdict
+
+
 def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict:
     """Simulate `trials` trials of default_settings(v) per grid point.
 
-    Returns columns keyed by SWEEP_HEADER, one entry per point: v, the exact
-    combination, the empirical one and its stderr, and the decomposition-test
-    verdict. Each point uses a seed derived from (master_seed, point index),
-    so points are independent and insensitive to evaluation order and worker
-    count.
+    Returns columns keyed by SWEEP_HEADER, one entry per point, as
+    _sweep_point computes it. With workers > 1 the points run in one process
+    pool of min(workers, points) workers, each point whole in one worker,
+    which returns its row; every point uses a seed derived from
+    (master_seed, point index), so the columns are the same for every
+    worker count and evaluation order.
     """
-    columns = {name: [] for name in SWEEP_HEADER}
-    for k, v in enumerate(v_values):
-        point = Settings(v=v)
-        table = simulate_trials(point, trials, int(derived_seed(master_seed, k)), workers=workers)
-        report = estimate_chsh(table)
-        row = (v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_test(table).verdict)
-        for column, value in zip(columns.values(), row):
-            column.append(value)
-    return columns
+    v_values = list(v_values)
+    point = partial(_sweep_point, trials=trials, master_seed=master_seed)
+    rows = _pool_map(point, range(len(v_values)), v_values, workers=workers)
+    return {name: [row[i] for row in rows] for i, name in enumerate(SWEEP_HEADER)}
 
 
 def _now() -> str:

@@ -54,7 +54,11 @@ from .trials import (
     ChshReport,
     RecordTable,
     Settings,
+    _INTEGER,
+    _check_seed,
+    _check_settings_id,
     _correlator,
+    _typed,
     branch_distribution,
     chsh_combine,
     run_chunked,
@@ -88,6 +92,10 @@ def check_steps(steps: int) -> int:
     if int(steps) != steps or not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {steps}")
     return steps
+
+
+def _check_table_steps(steps) -> int:
+    return int(check_steps(_typed(steps, _INTEGER, "steps")))
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ class PredictionTable(RecordTable):
     is computed from K_i on access."""
 
     schema = PREDICTION_SCHEMA
-    scalars = ("settings_id", "steps", "master_seed")
+    scalar_checks = {"settings_id": _check_settings_id, "steps": _check_table_steps, "master_seed": _check_seed}
 
     trajectory_mean1 = property(lambda self: _readout_columns(self.K1, self.steps)[0])
     trajectory_mean2 = property(lambda self: _readout_columns(self.K2, self.steps)[0])

@@ -30,7 +30,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .prediction import PredictionTable, check_steps
+from .prediction import PredictionTable
 from .qubits import check_strength
 from .trials import TrialTable
 
@@ -71,30 +71,6 @@ def _check_text(text: str, name: str = "settings_id") -> None:
         raise ValueError(f"{name} {text!r} contains CSV delimiter or quote characters")
 
 
-_INTEGER, _NUMBER = (int, np.integer), (int, float)
-
-
-def _typed(value, kinds: tuple, name: str):
-    """value, if it is one of kinds and not a bool (JSON's true and false read as Python ints)."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(f"{name} must be {'an integer' if kinds is _INTEGER else 'a number'}, got {value!r}")
-    return value
-
-
-def _check_seed(master_seed) -> int:
-    if not 0 <= _typed(master_seed, _INTEGER, "master_seed") < 2**64:
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    return int(master_seed)
-
-
-def _check_v(v) -> float:
-    return check_strength(_typed(v, _NUMBER, "coupling strength"))
-
-
-def _check_steps(steps) -> int:
-    return int(check_steps(_typed(steps, _INTEGER, "steps")))
-
-
 def _check_id(settings_id) -> str:
     if not isinstance(settings_id, str):
         raise ValueError(f"settings_id must be a string, got {settings_id!r}")
@@ -102,8 +78,11 @@ def _check_id(settings_id) -> str:
     return settings_id
 
 
-# the check of each table scalar that a record header holds
-_SCALAR_CHECKS = {"settings_id": _check_id, "master_seed": _check_seed, "v": _check_v, "steps": _check_steps}
+def _scalar_checks(cls: type) -> dict:
+    """The check of each scalar of a cls record header: the table's own, and a settings id fit for CSV."""
+    return {**cls.scalar_checks, "settings_id": _check_id}
+
+
 _KIND_NAMES = {TrialTable: "trial", PredictionTable: "prediction"}
 
 
@@ -128,7 +107,8 @@ def _emit_table(table, cls: type, path: str) -> str:
     checking its scalars; no rows writes the two header lines only."""
     if not isinstance(table, cls):
         raise TypeError(f"expected a {cls.__name__} to write, got {type(table).__name__}")
-    header = {"format": RECORD_FORMAT, **{name: _SCALAR_CHECKS[name](getattr(table, name)) for name in cls.scalars}}
+    checks = _scalar_checks(cls)
+    header = {"format": RECORD_FORMAT, **{name: check(getattr(table, name)) for name, check in checks.items()}}
 
     def blocks():
         for start in range(0, len(table), _BLOCK_ROWS):
@@ -222,7 +202,7 @@ def _read_comment(line: str, cls: type, where: str) -> dict:
     if set(header) != keys:
         raise ValueError(f"malformed {where}: header keys {sorted(header)}, expected {sorted(keys)}")
     try:
-        return {name: _SCALAR_CHECKS[name](header[name]) for name in cls.scalars}
+        return {name: check(header[name]) for name, check in _scalar_checks(cls).items()}
     except ValueError as exc:
         raise ValueError(f"malformed {where}: {exc}") from None
 

@@ -177,24 +177,52 @@ _I, _F = "int64", "float64"
 TRIAL_SCHEMA = (("trial_index", _I), ("raw1", _F), ("raw2", _F), ("beta1", _I), ("beta2", _I))
 
 
+_INTEGER, _NUMBER = (int, np.integer), (int, float)
+
+
+def _typed(value, kinds: tuple, name: str):
+    """value, if it is one of kinds and not a bool (JSON's true and false read as Python ints)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {'an integer' if kinds is _INTEGER else 'a number'}, got {value!r}")
+    return value
+
+
+def _check_settings_id(settings_id) -> str:
+    if not isinstance(settings_id, str):
+        raise TypeError(f"settings_id must be one str per table, got {type(settings_id).__name__}")
+    return settings_id
+
+
+def _check_seed(master_seed) -> int:
+    if not 0 <= _typed(master_seed, _INTEGER, "master_seed") < 2**64:
+        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
+    return int(master_seed)
+
+
+def _check_v(v) -> float:
+    return check_strength(_typed(v, _NUMBER, "coupling strength"))
+
+
 class RecordTable:
     """Column-oriented batch of the records of one experiment.
 
-    A subclass names its `schema` of (name, kind) columns and its `scalars`,
-    the experiment's values that every row shares, settings_id among them.
-    field_names are the schema's names.  The constructor takes one column
-    per name, in schema (CSV) order, each cast to its kind's dtype, and each
-    scalar by keyword.  Every column is 1-D and as long as trial_index;
-    settings_id is one str for the whole table, so a table never pools two
-    experiments.
+    A subclass names its `schema` of (name, kind) columns and its
+    `scalar_checks`: the experiment's values that every row shares,
+    settings_id among them, each with the check that validates it and
+    returns the value to store.  field_names are the schema's names and
+    scalars the checks' names.  The constructor takes one column per name,
+    in schema (CSV) order, each cast to its kind's dtype, and each scalar by
+    keyword.  Every column is 1-D and as long as trial_index; settings_id is
+    one str for the whole table, so a table never pools two experiments.
     """
 
     schema: tuple
-    scalars: tuple
+    scalar_checks: dict
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.field_names = tuple(name for name, _ in cls.schema)
+        cls.scalars = tuple(cls.scalar_checks)
 
     def __init__(self, *columns, **scalars):
         table = type(self).__name__
@@ -202,9 +230,7 @@ class RecordTable:
             raise TypeError(f"{table} takes {len(self.schema)} columns, got {len(columns)}")
         if sorted(scalars) != sorted(self.scalars):
             raise TypeError(f"{table} takes the scalars {sorted(self.scalars)}, got {sorted(scalars)}")
-        if not isinstance(scalars["settings_id"], str):
-            raise TypeError(f"settings_id must be one str per table, got {type(scalars['settings_id']).__name__}")
-        self.__dict__.update(scalars)
+        self.__dict__.update({name: check(scalars[name]) for name, check in self.scalar_checks.items()})
         for (name, kind), col in zip(self.schema, columns):
             setattr(self, name, np.asarray(col, dtype=kind))
         shapes = {name: getattr(self, name).shape for name in self.field_names}
@@ -234,7 +260,7 @@ class TrialTable(RecordTable):
     the stream of master_seed; alpha_i = raw_i / v is computed on access."""
 
     schema = TRIAL_SCHEMA
-    scalars = ("settings_id", "v", "master_seed")
+    scalar_checks = {"settings_id": _check_settings_id, "v": _check_v, "master_seed": _check_seed}
 
     def _rescaled(self, raw: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # an alpha past the float range is inf, which audit rejects
@@ -363,12 +389,26 @@ def _simulate_range(source, start: int, count: int, master_seed: int) -> TrialTa
     )
 
 
+def _pool_map(task, *sequences, workers: int) -> list:
+    """list(map(task, *sequences)): the results in input order.
+
+    With workers > 1 and more than one item, the items run in one process
+    pool of min(workers, items) workers; otherwise they run in this process.
+    In a pool, task and its arguments and results must pickle.
+    """
+    items = min(map(len, sequences))
+    if workers > 1 and items > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, items)) as pool:
+            return list(pool.map(task, *sequences))
+    return list(map(task, *sequences))
+
+
 def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
     """Concatenate task(chunk_start, count) over the chunks of [start, start + n_trials).
 
-    With workers > 1 the chunks run in a process pool of at most one worker
-    per chunk; parts are joined in chunk order, so the result is the same
-    for every chunk size and worker count.
+    The chunks go through _pool_map, so with workers > 1 they run in a
+    process pool of at most one worker per chunk; parts are joined in chunk
+    order, so the result is the same for every chunk size and worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -376,11 +416,7 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     starts = range(start, start + n_trials, chunk)
     counts = [min(chunk, start + n_trials - s) for s in starts]
-    if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(task, starts, counts))
-    else:
-        parts = list(map(task, starts, counts))
+    parts = _pool_map(task, starts, counts, workers=workers)
     return parts[0] if len(parts) == 1 else type(parts[0]).concat(parts)
 
 

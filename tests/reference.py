@@ -14,6 +14,7 @@ record-format-1 writer, which keeps the format-1 golden bytes pinned now
 that the package writes and reads format 2 only.
 """
 
+from copy import copy
 from functools import lru_cache
 from itertools import repeat
 
@@ -256,9 +257,15 @@ def empty_table(cls, **scalars):
 
 
 def with_scalars(table, **scalars):
-    """table's columns with the given scalars in place of its own."""
-    own = {name: getattr(table, name) for name in table.scalars}
-    return type(table)(*(getattr(table, name) for name in table.field_names), **{**own, **scalars})
+    """A copy of table with the given scalars assigned in place of its own.
+
+    The assignment skips the constructor's checks, so the copy can hold a
+    scalar that no table is built with, as the emitters and the auditor
+    must refuse.
+    """
+    changed = copy(table)
+    changed.__dict__.update(scalars)
+    return changed
 
 
 # record format 1: on every row, every column a table held before format 2,

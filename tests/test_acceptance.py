@@ -218,9 +218,14 @@ def test_criterion_8_outputs_are_byte_identical_everywhere(tmp_path):
     assert main(pre + ["--out", str(pb), "--workers", "3"]) == 0
     assert pa.read_bytes() == pb.read_bytes()
 
-    # sweep rows
+    # sweep rows: rerun, and the grid points in one pool, with fewer and
+    # with more workers than points
     swe = ["sweep", "--v-grid", "0.2,0.9", "--trials", "4000", "--seed", "14"]
-    sa, sb = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    sa, sb, sc, sd = (tmp_path / f"s{i}.csv" for i in range(1, 5))
     assert main(swe + ["--out", str(sa)]) == 0
     assert main(swe + ["--out", str(sb)]) == 0
-    assert sa.read_bytes() == sb.read_bytes()
+    assert main(swe + ["--out", str(sc), "--workers", "2"]) == 0
+    assert main(swe + ["--out", str(sd), "--workers", "5"]) == 0
+    assert sb.read_bytes() == sa.read_bytes()
+    assert sc.read_bytes() == sa.read_bytes()
+    assert sd.read_bytes() == sa.read_bytes()

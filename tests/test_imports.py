@@ -1,8 +1,8 @@
 """Tooling guards: no package or test module imports a name it never
 references, no package module imports scipy, the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
-TrialTable and one every PredictionTable, and every name the benchmark
-tracer patches exists."""
+TrialTable and one every PredictionTable, one helper opens every process
+pool, and every name the benchmark tracer patches exists."""
 
 import ast
 import importlib
@@ -77,6 +77,12 @@ def test_one_sampler_builds_every_trial_table():
 def test_one_sampler_builds_every_prediction_table():
     # the readers build tables through their class, never by name
     assert _inside(prediction._predict_range, _call_sites("PredictionTable")) == [("prediction.py", True)]
+
+
+def test_one_helper_opens_every_process_pool():
+    # simulate and predict pool their chunks, sweep its grid points, all
+    # through trials._pool_map; a second call site would be a second pool path
+    assert _inside(trials._pool_map, _call_sites("ProcessPoolExecutor")) == [("trials.py", True)]
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,

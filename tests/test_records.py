@@ -14,6 +14,7 @@ import pytest
 
 from blgisim.cli import main
 from blgisim.prediction import (
+    MAX_STEPS,
     PREDICTION_SCHEMA,
     PredictionTable,
     SequentialReadoutParams,
@@ -99,6 +100,36 @@ def test_concat_rejects_tables_that_differ_in_one_scalar(table_cls, name, other)
     with pytest.raises(ValueError, match=f"^malformed records: 2 distinct {what} in one record set$"):
         table_cls.concat([one, two])
     assert len(table_cls.concat([two, two])) == 4
+
+
+@pytest.mark.parametrize(
+    "table_cls, name, bad, error",
+    [
+        (TrialTable, "v", 0.0, "^coupling strength must lie in"),
+        (TrialTable, "v", 1.5, "^coupling strength must lie in"),
+        (TrialTable, "v", float("nan"), "^coupling strength must lie in"),
+        (TrialTable, "v", "0.3", "^coupling strength must be a number, got '0.3'$"),
+        (TrialTable, "master_seed", -5, "^master_seed must be a 64-bit unsigned integer, got -5$"),
+        (TrialTable, "master_seed", 2**64, "^master_seed must be a 64-bit unsigned integer"),
+        (TrialTable, "master_seed", 1.0, "^master_seed must be an integer, got 1.0$"),
+        (PredictionTable, "steps", 0, rf"^steps must be an integer in \[1, {MAX_STEPS}\], got 0$"),
+        (PredictionTable, "steps", MAX_STEPS + 1, r"^steps must be an integer in \[1, "),
+        (PredictionTable, "steps", 2.5, "^steps must be an integer, got 2.5$"),
+        (PredictionTable, "steps", True, "^steps must be an integer, got True$"),
+        (PredictionTable, "master_seed", 2**70, "^master_seed must be a 64-bit unsigned integer"),
+    ],
+)
+def test_table_rejects_a_bad_scalar_at_construction(table_cls, name, bad, error):
+    # the same checks, and messages, as a record header's
+    with pytest.raises(ValueError, match=error):
+        table_cls(*_table_columns(table_cls, 2), **_scalars(table_cls, **{name: bad}))
+
+
+def test_table_stores_its_scalars_as_python_numbers():
+    table = TrialTable(*_table_columns(TrialTable, 2), settings_id="s", v=np.float64(0.5), master_seed=np.uint64(7))
+    assert (type(table.v), type(table.master_seed)) == (float, int)
+    table = PredictionTable(*_table_columns(PredictionTable, 2), settings_id="s", steps=np.int64(3), master_seed=7)
+    assert type(table.steps) is int
 
 
 @pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
@@ -363,7 +394,8 @@ GOLDEN = [
         "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
         "f635af306399befdf1ae5d8219be7fa7e2d1730f652986b54bfa983c23b9ff20",
     ),
-    # two chunks per grid point: the only output that goes through the process pool
+    # two chunks per grid point; with --workers 2 the two points run in one
+    # process pool, each sampled whole in its worker
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 1",
         "f50b9b9ce8a95096b86ed01b07b65f0093f8ac61d32a805fb418d098d71b53e4",

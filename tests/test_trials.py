@@ -8,6 +8,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from blgisim import qubits, trials
+from blgisim.cli import run_sweep
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.qubits import NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
@@ -292,6 +293,25 @@ def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
     assert _InlinePool.max_workers == [2]
     for name in TrialTable.field_names:
         assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
+
+
+SIX_POINTS = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, workers, pools",
+    [(SIX_POINTS, 2, [2]), (SIX_POINTS, 10_000, [6]), (SIX_POINTS, 1, []), ((0.5,), 4, [])],
+    ids=["6_points-2_workers", "6_points-10000_workers", "6_points-1_worker", "1_point-4_workers"],
+)
+def test_run_sweep_opens_at_most_one_pool_per_call(monkeypatch, grid, workers, pools):
+    # 70,000 trials are 2 chunks per point, so a point that passed its
+    # workers on to simulate_trials would open a pool of its own
+    monkeypatch.setattr(trials, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    pooled = run_sweep(grid, 70_000, master_seed=5, workers=workers)
+    assert _InlinePool.max_workers == pools
+    if pools:
+        assert pooled == run_sweep(grid, 70_000, master_seed=5)
 
 
 def test_concat_of_single_trials_equals_the_batch():

@@ -75,9 +75,7 @@ from .trials import (
     TrialTable,
     branch_distribution,
     chsh_combine,
-    coupled_state,
     default_settings,
-    entanglement_curve,
     estimate_chsh,
     estimate_correlator,
     exact_chsh,
@@ -117,14 +115,12 @@ __all__ = [
     "chsh_bound_check",
     "chsh_combine",
     "concurrence",
-    "coupled_state",
     "decomposition_test",
     "default_settings",
     "emit_manifest",
     "emit_predictions",
     "emit_records",
     "emit_sweep",
-    "entanglement_curve",
     "estimate_chsh",
     "estimate_correlator",
     "exact_chsh",

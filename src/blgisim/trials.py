@@ -43,8 +43,6 @@ from .qubits import (
     NoiseModel,
     QuantumState,
     check_strength,
-    concurrence,
-    nonselective_weak,
     outcome_law,
     weak_kraus,
 )
@@ -538,26 +536,3 @@ def exact_chsh(source) -> float:
     """Exact e11 + e12 + e21 - e22 for the alpha_i x beta_j pairing, from one law."""
     e11, e12, e21, e22 = _exact_moments(source, CHSH_PAIRS)
     return e11 + e12 + e21 - e22
-
-
-# ---------------------------------------------------------------------------
-# Residual entanglement after outcome-averaged coupling
-
-
-def coupled_state(v: float, axis1: float, axis2: float, bell_kind: str = "phi_plus") -> QuantumState:
-    """Bell pair after non-selective weak measurement of both qubits."""
-    state = prepare_bell(bell_kind)
-    state = nonselective_weak(state, 0, axis1, v)
-    return nonselective_weak(state, 1, axis2, v)
-
-
-def entanglement_curve(v_grid, axis: float = 0.0, bell_kind: str = "phi_plus") -> list:
-    """Concurrence after symmetric coupling (both qubits, one shared axis).
-
-    Returns (v, concurrence) pairs. With a common axis the curve is 1 - v^2:
-    1 in the v -> 0 limit, strictly positive below v = 1.
-    """
-    grid = [check_strength(v) for v in v_grid]
-    if not grid:
-        raise ValueError("v grid must be nonempty")
-    return [(v, concurrence(coupled_state(v, axis, axis, bell_kind))) for v in grid]

@@ -5,6 +5,7 @@ package computes another way: the state-updating weak measurement, the
 system+ancilla unitary behind the weak Kraus pair, the reduced state by
 partial trace, one trial's detector noise and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
+pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, and the closed-form
 combination of a hidden-variable source.  They stay independent oracles
 for the package's exact laws and batch samplers.  Four table helpers close
@@ -23,7 +24,7 @@ from scipy.special import ndtri
 
 from blgisim import streams
 from blgisim.prediction import PredictionTable, SequentialReadoutParams
-from blgisim.trials import BRANCHES, TRIAL_BLOCKS, Settings, TrialTable, coupled_state, prepare_bell
+from blgisim.trials import BRANCHES, TRIAL_BLOCKS, Settings, TrialTable, prepare_bell
 from blgisim.qubits import (
     MIN_BRANCH_PROB,
     NO_NOISE,
@@ -33,7 +34,9 @@ from blgisim.qubits import (
     axis_projectors,
     bloch_observable,
     check_strength,
+    concurrence,
     lift1,
+    nonselective_weak,
     weak_kraus,
 )
 
@@ -212,6 +215,25 @@ def sequential_weak_sequence(
         raw, state = weak_measure(state, qubit, axis, params.v, rng)
         total += raw
     return total / params.steps, state
+
+
+def coupled_state(v: float, axis1: float, axis2: float, bell_kind: str = "phi_plus") -> QuantumState:
+    """Bell pair after non-selective weak measurement of both qubits."""
+    state = prepare_bell(bell_kind)
+    state = nonselective_weak(state, 0, axis1, v)
+    return nonselective_weak(state, 1, axis2, v)
+
+
+def entanglement_curve(v_grid, axis: float = 0.0, bell_kind: str = "phi_plus") -> list:
+    """Concurrence after symmetric coupling (both qubits, one shared axis).
+
+    Returns (v, concurrence) pairs. With a common axis the curve is 1 - v^2:
+    1 in the v -> 0 limit, strictly positive below v = 1.
+    """
+    grid = [check_strength(v) for v in v_grid]
+    if not grid:
+        raise ValueError("v grid must be nonempty")
+    return [(v, concurrence(coupled_state(v, axis, axis, bell_kind))) for v in grid]
 
 
 def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:

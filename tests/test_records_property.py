@@ -1,10 +1,13 @@
 """Property tests for the record codec.
 
-Random tables of both kinds are written in record format 2, match a plain
-per-row ``%.17g`` writer, and read back bit for bit, every column and
-every scalar.  Tables the samplers build, over random v, noise, seed and
-start, read back bit for bit too, and emit -> read -> emit gives the same
-bytes."""
+The numpy row formatter writes every float as ``'%.17g' % x`` and every int
+as ``'%d' % n`` would, byte for byte, over hypothesis values, random bit
+patterns and a pinned list of edges.  Random tables of both kinds are
+written in record format 2, match a plain per-row writer, and read back bit
+for bit, every column and every scalar; so do sampler tables that span
+several formatting blocks with extreme raws spliced in.  Tables the
+samplers build, over random v, noise, seed and start, read back bit for bit
+too, and emit -> read -> emit gives the same bytes."""
 
 import json
 import math
@@ -15,11 +18,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blgisim import records
 from blgisim.audit import hidden_variable_config, hidden_variable_source
 from blgisim.prediction import MAX_STEPS, PredictionTable, SequentialReadoutParams, prediction_batch, prediction_settings
-from blgisim.qubits import NoiseModel
-from blgisim.records import emit_predictions, emit_records, read_predictions, read_records
-from blgisim.trials import Settings, TrialTable, simulate_trials
+from blgisim.qubits import NO_NOISE, NoiseModel
+from blgisim.records import (
+    SWEEP_HEADER,
+    emit_predictions,
+    emit_records,
+    emit_sweep,
+    read_predictions,
+    read_records,
+    read_sweep,
+)
+from blgisim.trials import Settings, TrialTable, default_settings, simulate_trials
+from reference import table_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -53,19 +66,18 @@ def tables(draw, kind):
     return cls(*columns, **{name: draw(SCALARS[name]) for name in cls.scalars})
 
 
+PRINTF = {"int64": "%d", "float64": "%.17g"}
+
+
 def reference_csv(table) -> str:
     """The record file written one header key, one row and one field at a time."""
     header = []
     for name in sorted(["format", *table.scalars]):
         value = 2 if name == "format" else getattr(table, name)
-        header.append(f'"{name}": ' + (f"{value:.17g}" if isinstance(value, float) else json.dumps(value)))
+        header.append(f'"{name}": ' + ("%.17g" % value if isinstance(value, float) else json.dumps(value)))
     lines = ["# {" + ", ".join(header) + "}", ",".join(table.field_names)]
-    for i in range(len(table)):
-        fields = []
-        for name, kind in table.schema:
-            value = getattr(table, name)[i]
-            fields.append(f"{float(value):.17g}" if kind == "float64" else str(int(value)))
-        lines.append(",".join(fields))
+    for row in table_rows(table):
+        lines.append(",".join(PRINTF[kind] % value for (_, kind), value in zip(table.schema, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -142,3 +154,137 @@ def test_sampler_tables_round_trip_bit_for_bit(kind, data):
             assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
         emit(back, second)
         assert Path(second).read_bytes() == Path(first).read_bytes()
+
+
+# ------------------------------------------------------------- row formatter
+
+
+def formatted(values, kind: str) -> list:
+    """The cells the block formatter writes for one column, one per row."""
+    text = records._rows_text([np.asarray(values, kind)], [kind], "utf-8").tobytes().decode("ascii")
+    return text.split("\n")[1:]
+
+
+def _powers_of_ten_and_neighbours(low: int, high: int) -> list:
+    values = []
+    for k in range(low, high + 1):
+        x = 10.0**k
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+    return values
+
+
+def _ties() -> list:
+    # m / 4 for odd m in [4e15, 9e15): the 17th digit is a tenth, and .25
+    # and .75 are exact halves between two 17-digit values
+    odd = np.random.default_rng(4).integers(2 * 10**15, 9 * 10**15 // 2, 4000) * 2 + 1
+    return (odd / 4.0).tolist() + [1250000000000000.25, 1250000000000000.75, 4e15 / 4 + 0.25]
+
+
+EDGE_LIST = (
+    EDGE_FLOATS
+    + [math.nan, -math.nan, 1e-4, -1e-4, 1e17, -1e17, 2.0**53, 2.0**53 + 2, 0.1, 1.0 / 3.0, 2.0 / 3.0, 0.5]
+    + [np.nextafter(1e17, 0.0) - 16.0 * j for j in range(4)]  # just below 10**17
+    + [99999999999999999e-17, 9999999999999999e-20, 0.00099999999999999999]
+    + _powers_of_ten_and_neighbours(-6, 22)
+    + _ties()
+)
+
+
+def test_float_cells_equal_percent_17g_on_the_edge_list():
+    values = EDGE_LIST + [-x for x in EDGE_LIST]
+    assert formatted(values, "float64") == ["%.17g" % x for x in values]
+
+
+def test_float_cells_equal_percent_17g_on_random_bit_patterns():
+    bits = np.random.default_rng(15).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64).tolist()
+    assert formatted(values, "float64") == ["%.17g" % x for x in values]
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# every float (nan, infinities, zeros and subnormals included), floats of
+# the fixed-notation range and its edges, and uniform bit patterns
+FLOATS = st.one_of(st.floats(), st.floats(1e-5, 1e18), st.integers(0, 2**64 - 1).map(_from_bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FLOATS, min_size=1, max_size=40))
+def test_float_cells_equal_percent_17g(values):
+    assert formatted(values, "float64") == ["%.17g" % x for x in values]
+
+
+INT_EDGES = [-(2**63), 2**63 - 1, -(2**63) + 1, 0, -1, 1] + [
+    sign * (10**j + d) for j in range(1, 19) for d in (-1, 0, 1) for sign in (1, -1)
+]
+
+
+def test_int_cells_equal_percent_d_at_every_digit_count():
+    assert formatted(INT_EDGES, "int64") == ["%d" % n for n in INT_EDGES]
+    for n in INT_EDGES:  # alone, each sets its block's cell width
+        assert formatted([n], "int64") == ["%d" % n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+def test_int_cells_equal_percent_d(values):
+    assert formatted(values, "int64") == ["%d" % n for n in values]
+
+
+def test_multi_block_sampler_file_matches_per_row_formatting(tmp_path):
+    table = simulate_trials(default_settings(0.3, NoiseModel(bias=0.0, sigma=0.3)), 2 * 65536 + 7, 21)
+    raw1, raw2 = table.raw1.copy(), table.raw2.copy()
+    rows = np.random.default_rng(8).choice(len(table), len(EDGE_LIST), replace=False)
+    raw1[rows] = EDGE_LIST
+    raw2[rows[::-1]] = [-x for x in EDGE_LIST]
+    raw1[[0, records._WRITE_ROWS - 1, records._WRITE_ROWS, len(table) - 1]] = [-0.0, math.inf, 5e-324, 1e300]
+    scalars = {name: getattr(table, name) for name in table.scalars}
+    spliced = TrialTable(table.trial_index, raw1, raw2, table.beta1, table.beta2, **scalars)
+    for kept in (spliced, table):
+        path = tmp_path / "trials.csv"
+        emit_records(kept, str(path))
+        assert path.read_text() == reference_csv(kept)
+
+
+def test_exponent_notation_raws_match_per_row_formatting(tmp_path):
+    # a noiseless hidden-variable source at v = 1e-5 reports raws of +-1e-5,
+    # which %.17g writes in exponent notation
+    source = hidden_variable_source(hidden_variable_config(3, 0), 1e-5, NO_NOISE)
+    table = simulate_trials(source, 3000, 9)
+    assert set(np.abs(table.raw1).tolist()) == {1e-5}
+    path = tmp_path / "hidden.csv"
+    emit_records(table, str(path))
+    assert path.read_text() == reference_csv(table)
+    assert "1.0000000000000001e-05" in path.read_text()
+
+
+def test_non_ascii_settings_id_round_trips(tmp_path):
+    table = TrialTable(
+        [0, 1], [0.5, -2.0], [1.0, 3e-7], [1, -1], [-1, 1], settings_id="phi_plus;θ=0.5;Δ", v=0.25, master_seed=3
+    )
+    path = tmp_path / "trials.csv"
+    emit_records(table, str(path))
+    assert path.read_text() == reference_csv(table)
+    _assert_same_table(read_records(str(path)), table)
+
+
+def test_sweep_text_is_the_text_file_of_per_row_formatting(tmp_path):
+    columns = {
+        "v": [0.1, 0.95, 1e-5],
+        "exact_chsh": [2.82, 1.85, math.nan],
+        "empirical_chsh": [2.81, -1.86, 2.0],
+        "chsh_stderr": [0.01, 0.0, math.inf],
+        "verdict": ["REJECT", "CONSISTENT", "INCONCLUSIVE – ünïcode"],
+    }
+    path, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
+    emit_sweep(columns, str(path))
+    with open(reference, "w", newline="") as f:
+        f.write(",".join(SWEEP_HEADER) + "\n")
+        for row in zip(*(columns[name] for name in SWEEP_HEADER)):
+            f.write("%.17g,%.17g,%.17g,%.17g,%s\n" % row)
+    assert path.read_bytes() == reference.read_bytes()
+    back = read_sweep(str(path))
+    assert back["verdict"] == columns["verdict"]
+    assert back["v"] == columns["v"] and back["empirical_chsh"] == columns["empirical_chsh"]

@@ -17,9 +17,7 @@ from blgisim.trials import (
     TrialTable,
     branch_distribution,
     chsh_combine,
-    coupled_state,
     default_settings,
-    entanglement_curve,
     estimate_chsh,
     estimate_correlator,
     exact_chsh,
@@ -30,7 +28,14 @@ from blgisim.trials import (
     simulate_trials,
 )
 from blgisim.audit import hidden_variable_config, hidden_variable_source
-from reference import projective_measure, reference_trial, table_rows, weak_measure
+from reference import (
+    coupled_state,
+    entanglement_curve,
+    projective_measure,
+    reference_trial,
+    table_rows,
+    weak_measure,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 

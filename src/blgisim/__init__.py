@@ -64,6 +64,7 @@ from .records import (
     emit_sweep,
     read_manifest,
     read_predictions,
+    read_record_blocks,
     read_records,
     read_sweep,
 )
@@ -141,6 +142,7 @@ __all__ = [
     "prepare_bell",
     "read_manifest",
     "read_predictions",
+    "read_record_blocks",
     "read_records",
     "read_sweep",
     "simulate_trials",

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import streams
 from .qubits import NO_NOISE, NoiseModel, check_strength
-from .trials import BRANCHES, Source, TrialTable, estimate_chsh
+from .trials import BRANCHES, ChshReport, Source, TrialTable, estimate_chsh
 
 MIN_RECORDS = 100     # below this the test has no power
-STDERR_CAP = 0.2      # combined-stderr cap for a conclusive verdict
+STDERR_CAP = 0.2      # stderr cap for a conclusive verdict
 DEFAULT_THRESHOLD_SIGMAS = 3.0
 
 CONSISTENT = "CONSISTENT"
@@ -131,30 +131,55 @@ def _check_record_integrity(table: TrialTable) -> None:
             raise ValueError("malformed records: beta outside {-1, +1}")
 
 
+def _checked(blocks):
+    """Each of blocks once its v and integrity are checked; at the end, at least 2 rows must have passed."""
+    rows = 0
+    for block in blocks:
+        check_strength(block.v)
+        _check_record_integrity(block)
+        rows += len(block)
+        yield block
+    if rows < 2:
+        raise ValueError(f"need at least 2 records to test a decomposition, got {rows}")
+
+
+def _check_threshold(threshold_sigmas) -> None:
+    if not (np.isfinite(threshold_sigmas) and threshold_sigmas > 0):
+        raise ValueError(f"threshold_sigmas must be positive, got {threshold_sigmas}")
+
+
 def decomposition_test(records, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:
     """Can these records be binary signals plus setting-independent
     zero-mean noise?  REJECT means no such decomposition exists.
 
+    records is a TrialTable, whose v rescales its raws, or an iterable of
+    the TrialTable blocks of one record file, as
+    records.read_record_blocks yields them.  Each block is checked (finite
+    raws and alphas, betas of +-1) and folded into the estimate as it
+    comes, so a stream is never held whole.  Fewer than 2 records cannot
+    give a standard error and raise ValueError.  The verdict is
+    decomposition_verdict's on the folded estimate.
+    """
+    _check_threshold(threshold_sigmas)
+    blocks = (records,) if isinstance(records, TrialTable) else records
+    return decomposition_verdict(estimate_chsh(_checked(blocks)), threshold_sigmas)
+
+
+def decomposition_verdict(report: ChshReport, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:
+    """The decomposition test's verdict on the CHSH estimate of records that pass its checks.
+
     The statistic is the absolute rescaled combination
-    |E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)| from the record fields.
-    Under the binary-plus-unbiased-noise model its mean is <= 2, so an
-    excess beyond threshold_sigmas combined standard errors rejects the
-    model.  records is a TrialTable, whose v rescales its raws.  Fewer than
-    2 records cannot give a standard error and raise ValueError; verdicts
-    are INCONCLUSIVE below MIN_RECORDS records or when the combined stderr
+    |E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)|, the mean of the per-trial
+    term, and its standard error is the term's.  Under the
+    binary-plus-unbiased-noise model its mean is <= 2, so an excess beyond
+    threshold_sigmas standard errors rejects the model.  Verdicts are
+    INCONCLUSIVE below MIN_RECORDS records or when the standard error
     exceeds STDERR_CAP.
     """
-    check_strength(records.v)
-    if not (np.isfinite(threshold_sigmas) and threshold_sigmas > 0):
-        raise ValueError(f"threshold_sigmas must be positive, got {threshold_sigmas}")
-    if len(records) < 2:
-        raise ValueError(f"need at least 2 records to test a decomposition, got {len(records)}")
-    _check_record_integrity(records)
-    report = estimate_chsh(records)
+    _check_threshold(threshold_sigmas)
     value = abs(report.chsh)
     stderr = report.chsh_stderr
-
-    if len(records) < MIN_RECORDS or stderr > STDERR_CAP:
+    if report.e11.count < MIN_RECORDS or stderr > STDERR_CAP:
         verdict = INCONCLUSIVE
     elif value - 2.0 > threshold_sigmas * stderr:
         verdict = REJECT

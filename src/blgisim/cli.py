@@ -29,6 +29,7 @@ from .audit import (
     DEFAULT_THRESHOLD_SIGMAS,
     chsh_bound_check,
     decomposition_test,
+    decomposition_verdict,
     exhaustive_verify,
 )
 from .prediction import (
@@ -50,7 +51,7 @@ from .records import (
     emit_predictions,
     emit_records,
     emit_sweep,
-    read_records,
+    read_record_blocks,
 )
 from .streams import LAYOUT_VERSION, derived_seed
 from .trials import Settings, _pool_map, estimate_chsh, exact_chsh, simulate_trials
@@ -181,7 +182,8 @@ def parse_invocation(argv) -> argparse.Namespace:
 
 def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
     """Grid point k's sweep row: v, the exact combination, the empirical one
-    and its stderr, and the decomposition-test verdict.
+    and its stderr, and the decomposition-test verdict, all from one fold
+    of the point's trials.
 
     Its trials are sampled serially from the seed derived from
     (master_seed, k), so the row does not depend on where it runs.
@@ -189,7 +191,7 @@ def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
     point = Settings(v=v)
     table = simulate_trials(point, trials, int(derived_seed(master_seed, k)))
     report = estimate_chsh(table)
-    return v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_test(table).verdict
+    return v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_verdict(report).verdict
 
 
 def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict:
@@ -204,7 +206,7 @@ def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict
     """
     v_values = list(v_values)
     point = partial(_sweep_point, trials=trials, master_seed=master_seed)
-    rows = _pool_map(point, range(len(v_values)), v_values, workers=workers)
+    rows = list(_pool_map(point, range(len(v_values)), v_values, workers=workers))
     return {name: [row[i] for row in rows] for i, name in enumerate(SWEEP_HEADER)}
 
 
@@ -279,8 +281,8 @@ def _do_simulate(ns: argparse.Namespace) -> int:
 
 
 def _do_audit(ns: argparse.Namespace) -> int:
-    table = read_records(ns.in_path, v=ns.v)
-    verdict = decomposition_test(table, ns.threshold_sigmas)
+    # the file is folded block by block as it is read, never held whole
+    verdict = decomposition_test(read_record_blocks(ns.in_path, v=ns.v), ns.threshold_sigmas)
     _emit(asdict(verdict))
     return 0
 

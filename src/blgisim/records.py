@@ -40,7 +40,7 @@ import numpy as np
 
 from .prediction import PredictionTable
 from .qubits import check_strength
-from .trials import TrialTable
+from .trials import FOLD_ROWS, TrialTable
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no
@@ -48,7 +48,9 @@ from .trials import TrialTable
 #   2: a JSON comment line of the table's scalars, then the table's columns.
 RECORD_FORMAT = 2
 
-_BLOCK_ROWS = 65536
+# rows read per block: a trial file's blocks are estimate_chsh's fold blocks,
+# so a streamed audit gives the bits of an audit of the whole table
+_BLOCK_ROWS = FOLD_ROWS
 _F = "float64"
 SWEEP_SCHEMA = (("v", _F), ("exact_chsh", _F), ("empirical_chsh", _F), ("chsh_stderr", _F), ("verdict", "str"))
 SWEEP_HEADER = tuple(name for name, _ in SWEEP_SCHEMA)
@@ -401,8 +403,9 @@ def _read_comment(line: str, cls: type, where: str) -> dict:
         raise ValueError(f"malformed {where}: {exc}") from None
 
 
-def _read_table(path: str, cls: type, v: float | None = None):
-    """Read a record CSV into a cls table; given v, the header must hold that v."""
+def _table_blocks(path: str, cls: type, v: float | None = None):
+    """Yield a record CSV as cls tables of _BLOCK_ROWS rows, the last one
+    shorter, once its header is checked; given v, the header must hold that v."""
     what = _KIND_NAMES[cls]
     with open(path, "r") as f:
         line = f.readline()
@@ -418,10 +421,12 @@ def _read_table(path: str, cls: type, v: float | None = None):
         if line.startswith("#"):
             raise ValueError(f"malformed {what} CSV {path}: a second header comment at line 2")
         _check_header(line, cls.schema, what)
-        parts = [data for _, data, _ in _read_blocks(f, cls.schema, what, 3)]
-    if not parts:
+        empty = True
+        for _, data, _ in _read_blocks(f, cls.schema, what, 3):
+            empty = False
+            yield cls(*(data[name] for name in cls.field_names), **scalars)
+    if empty:
         raise ValueError(f"{what} CSV {path} holds no records")
-    return cls(*(np.concatenate([p[name] for p in parts]) for name in cls.field_names), **scalars)
 
 
 def emit_records(records, path: str) -> str:
@@ -433,12 +438,25 @@ def emit_records(records, path: str) -> str:
     return _emit_table(records, TrialTable, path)
 
 
+def read_record_blocks(path: str, v: float | None = None):
+    """Yield a trial CSV as TrialTables of trials.FOLD_ROWS rows, the last one shorter.
+
+    The header is checked before the first block, and each block is parsed
+    as it is taken, so the file is never held whole: a malformed row raises
+    when its block is reached, naming its file line.  Given v, the file must
+    have been written at that v.  estimate_chsh and audit.decomposition_test
+    fold the blocks as they come.
+    """
+    return _table_blocks(path, TrialTable, None if v is None else check_strength(v))
+
+
 def read_records(path: str, v: float | None = None) -> TrialTable:
     """Read a trial CSV back into a table; exact inverse of emit_records.
 
-    Given v, the file must have been written at that v.
+    The blocks of read_record_blocks, joined.  Given v, the file must have
+    been written at that v.
     """
-    return _read_table(path, TrialTable, None if v is None else check_strength(v))
+    return TrialTable.concat(list(read_record_blocks(path, v)))
 
 
 def emit_predictions(records, path: str) -> str:
@@ -452,7 +470,7 @@ def emit_predictions(records, path: str) -> str:
 
 def read_predictions(path: str) -> PredictionTable:
     """Read a prediction CSV back into a table; exact inverse of emit_predictions."""
-    return _read_table(path, PredictionTable)
+    return PredictionTable.concat(list(_table_blocks(path, PredictionTable)))
 
 
 def emit_sweep(columns: dict, path: str) -> str:

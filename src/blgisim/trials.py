@@ -25,6 +25,12 @@ trial i is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
 one experiment: the columns its record file stores (trial_index, raw_i,
 beta_i) and the scalars its header stores (settings id, V, master seed).
 alpha_i = raw_i / V is computed from them on access.
+
+estimate_chsh folds a table, or a stream of its blocks, FOLD_ROWS rows at
+a time into ChshMoments, the mergeable count, mean and M2 of the per-trial
+term x = alpha1 (beta1 + beta2) + alpha2 (beta1 - beta2) and of the four
+correlator products.  S is the mean of x and its standard error that of
+x, because the four correlators share their trials.
 """
 
 from __future__ import annotations
@@ -63,6 +69,12 @@ FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
 CHSH_PAIRS = (("alpha1", "beta1"), ("alpha1", "beta2"), ("alpha2", "beta1"), ("alpha2", "beta2"))
 # The 16 (raw1, raw2, beta1, beta2) branches in nested (+1, -1) order, raw1 outermost.
 BRANCHES = tuple(product((1, -1), repeat=4))
+
+# Rows per block of the CHSH fold.  Fixed, so that an estimate has the same
+# bits however its rows arrive: as one table, or as the blocks a record file
+# is read in (records reads blocks of this size).  A block's five terms take
+# 320 KiB, so a streamed audit stays a few MiB whatever the file's size.
+FOLD_ROWS = 1 << 13
 
 # Per-trial draw window: 1 Philox block = 4 draws, 3 consumed, in order:
 # the (raw1, raw2, beta1, beta2) branch, noise raw 1, noise raw 2.
@@ -242,15 +254,35 @@ class RecordTable:
     def concat(cls, parts: list):
         if not parts:
             raise ValueError("cannot concatenate zero tables")
-        for name in cls.scalars:
-            values = {getattr(p, name) for p in parts}
-            if len(values) > 1:
-                what = "settings ids" if name == "settings_id" else f"{name} values"
-                raise ValueError(f"malformed records: {len(values)} distinct {what} in one record set")
-        return cls(
-            *(np.concatenate([getattr(p, name) for p in parts]) for name in cls.field_names),
-            **{name: getattr(parts[0], name) for name in cls.scalars},
-        )
+        return _filled(iter(parts), sum(map(len, parts)))
+
+
+def _filled(parts, rows: int):
+    """One table of `rows` rows from parts, an iterator of tables of one
+    class and one experiment that together hold exactly that many rows.
+
+    The columns are allocated at the first part, and each part is copied
+    into the next rows and let go before the next one is taken, so no more
+    than one part is held at a time.
+    """
+    part = next(parts)
+    cls = type(part)
+    columns = [np.empty(rows, kind) for _, kind in cls.schema]
+    values = {name: set() for name in cls.scalars}
+    at = 0
+    while part is not None:
+        for column, name in zip(columns, cls.field_names):
+            column[at:at + len(part)] = getattr(part, name)
+        at += len(part)
+        for name, seen in values.items():
+            seen.add(getattr(part, name))
+        part = None  # the part goes before the next one is made
+        part = next(parts, None)
+    for name, seen in values.items():
+        if len(seen) > 1:
+            what = "settings ids" if name == "settings_id" else f"{name} values"
+            raise ValueError(f"malformed records: {len(seen)} distinct {what} in one record set")
+    return cls(*columns, **{name: seen.pop() for name, seen in values.items()})
 
 
 class TrialTable(RecordTable):
@@ -387,26 +419,30 @@ def _simulate_range(source, start: int, count: int, master_seed: int) -> TrialTa
     )
 
 
-def _pool_map(task, *sequences, workers: int) -> list:
-    """list(map(task, *sequences)): the results in input order.
+def _pool_map(task, *sequences, workers: int):
+    """map(task, *sequences): yields the results in input order, each as it is needed.
 
     With workers > 1 and more than one item, the items run in one process
-    pool of min(workers, items) workers; otherwise they run in this process.
-    In a pool, task and its arguments and results must pickle.
+    pool of min(workers, items) workers, opened at the first result;
+    otherwise they run in this process, one per result taken.  In a pool,
+    task and its arguments and results must pickle.
     """
     items = min(map(len, sequences))
     if workers > 1 and items > 1:
         with ProcessPoolExecutor(max_workers=min(workers, items)) as pool:
-            return list(pool.map(task, *sequences))
-    return list(map(task, *sequences))
+            yield from pool.map(task, *sequences)
+    else:
+        yield from map(task, *sequences)
 
 
 def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
-    """Concatenate task(chunk_start, count) over the chunks of [start, start + n_trials).
+    """One table of task(chunk_start, count) over the chunks of [start, start + n_trials).
 
     The chunks go through _pool_map, so with workers > 1 they run in a
-    process pool of at most one worker per chunk; parts are joined in chunk
-    order, so the result is the same for every chunk size and worker count.
+    process pool of at most one worker per chunk.  The table's columns are
+    allocated once and each part is copied into its rows, in chunk order,
+    as it arrives, so no list of parts is held; the result is the same for
+    every chunk size and worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -415,7 +451,7 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
     starts = range(start, start + n_trials, chunk)
     counts = [min(chunk, start + n_trials - s) for s in starts]
     parts = _pool_map(task, starts, counts, workers=workers)
-    return parts[0] if len(parts) == 1 else type(parts[0]).concat(parts)
+    return next(parts) if len(counts) == 1 else _filled(parts, n_trials)
 
 
 def simulate_trials(
@@ -458,14 +494,86 @@ def chsh_combine(
     e21: CorrelatorEstimate,
     e22: CorrelatorEstimate,
 ) -> ChshReport:
-    """Combine the four correlators with signature (+, +, +, -)."""
+    """Combine four correlators from DISJOINT sets of trials with signature (+, +, +, -).
+
+    Their stderrs add in quadrature, which holds only because the four
+    estimates are independent.  Correlators of the same trials covary, so
+    estimate_chsh takes the stderr of the per-trial term instead.
+    """
     chsh = e11.value + e12.value + e21.value - e22.value
     stderr = math.sqrt(e11.stderr**2 + e12.stderr**2 + e21.stderr**2 + e22.stderr**2)
     return ChshReport(e11=e11, e12=e12, e21=e21, e22=e22, chsh=chsh, chsh_stderr=stderr)
 
 
+@dataclass(frozen=True, eq=False)
+class ChshMoments:
+    """Count, mean and M2 (sum of squared deviations from the mean) of a set of trials' CHSH terms.
+
+    Entry 0 of mean and m2 is the per-trial term x = alpha1 (beta1 + beta2)
+    + alpha2 (beta1 - beta2), whose mean is S; entries 1 to 4 are the
+    products of CHSH_PAIRS, whose means are e11, e12, e21 and e22.
+    """
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    def merge(self, other: "ChshMoments") -> "ChshMoments":
+        """The moments of self's trials and other's together, by Chan, Golub and LeVeque's update."""
+        if not other.count:
+            return self
+        if not self.count:
+            return other
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        mean = self.mean + delta * (other.count / count)
+        m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / count)
+        return ChshMoments(count, mean, m2)
+
+    def report(self) -> ChshReport:
+        """S, the four correlators, and the standard error of each mean."""
+        n = self.count
+        if n < 2:
+            raise ValueError(f"need at least 2 records to estimate a correlator, got {n}")
+        stderr = np.sqrt(self.m2 / (n - 1)) / math.sqrt(n)
+        e11, e12, e21, e22 = (
+            CorrelatorEstimate(value=value, stderr=se, count=n)
+            for value, se in zip(self.mean[1:].tolist(), stderr[1:].tolist())
+        )
+        return ChshReport(e11, e12, e21, e22, chsh=float(self.mean[0]), chsh_stderr=float(stderr[0]))
+
+
+_NO_TRIALS = ChshMoments(0, np.zeros(1 + len(CHSH_PAIRS)), np.zeros(1 + len(CHSH_PAIRS)))
+
+
+def _block_moments(table: TrialTable, start: int) -> ChshMoments:
+    """The moments of rows [start, start + FOLD_ROWS) of a table, by two passes of numpy reductions."""
+    rows = slice(start, start + FOLD_ROWS)
+    a1, a2 = table._rescaled(table.raw1[rows]), table._rescaled(table.raw2[rows])
+    b1, b2 = table.beta1[rows], table.beta2[rows]
+    terms = np.stack([a1 * (b1 + b2) + a2 * (b1 - b2), a1 * b1, a1 * b2, a2 * b1, a2 * b2])
+    mean = terms.sum(axis=1) / terms.shape[1]
+    terms -= mean[:, None]
+    terms *= terms
+    return ChshMoments(terms.shape[1], mean, terms.sum(axis=1))
+
+
 def estimate_chsh(records) -> ChshReport:
-    return chsh_combine(*(estimate_correlator(records, left, right) for left, right in CHSH_PAIRS))
+    """S, its standard error and the four correlators of a TrialTable, or of
+    an iterable of TrialTable blocks of one experiment.
+
+    Each table is folded FOLD_ROWS rows at a time from its first row, so a
+    stream whose blocks all hold FOLD_ROWS rows but the last, as
+    records.read_record_blocks yields them, gives the same bits as its
+    rows in one table.  S is the mean of the per-trial term, and its
+    standard error is that of the term: the four correlators share their
+    trials, so their errors do not add in quadrature.
+    """
+    moments = _NO_TRIALS
+    for table in (records,) if isinstance(records, TrialTable) else records:
+        for start in range(0, len(table), FOLD_ROWS):
+            moments = moments.merge(_block_moments(table, start))
+    return moments.report()
 
 
 # ---------------------------------------------------------------------------

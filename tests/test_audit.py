@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from blgisim.audit import (
     per_trial_term,
 )
 from blgisim.qubits import NoiseModel
-from blgisim.records import emit_records
+from blgisim.records import emit_records, read_record_blocks
 from blgisim.trials import (
     BRANCHES,
     Settings,
@@ -216,6 +217,26 @@ def test_decomposition_rejects_malformed_records():
     # a finite raw whose alpha = raw / v overflows to inf
     with pytest.raises(ValueError, match="non-finite alpha1"):
         decomposition_test(records(raw1=1e308, v=1e-10))
+
+
+def test_streamed_decomposition_test_holds_a_block_not_the_file(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the traced peak covers
+    # the parsed columns and every temporary of the fold, whatever the file's size
+    path = tmp_path / "run.csv"
+    table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), 300_000, master_seed=4)
+    emit_records(table, str(path))
+    columns = sum(getattr(table, name).nbytes for name in TrialTable.field_names)
+    assert columns == 12_000_000
+    whole = decomposition_test(table)
+    del table
+    tracemalloc.start()
+    try:
+        streamed = decomposition_test(read_record_blocks(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed == whole and streamed.verdict == REJECT
+    assert peak < columns / 4
 
 
 def test_decomposition_needs_two_records():

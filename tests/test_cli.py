@@ -23,7 +23,7 @@ from blgisim.prediction import (
 from blgisim.qubits import NoiseModel
 from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
-from blgisim.trials import Settings, default_settings, exact_chsh, simulate_trials
+from blgisim.trials import FOLD_ROWS, Settings, default_settings, exact_chsh, simulate_trials
 
 
 def last_json(capsys) -> dict:
@@ -273,6 +273,40 @@ def test_audit_rejects_weak_coupling_run(tmp_path, capsys):
     assert verdict["chsh_value"] > 2.0
     assert verdict["threshold_sigmas"] == 3.0
     assert verdict["chsh_stderr"] > 0.0
+
+
+def test_streamed_audit_equals_simulate_bit_for_bit(tmp_path, capsys):
+    # audit folds the file in the blocks it reads, simulate the table it
+    # wrote; 70,000 rows cross several block boundaries
+    out = tmp_path / "run.csv"
+    simulate = ["simulate", "--v", "0.2", "--noise-sigma", "0.3", "--trials", "70000", "--seed", "2"]
+    assert main([*simulate, "--out", str(out)]) == 0
+    simulated = last_json(capsys)
+    assert main(["audit", "--in", str(out), "--v", "0.2"]) == 0
+    audited = last_json(capsys)
+    assert audited["chsh_value"] == abs(simulated["chsh"])
+    assert audited["chsh_stderr"] == simulated["chsh_stderr"]
+
+
+@pytest.mark.parametrize("line", [FOLD_ROWS + 4, 65540])
+@pytest.mark.parametrize(
+    "field, error",
+    [("abc", "malformed trial CSV row at line {line}: '{index},abc,"), ("nan", "malformed records: non-finite raw1")],
+    ids=["unparsable", "non-finite"],
+)
+def test_audit_of_a_bad_row_in_a_later_block_exits_1_with_one_line(tmp_path, capsys, line, field, error):
+    # rows start at line 3, so line FOLD_ROWS + 4 is the second row of the second block
+    path = tmp_path / "run.csv"
+    emit_records(simulate_trials(default_settings(0.3), 70_000, 1), str(path))
+    lines = path.read_text().splitlines()
+    index, _, rest = lines[line - 1].split(",", 2)
+    lines[line - 1] = f"{index},{field},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("blgisim: error: " + error.format(line=line, index=line - 3))
 
 
 def test_audit_mixed_settings_ids_exits_1_with_one_line(tmp_path, capsys):

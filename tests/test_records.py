@@ -395,14 +395,15 @@ GOLDEN = [
         "f635af306399befdf1ae5d8219be7fa7e2d1730f652986b54bfa983c23b9ff20",
     ),
     # two chunks per grid point; with --workers 2 the two points run in one
-    # process pool, each sampled whole in its worker
+    # process pool, each sampled whole in its worker.  S is the mean of the
+    # per-trial term and its stderr the term's, folded in trials.FOLD_ROWS blocks
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 1",
-        "f50b9b9ce8a95096b86ed01b07b65f0093f8ac61d32a805fb418d098d71b53e4",
+        "5de2eefa4c323dc266e89120e8887095f3a6d75ad5458114b969fdbf0ad2f718",
     ),
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 2",
-        "f50b9b9ce8a95096b86ed01b07b65f0093f8ac61d32a805fb418d098d71b53e4",
+        "5de2eefa4c323dc266e89120e8887095f3a6d75ad5458114b969fdbf0ad2f718",
     ),
 ]
 
@@ -541,7 +542,7 @@ def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
 
 @pytest.mark.parametrize("line", [7, 65540])
 def test_trial_reader_names_the_file_line_of_a_bad_field(tmp_path, line):
-    # rows start at line 3; the second case sits in the second block of rows
+    # rows start at line 3; the second case sits in a later block of rows
     rows = [_trial_row(i) for i in range(line - 2)]
     rows[-1] = _put(rows[-1], 1, "abc")
     path = tmp_path / "bad.csv"
@@ -668,7 +669,7 @@ def test_format_2_round_trip_survives_crlf_and_a_missing_final_newline(tmp_path,
 @pytest.mark.parametrize("kind", list(FORMAT_2_READERS))
 def test_format_2_reader_names_the_file_line_of_a_bad_field(tmp_path, kind, line):
     # line 1 is the header comment and line 2 the column header; the second
-    # case sits in the second block of rows
+    # case sits in a later block of rows
     table, _, emit = _format_2_file(kind, rows=line - 2)
     path = tmp_path / "bad.csv"
     emit(table, str(path))

@@ -1,6 +1,7 @@
 """Trial engine and exact oracle: dual routes, frozen values, noise algebra."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from blgisim.prediction import SequentialReadoutParams, prediction_batch, predic
 from blgisim.qubits import NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
     BELL_AMPLITUDES,
+    CHSH_PAIRS,
+    FOLD_ROWS,
     Settings,
     TrialTable,
     branch_distribution,
@@ -24,6 +27,7 @@ from blgisim.trials import (
     exact_correlator,
     exact_mean,
     prepare_bell,
+    run_chunked,
     sample_branches,
     simulate_trials,
 )
@@ -385,6 +389,78 @@ def test_estimate_chsh_reports_consistent_combination():
     total = report.e11.value + report.e12.value + report.e21.value - report.e22.value
     assert abs(report.chsh - total) < 1e-12
     assert report.e11.count == 2000
+
+
+FOLD_SOURCES = {
+    "noisy quantum": default_settings(0.5, NoiseModel(sigma=0.3)),
+    "hidden variable": hidden_variable_source(hidden_variable_config(7), 0.5, NoiseModel(sigma=0.3)),
+}
+
+
+@pytest.mark.parametrize("n", [2, FOLD_ROWS - 1, FOLD_ROWS, FOLD_ROWS + 1, 3 * FOLD_ROWS + 17])
+@pytest.mark.parametrize("source", list(FOLD_SOURCES))
+def test_estimate_chsh_matches_a_two_pass_reference(source, n):
+    # S is the mean of the per-trial term x and its stderr the term's; the
+    # fold merges blocks of FOLD_ROWS rows, so the sizes sit at its edges
+    table = simulate_trials(FOLD_SOURCES[source], n, master_seed=5)
+    report = estimate_chsh(table)
+    b1, b2 = table.beta1, table.beta2
+    x = table.alpha1 * (b1 + b2) + table.alpha2 * (b1 - b2)
+    assert abs(report.chsh - x.mean()) <= 1e-15 * abs(report.chsh)
+    assert abs(report.chsh_stderr - x.std(ddof=1) / math.sqrt(n)) <= 1e-12 * report.chsh_stderr
+    for estimate, (left, right) in zip((report.e11, report.e12, report.e21, report.e22), CHSH_PAIRS):
+        products = table.column(left) * table.column(right)
+        assert estimate.count == n
+        assert abs(estimate.value - products.mean()) <= 1e-15 * np.abs(products).mean()
+        assert abs(estimate.stderr - products.std(ddof=1) / math.sqrt(n)) <= 1e-12 * estimate.stderr
+
+
+def test_estimate_chsh_is_the_same_for_every_chunk_and_worker_count():
+    # the fold runs over the table's rows, whatever produced them; numpy
+    # reductions, not a BLAS dot, so no thread count reorders a sum
+    source = FOLD_SOURCES["noisy quantum"]
+    reports = [
+        estimate_chsh(simulate_trials(source, 3 * FOLD_ROWS + 17, master_seed=6, chunk=chunk, workers=workers))
+        for chunk in (1000, 65536, 100000)
+        for workers in (1, 3)
+    ]
+    assert all(report == reports[0] for report in reports)
+
+
+def test_estimate_chsh_of_a_stream_of_blocks_equals_that_of_the_table():
+    table = simulate_trials(FOLD_SOURCES["hidden variable"], 2 * FOLD_ROWS + 5, master_seed=2)
+    blocks = [simulate_trials(FOLD_SOURCES["hidden variable"], n, 2, start=s) for s, n in
+              ((0, FOLD_ROWS), (FOLD_ROWS, FOLD_ROWS), (2 * FOLD_ROWS, 5))]
+    assert estimate_chsh(iter(blocks)) == estimate_chsh(table)
+
+
+def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlators():
+    # the four correlators share their trials; at V = 0.9 the quadrature sum
+    # of their stderrs is about twice the stderr of S
+    report = estimate_chsh(simulate_trials(default_settings(0.9), 200_000, master_seed=5))
+    quadrature = chsh_combine(report.e11, report.e12, report.e21, report.e22).chsh_stderr
+    assert 0.0019 < report.chsh_stderr < 0.0021 and quadrature > 2 * report.chsh_stderr
+
+
+def test_run_chunked_copies_each_part_into_one_table_as_it_arrives():
+    # the serial path makes a part only once the one before it is copied
+    # and let go, so no two parts are alive at once
+    settings = default_settings(0.4, NoiseModel(sigma=0.2))
+    live = {"now": 0, "most": 0}
+
+    def release():
+        live["now"] -= 1
+
+    def task(chunk_start, count):
+        part = trials._simulate_range(settings, chunk_start, count, master_seed=3)
+        live["now"] += 1
+        live["most"] = max(live["most"], live["now"])
+        weakref.finalize(part, release)
+        return part
+
+    table = run_chunked(task, 10_000, 0, 1000, workers=1)
+    assert live["most"] == 1
+    assert table_rows(table) == table_rows(simulate_trials(settings, 10_000, 3))
 
 
 # -------------------------------------------------------------- exact oracle

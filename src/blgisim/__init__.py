@@ -84,6 +84,7 @@ from .trials import (
     exact_mean,
     prepare_bell,
     simulate_trials,
+    trial_chunks,
 )
 
 __all__ = [
@@ -146,5 +147,6 @@ __all__ = [
     "read_records",
     "read_sweep",
     "simulate_trials",
+    "trial_chunks",
     "weak_kraus",
 ]

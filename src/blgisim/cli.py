@@ -54,7 +54,7 @@ from .records import (
     read_record_blocks,
 )
 from .streams import LAYOUT_VERSION, derived_seed
-from .trials import Settings, _pool_map, estimate_chsh, exact_chsh, simulate_trials
+from .trials import ChshFold, Settings, _pool_map, estimate_chsh, exact_chsh, trial_chunks
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
 # namespace entries that are not flags: the command's name, its handler and its argv
@@ -186,11 +186,11 @@ def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
     of the point's trials.
 
     Its trials are sampled serially from the seed derived from
-    (master_seed, k), so the row does not depend on where it runs.
+    (master_seed, k), so the row does not depend on where it runs, and
+    folded a chunk at a time as they are sampled, never held as one table.
     """
     point = Settings(v=v)
-    table = simulate_trials(point, trials, int(derived_seed(master_seed, k)))
-    report = estimate_chsh(table)
+    report = estimate_chsh(trial_chunks(point, trials, int(derived_seed(master_seed, k))))
     return v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_verdict(report).verdict
 
 
@@ -263,13 +263,14 @@ def _do_simulate(ns: argparse.Namespace) -> int:
     started = _now()
     noise = NoiseModel(bias=ns.noise_bias, sigma=ns.noise_sigma)
     settings = Settings(*ns.angles, v=ns.v, noise=noise, bell_kind=_BELL_FLAGS[ns.bell])
-    table = simulate_trials(settings, ns.trials, ns.seed, workers=ns.workers)
-    emit_records(table, ns.out)
+    # one pass: each chunk is folded and written as it arrives, then let go
+    fold = ChshFold(trial_chunks(settings, ns.trials, ns.seed, workers=ns.workers))
+    emit_records(fold, ns.out)
     manifest_path = _write_manifest(ns, started)
-    report = estimate_chsh(table)
+    report = fold.report()
     _emit(
         {
-            "records": len(table),
+            "records": len(fold),
             "out": ns.out,
             "manifest": manifest_path,
             "chsh": report.chsh,

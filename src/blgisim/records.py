@@ -32,15 +32,16 @@ A sweep is a dict of plain column lists keyed by ``SWEEP_HEADER``, as
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .prediction import PredictionTable
 from .qubits import check_strength
-from .trials import FOLD_ROWS, TrialTable
+from .trials import FOLD_ROWS, RecordTable, TrialTable
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no
@@ -287,30 +288,81 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
 
     The bytes equal those of per-row '%d', '%.17g' and '%s' formatting in a
     text file, the header and str cells encoded in the file's encoding.
+    A new file, or a regular file of ours with no other name, is written
+    to a temporary file beside it, which takes the file's mode and replaces
+    it only once the last block is written: an error in any block leaves
+    no temporary file and the file as it was.  Anything else (a device, a
+    FIFO, another owner's file, a hard-linked one) is written in place, as
+    open(path, "w") writes it, and a regular one is emptied on an error.
+    So no file is left cut short at a row boundary.  A symlink's target is
+    written, not the link.
     """
     kinds = [kind for _, kind in schema]
-    with open(path, "w", newline="") as f:
-        f.write(comment + ",".join(name for name, _ in schema))
-        f.flush()  # the rows go to the binary buffer, after the header's text
-        for columns in blocks:
-            f.buffer.write(_rows_text(columns, kinds, f.encoding))
-        f.buffer.write(b"\n")
+    target = os.path.realpath(path)
+    old = os.stat(target) if os.path.exists(target) else None
+    staged = old is None or (os.path.isfile(target) and old.st_uid == os.getuid() and old.st_nlink == 1)
+    out = path
+    if staged:
+        if old is not None:
+            open(target, "ab").close()  # a file we may not write raises PermissionError here, as in place
+        head, tail = os.path.split(target)
+        out = os.path.join(head, f".{tail}.{os.getpid()}.part")  # only a dead process of this pid left one
+    f = open(out, "w", newline="")
+    try:
+        with f:
+            if staged and old is not None:
+                os.chmod(out, old.st_mode & 0o7777)
+            f.write(comment + ",".join(name for name, _ in schema))
+            f.flush()  # the rows go to the binary buffer, after the header's text
+            for columns in blocks:
+                f.buffer.write(_rows_text(columns, kinds, f.encoding))
+            f.buffer.write(b"\n")
+        if staged:
+            os.replace(out, target)
+    except BaseException:
+        if staged:
+            os.unlink(out)
+        elif os.path.isfile(out):
+            os.truncate(out, 0)
+        raise
     return path
 
 
-def _emit_table(table, cls: type, path: str) -> str:
-    """Write a table in record format 2, _WRITE_ROWS rows at a time, after
-    checking its scalars; no rows writes the two header lines only."""
-    if not isinstance(table, cls):
-        raise TypeError(f"expected a {cls.__name__} to write, got {type(table).__name__}")
-    checks = _scalar_checks(cls)
-    header = {"format": RECORD_FORMAT, **{name: check(getattr(table, name)) for name, check in checks.items()}}
+def _emit_table(records, cls: type, path: str) -> str:
+    """Write a cls table, or a stream of the cls blocks of one experiment,
+    in record format 2, _WRITE_ROWS rows at a time.
 
-    def blocks():
-        for start in range(0, len(table), _WRITE_ROWS):
-            yield [getattr(table, name)[start:start + _WRITE_ROWS] for name in cls.field_names]
+    The header holds the first block's checked scalars, which are checked
+    before the file is opened; every later block must hold the same ones.
+    A table of no rows writes the two header lines only.
+    """
+    # a table is a stream of one block, and so is anything else that is no stream, to be named below
+    one = isinstance(records, (RecordTable, dict)) or not hasattr(records, "__iter__")
+    blocks = iter((records,) if one else records)
+    first = next(blocks, None)
+    if first is None and not one:
+        raise ValueError(f"malformed records: a stream of no {cls.__name__} blocks has no header to write")
+    if not isinstance(first, cls):
+        got = type(first).__name__ if one else f"a stream of {type(first).__name__}"
+        raise TypeError(f"expected a {cls.__name__} to write, got {got}")
+    scalars = {name: check(getattr(first, name)) for name, check in _scalar_checks(cls).items()}
+    blocks = chain((first,), blocks)
+    del first  # let go once written, as every later block is
 
-    return _write_csv(path, cls.schema, blocks(), _comment(header))
+    def rows():
+        for block in blocks:
+            if not isinstance(block, cls):
+                raise TypeError(f"expected a {cls.__name__} to write, got {type(block).__name__}")
+            for name, value in scalars.items():
+                if getattr(block, name) != value:
+                    raise ValueError(
+                        f"malformed records: a block of {name} {getattr(block, name)!r} "
+                        f"in a stream of {name} {value!r}"
+                    )
+            for start in range(0, len(block), _WRITE_ROWS):
+                yield [getattr(block, name)[start:start + _WRITE_ROWS] for name in cls.field_names]
+
+    return _write_csv(path, cls.schema, rows(), _comment({"format": RECORD_FORMAT, **scalars}))
 
 
 def _parses(line: str, col: int, kind: str) -> bool:
@@ -430,10 +482,16 @@ def _table_blocks(path: str, cls: type, v: float | None = None):
 
 
 def emit_records(records, path: str) -> str:
-    """Write a TrialTable in record format 2; a table of no rows yields the two header lines only.
+    """Write a TrialTable, or a stream of the TrialTable blocks of one
+    experiment (such as trials.trial_chunks), in record format 2.
 
-    Before the file is opened, the table's settings id, v and master seed
-    must be what the reader accepts, or a ValueError names the scalar.
+    A table is a stream of one block, so both take one path.  The header
+    holds the first block's settings id, v and master seed, which must be
+    what the reader accepts, or a ValueError names the scalar before the
+    file is opened; a later block with other scalars raises ``malformed
+    records``.  Each block is written and let go before the next one is
+    taken, and the file appears at path only once the stream has ended.
+    A table of no rows yields the two header lines only.
     """
     return _emit_table(records, TrialTable, path)
 
@@ -460,7 +518,8 @@ def read_records(path: str, v: float | None = None) -> TrialTable:
 
 
 def emit_predictions(records, path: str) -> str:
-    """Write a PredictionTable in record format 2; a table of no rows yields the two header lines only.
+    """Write a PredictionTable, or a stream of its blocks, in record format 2,
+    as emit_records writes trials; a table of no rows yields the two header lines only.
 
     Before the file is opened, the table's settings id, steps and master
     seed must be what the reader accepts, or a ValueError names the scalar.

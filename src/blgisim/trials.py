@@ -18,15 +18,17 @@ tests check the quantum law against an independent matrix-root
 enumeration and a scalar Kraus chain.  The exact oracle reads every
 moment it reports from one law per call.
 
-simulate_trials produces a columnar batch of trials [start, start + n);
-each trial reads its own counter window, so its row is identical no
-matter which start, chunking, or worker count produced it, and a single
-trial i is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
+simulate_trials produces a columnar batch of trials [start, start + n),
+joined from chunks, and trial_chunks the trials [0, n) as a stream of
+those chunks; each trial reads its own counter window, so its row is identical no matter
+which start, chunking, or worker count produced it, and a single trial i
+is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
 one experiment: the columns its record file stores (trial_index, raw_i,
 beta_i) and the scalars its header stores (settings id, V, master seed).
 alpha_i = raw_i / V is computed from them on access.
 
-estimate_chsh folds a table, or a stream of its blocks, FOLD_ROWS rows at
+estimate_chsh (through ChshFold, which can also fold a stream as it passes
+to a writer) folds a table, or a stream of its blocks, FOLD_ROWS rows at
 a time into ChshMoments, the mergeable count, mean and M2 of the per-trial
 term x = alpha1 (beta1 + beta2) + alpha2 (beta1 - beta2) and of the four
 correlator products.  S is the mean of x and its standard error that of
@@ -423,26 +425,34 @@ def _pool_map(task, *sequences, workers: int):
     """map(task, *sequences): yields the results in input order, each as it is needed.
 
     With workers > 1 and more than one item, the items run in one process
-    pool of min(workers, items) workers, opened at the first result;
-    otherwise they run in this process, one per result taken.  In a pool,
+    pool of min(workers, items) workers, opened at the first result.  At
+    most two items per worker are submitted ahead of the result being
+    taken, so a pool holds a window of results, not the whole run.
+    Otherwise they run in this process, one per result taken.  In a pool,
     task and its arguments and results must pickle.
     """
     items = min(map(len, sequences))
     if workers > 1 and items > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, items)) as pool:
-            yield from pool.map(task, *sequences)
+        workers = min(workers, items)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            window = []
+            for args in zip(*sequences):
+                if len(window) == 2 * workers:
+                    yield window.pop(0).result()
+                window.append(pool.submit(task, *args))
+            while window:
+                yield window.pop(0).result()
     else:
         yield from map(task, *sequences)
 
 
-def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
-    """One table of task(chunk_start, count) over the chunks of [start, start + n_trials).
+def chunk_stream(task, n_trials: int, start: int, chunk: int, workers: int):
+    """The tables task(chunk_start, count) of the chunks of [start, start + n_trials), in chunk order.
 
     The chunks go through _pool_map, so with workers > 1 they run in a
-    process pool of at most one worker per chunk.  The table's columns are
-    allocated once and each part is copied into its rows, in chunk order,
-    as it arrives, so no list of parts is held; the result is the same for
-    every chunk size and worker count.
+    process pool of at most one worker per chunk, a window of them at a
+    time; serially each chunk is made only when it is taken.  Arguments are
+    checked at the call, before any chunk runs.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -450,8 +460,34 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     starts = range(start, start + n_trials, chunk)
     counts = [min(chunk, start + n_trials - s) for s in starts]
-    parts = _pool_map(task, starts, counts, workers=workers)
-    return next(parts) if len(counts) == 1 else _filled(parts, n_trials)
+    return _pool_map(task, starts, counts, workers=workers)
+
+
+def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
+    """One table of chunk_stream(task, ...): the chunks' rows in chunk order.
+
+    The table's columns are allocated once and each chunk is copied into
+    its rows as it arrives and let go (_filled), so no list of chunks is
+    held; the result is the same for every chunk size and worker count.
+    """
+    parts = chunk_stream(task, n_trials, start, chunk, workers)
+    return next(parts) if n_trials <= chunk else _filled(parts, n_trials)
+
+
+_TRIAL_CHUNK = 1 << 16  # trials per chunk: a multiple of FOLD_ROWS, so a stream of chunks folds as its table does
+
+
+def trial_chunks(source, n_trials: int, master_seed: int, workers: int = 1):
+    """The TrialTable chunks of trials [0, n_trials) of a Settings or Source, in order.
+
+    The stream that simulate_trials joins into one table, for a caller that
+    takes the trials a chunk at a time (cli simulate folds and writes each
+    chunk as it arrives, so its memory does not grow with n_trials).  Every
+    chunk but the last holds a multiple of FOLD_ROWS trials, so
+    estimate_chsh of the stream has the bits of estimate_chsh of the table.
+    """
+    task = partial(_simulate_range, source, master_seed=master_seed)
+    return chunk_stream(task, n_trials, 0, _TRIAL_CHUNK, workers)
 
 
 def simulate_trials(
@@ -460,12 +496,12 @@ def simulate_trials(
     master_seed: int,
     start: int = 0,
     workers: int = 1,
-    chunk: int = 1 << 16,
+    chunk: int = _TRIAL_CHUNK,
 ) -> TrialTable:
     """Monte Carlo batch of trials [start, start + n_trials) of a Settings or Source.
 
-    Chunked over the per-trial counter windows; results are identical for
-    every chunk size and worker count.
+    The table form of trial_chunks: its chunks joined by run_chunked.
+    Results are identical for every chunk size and worker count.
     """
     return run_chunked(partial(_simulate_range, source, master_seed=master_seed), n_trials, start, chunk, workers)
 
@@ -558,22 +594,57 @@ def _block_moments(table: TrialTable, start: int) -> ChshMoments:
     return ChshMoments(terms.shape[1], mean, terms.sum(axis=1))
 
 
+class ChshFold:
+    """The CHSH fold of a TrialTable, or of a stream of the TrialTable blocks of one experiment.
+
+    Iterating yields the blocks unchanged, each folded into `moments`,
+    FOLD_ROWS rows at a time from its first row, as it passes; so a writer
+    can take the stream a block at a time while the fold rides along.
+    report() folds the blocks not yet taken and gives the ChshReport;
+    len() is the number of trials folded so far.
+
+    Every block but the last must hold a multiple of FOLD_ROWS rows, as
+    trial_chunks and records.read_record_blocks yield them: then the fold
+    has the bits of the fold of one table of the stream's rows.  A block
+    that follows one that breaks this raises ValueError.
+    """
+
+    def __init__(self, records) -> None:
+        self._blocks = iter((records,) if isinstance(records, TrialTable) else records)
+        self.moments = _NO_TRIALS
+
+    def __len__(self) -> int:
+        return self.moments.count
+
+    def __iter__(self):
+        for block in self._blocks:
+            if self.moments.count % FOLD_ROWS:
+                raise ValueError(
+                    f"every block of a folded stream but the last must hold a multiple of {FOLD_ROWS} rows; "
+                    f"a block follows {self.moments.count} rows"
+                )
+            for start in range(0, len(block), FOLD_ROWS):
+                self.moments = self.moments.merge(_block_moments(block, start))
+            yield block
+
+    def report(self) -> ChshReport:
+        for _ in self:
+            pass
+        return self.moments.report()
+
+
 def estimate_chsh(records) -> ChshReport:
     """S, its standard error and the four correlators of a TrialTable, or of
-    an iterable of TrialTable blocks of one experiment.
+    an iterable of TrialTable blocks of one experiment (see ChshFold).
 
-    Each table is folded FOLD_ROWS rows at a time from its first row, so a
-    stream whose blocks all hold FOLD_ROWS rows but the last, as
-    records.read_record_blocks yields them, gives the same bits as its
-    rows in one table.  S is the mean of the per-trial term, and its
-    standard error is that of the term: the four correlators share their
-    trials, so their errors do not add in quadrature.
+    A stream whose blocks all hold a multiple of FOLD_ROWS rows but the
+    last, as records.read_record_blocks and trial_chunks yield them, gives
+    the same bits as its rows in one table; any other stream raises
+    ValueError.  S is the mean of the per-trial term, and its standard
+    error is that of the term: the four correlators share their trials, so
+    their errors do not add in quadrature.
     """
-    moments = _NO_TRIALS
-    for table in (records,) if isinstance(records, TrialTable) else records:
-        for start in range(0, len(table), FOLD_ROWS):
-            moments = moments.merge(_block_moments(table, start))
-    return moments.report()
+    return ChshFold(records).report()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from blgisim.prediction import (
 from blgisim.qubits import NoiseModel
 from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
-from blgisim.trials import FOLD_ROWS, Settings, default_settings, exact_chsh, simulate_trials
+from blgisim.trials import FOLD_ROWS, Settings, default_settings, estimate_chsh, exact_chsh, simulate_trials
 
 
 def last_json(capsys) -> dict:
@@ -286,6 +287,43 @@ def test_streamed_audit_equals_simulate_bit_for_bit(tmp_path, capsys):
     audited = last_json(capsys)
     assert audited["chsh_value"] == abs(simulated["chsh"])
     assert audited["chsh_stderr"] == simulated["chsh_stderr"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [2, FOLD_ROWS + 1, 65536, 65537, 200_003])
+def test_simulate_folds_and_writes_the_bits_of_its_table(tmp_path, capsys, n, workers):
+    # simulate folds and writes each chunk as it arrives; the summary and
+    # the file must be those of the whole table, at chunk and fold edges
+    settings = default_settings(0.2, NoiseModel(sigma=0.3))
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--v", "0.2", "--noise-sigma", "0.3", "--trials", str(n), "--seed", "6"]
+    assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+    summary = last_json(capsys)
+    table = simulate_trials(settings, n, 6)
+    report = estimate_chsh(table)
+    assert (summary["chsh"], summary["chsh_stderr"], summary["records"]) == (report.chsh, report.chsh_stderr, n)
+    expected = tmp_path / "table.csv"
+    emit_records(table, str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def _simulate_peak(tmp_path, trials: int) -> int:
+    """The tracemalloc peak of an in-process simulate run of `trials` noisy trials."""
+    argv = ["simulate", "--v", "0.2", "--noise-sigma", "0.3", "--trials", str(trials), "--out", str(tmp_path / "m.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # numpy reports its buffers to tracemalloc; a run that held its trials
+    # as one table would peak at 4 times the memory at 4 times the trials
+    small = _simulate_peak(tmp_path, 300_000)
+    large = _simulate_peak(tmp_path, 1_200_000)
+    assert large <= 1.1 * small
 
 
 @pytest.mark.parametrize("line", [FOLD_ROWS + 4, 65540])

@@ -121,12 +121,15 @@ def test_one_writer_turns_columns_into_csv_text():
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,
-# and audit folds the blocks of records.read_record_blocks as it reads them, so
-# the tracer's spans for these three names read 0 until they are retargeted
+# audit folds the blocks of records.read_record_blocks as it reads them, and
+# simulate and sweep fold the chunks of trials.trial_chunks as they are
+# sampled, so the tracer's spans for these four names read 0 until they are
+# retargeted
 STALE_TRACER_TARGETS = {
     ("cli", "post_protocol_chsh"),
     ("cli", "exact_post_protocol_chsh"),
     ("cli", "read_records"),
+    ("cli", "simulate_trials"),
 }
 
 

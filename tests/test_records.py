@@ -6,6 +6,7 @@ golden bytes pinned; the readers refuse them."""
 
 import hashlib
 import json
+import os
 import re
 from functools import partial
 
@@ -175,6 +176,81 @@ def test_concat_rejects_two_experiments():
         TrialTable.concat([a, b])
 
 
+def test_a_stream_of_blocks_writes_the_bytes_of_their_table(tmp_path):
+    # a table is a stream of one block; blocks that cut the writer's
+    # 16,384-row passes anywhere give the same bytes
+    settings = default_settings(0.3, NoiseModel(sigma=0.2))
+    edges = [0, 7, 7, 16_384 + 3, 40_000]
+    blocks = (simulate_trials(settings, b - a, 4, start=a) for a, b in zip(edges, edges[1:]) if b > a)
+    emit_records(blocks, str(tmp_path / "stream.csv"))
+    emit_records(simulate_trials(settings, 40_000, 4), str(tmp_path / "table.csv"))
+    assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+    with pytest.raises(ValueError, match="malformed records: a stream of no TrialTable blocks"):
+        emit_records(iter([]), str(tmp_path / "none.csv"))
+    assert not (tmp_path / "none.csv").exists()
+
+
+def _failing_second_block(kind):
+    """A stream whose first block is fine and whose second one fails as `kind`."""
+    yield simulate_trials(default_settings(0.2), 20_000, 1)
+    if kind == "settings_id":
+        yield simulate_trials(default_settings(0.2, NoiseModel(sigma=0.1)), 5, 1, start=20_000)
+    elif kind == "master_seed":
+        yield simulate_trials(default_settings(0.2), 5, 2, start=20_000)
+    else:
+        raise RuntimeError("the sampler failed")
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier run\n"], ids=["no_file", "earlier_file"])
+@pytest.mark.parametrize(
+    "kind, error",
+    [
+        ("settings_id", (ValueError, "malformed records: a block of settings_id")),
+        ("master_seed", (ValueError, "malformed records: a block of master_seed 2 in a stream of master_seed 1")),
+        ("sampler", (RuntimeError, "the sampler failed")),
+    ],
+)
+def test_a_stream_that_fails_mid_file_leaves_no_file_behind(tmp_path, kind, error, before):
+    # the rows go to a temporary file that replaces the path only at the
+    # end, so no file cut short at a row boundary (which audit would pass) is left
+    path = tmp_path / "run.csv"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(error[0], match=error[1]):
+        emit_records(_failing_second_block(kind), str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["run.csv"])
+    if before is not None:
+        assert path.read_bytes() == before
+
+
+def test_a_write_keeps_what_the_path_names(tmp_path):
+    # the temporary file goes beside the symlink's target, takes the mode of
+    # the file it replaces, and one a dead process of this pid left is no bar;
+    # a hard-linked file is written in place, so its other name sees the rows
+    table = simulate_trials(default_settings(0.2), 3, 1)
+    emit_records(table, str(tmp_path / "expected.csv"))
+    expected = (tmp_path / "expected.csv").read_bytes()
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "run.csv"
+    target.write_bytes(b"an earlier run\n")
+    target.chmod(0o640)
+    (tmp_path / "data" / f".run.csv.{os.getpid()}.part").write_bytes(b"left by a killed run\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    emit_records(table, str(link))
+    assert link.is_symlink() and target.read_bytes() == expected
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["run.csv"]
+    other = tmp_path / "other.csv"
+    os.link(target, other)
+    emit_records(simulate_trials(default_settings(0.2), 4, 1), str(target))
+    assert other.read_bytes() == target.read_bytes() != expected
+    # in place, a stream that fails part way leaves an empty file, not one cut short
+    with pytest.raises(RuntimeError, match="the sampler failed"):
+        emit_records(_failing_second_block("sampler"), str(target))
+    assert other.read_bytes() == target.read_bytes() == b""
+
+
 def test_empty_trial_set_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_records(empty_table(TrialTable, v=0.5, master_seed=9), str(path))
@@ -221,6 +297,9 @@ def test_emitters_reject_the_other_table_kind_before_opening_the_file(tmp_path, 
     wanted = "PredictionTable" if other is TrialTable else "TrialTable"
     with pytest.raises(TypeError, match=f"{wanted}.*got {other.__name__}"):
         emit(empty_table(other), str(path))
+    for wrong, named in ((None, "NoneType"), ({"v": [0.5]}, "dict"), (["v"], "a stream of str")):
+        with pytest.raises(TypeError, match=f"expected a {wanted} to write, got {named}"):
+            emit(wrong, str(path))
     assert not path.exists()
 
 

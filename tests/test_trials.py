@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from blgisim.trials import (
     BELL_AMPLITUDES,
     CHSH_PAIRS,
     FOLD_ROWS,
+    ChshFold,
     Settings,
     TrialTable,
     branch_distribution,
@@ -30,6 +32,7 @@ from blgisim.trials import (
     run_chunked,
     sample_branches,
     simulate_trials,
+    trial_chunks,
 )
 from blgisim.audit import hidden_variable_config, hidden_variable_source
 from reference import (
@@ -275,9 +278,11 @@ def test_samplers_reject_chunk_below_one():
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs map in this process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    submission, and runs each submitted task in this process at once."""
 
     max_workers = []
+    submitted = []
 
     def __init__(self, max_workers):
         self.max_workers.append(max_workers)
@@ -288,8 +293,27 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_pool_submits_at_most_two_items_per_worker_ahead(monkeypatch):
+    # a pool that submitted every item at once would hold every finished
+    # result until it is taken, so a streamed run would grow with its length
+    monkeypatch.setattr(trials, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    seen, results = [], []
+    for result in trials._pool_map(abs, range(-20, 0), workers=3):
+        seen.append(len(_InlinePool.submitted))
+        results.append(result)
+    assert results == list(range(20, 0, -1))
+    assert _InlinePool.max_workers == [3]
+    # result k is taken with 2 * 3 items in flight, itself included, until the items run out
+    assert seen == [min(2 * 3 - 1 + k, 20) for k in range(1, 21)]
 
 
 def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
@@ -432,6 +456,18 @@ def test_estimate_chsh_of_a_stream_of_blocks_equals_that_of_the_table():
     blocks = [simulate_trials(FOLD_SOURCES["hidden variable"], n, 2, start=s) for s, n in
               ((0, FOLD_ROWS), (FOLD_ROWS, FOLD_ROWS), (2 * FOLD_ROWS, 5))]
     assert estimate_chsh(iter(blocks)) == estimate_chsh(table)
+
+
+def test_a_stream_folds_only_if_its_blocks_but_the_last_hold_whole_fold_blocks():
+    # a block that ends inside a fold block would start the next fold block
+    # at another row than the table's fold, and so change S's last bits
+    source = FOLD_SOURCES["noisy quantum"]
+    blocks = [simulate_trials(source, n, 3, start=s) for s, n in ((0, FOLD_ROWS + 1), (FOLD_ROWS + 1, 100))]
+    with pytest.raises(ValueError, match=f"a multiple of {FOLD_ROWS} rows; a block follows {FOLD_ROWS + 1} rows"):
+        estimate_chsh(iter(blocks))
+    fold = ChshFold(trial_chunks(source, 3 * 65536 + 5, 3))
+    assert [len(block) for block in fold] == [65536] * 3 + [5] and len(fold) == 3 * 65536 + 5
+    assert fold.report() == estimate_chsh(simulate_trials(source, 3 * 65536 + 5, 3))
 
 
 def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlators():

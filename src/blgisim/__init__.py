@@ -2,11 +2,13 @@
 sequential-readout predictor.
 
 Modules:
-  qubits     exact few-qubit states, channels, entanglement
   streams    counter-based random streams for reproducible parallel runs
   trials     the weak+projective trial protocol: every source a 16-branch
-             law plus detector noise, one sampler, estimators, the exact
-             oracle, the record table type and the chunk/pool driver
+             law plus detector noise (the quantum law a real bilinear form
+             in the two qubits' effects and the pair's Pauli correlation
+             matrix), one sampler, estimators, the exact oracle, the
+             detector noise model, the record table type and the
+             chunk/pool driver
   audit      the binary bound, the binary+unbiased-noise rejection test and
              the hidden-variable control source
   prediction sequential ancilla readout and the after-protocol Bell check
@@ -44,17 +46,6 @@ from .prediction import (
     prediction_batch,
     prediction_settings,
 )
-from .qubits import (
-    NO_NOISE,
-    DegenerateBranchError,
-    NoiseModel,
-    QuantumState,
-    bloch_observable,
-    check_strength,
-    concurrence,
-    nonselective_weak,
-    weak_kraus,
-)
 from .records import (
     SWEEP_HEADER,
     RunManifest,
@@ -69,12 +60,16 @@ from .records import (
     read_sweep,
 )
 from .trials import (
+    NO_NOISE,
     ChshReport,
     CorrelatorEstimate,
+    DegenerateBranchError,
+    NoiseModel,
     Settings,
     Source,
     TrialTable,
     branch_distribution,
+    check_strength,
     chsh_combine,
     default_settings,
     estimate_chsh,
@@ -82,7 +77,6 @@ from .trials import (
     exact_chsh,
     exact_correlator,
     exact_mean,
-    prepare_bell,
     simulate_trials,
     trial_chunks,
 )
@@ -103,7 +97,6 @@ __all__ = [
     "NO_NOISE",
     "NoiseModel",
     "PredictionTable",
-    "QuantumState",
     "REJECT",
     "RunManifest",
     "SWEEP_HEADER",
@@ -111,12 +104,10 @@ __all__ = [
     "Settings",
     "Source",
     "TrialTable",
-    "bloch_observable",
     "branch_distribution",
     "check_strength",
     "chsh_bound_check",
     "chsh_combine",
-    "concurrence",
     "decomposition_test",
     "default_settings",
     "emit_manifest",
@@ -132,7 +123,6 @@ __all__ = [
     "exhaustive_verify",
     "hidden_variable_config",
     "hidden_variable_source",
-    "nonselective_weak",
     "per_trial_term",
     "post_protocol_chsh",
     "predict",
@@ -140,7 +130,6 @@ __all__ = [
     "prediction_accuracy_exact",
     "prediction_batch",
     "prediction_settings",
-    "prepare_bell",
     "read_manifest",
     "read_predictions",
     "read_record_blocks",
@@ -148,5 +137,4 @@ __all__ = [
     "read_sweep",
     "simulate_trials",
     "trial_chunks",
-    "weak_kraus",
 ]

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .qubits import NO_NOISE, NoiseModel, check_strength
-from .trials import BRANCHES, ChshReport, Source, TrialTable, estimate_chsh
+from .trials import BRANCHES, NO_NOISE, ChshReport, NoiseModel, Source, TrialTable, check_strength, estimate_chsh
 
 MIN_RECORDS = 100     # below this the test has no power
 STDERR_CAP = 0.2      # stderr cap for a conclusive verdict

@@ -42,7 +42,6 @@ from .prediction import (
     prediction_batch,
     prediction_settings,
 )
-from .qubits import DegenerateBranchError, NoiseModel, check_strength
 from .records import (
     RECORD_FORMAT,
     SWEEP_HEADER,
@@ -54,7 +53,17 @@ from .records import (
     read_record_blocks,
 )
 from .streams import LAYOUT_VERSION, derived_seed
-from .trials import ChshFold, Settings, _pool_map, estimate_chsh, exact_chsh, trial_chunks
+from .trials import (
+    ChshFold,
+    DegenerateBranchError,
+    NoiseModel,
+    Settings,
+    _pool_map,
+    check_strength,
+    estimate_chsh,
+    exact_chsh,
+    trial_chunks,
+)
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
 # namespace entries that are not flags: the command's name, its handler and its argv

@@ -49,9 +49,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import streams
-from .qubits import MIN_BRANCH_PROB, DegenerateBranchError, check_strength
 from .trials import (
+    MIN_BRANCH_PROB,
     ChshReport,
+    DegenerateBranchError,
     RecordTable,
     Settings,
     _INTEGER,
@@ -60,6 +61,7 @@ from .trials import (
     _correlator,
     _typed,
     branch_distribution,
+    check_strength,
     chsh_combine,
     run_chunked,
     sample_branches,
@@ -88,8 +90,12 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 def check_steps(steps: int) -> int:
-    """Validate a readout length: an integer in [1, MAX_STEPS]."""
-    if int(steps) != steps or not 1 <= steps <= MAX_STEPS:
+    """Validate a readout length: an integer in [1, MAX_STEPS].
+
+    The range is checked first, so inf and nan are refused with this
+    ValueError, not by int().
+    """
+    if not 1 <= float(steps) <= MAX_STEPS or int(steps) != steps:
         raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {steps}")
     return steps
 

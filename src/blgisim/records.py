@@ -40,8 +40,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .prediction import PredictionTable
-from .qubits import check_strength
-from .trials import FOLD_ROWS, RecordTable, TrialTable
+from .trials import FOLD_ROWS, RecordTable, TrialTable, check_strength
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no

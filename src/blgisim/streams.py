@@ -29,7 +29,9 @@ DRAWS_PER_BLOCK = 4
 #   4: a prediction trial takes one block: branch (c1, c2, t1, t2), count 1, count 2.
 #   5: a hidden-variable trial is a simulate trial of its 16-branch law, on
 #      the trial stream, not a lambda threshold test on a stream of its own.
-LAYOUT_VERSION = 5
+#   6: the branch law is the real bilinear form; the draws and every record
+#      byte are unchanged; the sweep's exact_chsh moves in its last bits.
+LAYOUT_VERSION = 6
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.

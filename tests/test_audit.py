@@ -21,10 +21,10 @@ from blgisim.audit import (
     hidden_variable_source,
     per_trial_term,
 )
-from blgisim.qubits import NoiseModel
 from blgisim.records import emit_records, read_record_blocks
 from blgisim.trials import (
     BRANCHES,
+    NoiseModel,
     Settings,
     TrialTable,
     default_settings,

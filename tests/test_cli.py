@@ -21,10 +21,9 @@ from blgisim.prediction import (
     prediction_accuracy_exact,
     prediction_settings,
 )
-from blgisim.qubits import NoiseModel
 from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
-from blgisim.trials import FOLD_ROWS, Settings, default_settings, estimate_chsh, exact_chsh, simulate_trials
+from blgisim.trials import FOLD_ROWS, NoiseModel, Settings, default_settings, estimate_chsh, exact_chsh, simulate_trials
 
 
 def last_json(capsys) -> dict:
@@ -508,7 +507,7 @@ def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):
     readout = SequentialReadoutParams(v=0.3, steps=7)
     assert summary["exact_accuracy"] == prediction_accuracy_exact(prediction_settings(0.4), readout)
     assert summary["exact_accuracy"] < summary["expected_accuracy_saturated"]
-    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 5
+    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 6
 
 
 def test_sweep_verdict_transition(tmp_path, capsys):

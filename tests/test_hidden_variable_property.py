@@ -3,8 +3,7 @@
 import pytest
 
 from blgisim.audit import HiddenVariableConfig, hidden_variable_source
-from blgisim.qubits import NoiseModel
-from blgisim.trials import exact_chsh, exact_correlator
+from blgisim.trials import NoiseModel, exact_chsh, exact_correlator
 from reference import hidden_variable_exact_chsh
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,5 +1,6 @@
 """Tooling guards: no package or test module imports a name it never
-references, no package module imports scipy, the package's ``__all__``
+references, no package module imports scipy or does complex or dense
+linear algebra (no complex dtype or literal, kron or linalg), the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, one helper opens every process
 pool, one writer turns columns into CSV text, and every name the benchmark
@@ -51,6 +52,27 @@ def test_module_does_not_import_scipy(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.append(node.module)
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def _dense_complex_sites(path) -> list:
+    """(line, what) of every complex name, dtype string or imaginary literal, and every kron or linalg, in a file."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        value = getattr(node, "value", None) if isinstance(node, ast.Constant) else None
+        if isinstance(value, complex) or (isinstance(value, str) and value.startswith("complex")):
+            sites.append((node.lineno, repr(value)))
+        elif isinstance(name, str) and (name.startswith("complex") or name in ("kron", "linalg")):
+            sites.append((node.lineno, name))
+    return sites
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_does_no_complex_linear_algebra(path):
+    # the branch law is a real bilinear form in Pauli coefficients, so no
+    # CLI path needs complex numbers; the dense complex-state Born rule is
+    # the oracle in tests/reference.py
+    assert _dense_complex_sites(path) == []
 
 
 def _call_sites(name: str) -> list:

@@ -26,17 +26,22 @@ from blgisim.prediction import (
     prediction_batch,
     prediction_settings,
 )
-from blgisim.qubits import (
+from blgisim.trials import DegenerateBranchError, Settings, branch_distribution
+from reference import (
+    BELL_AMPLITUDES,
     SIGMA_Z,
-    DegenerateBranchError,
     QuantumState,
     axis_projectors,
     bloch_observable,
+    concurrence,
+    empty_table,
+    expect,
     lift1,
+    post_coupling_state,
+    sequential_weak_sequence,
+    table_rows,
     weak_kraus,
 )
-from blgisim.trials import BELL_AMPLITUDES, Settings, branch_distribution
-from reference import empty_table, expect, post_coupling_state, sequential_weak_sequence, table_rows
 
 
 def z_diagonal(m: float) -> QuantumState:
@@ -70,8 +75,11 @@ def test_readout_saturation_threshold():
 def test_readout_steps_are_capped():
     # constructing the parameters allocates nothing, so the cap itself is safe to build
     assert SequentialReadoutParams(v=0.5, steps=MAX_STEPS).steps == MAX_STEPS
-    with pytest.raises(ValueError, match="steps"):
-        SequentialReadoutParams(v=0.5, steps=MAX_STEPS + 1)
+    for steps in (MAX_STEPS + 1, math.inf, math.nan, 2.5):
+        with pytest.raises(ValueError, match="steps"):
+            SequentialReadoutParams(v=0.5, steps=steps)
+        with pytest.raises(ValueError, match="steps"):
+            prediction.check_steps(steps)
 
 
 def test_predict_sign_rule():
@@ -502,7 +510,6 @@ def test_post_selected_state_matches_selective_branch():
 
 
 def test_weak_coupling_leaves_bell_pair_nearly_intact():
-    from blgisim.qubits import concurrence
 
     state = post_coupling_state(prediction_settings(0.01))
     assert concurrence(state) > 0.999

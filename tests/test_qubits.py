@@ -4,28 +4,25 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blgisim.qubits import (
+from blgisim.trials import DegenerateBranchError, NoiseModel, check_strength
+from reference import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
-    DegenerateBranchError,
-    NoiseModel,
     QuantumState,
+    apply_readout_noise,
     axis_projectors,
     bloch_observable,
-    check_strength,
     concurrence,
-    lift1,
-    nonselective_weak,
-    weak_kraus,
-)
-from reference import (
-    apply_readout_noise,
     coupling_unitary,
     expect,
+    lift1,
+    nonselective_weak,
     partial_trace,
     projective_measure,
+    random_density,
     rescale,
+    weak_kraus,
     weak_measure,
 )
 
@@ -46,17 +43,6 @@ def random_pure(num_qubits: int, rng: np.random.Generator) -> QuantumState:
     dim = 2**num_qubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return QuantumState.from_amplitudes(vec / np.linalg.norm(vec))
-
-
-def random_density(num_qubits: int, rng: np.random.Generator) -> QuantumState:
-    dim = 2**num_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    weights = rng.dirichlet(np.ones(3))
-    for w in weights:
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        vec /= np.linalg.norm(vec)
-        rho += w * np.outer(vec, vec.conj())
-    return QuantumState.from_density(rho)
 
 
 def bell_phi_plus() -> QuantumState:

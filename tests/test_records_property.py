@@ -21,7 +21,6 @@ import pytest
 from blgisim import records
 from blgisim.audit import hidden_variable_config, hidden_variable_source
 from blgisim.prediction import MAX_STEPS, PredictionTable, SequentialReadoutParams, prediction_batch, prediction_settings
-from blgisim.qubits import NO_NOISE, NoiseModel
 from blgisim.records import (
     SWEEP_HEADER,
     emit_predictions,
@@ -31,7 +30,7 @@ from blgisim.records import (
     read_records,
     read_sweep,
 )
-from blgisim.trials import Settings, TrialTable, default_settings, simulate_trials
+from blgisim.trials import NO_NOISE, NoiseModel, Settings, TrialTable, default_settings, simulate_trials
 from reference import table_rows
 
 hypothesis = pytest.importorskip("hypothesis")

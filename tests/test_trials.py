@@ -9,15 +9,14 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from blgisim import qubits, trials
+from blgisim import trials
 from blgisim.cli import run_sweep
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
-from blgisim.qubits import NoiseModel, outcome_law, weak_kraus
 from blgisim.trials import (
-    BELL_AMPLITUDES,
     CHSH_PAIRS,
     FOLD_ROWS,
     ChshFold,
+    NoiseModel,
     Settings,
     TrialTable,
     branch_distribution,
@@ -28,7 +27,6 @@ from blgisim.trials import (
     exact_chsh,
     exact_correlator,
     exact_mean,
-    prepare_bell,
     run_chunked,
     sample_branches,
     simulate_trials,
@@ -36,11 +34,19 @@ from blgisim.trials import (
 )
 from blgisim.audit import hidden_variable_config, hidden_variable_source
 from reference import (
+    BELL_AMPLITUDES,
+    concurrence,
     coupled_state,
     entanglement_curve,
+    outcome_law,
+    pauli_correlations,
+    prepare_bell,
     projective_measure,
+    random_density,
     reference_trial,
     table_rows,
+    trial_law,
+    weak_kraus,
     weak_measure,
 )
 
@@ -510,20 +516,44 @@ def test_branch_distribution_is_a_probability_law():
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
 
 
+def random_settings(rng: np.random.Generator) -> Settings:
+    """Random axes, V in (1e-6, 1] and Bell state."""
+    return Settings(
+        a1=rng.uniform(-np.pi, np.pi),
+        a2=rng.uniform(-np.pi, np.pi),
+        b1=rng.uniform(-np.pi, np.pi),
+        b2=rng.uniform(-np.pi, np.pi),
+        v=1.0 - rng.uniform(0.0, 1.0 - 1e-6),
+        bell_kind="psi_minus" if rng.random() < 0.5 else "phi_plus",
+    )
+
+
 def test_branch_distribution_matches_matrix_root_enumeration():
+    # the real bilinear law against two dense complex routes: Kraus roots by
+    # eigh, and the closed-form Kraus pairs of reference.outcome_law
     rng = np.random.default_rng(61)
-    for _ in range(5):
-        settings = Settings(
-            a1=rng.uniform(-np.pi, np.pi),
-            a2=rng.uniform(-np.pi, np.pi),
-            b1=rng.uniform(-np.pi, np.pi),
-            b2=rng.uniform(-np.pi, np.pi),
-            v=rng.uniform(0.1, 1.0),
-            bell_kind="psi_minus" if rng.random() < 0.5 else "phi_plus",
-        )
+    for _ in range(200):
+        settings = random_settings(rng)
         got = branch_distribution(settings)
         want = matrix_root_pmf(settings)
-        assert max(abs(got[k] - want[k]) for k in want) < 1e-10
+        assert max(abs(got[k] - want[k]) for k in want) < 1e-15, settings
+        dense = trial_law(prepare_bell(settings.bell_kind).density(), settings)
+        assert np.abs(np.array(list(got.values())) - dense).max() < 1e-15, settings
+    # any two-qubit state: its Pauli correlation matrix in the private contraction
+    for _ in range(50):
+        settings, rho = random_settings(rng), random_density(2, rng).density()
+        got = trials._pauli_law(pauli_correlations(rho), settings)
+        assert np.abs(got - trial_law(rho, settings)).max() < 1e-15, settings
+    # at V = 1 along the test axes the projective outcome repeats the weak
+    # one, so every other branch is exactly 0; the dense route leaves about
+    # 4e-34 on some of them
+    for settings, possible in (
+        (ZERO_BRANCH_SETTINGS, [(1, -1, 1, -1), (-1, 1, -1, 1)]),
+        (prediction_settings(1.0), [(r1, r2, r1, r2) for r1 in (1, -1) for r2 in (1, -1)]),
+    ):
+        law = branch_distribution(settings)
+        assert [branch for branch, p in law.items() if p != 0.0] == possible
+        assert all(law[branch] > 0.0 for branch in possible)
 
 
 def test_branch_distribution_order_independence():
@@ -654,7 +684,7 @@ def test_entanglement_curve_closed_form():
 def test_asymmetric_axes_kill_entanglement_early():
     # coupling along z on one qubit and x on the other collapses the pair
     # before v reaches 1
-    c85 = qubits.concurrence(coupled_state(0.85, 0.0, math.pi / 2))
-    c95 = qubits.concurrence(coupled_state(0.95, 0.0, math.pi / 2))
+    c85 = concurrence(coupled_state(0.85, 0.0, math.pi / 2))
+    c95 = concurrence(coupled_state(0.95, 0.0, math.pi / 2))
     assert abs(c85 - 0.165533) < 1e-4
     assert c95 == 0.0

@@ -90,18 +90,12 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 def check_steps(steps: int) -> int:
-    """Validate a readout length: an integer in [1, MAX_STEPS].
-
-    The range is checked first, so inf and nan are refused with this
-    ValueError, not by int().
-    """
-    if not 1 <= float(steps) <= MAX_STEPS or int(steps) != steps:
+    """Validate a readout length, an int or numpy integer in [1, MAX_STEPS],
+    and return it as an int; a bool, a float (inf and nan among them) or a
+    str is refused like any other value out of range, with a ValueError."""
+    if not 1 <= _typed(steps, _INTEGER, "steps") <= MAX_STEPS:
         raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {steps}")
-    return steps
-
-
-def _check_table_steps(steps) -> int:
-    return int(check_steps(_typed(steps, _INTEGER, "steps")))
+    return int(steps)
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class SequentialReadoutParams:
 
     def __post_init__(self) -> None:
         check_strength(self.v)
-        check_steps(self.steps)
+        object.__setattr__(self, "steps", check_steps(self.steps))
 
     @property
     def saturated(self) -> bool:
@@ -145,7 +139,7 @@ class PredictionTable(RecordTable):
     is computed from K_i on access."""
 
     schema = PREDICTION_SCHEMA
-    scalar_checks = {"settings_id": _check_settings_id, "steps": _check_table_steps, "master_seed": _check_seed}
+    scalar_checks = {"settings_id": _check_settings_id, "steps": check_steps, "master_seed": _check_seed}
 
     trajectory_mean1 = property(lambda self: _readout_columns(self.K1, self.steps)[0])
     trajectory_mean2 = property(lambda self: _readout_columns(self.K2, self.steps)[0])

@@ -14,6 +14,17 @@ and the kept bytes are the rows' text (see ``_rows_text``). Floats that
 one at a time. The bytes equal those of formatting each field of each row
 with ``'%d'``, ``'%.17g'`` or ``'%s'`` in a text file.
 
+The reader parses a block of rows in numpy too, from the UTF-8 bytes of
+the file's text (see _parse_rows).  Its grammar is the writer's: an int is
+``-?[0-9]+``, and a float ``-?[0-9]+(.[0-9]+)?`` whose digits M < 10**17,
+with f <= 22 of them after the point, is M / 10**f rounded once, exactly
+(Clinger's fast path, or a remainder from Dekker's two-product; see
+_quotients), so it equals ``float(text)`` bit for bit.  A float field
+that %.17g may write but that grammar leaves out (exponent notation, inf,
+nan, more digits) is parsed by ``float()``.  A block with any other field,
+or a line of another field count, is read by ``np.loadtxt`` as before, so
+the text accepted and every error message are np.loadtxt's.
+
 A record file holds one experiment, like the table it is written from, and
 holds exactly what the table holds. Line 1 (record format 2,
 ``RECORD_FORMAT``) is ``# `` and a JSON object with sorted keys: ``format``
@@ -33,9 +44,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -192,7 +203,7 @@ def _float_keep() -> np.ndarray:
 _FLOAT_KEEP = _float_keep()
 _FLOAT_KEEP_NARROW = _FLOAT_KEEP[:, [0, 3, 4, 5]]  # words 1 and 2 left out
 _SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
-_POW10 = 10.0 ** np.arange(_K_MAX - _K_MIN + 1)  # exact: 10**p is a double for p <= 22
+_POW10 = 10.0 ** np.arange(23)  # exact: 10**p is a double for p <= 22; the writer takes p <= 20
 
 
 def _halves(a):
@@ -394,6 +405,269 @@ def _check_header(line: str, schema, what: str) -> None:
         raise ValueError(f"unexpected {what} CSV header {header!r}")
 
 
+# ---------------------------------------------------------------------------
+# Row parsing, the mirror of the row text.  The rows are read as text and
+# cut into blocks of _BLOCK_ROWS lines, each parsed in numpy from its UTF-8
+# bytes.  A numeric field is read as the little-endian 8-byte words that
+# end where its digits end: the bytes before its digits are zeroed, and the
+# 8 digits of each word are summed inside the word (SWAR).  An int is its
+# digits and sign.  A float is the integer M of its digits, the point left
+# out, over 10**f, f the digits after the point; where M < 10**17 and
+# f <= 22 that quotient is rounded once, exactly (_quotients).  Any other
+# float field that %.17g may write (exponent notation, inf, nan, a longer
+# mantissa) is parsed by float(), which reads it as np.loadtxt does.  A
+# block with a field of any other form, or a line of another field count,
+# is read by np.loadtxt whole (_loadtxt_rows), so the text accepted and
+# every error stay np.loadtxt's.
+
+_READ_CHARS = 1 << 16  # characters of text read at a time
+# glibc's malloc (see mallopt(3)) serves a request above its mmap threshold,
+# 128 KiB at first, with a fresh mapping, and when it frees such a mapping
+# it raises that threshold to the mapping's size and its heap trim
+# threshold to twice that.  Freeing one untouched array of this size before
+# the first block keeps the heap that every block's temporaries reuse,
+# about 1 MB, from being trimmed and faulted in again at each block: a
+# 1M-row read took 44k minor faults without it, under 1k with it.
+_HEAP_HINT = 1 << 20
+_PAD = 24  # bytes before a block, so that every 3-word window that ends in a field lies in the buffer
+_NOT_DIGIT = 0x7676767676767676  # added to a byte of at most 0x7F, sets its bit 7 iff the byte is above 9
+_BIT7 = 0x8080808080808080
+# _KEEP[k, j]: the bytes of word j of a 3-word window that its last k bytes
+# cover; a w-word window is the last w words
+_KEEP = np.array([[2**64 - 2 ** (64 - 8 * min(max(k - 8 * j, 0), 8)) for j in (2, 1, 0)] for k in range(25)], np.uint64)
+_POW10_INT = np.array([10**k if k < 20 else 0 for k in range(24)], np.uint64)
+# I * 10**f + F < 10**17 iff I < _INT_LIMIT[f], for F < 10**min(f, 17); f = 23 stands for f > 22
+_INT_LIMIT = np.array([10 ** max(17 - k, 0) if k <= 22 else 0 for k in range(24)], np.uint64)
+_FLOAT_TOKEN = re.compile(rb"-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?)")  # what %.17g writes
+
+
+def _line_blocks(f):
+    """Yield the rest of the text file f in blocks of _BLOCK_ROWS lines,
+    the last one shorter, as (store, newlines): a uint8 array that holds
+    the block in UTF-8 from offset _PAD on, and the offset in it of each
+    line's end.  A last line with no end gets one.
+
+    The store is one array, reused for every block: the text that follows
+    a block moves to its front, and the store grows only if a block and
+    the text read past it do not fit.
+    """
+    np.empty(_HEAP_HINT, np.uint8)  # allocated and freed untouched: see _HEAP_HINT
+    store = np.zeros(_PAD + 4 * _READ_CHARS, np.uint8)
+    used, ends, end = _PAD, np.empty(0, np.intp), False
+    while True:
+        while len(ends) < _BLOCK_ROWS and not end:
+            more = f.read(_READ_CHARS).encode("utf-8", "surrogatepass")
+            end = not more
+            if end and used > _PAD and store[used - 1] != ord("\n"):
+                more = b"\n"
+            if used + len(more) > len(store):
+                store = np.concatenate((store[:used], np.zeros(max(used, len(more)), np.uint8)))
+            store[used:used + len(more)] = np.frombuffer(more, np.uint8)
+            ends = np.concatenate((ends, np.flatnonzero(store[used:used + len(more)] == ord("\n")) + used))
+            used += len(more)
+        if not len(ends):
+            return
+        newlines, ends = ends[:_BLOCK_ROWS], ends[_BLOCK_ROWS:]
+        yield store, newlines
+        stop = int(newlines[-1]) + 1
+        store[_PAD:_PAD + used - stop] = store[stop:used]
+        ends -= stop - _PAD
+        used -= stop - _PAD
+
+
+def _lines(store, newlines) -> list:
+    """The lines of a block of _line_blocks, each with its end."""
+    text = store[_PAD:newlines[-1]].tobytes().decode("utf-8", "surrogatepass")
+    return [line + "\n" for line in text.split("\n")]
+
+
+def _digits(store, ends, counts, width: int):
+    """The decimal value of the `counts` (at most 24) bytes that end at each
+    of `ends` in store, read as `width` words, and whether all those bytes
+    are digits; a value of 10**19 or more counts as not all digits."""
+    windows = np.ndarray((len(store) - 8 * width + 1,), f"V{8 * width}", store, 0, (1,))  # one at every offset
+    d = windows[ends - 8 * width].view("<u8").reshape(-1, width)
+    d ^= _ASCII_ZEROS
+    d &= np.take(_KEEP[:, 3 - width:], counts, axis=0)
+    bad = d + _NOT_DIGIT
+    bad |= d
+    bad &= _BIT7
+    d *= 2561  # 2-digit values in bytes 0, 2, 4 and 6, after the shift
+    d >>= 8
+    d &= 0x00FF00FF00FF00FF
+    d *= 6553601  # 4-digit values in bytes 0-1 and 4-5
+    d >>= 16
+    d &= 0x0000FFFF0000FFFF
+    d *= 42949672960001  # the 8-digit value
+    d >>= 32
+    if width == 3:
+        bad[:, 0] |= d[:, 0] >= 1000
+    value = d[:, 0]
+    for j in range(1, width):
+        value = value * 10**8 + d[:, j]
+        bad[:, 0] |= bad[:, j]
+    return value, bad[:, 0] == 0
+
+
+def _int_fields(store, starts, ends):
+    """The int64 of each field '-?[0-9]+' in store[starts:ends], or None if
+    a field is not of that form or is out of the int64 range."""
+    negative = store[starts] == ord("-")
+    counts = ends - starts
+    counts -= negative
+    longest = int(counts.max())
+    if counts.min() < 1 or longest > 19:
+        return None
+    magnitude, clean = _digits(store, ends, counts, -(-longest // 8))
+    if not clean.all() or longest == 19 and np.any((magnitude > 2**63 - 1) & ~(negative & (magnitude == 2**63))):
+        return None
+    return np.where(negative, -magnitude, magnitude).view(np.int64)  # uint64 negation wraps, so int64 min is exact
+
+
+def _quotients(m, f):
+    """m / 10**f rounded to the nearest double, for m < 10**17 and f <= 22,
+    and a mask of where that is not certain.
+
+    Where m < 2**53 both operands are doubles, so the one division is
+    correctly rounded (Clinger's fast path); so is the conversion of m
+    where f = 0.  Elsewhere q = fl(fl(m) / 10**f) is within 1.5 ulp of
+    m / 10**f.  Dekker's two-product gives q * 10**f = hi + lo exactly, and
+    hi is an integer, so the remainder r = m - q * 10**f is (m - hi) - lo,
+    to within 2**-47.  The gap from q to its neighbour on r's side, times
+    10**f, is an exact double of at least 1/2: |r| past half of it steps
+    to that neighbour.  An |r| that is half a gap to within a 2**-20 share
+    of it (a tie), or 1.5 gaps or more, is not certain.
+    """
+    scale = _POW10[f]
+    q = m.view(np.int64).astype(np.float64)
+    q /= scale
+    hi = q * scale
+    qh, ql = _halves(q)
+    lo = qh * _POW10_HI[f]  # ((qh * HI - hi) + qh * LO + ql * HI) + ql * LO, each step exact
+    lo -= hi
+    lo += qh * _POW10_LO[f]
+    lo += ql * _POW10_HI[f]
+    lo += ql * _POW10_LO[f]
+    del qh, ql
+    r = (m.view(np.int64) - hi.astype(np.int64)).astype(np.float64)
+    r -= lo
+    del hi, lo
+    neighbour = q.view(np.int64) + np.where(r > 0, 1, -1)  # q > 0: its bits step to the next double
+    neighbour = neighbour.view(np.float64)
+    steps = neighbour - q  # then |m / 10**f - q| in half gaps
+    np.abs(steps, out=steps)
+    steps *= scale
+    steps *= 0.5
+    np.divide(np.abs(r), steps, out=steps)
+    certain = (m < 2**53) | (f == 0)
+    np.copyto(q, neighbour, where=~certain & (steps > 1))
+    return q, ~certain & ((np.abs(steps - 1) <= 2.0**-20) | (steps >= 3 - 2.0**-20))
+
+
+def _float_fields(store, starts, ends, points):
+    """The float64 of each field in store[starts:ends], whose one '.' is at
+    points (at ends for a field with none), or None if a field is not one
+    that %.17g may write."""
+    negative = store[starts] == ord("-")
+    whole = points - starts  # digits before the point
+    whole -= negative
+    f = ends - points  # digits after it, 23 for any more than 22
+    f -= points < ends
+    longest, width = int(whole.max()), -(-min(int(f.max()), 22) // 8)
+    np.minimum(f, 23, out=f)
+    i, ok = _digits(store, points, np.minimum(whole, 24), max(1, -(-min(longest, 17) // 8)))
+    ok &= i < _INT_LIMIT[f]
+    if longest > 17 or whole.min() < 1:
+        ok &= (whole - 1).view(np.uint64) < 17
+    del whole  # each array goes once used, so a block's temporaries stay near 1 MB
+    m = i * _POW10_INT[f]
+    del i
+    if width:
+        fraction, clean = _digits(store, ends, f, width)
+        ok &= clean
+        ok &= fraction < 10**17
+        m += fraction
+        del fraction, clean
+    m *= ok
+    values, unsure = _quotients(m, np.minimum(f, 22, out=f))  # m = 0 where f = 23
+    values.view(np.uint64)[:] |= negative.astype(np.uint64) << 63  # values >= 0: the sign bit negates
+    for j in np.flatnonzero(~ok | unsure):
+        token = store[starts[j]:ends[j]].tobytes()
+        if not _FLOAT_TOKEN.fullmatch(token):
+            return None
+        values[j] = float(token)
+    return values
+
+
+def _parse_rows(store, newlines, schema):
+    """The numeric columns of the block of lines in store that end at
+    newlines, one structured array, parsed in numpy; None where a line has
+    not the schema's field count or a numeric field is not one the writer
+    may write."""
+    n, c = len(newlines), len(schema)
+    block = store[_PAD:newlines[-1]]
+    commas = np.flatnonzero(block == ord(",")) + _PAD
+    if len(commas) != n * (c - 1):
+        return None
+    commas = commas.reshape(n, c - 1)
+    firsts = np.concatenate(([_PAD], newlines[:-1] + 1))  # where each line starts
+    if c > 1 and (np.any(commas[:, 0] < firsts) or np.any(commas[:, -1] > newlines)):  # another comma count
+        return None
+    floats = [j for j, (_, kind) in enumerate(schema) if kind == "float64"]
+    if floats:
+        dots = np.flatnonzero(block == ord(".")) + _PAD
+        points = dots.reshape(n, len(floats)).T if len(dots) == n * len(floats) else None
+    data = np.empty(n, [(name, kind) for name, kind in schema if kind != "str"])
+    for j, (name, kind) in enumerate(schema):
+        if kind == "str":
+            continue
+        starts = firsts if j == 0 else commas[:, j - 1] + 1
+        ends = newlines if j == c - 1 else commas[:, j]
+        if kind == "int64":
+            values = _int_fields(store, starts, ends)
+        else:
+            at = points[floats.index(j)] if points is not None else None
+            if at is None or np.any((at < starts) | (at > ends)):  # not one '.' in each field
+                at = _points(dots, starts, ends)
+            values = None if at is None else _float_fields(store, starts, ends, at)
+        if values is None:
+            return None
+        data[name] = values
+    return data
+
+
+def _points(dots, starts, ends):
+    """Where the '.' of each field in [starts, ends) is, among dots (at ends
+    for a field with none); None if a field has two."""
+    if not len(dots):
+        return ends
+    first = np.searchsorted(dots, starts)
+    count = np.searchsorted(dots, ends) - first
+    if np.any(count > 1):
+        return None
+    return np.where(count == 1, dots[np.minimum(first, len(dots) - 1)], ends)
+
+
+def _loadtxt_rows(lines, schema, what: str, first: int):
+    """The numeric columns of lines as np.loadtxt reads them, one structured
+    array; a blank line, a wrong field count and a field that does not parse
+    as its kind raise ``malformed <what> CSV row at line N``."""
+    kinds = [kind for _, kind in schema]
+    usecols = [i for i, kind in enumerate(kinds) if kind != "str"]
+    dtype = np.dtype([schema[i] for i in usecols])
+    # without usecols loadtxt rejects a row of the wrong field count itself
+    usecols = usecols if len(usecols) < len(kinds) else None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, usecols=usecols, ndmin=1)
+    except ValueError:
+        raise _row_error(lines, first, what, schema) from None
+    # loadtxt skips blank lines and, given usecols, ignores extra fields, so count both here
+    extra = usecols is not None and sum(map(str.count, lines, repeat(","))) != (len(kinds) - 1) * len(lines)
+    if len(data) != len(lines) or extra:
+        raise _row_error(lines, first, what, schema)
+    return data
+
+
 def _read_blocks(f, schema, what: str, first: int):
     """Yield (first file line, numeric rows, str column) per block of the rows of f.
 
@@ -402,36 +676,28 @@ def _read_blocks(f, schema, what: str, first: int):
     None for a schema without one. A blank line, a wrong field count, a
     field that does not parse as its kind and a quoted str field raise
     ``malformed <what> CSV row at line N``; only then is the block parsed
-    again, line by line, to find N.
+    again, line by line, to find N.  A block is parsed in numpy
+    (_parse_rows), or by np.loadtxt (_loadtxt_rows) if it holds a line or
+    field that the writer does not write; both give the same bits.
     """
     kinds = [kind for _, kind in schema]
     k = kinds.index("str") if "str" in kinds else None
-    usecols = [i for i, kind in enumerate(kinds) if kind != "str"]
-    dtype = np.dtype([schema[i] for i in usecols])
-    # without usecols loadtxt rejects a row of the wrong field count itself
-    usecols = usecols if k is not None else None
-    load = partial(np.loadtxt, delimiter=",", comments=None, dtype=dtype, usecols=usecols, ndmin=1)
-    commas = len(schema) - 1
-    while lines := list(islice(f, _BLOCK_ROWS)):
-        try:
-            data = load(lines)
-        except ValueError:
-            raise _row_error(lines, first, what, schema) from None
-        # loadtxt skips blank lines and, given usecols, ignores extra fields, so count both here
-        extra = k is not None and sum(map(str.count, lines, repeat(","))) != commas * len(lines)
-        if len(data) != len(lines) or extra:
-            raise _row_error(lines, first, what, schema)
+    for store, newlines in _line_blocks(f):
+        data = _parse_rows(store, newlines, schema)
+        lines = _lines(store, newlines) if data is None or k is not None else None
+        if data is None:
+            data = _loadtxt_rows(lines, schema, what, first)
         texts = None
         if k is not None:
             texts = [line.split(",", k + 1)[k] for line in lines]
-            if k == commas:  # the last field keeps its line end
-                texts = [text.rstrip("\n") for text in texts]
-            for text in set(texts):
-                if '"' in text:
-                    at = first + texts.index(text)
-                    raise ValueError(f"malformed {what} CSV row at line {at}: quoted {schema[k][0]} {text!r}")
+            if k == len(kinds) - 1:  # the last field keeps its line end
+                texts = [field.rstrip("\n") for field in texts]
+            for field in set(texts):
+                if '"' in field:
+                    at = first + texts.index(field)
+                    raise ValueError(f"malformed {what} CSV row at line {at}: quoted {schema[k][0]} {field!r}")
         yield first, data, texts
-        first += len(lines)
+        first += len(newlines)
 
 
 def _read_comment(line: str, cls: type, where: str) -> dict:

@@ -3,8 +3,8 @@ references, no package module imports scipy or does complex or dense
 linear algebra (no complex dtype or literal, kron or linalg), the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, one helper opens every process
-pool, one writer turns columns into CSV text, and every name the benchmark
-tracer patches exists."""
+pool, one writer turns columns into CSV text and one reader CSV text into
+columns, and every name the benchmark tracer patches exists."""
 
 import ast
 import importlib
@@ -140,6 +140,19 @@ def test_one_writer_turns_columns_into_csv_text():
     assert _outside(writes, records._write_csv, records.emit_manifest) == []
     lists = [(name, line) for name, line in _call_sites("tolist") if name == "records.py"]
     assert _outside(lists, records._float_cells, records.read_sweep) == []
+
+
+def test_one_reader_turns_csv_text_into_columns():
+    # records._read_blocks parses the rows of every CSV kind through
+    # records._parse_rows, and hands a block that holds text the writer
+    # never writes to np.loadtxt in records._loadtxt_rows; _parses uses
+    # np.loadtxt to name the field of a bad row.  np.loadtxt anywhere else
+    # would be a second row parser
+    loadtxt = [(name, node.lineno) for name, node in _nodes(ast.Attribute) if node.attr == "loadtxt"]
+    assert loadtxt and _outside(loadtxt, records._loadtxt_rows, records._parses) == []
+    for parser in ("_parse_rows", "_loadtxt_rows"):
+        assert _inside(records._read_blocks, _call_sites(parser)) == [("records.py", True)]
+    assert _outside(_call_sites("_read_blocks"), records._table_blocks, records.read_sweep) == []
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,

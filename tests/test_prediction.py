@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -80,6 +81,20 @@ def test_readout_steps_are_capped():
             SequentialReadoutParams(v=0.5, steps=steps)
         with pytest.raises(ValueError, match="steps"):
             prediction.check_steps(steps)
+
+
+@pytest.mark.parametrize("steps", [True, 5.0, "5"])
+def test_readout_steps_must_be_an_integer(steps):
+    # a bool and an integral float were once kept as given
+    with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(steps))}$"):
+        prediction.check_steps(steps)
+    with pytest.raises(ValueError, match="^steps must be an integer, got "):
+        SequentialReadoutParams(v=0.5, steps=steps)
+
+
+def test_readout_steps_are_stored_as_int():
+    assert type(prediction.check_steps(np.int64(5))) is int
+    assert type(SequentialReadoutParams(v=0.5, steps=np.int32(7)).steps) is int
 
 
 def test_predict_sign_rule():

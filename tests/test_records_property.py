@@ -2,17 +2,26 @@
 
 The numpy row formatter writes every float as ``'%.17g' % x`` and every int
 as ``'%d' % n`` would, byte for byte, over hypothesis values, random bit
-patterns and a pinned list of edges.  Random tables of both kinds are
-written in record format 2, match a plain per-row writer, and read back bit
-for bit, every column and every scalar; so do sampler tables that span
-several formatting blocks with extreme raws spliced in.  Tables the
-samplers build, over random v, noise, seed and start, read back bit for bit
-too, and emit -> read -> emit gives the same bytes."""
+patterns and a pinned list of edges.  The numpy row parser reads those
+cells back as ``float(text)`` and ``int(text)`` do, bit for bit, over the
+same values; its exact division is checked against correctly rounded
+decimals, ties included; a file is cut into blocks of FOLD_ROWS rows
+whatever its line ends; and text the writer never writes reads as
+np.loadtxt reads it, or fails with the message np.loadtxt's failure gives.
+Random tables of both kinds are written in record format 2, match a plain
+per-row writer, and read back bit for bit, every column and every scalar;
+so do sampler tables that span several formatting blocks with extreme raws
+spliced in.  Tables the samplers build, over random v, noise, seed and
+start, read back bit for bit too, and emit -> read -> emit gives the same
+bytes."""
 
+import io
 import json
 import math
+import re
 import string
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +39,7 @@ from blgisim.records import (
     read_records,
     read_sweep,
 )
-from blgisim.trials import NO_NOISE, NoiseModel, Settings, TrialTable, default_settings, simulate_trials
+from blgisim.trials import FOLD_ROWS, NO_NOISE, NoiseModel, Settings, TrialTable, default_settings, simulate_trials
 from reference import table_rows
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -287,3 +296,175 @@ def test_sweep_text_is_the_text_file_of_per_row_formatting(tmp_path):
     back = read_sweep(str(path))
     assert back["verdict"] == columns["verdict"]
     assert back["v"] == columns["v"] and back["empirical_chsh"] == columns["empirical_chsh"]
+
+
+# ---------------------------------------------------------------- row parser
+
+
+def parsed(values, kind: str):
+    """(cells, column): the cells the block formatter writes for one column,
+    and the column the block parser reads back from them.  Every block is
+    read by the numpy parser, none handed to np.loadtxt."""
+    text = records._rows_text([np.asarray(values, kind)], [kind], "utf-8").tobytes().decode("ascii")
+    blocks = []
+    for store, newlines in records._line_blocks(io.StringIO(text[1:] + "\n")):
+        block = records._parse_rows(store, newlines, [("x", kind)])
+        assert block is not None
+        blocks.append(block["x"])
+    return text.split("\n")[1:], np.concatenate(blocks)
+
+
+def assert_reads_as_float(values):
+    cells, column = parsed(values, "float64")
+    want = np.array([float(cell) for cell in cells])
+    assert np.array_equal(column.view(np.uint64), want.view(np.uint64))
+
+
+def test_parser_equals_float_on_the_edge_list():
+    assert_reads_as_float(EDGE_LIST + [-x for x in EDGE_LIST])
+
+
+def test_parser_equals_float_on_random_bit_patterns():
+    bits = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    assert_reads_as_float(bits.view(np.float64).tolist())
+
+
+def test_parser_reads_fixed_notation_without_float(monkeypatch):
+    # %.17g writes 1e-4 <= |x| < 1e17 in fixed notation, which the exact
+    # division reads: with no float field left to float(), every block
+    # still parses in numpy
+    rng = np.random.default_rng(21)
+    fixed = (1.0 + 9.0 * rng.random(200_000)) * 10.0 ** rng.integers(-4, 17, 200_000)
+    edges = _powers_of_ten_and_neighbours(-4, 16)[1:] + [np.nextafter(1e17, 0.0) - 16.0 * j for j in range(4)]
+    fixed = np.concatenate([fixed, edges])
+    fixed = fixed[(fixed >= 1e-4) & (fixed < 1e17)]
+    monkeypatch.setattr(records, "_FLOAT_TOKEN", re.compile(b"(?!)"))
+    assert_reads_as_float(np.concatenate([fixed, -fixed]).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FLOATS, min_size=1, max_size=40))
+def test_parser_equals_float(values):
+    assert_reads_as_float(values)
+
+
+def test_parser_equals_int_at_every_digit_count():
+    cells, column = parsed(INT_EDGES, "int64")
+    assert column.tolist() == [int(cell) for cell in cells] == INT_EDGES
+    for n in INT_EDGES:  # alone, each sets its block's window width
+        assert parsed([n], "int64")[1].tolist() == [n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+def test_parser_equals_int(values):
+    assert parsed(values, "int64")[1].tolist() == values
+
+
+def _halfway_cases() -> list:
+    """(m, f) with m / 10**f exactly halfway between two doubles: below
+    10**17, only k + 1/2 with 2**52 <= k < 2**53, where the doubles are 1
+    apart, as m = 10k + 5 and f = 1."""
+    return [(10 * k + 5, 1) for k in np.random.default_rng(6).integers(2**52, 2**53, 600).tolist()]
+
+
+def test_quotients_are_correctly_rounded_or_left_to_float():
+    rng = np.random.default_rng(11)
+    m = np.concatenate([
+        rng.integers(0, 10**17, 100_000, dtype=np.uint64),
+        rng.integers(2**53 - 1000, 2**53 + 1000, 2000, dtype=np.uint64),  # the edge of Clinger's path
+        rng.integers(10**16, 10**17, 100_000, dtype=np.uint64),  # 17 digits, as %.17g writes
+        np.array([m for m, _ in _halfway_cases()], np.uint64),
+    ])
+    f = np.concatenate([rng.integers(0, 23, len(m) - 600), [f for _, f in _halfway_cases()]])
+    values, unsure = records._quotients(m, f)
+    want = np.array([float(f"{a}e-{b}") for a, b in zip(m.tolist(), f.tolist())])
+    sure = ~unsure
+    assert np.array_equal(values[sure].view(np.uint64), want[sure].view(np.uint64))
+    assert unsure[len(m) - 600:].all()  # a tie is always left to float()
+    for a, b, x in zip(m[unsure].tolist(), f[unsure].tolist(), want[unsure].tolist()):  # and nothing else is
+        halfway = {(Fraction(x) + Fraction(math.nextafter(x, side))) / 2 for side in (0.0, math.inf)}
+        assert Fraction(a, 10**b) in halfway
+
+
+@pytest.mark.parametrize("rows", [records._BLOCK_ROWS - 1, records._BLOCK_ROWS, 2 * records._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("ending", ["lf", "crlf", "no final newline"])
+def test_blocks_hold_fold_rows_whatever_the_line_ends(tmp_path, rows, ending):
+    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), rows, 5)
+    path = tmp_path / "trials.csv"
+    emit_records(table, str(path))
+    text = path.read_bytes()
+    path.write_bytes({"lf": text, "crlf": text.replace(b"\n", b"\r\n"), "no final newline": text[:-1]}[ending])
+    blocks = list(records.read_record_blocks(str(path)))
+    assert [len(block) for block in blocks] == [min(FOLD_ROWS, rows - at) for at in range(0, rows, FOLD_ROWS)]
+    _assert_same_table(TrialTable.concat(blocks), table)
+
+
+# -------------------------------------------- text the writer never writes
+
+TRIAL_DTYPE = np.dtype(list(TrialTable.schema))
+TRIAL_HEAD = '# {"format": 2, "master_seed": 7, "settings_id": "s", "v": 0.5}\ntrial_index,raw1,raw2,beta1,beta2\n'
+CANONICAL_ROW = ("0", "0.5", "-0.25", "1", "-1")
+NONCANONICAL = [
+    " 1.5", "1.5 ", "+1", "1.", ".5", "-.5", "1E5", "1e5", "1e+5", "Infinity", "-inf", "NaN", "nan", "0x10",
+    "1_0", "", "-", "-0", "007", "00.5", "1.2.3", "1e", "--1", str(2**63), str(-(2**63) - 1), "9" * 30,
+    # more digits than %.17g writes, past the exact division's 10**17
+    "0.123456789012345678", "0.00012345678901234567", "12345678901234567.8", "1.00000000000000000001", "9" * 18,
+    "0." + "9" * 19, "0.0" + "9" * 19, "9" * 19, "-0." + "9" * 19,
+    # 22 digits after the point, the exact division's last power of ten, and more
+    "0." + "0" * 21 + "1", "1." + "0" * 22, "0.1" + "0" * 22, "-0." + "1" * 23, "0." + "3" * 30,
+]
+TOKENS = st.text(alphabet=string.digits + ".-+eE " + string.ascii_letters, max_size=12)
+
+
+def assert_reads_as_loadtxt(rows, newline="\n"):
+    """A trial file of these rows, with these line ends, reads as np.loadtxt
+    reads the rows, bit for bit, or fails where it fails, naming the row."""
+    lines = [row + "\n" for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_bytes((TRIAL_HEAD + "".join(lines)).replace("\n", newline).encode())
+        try:
+            want = np.loadtxt(lines, delimiter=",", comments=None, dtype=TRIAL_DTYPE, ndmin=1)
+        except ValueError:
+            want = None
+        if want is None or len(want) != len(rows):
+            message = str(records._row_error(lines, 3, "trial", TrialTable.schema))
+            assert message.startswith("malformed trial CSV row")
+            with pytest.raises(ValueError) as info:
+                read_records(str(path))
+            assert str(info.value) == message
+            return
+        got = read_records(str(path))
+    for name in TRIAL_DTYPE.names:
+        assert np.array_equal(getattr(got, name).view(np.uint64), want[name].view(np.uint64)), name
+
+
+@pytest.mark.parametrize("token", NONCANONICAL)
+@pytest.mark.parametrize("field", range(5))
+def test_text_the_writer_never_writes_reads_as_loadtxt_reads_it(field, token):
+    row = list(CANONICAL_ROW)
+    row[field] = token
+    assert_reads_as_loadtxt([",".join(CANONICAL_ROW), ",".join(row), ",".join(CANONICAL_ROW)])
+
+
+def test_float_fields_of_every_digit_count_read_as_loadtxt_reads_them():
+    """1-30 digits before the point and 0-30 after it, in both float
+    columns: past %.17g's 17 digits and the exact division's 22."""
+    rng = np.random.default_rng(20)
+    rows = []
+    for whole in range(1, 31):
+        for fraction in range(31):
+            token = "".join(rng.choice(list(string.digits), whole + fraction))
+            token = token[:whole] + ("." + token[whole:] if fraction else "")
+            rows.append(",".join((CANONICAL_ROW[0], token, "-" + token) + CANONICAL_ROW[3:]))
+    assert_reads_as_loadtxt(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(st.one_of(TOKENS, st.sampled_from(CANONICAL_ROW + tuple(NONCANONICAL))), min_size=5, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_any_row_reads_as_loadtxt_reads_it(fields, newline):
+    assert_reads_as_loadtxt([",".join(CANONICAL_ROW), ",".join(fields)], newline)

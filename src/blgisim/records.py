@@ -8,7 +8,8 @@ quoted: a ``"`` is rejected on write and on read.
 
 The writer formats a block of rows in numpy, with no Python call per row:
 each column becomes fixed-width byte cells and a mask of the bytes to keep,
-and the kept bytes are the rows' text (see ``_rows_text``). Floats that
+and the kept bytes, gathered a slice of rows at a time so that the
+temporaries stay a few MB, are the rows' text (see ``_rows_text``). Floats that
 ``%.17g`` writes in fixed notation take an exact integer route; the rest
 (zeros, subnormals, inf, nan, exponent notation) are formatted by ``%``
 one at a time. The bytes equal those of formatting each field of each row
@@ -51,7 +52,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .prediction import PredictionTable
-from .trials import FOLD_ROWS, RecordTable, TrialTable, check_strength
+from .trials import FOLD_ROWS, RecordTable, TrialTable, _filled, check_strength
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no
@@ -117,9 +118,22 @@ def _comment(header: dict) -> str:
 # anywhere in a cell, as the mask drops it, so a cell's layout is the same
 # on every row and only its mask depends on the value.  Byte 0 of every
 # cell holds the separator before it: a newline before a row's first cell
-# (ending the line before it), else a comma.
+# (ending the line before it), else a comma.  The cells of a block are
+# joined and compacted a slice at a time: np.compress builds an 8-byte
+# index per kept byte, 6.2 MB for a 16384-row block, 0.8 MB for a slice.
 
 _WRITE_ROWS = 16384  # rows formatted per numpy pass; of 4096 to 65536, the fastest on a 2-core box
+_SLICE_ROWS = 2048  # a slice's text, mask and index fit in a core's L2 cache
+# glibc's malloc (see mallopt(3)) serves a request above its mmap threshold,
+# 128 KiB at first, with a fresh mapping, and when it frees such a mapping
+# it raises that threshold to the mapping's size and its heap trim
+# threshold to twice that.  Freeing one untouched array of a hint's size
+# before the first block keeps the heap that every block's temporaries
+# reuse, about 5 MB written and 1 MB read, from being trimmed and faulted
+# in again at each block: a 1M-trial simulate took 63k minor faults with a
+# 1 MiB hint, 7.3k with 4 MiB; a 1M-row read 44k with none, under 1k with 1 MiB.
+_WRITE_HEAP_HINT = 4 << 20
+_READ_HEAP_HINT = 1 << 20
 _ASCII_ZEROS = 0x3030303030303030  # b"0" in each byte of a uint64
 
 
@@ -284,13 +298,17 @@ _CELLS = {"int64": _int_cells, "float64": _float_cells}
 def _rows_text(columns, kinds, encoding: str) -> np.ndarray:
     """The text of one block of rows, each led by a newline, as a uint8 array."""
     cells = [_str_cells(col, encoding) if kind == "str" else _CELLS[kind](col) for col, kind in zip(columns, kinds)]
-    text = np.concatenate([words for words, _ in cells], axis=1).view(np.uint8)
-    kept = np.concatenate([keep for _, keep in cells], axis=1).view(bool)
     starts = 8 * np.cumsum([0] + [words.shape[1] for words, _ in cells[:-1]])
-    text[:, starts] = ord(",")
-    text[:, 0] = ord("\n")
-    kept[:, starts] = True
-    return np.compress(kept.ravel(), text.ravel())
+    parts = [np.empty(0, np.uint8)]
+    for first in range(0, len(cells[0][0]), _SLICE_ROWS):
+        rows = slice(first, first + _SLICE_ROWS)
+        text = np.concatenate([words[rows] for words, _ in cells], axis=1).view(np.uint8)
+        kept = np.concatenate([keep[rows] for _, keep in cells], axis=1).view(bool)
+        text[:, starts] = ord(",")
+        text[:, 0] = ord("\n")
+        kept[:, starts] = True
+        parts.append(np.compress(kept.ravel(), text.ravel()))
+    return np.concatenate(parts)
 
 
 def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
@@ -308,6 +326,7 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
     written, not the link.
     """
     kinds = [kind for _, kind in schema]
+    np.empty(_WRITE_HEAP_HINT, np.uint8)  # allocated and freed untouched: see _WRITE_HEAP_HINT
     target = os.path.realpath(path)
     old = os.stat(target) if os.path.exists(target) else None
     staged = old is None or (os.path.isfile(target) and old.st_uid == os.getuid() and old.st_nlink == 1)
@@ -421,14 +440,6 @@ def _check_header(line: str, schema, what: str) -> None:
 # every error stay np.loadtxt's.
 
 _READ_CHARS = 1 << 16  # characters of text read at a time
-# glibc's malloc (see mallopt(3)) serves a request above its mmap threshold,
-# 128 KiB at first, with a fresh mapping, and when it frees such a mapping
-# it raises that threshold to the mapping's size and its heap trim
-# threshold to twice that.  Freeing one untouched array of this size before
-# the first block keeps the heap that every block's temporaries reuse,
-# about 1 MB, from being trimmed and faulted in again at each block: a
-# 1M-row read took 44k minor faults without it, under 1k with it.
-_HEAP_HINT = 1 << 20
 _PAD = 24  # bytes before a block, so that every 3-word window that ends in a field lies in the buffer
 _NOT_DIGIT = 0x7676767676767676  # added to a byte of at most 0x7F, sets its bit 7 iff the byte is above 9
 _BIT7 = 0x8080808080808080
@@ -451,7 +462,7 @@ def _line_blocks(f):
     a block moves to its front, and the store grows only if a block and
     the text read past it do not fit.
     """
-    np.empty(_HEAP_HINT, np.uint8)  # allocated and freed untouched: see _HEAP_HINT
+    np.empty(_READ_HEAP_HINT, np.uint8)  # allocated and freed untouched: see _READ_HEAP_HINT
     store = np.zeros(_PAD + 4 * _READ_CHARS, np.uint8)
     used, ends, end = _PAD, np.empty(0, np.intp), False
     while True:
@@ -746,6 +757,24 @@ def _table_blocks(path: str, cls: type, v: float | None = None):
         raise ValueError(f"{what} CSV {path} holds no records")
 
 
+def _read_table(path: str, blocks):
+    """One table of the blocks of the record CSV at path, copied into
+    columns of the file's row count, each block let go once copied (trials._filled).
+
+    The rows are counted first, in binary, as the text reader splits lines:
+    at LF, CR LF or a lone CR, with a last line of no end counted.
+    """
+    lines, last = 0, b"\n"
+    with open(path, "rb") as f:
+        while text := f.read(_READ_CHARS):
+            lines += np.count_nonzero(np.frombuffer(text, np.uint8) == ord("\n"))  # 3 times as fast as bytes.count
+            if b"\r" in text:
+                lines += text.count(b"\r") - text.count(b"\r\n")
+            lines -= last == b"\r" and text[:1] == b"\n"  # a "\r\n" split between two reads
+            last = text[-1:]
+    return _filled(blocks, lines + (last not in b"\r\n") - 2)
+
+
 def emit_records(records, path: str) -> str:
     """Write a TrialTable, or a stream of the TrialTable blocks of one
     experiment (such as trials.trial_chunks), in record format 2.
@@ -776,10 +805,11 @@ def read_record_blocks(path: str, v: float | None = None):
 def read_records(path: str, v: float | None = None) -> TrialTable:
     """Read a trial CSV back into a table; exact inverse of emit_records.
 
-    The blocks of read_record_blocks, joined.  Given v, the file must have
-    been written at that v.
+    The blocks of read_record_blocks, each copied into the table's columns
+    as it is parsed, so the read holds the table and one block.  Given v,
+    the file must have been written at that v.
     """
-    return TrialTable.concat(list(read_record_blocks(path, v)))
+    return _read_table(path, read_record_blocks(path, v))
 
 
 def emit_predictions(records, path: str) -> str:
@@ -794,7 +824,7 @@ def emit_predictions(records, path: str) -> str:
 
 def read_predictions(path: str) -> PredictionTable:
     """Read a prediction CSV back into a table; exact inverse of emit_predictions."""
-    return PredictionTable.concat(list(_table_blocks(path, PredictionTable)))
+    return _read_table(path, _table_blocks(path, PredictionTable))
 
 
 def emit_sweep(columns: dict, path: str) -> str:

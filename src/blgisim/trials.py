@@ -44,7 +44,6 @@ x, because the four correlators share their trials.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -110,6 +109,9 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
 
 # Smallest probability of a branch that a caller may condition on.
 MIN_BRANCH_PROB = 1e-15
+# How far a Source law's entries may fall below 0, and its sum stray from 1,
+# by round-off; sample_branches clips such a negative entry to 0.
+LAW_TOLERANCE = 1e-12
 
 
 class DegenerateBranchError(RuntimeError):
@@ -202,6 +204,12 @@ class Source:
         check_strength(self.v)
         if len(self.law) != len(BRANCHES):
             raise ValueError(f"a source law has {len(BRANCHES)} branch probabilities, got {len(self.law)}")
+        law = np.asarray(self.law, dtype=float)
+        if not (np.isfinite(law).all() and law.min() >= -LAW_TOLERANCE and abs(math.fsum(law) - 1.0) <= LAW_TOLERANCE):
+            raise ValueError(
+                f"the law of source {self.settings_id!r} is not 16 finite probabilities >= 0 that sum to 1 "
+                f"(to within {LAW_TOLERANCE:g}): {self.law}"
+            )
 
 
 def default_settings(v: float, noise: NoiseModel = NO_NOISE, bell_kind: str = "phi_plus") -> Settings:
@@ -321,6 +329,8 @@ def _filled(parts, rows: int):
             seen.add(getattr(part, name))
         part = None  # the part goes before the next one is made
         part = next(parts, None)
+    if at != rows:  # a record file that lost rows after they were counted
+        raise ValueError(f"malformed records: {at} rows where {rows} were counted")
     for name, seen in values.items():
         if len(seen) > 1:
             what = "settings ids" if name == "settings_id" else f"{name} values"
@@ -443,7 +453,11 @@ def _noisy(raw: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
 
 
 def _simulate_range(source, start: int, count: int, master_seed: int) -> TrialTable:
-    """Trials [start, start+count) of the stream owned by master_seed, from a Settings or Source."""
+    """Trials [start, start+count) of the stream owned by master_seed, from a Settings or Source.
+
+    All count trials are drawn in one numpy pass, whose temporaries take
+    about 137 bytes per trial: the callers ask for a _TRIAL_CHUNK at a time.
+    """
     u = streams.window_uniforms(master_seed, streams.TRIAL_STREAM, start, count, TRIAL_BLOCKS)
     raw1, raw2, beta1, beta2 = sample_branches(source.law, u[:, 0], 4)
     noisy1 = _noisy(source.raw_scale * raw1, source.noise, u[:, 1])
@@ -467,6 +481,8 @@ def _pool_map(task, *sequences, workers: int):
     """
     items = min(map(len, sequences))
     if workers > 1 and items > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that a serial run never imports it
+
         workers = min(workers, items)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             window = []
@@ -508,7 +524,11 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
     return next(parts) if n_trials <= chunk else _filled(parts, n_trials)
 
 
-_TRIAL_CHUNK = 1 << 16  # trials per chunk: a multiple of FOLD_ROWS, so a stream of chunks folds as its table does
+# Trials per chunk: a multiple of FOLD_ROWS, so a stream of chunks folds as
+# its table does.  A chunk's sampling temporaries take 2.2 MB, about one
+# core's L2 cache on a 2-core box; 1M trials sample as fast as in chunks of
+# 65536, whose temporaries take 9 MB.
+_TRIAL_CHUNK = 1 << 14
 
 
 def trial_chunks(source, n_trials: int, master_seed: int, workers: int = 1):

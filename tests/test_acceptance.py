@@ -191,7 +191,7 @@ def test_criterion_7_prediction_accuracy_and_violation_tradeoff():
 
 def test_criterion_8_outputs_are_byte_identical_everywhere(tmp_path):
     # trial records: rerun and worker-count invariance with the pool engaged
-    # (70000 trials > one 65536-trial chunk)
+    # (70000 trials are five 16384-trial chunks)
     sim = ["simulate", "--v", "0.2", "--trials", "70000", "--seed", "12"]
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(sim + ["--out", str(paths[0])]) == 0

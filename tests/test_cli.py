@@ -317,6 +317,13 @@ def _simulate_peak(tmp_path, trials: int) -> int:
         tracemalloc.stop()
 
 
+def test_simulate_temporaries_stay_a_few_megabytes(tmp_path, capsys):
+    # a chunk of 16,384 trials samples in 2.2 MB, and a block of rows is
+    # compacted 2,048 rows at a time; whole 65,536-trial chunks and
+    # 16,384-row compactions peaked at 18.7 MB
+    assert _simulate_peak(tmp_path, 300_000) < 8_000_000
+
+
 def test_simulate_memory_does_not_grow_with_trials(tmp_path, capsys):
     # numpy reports its buffers to tracemalloc; a run that held its trials
     # as one table would peak at 4 times the memory at 4 times the trials

@@ -3,12 +3,16 @@ references, no package module imports scipy or does complex or dense
 linear algebra (no complex dtype or literal, kron or linalg), the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, one helper opens every process
-pool, one writer turns columns into CSV text and one reader CSV text into
-columns, and every name the benchmark tracer patches exists."""
+pool and no command imports concurrent.futures at start-up, one writer
+turns columns into CSV text and one reader CSV text into columns, and
+every name the benchmark tracer patches exists."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +110,15 @@ def test_one_helper_opens_every_process_pool():
     # simulate and predict pool their chunks, sweep its grid points, all
     # through trials._pool_map; a second call site would be a second pool path
     assert _inside(trials._pool_map, _call_sites("ProcessPoolExecutor")) == [("trials.py", True)]
+
+
+def test_start_up_imports_no_process_pool():
+    # concurrent.futures takes about 20 ms to import, so trials._pool_map
+    # imports it when it opens a pool, not every command at start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(blgisim.__file__).parents[1])}
+    code = "import sys, blgisim.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def _outside(sites, *functions) -> list:

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -153,6 +154,33 @@ def test_trial_round_trip_is_bit_exact(tmp_path):
     assert (back.settings_id, back.v, back.master_seed) == (table.settings_id, 0.3, 5)
     assert isinstance(back.settings_id, str)
     assert read_records(str(path), v=0.3).settings_id == table.settings_id
+
+
+@pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
+def test_table_read_holds_the_table_and_one_block(tmp_path, table_cls):
+    # numpy reports its buffers to tracemalloc; a read that kept every
+    # parsed block until it joined them peaked at twice the table
+    n = 300_000
+    if table_cls is TrialTable:
+        table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), n, master_seed=4)
+        emit, read = emit_records, read_records
+    else:
+        rng = np.random.default_rng(4)
+        columns = [np.arange(n), rng.integers(0, 4, n), rng.integers(0, 4, n), *rng.choice([-1, 1], (2, n))]
+        table = PredictionTable(*columns, **_scalars(PredictionTable))
+        emit, read = emit_predictions, read_predictions
+    path = tmp_path / "run.csv"
+    emit(table, str(path))
+    size = sum(getattr(table, name).nbytes for name in table.field_names)
+    assert size == 12_000_000
+    tracemalloc.start()
+    try:
+        back = read(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(getattr(back, name), getattr(table, name)) for name in table.field_names)
+    assert peak <= 1.3 * size
 
 
 def test_trial_round_trip_handles_extreme_floats(tmp_path):

@@ -2,18 +2,19 @@
 
 The numpy row formatter writes every float as ``'%.17g' % x`` and every int
 as ``'%d' % n`` would, byte for byte, over hypothesis values, random bit
-patterns and a pinned list of edges.  The numpy row parser reads those
-cells back as ``float(text)`` and ``int(text)`` do, bit for bit, over the
-same values; its exact division is checked against correctly rounded
-decimals, ties included; a file is cut into blocks of FOLD_ROWS rows
-whatever its line ends; and text the writer never writes reads as
-np.loadtxt reads it, or fails with the message np.loadtxt's failure gives.
-Random tables of both kinds are written in record format 2, match a plain
-per-row writer, and read back bit for bit, every column and every scalar;
-so do sampler tables that span several formatting blocks with extreme raws
-spliced in.  Tables the samplers build, over random v, noise, seed and
-start, read back bit for bit too, and emit -> read -> emit gives the same
-bytes."""
+patterns and a pinned list of edges, and on each side of every slice of
+rows it compacts.  The numpy row parser reads those cells back as
+``float(text)`` and ``int(text)`` do, bit for bit, over the same values;
+its exact division is checked against correctly rounded decimals, ties
+included; a file is cut into blocks of FOLD_ROWS rows, and read whole
+into a table of its counted rows, whatever its line ends; and text the
+writer never writes reads as np.loadtxt reads it, or fails with the
+message np.loadtxt's failure gives.  Random tables of both kinds are
+written in record format 2, match a plain per-row writer, and read back
+bit for bit, every column and every scalar; so do sampler tables that
+span several formatting blocks with extreme raws spliced in.  Tables the
+samplers build, over random v, noise, seed and start, read back bit for
+bit too, and emit -> read -> emit gives the same bytes."""
 
 import io
 import json
@@ -241,6 +242,37 @@ def test_int_cells_equal_percent_d(values):
     assert formatted(values, "int64") == ["%d" % n for n in values]
 
 
+SLICE = records._SLICE_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
+@pytest.mark.parametrize("block", ["narrow", "wide", "str"])
+def test_rows_text_is_per_row_formatting_at_every_slice_edge(rows, block):
+    # the cells of a block are compacted SLICE rows at a time, and each
+    # slice's text must go on where the one before it stopped
+    rng = np.random.default_rng(rows)
+    edges = np.resize(EDGE_FLOATS + EDGE_LIST, rows)
+    columns, kinds, formats = {
+        # one-word ints and floats below 10 (4-word cells)
+        "narrow": ([rng.integers(-1, 2, rows), rng.normal(size=rows)], ["int64", "float64"], "%d,%.17g"),
+        # three-word ints, 6-word floats, and floats that '%' formats
+        "wide": (
+            [rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True), rng.normal(size=rows) * 1e15, edges],
+            ["int64", "float64", "float64"],
+            "%d,%.17g,%.17g",
+        ),
+        # a sweep's columns: a str cell of any width
+        "str": (
+            [rng.normal(size=rows), rng.choice(["REJECT", "CONSISTENT", "INCONCLUSIVE – ü" * 3], rows).tolist()],
+            ["float64", "str"],
+            "%.17g,%s",
+        ),
+    }[block]
+    text = records._rows_text(columns, kinds, "utf-8").tobytes().decode("utf-8")
+    lists = [np.asarray(column).tolist() for column in columns]
+    assert text == "".join("\n" + formats % row for row in zip(*lists))
+
+
 def test_multi_block_sampler_file_matches_per_row_formatting(tmp_path):
     table = simulate_trials(default_settings(0.3, NoiseModel(bias=0.0, sigma=0.3)), 2 * 65536 + 7, 21)
     raw1, raw2 = table.raw1.copy(), table.raw2.copy()
@@ -388,16 +420,35 @@ def test_quotients_are_correctly_rounded_or_left_to_float():
 
 
 @pytest.mark.parametrize("rows", [records._BLOCK_ROWS - 1, records._BLOCK_ROWS, 2 * records._BLOCK_ROWS + 1])
-@pytest.mark.parametrize("ending", ["lf", "crlf", "no final newline"])
+@pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "no final newline"])
 def test_blocks_hold_fold_rows_whatever_the_line_ends(tmp_path, rows, ending):
+    # read_records counts the rows in binary before it fills the table, so
+    # it must find the line ends that the text reader finds
     table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), rows, 5)
     path = tmp_path / "trials.csv"
     emit_records(table, str(path))
     text = path.read_bytes()
-    path.write_bytes({"lf": text, "crlf": text.replace(b"\n", b"\r\n"), "no final newline": text[:-1]}[ending])
+    endings = {"lf": text, "crlf": text.replace(b"\n", b"\r\n"), "cr": text.replace(b"\n", b"\r")}
+    path.write_bytes(endings.get(ending, text[:-1]))
     blocks = list(records.read_record_blocks(str(path)))
     assert [len(block) for block in blocks] == [min(FOLD_ROWS, rows - at) for at in range(0, rows, FOLD_ROWS)]
     _assert_same_table(TrialTable.concat(blocks), table)
+    _assert_same_table(read_records(str(path)), table)
+
+
+def test_table_read_counts_a_crlf_split_between_binary_reads_once(tmp_path):
+    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 2 * FOLD_ROWS + 3, 5)
+    path = tmp_path / "trials.csv"
+    emit_records(table, str(path))
+    # lengthen the settings id on line 1 until a "\r\n" straddles the end of the first read
+    pad = records._READ_CHARS - 1 - path.read_bytes().replace(b"\n", b"\r\n").rfind(b"\r\n", 0, records._READ_CHARS)
+    scalars = {"settings_id": table.settings_id + "x" * pad, "v": table.v, "master_seed": table.master_seed}
+    table = TrialTable(*(getattr(table, name) for name in table.field_names), **scalars)
+    emit_records(table, str(path))
+    text = path.read_bytes().replace(b"\n", b"\r\n")
+    assert text[records._READ_CHARS - 1:records._READ_CHARS + 1] == b"\r\n"
+    path.write_bytes(text)
+    _assert_same_table(read_records(str(path)), table)
 
 
 # -------------------------------------------- text the writer never writes

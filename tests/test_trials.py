@@ -1,5 +1,6 @@
 """Trial engine and exact oracle: dual routes, frozen values, noise algebra."""
 
+import concurrent.futures
 import math
 import weakref
 from concurrent.futures import Future
@@ -18,6 +19,7 @@ from blgisim.trials import (
     ChshFold,
     NoiseModel,
     Settings,
+    Source,
     TrialTable,
     branch_distribution,
     chsh_combine,
@@ -32,7 +34,7 @@ from blgisim.trials import (
     simulate_trials,
     trial_chunks,
 )
-from blgisim.audit import hidden_variable_config, hidden_variable_source
+from blgisim.audit import HiddenVariableConfig, hidden_variable_config, hidden_variable_source
 from reference import (
     BELL_AMPLITUDES,
     concurrence,
@@ -257,6 +259,20 @@ def test_batch_is_chunk_invariant():
             assert np.array_equal(getattr(whole, name), getattr(pooled, name)), (source, name)
 
 
+def test_rows_at_chunk_edges_equal_each_trial_alone():
+    # a chunk samples its trials in one numpy pass, and each trial reads its
+    # own counter window, so a row at a chunk edge is the row of its trial alone
+    chunk = trials._TRIAL_CHUNK
+    source = FOLD_SOURCES["noisy quantum"]
+    start, n = chunk - 3, 2 * chunk + 7
+    table = simulate_trials(source, n, master_seed=13, start=start)
+    one_pass = trials._simulate_range(source, start, n, master_seed=13)
+    assert table_rows(table) == table_rows(one_pass)
+    for i in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, n - 1):
+        alone = simulate_trials(source, 1, master_seed=13, start=start + i)
+        assert table_rows(alone) == table_rows(table)[i:i + 1], i
+
+
 def test_batch_start_offset_matches_full_run():
     settings = default_settings(0.5)
     full = simulate_trials(settings, 200, master_seed=11)
@@ -309,7 +325,7 @@ class _InlinePool:
 def test_pool_submits_at_most_two_items_per_worker_ahead(monkeypatch):
     # a pool that submitted every item at once would hold every finished
     # result until it is taken, so a streamed run would grow with its length
-    monkeypatch.setattr(trials, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     monkeypatch.setattr(_InlinePool, "submitted", [])
     seen, results = [], []
@@ -323,12 +339,12 @@ def test_pool_submits_at_most_two_items_per_worker_ahead(monkeypatch):
 
 
 def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
-    monkeypatch.setattr(trials, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     settings = default_settings(0.4, NoiseModel(sigma=0.2))
-    pooled = simulate_trials(settings, 70_000, master_seed=3, workers=10_000)
-    assert _InlinePool.max_workers == [2]  # 70,000 trials are 2 chunks of 65,536
-    serial = simulate_trials(settings, 70_000, master_seed=3, workers=1)
+    pooled = simulate_trials(settings, 20_000, master_seed=3, workers=10_000)
+    assert _InlinePool.max_workers == [2]  # 20,000 trials are 2 chunks of 16,384
+    serial = simulate_trials(settings, 20_000, master_seed=3, workers=1)
     assert _InlinePool.max_workers == [2]
     for name in TrialTable.field_names:
         assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
@@ -343,14 +359,42 @@ SIX_POINTS = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0)
     ids=["6_points-2_workers", "6_points-10000_workers", "6_points-1_worker", "1_point-4_workers"],
 )
 def test_run_sweep_opens_at_most_one_pool_per_call(monkeypatch, grid, workers, pools):
-    # 70,000 trials are 2 chunks per point, so a point that passed its
+    # 70,000 trials are 5 chunks per point, so a point that passed its
     # workers on to simulate_trials would open a pool of its own
-    monkeypatch.setattr(trials, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     pooled = run_sweep(grid, 70_000, master_seed=5, workers=workers)
     assert _InlinePool.max_workers == pools
     if pools:
         assert pooled == run_sweep(grid, 70_000, master_seed=5)
+
+
+def _law(changes: dict) -> tuple:
+    """The uniform law on the 16 branches, with the given {branch: probability} changes."""
+    return tuple(changes.get(k, 1 / 16) for k in range(16))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [(1 / 32,) * 16, _law({3: math.nan}), _law({0: 2 / 16 + 0.1, 5: -0.1})],
+    ids=["sums_to_one_half", "nan_entry", "negative_entry"],
+)
+def test_source_refuses_a_law_that_is_not_a_probability_law(law):
+    # a law summing to 1/2 gave an exact S of 0.0, a NaN entry an S of nan,
+    # and a negative entry was sampled as if clipped
+    with pytest.raises(ValueError, match=r"^the law of source 'bad' is not 16 finite probabilities >= 0 that sum to 1"):
+        Source("bad", law, 0.5)
+
+
+def test_source_accepts_every_hidden_variable_law_and_round_off():
+    for seed in range(50):
+        for index in range(10):
+            hidden_variable_source(hidden_variable_config(seed, index), 0.3)
+    for thresholds in [(0.0, 0.0, 1.0, 1.0), (0.1, 0.2, 0.3, 0.7), (1 / 3, 1 / 3, 2 / 3, 2 / 3)]:
+        hidden_variable_source(HiddenVariableConfig(thresholds, (1, -1, 1, -1)), 0.3)
+    Source("round-off", _law({0: 2 / 16 + 1e-13, 1: -1e-13}), 0.5)
+    with pytest.raises(ValueError, match="not 16 finite probabilities"):
+        Source("past round-off", _law({0: 2 / 16 + 1e-11, 1: -1e-11}), 0.5)
 
 
 def test_concat_of_single_trials_equals_the_batch():
@@ -471,9 +515,10 @@ def test_a_stream_folds_only_if_its_blocks_but_the_last_hold_whole_fold_blocks()
     blocks = [simulate_trials(source, n, 3, start=s) for s, n in ((0, FOLD_ROWS + 1), (FOLD_ROWS + 1, 100))]
     with pytest.raises(ValueError, match=f"a multiple of {FOLD_ROWS} rows; a block follows {FOLD_ROWS + 1} rows"):
         estimate_chsh(iter(blocks))
-    fold = ChshFold(trial_chunks(source, 3 * 65536 + 5, 3))
-    assert [len(block) for block in fold] == [65536] * 3 + [5] and len(fold) == 3 * 65536 + 5
-    assert fold.report() == estimate_chsh(simulate_trials(source, 3 * 65536 + 5, 3))
+    chunk = trials._TRIAL_CHUNK
+    fold = ChshFold(trial_chunks(source, 3 * chunk + 5, 3))
+    assert [len(block) for block in fold] == [chunk] * 3 + [5] and len(fold) == 3 * chunk + 5
+    assert fold.report() == estimate_chsh(simulate_trials(source, 3 * chunk + 5, 3))
 
 
 def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlators():

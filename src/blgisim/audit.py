@@ -122,24 +122,35 @@ def chsh_bound_check(sequence) -> float:
 
 
 def _check_record_integrity(table: TrialTable) -> None:
-    for name in ("raw1", "raw2", "alpha1", "alpha2"):
-        if not np.isfinite(getattr(table, name)).all():
+    """Check a table's v, and that its raws and alphas are finite and its betas +-1."""
+    check_strength(table.v)
+    # alpha = raw / v with 0 < v <= 1 is finite only where raw is, so one
+    # pass over the alphas and betas passes a sound table; a table it does
+    # not pass is searched field by field for the error to name
+    alpha1, alpha2, beta1, beta2 = table.alpha1, table.alpha2, table.beta1, table.beta2
+    if np.isfinite(alpha1).all() and np.isfinite(alpha2).all() and (abs(beta1) == 1).all() and (abs(beta2) == 1).all():
+        return
+    for name, values in (("raw1", table.raw1), ("raw2", table.raw2), ("alpha1", alpha1), ("alpha2", alpha2)):
+        if not np.isfinite(values).all():
             raise ValueError(f"malformed records: non-finite {name}")
-    for b in (table.beta1, table.beta2):
+    for b in (beta1, beta2):
         if not np.isin(b, (-1, 1)).all():
             raise ValueError("malformed records: beta outside {-1, +1}")
+
+
+def _check_count(rows: int) -> None:
+    if rows < 2:
+        raise ValueError(f"need at least 2 records to test a decomposition, got {rows}")
 
 
 def _checked(blocks):
     """Each of blocks once its v and integrity are checked; at the end, at least 2 rows must have passed."""
     rows = 0
     for block in blocks:
-        check_strength(block.v)
         _check_record_integrity(block)
         rows += len(block)
         yield block
-    if rows < 2:
-        raise ValueError(f"need at least 2 records to test a decomposition, got {rows}")
+    _check_count(rows)
 
 
 def _check_threshold(threshold_sigmas) -> None:

@@ -301,12 +301,6 @@ class RecordTable:
     def __len__(self) -> int:
         return self.trial_index.shape[0]
 
-    @classmethod
-    def concat(cls, parts: list):
-        if not parts:
-            raise ValueError("cannot concatenate zero tables")
-        return _filled(iter(parts), sum(map(len, parts)))
-
 
 def _filled(parts, rows: int):
     """One table of `rows` rows from parts, an iterator of tables of one

@@ -17,11 +17,13 @@ trial of any source, the step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, and the closed-form
 combination of a hidden-variable source.  They stay independent oracles
-for the package's exact laws and batch samplers.  Four table helpers close
-the file: a record table's rows as tuples, for whole-row comparisons, a
-table of no rows, a copy of a table with other scalars, and the
-record-format-1 writer, which keeps the format-1 golden bytes pinned now
-that the package writes and reads format 2 only.
+for the package's exact laws and batch samplers.  Six record helpers
+close the file: a record table's rows as tuples, for whole-row
+comparisons, the table of the rows of several, a table of no rows, a copy
+of a table with other scalars, a writer of a trial file whose CR LF
+straddles a given byte, and the record-format-1 writer, which keeps the
+format-1 golden bytes pinned now that the package writes and reads format
+2 only.
 """
 
 import math
@@ -35,6 +37,7 @@ from scipy.special import ndtri
 
 from blgisim import streams
 from blgisim.prediction import PredictionTable, SequentialReadoutParams
+from blgisim.records import emit_records
 from blgisim.trials import (
     BRANCHES,
     MIN_BRANCH_PROB,
@@ -44,6 +47,7 @@ from blgisim.trials import (
     NoiseModel,
     Settings,
     TrialTable,
+    _filled,
     check_strength,
 )
 
@@ -515,6 +519,12 @@ def table_rows(table) -> list:
 _SCALAR_DEFAULTS = {"settings_id": "s", "master_seed": 0, "v": 1.0, "steps": 1}
 
 
+def concat(parts: list):
+    """One table of the rows of parts, tables of one class and one
+    experiment, in order (trials._filled, which refuses two experiments)."""
+    return _filled(iter(parts), sum(map(len, parts)))
+
+
 def empty_table(cls, **scalars):
     """A cls table of no rows, with settings id "s", master seed 0 and v or steps 1 unless given."""
     return cls(*([] for _ in cls.schema), **{name: scalars.get(name, _SCALAR_DEFAULTS[name]) for name in cls.scalars})
@@ -530,6 +540,25 @@ def with_scalars(table, **scalars):
     changed = copy(table)
     changed.__dict__.update(scalars)
     return changed
+
+
+def crlf_split_at(path: str, table, edge: int):
+    """Write a TrialTable to path with CR LF line ends, its settings id
+    lengthened until a CR LF straddles byte `edge` of the file: the CR is
+    the last byte before it, the LF the first at it.  Returns the table written."""
+    emit_records(table, path)
+    with open(path, "rb") as f:
+        pad = edge - 1 - f.read().replace(b"\n", b"\r\n").rfind(b"\r\n", 0, edge)
+    scalars = {name: getattr(table, name) for name in table.scalars}
+    scalars["settings_id"] += "x" * pad
+    table = TrialTable(*(getattr(table, name) for name in table.field_names), **scalars)
+    emit_records(table, path)
+    with open(path, "rb") as f:
+        text = f.read().replace(b"\n", b"\r\n")
+    assert text[edge - 1:edge + 1] == b"\r\n"
+    with open(path, "wb") as f:
+        f.write(text)
+    return table
 
 
 # record format 1: on every row, every column a table held before format 2,

@@ -32,7 +32,7 @@ from blgisim.trials import (
     exact_chsh,
     simulate_trials,
 )
-from reference import emit_format1, empty_table, hidden_variable_exact_chsh, with_scalars
+from reference import concat, emit_format1, empty_table, hidden_variable_exact_chsh, with_scalars
 
 
 def binary_columns(table):
@@ -219,6 +219,30 @@ def test_decomposition_rejects_malformed_records():
         decomposition_test(records(raw1=1e308, v=1e-10))
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ({"raw2": math.inf}, "non-finite raw2"),
+        ({"raw2": 1e308}, "non-finite alpha2"),
+        ({"beta2": 0}, "beta outside"),
+        ({"beta2": -(2**63)}, "beta outside"),  # whose int64 abs is itself
+        ({"beta1": 3, "raw2": math.nan}, "non-finite raw2"),
+        ({"beta1": 0, "raw2": math.nan, "raw1": -math.inf}, "non-finite raw1"),
+        ({"raw1": 1e308, "raw2": math.nan}, "non-finite raw2"),
+    ],
+)
+def test_decomposition_names_the_first_bad_field_in_field_order(bad, error):
+    # one pass over the alphas and betas passes a sound table, and a table
+    # it does not pass is searched raw1, raw2, alpha1, alpha2, then betas
+    n = 120
+    columns = {"raw1": [0.5] * n, "raw2": [0.5] * n, "beta1": [1] * n, "beta2": [-1] * n}
+    for name, value in bad.items():
+        columns[name][n // 2] = value
+    table = TrialTable(range(n), *columns.values(), settings_id="s", v=1e-10, master_seed=0)
+    with pytest.raises(ValueError, match=f"^malformed records: {error}"):
+        decomposition_test(table)
+
+
 def test_streamed_decomposition_test_holds_a_block_not_the_file(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak covers
     # the parsed columns and every temporary of the fold, whatever the file's size
@@ -254,7 +278,7 @@ def test_decomposition_rejects_mixed_settings_ids():
         simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
     ]
     with pytest.raises(ValueError, match="malformed records: .*settings ids"):
-        TrialTable.concat(parts)
+        concat(parts)
 
 
 # ------------------------------------------------------ hidden-variable source
@@ -276,7 +300,7 @@ def test_hidden_variable_settings_id_names_its_thresholds_and_signs():
     configs = [hidden_variable_config(98), hidden_variable_config(99)]
     parts = [simulate_trials(hidden_variable_source(c, 0.5), 5000, 1) for c in configs]
     with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids"):
-        TrialTable.concat(parts)
+        concat(parts)
     for config, part in zip(configs, parts):
         assert all(f"{t:.17g}" in part.settings_id for t in config.thresholds)
         assert "," not in part.settings_id and '"' not in part.settings_id

@@ -1,5 +1,6 @@
-"""Command-line interface: parsing, exit codes, outputs, manifest replay."""
+"""Command-line interface: parsing, exit codes, outputs, manifest replay, and the file audit in byte ranges."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -7,11 +8,14 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 import blgisim
-from blgisim import cli
+from blgisim import cli, records
+from blgisim.audit import decomposition_test
 from blgisim.cli import main, parse_invocation, run_sweep
 from blgisim.prediction import (
     MAX_STEPS,
@@ -21,9 +25,19 @@ from blgisim.prediction import (
     prediction_accuracy_exact,
     prediction_settings,
 )
-from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_records, read_sweep
+from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_record_blocks, read_records, read_sweep
 from blgisim.streams import LAYOUT_VERSION
-from blgisim.trials import FOLD_ROWS, NoiseModel, Settings, default_settings, estimate_chsh, exact_chsh, simulate_trials
+from blgisim.trials import (
+    FOLD_ROWS,
+    NoiseModel,
+    Settings,
+    TrialTable,
+    default_settings,
+    estimate_chsh,
+    exact_chsh,
+    simulate_trials,
+)
+from reference import crlf_split_at, empty_table
 
 
 def last_json(capsys) -> dict:
@@ -475,6 +489,180 @@ def test_audit_at_another_v_than_the_header_exits_1_naming_both(tmp_path, capsys
     path, _ = _simulate_format_2(tmp_path, capsys)
     err = _audit_error(path, capsys, v="0.35")
     assert "v=0.3" in err and "v=0.35" in err
+
+
+# ------------------------------------------------------ audit in byte ranges
+
+
+def _audit_in_ranges(monkeypatch, cpus: int) -> list:
+    """Make audit see `cpus` usable CPUs and a floor of one byte per range,
+    so that it cuts a file into `cpus` ranges where the file's blocks allow;
+    returns the list that each audit's cuts are appended to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cli, "_AUDIT_RANGE_BYTES", 1)
+    seen = []
+
+    def cuts(path, parts):
+        seen.append(records._block_cuts(path, parts))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_block_cuts", cuts)
+    return seen
+
+
+def _record_file(tmp_path, rows: int, ending: str = "lf") -> str:
+    """The path of a noisy v = 0.2 trial file of `rows` rows with the given line ends."""
+    path = str(tmp_path / "run.csv")
+    table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), rows, 3)
+    if ending == "crlf split at a read edge":
+        crlf_split_at(path, table, records._COUNT_BYTES)
+        return path
+    emit_records(table, path)
+    text = Path(path).read_bytes()
+    edits = {"crlf": text.replace(b"\n", b"\r\n"), "cr": text.replace(b"\n", b"\r"), "no final newline": text[:-1]}
+    Path(path).write_bytes(edits.get(ending, text))
+    return path
+
+
+def _serial_audit(path: str, v: float = 0.2) -> str:
+    """What audit prints, on stdout or stderr, as decomposition_test of read_record_blocks gives it."""
+    try:
+        verdict = decomposition_test(read_record_blocks(path, v))
+    except ValueError as exc:
+        return f"blgisim: error: {exc}\n"
+    return json.dumps(asdict(verdict), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "rows, ending",
+    [
+        (4 * FOLD_ROWS, "lf"),
+        (4 * FOLD_ROWS + 1, "lf"),
+        (FOLD_ROWS - 5, "lf"),
+        (FOLD_ROWS, "lf"),
+        (4 * FOLD_ROWS + 1, "crlf"),
+        (4 * FOLD_ROWS + 1, "cr"),
+        (4 * FOLD_ROWS + 3, "crlf split at a read edge"),
+        (4 * FOLD_ROWS, "no final newline"),
+    ],
+    ids=[
+        "k blocks", "k blocks and 1 row", "under 1 block", "1 block", "crlf", "cr", "crlf split at a read edge",
+        "no final newline",
+    ],
+)
+def test_audit_in_ranges_prints_the_serial_verdict_bytes(tmp_path, capsys, monkeypatch, cpus, rows, ending):
+    # each range of whole fold blocks is read, checked and folded on its
+    # own, and the blocks' moments merge in file order, so no cut moves a
+    # bit.  A cut is the first block end past a share of the bytes, short
+    # of the file's end, so 1 block is 1 range and 4 blocks and more are 3
+    # ranges at 3 CPUs; the CR LF split at the binary pass's read edge
+    # lies before the last of them
+    seen = _audit_in_ranges(monkeypatch, cpus)
+    path = _record_file(tmp_path, rows, ending)
+    assert main(["audit", "--in", path, "--v", "0.2"]) == 0
+    assert capsys.readouterr().out == _serial_audit(path)
+    (cuts,) = seen
+    assert len(cuts) == (min(cpus, 3) if rows > FOLD_ROWS else 1)
+    assert all(row % FOLD_ROWS == 0 for _, row in cuts)
+
+
+def _edit_fields(path: str, edits: dict) -> None:
+    """Set field `column` of row `row` (rows counted from 0 after the two
+    header lines) to `text`, for each (row, column): text of edits."""
+    lines = Path(path).read_text().splitlines()
+    for (row, column), text in edits.items():
+        fields = lines[row + 2].split(",")
+        fields[column] = text
+        lines[row + 2] = ",".join(fields)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# at 2 CPUs a file of 3 blocks is cut at the first block end past its
+# middle, after block 2, so range 2 holds rows 2 * FOLD_ROWS on
+LATER = 2 * FOLD_ROWS + 5
+
+
+@pytest.mark.parametrize(
+    "rows, edits, v",
+    [
+        (3 * FOLD_ROWS, {(LATER, 1): "abc"}, 0.2),
+        (3 * FOLD_ROWS, {(10, 2): "1e", (LATER, 1): "abc"}, 0.2),
+        (3 * FOLD_ROWS, {(LATER, 2): "nan"}, 0.2),
+        (3 * FOLD_ROWS, {}, 0.3),
+        (0, {}, 0.2),
+        (1, {}, 0.2),
+    ],
+    ids=[
+        "bad row in range 2", "bad rows in ranges 1 and 2", "non-finite raw in range 2", "v mismatch", "header only",
+        "1 record",
+    ],
+)
+def test_audit_in_ranges_raises_the_serial_error_first_in_file_order(tmp_path, capsys, monkeypatch, rows, edits, v):
+    seen = _audit_in_ranges(monkeypatch, 2)
+    if rows:
+        path = _record_file(tmp_path, rows)
+    else:
+        path = str(tmp_path / "run.csv")
+        emit_records(empty_table(TrialTable, v=0.2), path)
+    _edit_fields(path, edits)
+    error = _serial_audit(path, v)
+    assert error.startswith("blgisim: error: ")
+    assert main(["audit", "--in", path, "--v", str(v)]) == 1
+    assert capsys.readouterr() == ("", error)
+    assert len(seen[0]) == (2 if rows > FOLD_ROWS else 1)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda rows: [row for row in rows for _ in range(2)], "trial_index 0 at line 4, expected 1"),
+        (lambda rows: rows[::2], "trial_index 2 at line 4, expected 1"),
+    ],
+    ids=["every row twice", "every other row"],
+)
+def test_audit_refuses_a_trial_duplicated_or_missing(tmp_path, capsys, edit, error):
+    # the API's decomposition_test folds such rows, and REJECTs both files:
+    # duplicates shrink the standard error, and a missing trial is a
+    # selection the verdict cannot see; the file audit holds a file to
+    # trials 0, 1, 2, ... in order
+    path = tmp_path / "run.csv"
+    argv = ["simulate", "--v", "0.2", "--noise-sigma", "0.3", "--trials", "20000", "--seed", "9", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+    assert decomposition_test(read_record_blocks(str(path))).verdict == "REJECT"
+    assert main(["audit", "--in", str(path), "--v", "0.2"]) == 1
+    assert capsys.readouterr() == ("", f"blgisim: error: malformed records: {error}\n")
+
+
+def test_audit_checks_a_later_range_against_its_first_row_in_the_file(tmp_path, capsys, monkeypatch):
+    _audit_in_ranges(monkeypatch, 2)
+    path = _record_file(tmp_path, 3 * FOLD_ROWS)
+    _edit_fields(path, {(LATER, 0): "5"})
+    assert main(["audit", "--in", path, "--v", "0.2"]) == 1
+    error = f"malformed records: trial_index 5 at line {LATER + 3}, expected {LATER}"
+    assert capsys.readouterr() == ("", f"blgisim: error: {error}\n")
+
+
+class _NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers was opened")
+
+
+def test_audit_of_a_file_below_the_floor_opens_no_pool(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    path = _record_file(tmp_path, 3 * FOLD_ROWS)
+    size = os.path.getsize(path)
+    assert size < 2 * cli._AUDIT_RANGE_BYTES
+    assert main(["audit", "--in", path, "--v", "0.2"]) == 0
+    assert capsys.readouterr().out == _serial_audit(path)
+    # a file of two floors is two ranges, over a pool of two workers
+    monkeypatch.setattr(cli, "_AUDIT_RANGE_BYTES", size // 2)
+    with pytest.raises(AssertionError, match="a pool of 2 workers"):
+        main(["audit", "--in", path, "--v", "0.2"])
 
 
 def test_predict_writes_records_and_summary(tmp_path, capsys):

@@ -169,15 +169,16 @@ def test_one_reader_turns_csv_text_into_columns():
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,
-# audit folds the blocks of records.read_record_blocks as it reads them, and
-# simulate and sweep fold the chunks of trials.trial_chunks as they are
-# sampled, so the tracer's spans for these four names read 0 until they are
-# retargeted
+# audit reads, checks and folds the ranges of a record file in cli._audit_range
+# (decomposition_test is the API's serial route), and simulate and sweep fold
+# the chunks of trials.trial_chunks as they are sampled, so the tracer's spans
+# for these five names read 0 until they are retargeted
 STALE_TRACER_TARGETS = {
     ("cli", "post_protocol_chsh"),
     ("cli", "exact_post_protocol_chsh"),
     ("cli", "read_records"),
     ("cli", "simulate_trials"),
+    ("cli", "decomposition_test"),
 }
 
 

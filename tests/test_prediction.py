@@ -34,6 +34,7 @@ from reference import (
     QuantumState,
     axis_projectors,
     bloch_observable,
+    concat,
     concurrence,
     empty_table,
     expect,
@@ -375,15 +376,13 @@ def test_prediction_table_round_trip():
     settings = prediction_settings(0.5)
     readout = SequentialReadoutParams(v=0.2, steps=8)
     singles = [prediction_batch(settings, readout, 1, 3, start=i) for i in range(5)]
-    table = PredictionTable.concat(singles)
+    table = concat(singles)
     assert len(table) == 5
     assert table_rows(table) == table_rows(prediction_batch(settings, readout, 5, 3))
     assert table_rows(table)[2] == table_rows(singles[2])[0]
-    merged = PredictionTable.concat([table, table])
+    merged = concat([table, table])
     assert len(merged) == 10
     assert isinstance(merged.settings_id, str)
-    with pytest.raises(ValueError):
-        PredictionTable.concat([])
 
 
 # ------------------------------------------------------------------- accuracy

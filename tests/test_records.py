@@ -36,7 +36,7 @@ from blgisim.records import (
     read_sweep,
 )
 from blgisim.trials import TRIAL_SCHEMA, NoiseModel, TrialTable, default_settings, simulate_trials
-from reference import emit_format1, empty_table, with_scalars
+from reference import concat, emit_format1, empty_table, with_scalars
 
 
 @pytest.mark.parametrize("table", [TrialTable, PredictionTable])
@@ -79,8 +79,8 @@ def test_table_holds_one_settings_id(table_cls):
             table_cls(*columns, **_scalars(table_cls, settings_id=bad))
     one = table_cls(*columns, **_scalars(table_cls, settings_id="a"))
     with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
-        table_cls.concat([one, table_cls(*columns, **_scalars(table_cls, settings_id="b"))])
-    assert table_cls.concat([one, one]).settings_id == "a"
+        concat([one, table_cls(*columns, **_scalars(table_cls, settings_id="b"))])
+    assert concat([one, one]).settings_id == "a"
 
 
 @pytest.mark.parametrize(
@@ -99,8 +99,8 @@ def test_concat_rejects_tables_that_differ_in_one_scalar(table_cls, name, other)
     one, two = (table_cls(*columns, **_scalars(table_cls, **change)) for change in ({}, {name: other}))
     what = "settings ids" if name == "settings_id" else f"{name} values"
     with pytest.raises(ValueError, match=f"^malformed records: 2 distinct {what} in one record set$"):
-        table_cls.concat([one, two])
-    assert len(table_cls.concat([two, two])) == 4
+        concat([one, two])
+    assert len(concat([two, two])) == 4
 
 
 @pytest.mark.parametrize(
@@ -200,7 +200,7 @@ def test_concat_rejects_two_experiments():
     a = simulate_trials(default_settings(0.4), 3, master_seed=1)
     b = simulate_trials(default_settings(0.9), 2, master_seed=1)
     with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
-        TrialTable.concat([a, b])
+        concat([a, b])
 
 
 def test_a_stream_of_blocks_writes_the_bytes_of_their_table(tmp_path):

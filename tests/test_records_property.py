@@ -41,7 +41,7 @@ from blgisim.records import (
     read_sweep,
 )
 from blgisim.trials import FOLD_ROWS, NO_NOISE, NoiseModel, Settings, TrialTable, default_settings, simulate_trials
-from reference import table_rows
+from reference import concat, crlf_split_at, table_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -432,23 +432,15 @@ def test_blocks_hold_fold_rows_whatever_the_line_ends(tmp_path, rows, ending):
     path.write_bytes(endings.get(ending, text[:-1]))
     blocks = list(records.read_record_blocks(str(path)))
     assert [len(block) for block in blocks] == [min(FOLD_ROWS, rows - at) for at in range(0, rows, FOLD_ROWS)]
-    _assert_same_table(TrialTable.concat(blocks), table)
+    _assert_same_table(concat(blocks), table)
     _assert_same_table(read_records(str(path)), table)
 
 
 def test_table_read_counts_a_crlf_split_between_binary_reads_once(tmp_path):
-    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 2 * FOLD_ROWS + 3, 5)
-    path = tmp_path / "trials.csv"
-    emit_records(table, str(path))
-    # lengthen the settings id on line 1 until a "\r\n" straddles the end of the first read
-    pad = records._READ_CHARS - 1 - path.read_bytes().replace(b"\n", b"\r\n").rfind(b"\r\n", 0, records._READ_CHARS)
-    scalars = {"settings_id": table.settings_id + "x" * pad, "v": table.v, "master_seed": table.master_seed}
-    table = TrialTable(*(getattr(table, name) for name in table.field_names), **scalars)
-    emit_records(table, str(path))
-    text = path.read_bytes().replace(b"\n", b"\r\n")
-    assert text[records._READ_CHARS - 1:records._READ_CHARS + 1] == b"\r\n"
-    path.write_bytes(text)
-    _assert_same_table(read_records(str(path)), table)
+    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 3 * FOLD_ROWS + 3, 5)
+    path = str(tmp_path / "trials.csv")
+    table = crlf_split_at(path, table, records._COUNT_BYTES)
+    _assert_same_table(read_records(path), table)
 
 
 # -------------------------------------------- text the writer never writes

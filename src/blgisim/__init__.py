@@ -15,71 +15,99 @@ Modules:
   records    CSV/JSON persistence and run manifests
   cli        command-line harness; not imported here, so that
              ``python -m blgisim.cli`` runs it as a fresh module
+
+Each public name, and each module above but cli, is imported when it is
+first used (PEP 562), so ``import blgisim`` loads no numpy and
+``import blgisim.cli`` runs cli.py, which sets numpy's BLAS threading,
+before any module here loads numpy.
 """
 
+import importlib
+
 from ._version import __version__
-from .audit import (
-    CONSISTENT,
-    DEFAULT_THRESHOLD_SIGMAS,
-    INCONCLUSIVE,
-    REJECT,
-    AuditVerdict,
-    BinaryTuple,
-    EnumerationReport,
-    HiddenVariableConfig,
-    chsh_bound_check,
-    decomposition_test,
-    exhaustive_verify,
-    hidden_variable_config,
-    hidden_variable_source,
-    per_trial_term,
-)
-from .prediction import (
-    AccuracyEstimate,
-    PredictionTable,
-    SequentialReadoutParams,
-    exact_post_protocol_chsh,
-    post_protocol_chsh,
-    predict,
-    prediction_accuracy,
-    prediction_accuracy_exact,
-    prediction_batch,
-    prediction_settings,
-)
-from .records import (
-    SWEEP_HEADER,
-    RunManifest,
-    emit_manifest,
-    emit_predictions,
-    emit_records,
-    emit_sweep,
-    read_manifest,
-    read_predictions,
-    read_record_blocks,
-    read_records,
-    read_sweep,
-)
-from .trials import (
-    NO_NOISE,
-    ChshReport,
-    CorrelatorEstimate,
-    DegenerateBranchError,
-    NoiseModel,
-    Settings,
-    Source,
-    TrialTable,
-    branch_distribution,
-    check_strength,
-    chsh_combine,
-    default_settings,
-    estimate_chsh,
-    estimate_correlator,
-    exact_chsh,
-    exact_correlator,
-    exact_mean,
-    simulate_trials,
-    trial_chunks,
-)
+
+# the module that defines each public name
+_EXPORTS = {
+    "audit": (
+        "CONSISTENT",
+        "DEFAULT_THRESHOLD_SIGMAS",
+        "INCONCLUSIVE",
+        "REJECT",
+        "AuditVerdict",
+        "BinaryTuple",
+        "EnumerationReport",
+        "HiddenVariableConfig",
+        "chsh_bound_check",
+        "decomposition_test",
+        "exhaustive_verify",
+        "hidden_variable_config",
+        "hidden_variable_source",
+        "per_trial_term",
+    ),
+    "prediction": (
+        "AccuracyEstimate",
+        "PredictionTable",
+        "SequentialReadoutParams",
+        "exact_post_protocol_chsh",
+        "post_protocol_chsh",
+        "predict",
+        "prediction_accuracy",
+        "prediction_accuracy_exact",
+        "prediction_batch",
+        "prediction_settings",
+    ),
+    "records": (
+        "SWEEP_HEADER",
+        "RunManifest",
+        "emit_manifest",
+        "emit_predictions",
+        "emit_records",
+        "emit_sweep",
+        "read_manifest",
+        "read_predictions",
+        "read_record_blocks",
+        "read_records",
+        "read_sweep",
+    ),
+    "trials": (
+        "NO_NOISE",
+        "ChshReport",
+        "CorrelatorEstimate",
+        "DegenerateBranchError",
+        "NoiseModel",
+        "Settings",
+        "Source",
+        "TrialTable",
+        "branch_distribution",
+        "check_strength",
+        "chsh_combine",
+        "default_settings",
+        "estimate_chsh",
+        "estimate_correlator",
+        "exact_chsh",
+        "exact_correlator",
+        "exact_mean",
+        "simulate_trials",
+        "trial_chunks",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "streams")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)  # binds itself here as it loads
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # bound, so the next use does not come here
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
 
 __all__ = [
     "__version__",

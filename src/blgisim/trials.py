@@ -392,8 +392,9 @@ def _p1evl(x: np.ndarray, coef) -> np.ndarray:
 
 def _libm_log(y: np.ndarray) -> np.ndarray:
     # math.log is the C library's log, as in cephes; np.log's SIMD loop can
-    # differ from it in the last bit.
-    return np.fromiter(map(math.log, y.tolist()), float, len(y))
+    # differ from it in the last bit.  memoryview hands over the same doubles
+    # as tolist, without building the list first.
+    return np.fromiter(map(math.log, memoryview(y)), float, len(y))
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, one helper opens every process
 pool and no command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, and
-every name the benchmark tracer patches exists."""
+every name the benchmark tracer patches exists.  The command line, alone
+in the package, sets numpy's BLAS threading, before anything loads numpy,
+and ``import blgisim`` loads no numpy."""
 
 import ast
 import importlib
@@ -39,6 +41,8 @@ def test_module_references_every_name_it_imports(path):
 
 
 def test_all_lists_each_public_name_bound_in_the_package_once():
+    for name in blgisim.__all__:  # names bind on first use; an unresolvable one fails here
+        getattr(blgisim, name)
     public = {
         name for name, value in vars(blgisim).items() if not name.startswith("_") and not inspect.ismodule(value)
     }
@@ -112,13 +116,69 @@ def test_one_helper_opens_every_process_pool():
     assert _inside(trials._pool_map, _call_sites("ProcessPoolExecutor")) == [("trials.py", True)]
 
 
+def _fresh(code: str, **env) -> str:
+    """stdout of `code` in a fresh interpreter whose environment lacks
+    OPENBLAS_NUM_THREADS (importing blgisim.cli sets it in this process)
+    and adds env."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {**base, "PYTHONPATH": str(Path(blgisim.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_start_up_imports_no_process_pool():
     # concurrent.futures takes about 20 ms to import, so trials._pool_map
     # imports it when it opens a pool, not every command at start-up
-    env = {**os.environ, "PYTHONPATH": str(Path(blgisim.__file__).parents[1])}
     code = "import sys, blgisim.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert _fresh(code) == "[]\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task to count threads")
+def test_command_line_starts_no_blas_thread():
+    # numpy's bundled OpenBLAS starts a pool thread that spins while idle;
+    # the command line loads numpy with one BLAS thread, so no second thread
+    code = "import os, blgisim.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code) == "1 1\n"
+
+
+def test_command_line_keeps_the_callers_blas_threading():
+    code = "import os, blgisim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
+def test_package_import_loads_no_numpy_and_binds_names_on_use():
+    code = (
+        "import sys, blgisim; print('numpy' in sys.modules);"
+        "from blgisim import *; print(all(name in globals() for name in blgisim.__all__));"
+        "print(blgisim.trials.__name__)"
+    )
+    assert _fresh(code) == "False\nTrue\nblgisim.trials\n"
+
+
+def test_only_the_command_line_sets_the_environment_and_before_numpy_loads():
+    # a library leaves its caller's environment alone; in cli.py the BLAS
+    # setting must precede numpy and every package module, which load numpy
+    environ = [
+        (path.name, node.lineno)
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "attr", getattr(node, "id", None)) == "environ"
+    ]
+    assert environ and {name for name, _ in environ} == {"cli.py"}
+    body = ast.parse(Path(blgisim.__file__).with_name("cli.py").read_text()).body
+    (setting,) = [
+        i
+        for i, node in enumerate(body)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) == "setdefault"
+        and ast.literal_eval(node.value.args[0]) == "OPENBLAS_NUM_THREADS"
+    ]
+    loads_numpy = [
+        i
+        for i, node in enumerate(body)
+        if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "numpy"))
+    ]
+    assert loads_numpy and setting < min(loads_numpy)
 
 
 def _outside(sites, *functions) -> list:

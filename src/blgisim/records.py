@@ -15,16 +15,16 @@ temporaries stay a few MB, are the rows' text (see ``_rows_text``). Floats that
 one at a time. The bytes equal those of formatting each field of each row
 with ``'%d'``, ``'%.17g'`` or ``'%s'`` in a text file.
 
-The reader parses a block of rows in numpy too, from the UTF-8 bytes of
-the file's text (see _parse_rows).  Its grammar is the writer's: an int is
-``-?[0-9]+``, and a float ``-?[0-9]+(.[0-9]+)?`` whose digits M < 10**17,
-with f <= 22 of them after the point, is M / 10**f rounded once, exactly
-(Clinger's fast path, or a remainder from Dekker's two-product; see
-_quotients), so it equals ``float(text)`` bit for bit.  A float field
-that %.17g may write but that grammar leaves out (exponent notation, inf,
-nan, more digits) is parsed by ``float()``.  A block with any other field,
-or a line of another field count, is read by ``np.loadtxt`` as before, so
-the text accepted and every error message are np.loadtxt's.
+The reader reads bytes, ends lines where _line_ends does, and parses a
+block of rows in numpy too (see _parse_rows).  Its grammar is the writer's:
+an int is ``-?[0-9]+``, and a float ``-?[0-9]+(.[0-9]+)?`` whose digits M <
+10**17, with f <= 22 of them after the point, is M / 10**f rounded once,
+exactly (Clinger's fast path, or a remainder from Dekker's two-product; see
+_quotients), so it equals ``float(text)`` bit for bit.  A float field that
+%.17g may write but that grammar leaves out (exponent notation, inf, nan,
+more digits) is parsed by ``float()``.  A block with any other field, or a
+line of another field count, is decoded as ``open(path)`` decodes it and read
+by ``np.loadtxt``, so the text accepted and every error message are np.loadtxt's.
 
 A record file holds one experiment, like the table it is written from, and
 holds exactly what the table holds. Line 1 (record format 2,
@@ -43,6 +43,7 @@ A sweep is a dict of plain column lists keyed by ``SWEEP_HEADER``, as
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -82,6 +83,11 @@ class RunManifest:
     output_paths: list
     layout_version: int = 1  # streams.LAYOUT_VERSION of the run; absent (1) in older manifests
     record_format: int = 1  # RECORD_FORMAT of the run; absent (1) in older manifests
+
+
+def _encoding() -> str:
+    """The encoding that open(path) reads and writes text in, and so str cells."""
+    return io.TextIOWrapper(io.BytesIO()).encoding
 
 
 def _check_text(text: str, name: str = "settings_id") -> None:
@@ -315,7 +321,7 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
     """Write the comment, the header, then each block (a list of columns in schema order).
 
     The bytes equal those of per-row '%d', '%.17g' and '%s' formatting in a
-    text file, the header and str cells encoded in the file's encoding.
+    text file, the header and str cells encoded as open(path, "w") encodes them.
     A new file, or a regular file of ours with no other name, is written
     to a temporary file beside it, which takes the file's mode and replaces
     it only once the last block is written: an error in any block leaves
@@ -325,7 +331,7 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
     So no file is left cut short at a row boundary.  A symlink's target is
     written, not the link.
     """
-    kinds = [kind for _, kind in schema]
+    kinds, encoding = [kind for _, kind in schema], _encoding()
     np.empty(_WRITE_HEAP_HINT, np.uint8)  # allocated and freed untouched: see _WRITE_HEAP_HINT
     target = os.path.realpath(path)
     old = os.stat(target) if os.path.exists(target) else None
@@ -336,16 +342,15 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
             open(target, "ab").close()  # a file we may not write raises PermissionError here, as in place
         head, tail = os.path.split(target)
         out = os.path.join(head, f".{tail}.{os.getpid()}.part")  # only a dead process of this pid left one
-    f = open(out, "w", newline="")
+    f = open(out, "wb")
     try:
         with f:
             if staged and old is not None:
                 os.chmod(out, old.st_mode & 0o7777)
-            f.write(comment + ",".join(name for name, _ in schema))
-            f.flush()  # the rows go to the binary buffer, after the header's text
+            f.write((comment + ",".join(name for name, _ in schema)).encode(encoding))
             for columns in blocks:
-                f.buffer.write(_rows_text(columns, kinds, f.encoding))
-            f.buffer.write(b"\n")
+                f.write(_rows_text(columns, kinds, encoding))
+            f.write(b"\n")
         if staged:
             os.replace(out, target)
     except BaseException:
@@ -425,21 +430,22 @@ def _check_header(line: str, schema, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row parsing, the mirror of the row text.  The rows are read as text and
-# cut into blocks of _BLOCK_ROWS lines, each parsed in numpy from its UTF-8
-# bytes.  A numeric field is read as the little-endian 8-byte words that
-# end where its digits end: the bytes before its digits are zeroed, and the
-# 8 digits of each word are summed inside the word (SWAR).  An int is its
-# digits and sign.  A float is the integer M of its digits, the point left
-# out, over 10**f, f the digits after the point; where M < 10**17 and
-# f <= 22 that quotient is rounded once, exactly (_quotients).  Any other
-# float field that %.17g may write (exponent notation, inf, nan, a longer
-# mantissa) is parsed by float(), which reads it as np.loadtxt does.  A
-# block with a field of any other form, or a line of another field count,
-# is read by np.loadtxt whole (_loadtxt_rows), so the text accepted and
-# every error stay np.loadtxt's.
+# Row parsing, the mirror of the row text.  The file's bytes are cut into
+# blocks of _BLOCK_ROWS lines, each parsed in numpy; only header lines, str
+# fields and the blocks that go to np.loadtxt are decoded.  A numeric field
+# is read as the little-endian 8-byte words that end where its digits end:
+# the bytes before its digits are zeroed, and the 8 digits of each word are
+# summed inside the word (SWAR).  An int is its digits and sign.  A float
+# is the integer M of its digits, the point left out, over 10**f, f the
+# digits after the point; where M < 10**17 and f <= 22 that quotient is
+# rounded once, exactly (_quotients).  Any other float field that %.17g may
+# write (exponent notation, inf, nan, a longer mantissa) is parsed by
+# float(), which reads it as np.loadtxt does.  A block with a field of any
+# other form, or a line of another field count, is read by np.loadtxt whole
+# (_loadtxt_rows), so the text accepted and every error stay np.loadtxt's.
 
-_READ_CHARS = 1 << 16  # characters of text read at a time
+_COUNT_BYTES = 1 << 16  # bytes read at a time; 256 KiB held 0.5 MB more at a streamed audit's peak, no faster
+_LF, _CR = ord("\n"), ord("\r")
 _PAD = 24  # bytes before a block, so that every 3-word window that ends in a field lies in the buffer
 _NOT_DIGIT = 0x7676767676767676  # added to a byte of at most 0x7F, sets its bit 7 iff the byte is above 9
 _BIT7 = 0x8080808080808080
@@ -452,44 +458,70 @@ _INT_LIMIT = np.array([10 ** max(17 - k, 0) if k <= 22 else 0 for k in range(24)
 _FLOAT_TOKEN = re.compile(rb"-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?)")  # what %.17g writes
 
 
-def _line_blocks(f):
-    """Yield the rest of the text file f in blocks of _BLOCK_ROWS lines,
-    the last one shorter, as (store, newlines): a uint8 array that holds
-    the block in UTF-8 from offset _PAD on, and the offset in it of each
-    line's end.  A last line with no end gets one.
+def _line_ends(f):
+    """Yield the rest of the binary file f, _COUNT_BYTES at a time,
+    as (text, ends, cr): a uint8 array of the bytes read, whether a line
+    ends with each, and whether text holds a CR.  A line ends at LF, at CR
+    LF (with its LF, also where two reads split it) and at a lone CR; a
+    last line with no end gets an LF.  Every reader ends lines here."""
+    buffer = bytearray(1 + _COUNT_BYTES)  # a byte held back from the read before, then a read
+    data = np.frombuffer(buffer, np.uint8)
+    mask = np.empty(_COUNT_BYTES, bool)
+    held = 0
+    while got := f.readinto(memoryview(buffer)[held:]):
+        n = held + got  # the last byte waits for the next read: a CR ends a line only if no LF follows it
+        ends = np.equal(data[:n - 1], _LF, out=mask[:n - 1])
+        cr = buffer.find(b"\r", 0, n - 1) >= 0
+        if cr:
+            ends |= (data[:n - 1] == _CR) & (data[1:n] != _LF)
+        yield data[:n - 1], ends, cr
+        buffer[0], held = buffer[n - 1], 1
+    if held:
+        last = bytes(buffer[:1]) + (b"" if buffer[0] in b"\r\n" else b"\n")
+        yield np.frombuffer(last, np.uint8), np.arange(len(last)) == len(last) - 1, buffer[0] == _CR
 
-    The store is one array, reused for every block: the text that follows
-    a block moves to its front, and the store grows only if a block and
-    the text read past it do not fit.
-    """
+
+def _line_blocks(f, sizes):
+    """Yield the rest of the binary file f in blocks of lines, one
+    of each size in sizes, the last one maybe shorter, as (store, newlines):
+    a uint8 array that holds the block from offset _PAD on, and the offset
+    in it of each line's end, an LF as a text file reads it.  The store is
+    reused: the text that follows a block moves to its front, and the store
+    grows only if a block and what follows do not fit."""
     np.empty(_READ_HEAP_HINT, np.uint8)  # allocated and freed untouched: see _READ_HEAP_HINT
-    store = np.zeros(_PAD + 4 * _READ_CHARS, np.uint8)
-    used, ends, end = _PAD, np.empty(0, np.intp), False
-    while True:
-        while len(ends) < _BLOCK_ROWS and not end:
-            more = f.read(_READ_CHARS).encode("utf-8", "surrogatepass")
-            end = not more
-            if end and used > _PAD and store[used - 1] != ord("\n"):
-                more = b"\n"
-            if used + len(more) > len(store):
-                store = np.concatenate((store[:used], np.zeros(max(used, len(more)), np.uint8)))
-            store[used:used + len(more)] = np.frombuffer(more, np.uint8)
-            ends = np.concatenate((ends, np.flatnonzero(store[used:used + len(more)] == ord("\n")) + used))
-            used += len(more)
-        if not len(ends):
+    store = np.zeros(_PAD + 4 * _COUNT_BYTES, np.uint8)
+    used, newlines = _PAD, np.empty(0, np.intp)
+    reads = _line_ends(f)
+    for size in sizes:
+        while len(newlines) < size and (read := next(reads, None)):
+            text, ends, cr = read
+            if cr:  # the CR of a CR LF goes, and a lone CR becomes an LF
+                keep = (text != _CR) | ends
+                text, ends = text[keep], ends[keep]
+                text[ends] = _LF
+            if used + len(text) > len(store):
+                store = np.concatenate((store[:used], np.zeros(max(used, len(text)), np.uint8)))
+            store[used:used + len(text)] = text
+            newlines = np.concatenate((newlines, np.flatnonzero(ends) + used))
+            used += len(text)
+        if not len(newlines):
             return
-        newlines, ends = ends[:_BLOCK_ROWS], ends[_BLOCK_ROWS:]
-        yield store, newlines
-        stop = int(newlines[-1]) + 1
+        block, newlines = newlines[:size], newlines[size:]
+        yield store, block
+        stop = int(block[-1]) + 1
         store[_PAD:_PAD + used - stop] = store[stop:used]
-        ends -= stop - _PAD
+        newlines -= stop - _PAD
         used -= stop - _PAD
 
 
 def _lines(store, newlines) -> list:
-    """The lines of a block of _line_blocks, each with its end."""
-    text = store[_PAD:newlines[-1]].tobytes().decode("utf-8", "surrogatepass")
-    return [line + "\n" for line in text.split("\n")]
+    """The lines of a block of _line_blocks as text, each with its end."""
+    return [line + "\n" for line in store[_PAD:newlines[-1]].tobytes().decode(_encoding()).split("\n")]
+
+
+def _header_line(blocks) -> str:
+    """The line of the next block of blocks, a block of one line, with its end; '' past the file's end."""
+    return next((_lines(*block)[0] for block in blocks), "")
 
 
 def _digits(store, ends, counts, width: int):
@@ -679,35 +711,31 @@ def _loadtxt_rows(lines, schema, what: str, first: int):
     return data
 
 
-def _read_blocks(f, schema, what: str, first: int):
-    """Yield (first file line, numeric rows, str column) per block of the rows of f.
-
-    f's next line is file line `first`.
-    The numeric rows are one structured array; the str column is a list, or
-    None for a schema without one. A blank line, a wrong field count, a
-    field that does not parse as its kind and a quoted str field raise
-    ``malformed <what> CSV row at line N``; only then is the block parsed
-    again, line by line, to find N.  A block is parsed in numpy
-    (_parse_rows), or by np.loadtxt (_loadtxt_rows) if it holds a line or
-    field that the writer does not write; both give the same bits.
+def _read_blocks(blocks, schema, what: str, first: int):
+    """Yield (numeric rows, str column) per block of _line_blocks, the
+    first of them file line `first`: one structured array, and a list or
+    None for a schema without a str column.  A block is parsed in numpy
+    (_parse_rows), or from its text by np.loadtxt (_loadtxt_rows) if it
+    holds a line or field that the writer does not write; both give the
+    same bits.  A blank line, a wrong field count, a field that does not
+    parse as its kind and a quoted str field raise ``malformed <what> CSV
+    row at line N``; only then is the block parsed line by line to find N.
     """
     kinds = [kind for _, kind in schema]
     k = kinds.index("str") if "str" in kinds else None
-    for store, newlines in _line_blocks(f):
+    for store, newlines in blocks:
         data = _parse_rows(store, newlines, schema)
-        lines = _lines(store, newlines) if data is None or k is not None else None
         if data is None:
-            data = _loadtxt_rows(lines, schema, what, first)
+            data = _loadtxt_rows(_lines(store, newlines), schema, what, first)
         texts = None
         if k is not None:
-            texts = [line.split(",", k + 1)[k] for line in lines]
-            if k == len(kinds) - 1:  # the last field keeps its line end
-                texts = [field.rstrip("\n") for field in texts]
+            rows, encoding = store[_PAD:newlines[-1]].tobytes().split(b"\n"), _encoding()
+            texts = [row.split(b",", k + 1)[k].decode(encoding) for row in rows]
             for field in set(texts):
                 if '"' in field:
                     at = first + texts.index(field)
                     raise ValueError(f"malformed {what} CSV row at line {at}: quoted {schema[k][0]} {field!r}")
-        yield first, data, texts
+        yield data, texts
         first += len(newlines)
 
 
@@ -734,14 +762,13 @@ def _read_comment(line: str, cls: type, where: str) -> dict:
 def _table_blocks(path: str, cls: type, v: float | None = None, cut: tuple = (0, 0)):
     """Yield a record CSV as cls tables of _BLOCK_ROWS rows, the last one
     shorter, once its header is checked; given v, the header must hold that v.
-
     Given a cut (byte offset, row) of _block_cuts, the rows are read from
-    that row on, which starts at that offset: the same reader on the same
-    text, a malformed row named by its file line.
+    that row on, which starts at that offset, a malformed row still named by its file line.
     """
     what = _KIND_NAMES[cls]
-    with open(path, "r") as f:
-        line = f.readline()
+    with open(path, "rb") as f:
+        blocks = _line_blocks(f, chain((1, 1), repeat(_BLOCK_ROWS)))
+        line = _header_line(blocks)
         if not line.startswith("#"):
             raise ValueError(
                 f"{what} CSV {path} has no header comment at line 1: record format 1 is no longer read; "
@@ -750,50 +777,20 @@ def _table_blocks(path: str, cls: type, v: float | None = None, cut: tuple = (0,
         scalars = _read_comment(line, cls, f"{what} CSV {path} line 1")
         if v is not None and scalars["v"] != v:
             raise ValueError(f"{what} CSV {path} was written at v={scalars['v']!r}, not at the given v={v!r}")
-        line = f.readline()
+        line = _header_line(blocks)
         if line.startswith("#"):
             raise ValueError(f"malformed {what} CSV {path}: a second header comment at line 2")
         _check_header(line, cls.schema, what)
         offset, row = cut
-        if offset:
-            f.seek(offset)  # just past a line end, where f.tell() is the byte offset itself
+        if offset:  # just past a line end
+            f.seek(offset)
+            blocks = _line_blocks(f, repeat(_BLOCK_ROWS))
         empty = True
-        for _, data, _ in _read_blocks(f, cls.schema, what, 3 + row):
+        for data, _ in _read_blocks(blocks, cls.schema, what, 3 + row):
             empty = False
             yield cls(*(data[name] for name in cls.field_names), **scalars)
     if empty:
         raise ValueError(f"{what} CSV {path} holds no records")
-
-
-_COUNT_BYTES = 1 << 20  # bytes read at a time by the binary line counter
-
-
-def _line_ends(path: str):
-    """Yield the file at path, _COUNT_BYTES at a time, as (at, ends):
-    ends[i] is whether a line ends just past byte at + i, where the text
-    reader ends one: at LF, at CR LF (past its LF, also where two reads
-    split it) and at a lone CR.  A last line with no end ends at the end of
-    the file.  ends is overwritten by the next read.
-
-    The reads go into one buffer, and LF is found by a numpy compare, which
-    np.count_nonzero counts three times as fast as bytes.count: 26 MB in 7
-    ms, against 16 ms with a new bytes object per read.
-    """
-    text = bytearray(1 + _COUNT_BYTES)  # a byte held back from the read before, then a read
-    data = np.frombuffer(text, np.uint8)
-    buffer = np.empty(_COUNT_BYTES, bool)
-    at, held = 0, 0
-    with open(path, "rb") as f:
-        while got := f.readinto(memoryview(text)[held:]):
-            n = held + got  # the last byte waits for the next read: a CR ends a line only if no LF follows it
-            ends = np.equal(data[:n - 1], ord("\n"), out=buffer[:n - 1])
-            if text.find(b"\r", 0, n) >= 0:
-                ends |= (data[:n - 1] == ord("\r")) & (data[1:n] != ord("\n"))
-            yield at, ends
-            at += n - 1
-            text[0], held = text[n - 1], 1
-    if held:
-        yield at, np.ones(1, bool)
 
 
 def _block_cuts(path: str, parts: int) -> list:
@@ -803,37 +800,37 @@ def _block_cuts(path: str, parts: int) -> list:
     bytes, short of the file's end.
 
     So every range but the last holds whole blocks, and the blocks that
-    the ranges read are those of one read of the file.  Lines are split as
-    the text reader splits them (_line_ends), in one binary pass that stops
-    at the last cut; fewer ranges come back where the rows end first.
+    the ranges read are those of one read of the file.  Lines end where
+    _line_ends ends them, in one pass that stops at the last cut; fewer
+    ranges come back where the rows end first.
     """
     size = os.path.getsize(path)
     targets = [size * k // parts for k in range(1, parts)]
-    cuts, lines = [(0, 0)], 0  # lines: those that end before the read
-    for at, ends in _line_ends(path) if targets else ():
-        count = int(np.count_nonzero(ends))
-        if at + len(ends) >= targets[len(cuts) - 1]:
-            past = np.flatnonzero(ends) + (at + 1)
-            # line lines + 1 + i, which ends at past[i], ends a block when
-            # the rows it closes, lines + i - 1 (two header lines), are whole blocks
-            for i in range((1 - lines) % _BLOCK_ROWS, count, _BLOCK_ROWS):
-                row, offset = lines + i - 1, int(past[i])
-                if len(cuts) < parts and row > cuts[-1][1] and targets[len(cuts) - 1] <= offset < size:
-                    cuts.append((offset, row))
-        lines += count
-        if len(cuts) == parts:
-            break
+    cuts, lines, at = [(0, 0)], 0, 0  # lines and bytes before the read
+    with open(path, "rb") as f:
+        for _, ends, _ in _line_ends(f) if targets else ():
+            count = int(np.count_nonzero(ends))
+            if at + len(ends) >= targets[len(cuts) - 1]:
+                past = np.flatnonzero(ends) + (at + 1)
+                # line lines + 1 + i, which ends at past[i], ends a block when
+                # the rows it closes, lines + i - 1 (two header lines), are whole blocks
+                for i in range((1 - lines) % _BLOCK_ROWS, count, _BLOCK_ROWS):
+                    row, offset = lines + i - 1, int(past[i])
+                    if len(cuts) < parts and row > cuts[-1][1] and targets[len(cuts) - 1] <= offset < size:
+                        cuts.append((offset, row))
+            lines += count
+            at += len(ends)
+            if len(cuts) == parts:
+                break
     return cuts
 
 
 def _read_table(path: str, blocks):
-    """One table of the blocks of the record CSV at path, copied into
-    columns of the file's row count, each block let go once copied (trials._filled).
-
-    The rows are counted first, in binary, where the text reader ends
-    lines (_line_ends).
-    """
-    return _filled(blocks, sum(np.count_nonzero(ends) for _, ends in _line_ends(path)) - 2)
+    """One table of the blocks of the record CSV at path, copied into columns
+    of the file's row count, counted first, each block let go once copied (trials._filled)."""
+    with open(path, "rb") as f:
+        lines = sum(np.count_nonzero(ends) for _, ends, _ in _line_ends(f))
+    return _filled(blocks, lines - 2)
 
 
 def emit_records(records, path: str) -> str:
@@ -901,9 +898,10 @@ def emit_sweep(columns: dict, path: str) -> str:
 def read_sweep(path: str) -> dict:
     """Read a sweep CSV back into columns keyed by SWEEP_HEADER; exact inverse of emit_sweep."""
     columns = {name: [] for name in SWEEP_HEADER}
-    with open(path, "r") as f:
-        _check_header(f.readline(), SWEEP_SCHEMA, "sweep")
-        for _, data, verdicts in _read_blocks(f, SWEEP_SCHEMA, "sweep", 2):
+    with open(path, "rb") as f:
+        blocks = _line_blocks(f, chain((1,), repeat(_BLOCK_ROWS)))
+        _check_header(_header_line(blocks), SWEEP_SCHEMA, "sweep")
+        for data, verdicts in _read_blocks(blocks, SWEEP_SCHEMA, "sweep", 2):
             for name in data.dtype.names:
                 columns[name] += data[name].tolist()
             columns["verdict"] += verdicts
@@ -912,9 +910,8 @@ def read_sweep(path: str) -> dict:
 
 def emit_manifest(manifest: RunManifest, path: str) -> str:
     """Write the manifest as a single JSON object."""
-    with open(path, "w") as f:
-        json.dump(asdict(manifest), f, indent=2, sort_keys=True)
-        f.write("\n")
+    with open(path, "wb") as f:
+        f.write(json.dumps(asdict(manifest), indent=2, sort_keys=True).encode() + b"\n")
     return path
 
 

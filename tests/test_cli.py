@@ -11,6 +11,7 @@ import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blgisim
@@ -25,7 +26,15 @@ from blgisim.prediction import (
     prediction_accuracy_exact,
     prediction_settings,
 )
-from blgisim.records import RECORD_FORMAT, emit_records, read_manifest, read_record_blocks, read_records, read_sweep
+from blgisim.records import (
+    RECORD_FORMAT,
+    emit_records,
+    read_manifest,
+    read_predictions,
+    read_record_blocks,
+    read_records,
+    read_sweep,
+)
 from blgisim.streams import LAYOUT_VERSION
 from blgisim.trials import (
     FOLD_ROWS,
@@ -644,6 +653,49 @@ def test_audit_checks_a_later_range_against_its_first_row_in_the_file(tmp_path, 
     assert main(["audit", "--in", path, "--v", "0.2"]) == 1
     error = f"malformed records: trial_index 5 at line {LATER + 3}, expected {LATER}"
     assert capsys.readouterr() == ("", f"blgisim: error: {error}\n")
+
+
+def test_audit_names_a_non_ascii_field_as_the_serial_read_does(tmp_path, capsys, monkeypatch):
+    # a non-ASCII byte fails the numpy parse, so its block is decoded as
+    # open(path) decodes it and np.loadtxt names the row, in either range
+    seen = _audit_in_ranges(monkeypatch, 2)
+    path = _record_file(tmp_path, 3 * FOLD_ROWS)
+    _edit_fields(path, {(LATER, 1): "0.5é"})
+    row = Path(path).read_text().splitlines()[LATER + 2]
+    error = f"malformed trial CSV row at line {LATER + 3}: {row!r}: raw1 '0.5é' does not parse as float64"
+    assert _serial_audit(path) == f"blgisim: error: {error}\n"
+    assert main(["audit", "--in", path, "--v", "0.2"]) == 1
+    assert capsys.readouterr() == ("", f"blgisim: error: {error}\n")
+    assert len(seen[0]) == 2
+
+
+@pytest.mark.parametrize("row", [10, LATER], ids=["range 1", "range 2"])
+def test_audit_of_an_invalid_utf8_byte_exits_1_with_the_serial_line(tmp_path, capsys, monkeypatch, row):
+    seen = _audit_in_ranges(monkeypatch, 2)
+    path = _record_file(tmp_path, 3 * FOLD_ROWS)
+    lines = Path(path).read_bytes().split(b"\n")
+    lines[row + 2] = lines[row + 2].replace(b",", b",\xff", 1)
+    Path(path).write_bytes(b"\n".join(lines))
+    error = _serial_audit(path)
+    assert _audit_error(path, capsys, v="0.2") == error
+    assert len(seen[0]) == 2
+
+
+@pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "no final newline"])
+def test_prediction_and_sweep_files_of_the_commands_read_the_same_whatever_the_line_ends(tmp_path, capsys, ending):
+    predictions, sweep = tmp_path / "pred.csv", tmp_path / "sweep.csv"
+    argv = ["predict", "--v", "0.5", "--readout-v", "0.3", "--steps", "5", "--trials", str(FOLD_ROWS + 1)]
+    assert main([*argv, "--seed", "3", "--out", str(predictions)]) == 0
+    assert main(["sweep", "--v-grid", "0.3,0.9,1.0", "--trials", "2000", "--seed", "6", "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    want = read_predictions(str(predictions)), read_sweep(str(sweep))
+    for path in (predictions, sweep):
+        text = path.read_bytes()
+        edits = {"crlf": text.replace(b"\n", b"\r\n"), "cr": text.replace(b"\n", b"\r"), "no final newline": text[:-1]}
+        path.write_bytes(edits.get(ending, text))
+    table, columns = read_predictions(str(predictions)), read_sweep(str(sweep))
+    assert all(np.array_equal(getattr(table, name), getattr(want[0], name)) for name in table.field_names)
+    assert columns == want[1]
 
 
 class _NoPool:

@@ -4,7 +4,8 @@ linear algebra (no complex dtype or literal, kron or linalg), the package's ``__
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, one helper opens every process
 pool and no command imports concurrent.futures at start-up, one writer
-turns columns into CSV text and one reader CSV text into columns, and
+turns columns into CSV text and one reader CSV text into columns, every
+record file is opened as bytes and its lines ended by one function, and
 every name the benchmark tracer patches exists.  The command line, alone
 in the package, sets numpy's BLAS threading, before anything loads numpy,
 and ``import blgisim`` loads no numpy."""
@@ -226,6 +227,27 @@ def test_one_reader_turns_csv_text_into_columns():
     for parser in ("_parse_rows", "_loadtxt_rows"):
         assert _inside(records._read_blocks, _call_sites(parser)) == [("records.py", True)]
     assert _outside(_call_sites("_read_blocks"), records._table_blocks, records.read_sweep) == []
+
+
+def _text_opens() -> list:
+    """(file name, line) of every open() call in records.py whose mode holds no 'b'."""
+    sites = []
+    for node in ast.walk(ast.parse(Path(records.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if "b" not in (ast.literal_eval(modes[0]) if modes else "r"):
+                sites.append(("records.py", node.lineno))
+    return sites
+
+
+def test_every_record_file_is_opened_as_bytes():
+    # records._line_ends alone decides where a line of a record file ends;
+    # a text-mode open would bring back a second line splitter, universal
+    # newlines, so the JSON manifest's reader is the only one
+    text = _text_opens()
+    assert text and _outside(text, records.read_manifest) == []
+    ends = _call_sites("_line_ends")
+    assert ends and _outside(ends, records._line_blocks, records._block_cuts, records._read_table) == []
 
 
 # predict reads both after-protocol figures from prediction._post_protocol_check,

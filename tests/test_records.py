@@ -409,6 +409,31 @@ def test_sweep_round_trip(tmp_path):
         read_sweep(str(wrong))
 
 
+def test_non_ascii_sweep_text_reads_as_a_text_file_reads_it(tmp_path):
+    # a verdict is decoded as open(path) decodes it; a numeric field with a
+    # non-ASCII byte is named as np.loadtxt names it on the decoded line
+    columns = {
+        "v": [0.1, 0.95],
+        "exact_chsh": [2.82, 1.85],
+        "empirical_chsh": [2.81, 1.86],
+        "chsh_stderr": [0.01, 0.02],
+        "verdict": ["RÉJECT", "CONSISTENT ±"],
+    }
+    path = tmp_path / "sweep.csv"
+    emit_sweep(columns, str(path))
+    assert path.read_text().splitlines()[1:] == [
+        "0.10000000000000001,2.8199999999999998,2.8100000000000001,0.01,RÉJECT",
+        "0.94999999999999996,1.8500000000000001,1.8600000000000001,0.02,CONSISTENT ±",
+    ]
+    assert read_sweep(str(path)) == columns
+    path.write_text(",".join(SWEEP_HEADER) + "\n0.1,2.82,2.8é,0.01,REJECT\n")
+    with pytest.raises(ValueError) as info:
+        read_sweep(str(path))
+    assert str(info.value) == (
+        "malformed sweep CSV row at line 2: '0.1,2.82,2.8é,0.01,REJECT': empirical_chsh '2.8é' does not parse as float64"
+    )
+
+
 def test_read_sweep_names_the_line_of_a_malformed_row(tmp_path):
     path = tmp_path / "sweep.csv"
     good = "0.1,2.82,2.81,0.01,REJECT"

@@ -23,6 +23,7 @@ import re
 import string
 import tempfile
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -337,13 +338,13 @@ def parsed(values, kind: str):
     """(cells, column): the cells the block formatter writes for one column,
     and the column the block parser reads back from them.  Every block is
     read by the numpy parser, none handed to np.loadtxt."""
-    text = records._rows_text([np.asarray(values, kind)], [kind], "utf-8").tobytes().decode("ascii")
+    text = records._rows_text([np.asarray(values, kind)], [kind], "utf-8").tobytes()
     blocks = []
-    for store, newlines in records._line_blocks(io.StringIO(text[1:] + "\n")):
+    for store, newlines in records._line_blocks(io.BytesIO(text[1:] + b"\n"), repeat(records._BLOCK_ROWS)):
         block = records._parse_rows(store, newlines, [("x", kind)])
         assert block is not None
         blocks.append(block["x"])
-    return text.split("\n")[1:], np.concatenate(blocks)
+    return text.decode("ascii").split("\n")[1:], np.concatenate(blocks)
 
 
 def assert_reads_as_float(values):
@@ -441,6 +442,51 @@ def test_table_read_counts_a_crlf_split_between_binary_reads_once(tmp_path):
     path = str(tmp_path / "trials.csv")
     table = crlf_split_at(path, table, records._COUNT_BYTES)
     _assert_same_table(read_records(path), table)
+
+
+def _end_lines(path, ending: str) -> None:
+    """Rewrite the LF line ends of the file at path as `ending`."""
+    text = path.read_bytes()
+    endings = {"lf": text, "crlf": text.replace(b"\n", b"\r\n"), "cr": text.replace(b"\n", b"\r")}
+    path.write_bytes(endings.get(ending, text[:-1]))
+
+
+@pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "no final newline"])
+def test_prediction_and_sweep_files_read_the_same_whatever_the_line_ends(tmp_path, ending):
+    # every reader ends lines where records._line_ends does: the header
+    # lines, the block reader and the row count alike
+    rows = 2 * FOLD_ROWS + 1
+    table = prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.3, steps=5), rows, 3)
+    path = tmp_path / "predictions.csv"
+    emit_predictions(table, str(path))
+    _end_lines(path, ending)
+    _assert_same_table(read_predictions(str(path)), table)
+    values = np.random.default_rng(8).random((4, rows)).tolist()
+    verdicts = ["REJECT", "CONSISTENT", "ÉTÉ"] * rows
+    columns = dict(zip(SWEEP_HEADER, [*values, verdicts[:rows]]))
+    path = tmp_path / "sweep.csv"
+    emit_sweep(columns, str(path))
+    _end_lines(path, ending)
+    assert read_sweep(str(path)) == columns
+
+
+@pytest.mark.parametrize("edge", [records._COUNT_BYTES, 5 * records._COUNT_BYTES])
+def test_block_reader_and_row_count_take_a_crlf_split_at_a_read_edge_once(tmp_path, edge):
+    # the CR is the last byte of one read and its LF the first of the next:
+    # the block reader drops the CR and ends the line at the LF, and the
+    # count and the cuts see one line end
+    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 3 * FOLD_ROWS + 3, 5)
+    path = str(tmp_path / "trials.csv")
+    table = crlf_split_at(path, table, edge)
+    blocks = list(records.read_record_blocks(path))
+    assert [len(block) for block in blocks] == [FOLD_ROWS] * 3 + [3]
+    _assert_same_table(concat(blocks), table)
+    with open(path, "rb") as f:
+        assert sum(np.count_nonzero(ends) for _, ends, _ in records._line_ends(f)) == len(table) + 2
+    cuts = records._block_cuts(path, 4)
+    assert [row for _, row in cuts] == [0, FOLD_ROWS, 2 * FOLD_ROWS, 3 * FOLD_ROWS]
+    for k, cut in enumerate(cuts):
+        _assert_same_table(concat(list(records._table_blocks(path, TrialTable, cut=cut))), concat(blocks[k:]))
 
 
 # -------------------------------------------- text the writer never writes

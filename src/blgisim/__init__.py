@@ -93,6 +93,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "streams")
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
 
 
 def __getattr__(name: str):
@@ -108,61 +109,3 @@ def __getattr__(name: str):
 def __dir__() -> list:
     return sorted({*globals(), *__all__, *_SUBMODULES})
 
-
-__all__ = [
-    "__version__",
-    "AccuracyEstimate",
-    "AuditVerdict",
-    "BinaryTuple",
-    "ChshReport",
-    "CONSISTENT",
-    "CorrelatorEstimate",
-    "DEFAULT_THRESHOLD_SIGMAS",
-    "DegenerateBranchError",
-    "EnumerationReport",
-    "HiddenVariableConfig",
-    "INCONCLUSIVE",
-    "NO_NOISE",
-    "NoiseModel",
-    "PredictionTable",
-    "REJECT",
-    "RunManifest",
-    "SWEEP_HEADER",
-    "SequentialReadoutParams",
-    "Settings",
-    "Source",
-    "TrialTable",
-    "branch_distribution",
-    "check_strength",
-    "chsh_bound_check",
-    "chsh_combine",
-    "decomposition_test",
-    "default_settings",
-    "emit_manifest",
-    "emit_predictions",
-    "emit_records",
-    "emit_sweep",
-    "estimate_chsh",
-    "estimate_correlator",
-    "exact_chsh",
-    "exact_correlator",
-    "exact_mean",
-    "exact_post_protocol_chsh",
-    "exhaustive_verify",
-    "hidden_variable_config",
-    "hidden_variable_source",
-    "per_trial_term",
-    "post_protocol_chsh",
-    "predict",
-    "prediction_accuracy",
-    "prediction_accuracy_exact",
-    "prediction_batch",
-    "prediction_settings",
-    "read_manifest",
-    "read_predictions",
-    "read_record_blocks",
-    "read_records",
-    "read_sweep",
-    "simulate_trials",
-    "trial_chunks",
-]

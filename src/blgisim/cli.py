@@ -55,8 +55,9 @@ from .audit import (
 from .prediction import (
     MAX_STEPS,
     SequentialReadoutParams,
-    _post_protocol_check,
     check_steps,
+    exact_post_protocol_chsh,
+    post_protocol_chsh,
     prediction_accuracy,
     prediction_accuracy_exact,
     prediction_batch,
@@ -377,7 +378,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
     table = prediction_batch(settings, readout, ns.trials, ns.seed, workers=ns.workers)
     emit_predictions(table, ns.out)
     accuracy = prediction_accuracy(table)
-    post, exact_post = _post_protocol_check(settings, readout, max(8, ns.trials), ns.seed)
+    post = post_protocol_chsh(settings, readout, max(8, ns.trials), ns.seed)
     manifest_path = _write_manifest(ns, started)
     _emit(
         {
@@ -393,7 +394,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
             "expected_accuracy_saturated": (1.0 + settings.v) / 2.0,
             "post_protocol_chsh": post.chsh,
             "post_protocol_chsh_stderr": post.chsh_stderr,
-            "exact_post_protocol_chsh": exact_post,
+            "exact_post_protocol_chsh": exact_post_protocol_chsh(settings),
         }
     )
     return 0

@@ -33,11 +33,12 @@ At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
 ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
 SATURATION_THRESHOLD), so prediction accuracy is (1 + V)/2 to that
 precision: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
-prediction_accuracy_exact sums the same law to the accuracy the batch
-converges to.  The complementary post_protocol_chsh shows what the
-coupling costs: it reads the same law at the Bell test axes, with the
-ancilla eigenvalues summed out (or fixed, to post-select), and the pair's
-own violation decays toward the classical bound as V grows.
+prediction_accuracy_exact sums the same law, with P(sign | c) read from
+the same cached CDF tables, to the accuracy the batch converges to.  The
+complementary post_protocol_chsh shows what the coupling costs: it reads
+the same law at the Bell test axes, with the ancilla eigenvalues summed
+out (or fixed, to post-select), and the pair's own violation decays
+toward the classical bound as V grows.
 """
 
 from __future__ import annotations
@@ -306,10 +307,10 @@ def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutPara
     _require_same_axis(settings)
     steps = int(readout.steps)
     below = (steps - 1) // 2  # largest K with a negative mean, so predicting -1
-    pmf = _binomial_pmf(steps, (1.0 + readout.v) / 2.0)
-    hit = {}  # P(sign = t | c); the c = -1 pmf is the c = +1 pmf reversed
-    for c, law in ((1, pmf), (-1, pmf[::-1])):
-        hit[(c, 1)], hit[(c, -1)] = float(law[below + 1:].sum()), float(law[:below + 1].sum())
+    hit = {}  # P(sign = t | c), from the tables the batch samples K from
+    for c, cdf in zip((1, -1), _count_cdfs(steps, readout.v)):
+        miss = float(cdf[below])
+        hit[(c, 1)], hit[(c, -1)] = 1.0 - miss, miss
     total = 0.0
     for (c1, c2, t1, t2), p in branch_distribution(settings).items():
         total += p * (hit[(c1, t1)] + hit[(c2, t2)]) / 2.0
@@ -349,14 +350,10 @@ def _post_pair_laws(settings: Settings, post_select) -> list:
     return laws
 
 
-def _exact_chsh_of(laws) -> float:
-    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in laws)
-    return e11 + e12 + e21 - e22
-
-
 def exact_post_protocol_chsh(settings: Settings, post_select=None) -> float:
     """Exact combination the after-protocol Bell check converges to."""
-    return _exact_chsh_of(_post_pair_laws(settings, post_select))
+    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in _post_pair_laws(settings, post_select))
+    return e11 + e12 + e21 - e22
 
 
 def post_protocol_chsh(
@@ -378,13 +375,6 @@ def post_protocol_chsh(
     Quadrature is exact here, with no covariance term left out; it is not
     for estimate_chsh, whose four correlators share one set of trials.
     """
-    return _post_protocol_check(settings, readout, n_trials, master_seed, post_select)[0]
-
-
-def _post_protocol_check(
-    settings: Settings, readout: SequentialReadoutParams, n_trials: int, master_seed: int, post_select=None
-) -> tuple:
-    """(post_protocol_chsh, exact_post_protocol_chsh) from one build of the four pair laws."""
     if post_select is not None and not readout.saturated:
         raise ValueError(
             "post-selection conditions on the readout collapse branch, which requires "
@@ -393,10 +383,9 @@ def _post_protocol_check(
     n_per = n_trials // 4
     if n_per < 2:
         raise ValueError(f"n_trials must be >= 8 to estimate four correlators, got {n_trials}")
-    laws = _post_pair_laws(settings, post_select)
     estimates = []
-    for k, law in enumerate(laws):
+    for k, law in enumerate(_post_pair_laws(settings, post_select)):
         u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, k * n_per, n_per, 1)
         t1, t2 = sample_branches(law, u[:, 0], 2)
         estimates.append(_correlator((t1 * t2).astype(float)))
-    return chsh_combine(*estimates), _exact_chsh_of(laws)
+    return chsh_combine(*estimates)

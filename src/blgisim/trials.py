@@ -20,9 +20,10 @@ one uniform, and two more carry the noise through _ndtri, a numpy port of
 the cephes inverse normal CDF that returns scipy.special.ndtri's bits.
 The tests check the quantum law against the dense complex-state Born rule
 of tests/reference.py, an independent matrix-root enumeration and a
-scalar Kraus chain.  The exact oracle reads every moment it reports from
-one law per call.  The detector noise model and the coupling-strength
-check live here too.
+scalar Kraus chain.  The exact oracle reads every moment it reports by
+index from one 5x5 moment matrix E[u u^T], u = (1, alpha1, alpha2, beta1,
+beta2), summed over the 16 branches in branch order.  The detector noise
+model and the coupling-strength check live here too.
 
 simulate_trials produces a columnar batch of trials [start, start + n),
 joined from chunks, and trial_chunks the trials [0, n) as a stream of
@@ -347,8 +348,7 @@ class TrialTable(RecordTable):
     alpha2 = property(lambda self: self._rescaled(self.raw2))
 
     def column(self, name: str) -> np.ndarray:
-        if name not in FIELDS:
-            raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
+        _field_index(name)
         return getattr(self, name).astype(float, copy=False)
 
 
@@ -757,30 +757,31 @@ def branch_distribution(settings: Settings) -> dict:
     return dict(zip(BRANCHES, probs.tolist()))
 
 
-def _exact_moments(source, products) -> list:
-    """E[product of the named fields], per tuple of FIELDS names, all from the source's one law.
+def _moment_matrix(source) -> np.ndarray:
+    """The 5x5 matrix E[u u^T], u = (1, alpha1, alpha2, beta1, beta2), from the source's one law.
 
-    Row k of the 16x4 value matrix holds branch k's noiseless FIELDS values,
-    the alphas (raw_scale * A_i + bias) / V.  The noise is independent and
-    zero-mean, so it drops out of every moment except a squared alpha,
-    which gains (sigma / V)^2.  Sums run term by term in branch order, so
-    no reordered (pairwise or BLAS) sum moves a moment's last bit.
+    Row 0 and column 0 hold the means.  Branch k's u has the alphas
+    (raw_scale * A_i + bias) / V.  The noise is independent and zero-mean,
+    so it drops out of every moment except the two alpha diagonal entries,
+    which gain (sigma / V)^2 after the sum.  The sum runs term by term in
+    branch order, so no reordered (pairwise or BLAS) sum moves a moment's
+    last bit.
     """
-    unknown = sorted({name for names in products for name in names} - set(FIELDS))
-    if unknown:
-        raise ValueError(f"unknown field {unknown[0]!r}; choose one of {FIELDS}")
-    law = source.law
-    values = np.array(BRANCHES, dtype=float)
-    values[:, :2] = (source.raw_scale * values[:, :2] + source.noise.bias) / source.v
-    moments = []
-    for cols in ([FIELDS.index(name) for name in names] for names in products):
-        total = 0.0
-        for p, x in zip(law, values[:, cols].prod(axis=1).tolist()):
-            total += p * x
-        if len(cols) == 2 and cols[0] == cols[1] < 2:
-            total += (source.noise.sigma / source.v) ** 2
-        moments.append(total)
-    return moments
+    u = np.ones((len(BRANCHES), 5))
+    u[:, 1:] = BRANCHES
+    u[:, 1:3] = (source.raw_scale * u[:, 1:3] + source.noise.bias) / source.v
+    m = np.zeros((5, 5))
+    for p, row in zip(source.law, u):
+        m += p * np.outer(row, row)
+    m[[1, 2], [1, 2]] += (source.noise.sigma / source.v) ** 2
+    return m
+
+
+def _field_index(name: str) -> int:
+    """Position of name in FIELDS; any other name is a ValueError."""
+    if name not in FIELDS:
+        raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
+    return FIELDS.index(name)
 
 
 def exact_correlator(source, left: str, right: str) -> float:
@@ -790,15 +791,16 @@ def exact_correlator(source, left: str, right: str) -> float:
     out of cross moments, bias shifts alpha means, and the same-field alpha
     second moment picks up sigma^2.  Rescaling by 1/V is applied to alphas.
     """
-    return _exact_moments(source, [(left, right)])[0]
+    i, j = _field_index(left), _field_index(right)
+    return float(_moment_matrix(source)[1 + i, 1 + j])
 
 
 def exact_mean(source, field: str) -> float:
     """E[field] from the 16-branch law (alphas include bias/V)."""
-    return _exact_moments(source, [(field,)])[0]
+    return float(_moment_matrix(source)[0, 1 + _field_index(field)])
 
 
 def exact_chsh(source) -> float:
     """Exact e11 + e12 + e21 - e22 for the alpha_i x beta_j pairing, from one law."""
-    e11, e12, e21, e22 = _exact_moments(source, CHSH_PAIRS)
+    (e11, e12), (e21, e22) = _moment_matrix(source)[1:3, 3:5].tolist()
     return e11 + e12 + e21 - e22

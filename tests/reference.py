@@ -15,8 +15,9 @@ system+ancilla unitary behind the weak Kraus pair, the reduced state by
 partial trace, one trial's detector noise and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
-pair's density operator after the ancilla coupling, and the closed-form
-combination of a hidden-variable source.  They stay independent oracles
+pair's density operator after the ancilla coupling, the closed-form
+combination of a hidden-variable source, and the exact moments summed one
+field product at a time.  They stay independent oracles
 for the package's exact laws and batch samplers.  Six record helpers
 close the file: a record table's rows as tuples, for whole-row
 comparisons, the table of the rows of several, a table of no rows, a copy
@@ -40,6 +41,7 @@ from blgisim.prediction import PredictionTable, SequentialReadoutParams
 from blgisim.records import emit_records
 from blgisim.trials import (
     BRANCHES,
+    FIELDS,
     MIN_BRANCH_PROB,
     NO_NOISE,
     TRIAL_BLOCKS,
@@ -427,6 +429,27 @@ def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NO_NO
         return core + (noise.bias / v) * s[j] * (2.0 * t[j] - 1.0)
 
     return abs(pair(0, 2) + pair(0, 3) + pair(1, 2) - pair(1, 3))
+
+
+def per_product_moments(source, products) -> list:
+    """E[product of the named FIELDS], one sum over the 16-branch law per tuple of field names.
+
+    Branch k's values are its noiseless fields, the alphas
+    (raw_scale * A_i + bias) / V; a squared alpha gains (sigma / V)^2.
+    Each sum runs term by term in branch order, so its bits are those the
+    moment matrix of trials must read.
+    """
+    values = np.array(BRANCHES, dtype=float)
+    values[:, :2] = (source.raw_scale * values[:, :2] + source.noise.bias) / source.v
+    moments = []
+    for cols in ([FIELDS.index(name) for name in names] for names in products):
+        total = 0.0
+        for p, x in zip(source.law, values[:, cols].prod(axis=1).tolist()):
+            total += p * x
+        if len(cols) == 2 and cols[0] == cols[1] < 2:
+            total += (source.noise.sigma / source.v) ** 2
+        moments.append(total)
+    return moments
 
 
 def partial_trace(state: QuantumState, keep) -> QuantumState:

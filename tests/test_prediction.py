@@ -13,6 +13,7 @@ import pytest
 from scipy.special import bdtr
 
 from blgisim import prediction, streams
+from blgisim.cli import main
 from blgisim.prediction import (
     MAX_STEPS,
     POST_TEST_AXES_1,
@@ -27,7 +28,7 @@ from blgisim.prediction import (
     prediction_batch,
     prediction_settings,
 )
-from blgisim.trials import DegenerateBranchError, Settings, branch_distribution
+from blgisim.trials import DegenerateBranchError, Settings
 from reference import (
     BELL_AMPLITUDES,
     SIGMA_Z,
@@ -306,6 +307,41 @@ def test_count_tables_at_max_steps_are_accurate_and_fit_in_memory():
     assert abs(float(at_mode) - 0.500126114633939077559678) < 1e-12
     assert abs(float(mirrored) + float(at_mode) - 1.0) < 1e-12  # P(K- <= n - k - 1) = 1 - P(K+ <= k)
     assert int(peak_kb) / 1024 <= 284  # reads 0 where there is no /proc
+
+
+def test_predict_at_max_steps_fits_in_memory(tmp_path):
+    # the whole command builds the two count tables once, and the exact
+    # accuracy reads them: a second pmf for it peaked at 343 MB.  VmHWM as above
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prediction.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import os; from blgisim.cli import main; from blgisim.prediction import MAX_STEPS\n"
+        "argv = ['predict', '--v', '0.5', '--readout-v', '0.0016', '--steps', str(MAX_STEPS), '--trials', '64']\n"
+        "code = main([*argv, '--out', 'p.csv'])\n"
+        "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else 'VmHWM: 0 kB'\n"
+        "print(code, next(ln.split()[1] for ln in status.splitlines() if ln.startswith('VmHWM:')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, peak_kb = proc.stdout.splitlines()[-1].split()  # after the command's summary
+    assert exit_code == "0"
+    assert int(peak_kb) / 1024 <= 284  # reads 0 where there is no /proc
+
+
+def test_predict_builds_one_count_pmf(monkeypatch, tmp_path):
+    calls, binomial_pmf = [], prediction._binomial_pmf
+
+    def counted(steps, p):
+        calls.append((steps, p))
+        return binomial_pmf(steps, p)
+
+    monkeypatch.setattr(prediction, "_binomial_pmf", counted)
+    prediction._count_cdfs.cache_clear()
+    argv = ["predict", "--v", "0.5", "--readout-v", "0.05", "--steps", "1000", "--trials", "64"]
+    assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
+    assert calls == [(1000, (1.0 + 0.05) / 2.0)]
 
 
 def test_saturation_threshold_is_a_five_sigma_misassignment():
@@ -590,21 +626,6 @@ def test_post_protocol_chsh_sampling_matches_exact():
     assert abs(report.chsh - exact) < 4.0 * report.chsh_stderr
     again = post_protocol_chsh(settings, readout, n_trials=40_000, master_seed=3)
     assert report == again
-
-
-def test_post_protocol_check_builds_the_four_laws_once(monkeypatch):
-    settings = prediction_settings(0.5)
-    readout = SequentialReadoutParams(v=0.05, steps=10_000)
-    expected = (post_protocol_chsh(settings, readout, 400, 3), exact_post_protocol_chsh(settings))
-    calls = []
-
-    def counted(s):
-        calls.append((s.b1, s.b2))
-        return branch_distribution(s)
-
-    monkeypatch.setattr(prediction, "branch_distribution", counted)
-    assert prediction._post_protocol_check(settings, readout, 400, 3) == expected
-    assert calls == [(t1, t2) for t1 in POST_TEST_AXES_1 for t2 in POST_TEST_AXES_2]
 
 
 def test_post_protocol_chsh_argument_validation():

@@ -1,6 +1,7 @@
 """Trial engine and exact oracle: dual routes, frozen values, noise algebra."""
 
 import concurrent.futures
+import itertools
 import math
 import weakref
 from concurrent.futures import Future
@@ -15,6 +16,7 @@ from blgisim.cli import run_sweep
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.trials import (
     CHSH_PAIRS,
+    FIELDS,
     FOLD_ROWS,
     ChshFold,
     NoiseModel,
@@ -43,6 +45,7 @@ from reference import (
     entanglement_curve,
     outcome_law,
     pauli_correlations,
+    per_product_moments,
     prepare_bell,
     projective_measure,
     random_density,
@@ -700,15 +703,47 @@ def test_ndtri_port_is_bit_equal_to_scipy():
         assert np.array_equal(trials._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
 
 
-def test_noisy_estimates_agree_with_exact_oracle():
-    settings = default_settings(0.5, NoiseModel(bias=0.1, sigma=0.3))
-    table = simulate_trials(settings, 200_000, master_seed=77)
-    for left, right in (("alpha1", "beta1"), ("alpha1", "beta2"), ("alpha2", "beta1"), ("alpha2", "beta2")):
+NOISY_SOURCES = (
+    default_settings(0.5, NoiseModel(bias=0.1, sigma=0.3)),
+    hidden_variable_source(hidden_variable_config(5), 0.4, NoiseModel(bias=-0.2, sigma=0.5)),
+)
+
+
+@pytest.mark.parametrize("source", NOISY_SOURCES, ids=("settings", "hidden_variable"))
+def test_noisy_estimates_agree_with_exact_oracle(source):
+    # every distinct product of two fields and every mean; a beta product
+    # such as E(beta1^2) = 1 has no spread, hence the 1e-12
+    table = simulate_trials(source, 200_000, master_seed=77)
+    for left, right in itertools.combinations_with_replacement(FIELDS, 2):
         est = estimate_correlator(table, left, right)
-        assert abs(est.value - exact_correlator(settings, left, right)) < 4.0 * est.stderr
-    mean1 = float(table.alpha1.mean())
-    spread = float(table.alpha1.std(ddof=1) / math.sqrt(len(table)))
-    assert abs(mean1 - exact_mean(settings, "alpha1")) < 4.0 * spread
+        assert abs(est.value - exact_correlator(source, left, right)) <= 4.0 * est.stderr + 1e-12, (left, right)
+    for field in FIELDS:
+        column = table.column(field)
+        spread = float(column.std(ddof=1) / math.sqrt(len(table)))
+        assert abs(float(column.mean()) - exact_mean(source, field)) <= 4.0 * spread + 1e-12, field
+
+
+def _random_sources(rng, count: int) -> list:
+    """Settings with random axes, V, bias and sigma for both Bell states, and noisy hidden-variable sources."""
+    sources = []
+    for k in range(count):
+        noise = NoiseModel(bias=float(rng.normal(0.0, 0.3)), sigma=float(rng.uniform(0.0, 1.0)))
+        v = float(rng.uniform(0.01, 1.0))
+        if k % 2:
+            sources.append(hidden_variable_source(hidden_variable_config(k, k), v, noise))
+        else:
+            axes = map(float, rng.uniform(-4.0, 4.0, 4))
+            sources.append(Settings(*axes, v=v, noise=noise, bell_kind=("phi_plus", "psi_minus")[k % 4 // 2]))
+    return sources
+
+
+def test_exact_oracle_is_bit_equal_to_per_product_sums():
+    pairs = list(itertools.product(FIELDS, repeat=2))
+    for source in _random_sources(np.random.default_rng(27), 400):
+        e11, e12, e21, e22 = per_product_moments(source, CHSH_PAIRS)
+        assert exact_chsh(source) == e11 + e12 + e21 - e22
+        assert [exact_mean(source, f) for f in FIELDS] == per_product_moments(source, [(f,) for f in FIELDS])
+        assert [exact_correlator(source, *pair) for pair in pairs] == per_product_moments(source, pairs)
 
 
 # ------------------------------------------------------ residual entanglement

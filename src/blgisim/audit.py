@@ -8,7 +8,20 @@ not statistical: adding independent zero-mean noise to the binary signals
 cannot move a correlation mean.  Rescaled weak-measurement data that holds
 the combination above 2 beyond statistical error therefore cannot be
 binary signals contaminated only by unbiased noise, which is exactly what
-decomposition_test checks.
+decomposition_test checks.  It tests that one fixed-sign combination only,
+so CONSISTENT is no certificate that such a decomposition exists: at
+V = 0.2 and noise sigma 0.3 the axes 90,-180,135,-135 (degrees) audit
+CONSISTENT while the (alpha2, beta1, beta2) triangle inequality, which
+every binary-plus-noise source obeys, is broken.
+
+A record file, as records.read_record_blocks gives it, is audited in byte
+ranges of whole trials.FOLD_ROWS blocks, at most one per usable CPU and at
+least _AUDIT_RANGE_BYTES each.  Each range is read, checked and folded
+block by block in one task of trials._pool_map (in this process for a
+file of one range), and its rows must be trials 0, 1, 2, ... in order.
+The blocks' moments merge in file order, so the verdict is that of one
+fold of the file, whatever the cut, and the first error in file order is
+the one raised.
 
 The hidden-variable source at the bottom produces data that IS binary
 plus unbiased noise, as the consistent control for the test.  It is a law
@@ -18,12 +31,29 @@ and trials.exact_chsh reads its exact value, as for the quantum source.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import chain, islice
 
 import numpy as np
 
 from . import streams
-from .trials import BRANCHES, NO_NOISE, ChshReport, NoiseModel, Source, TrialTable, check_strength, estimate_chsh
+from .records import RecordFile, _block_cuts, _table_blocks
+from .trials import (
+    BRANCHES,
+    FOLD_ROWS,
+    NO_NOISE,
+    ChshMoments,
+    ChshReport,
+    NoiseModel,
+    Source,
+    TrialTable,
+    _block_moments,
+    _pool_map,
+    check_strength,
+    estimate_chsh,
+)
 
 MIN_RECORDS = 100     # below this the test has no power
 STDERR_CAP = 0.2      # stderr cap for a conclusive verdict
@@ -158,19 +188,73 @@ def _check_threshold(threshold_sigmas) -> None:
         raise ValueError(f"threshold_sigmas must be positive, got {threshold_sigmas}")
 
 
+# Bytes of record file per audit range, at least: a file under twice this
+# is audited in this process, as one range, and a larger one in a pool, in
+# at most one range per usable CPU.  Measured on a 2-core box, fresh audit
+# processes, 12 alternating pairs of one range and two: at 8.2 MB one range
+# was faster (0.268 against 0.306 s), at 10.2 and 12.3 MB two ranges won 7
+# of 12 by under 0.02 s, and at 16.5 MB they won 12 of 12 (0.406 to 0.337 s).
+_AUDIT_RANGE_BYTES = 6 << 20
+
+
+def _audit_range(path: str, v: float | None, cut: tuple, blocks: int | None) -> list:
+    """The ChshMoments of each FOLD_ROWS block of one range of a record
+    file, in file order, each block once it passes the decomposition test's
+    checks and holds the trial_index of its rows: a file's rows are trials
+    0, 1, 2, ... in order, so a file with a trial duplicated or missing is refused.
+
+    The range is `blocks` blocks from cut, a (byte offset, row) of
+    records._block_cuts, or the rest of the file for None.
+    """
+    row = cut[1]
+    moments = []
+    for block in islice(_table_blocks(path, TrialTable, v, cut), blocks):
+        _check_record_integrity(block)
+        wrong = np.flatnonzero(block.trial_index != np.arange(row, row + len(block)))
+        if len(wrong):
+            at = row + int(wrong[0])
+            index = block.trial_index[wrong[0]]
+            raise ValueError(f"malformed records: trial_index {index} at line {at + 3}, expected {at}")
+        moments.append(_block_moments(block, 0))
+        row += len(block)
+    return moments
+
+
+def _audit_file(records: RecordFile) -> ChshReport:
+    """The CHSH estimate of a record file, audited in byte ranges as the module docstring says."""
+    # each task reads its range a block at a time, so none holds its range;
+    # the results are taken in file order, so the first error in file order is raised
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cuts = _block_cuts(records.path, max(1, min(cpus, os.path.getsize(records.path) // _AUDIT_RANGE_BYTES)))
+    blocks = [(end - start) // FOLD_ROWS for (_, start), (_, end) in zip(cuts, cuts[1:])] + [None]
+    ranges = _pool_map(partial(_audit_range, records.path, records.v), cuts, blocks, workers=cpus)
+    moments = reduce(ChshMoments.merge, chain.from_iterable(ranges))  # a range that yields no block raises
+    _check_count(moments.count)
+    return moments.report()
+
+
 def decomposition_test(records, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:
     """Can these records be binary signals plus setting-independent
-    zero-mean noise?  REJECT means no such decomposition exists.
+    zero-mean noise?  REJECT means no such decomposition exists; CONSISTENT
+    is no certificate that one does, since only the fixed-sign CHSH
+    combination is tested (see the module docstring).
 
-    records is a TrialTable, whose v rescales its raws, or an iterable of
-    the TrialTable blocks of one record file, as
-    records.read_record_blocks yields them.  Each block is checked (finite
-    raws and alphas, betas of +-1) and folded into the estimate as it
-    comes, so a stream is never held whole.  Fewer than 2 records cannot
-    give a standard error and raise ValueError.  The verdict is
+    records is one of:
+    - a record file, as records.read_record_blocks gives it: audited in
+      byte ranges on every usable CPU (a pool opens for a file of two
+      _AUDIT_RANGE_BYTES or more), and its rows must be trials 0, 1, 2, ...
+      in order, or a ValueError names the first trial_index out of place;
+    - a TrialTable, whose v rescales its raws;
+    - any other iterable of the TrialTable blocks of one experiment, folded
+      into the estimate as they come, so a stream is never held whole.
+    Each block is checked (finite raws and alphas, betas of +-1), and the
+    first error in file or stream order is raised.  Fewer than 2 records
+    cannot give a standard error and raise ValueError.  The verdict is
     decomposition_verdict's on the folded estimate.
     """
     _check_threshold(threshold_sigmas)
+    if isinstance(records, RecordFile):
+        return decomposition_verdict(_audit_file(records), threshold_sigmas)
     blocks = (records,) if isinstance(records, TrialTable) else records
     return decomposition_verdict(estimate_chsh(_checked(blocks)), threshold_sigmas)
 

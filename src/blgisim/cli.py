@@ -1,4 +1,4 @@
-"""Command-line harness: argument parsing, sweeps, file audits, persistence, manifests.
+"""Command-line harness: argument parsing, sweeps, persistence, manifests.
 
 Subcommands: verify-theorem, simulate, audit, predict, sweep.  argv is parsed
 once, and the parsed ``argparse.Namespace`` is the command.  Every value check
@@ -10,12 +10,9 @@ and the run manifest records the same flags.  Exit codes: 0 success, 1
 runtime or I/O failure, 2 usage error, 3 self-test failure (verify-theorem
 only).
 
-audit takes no --workers: it cuts a record file into ranges of whole
-FOLD_ROWS blocks, at most one per usable CPU and at least
-_AUDIT_RANGE_BYTES each, folds each range in one task of trials._pool_map
-(in this process for a file of one range) and merges the blocks' moments
-in file order, so its output is that of one fold of the file, whatever
-the cut.
+audit takes no --workers: it is audit.decomposition_test of
+records.read_record_blocks, which audits the file in byte ranges on every
+usable CPU, with the same output whatever the cut.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1, unless it is set,
 before anything loads numpy: the command runs numpy's BLAS on one thread,
@@ -46,9 +43,8 @@ import numpy as np
 from ._version import __version__
 from .audit import (
     DEFAULT_THRESHOLD_SIGMAS,
-    _check_count,
-    _check_record_integrity,
     chsh_bound_check,
+    decomposition_test,
     decomposition_verdict,
     exhaustive_verify,
 )
@@ -67,23 +63,18 @@ from .records import (
     RECORD_FORMAT,
     SWEEP_HEADER,
     RunManifest,
-    _block_cuts,
-    _table_blocks,
     emit_manifest,
     emit_predictions,
     emit_records,
     emit_sweep,
+    read_record_blocks,
 )
 from .streams import LAYOUT_VERSION, derived_seed
 from .trials import (
-    FOLD_ROWS,
     ChshFold,
-    ChshMoments,
     DegenerateBranchError,
     NoiseModel,
     Settings,
-    TrialTable,
-    _block_moments,
     _pool_map,
     check_strength,
     estimate_chsh,
@@ -98,8 +89,7 @@ import shlex
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial, reduce
-from itertools import chain, islice
+from functools import partial
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
 # namespace entries that are not flags: the command's name, its handler and its argv
@@ -326,48 +316,8 @@ def _do_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-# Bytes of record file per audit range, at least: a file under twice this
-# is audited in this process, as one range, and a larger one in a pool, in
-# at most one range per usable CPU.  Measured on a 2-core box, fresh audit
-# processes, 12 alternating pairs of one range and two: at 8.2 MB one range
-# was faster (0.268 against 0.306 s), at 10.2 and 12.3 MB two ranges won 7
-# of 12 by under 0.02 s, and at 16.5 MB they won 12 of 12 (0.406 to 0.337 s).
-_AUDIT_RANGE_BYTES = 6 << 20
-
-
-def _audit_range(path: str, v: float, cut: tuple, blocks: int | None) -> list:
-    """The ChshMoments of each FOLD_ROWS block of one range of a record
-    file, in file order, each block once it passes the decomposition test's
-    checks and holds the trial_index of its rows: a file's rows are trials
-    0, 1, 2, ... in order, so a file with a trial duplicated or missing is refused.
-
-    The range is `blocks` blocks from cut, a (byte offset, row) of
-    records._block_cuts, or the rest of the file for None.
-    """
-    row = cut[1]
-    moments = []
-    for block in islice(_table_blocks(path, TrialTable, v, cut), blocks):
-        _check_record_integrity(block)
-        wrong = np.flatnonzero(block.trial_index != np.arange(row, row + len(block)))
-        if len(wrong):
-            at = row + int(wrong[0])
-            index = block.trial_index[wrong[0]]
-            raise ValueError(f"malformed records: trial_index {index} at line {at + 3}, expected {at}")
-        moments.append(_block_moments(block, 0))
-        row += len(block)
-    return moments
-
-
 def _do_audit(ns: argparse.Namespace) -> int:
-    # each task reads its range a block at a time, so none holds its range;
-    # the results are taken in file order, so the first error in file order is raised
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    cuts = _block_cuts(ns.in_path, max(1, min(cpus, os.path.getsize(ns.in_path) // _AUDIT_RANGE_BYTES)))
-    blocks = [(end - start) // FOLD_ROWS for (_, start), (_, end) in zip(cuts, cuts[1:])] + [None]
-    ranges = _pool_map(partial(_audit_range, ns.in_path, ns.v), cuts, blocks, workers=cpus)
-    moments = reduce(ChshMoments.merge, chain.from_iterable(ranges))  # a range that yields no block raises
-    _check_count(moments.count)
-    _emit(asdict(decomposition_verdict(moments.report(), ns.threshold_sigmas)))
+    _emit(asdict(decomposition_test(read_record_blocks(ns.in_path, ns.v), ns.threshold_sigmas)))
     return 0
 
 

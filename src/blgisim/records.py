@@ -33,9 +33,9 @@ and the table's scalars, ``master_seed``, ``settings_id`` and ``v`` for
 trials or ``steps`` for predictions (a float as ``%.17g``). Then come the
 column header and rows of the table's schema. The emitters check the
 scalars and write the columns; the readers check the header and parse the
-columns; nothing is recomputed either way. A file with no header comment,
-such as one of the retired record format 1, is refused: rerun the command
-in its manifest.
+columns; nothing is recomputed either way. An empty file is refused as
+empty, and a file with no header comment, such as one of the retired
+record format 1, is refused: rerun the command in its manifest.
 
 A sweep is a dict of plain column lists keyed by ``SWEEP_HEADER``, as
 ``cli.run_sweep`` returns it, written with no comment line.
@@ -90,22 +90,18 @@ def _encoding() -> str:
     return io.TextIOWrapper(io.BytesIO()).encoding
 
 
-def _check_text(text: str, name: str = "settings_id") -> None:
-    """Reject a str field that would split or quote its CSV row."""
+def _check_text(text, name: str = "settings_id") -> str:
+    """text, once it is a str that would neither split nor quote its CSV row."""
+    if not isinstance(text, str):
+        raise ValueError(f"{name} must be a string, got {text!r}")
     if any(ch in text for ch in (",", '"', "\n", "\r")):
         raise ValueError(f"{name} {text!r} contains CSV delimiter or quote characters")
-
-
-def _check_id(settings_id) -> str:
-    if not isinstance(settings_id, str):
-        raise ValueError(f"settings_id must be a string, got {settings_id!r}")
-    _check_text(settings_id)
-    return settings_id
+    return text
 
 
 def _scalar_checks(cls: type) -> dict:
     """The check of each scalar of a cls record header: the table's own, and a settings id fit for CSV."""
-    return {**cls.scalar_checks, "settings_id": _check_id}
+    return {**cls.scalar_checks, "settings_id": _check_text}
 
 
 _KIND_NAMES = {TrialTable: "trial", PredictionTable: "prediction"}
@@ -769,6 +765,8 @@ def _table_blocks(path: str, cls: type, v: float | None = None, cut: tuple = (0,
     with open(path, "rb") as f:
         blocks = _line_blocks(f, chain((1, 1), repeat(_BLOCK_ROWS)))
         line = _header_line(blocks)
+        if not line:
+            raise ValueError(f"{what} CSV {path} is empty")
         if not line.startswith("#"):
             raise ValueError(
                 f"{what} CSV {path} has no header comment at line 1: record format 1 is no longer read; "
@@ -848,16 +846,34 @@ def emit_records(records, path: str) -> str:
     return _emit_table(records, TrialTable, path)
 
 
-def read_record_blocks(path: str, v: float | None = None):
-    """Yield a trial CSV as TrialTables of trials.FOLD_ROWS rows, the last one shorter.
+@dataclass(frozen=True)
+class RecordFile:
+    """A trial CSV, and the v it must have been written at (None: any v).
 
-    The header is checked before the first block, and each block is parsed
-    as it is taken, so the file is never held whole: a malformed row raises
-    when its block is reached, naming its file line.  Given v, the file must
-    have been written at that v.  estimate_chsh and audit.decomposition_test
-    fold the blocks as they come.
+    Each iteration reads the file anew as TrialTables of trials.FOLD_ROWS
+    rows, the last one shorter.  audit.decomposition_test audits such a
+    file in byte ranges, on every usable CPU.
     """
-    return _table_blocks(path, TrialTable, None if v is None else check_strength(v))
+
+    path: str
+    v: float | None
+
+    def __iter__(self):
+        return _table_blocks(self.path, TrialTable, self.v)
+
+
+def read_record_blocks(path: str, v: float | None = None) -> RecordFile:
+    """A trial CSV as an iterable of TrialTables of trials.FOLD_ROWS rows, the last one shorter.
+
+    Each iteration checks the header before the first block and parses
+    each block as it is taken, so the file is never held whole: a malformed
+    row raises when its block is reached, naming its file line.  Given v,
+    the file must have been written at that v, which is checked here.
+    estimate_chsh folds the blocks as they come; audit.decomposition_test
+    audits the file in byte ranges, and also holds its rows to trials
+    0, 1, 2, ... in order.
+    """
+    return RecordFile(path, None if v is None else check_strength(v))
 
 
 def read_records(path: str, v: float | None = None) -> TrialTable:
@@ -867,7 +883,7 @@ def read_records(path: str, v: float | None = None) -> TrialTable:
     as it is parsed, so the read holds the table and one block.  Given v,
     the file must have been written at that v.
     """
-    return _read_table(path, read_record_blocks(path, v))
+    return _read_table(path, iter(read_record_blocks(path, v)))
 
 
 def emit_predictions(records, path: str) -> str:
@@ -890,7 +906,7 @@ def emit_sweep(columns: dict, path: str) -> str:
     lengths = {name: len(columns[name]) for name in SWEEP_HEADER}
     if len(set(lengths.values())) > 1:  # writing would silently drop the longer columns' tails
         raise ValueError(f"sweep columns must be equally long, got lengths {lengths}")
-    for verdict in set(columns["verdict"]):
+    for verdict in columns["verdict"]:
         _check_text(verdict, "verdict")
     return _write_csv(path, SWEEP_SCHEMA, [[columns[name] for name in SWEEP_HEADER]])
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import blgisim
-from blgisim import cli, records
+from blgisim import audit, cli, records
 from blgisim.audit import decomposition_test
 from blgisim.cli import main, parse_invocation, run_sweep
 from blgisim.prediction import (
@@ -508,14 +508,14 @@ def _audit_in_ranges(monkeypatch, cpus: int) -> list:
     so that it cuts a file into `cpus` ranges where the file's blocks allow;
     returns the list that each audit's cuts are appended to."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(cli, "_AUDIT_RANGE_BYTES", 1)
+    monkeypatch.setattr(audit, "_AUDIT_RANGE_BYTES", 1)
     seen = []
 
     def cuts(path, parts):
         seen.append(records._block_cuts(path, parts))
         return seen[-1]
 
-    monkeypatch.setattr(cli, "_block_cuts", cuts)
+    monkeypatch.setattr(audit, "_block_cuts", cuts)
     return seen
 
 
@@ -533,13 +533,30 @@ def _record_file(tmp_path, rows: int, ending: str = "lf") -> str:
     return path
 
 
-def _serial_audit(path: str, v: float = 0.2) -> str:
-    """What audit prints, on stdout or stderr, as decomposition_test of read_record_blocks gives it."""
+def _outcome(test) -> tuple:
+    """(exit code, stdout, stderr) of the audit command, for the verdict or the ValueError of test()."""
     try:
-        verdict = decomposition_test(read_record_blocks(path, v))
+        verdict = test()
     except ValueError as exc:
-        return f"blgisim: error: {exc}\n"
-    return json.dumps(asdict(verdict), sort_keys=True) + "\n"
+        return 1, "", f"blgisim: error: {exc}\n"
+    return 0, json.dumps(asdict(verdict), sort_keys=True) + "\n", ""
+
+
+def _serial_audit(path: str, v: float = 0.2) -> str:
+    """What audit prints, on stdout or stderr, as decomposition_test of read_records, the table route, gives it."""
+    _, out, err = _outcome(lambda: decomposition_test(read_records(path, v)))
+    return out + err
+
+
+# the file audit's two entry points, each as (exit code, stdout, stderr)
+FILE_AUDITS = pytest.mark.parametrize(
+    "audit_file",
+    [
+        lambda path, v, capsys: (main(["audit", "--in", path, "--v", str(v)]), *capsys.readouterr()),
+        lambda path, v, capsys: _outcome(lambda: decomposition_test(read_record_blocks(path, v))),
+    ],
+    ids=["command", "api"],
+)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -560,7 +577,8 @@ def _serial_audit(path: str, v: float = 0.2) -> str:
         "no final newline",
     ],
 )
-def test_audit_in_ranges_prints_the_serial_verdict_bytes(tmp_path, capsys, monkeypatch, cpus, rows, ending):
+@FILE_AUDITS
+def test_audit_in_ranges_prints_the_serial_verdict_bytes(tmp_path, capsys, monkeypatch, cpus, rows, ending, audit_file):
     # each range of whole fold blocks is read, checked and folded on its
     # own, and the blocks' moments merge in file order, so no cut moves a
     # bit.  A cut is the first block end past a share of the bytes, short
@@ -569,8 +587,7 @@ def test_audit_in_ranges_prints_the_serial_verdict_bytes(tmp_path, capsys, monke
     # lies before the last of them
     seen = _audit_in_ranges(monkeypatch, cpus)
     path = _record_file(tmp_path, rows, ending)
-    assert main(["audit", "--in", path, "--v", "0.2"]) == 0
-    assert capsys.readouterr().out == _serial_audit(path)
+    assert audit_file(path, 0.2, capsys) == (0, _serial_audit(path), "")
     (cuts,) = seen
     assert len(cuts) == (min(cpus, 3) if rows > FOLD_ROWS else 1)
     assert all(row % FOLD_ROWS == 0 for _, row in cuts)
@@ -607,7 +624,10 @@ LATER = 2 * FOLD_ROWS + 5
         "1 record",
     ],
 )
-def test_audit_in_ranges_raises_the_serial_error_first_in_file_order(tmp_path, capsys, monkeypatch, rows, edits, v):
+@FILE_AUDITS
+def test_audit_in_ranges_raises_the_serial_error_first_in_file_order(
+    tmp_path, capsys, monkeypatch, rows, edits, v, audit_file
+):
     seen = _audit_in_ranges(monkeypatch, 2)
     if rows:
         path = _record_file(tmp_path, rows)
@@ -617,8 +637,7 @@ def test_audit_in_ranges_raises_the_serial_error_first_in_file_order(tmp_path, c
     _edit_fields(path, edits)
     error = _serial_audit(path, v)
     assert error.startswith("blgisim: error: ")
-    assert main(["audit", "--in", path, "--v", str(v)]) == 1
-    assert capsys.readouterr() == ("", error)
+    assert audit_file(path, v, capsys) == (1, "", error)
     assert len(seen[0]) == (2 if rows > FOLD_ROWS else 1)
 
 
@@ -631,17 +650,20 @@ def test_audit_in_ranges_raises_the_serial_error_first_in_file_order(tmp_path, c
     ids=["every row twice", "every other row"],
 )
 def test_audit_refuses_a_trial_duplicated_or_missing(tmp_path, capsys, edit, error):
-    # the API's decomposition_test folds such rows, and REJECTs both files:
+    # decomposition_test of a table folds such rows, and REJECTs both files:
     # duplicates shrink the standard error, and a missing trial is a
-    # selection the verdict cannot see; the file audit holds a file to
-    # trials 0, 1, 2, ... in order
+    # selection the verdict cannot see; the file audit, of the API and the
+    # command alike, holds a file to trials 0, 1, 2, ... in order
     path = tmp_path / "run.csv"
     argv = ["simulate", "--v", "0.2", "--noise-sigma", "0.3", "--trials", "20000", "--seed", "9", "--out", str(path)]
     assert main(argv) == 0
     capsys.readouterr()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
-    assert decomposition_test(read_record_blocks(str(path))).verdict == "REJECT"
+    assert decomposition_test(read_records(str(path))).verdict == "REJECT"
+    with pytest.raises(ValueError) as info:
+        decomposition_test(read_record_blocks(str(path)))
+    assert str(info.value) == f"malformed records: {error}"
     assert main(["audit", "--in", str(path), "--v", "0.2"]) == 1
     assert capsys.readouterr() == ("", f"blgisim: error: malformed records: {error}\n")
 
@@ -708,11 +730,11 @@ def test_audit_of_a_file_below_the_floor_opens_no_pool(tmp_path, capsys, monkeyp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     path = _record_file(tmp_path, 3 * FOLD_ROWS)
     size = os.path.getsize(path)
-    assert size < 2 * cli._AUDIT_RANGE_BYTES
+    assert size < 2 * audit._AUDIT_RANGE_BYTES
     assert main(["audit", "--in", path, "--v", "0.2"]) == 0
     assert capsys.readouterr().out == _serial_audit(path)
     # a file of two floors is two ranges, over a pool of two workers
-    monkeypatch.setattr(cli, "_AUDIT_RANGE_BYTES", size // 2)
+    monkeypatch.setattr(audit, "_AUDIT_RANGE_BYTES", size // 2)
     with pytest.raises(AssertionError, match="a pool of 2 workers"):
         main(["audit", "--in", path, "--v", "0.2"])
 

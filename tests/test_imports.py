@@ -250,15 +250,13 @@ def test_every_record_file_is_opened_as_bytes():
     assert ends and _outside(ends, records._line_blocks, records._block_cuts, records._read_table) == []
 
 
-# audit reads, checks and folds the ranges of a record file in
-# cli._audit_range (decomposition_test is the API's serial route), and
-# simulate and sweep fold the chunks of trials.trial_chunks as they are
-# sampled, so the tracer's spans for these three names read 0 until they are
+# audit reads a record file through read_record_blocks, not read_records,
+# and simulate and sweep fold the chunks of trials.trial_chunks as they are
+# sampled, so the tracer's spans for these two names read 0 until they are
 # retargeted
 STALE_TRACER_TARGETS = {
     ("cli", "read_records"),
     ("cli", "simulate_trials"),
-    ("cli", "decomposition_test"),
 }
 
 

@@ -377,6 +377,16 @@ def test_emit_sweep_rejects_delimiters_inside_a_verdict(tmp_path, verdict):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("verdict", [None, ["REJECT"]], ids=["None", "list"])
+def test_emit_sweep_refuses_a_verdict_that_is_not_a_str(tmp_path, verdict):
+    columns = {name: [1.0] for name in SWEEP_HEADER[:-1]}
+    path = tmp_path / "bad_sweep.csv"
+    with pytest.raises(ValueError) as info:
+        emit_sweep({**columns, "verdict": [verdict]}, str(path))
+    assert str(info.value) == f"verdict must be a string, got {verdict!r}"
+    assert not path.exists()
+
+
 def test_sweep_round_trip(tmp_path):
     columns = {
         "v": [0.1, 0.95],
@@ -594,6 +604,16 @@ def test_a_format_1_file_is_refused_with_one_line_naming_the_manifest(tmp_path, 
     assert str(info.value) == message.replace("trial", "prediction", 1)
 
 
+def test_an_empty_record_file_is_refused_with_one_line_naming_it(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    assert main(["audit", "--in", str(path), "--v", "0.2"]) == 1
+    assert capsys.readouterr() == ("", f"blgisim: error: trial CSV {path} is empty\n")
+    with pytest.raises(ValueError) as info:
+        read_predictions(str(path))
+    assert str(info.value) == f"prediction CSV {path} is empty"
+
+
 # ----------------------------------------------------------- hostile inputs
 
 
@@ -647,7 +667,7 @@ HOSTILE = {
     "quoted settings id": lambda h, row: (f"{h(sid=json.dumps(Q + 's' + Q))}\n{row(0)}\n", "malformed"),
     "quoted number": lambda h, row: (f"{h()}\n{_put(row(0), 1, Q + '5' + Q)}\n", "malformed"),
     "foreign header": lambda h, row: (f"{h(columns='a,b,c')}\n{row(0)}\n", "header"),
-    "empty file": lambda h, row: ("", "header"),
+    "empty file": lambda h, row: ("", "is empty"),
     "header only": lambda h, row: (f"{h()}\n", "no records"),
     "hash in settings id": lambda h, row: (f"{h(sid=Q + 'a#b' + Q)}\n{row(0)}\n",) * 2,
     "CRLF line endings": lambda h, row: (
@@ -664,7 +684,7 @@ def test_readers_round_trip_or_reject_hostile_input(tmp_path, kind, case):
     text, outcome = HOSTILE[case](partial(_head, kind), row)
     path = tmp_path / "hostile.csv"
     path.write_bytes(text.encode())
-    if outcome in ("malformed", "header", "no records"):
+    if outcome in ("malformed", "header", "is empty", "no records"):
         with pytest.raises(ValueError, match=outcome):
             read(str(path))
         return

@@ -18,7 +18,9 @@ A record file, as records.read_record_blocks gives it, is audited in byte
 ranges of whole trials.FOLD_ROWS blocks, at most one per usable CPU and at
 least _AUDIT_RANGE_BYTES each.  Each range is read, checked and folded
 block by block in one task of trials._pool_map (in this process for a
-file of one range), and its rows must be trials 0, 1, 2, ... in order.
+file of one range, and in a daemonic process, such as a multiprocessing.Pool
+worker, which may start no pool), and its rows must be trials 0, 1, 2, ...
+in order.
 The blocks' moments merge in file order, so the verdict is that of one
 fold of the file, whatever the cut, and the first error in file order is
 the one raised.
@@ -34,15 +36,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from . import streams
-from .records import RecordFile, _block_cuts, _table_blocks
+from .records import RecordFile
 from .trials import (
     BRANCHES,
-    FOLD_ROWS,
     NO_NOISE,
     ChshMoments,
     ChshReport,
@@ -194,21 +195,21 @@ def _check_threshold(threshold_sigmas) -> None:
 # processes, 12 alternating pairs of one range and two: at 8.2 MB one range
 # was faster (0.268 against 0.306 s), at 10.2 and 12.3 MB two ranges won 7
 # of 12 by under 0.02 s, and at 16.5 MB they won 12 of 12 (0.406 to 0.337 s).
+# Only the command was measured: a library caller that audits many files
+# in one long-lived process opens a new pool for each.
 _AUDIT_RANGE_BYTES = 6 << 20
 
 
-def _audit_range(path: str, v: float | None, cut: tuple, blocks: int | None) -> list:
+def _audit_range(records: RecordFile, part: tuple) -> list:
     """The ChshMoments of each FOLD_ROWS block of one range of a record
-    file, in file order, each block once it passes the decomposition test's
-    checks and holds the trial_index of its rows: a file's rows are trials
-    0, 1, 2, ... in order, so a file with a trial duplicated or missing is refused.
-
-    The range is `blocks` blocks from cut, a (byte offset, row) of
-    records._block_cuts, or the rest of the file for None.
+    file, part a (cut, count) of its ranges, in file order, each block once
+    it passes the decomposition test's checks and holds the trial_index of
+    its rows: a file's rows are trials 0, 1, 2, ... in order, so a file
+    with a trial duplicated or missing is refused.
     """
-    row = cut[1]
+    row = part[0][1]
     moments = []
-    for block in islice(_table_blocks(path, TrialTable, v, cut), blocks):
+    for block in records.blocks(*part):
         _check_record_integrity(block)
         wrong = np.flatnonzero(block.trial_index != np.arange(row, row + len(block)))
         if len(wrong):
@@ -222,12 +223,16 @@ def _audit_range(path: str, v: float | None, cut: tuple, blocks: int | None) -> 
 
 def _audit_file(records: RecordFile) -> ChshReport:
     """The CHSH estimate of a record file, audited in byte ranges as the module docstring says."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = max(1, min(cpus, os.path.getsize(records.path) // _AUDIT_RANGE_BYTES))
+    if parts > 1:
+        import multiprocessing  # here, as _pool_map imports its pool, so that a one-range audit never imports it
+
+        if multiprocessing.current_process().daemon:  # which may start no pool, so the file is one range, here
+            parts = 1
     # each task reads its range a block at a time, so none holds its range;
     # the results are taken in file order, so the first error in file order is raised
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    cuts = _block_cuts(records.path, max(1, min(cpus, os.path.getsize(records.path) // _AUDIT_RANGE_BYTES)))
-    blocks = [(end - start) // FOLD_ROWS for (_, start), (_, end) in zip(cuts, cuts[1:])] + [None]
-    ranges = _pool_map(partial(_audit_range, records.path, records.v), cuts, blocks, workers=cpus)
+    ranges = _pool_map(partial(_audit_range, records), records.ranges(parts), workers=parts)
     moments = reduce(ChshMoments.merge, chain.from_iterable(ranges))  # a range that yields no block raises
     _check_count(moments.count)
     return moments.report()
@@ -242,8 +247,10 @@ def decomposition_test(records, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGM
     records is one of:
     - a record file, as records.read_record_blocks gives it: audited in
       byte ranges on every usable CPU (a pool opens for a file of two
-      _AUDIT_RANGE_BYTES or more), and its rows must be trials 0, 1, 2, ...
-      in order, or a ValueError names the first trial_index out of place;
+      _AUDIT_RANGE_BYTES or more, unless this process is daemonic, so a
+      script that audits one on a spawn platform needs its __main__
+      guard), and its rows must be trials 0, 1, 2, ... in order, or a
+      ValueError names the first trial_index out of place;
     - a TrialTable, whose v rescales its raws;
     - any other iterable of the TrialTable blocks of one experiment, folded
       into the estimate as they come, so a stream is never held whole.

@@ -48,7 +48,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -852,21 +852,34 @@ class RecordFile:
 
     Each iteration reads the file anew as TrialTables of trials.FOLD_ROWS
     rows, the last one shorter.  audit.decomposition_test audits such a
-    file in byte ranges, on every usable CPU.
+    file in the byte ranges that ranges gives, on every usable CPU.
     """
 
     path: str
     v: float | None
 
-    def __iter__(self):
-        return _table_blocks(self.path, TrialTable, self.v)
+    def ranges(self, parts: int) -> list:
+        """At most `parts` contiguous ranges of the file's rows, in file
+        order, each as (cut, count) for blocks: every range but the last
+        is count whole blocks, and the last, of count None, runs to the
+        file's end, so the ranges' blocks are those of one iteration."""
+        cuts = _block_cuts(self.path, parts)
+        return [(cut, (end[1] - cut[1]) // _BLOCK_ROWS) for cut, end in zip(cuts, cuts[1:])] + [(cuts[-1], None)]
+
+    def blocks(self, cut: tuple = (0, 0), count: int | None = None):
+        """The file's blocks from cut, a (byte offset, row) of ranges, on:
+        count of them, or all for None, once the header is checked."""
+        return islice(_table_blocks(self.path, TrialTable, self.v, cut), count)
+
+    __iter__ = blocks
 
 
 def read_record_blocks(path: str, v: float | None = None) -> RecordFile:
     """A trial CSV as an iterable of TrialTables of trials.FOLD_ROWS rows, the last one shorter.
 
-    Each iteration checks the header before the first block and parses
-    each block as it is taken, so the file is never held whole: a malformed
+    It is a RecordFile, not an iterator, so each iteration reads the file
+    again: it checks the header before the first block and parses each
+    block as it is taken, so the file is never held whole: a malformed
     row raises when its block is reached, naming its file line.  Given v,
     the file must have been written at that v, which is checked here.
     estimate_chsh folds the blocks as they come; audit.decomposition_test

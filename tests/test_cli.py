@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -511,11 +512,13 @@ def _audit_in_ranges(monkeypatch, cpus: int) -> list:
     monkeypatch.setattr(audit, "_AUDIT_RANGE_BYTES", 1)
     seen = []
 
+    block_cuts = records._block_cuts
+
     def cuts(path, parts):
-        seen.append(records._block_cuts(path, parts))
+        seen.append(block_cuts(path, parts))
         return seen[-1]
 
-    monkeypatch.setattr(audit, "_block_cuts", cuts)
+    monkeypatch.setattr(records, "_block_cuts", cuts)
     return seen
 
 
@@ -737,6 +740,24 @@ def test_audit_of_a_file_below_the_floor_opens_no_pool(tmp_path, capsys, monkeyp
     monkeypatch.setattr(audit, "_AUDIT_RANGE_BYTES", size // 2)
     with pytest.raises(AssertionError, match="a pool of 2 workers"):
         main(["audit", "--in", path, "--v", "0.2"])
+
+
+def _audit_in_a_pool_worker(path: str):
+    return decomposition_test(read_record_blocks(path, 0.2))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+def test_file_audit_in_a_daemonic_pool_worker_is_one_range_in_that_worker(tmp_path, monkeypatch):
+    # a multiprocessing.Pool worker is daemonic and may start no process,
+    # so the file audit reads the file there as one range; the forked
+    # worker sees the two CPUs and the one-byte floor that cut it in two here
+    seen = _audit_in_ranges(monkeypatch, 2)
+    path = _record_file(tmp_path, 3 * FOLD_ROWS)
+    want = decomposition_test(read_record_blocks(path, 0.2))
+    assert len(seen[0]) == 2
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_audit_in_a_pool_worker, (path,)) == want
+    assert _outcome(lambda: want)[1] == _serial_audit(path)
 
 
 def test_predict_writes_records_and_summary(tmp_path, capsys):

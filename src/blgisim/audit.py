@@ -17,10 +17,10 @@ every binary-plus-noise source obeys, is broken.
 A record file, as records.read_record_blocks gives it, is audited in byte
 ranges of whole trials.FOLD_ROWS blocks, at most one per usable CPU and at
 least _AUDIT_RANGE_BYTES each.  Each range is read, checked and folded
-block by block in one task of trials._pool_map (in this process for a
-file of one range, and in a daemonic process, such as a multiprocessing.Pool
-worker, which may start no pool), and its rows must be trials 0, 1, 2, ...
-in order.
+block by block in one task of trials._pool_map (which runs the tasks in
+this process for a file of one range, and in a daemonic process, such as
+a multiprocessing.Pool worker, which may start no pool), and its rows must
+be trials 0, 1, 2, ... in order.
 The blocks' moments merge in file order, so the verdict is that of one
 fold of the file, whatever the cut, and the first error in file order is
 the one raised.
@@ -225,11 +225,6 @@ def _audit_file(records: RecordFile) -> ChshReport:
     """The CHSH estimate of a record file, audited in byte ranges as the module docstring says."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     parts = max(1, min(cpus, os.path.getsize(records.path) // _AUDIT_RANGE_BYTES))
-    if parts > 1:
-        import multiprocessing  # here, as _pool_map imports its pool, so that a one-range audit never imports it
-
-        if multiprocessing.current_process().daemon:  # which may start no pool, so the file is one range, here
-            parts = 1
     # each task reads its range a block at a time, so none holds its range;
     # the results are taken in file order, so the first error in file order is raised
     ranges = _pool_map(partial(_audit_range, records), records.ranges(parts), workers=parts)

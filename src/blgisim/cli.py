@@ -75,9 +75,9 @@ from .trials import (
     DegenerateBranchError,
     NoiseModel,
     Settings,
+    _count_moments,
     _pool_map,
     check_strength,
-    estimate_chsh,
     exact_chsh,
     trial_chunks,
 )
@@ -217,27 +217,29 @@ def parse_invocation(argv) -> argparse.Namespace:
 
 def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
     """Grid point k's sweep row: v, the exact combination, the empirical one
-    and its stderr, and the decomposition-test verdict, all from one fold
-    of the point's trials.
+    and its stderr, and the decomposition-test verdict.
 
-    Its trials are sampled serially from the seed derived from
-    (master_seed, k), so the row does not depend on where it runs, and
-    folded a chunk at a time as they are sampled, never held as one table.
+    The point's source is noise-free, so a trial's terms depend only on its
+    branch, and the empirical columns come from the 16 branch counts of its
+    trials, drawn as one multinomial (trials._count_moments) from the seed
+    derived from (master_seed, k): no trial is formed, the cost grows as
+    sqrt(trials), and the row does not depend on where it runs.
     """
     point = Settings(v=v)
-    report = estimate_chsh(trial_chunks(point, trials, int(derived_seed(master_seed, k))))
+    report = _count_moments(point, trials, int(derived_seed(master_seed, k))).report()
     return v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_verdict(report).verdict
 
 
 def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict:
-    """Simulate `trials` trials of default_settings(v) per grid point.
+    """The sweep of `trials` trials of default_settings(v) per grid point.
 
     Returns columns keyed by SWEEP_HEADER, one entry per point, as
-    _sweep_point computes it. With workers > 1 the points run in one process
-    pool of min(workers, points) workers, each point whole in one worker,
-    which returns its row; every point uses a seed derived from
-    (master_seed, point index), so the columns are the same for every
-    worker count and evaluation order.
+    _sweep_point computes it from the point's branch counts, not from its
+    trials. With workers > 1 the points run in one process pool of
+    min(workers, points) workers, each point whole in one worker, which
+    returns its row; every point uses a seed derived from (master_seed,
+    point index), so the columns are the same for every worker count and
+    evaluation order.
     """
     v_values = list(v_values)
     point = partial(_sweep_point, trials=trials, master_seed=master_seed)

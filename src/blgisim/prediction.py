@@ -20,8 +20,9 @@ and the trajectory mean is (2K - steps)/steps.  A trial takes one counter
 block: draw 0 picks (c1, c2, t1, t2) from the 16-branch law, draws 1 and
 2 invert the binomial CDFs of K1 | c1 and K2 | c2.  Those CDF tables are
 the cumulative sums of one binomial pmf, built by the ratio recurrence
-outward from its mode (numpy only; at steps = 10**7 it is accurate near
-the mode where scipy's bdtr is off by about 1e-3).  It is not a shortcut
+outward from its mode (trials._binomial_window, which the sweep's branch
+counts invert too; numpy only; at steps = 10**7 it is accurate near the
+mode where scipy's bdtr is off by about 1e-3).  It is not a shortcut
 around the physics but an exact reformulation; the test suite checks it
 against enumeration of the Kraus readout sequence and against the scalar
 step-by-step route.  A PredictionTable holds what its record file holds:
@@ -57,6 +58,7 @@ from .trials import (
     RecordTable,
     Settings,
     _INTEGER,
+    _binomial_window,
     _check_seed,
     _check_settings_id,
     _correlator,
@@ -163,32 +165,12 @@ def prediction_settings(v: float) -> Settings:
 
 
 def _binomial_pmf(steps: int, p: float) -> np.ndarray:
-    """P(K = k), k = 0..steps, for K ~ Binomial(steps, p), 0 < p <= 1.
-
-    Starts at 1 at the mode and multiplies outward by the ratios of
-    neighbouring terms, each at most 1, then divides by the sum.  Far
-    tails underflow to 0 rather than lose accuracy near the mode.  Works in
-    place on one (steps + 1)-array plus one temporary.
-    """
-    q = 1.0 - p
-    mode = min(int((steps + 1) * p), steps)
-    pmf = np.arange(steps + 1, dtype=float)  # k
-    rest = steps - pmf  # steps - k
-    up, down = pmf[mode + 1:], pmf[:mode]
-    # above the mode P(k)/P(k-1) = (steps - k + 1) p / (k q); q = 0 leaves up empty
-    rest[mode + 1:] += 1.0
-    np.divide(rest[mode + 1:], up, out=up)
-    if q > 0.0:
-        up *= p / q
-    # below it P(k)/P(k+1) = (k + 1) q / ((steps - k) p)
-    down += 1.0
-    down /= rest[:mode]
-    down *= q / p
-    del rest
-    pmf[mode] = 1.0
-    np.cumprod(pmf[mode:], out=pmf[mode:])
-    np.cumprod(pmf[mode::-1], out=pmf[mode::-1])
-    pmf /= pmf.sum()
+    """P(K = k), k = 0..steps, for K ~ Binomial(steps, p), 0 < p <= 1:
+    trials._binomial_window placed into zeros, where its far tails
+    underflow."""
+    lo, window = _binomial_window(steps, p)
+    pmf = np.zeros(steps + 1)
+    pmf[lo:lo + len(window)] = window
     return pmf
 
 

@@ -31,7 +31,10 @@ DRAWS_PER_BLOCK = 4
 #      the trial stream, not a lambda threshold test on a stream of its own.
 #   6: the branch law is the real bilinear form; the draws and every record
 #      byte are unchanged; the sweep's exact_chsh moves in its last bits.
-LAYOUT_VERSION = 6
+#   7: a sweep point draws the 16 branch counts of its trials (one uniform
+#      per conditional binomial, on the count stream), not each trial; the
+#      sweep's empirical columns move, and no record byte does.
+LAYOUT_VERSION = 7
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.
@@ -39,6 +42,7 @@ TRIAL_STREAM = 0x01
 HIDDEN_VAR_CONFIG_STREAM = 0x03
 PREDICT_STREAM = 0x04
 POST_CHSH_STREAM = 0x07
+COUNT_STREAM = 0x08
 
 _U64 = np.uint64
 _MASK64 = _U64(0xFFFFFFFFFFFFFFFF)

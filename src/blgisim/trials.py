@@ -40,6 +40,13 @@ a time into ChshMoments, the mergeable count, mean and M2 of the per-trial
 term x = alpha1 (beta1 + beta2) + alpha2 (beta1 - beta2) and of the four
 correlator products.  S is the mean of x and its standard error that of
 x, because the four correlators share their trials.
+
+Without noise a trial's terms depend only on its branch, so _count_moments
+gives the ChshMoments of a noise-free source's trials from their 16 branch
+counts, which _branch_counts draws as one multinomial: a conditional
+binomial per branch, each one uniform inverted on _binomial_window, the
+nonzero window of the binomial pmf (prediction places the same window into
+its readout count tables).  The sweep uses it, so no trial is formed.
 """
 
 from __future__ import annotations
@@ -471,14 +478,19 @@ def _pool_map(task, *sequences, workers: int):
     pool of min(workers, items) workers, opened at the first result.  At
     most two items per worker are submitted ahead of the result being
     taken, so a pool holds a window of results, not the whole run.
-    Otherwise they run in this process, one per result taken.  In a pool,
-    task and its arguments and results must pickle.
+    Otherwise, and in a daemonic process, such as a multiprocessing.Pool
+    worker, which may start no process, they run in this process, one per
+    result taken.  In a pool, task and its arguments and results must pickle.
     """
-    items = min(map(len, sequences))
-    if workers > 1 and items > 1:
+    workers = min(workers, *map(len, sequences))
+    if workers > 1:
+        import multiprocessing  # here, as the pool below, so that a serial run never imports it
+
+        if multiprocessing.current_process().daemon:
+            workers = 1
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so that a serial run never imports it
 
-        workers = min(workers, items)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             window = []
             for args in zip(*sequences):
@@ -694,6 +706,120 @@ def estimate_chsh(records) -> ChshReport:
     their errors do not add in quadrature.
     """
     return ChshFold(records).report()
+
+
+# ---------------------------------------------------------------------------
+# Count engine: the branch counts of a noise-free source's trials
+
+# Uniforms per count draw: 4 Philox blocks = 16 draws, draw k for branch k's
+# conditional binomial (the last positive branch takes no draw).
+_COUNT_BLOCKS = 4
+
+
+def _binomial_window(n: int, p: float) -> tuple:
+    """(lo, pmf): pmf[j] = P(K = lo + j) for K ~ Binomial(n, p), 0 < p <= 1,
+    over the k where P(K = k) is nonzero in float64.
+
+    Starts at 1 at the mode and multiplies outward by the ratios of
+    neighbouring terms, each at most 1, so the terms fall away from the
+    mode.  A term at most 2**-1076 times the terms' sum is 0 once divided
+    by that sum, and so is every term past it.  The span starts some 44
+    standard deviations to each side of the mode and doubles until each
+    end is such a term or reaches 0 or n; then it is cut to the terms
+    above that bound and divided by their sum.  So the cost grows as
+    sqrt(n p q), not n, and a kept term has the bits of the same term of
+    the full (n + 1)-term recurrence before the division.
+    """
+    q = 1.0 - p
+    mode = min(int((n + 1) * p), n)
+    half = int(44.0 * math.sqrt(n * p * q)) + 64
+    while True:
+        lo = max(mode - half, 0)
+        w = np.arange(lo, min(mode + half, n) + 1, dtype=float)  # k
+        rest = n - w  # n - k
+        at = mode - lo
+        up, down = w[at + 1:], w[:at]
+        # above the mode P(k)/P(k-1) = (n - k + 1) p / (k q); q = 0 leaves up empty
+        rest[at + 1:] += 1.0
+        np.divide(rest[at + 1:], up, out=up)
+        if q > 0.0:
+            up *= p / q
+        # below it P(k)/P(k+1) = (k + 1) q / ((n - k) p)
+        down += 1.0
+        down /= rest[:at]
+        down *= q / p
+        w[at] = 1.0
+        np.cumprod(w[at:], out=w[at:])
+        np.cumprod(w[at::-1], out=w[at::-1])
+        cut = math.ldexp(float(w.sum()), -1076)
+        if (lo == 0 or w[0] <= cut) and (lo + len(w) == n + 1 or w[-1] <= cut):
+            kept = np.flatnonzero(w > cut)
+            pmf = w[kept[0]:kept[-1] + 1]
+            pmf /= pmf.sum()
+            return lo + int(kept[0]), pmf
+        half *= 2
+
+
+def _binomial_draw(n: int, p: float, u: float) -> int:
+    """The K ~ Binomial(n, p) of one uniform u: min{k : P(K <= k) > u}.
+
+    The window's pmf is summed and divided by its last sum, as
+    prediction._count_cdfs builds its tables from the same window placed
+    into zeros, so u draws the k that it draws from those tables.
+    """
+    lo, pmf = _binomial_window(n, p)
+    cdf = np.cumsum(pmf, out=pmf)
+    cdf /= cdf[-1]
+    return lo + int(np.searchsorted(cdf, u, side="right"))
+
+
+def _branch_counts(source, n_trials: int, master_seed: int) -> np.ndarray:
+    """How many of trials [0, n_trials) of a noise-free source fall in each
+    of the 16 BRANCHES, drawn as one multinomial of its law.
+
+    Branch k, in BRANCHES order, takes a Binomial(left, p_k / (p_k + p_k+1
+    + ...)) of the trials the branches before it left, by inverting draw k
+    of index 0's window of the count stream of master_seed.  As in
+    sample_branches, negative round-off is clipped to 0, a branch of
+    probability 0 gets no trial, and the last branch of positive
+    probability gets every trial left.  A source with sigma > 0 raises
+    ValueError: its trials' terms depend on more than their branch.
+    """
+    if source.noise.sigma > 0.0:
+        raise ValueError(f"branch counts hold a noise-free source's trials; noise sigma is {source.noise.sigma}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    probs = np.clip(np.asarray(source.law, dtype=float), 0.0, None)
+    rests = np.cumsum(probs[::-1])[::-1]  # p_k + p_k+1 + ..., summed from the last branch
+    u = streams.window_uniforms(master_seed, streams.COUNT_STREAM, 0, 1, _COUNT_BLOCKS)[0]
+    positive = np.flatnonzero(probs)
+    counts = np.zeros(len(BRANCHES), dtype=np.int64)
+    left = n_trials
+    for k in positive[:-1]:
+        if not left:
+            break
+        counts[k] = _binomial_draw(left, probs[k] / rests[k], u[k])
+        left -= counts[k]
+    counts[positive[-1]] = left
+    return counts
+
+
+def _count_moments(source, n_trials: int, master_seed: int) -> ChshMoments:
+    """The ChshMoments of trials [0, n_trials) of a noise-free source, from their branch counts.
+
+    Without noise a trial's five terms depend only on its branch, so the
+    mean and M2 of each are the count-weighted ones of the 16 branches'
+    terms: the same law as estimate_chsh of the source's trials, at a cost
+    that grows as sqrt(n_trials).
+    """
+    counts = _branch_counts(source, n_trials, master_seed)
+    r1, r2, b1, b2 = np.array(BRANCHES, dtype=float).T
+    a1, a2 = ((source.raw_scale * r + source.noise.bias) / source.v for r in (r1, r2))
+    terms = np.stack([a1 * (b1 + b2) + a2 * (b1 - b2), a1 * b1, a1 * b2, a2 * b1, a2 * b2])
+    mean = (terms * counts).sum(axis=1) / n_trials
+    terms -= mean[:, None]
+    terms *= terms
+    return ChshMoments(n_trials, mean, (terms * counts).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ partial trace, one trial's detector noise and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, the closed-form
-combination of a hidden-variable source, and the exact moments summed one
-field product at a time.  They stay independent oracles
+combination of a hidden-variable source, the exact moments summed one
+field product at a time, and the full (n + 1)-term binomial pmf that the
+package's windowed recurrence cuts short.  They stay independent oracles
 for the package's exact laws and batch samplers.  Six record helpers
 close the file: a record table's rows as tuples, for whole-row
 comparisons, the table of the rows of several, a table of no rows, a copy
@@ -450,6 +451,34 @@ def per_product_moments(source, products) -> list:
             total += (source.noise.sigma / source.v) ** 2
         moments.append(total)
     return moments
+
+
+def full_binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(K = k), k = 0..n, K ~ Binomial(n, p), 0 < p <= 1, over all n + 1 terms.
+
+    The ratio recurrence outward from the mode, as the package ran it
+    before it computed only the window of nonzero terms: every term is
+    formed, the far tails underflow to 0 (or to the smallest subnormals,
+    which the division by the sum sends to 0), and the table is divided by
+    its sum.
+    """
+    q = 1.0 - p
+    mode = min(int((n + 1) * p), n)
+    pmf = np.arange(n + 1, dtype=float)  # k
+    rest = n - pmf  # n - k
+    up, down = pmf[mode + 1:], pmf[:mode]
+    rest[mode + 1:] += 1.0
+    np.divide(rest[mode + 1:], up, out=up)  # P(k)/P(k-1) = (n - k + 1) p / (k q)
+    if q > 0.0:
+        up *= p / q
+    down += 1.0
+    down /= rest[:mode]
+    down *= q / p  # P(k)/P(k+1) = (k + 1) q / ((n - k) p)
+    pmf[mode] = 1.0
+    np.cumprod(pmf[mode:], out=pmf[mode:])
+    np.cumprod(pmf[mode::-1], out=pmf[mode::-1])
+    pmf /= pmf.sum()
+    return pmf
 
 
 def partial_trace(state: QuantumState, keep) -> QuantumState:

@@ -749,8 +749,9 @@ def _audit_in_a_pool_worker(path: str):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
 def test_file_audit_in_a_daemonic_pool_worker_is_one_range_in_that_worker(tmp_path, monkeypatch):
     # a multiprocessing.Pool worker is daemonic and may start no process,
-    # so the file audit reads the file there as one range; the forked
-    # worker sees the two CPUs and the one-byte floor that cut it in two here
+    # so trials._pool_map reads the file's ranges there one after another;
+    # the forked worker sees the two CPUs and the one-byte floor that cut
+    # it in two here
     seen = _audit_in_ranges(monkeypatch, 2)
     path = _record_file(tmp_path, 3 * FOLD_ROWS)
     want = decomposition_test(read_record_blocks(path, 0.2))
@@ -797,7 +798,7 @@ def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):
     readout = SequentialReadoutParams(v=0.3, steps=7)
     assert summary["exact_accuracy"] == prediction_accuracy_exact(prediction_settings(0.4), readout)
     assert summary["exact_accuracy"] < summary["expected_accuracy_saturated"]
-    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 6
+    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 7
 
 
 def test_sweep_verdict_transition(tmp_path, capsys):

@@ -2,7 +2,8 @@
 references, no package module imports scipy or does complex or dense
 linear algebra (no complex dtype or literal, kron or linalg), the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
-TrialTable and one every PredictionTable, one helper opens every process
+TrialTable and one every PredictionTable, one routine builds every
+binomial pmf, one helper opens every process
 pool and no command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
 record file is opened as bytes and its lines ended by one function, and
@@ -109,6 +110,19 @@ def test_one_sampler_builds_every_trial_table():
 def test_one_sampler_builds_every_prediction_table():
     # the readers build tables through their class, never by name
     assert _inside(prediction._predict_range, _call_sites("PredictionTable")) == [("prediction.py", True)]
+
+
+def test_one_routine_builds_every_binomial_pmf():
+    # trials._binomial_window alone runs the ratio recurrence (the package's
+    # only cumprod); predict's count tables place it into zeros
+    # (prediction._binomial_pmf, for _count_cdfs alone) and the sweep's
+    # branch counts invert it (trials._binomial_draw, for _branch_counts
+    # alone); a second call site would be a second binomial law
+    assert _inside(trials._binomial_window, _call_sites("cumprod")) == [("trials.py", True)] * 2
+    windows = _call_sites("_binomial_window")
+    assert len(windows) == 2 and _outside(windows, prediction._binomial_pmf, trials._binomial_draw) == []
+    assert _inside(prediction._count_cdfs, _call_sites("_binomial_pmf")) == [("prediction.py", True)]
+    assert _inside(trials._branch_counts, _call_sites("_binomial_draw")) == [("trials.py", True)]
 
 
 def test_one_helper_opens_every_process_pool():
@@ -251,10 +265,12 @@ def test_every_record_file_is_opened_as_bytes():
 
 
 # audit reads a record file through read_record_blocks, not read_records,
-# and simulate and sweep fold the chunks of trials.trial_chunks as they are
-# sampled, so the tracer's spans for these two names read 0 until they are
-# retargeted
+# simulate folds the chunks of trials.trial_chunks as they are sampled, and
+# sweep folds no trials but its points' branch counts
+# (trials._count_moments), so the tracer's spans for these three names read
+# 0 until they are retargeted
 STALE_TRACER_TARGETS = {
+    ("cli", "estimate_chsh"),
     ("cli", "read_records"),
     ("cli", "simulate_trials"),
 }

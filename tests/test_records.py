@@ -535,18 +535,22 @@ GOLDEN = [
         "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",
         "f635af306399befdf1ae5d8219be7fa7e2d1730f652986b54bfa983c23b9ff20",
     ),
-    # two chunks per grid point; with --workers 2 the two points run in one
-    # process pool, each sampled whole in its worker.  S is the mean of the
-    # per-trial term and its stderr the term's, folded in trials.FOLD_ROWS blocks.
+    # with --workers 2 the two points run in one process pool, each whole in
+    # its worker.  S is the count-weighted mean of the per-trial term over
+    # the point's 16 branch counts, and its stderr the term's.
     # Draw layout 6: exact_chsh comes from the real bilinear law and moved in
-    # its last bits (2.7632873186962996 at V = 0.3, 1.4142135623730949 at V = 1)
+    # its last bits (2.7632873186962996 at V = 0.3, 1.4142135623730949 at V = 1).
+    # Draw layout 7: the branch counts are drawn, not the trials, so
+    # empirical_chsh and chsh_stderr moved (2.7358095238095239 +- 0.022978 to
+    # 2.8076190476190472 +- 0.022854 at V = 0.3, 1.4099999999999999 +- 0.005361
+    # to 1.4169714285714285 +- 0.005335 at V = 1) and the verdicts did not
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 1",
-        "591a7d0a55d8bb4f0b5bd254d4b8ce806c0119b8cbedf0a8851e0ef593f69a08",
+        "59ab3c0cffd0dacfe6ac5fff7fc43347853235c3219588562fc8da072d084218",
     ),
     (
         "sweep --v-grid 0.3,1.0 --trials 70000 --seed 3 --workers 2",
-        "591a7d0a55d8bb4f0b5bd254d4b8ce806c0119b8cbedf0a8851e0ef593f69a08",
+        "59ab3c0cffd0dacfe6ac5fff7fc43347853235c3219588562fc8da072d084218",
     ),
 ]
 

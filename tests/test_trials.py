@@ -1,8 +1,10 @@
 """Trial engine and exact oracle: dual routes, frozen values, noise algebra."""
 
+import collections
 import concurrent.futures
 import itertools
 import math
+import multiprocessing
 import weakref
 from concurrent.futures import Future
 
@@ -11,7 +13,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from blgisim import trials
+from blgisim import prediction, trials
 from blgisim.cli import run_sweep
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.trials import (
@@ -43,6 +45,7 @@ from reference import (
     concurrence,
     coupled_state,
     entanglement_curve,
+    full_binomial_pmf,
     outcome_law,
     pauli_correlations,
     per_product_moments,
@@ -363,14 +366,26 @@ SIX_POINTS = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0)
     ids=["6_points-2_workers", "6_points-10000_workers", "6_points-1_worker", "1_point-4_workers"],
 )
 def test_run_sweep_opens_at_most_one_pool_per_call(monkeypatch, grid, workers, pools):
-    # 70,000 trials are 5 chunks per point, so a point that passed its
-    # workers on to simulate_trials would open a pool of its own
+    # the points share one pool, and a point that opened a pool of its own
+    # would show here as a second one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     pooled = run_sweep(grid, 70_000, master_seed=5, workers=workers)
     assert _InlinePool.max_workers == pools
     if pools:
         assert pooled == run_sweep(grid, 70_000, master_seed=5)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+def test_pooled_routes_run_serially_in_a_daemonic_pool_worker():
+    # a multiprocessing.Pool worker is daemonic and may start no process, so
+    # _pool_map runs the items there one by one, with the serial bytes
+    settings = Settings(v=0.2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        table = pool.apply(simulate_trials, (settings, 20_000, 1), {"workers": 2})  # 2 chunks
+        sweep = pool.apply(run_sweep, ((0.3, 0.5), 2000, 1), {"workers": 2})
+    assert table_rows(table) == table_rows(simulate_trials(settings, 20_000, 1, workers=1))
+    assert sweep == run_sweep((0.3, 0.5), 2000, 1, workers=1)
 
 
 def _law(changes: dict) -> tuple:
@@ -767,3 +782,106 @@ def test_asymmetric_axes_kill_entanglement_early():
     c95 = concurrence(coupled_state(0.95, 0.0, math.pi / 2))
     assert abs(c85 - 0.165533) < 1e-4
     assert c95 == 0.0
+
+
+# ------------------------------------------------------------- branch counts
+
+
+def _binomial_cases(rng, count: int):
+    """(n, p) pairs: n from 1 to 3e5 and p anywhere in (0, 1], near 0 and near 1 among them."""
+    for i in range(count):
+        n = 1 if i % 10 == 0 else int(10 ** rng.uniform(0.0, math.log10(3e5)))
+        p = [rng.uniform(0.0, 1.0), 10 ** rng.uniform(-12, -2), 1.0 - 10 ** rng.uniform(-12, -2), 1.0][i % 4]
+        yield n, max(p, 1e-300)
+
+
+def test_windowed_binomial_draws_equal_the_full_tables_draws():
+    # predict's count tables are the window placed into zeros and summed, so
+    # inverting the window draws what inverting its full table draws, for
+    # every u; the window also keeps every term that the full (n + 1)-term
+    # recurrence leaves nonzero, to within the rounding of the two sums it
+    # is divided by, so random u draw from it what they draw from that
+    rng = np.random.default_rng(29)
+    for n, p in _binomial_cases(rng, 600):
+        table, full = prediction._binomial_pmf(n, p), full_binomial_pmf(n, p)
+        cdf = np.cumsum(table)
+        cdf /= cdf[-1]
+        for u in [0.0, 1.0 - 2.0**-53, *rng.uniform(0.0, 1.0, 6)]:
+            assert trials._binomial_draw(n, p, u) == int(np.searchsorted(cdf, u, side="right")), (n, p, u)
+        assert np.array_equal(table == 0.0, full == 0.0), (n, p)
+        normal = full > np.finfo(float).tiny
+        assert np.all(np.abs(table[normal] - full[normal]) <= 1e-15 * full[normal]), (n, p)
+        full_cdf = np.cumsum(full)
+        full_cdf /= full_cdf[-1]
+        for u in rng.uniform(0.0, 1.0, 6):
+            assert trials._binomial_draw(n, p, u) == int(np.searchsorted(full_cdf, u, side="right")), (n, p, u)
+    # a conditional probability of 1 gives every trial left to its branch
+    assert [trials._binomial_draw(n, 1.0, 0.999) for n in (1, 7, 200_000)] == [1, 7, 200_000]
+
+
+# two zero branches, the first of them -1e-14 by round-off, and the last
+# branch zero, so the last positive branch (13) takes the trials left
+_COUNT_LAW = _law({**dict.fromkeys(range(16), 0.0), 0: -1e-14, 1: 0.4 + 1e-14, 4: 0.3, 9: 0.2, 13: 0.1})
+
+
+def test_branch_counts_follow_the_multinomial_law():
+    source = Source("count law", _COUNT_LAW, v=0.5)
+    n, runs, positive = 5, 20_000, (1, 4, 9, 13)
+    seen = collections.Counter()
+    for seed in range(runs):
+        counts = trials._branch_counts(source, n, seed)
+        assert counts.dtype == np.int64 and counts.sum() == n
+        assert not counts[[k for k in range(16) if k not in positive]].any()
+        seen[tuple(counts[list(positive)].tolist())] += 1
+    probs = [0.4, 0.3, 0.2, 0.1]
+    cells = [c for c in itertools.product(range(n + 1), repeat=4) if sum(c) == n]  # 56
+    pmf = [
+        math.factorial(n) * math.prod(p**k / math.factorial(k) for p, k in zip(probs, c)) for c in cells
+    ]
+    assert math.isclose(sum(pmf), 1.0) and set(seen) <= set(cells)
+    # cells expected fewer than 5 times are pooled into one
+    small = [i for i, q in enumerate(pmf) if q * runs < 5]
+    observed = [seen[cells[i]] for i in range(len(cells)) if i not in small] + [sum(seen[cells[i]] for i in small)]
+    expected = [pmf[i] * runs for i in range(len(cells)) if i not in small] + [sum(pmf[i] for i in small) * runs]
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_moments_of_branch_counts_equal_the_moments_of_their_trials(monkeypatch):
+    # without noise each trial's five terms are those of its branch, so
+    # weighting the 16 branches' terms by the trials' branch counts gives
+    # the fold of the trials themselves; a bias shifts every alpha alike
+    source = Source("biased", _law({}), v=0.4, noise=NoiseModel(bias=0.03), raw_scale=0.7)
+    table = simulate_trials(source, 3 * FOLD_ROWS + 11, 8)
+    # BRANCHES index, (+1, -1) nested with raw1 outermost
+    index = 8 * (table.raw1 < 0) + 4 * (table.raw2 < 0) + 2 * (table.beta1 < 0) + (table.beta2 < 0)
+    counts = np.bincount(index, minlength=16)
+    monkeypatch.setattr(trials, "_branch_counts", lambda *args: counts)
+    counted = trials._count_moments(source, len(table), 8).report()
+    folded = estimate_chsh(table)
+    assert math.isclose(counted.chsh, folded.chsh, rel_tol=1e-12)
+    assert math.isclose(counted.chsh_stderr, folded.chsh_stderr, rel_tol=1e-9)
+    for name in ("e11", "e12", "e21", "e22"):
+        assert math.isclose(getattr(counted, name).value, getattr(folded, name).value, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("v", [0.5, 0.9])
+def test_count_route_matches_the_exact_law_and_the_trial_routes_spread(v):
+    # S over many seeds centres on exact_chsh, and it spreads as S over the
+    # same number of sampled trials does, and as the SE it reports says
+    point, n = Settings(v=v), 2000
+    counted = [trials._count_moments(point, n, seed).report() for seed in range(1500)]
+    sampled = np.array([estimate_chsh(trial_chunks(point, n, seed)).chsh for seed in range(400)])
+    s = np.array([report.chsh for report in counted])
+    assert abs(s.mean() - exact_chsh(point)) < 4.0 * s.std(ddof=1) / math.sqrt(len(s))
+    # the log of a sample SD has an SE of about 1/sqrt(2 (runs - 1))
+    log_se = math.sqrt(1.0 / (2 * (len(s) - 1)) + 1.0 / (2 * (len(sampled) - 1)))
+    assert abs(math.log(s.std(ddof=1) / sampled.std(ddof=1))) < 4.0 * log_se
+    reported = np.mean([report.chsh_stderr for report in counted])
+    assert abs(math.log(s.std(ddof=1) / reported)) < 4.0 / math.sqrt(2 * (len(s) - 1))
+
+
+def test_branch_counts_refuse_a_noisy_source_and_no_trials():
+    with pytest.raises(ValueError, match="noise-free source.*sigma is 0.1"):
+        trials._count_moments(Settings(v=0.5, noise=NoiseModel(sigma=0.1)), 1000, 0)
+    with pytest.raises(ValueError, match="n_trials must be >= 1"):
+        trials._branch_counts(Settings(v=0.5), 0, 0)

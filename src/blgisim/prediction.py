@@ -18,24 +18,25 @@ m' = (m + o v)/(1 + o v m) is exactly the posterior mean of c.  So given
 c, the count K of +1 readout outcomes is Binomial(steps, (1 + c v)/2),
 and the trajectory mean is (2K - steps)/steps.  A trial takes one counter
 block: draw 0 picks (c1, c2, t1, t2) from the 16-branch law, draws 1 and
-2 invert the binomial CDFs of K1 | c1 and K2 | c2.  Those CDF tables are
-the cumulative sums of one binomial pmf, built by the ratio recurrence
-outward from its mode (trials._binomial_window, which the sweep's branch
-counts invert too; numpy only; at steps = 10**7 it is accurate near the
-mode where scipy's bdtr is off by about 1e-3).  It is not a shortcut
-around the physics but an exact reformulation; the test suite checks it
-against enumeration of the Kraus readout sequence and against the scalar
-step-by-step route.  A PredictionTable holds what its record file holds:
-the counts K1, K2 and the projective outcomes as columns, and the settings
-id, `steps` and master seed as scalars; each trajectory mean and its sign
-prediction is computed from its count on access.
+2 invert the binomial CDFs of K1 | c1 and K2 | c2.  Those CDFs are the
+cumulative sums of one binomial pmf over its nonzero window, built by the
+ratio recurrence outward from its mode (trials._binomial_window, whose
+windows the sweep's branch counts invert too; numpy only; at steps =
+10**7 it is accurate near the mode where scipy's bdtr is off by about
+1e-3).  It is not a shortcut around the physics but an exact
+reformulation; the test suite checks it against enumeration of the Kraus
+readout sequence and against the scalar step-by-step route.  A
+PredictionTable holds what its record file holds: the counts K1, K2 and
+the projective outcomes as columns, and the settings id, `steps` and
+master seed as scalars; each trajectory mean and its sign prediction is
+computed from its count on access.
 
 At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
 ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
 SATURATION_THRESHOLD), so prediction accuracy is (1 + V)/2 to that
 precision: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
 prediction_accuracy_exact sums the same law, with P(sign | c) read from
-the same cached CDF tables, to the accuracy the batch converges to.  The
+the same cached CDF windows, to the accuracy the batch converges to.  The
 complementary post_protocol_chsh shows what the coupling costs: it reads
 the same law at the Bell test axes, with the ancilla eigenvalues summed
 out (or fixed, to post-select), and the pair's own violation decays
@@ -58,10 +59,12 @@ from .trials import (
     RecordTable,
     Settings,
     _INTEGER,
+    _TRIAL_CHUNK,
     _binomial_window,
     _check_seed,
     _check_settings_id,
     _correlator,
+    _invert_window,
     _typed,
     branch_distribution,
     check_strength,
@@ -73,15 +76,16 @@ from .trials import (
 # steps * v^2 at which the readout is saturated.  The readout sign then
 # misassigns the ancilla eigenvalue c, P(sign != c), about as often as a
 # 5-sigma normal tail, Phi(-5) = 2.87e-7: the mean is c v with spread
-# sqrt((1 - v^2)/steps), about v/5.  Summed from _binomial_pmf at
+# sqrt((1 - v^2)/steps), about v/5.  Summed from _binomial_window at
 # steps * v^2 = 25: P(sign = -1 | c = +1) is 2.68e-7 at (steps, v) =
 # (10**4, 0.05) and 2.41e-7 at (2500, 0.1).  A zero mean predicts +1, so
 # P(sign = +1 | c = -1) adds the tie P(K = steps/2) and reaches 2.97e-7 at
 # both; averaged over c it is 2.82e-7 and 2.69e-7.
 SATURATION_THRESHOLD = 25.0
 
-# Cap on the readout length: each (steps, v) builds two (steps + 1)-entry CDF
-# tables, 80 MB each at the cap.
+# Cap on the readout length, set by accuracy, not memory: the cached CDF
+# windows grow as sqrt(steps) (121,451 entries at (10**7, 0.001)), but each
+# entry adds rounding, and the tests check them against exact sums up to the cap.
 MAX_STEPS = 10**7
 
 # Projective test axes for the after-protocol Bell check (radians):
@@ -164,31 +168,22 @@ def prediction_settings(v: float) -> Settings:
 # Batch engine
 
 
-def _binomial_pmf(steps: int, p: float) -> np.ndarray:
-    """P(K = k), k = 0..steps, for K ~ Binomial(steps, p), 0 < p <= 1:
-    trials._binomial_window placed into zeros, where its far tails
-    underflow."""
-    lo, window = _binomial_window(steps, p)
-    pmf = np.zeros(steps + 1)
-    pmf[lo:lo + len(window)] = window
-    return pmf
-
-
 @lru_cache(maxsize=8)
 def _count_cdfs(steps: int, v: float) -> tuple:
-    """Read-only tables F_c(k) = P(K <= k | c), k = 0..steps, for c = +1 and c = -1.
+    """Read-only windows (lo, F_c), F_c[j] = P(K <= lo + j | c), for c = +1 and c = -1.
 
     K | c ~ Binomial(steps, (1 + c v)/2) counts the +1 readout outcomes;
-    the c = -1 law is the c = +1 law mirrored, K -> steps - K.  Each table
-    is the cumsum of one pmf, divided by its last entry so it ends at 1.
+    the c = -1 law is the c = +1 law mirrored, K -> steps - K.  Each F_c
+    is the cumsum of one pmf's nonzero window, divided by its last entry
+    so it ends at 1; F_c is 0 below lo and 1 past the window's end.
     """
-    pmf = _binomial_pmf(steps, (1.0 + v) / 2.0)
+    lo, pmf = _binomial_window(steps, (1.0 + v) / 2.0)
     minus = np.cumsum(pmf[::-1])
     plus = np.cumsum(pmf, out=pmf)
     for table in (plus, minus):
         table /= table[-1]
         table.flags.writeable = False
-    return plus, minus
+    return (lo, plus), (steps - (lo + len(pmf) - 1), minus)
 
 
 def _readout_counts(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarray) -> np.ndarray:
@@ -196,8 +191,8 @@ def _readout_counts(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarr
 
     One draw per ancilla picks K = min{k : F_c(k) > u}.
     """
-    cdf_plus, cdf_minus = _count_cdfs(int(readout.steps), readout.v)
-    return np.where(c > 0, np.searchsorted(cdf_plus, u, side="right"), np.searchsorted(cdf_minus, u, side="right"))
+    plus, minus = _count_cdfs(int(readout.steps), readout.v)
+    return np.where(c > 0, _invert_window(*plus, u), _invert_window(*minus, u))
 
 
 def _readout_columns(k: np.ndarray, steps: int) -> tuple:
@@ -238,7 +233,7 @@ def prediction_batch(
     master_seed: int,
     start: int = 0,
     workers: int = 1,
-    chunk: int = 2048,
+    chunk: int = _TRIAL_CHUNK,
 ) -> PredictionTable:
     """Batch of prediction trials [start, start + n_trials), chunked.
 
@@ -289,9 +284,9 @@ def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutPara
     _require_same_axis(settings)
     steps = int(readout.steps)
     below = (steps - 1) // 2  # largest K with a negative mean, so predicting -1
-    hit = {}  # P(sign = t | c), from the tables the batch samples K from
-    for c, cdf in zip((1, -1), _count_cdfs(steps, readout.v)):
-        miss = float(cdf[below])
+    hit = {}  # P(sign = t | c), from the windows the batch samples K from
+    for c, (lo, cdf) in zip((1, -1), _count_cdfs(steps, readout.v)):
+        miss = float(cdf[min(below - lo, len(cdf) - 1)]) if below >= lo else 0.0
         hit[(c, 1)], hit[(c, -1)] = 1.0 - miss, miss
     total = 0.0
     for (c1, c2, t1, t2), p in branch_distribution(settings).items():

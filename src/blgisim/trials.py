@@ -45,8 +45,8 @@ Without noise a trial's terms depend only on its branch, so _count_moments
 gives the ChshMoments of a noise-free source's trials from their 16 branch
 counts, which _branch_counts draws as one multinomial: a conditional
 binomial per branch, each one uniform inverted on _binomial_window, the
-nonzero window of the binomial pmf (prediction places the same window into
-its readout count tables).  The sweep uses it, so no trial is formed.
+nonzero window of the binomial pmf (prediction inverts the same windows
+for its readout counts).  The sweep uses it, so no trial is formed.
 """
 
 from __future__ import annotations
@@ -531,10 +531,10 @@ def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
     return next(parts) if n_trials <= chunk else _filled(parts, n_trials)
 
 
-# Trials per chunk: a multiple of FOLD_ROWS, so a stream of chunks folds as
-# its table does.  A chunk's sampling temporaries take 2.2 MB, about one
-# core's L2 cache on a 2-core box; 1M trials sample as fast as in chunks of
-# 65536, whose temporaries take 9 MB.
+# Trials per chunk, for simulate and predict alike: a multiple of FOLD_ROWS,
+# so a stream of chunks folds as its table does.  A chunk's sampling
+# temporaries take 2.2 MB, about one core's L2 cache on a 2-core box; 1M
+# trials sample as fast as in chunks of 65536, whose temporaries take 9 MB.
 _TRIAL_CHUNK = 1 << 14
 
 
@@ -760,17 +760,21 @@ def _binomial_window(n: int, p: float) -> tuple:
         half *= 2
 
 
+def _invert_window(lo: int, cdf: np.ndarray, u):
+    """min{k : P(K <= k) > u} per uniform u in [0, 1), from cdf[j] = P(K <= lo + j) over K's nonzero window."""
+    return lo + np.searchsorted(cdf, u, side="right")
+
+
 def _binomial_draw(n: int, p: float, u: float) -> int:
     """The K ~ Binomial(n, p) of one uniform u: min{k : P(K <= k) > u}.
 
     The window's pmf is summed and divided by its last sum, as
-    prediction._count_cdfs builds its tables from the same window placed
-    into zeros, so u draws the k that it draws from those tables.
+    prediction._count_cdfs builds its readout count windows.
     """
     lo, pmf = _binomial_window(n, p)
     cdf = np.cumsum(pmf, out=pmf)
     cdf /= cdf[-1]
-    return lo + int(np.searchsorted(cdf, u, side="right"))
+    return int(_invert_window(lo, cdf, u))
 
 
 def _branch_counts(source, n_trials: int, master_seed: int) -> np.ndarray:

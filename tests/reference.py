@@ -481,6 +481,15 @@ def full_binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf
 
 
+def full_table(lo: int, window: np.ndarray, n: int, after: float = 0.0) -> np.ndarray:
+    """A window over k = lo..lo + len(window) - 1 placed at k = 0..n: 0
+    below it and `after` past it, 0 for a pmf and 1 for a CDF."""
+    table = np.full(n + 1, after)
+    table[:lo] = 0.0
+    table[lo:lo + len(window)] = window
+    return table
+
+
 def partial_trace(state: QuantumState, keep) -> QuantumState:
     """Reduced density operator on the kept qubits (in ascending order)."""
     keep = sorted(set(int(q) for q in keep))

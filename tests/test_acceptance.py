@@ -211,8 +211,8 @@ def test_criterion_8_outputs_are_byte_identical_everywhere(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert sub_out.read_bytes() == ref
 
-    # prediction records: 4200 trials > two 2048-trial chunks
-    pre = ["predict", "--v", "0.5", "--readout-v", "0.6", "--steps", "100", "--trials", "4200", "--seed", "13"]
+    # prediction records: 40000 trials > two 16384-trial chunks
+    pre = ["predict", "--v", "0.5", "--readout-v", "0.6", "--steps", "100", "--trials", "40000", "--seed", "13"]
     pa, pb = tmp_path / "p1.csv", tmp_path / "p2.csv"
     assert main(pre + ["--out", str(pa)]) == 0
     assert main(pre + ["--out", str(pb), "--workers", "3"]) == 0

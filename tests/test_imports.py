@@ -114,14 +114,18 @@ def test_one_sampler_builds_every_prediction_table():
 
 def test_one_routine_builds_every_binomial_pmf():
     # trials._binomial_window alone runs the ratio recurrence (the package's
-    # only cumprod); predict's count tables place it into zeros
-    # (prediction._binomial_pmf, for _count_cdfs alone) and the sweep's
-    # branch counts invert it (trials._binomial_draw, for _branch_counts
-    # alone); a second call site would be a second binomial law
+    # only cumprod); predict's count windows (prediction._count_cdfs) and
+    # the sweep's branch counts (trials._binomial_draw, for _branch_counts
+    # alone) sum it, and trials._invert_window alone inverts a window: a
+    # second call site would be a second binomial law or a second table
+    # shape.  The other searchsorted calls invert a branch law
+    # (sample_branches) and find fields in a record file (records._points).
     assert _inside(trials._binomial_window, _call_sites("cumprod")) == [("trials.py", True)] * 2
     windows = _call_sites("_binomial_window")
-    assert len(windows) == 2 and _outside(windows, prediction._binomial_pmf, trials._binomial_draw) == []
-    assert _inside(prediction._count_cdfs, _call_sites("_binomial_pmf")) == [("prediction.py", True)]
+    assert len(windows) == 2 and _outside(windows, prediction._count_cdfs.__wrapped__, trials._binomial_draw) == []
+    assert _outside(_call_sites("searchsorted"), trials._invert_window, trials.sample_branches, records._points) == []
+    inversions = _call_sites("_invert_window")
+    assert len(inversions) == 3 and _outside(inversions, prediction._readout_counts, trials._binomial_draw) == []
     assert _inside(trials._branch_counts, _call_sites("_binomial_draw")) == [("trials.py", True)]
 
 

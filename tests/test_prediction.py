@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import bdtr
 
-from blgisim import prediction, streams
+from blgisim import prediction, streams, trials
 from blgisim.cli import main
 from blgisim.prediction import (
     MAX_STEPS,
@@ -39,6 +39,7 @@ from reference import (
     concurrence,
     empty_table,
     expect,
+    full_table,
     lift1,
     post_coupling_state,
     sequential_weak_sequence,
@@ -255,13 +256,18 @@ def kraus_count_pmf(m0: float, v: float, steps: int) -> np.ndarray:
     return pmf
 
 
+def full_count_cdfs(steps: int, v: float) -> list:
+    """predict's two count CDF windows, each placed at k = 0..steps."""
+    return [full_table(lo, cdf, steps, after=1.0) for lo, cdf in prediction._count_cdfs(steps, v)]
+
+
 def test_readout_count_law_matches_kraus_enumeration():
     for m0, v in ((0.0, 0.3), (0.6, 0.3), (-0.45, 0.7), (1.0, 0.2), (0.3, 1.0)):
         for steps in range(1, 11):
             law = binomial_mixture_pmf(m0, v, steps)
             assert np.abs(kraus_count_pmf(m0, v, steps) - law).max() < 1e-12, (m0, v, steps)
             # the sampler inverts exactly this law's CDF
-            cdf_plus, cdf_minus = prediction._count_cdfs(steps, v)
+            cdf_plus, cdf_minus = full_count_cdfs(steps, v)
             mixture = (1.0 + m0) / 2.0 * cdf_plus + (1.0 - m0) / 2.0 * cdf_minus
             assert np.abs(mixture - np.cumsum(law)).max() < 1e-12, (m0, v, steps)
 
@@ -277,11 +283,11 @@ def test_count_pmf_and_tables_match_exact_binomial_sums(v):
         exact = [x / scale for x in row]  # int / int rounds once
         cdf = [x / scale for x in itertools.accumulate(row)]
         mirrored = [x / scale for x in itertools.accumulate(reversed(row))]  # c = -1: K -> n - K
-        cdf_plus, cdf_minus = prediction._count_cdfs(n, v)
-        assert np.abs(prediction._binomial_pmf(n, p) - exact).max() < 2e-15, n
+        cdf_plus, cdf_minus = full_count_cdfs(n, v)
+        assert np.abs(full_table(*trials._binomial_window(n, p), n) - exact).max() < 2e-15, n
         assert np.abs(cdf_plus - cdf).max() < 2e-15, n
         assert np.abs(cdf_minus - mirrored).max() < 2e-15, n
-        assert cdf_plus[-1] == cdf_minus[-1] == 1.0
+        assert [window[-1] for _, window in prediction._count_cdfs(n, v)] == [1.0, 1.0]
 
 
 def test_count_tables_at_max_steps_are_accurate_and_fit_in_memory():
@@ -289,29 +295,32 @@ def test_count_tables_at_max_steps_are_accurate_and_fit_in_memory():
     # nearest 0.5005 = (1 + 0.001)/2, summed in mpmath at 50 digits: the
     # pmf at k = 5_005_000 from loggamma, then 10**5 terms down by the
     # ratio recurrence (the rest is below 1e-870).  scipy's bdtr gives
-    # 0.50149 here.  Run apart so the peak RSS is the table build's own; the
-    # bdtr tables peaked at 284 MB.  The peak is the process's VmHWM, which,
-    # unlike ru_maxrss, does not inherit the forking test process's peak.
+    # 0.50149 here.  Run apart so the peak RSS is the window build's own;
+    # the bdtr tables peaked at 284 MB and the zero-padded (steps + 1)-entry
+    # tables at 195 MB.  The peak is the process's VmHWM, which, unlike
+    # ru_maxrss, does not inherit the forking test process's peak.
     src = os.path.dirname(os.path.dirname(os.path.abspath(prediction.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import os; from blgisim.prediction import MAX_STEPS, _count_cdfs\n"
-        "plus, minus = _count_cdfs(MAX_STEPS, 0.001)\n"
+        "(lo, plus), (lo_minus, minus) = _count_cdfs(MAX_STEPS, 0.001)\n"
         "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else 'VmHWM: 0 kB'\n"
         "peak_kb = next(ln.split()[1] for ln in status.splitlines() if ln.startswith('VmHWM:'))\n"
-        "print(float(plus[5_005_000]), float(minus[4_994_999]), peak_kb)"
+        "print(float(plus[5_005_000 - lo]), float(minus[4_994_999 - lo_minus]), len(plus), len(minus), peak_kb)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    at_mode, mirrored, peak_kb = proc.stdout.split()
+    at_mode, mirrored, len_plus, len_minus, peak_kb = proc.stdout.split()
     assert abs(float(at_mode) - 0.500126114633939077559678) < 1e-12
     assert abs(float(mirrored) + float(at_mode) - 1.0) < 1e-12  # P(K- <= n - k - 1) = 1 - P(K+ <= k)
-    assert int(peak_kb) / 1024 <= 284  # reads 0 where there is no /proc
+    assert int(len_plus) <= 150_000 and int(len_minus) <= 150_000  # about 44 sd to each side of the mode
+    assert int(peak_kb) / 1024 <= 64  # reads 0 where there is no /proc
 
 
 def test_predict_at_max_steps_fits_in_memory(tmp_path):
-    # the whole command builds the two count tables once, and the exact
-    # accuracy reads them: a second pmf for it peaked at 343 MB.  VmHWM as above
+    # the whole command builds the two count windows once, and the exact
+    # accuracy reads them: a second full-length pmf for it peaked at 343 MB,
+    # the zero-padded tables at 195 MB.  VmHWM as above
     src = os.path.dirname(os.path.dirname(os.path.abspath(prediction.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
@@ -327,17 +336,17 @@ def test_predict_at_max_steps_fits_in_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     exit_code, peak_kb = proc.stdout.splitlines()[-1].split()  # after the command's summary
     assert exit_code == "0"
-    assert int(peak_kb) / 1024 <= 284  # reads 0 where there is no /proc
+    assert int(peak_kb) / 1024 <= 64  # reads 0 where there is no /proc
 
 
 def test_predict_builds_one_count_pmf(monkeypatch, tmp_path):
-    calls, binomial_pmf = [], prediction._binomial_pmf
+    calls, binomial_window = [], prediction._binomial_window
 
     def counted(steps, p):
         calls.append((steps, p))
-        return binomial_pmf(steps, p)
+        return binomial_window(steps, p)
 
-    monkeypatch.setattr(prediction, "_binomial_pmf", counted)
+    monkeypatch.setattr(prediction, "_binomial_window", counted)
     prediction._count_cdfs.cache_clear()
     argv = ["predict", "--v", "0.5", "--readout-v", "0.05", "--steps", "1000", "--trials", "64"]
     assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
@@ -349,7 +358,7 @@ def test_saturation_threshold_is_a_five_sigma_misassignment():
     for steps, v, wrong_plus in ((10_000, 0.05, 2.68e-7), (2_500, 0.1, 2.41e-7)):
         readout = SequentialReadoutParams(v=v, steps=steps)
         assert math.isclose(steps * v**2, prediction.SATURATION_THRESHOLD) and readout.saturated
-        pmf = prediction._binomial_pmf(steps, (1.0 + v) / 2.0)
+        pmf = full_table(*trials._binomial_window(steps, (1.0 + v) / 2.0), steps)
         half = steps // 2  # both steps are even
         # c = +1 is misread when the mean is negative, K < steps/2.  c = -1
         # (K -> steps - K) is misread when the mean is >= 0, so the tie

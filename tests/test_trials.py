@@ -46,6 +46,7 @@ from reference import (
     coupled_state,
     entanglement_curve,
     full_binomial_pmf,
+    full_table,
     outcome_law,
     pauli_correlations,
     per_product_moments,
@@ -796,14 +797,14 @@ def _binomial_cases(rng, count: int):
 
 
 def test_windowed_binomial_draws_equal_the_full_tables_draws():
-    # predict's count tables are the window placed into zeros and summed, so
-    # inverting the window draws what inverting its full table draws, for
-    # every u; the window also keeps every term that the full (n + 1)-term
-    # recurrence leaves nonzero, to within the rounding of the two sums it
-    # is divided by, so random u draw from it what they draw from that
+    # inverting the window draws what inverting it placed into zeros and
+    # summed draws, for every u; the window also keeps every term that the
+    # full (n + 1)-term recurrence leaves nonzero, to within the rounding of
+    # the two sums it is divided by, so random u draw from it what they draw
+    # from that
     rng = np.random.default_rng(29)
     for n, p in _binomial_cases(rng, 600):
-        table, full = prediction._binomial_pmf(n, p), full_binomial_pmf(n, p)
+        table, full = full_table(*trials._binomial_window(n, p), n), full_binomial_pmf(n, p)
         cdf = np.cumsum(table)
         cdf /= cdf[-1]
         for u in [0.0, 1.0 - 2.0**-53, *rng.uniform(0.0, 1.0, 6)]:
@@ -817,6 +818,28 @@ def test_windowed_binomial_draws_equal_the_full_tables_draws():
             assert trials._binomial_draw(n, p, u) == int(np.searchsorted(full_cdf, u, side="right")), (n, p, u)
     # a conditional probability of 1 gives every trial left to its branch
     assert [trials._binomial_draw(n, 1.0, 0.999) for n in (1, 7, 200_000)] == [1, 7, 200_000]
+    # predict's count windows draw, and its exact accuracy reads, the bits
+    # of the (steps + 1)-entry tables of the window placed into zeros
+    for i in range(400):
+        steps = int(10 ** rng.uniform(0.0, math.log10(2e6)))
+        v = [rng.uniform(0.0, 1.0), 10 ** rng.uniform(-4, -1), 1.0 - 10 ** rng.uniform(-8, -1), 1.0][i % 4]
+        pmf = full_table(*trials._binomial_window(steps, (1.0 + v) / 2.0), steps)
+        u = np.concatenate(([0.0, 1.0 - 2.0**-53, 0.5], rng.uniform(0.0, 1.0, 2000)))
+        readout = SequentialReadoutParams(v=v, steps=steps)
+        miss = []
+        for c, full, window in zip((1, -1), (pmf, pmf[::-1]), prediction._count_cdfs(steps, v)):
+            full_cdf = np.cumsum(full)
+            full_cdf /= full_cdf[-1]
+            want = np.searchsorted(full_cdf, u, side="right")
+            assert np.array_equal(trials._invert_window(*window, u), want), (steps, v, c)
+            assert np.array_equal(prediction._readout_counts(np.full(len(u), c), readout, u), want), (steps, v, c)
+            miss.append(float(full_cdf[(steps - 1) // 2]))  # P(sign = -1 | c)
+        hit = {(1, 1): 1.0 - miss[0], (1, -1): miss[0], (-1, 1): 1.0 - miss[1], (-1, -1): miss[1]}
+        for coupling in (0.3, 1.0):
+            settings, total = prediction_settings(coupling), 0.0
+            for (c1, c2, t1, t2), p in branch_distribution(settings).items():
+                total += p * (hit[(c1, t1)] + hit[(c2, t2)]) / 2.0
+            assert prediction.prediction_accuracy_exact(settings, readout) == total, (steps, v, coupling)
 
 
 # two zero branches, the first of them -1e-14 by round-off, and the last

@@ -83,7 +83,6 @@ _EXPORTS = {
         "chsh_combine",
         "default_settings",
         "estimate_chsh",
-        "estimate_correlator",
         "exact_chsh",
         "exact_correlator",
         "exact_mean",

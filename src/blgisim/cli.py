@@ -50,13 +50,14 @@ from .audit import (
 )
 from .prediction import (
     MAX_STEPS,
+    PredictionFold,
     SequentialReadoutParams,
+    _predict_range,
     check_steps,
     exact_post_protocol_chsh,
     post_protocol_chsh,
     prediction_accuracy,
     prediction_accuracy_exact,
-    prediction_batch,
     prediction_settings,
 )
 from .records import (
@@ -71,13 +72,16 @@ from .records import (
 )
 from .streams import LAYOUT_VERSION, derived_seed
 from .trials import (
+    MAX_COUNT_TRIALS,
     ChshFold,
     DegenerateBranchError,
     NoiseModel,
     Settings,
+    _TRIAL_CHUNK,
     _count_moments,
     _pool_map,
     check_strength,
+    chunk_stream,
     exact_chsh,
     trial_chunks,
 )
@@ -122,6 +126,10 @@ def _positive_int(text: str) -> int:
 
 def _trials(text: str) -> int:
     return _parse(int, text, "an integer >= 2 (a correlator needs two trials)", lambda n: n >= 2)
+
+
+def _count_trials(text: str) -> int:
+    return _parse(_trials, text, f"at most {MAX_COUNT_TRIALS} trials per grid point", lambda n: n <= MAX_COUNT_TRIALS)
 
 
 def _seed(text: str) -> int:
@@ -195,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swe = sub.add_parser("sweep", help="exact and empirical combination across a V grid")
     swe.add_argument("--v-grid", type=_v_grid, required=True, metavar="V1,V2,...")
-    swe.add_argument("--trials", type=_trials, default=50000, help="trials per grid point")
+    swe.add_argument("--trials", type=_count_trials, default=50000, help="trials per grid point")
     swe.add_argument("--seed", type=_seed, default=0)
     swe.add_argument("--out", required=True, help="output CSV path")
     swe.add_argument("--workers", type=_positive_int, default=1)
@@ -327,14 +335,17 @@ def _do_predict(ns: argparse.Namespace) -> int:
     started = _now()
     settings = prediction_settings(ns.v)
     readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
-    table = prediction_batch(settings, readout, ns.trials, ns.seed, workers=ns.workers)
-    emit_predictions(table, ns.out)
-    accuracy = prediction_accuracy(table)
+    # first, so that a trial count past MAX_COUNT_TRIALS per axis pair fails before the file is written
     post = post_protocol_chsh(settings, readout, max(8, ns.trials), ns.seed)
+    # one pass, as in simulate: each chunk's matches are counted as it is written, then it is let go
+    task = partial(_predict_range, settings, readout, master_seed=ns.seed)
+    fold = PredictionFold(chunk_stream(task, ns.trials, 0, _TRIAL_CHUNK, ns.workers))
+    emit_predictions(fold, ns.out)
+    accuracy = prediction_accuracy(fold)
     manifest_path = _write_manifest(ns, started)
     _emit(
         {
-            "records": len(table),
+            "records": len(fold),
             "out": ns.out,
             "manifest": manifest_path,
             "accuracy": accuracy.accuracy,

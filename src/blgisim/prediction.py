@@ -29,18 +29,26 @@ readout sequence and against the scalar step-by-step route.  A
 PredictionTable holds what its record file holds: the counts K1, K2 and
 the projective outcomes as columns, and the settings id, `steps` and
 master seed as scalars; each trajectory mean and its sign prediction is
-computed from its count on access.
+computed from its count on access.  prediction_batch joins the chunks of
+_predict_range into one table; cli predict takes the same chunks as a
+stream (trials.chunk_stream), and a PredictionFold counts each chunk's
+matches as it passes to the writer, so the command never holds its run.
 
 At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
 ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
 SATURATION_THRESHOLD), so prediction accuracy is (1 + V)/2 to that
-precision: perfect at V = 1, coin-flip as V -> 0.  For any `steps`,
-prediction_accuracy_exact sums the same law, with P(sign | c) read from
-the same cached CDF windows, to the accuracy the batch converges to.  The
-complementary post_protocol_chsh shows what the coupling costs: it reads
-the same law at the Bell test axes, with the ancilla eigenvalues summed
-out (or fixed, to post-select), and the pair's own violation decays
-toward the classical bound as V grows.
+precision: perfect at V = 1, coin-flip as V -> 0.  prediction_accuracy
+is the fold's Wilson estimate, of a table or of a stream alike.  For any
+`steps`, prediction_accuracy_exact sums the same law, with P(sign | c)
+read from the same cached CDF windows, to the accuracy the batch
+converges to.  The complementary post_protocol_chsh shows what the
+coupling costs: it reads the same law at the Bell test axes, with the
+ancilla eigenvalues summed out (or fixed, to post-select), and the pair's
+own violation decays toward the classical bound as V grows.  It forms no
+trial: each axis pair's four outcome counts are one multinomial, drawn
+by the conditional binomials of trials._branch_counts, as a sweep point
+draws its 16 branch counts, and each correlator's mean and M2 come from
+those counts.
 """
 
 from __future__ import annotations
@@ -55,15 +63,16 @@ from . import streams
 from .trials import (
     MIN_BRANCH_PROB,
     ChshReport,
+    CorrelatorEstimate,
     DegenerateBranchError,
     RecordTable,
     Settings,
     _INTEGER,
     _TRIAL_CHUNK,
     _binomial_window,
+    _branch_counts,
     _check_seed,
     _check_settings_id,
-    _correlator,
     _invert_window,
     _typed,
     branch_distribution,
@@ -244,33 +253,54 @@ def prediction_batch(
     prediction_batch(settings, readout, 1, master_seed, start=i).
     """
     _require_same_axis(settings)
-    task = partial(_predict_range, settings, readout, master_seed=master_seed)
-    return run_chunked(task, n_trials, start, chunk, workers)
+    return run_chunked(partial(_predict_range, settings, readout, master_seed=master_seed), n_trials, start, chunk, workers)
+
+
+class PredictionFold:
+    """The matches of a PredictionTable, or of a stream of the PredictionTable blocks of one experiment.
+
+    Iterating yields the blocks unchanged, each one's matches of
+    predicted_i = actual_i counted into `matches` as it passes; so a
+    writer can take the stream a block at a time while the count rides
+    along.  len() is the number of trials counted so far, and
+    prediction_accuracy of the fold counts the blocks not yet taken.
+    """
+
+    def __init__(self, records) -> None:
+        self._blocks = iter((records,) if isinstance(records, PredictionTable) else records)
+        self.matches = self.trials = 0
+
+    def __len__(self) -> int:
+        return self.trials
+
+    def __iter__(self):
+        for block in self._blocks:
+            self.matches += int(np.count_nonzero(block.predicted1 == block.actual1))
+            self.matches += int(np.count_nonzero(block.predicted2 == block.actual2))
+            self.trials += len(block)
+            yield block
 
 
 def prediction_accuracy(records) -> AccuracyEstimate:
-    """Fraction of predicted_i = actual_i in a PredictionTable, pooled over both qubits.
+    """Fraction of predicted_i = actual_i, pooled over both qubits, with a Wilson 95% interval.
 
-    A table of no rows has no accuracy and raises ValueError.
+    records is a PredictionTable, a stream of the PredictionTable blocks
+    of one experiment, or a PredictionFold that a writer has taken some or
+    all of its blocks through; the blocks not yet counted are counted here.
+    No rows have no accuracy and raise ValueError.
     """
-    if len(records) < 1:
+    fold = records if isinstance(records, PredictionFold) else PredictionFold(records)
+    for _ in fold:
+        pass
+    if len(fold) < 1:
         raise ValueError("need at least 1 record to estimate prediction accuracy, got 0")
-    n = 2 * len(records)
-    matches = int((records.predicted1 == records.actual1).sum()) + int(
-        (records.predicted2 == records.actual2).sum()
-    )
-    p = matches / n
+    n = 2 * len(fold)
+    p = fold.matches / n
     z2 = _WILSON_Z**2
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
     half = _WILSON_Z * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / denom
-    return AccuracyEstimate(
-        accuracy=p,
-        ci_low=max(0.0, center - half),
-        ci_high=min(1.0, center + half),
-        matches=matches,
-        count=n,
-    )
+    return AccuracyEstimate(p, max(0.0, center - half), min(1.0, center + half), fold.matches, n)
 
 
 def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutParams) -> float:
@@ -314,8 +344,8 @@ def _post_pair_laws(settings: Settings, post_select) -> list:
     laws = []
     for th1 in POST_TEST_AXES_1:
         for th2 in POST_TEST_AXES_2:
-            law = list(branch_distribution(replace(settings, b1=th1, b2=th2)).values())
-            rows = np.array(law).reshape(4, 4)  # one (t1, t2) row per (c1, c2), nested (+1, -1) order
+            # one (t1, t2) row per (c1, c2), both in nested (+1, -1) order
+            rows = np.array(replace(settings, b1=th1, b2=th2).law).reshape(4, 4)
             if post_select is None:
                 laws.append(rows.sum(axis=0))
                 continue
@@ -343,11 +373,17 @@ def post_protocol_chsh(
     """Standard projective Bell check on the Bell qubits after the protocol.
 
     Estimates the four correlators at the fixed test axes from n_trials
-    projective samples (n_trials // 4 per axis pair) of the marginal
-    (or post-selected) pair law.  The marginal distribution of the
-    Bell pair is unchanged by how the ancillas were read out, so `readout`
-    does not shift this estimate; it is accepted because post-selection is
-    only defined at saturated readout, which is validated here.  The four
+    projective trials (n_trials // 4 per axis pair, at most
+    MAX_COUNT_TRIALS) of the marginal (or post-selected) pair law.  A
+    pair's trials are drawn as their four (t1, t2) counts, one multinomial
+    (trials._branch_counts) from pair k's one-block window of the
+    after-protocol stream; no trial is formed.  A correlator's products
+    are +-1, so its mean e and M2 = n (1 - e^2) come from the count of
+    t1 t2 = +1, and its stderr is sqrt(M2 / (n - 1)) / sqrt(n), as of the
+    products themselves.  The marginal distribution of the Bell pair is
+    unchanged by how the ancillas were read out, so `readout` does not
+    shift this estimate; it is accepted because post-selection is only
+    defined at saturated readout, which is validated here.  The four
     correlators use disjoint trials, so their stderrs add in quadrature.
     Quadrature is exact here, with no covariance term left out; it is not
     for estimate_chsh, whose four correlators share one set of trials.
@@ -360,9 +396,11 @@ def post_protocol_chsh(
     n_per = n_trials // 4
     if n_per < 2:
         raise ValueError(f"n_trials must be >= 8 to estimate four correlators, got {n_trials}")
+    u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, 0, 4, 1)
     estimates = []
-    for k, law in enumerate(_post_pair_laws(settings, post_select)):
-        u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, k * n_per, n_per, 1)
-        t1, t2 = sample_branches(law, u[:, 0], 2)
-        estimates.append(_correlator((t1 * t2).astype(float)))
+    for law, draws in zip(_post_pair_laws(settings, post_select), u):
+        agree = int(_branch_counts(law, n_per, draws)[[0, 3]].sum())  # (t1, t2) = (+1, +1) or (-1, -1)
+        # n products of +-1: e = (2 agree - n) / n and M2 = n (1 - e^2) = 4 agree (n - agree) / n
+        stderr = 2.0 * math.sqrt(agree * (n_per - agree) / (n_per - 1)) / n_per  # sqrt(M2 / (n - 1)) / sqrt(n)
+        estimates.append(CorrelatorEstimate((2 * agree - n_per) / n_per, stderr, n_per))
     return chsh_combine(*estimates)

@@ -34,7 +34,11 @@ DRAWS_PER_BLOCK = 4
 #   7: a sweep point draws the 16 branch counts of its trials (one uniform
 #      per conditional binomial, on the count stream), not each trial; the
 #      sweep's empirical columns move, and no record byte does.
-LAYOUT_VERSION = 7
+#   8: the after-protocol Bell check draws each test-axis pair's four outcome
+#      counts (one uniform per conditional binomial, from the pair's window
+#      of its stream), not each trial; predict's post_protocol_chsh and its
+#      stderr move, and no record byte does.
+LAYOUT_VERSION = 8
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.
@@ -79,12 +83,12 @@ def window_uniforms(
 
 
 def derived_seed(master_seed: int, trial_index) -> "int | np.ndarray":
-    """64-bit per-trial identifier mixed from (master_seed, trial_index).
+    """64-bit seed mixed from (master_seed, trial_index) by a splitmix64
+    finalizer over a golden-ratio index walk.
 
-    splitmix64 finalizer over a golden-ratio index walk: every table's
-    stable per-trial tag.  Format-2 record files do not store it; their
-    reader recomputes it from the master seed in the file's header.
-    Accepts scalar or integer array indices.
+    cli's sweep seeds grid point k with derived_seed(master_seed, k), so
+    every point draws its own stream whichever worker runs it.  Accepts
+    scalar or integer array indices.
     """
     idx = np.asarray(trial_index, dtype=_U64)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point

@@ -43,10 +43,13 @@ x, because the four correlators share their trials.
 
 Without noise a trial's terms depend only on its branch, so _count_moments
 gives the ChshMoments of a noise-free source's trials from their 16 branch
-counts, which _branch_counts draws as one multinomial: a conditional
-binomial per branch, each one uniform inverted on _binomial_window, the
-nonzero window of the binomial pmf (prediction inverts the same windows
-for its readout counts).  The sweep uses it, so no trial is formed.
+counts, which _branch_counts draws as one multinomial of any law: a
+conditional binomial per branch, each one uniform of the caller's window
+inverted on _binomial_window, the nonzero window of the binomial pmf
+(prediction inverts the same windows for its readout counts).  The sweep
+uses it, and so does prediction's after-protocol Bell check for the four
+outcome counts of each axis pair, so neither forms a trial; sample_branches
+draws trial by trial only for the two samplers of record tables.
 """
 
 from __future__ import annotations
@@ -354,10 +357,6 @@ class TrialTable(RecordTable):
     alpha1 = property(lambda self: self._rescaled(self.raw1))
     alpha2 = property(lambda self: self._rescaled(self.raw2))
 
-    def column(self, name: str) -> np.ndarray:
-        _field_index(name)
-        return getattr(self, name).astype(float, copy=False)
-
 
 # ---------------------------------------------------------------------------
 # Trial engine: sample the exact branch law
@@ -571,20 +570,6 @@ def simulate_trials(
 # Estimation
 
 
-def _correlator(products: np.ndarray) -> CorrelatorEstimate:
-    """Sample mean and stderr of per-trial products."""
-    n = len(products)
-    if n < 2:
-        raise ValueError(f"need at least 2 records to estimate a correlator, got {n}")
-    stderr = float(products.std(ddof=1) / math.sqrt(n))
-    return CorrelatorEstimate(value=float(products.mean()), stderr=stderr, count=n)
-
-
-def estimate_correlator(records, left: str, right: str) -> CorrelatorEstimate:
-    """Sample mean and stderr of the product of two fields of a TrialTable."""
-    return _correlator(records.column(left) * records.column(right))
-
-
 def chsh_combine(
     e11: CorrelatorEstimate,
     e12: CorrelatorEstimate,
@@ -715,6 +700,14 @@ def estimate_chsh(records) -> ChshReport:
 # conditional binomial (the last positive branch takes no draw).
 _COUNT_BLOCKS = 4
 
+# Most trials that one multinomial of branch counts may hold: a sweep point,
+# or an after-protocol axis pair.  Its binomial windows grow as sqrt(trials),
+# widest at p = 1/2.  A fresh process (Linux, numpy 2.4) that imports
+# blgisim.cli and draws the counts of the law (1/2, 1/2, 0, ...) peaked at
+# 59.7 MB of VmHWM at this bound, 64.0 MB at 7 * 10**8 and 69.1 MB at 10**9,
+# where tracemalloc put 33 MB in the draw; the MAX_STEPS windows keep to 64 MB.
+MAX_COUNT_TRIALS = 5 * 10**8
+
 
 def _binomial_window(n: int, p: float) -> tuple:
     """(lo, pmf): pmf[j] = P(K = lo + j) for K ~ Binomial(n, p), 0 < p <= 1,
@@ -777,31 +770,26 @@ def _binomial_draw(n: int, p: float, u: float) -> int:
     return int(_invert_window(lo, cdf, u))
 
 
-def _branch_counts(source, n_trials: int, master_seed: int) -> np.ndarray:
-    """How many of trials [0, n_trials) of a noise-free source fall in each
-    of the 16 BRANCHES, drawn as one multinomial of its law.
+def _branch_counts(law, n_trials: int, u: np.ndarray) -> np.ndarray:
+    """How many of n_trials trials fall in each branch of law, drawn as one multinomial.
 
-    Branch k, in BRANCHES order, takes a Binomial(left, p_k / (p_k + p_k+1
-    + ...)) of the trials the branches before it left, by inverting draw k
-    of index 0's window of the count stream of master_seed.  As in
-    sample_branches, negative round-off is clipped to 0, a branch of
-    probability 0 gets no trial, and the last branch of positive
-    probability gets every trial left.  A source with sigma > 0 raises
-    ValueError: its trials' terms depend on more than their branch.
+    law holds the branch probabilities in their order, as sample_branches
+    takes them, and u the uniforms of the caller's count window, one per
+    branch but the last.  Branch k takes a Binomial(left, p_k / (p_k +
+    p_k+1 + ...)) of the trials the branches before it left, by inverting
+    u[k].  As in sample_branches, negative round-off is clipped to 0, a
+    branch of probability 0 gets no trial, and the last branch of positive
+    probability gets every trial left.  n_trials must lie in [1,
+    MAX_COUNT_TRIALS], or ValueError.
     """
-    if source.noise.sigma > 0.0:
-        raise ValueError(f"branch counts hold a noise-free source's trials; noise sigma is {source.noise.sigma}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    probs = np.clip(np.asarray(source.law, dtype=float), 0.0, None)
+    if not 1 <= n_trials <= MAX_COUNT_TRIALS:
+        raise ValueError(f"n_trials must be an integer in [1, {MAX_COUNT_TRIALS}], got {n_trials}")
+    probs = np.clip(np.asarray(law, dtype=float), 0.0, None)
     rests = np.cumsum(probs[::-1])[::-1]  # p_k + p_k+1 + ..., summed from the last branch
-    u = streams.window_uniforms(master_seed, streams.COUNT_STREAM, 0, 1, _COUNT_BLOCKS)[0]
     positive = np.flatnonzero(probs)
-    counts = np.zeros(len(BRANCHES), dtype=np.int64)
+    counts = np.zeros(len(probs), dtype=np.int64)
     left = n_trials
-    for k in positive[:-1]:
-        if not left:
-            break
+    for k in positive[:-1]:  # once no trial is left, each draw is 0
         counts[k] = _binomial_draw(left, probs[k] / rests[k], u[k])
         left -= counts[k]
     counts[positive[-1]] = left
@@ -811,12 +799,18 @@ def _branch_counts(source, n_trials: int, master_seed: int) -> np.ndarray:
 def _count_moments(source, n_trials: int, master_seed: int) -> ChshMoments:
     """The ChshMoments of trials [0, n_trials) of a noise-free source, from their branch counts.
 
-    Without noise a trial's five terms depend only on its branch, so the
-    mean and M2 of each are the count-weighted ones of the 16 branches'
-    terms: the same law as estimate_chsh of the source's trials, at a cost
-    that grows as sqrt(n_trials).
+    The 16 counts are _branch_counts of the source's law, from index 0's
+    window of the count stream of master_seed.  Without noise a trial's
+    five terms depend only on its branch, so the mean and M2 of each are
+    the count-weighted ones of the 16 branches' terms: the same law as
+    estimate_chsh of the source's trials, at a cost that grows as
+    sqrt(n_trials).  A source with sigma > 0 raises ValueError: its
+    trials' terms depend on more than their branch.
     """
-    counts = _branch_counts(source, n_trials, master_seed)
+    if source.noise.sigma > 0.0:
+        raise ValueError(f"branch counts hold a noise-free source's trials; noise sigma is {source.noise.sigma}")
+    u = streams.window_uniforms(master_seed, streams.COUNT_STREAM, 0, 1, _COUNT_BLOCKS)[0]
+    counts = _branch_counts(source.law, n_trials, u)
     r1, r2, b1, b2 = np.array(BRANCHES, dtype=float).T
     a1, a2 = ((source.raw_scale * r + source.noise.bias) / source.v for r in (r1, r2))
     terms = np.stack([a1 * (b1 + b2) + a2 * (b1 - b2), a1 * b1, a1 * b2, a2 * b1, a2 * b2])

@@ -17,8 +17,9 @@ trial of any source, the step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, the closed-form
 combination of a hidden-variable source, the exact moments summed one
-field product at a time, and the full (n + 1)-term binomial pmf that the
-package's windowed recurrence cuts short.  They stay independent oracles
+field product at a time, one correlator and its stderr from a table's
+column products (estimate_correlator), and the full (n + 1)-term
+binomial pmf that the package's windowed recurrence cuts short.  They stay independent oracles
 for the package's exact laws and batch samplers.  Six record helpers
 close the file: a record table's rows as tuples, for whole-row
 comparisons, the table of the rows of several, a table of no rows, a copy
@@ -46,10 +47,12 @@ from blgisim.trials import (
     MIN_BRANCH_PROB,
     NO_NOISE,
     TRIAL_BLOCKS,
+    CorrelatorEstimate,
     DegenerateBranchError,
     NoiseModel,
     Settings,
     TrialTable,
+    _field_index,
     _filled,
     check_strength,
 )
@@ -451,6 +454,25 @@ def per_product_moments(source, products) -> list:
             total += (source.noise.sigma / source.v) ** 2
         moments.append(total)
     return moments
+
+
+def column(table, name: str) -> np.ndarray:
+    """A TrialTable's field of FIELDS as floats (alpha_i rescaled); any other name is a ValueError."""
+    _field_index(name)
+    return getattr(table, name).astype(float, copy=False)
+
+
+def estimate_correlator(table, left: str, right: str) -> CorrelatorEstimate:
+    """Sample mean and stderr of the per-trial product of two FIELDS of a TrialTable, by numpy's two passes.
+
+    The direct route that the package's CHSH fold (trials.ChshMoments) is
+    checked against.
+    """
+    products = column(table, left) * column(table, right)
+    n = len(products)
+    if n < 2:
+        raise ValueError(f"need at least 2 records to estimate a correlator, got {n}")
+    return CorrelatorEstimate(value=float(products.mean()), stderr=float(products.std(ddof=1) / math.sqrt(n)), count=n)
 
 
 def full_binomial_pmf(n: int, p: float) -> np.ndarray:

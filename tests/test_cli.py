@@ -24,11 +24,14 @@ from blgisim.prediction import (
     SequentialReadoutParams,
     exact_post_protocol_chsh,
     post_protocol_chsh,
+    prediction_accuracy,
     prediction_accuracy_exact,
+    prediction_batch,
     prediction_settings,
 )
 from blgisim.records import (
     RECORD_FORMAT,
+    emit_predictions,
     emit_records,
     read_manifest,
     read_predictions,
@@ -39,6 +42,7 @@ from blgisim.records import (
 from blgisim.streams import LAYOUT_VERSION
 from blgisim.trials import (
     FOLD_ROWS,
+    MAX_COUNT_TRIALS,
     NoiseModel,
     Settings,
     TrialTable,
@@ -354,6 +358,76 @@ def test_simulate_memory_does_not_grow_with_trials(tmp_path, capsys):
     small = _simulate_peak(tmp_path, 300_000)
     large = _simulate_peak(tmp_path, 1_200_000)
     assert large <= 1.1 * small
+
+
+def _predict_peak(tmp_path, trials: int) -> int:
+    """The tracemalloc peak of an in-process predict run of `trials` trials."""
+    argv = ["predict", "--v", "0.5", "--readout-v", "0.5", "--steps", "100", "--trials", str(trials)]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # predict counts and writes each chunk as simulate folds and writes its
+    # own, and the after-protocol check draws counts, not trials; holding
+    # the run as one table peaked at 78 MB of table alone at 2M trials
+    small = _predict_peak(tmp_path, 300_000)
+    large = _predict_peak(tmp_path, 1_200_000)
+    assert large <= 1.1 * small
+
+
+def test_predict_streams_the_file_and_the_accuracy_of_its_table(tmp_path, capsys):
+    # 40000 trials are three chunks, here in a pool; the file and the
+    # accuracy are those of the whole table that prediction_batch joins
+    argv = ["predict", "--v", "0.5", "--readout-v", "0.6", "--steps", "100", "--trials", "40000", "--seed", "13"]
+    out = tmp_path / "p.csv"
+    assert main([*argv, "--out", str(out), "--workers", "2"]) == 0
+    summary = last_json(capsys)
+    table = prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.6, steps=100), 40_000, 13)
+    emit_predictions(table, str(tmp_path / "table.csv"))
+    assert out.read_bytes() == (tmp_path / "table.csv").read_bytes()
+    estimate = prediction_accuracy(table)
+    assert [summary[k] for k in ("records", "accuracy", "ci_low", "ci_high", "matches", "count")] == [
+        40_000, estimate.accuracy, estimate.ci_low, estimate.ci_high, estimate.matches, estimate.count
+    ]
+
+
+def test_sweep_trials_above_the_count_bound_exit_2_with_one_usage_line_and_no_file(tmp_path, capsys, monkeypatch):
+    # rejected while parsing, before any count window is built
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--v-grid", "0.5", "--trials", str(MAX_COUNT_TRIALS + 1), "--out", "s.csv"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln for ln in lines if ln.startswith("usage:")] == lines[:1]
+    assert lines[1:] == [
+        f"blgisim sweep: error: argument --trials: expected at most {MAX_COUNT_TRIALS} trials per grid point, "
+        f"got '{MAX_COUNT_TRIALS + 1}'"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_branch_counts_at_the_count_bound_fit_in_memory():
+    # the widest windows are those of p = 1/2; run apart so that the peak
+    # is the process's VmHWM, as for the MAX_STEPS windows
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import os, blgisim.cli; from blgisim.trials import MAX_COUNT_TRIALS, Source, _count_moments\n"
+        "law = (0.5, 0.5) + (0.0,) * 14\n"
+        "report = _count_moments(Source('half', law, v=1.0), MAX_COUNT_TRIALS, 3).report()\n"
+        "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else 'VmHWM: 0 kB'\n"
+        "print(report.e22.count, next(ln.split()[1] for ln in status.splitlines() if ln.startswith('VmHWM:')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kb = proc.stdout.split()
+    assert int(count) == MAX_COUNT_TRIALS
+    assert int(peak_kb) / 1024 <= 64  # reads 0 where there is no /proc
 
 
 @pytest.mark.parametrize("line", [FOLD_ROWS + 4, 65540])
@@ -798,7 +872,7 @@ def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):
     readout = SequentialReadoutParams(v=0.3, steps=7)
     assert summary["exact_accuracy"] == prediction_accuracy_exact(prediction_settings(0.4), readout)
     assert summary["exact_accuracy"] < summary["expected_accuracy_saturated"]
-    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 7
+    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 8
 
 
 def test_sweep_verdict_transition(tmp_path, capsys):

@@ -2,8 +2,8 @@
 references, no package module imports scipy or does complex or dense
 linear algebra (no complex dtype or literal, kron or linalg), the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
-TrialTable and one every PredictionTable, one routine builds every
-binomial pmf, one helper opens every process
+TrialTable and one every PredictionTable, only those two draw branches
+trial by trial, one routine builds every binomial pmf, one helper opens every process
 pool and no command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
 record file is opened as bytes and its lines ended by one function, and
@@ -115,11 +115,14 @@ def test_one_sampler_builds_every_prediction_table():
 def test_one_routine_builds_every_binomial_pmf():
     # trials._binomial_window alone runs the ratio recurrence (the package's
     # only cumprod); predict's count windows (prediction._count_cdfs) and
-    # the sweep's branch counts (trials._binomial_draw, for _branch_counts
-    # alone) sum it, and trials._invert_window alone inverts a window: a
-    # second call site would be a second binomial law or a second table
-    # shape.  The other searchsorted calls invert a branch law
-    # (sample_branches) and find fields in a record file (records._points).
+    # the branch counts (trials._binomial_draw, for _branch_counts alone)
+    # sum it, and trials._invert_window alone inverts a window: a second
+    # call site would be a second binomial law or a second table shape.
+    # The branch counts serve the sweep (trials._count_moments) and the
+    # after-protocol Bell check (prediction.post_protocol_chsh), each of
+    # which draws its own window.  The other searchsorted calls invert a
+    # branch law (sample_branches) and find fields in a record file
+    # (records._points).
     assert _inside(trials._binomial_window, _call_sites("cumprod")) == [("trials.py", True)] * 2
     windows = _call_sites("_binomial_window")
     assert len(windows) == 2 and _outside(windows, prediction._count_cdfs.__wrapped__, trials._binomial_draw) == []
@@ -127,6 +130,16 @@ def test_one_routine_builds_every_binomial_pmf():
     inversions = _call_sites("_invert_window")
     assert len(inversions) == 3 and _outside(inversions, prediction._readout_counts, trials._binomial_draw) == []
     assert _inside(trials._branch_counts, _call_sites("_binomial_draw")) == [("trials.py", True)]
+    counts = _call_sites("_branch_counts")
+    assert len(counts) == 2 and _outside(counts, trials._count_moments, prediction.post_protocol_chsh) == []
+
+
+def test_only_the_record_samplers_draw_branches_trial_by_trial():
+    # a statistic that writes no record draws branch counts (_branch_counts),
+    # not one branch per trial: sample_branches serves the two samplers of
+    # record tables alone
+    sites = _call_sites("sample_branches")
+    assert len(sites) == 2 and _outside(sites, trials._simulate_range, prediction._predict_range) == []
 
 
 def test_one_helper_opens_every_process_pool():
@@ -269,12 +282,14 @@ def test_every_record_file_is_opened_as_bytes():
 
 
 # audit reads a record file through read_record_blocks, not read_records,
-# simulate folds the chunks of trials.trial_chunks as they are sampled, and
+# simulate folds the chunks of trials.trial_chunks as they are sampled,
 # sweep folds no trials but its points' branch counts
-# (trials._count_moments), so the tracer's spans for these three names read
-# 0 until they are retargeted
+# (trials._count_moments), and predict counts and writes the chunks of
+# prediction._predict_range as they are sampled, so the tracer's spans for
+# these four names read 0 until they are retargeted
 STALE_TRACER_TARGETS = {
     ("cli", "estimate_chsh"),
+    ("cli", "prediction_batch"),
     ("cli", "read_records"),
     ("cli", "simulate_trials"),
 }

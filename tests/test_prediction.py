@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from blgisim.prediction import (
     MAX_STEPS,
     POST_TEST_AXES_1,
     POST_TEST_AXES_2,
+    PredictionFold,
     PredictionTable,
     SequentialReadoutParams,
     exact_post_protocol_chsh,
@@ -28,7 +30,7 @@ from blgisim.prediction import (
     prediction_batch,
     prediction_settings,
 )
-from blgisim.trials import DegenerateBranchError, Settings
+from blgisim.trials import DegenerateBranchError, Settings, chsh_combine
 from reference import (
     BELL_AMPLITUDES,
     SIGMA_Z,
@@ -465,6 +467,22 @@ def test_prediction_accuracy_rejects_an_empty_table():
         prediction_accuracy(empty_table(PredictionTable))
 
 
+def test_accuracy_of_a_stream_or_a_fold_is_that_of_its_table():
+    # one count: a table, its chunk stream, and a fold that a writer took
+    # part of the way give the same estimate
+    settings, readout = prediction_settings(0.4), SequentialReadoutParams(v=0.3, steps=40)
+    n = 2 * trials._TRIAL_CHUNK + 5
+    whole = prediction_accuracy(prediction_batch(settings, readout, n, master_seed=6))
+    task = partial(prediction._predict_range, settings, readout, master_seed=6)
+    assert prediction_accuracy(trials.chunk_stream(task, n, 0, trials._TRIAL_CHUNK, 1)) == whole
+    fold = PredictionFold(trials.chunk_stream(task, n, 0, trials._TRIAL_CHUNK, 2))
+    taken = [len(block) for block in itertools.islice(fold, 1)]
+    assert taken == [trials._TRIAL_CHUNK] and len(fold) == trials._TRIAL_CHUNK
+    assert prediction_accuracy(fold) == whole and len(fold) == n
+    with pytest.raises(ValueError, match="at least 1 record"):
+        prediction_accuracy(iter(()))
+
+
 def test_accuracy_at_full_coupling_is_near_perfect():
     settings = prediction_settings(1.0)
     readout = SequentialReadoutParams(v=0.05, steps=10_000)
@@ -580,14 +598,20 @@ def test_exact_post_protocol_chsh_closed_form():
         assert abs(got - closed_form_post_chsh(float(v))) < 1e-12
 
 
-def density_route_post_chsh(settings: Settings, post_select=None) -> float:
-    """The after-protocol combination from the coupled density operator and projective traces."""
+def density_route_correlators(settings: Settings, post_select=None) -> list:
+    """The four after-protocol correlators, in (e11, e12, e21, e22) order, from the
+    coupled density operator and projective traces."""
     rho = post_coupling_state(settings, post_select).density()
-    corr = [
+    return [
         float(np.trace(np.kron(bloch_observable(th1), bloch_observable(th2)) @ rho).real)
         for th1 in POST_TEST_AXES_1
         for th2 in POST_TEST_AXES_2
     ]
+
+
+def density_route_post_chsh(settings: Settings, post_select=None) -> float:
+    """The after-protocol combination from the coupled density operator and projective traces."""
+    corr = density_route_correlators(settings, post_select)
     return corr[0] + corr[1] + corr[2] - corr[3]
 
 
@@ -637,12 +661,57 @@ def test_post_protocol_chsh_sampling_matches_exact():
     assert report == again
 
 
+def _count_route_failures(reports: dict, settings: Settings) -> list:
+    """The checks of the after-protocol reports of 1000 seeds that fail against the exact law.
+
+    At 40,000 trials, z = (S - exact)/SE over the seeds must have mean 0
+    and variance 1, each within 4 of its standard errors.  At 16 trials
+    (4 per axis pair), where dividing M2 by n or by n - 1 differs by a
+    quarter, the mean of SE^2 must be Var(S) = sum (1 - e^2)/4, which
+    dividing by n - 1 makes exact, within 4 standard errors of that mean.
+    """
+    failures = []
+    exact = exact_post_protocol_chsh(settings)
+    z = np.array([(r.chsh - exact) / r.chsh_stderr for r in reports[40_000]])
+    if abs(z.mean()) > 4.0 / math.sqrt(len(z)):
+        failures.append("mean")
+    if abs(z.var(ddof=1) - 1.0) > 4.0 * math.sqrt(2.0 / (len(z) - 1)):
+        failures.append("variance")
+    variance = sum((1.0 - e * e) / 4 for e in density_route_correlators(settings))
+    se2 = np.array([r.chsh_stderr**2 for r in reports[16]])
+    if abs(se2.mean() - variance) > 4.0 * se2.std(ddof=1) / math.sqrt(len(se2)):
+        failures.append("stderr bias")
+    return failures
+
+
+def test_post_protocol_counts_follow_the_exact_law_and_their_stderr_is_unbiased():
+    settings = prediction_settings(0.5)
+    readout = SequentialReadoutParams(v=0.05, steps=10_000)
+    reports = {n: [post_protocol_chsh(settings, readout, n, seed) for seed in range(1000)] for n in (40_000, 16)}
+    assert _count_route_failures(reports, settings) == []
+
+    # the check must catch a stderr whose M2 is divided by n, not n - 1 ...
+    def by_n(r):
+        shrink = math.sqrt((r.e11.count - 1) / r.e11.count)
+        return chsh_combine(*(replace(e, stderr=e.stderr * shrink) for e in (r.e11, r.e12, r.e21, r.e22)))
+
+    # ... and a combination of the wrong sign pattern
+    def wrong_signs(r):
+        return replace(r, chsh=r.e11.value + r.e12.value - r.e21.value + r.e22.value)
+
+    for mutant, caught in ((by_n, "stderr bias"), (wrong_signs, "mean")):
+        mutated = {n: [mutant(r) for r in runs] for n, runs in reports.items()}
+        assert caught in _count_route_failures(mutated, settings), mutant.__name__
+
+
 def test_post_protocol_chsh_argument_validation():
     settings = prediction_settings(0.5)
     saturated = SequentialReadoutParams(v=0.05, steps=10_000)
     shallow = SequentialReadoutParams(v=0.05, steps=100)
     with pytest.raises(ValueError):
         post_protocol_chsh(settings, saturated, n_trials=4)
+    with pytest.raises(ValueError, match=rf"n_trials must be an integer in \[1, {trials.MAX_COUNT_TRIALS}\]"):
+        post_protocol_chsh(settings, saturated, n_trials=4 * (trials.MAX_COUNT_TRIALS + 1))
     with pytest.raises(ValueError):
         post_protocol_chsh(settings, shallow, post_select=(1, 1))
     report = post_protocol_chsh(settings, saturated, n_trials=8_000, post_select=(1, 1), master_seed=4)

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from blgisim import prediction, trials
+from blgisim import prediction, streams, trials
 from blgisim.cli import run_sweep
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.trials import (
@@ -29,7 +29,6 @@ from blgisim.trials import (
     chsh_combine,
     default_settings,
     estimate_chsh,
-    estimate_correlator,
     exact_chsh,
     exact_correlator,
     exact_mean,
@@ -41,10 +40,12 @@ from blgisim.trials import (
 from blgisim.audit import HiddenVariableConfig, hidden_variable_config, hidden_variable_source
 from reference import (
     BELL_AMPLITUDES,
+    column,
     concat,
     concurrence,
     coupled_state,
     entanglement_curve,
+    estimate_correlator,
     full_binomial_pmf,
     full_table,
     outcome_law,
@@ -434,7 +435,7 @@ def test_concat_of_single_trials_equals_the_batch():
 def test_table_column_validation():
     table = simulate_trials(default_settings(0.5), 3, master_seed=0)
     with pytest.raises(ValueError):
-        table.column("raw1")
+        column(table, "raw1")
 
 
 # ---------------------------------------------------------------- estimation
@@ -501,7 +502,7 @@ def test_estimate_chsh_matches_a_two_pass_reference(source, n):
     assert abs(report.chsh - x.mean()) <= 1e-15 * abs(report.chsh)
     assert abs(report.chsh_stderr - x.std(ddof=1) / math.sqrt(n)) <= 1e-12 * report.chsh_stderr
     for estimate, (left, right) in zip((report.e11, report.e12, report.e21, report.e22), CHSH_PAIRS):
-        products = table.column(left) * table.column(right)
+        products = column(table, left) * column(table, right)
         assert estimate.count == n
         assert abs(estimate.value - products.mean()) <= 1e-15 * np.abs(products).mean()
         assert abs(estimate.stderr - products.std(ddof=1) / math.sqrt(n)) <= 1e-12 * estimate.stderr
@@ -734,9 +735,9 @@ def test_noisy_estimates_agree_with_exact_oracle(source):
         est = estimate_correlator(table, left, right)
         assert abs(est.value - exact_correlator(source, left, right)) <= 4.0 * est.stderr + 1e-12, (left, right)
     for field in FIELDS:
-        column = table.column(field)
-        spread = float(column.std(ddof=1) / math.sqrt(len(table)))
-        assert abs(float(column.mean()) - exact_mean(source, field)) <= 4.0 * spread + 1e-12, field
+        values = column(table, field)
+        spread = float(values.std(ddof=1) / math.sqrt(len(table)))
+        assert abs(float(values.mean()) - exact_mean(source, field)) <= 4.0 * spread + 1e-12, field
 
 
 def _random_sources(rng, count: int) -> list:
@@ -847,12 +848,16 @@ def test_windowed_binomial_draws_equal_the_full_tables_draws():
 _COUNT_LAW = _law({**dict.fromkeys(range(16), 0.0), 0: -1e-14, 1: 0.4 + 1e-14, 4: 0.3, 9: 0.2, 13: 0.1})
 
 
+def _count_window(seed: int) -> np.ndarray:
+    """Index 0's window of the count stream of seed, as trials._count_moments draws it."""
+    return streams.window_uniforms(seed, streams.COUNT_STREAM, 0, 1, trials._COUNT_BLOCKS)[0]
+
+
 def test_branch_counts_follow_the_multinomial_law():
-    source = Source("count law", _COUNT_LAW, v=0.5)
     n, runs, positive = 5, 20_000, (1, 4, 9, 13)
     seen = collections.Counter()
     for seed in range(runs):
-        counts = trials._branch_counts(source, n, seed)
+        counts = trials._branch_counts(_COUNT_LAW, n, _count_window(seed))
         assert counts.dtype == np.int64 and counts.sum() == n
         assert not counts[[k for k in range(16) if k not in positive]].any()
         seen[tuple(counts[list(positive)].tolist())] += 1
@@ -906,5 +911,6 @@ def test_count_route_matches_the_exact_law_and_the_trial_routes_spread(v):
 def test_branch_counts_refuse_a_noisy_source_and_no_trials():
     with pytest.raises(ValueError, match="noise-free source.*sigma is 0.1"):
         trials._count_moments(Settings(v=0.5, noise=NoiseModel(sigma=0.1)), 1000, 0)
-    with pytest.raises(ValueError, match="n_trials must be >= 1"):
-        trials._branch_counts(Settings(v=0.5), 0, 0)
+    for n in (0, trials.MAX_COUNT_TRIALS + 1):
+        with pytest.raises(ValueError, match=rf"n_trials must be an integer in \[1, {trials.MAX_COUNT_TRIALS}\], got {n}"):
+            trials._branch_counts(Settings(v=0.5).law, n, _count_window(0))

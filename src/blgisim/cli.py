@@ -12,7 +12,9 @@ only).
 
 audit takes no --workers: it is audit.decomposition_test of
 records.read_record_blocks, which audits the file in byte ranges on every
-usable CPU, with the same output whatever the cut.
+usable CPU, with the same output whatever the cut.  sweep takes --workers
+and records it in its manifest, but runs its grid points in its own
+process at any count: a point takes a few ms, less than a pool's start-up.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1, unless it is set,
 before anything loads numpy: the command runs numpy's BLAS on one thread,
@@ -79,7 +81,6 @@ from .trials import (
     Settings,
     _TRIAL_CHUNK,
     _count_moments,
-    _pool_map,
     check_strength,
     chunk_stream,
     exact_chsh,
@@ -130,6 +131,12 @@ def _trials(text: str) -> int:
 
 def _count_trials(text: str) -> int:
     return _parse(_trials, text, f"at most {MAX_COUNT_TRIALS} trials per grid point", lambda n: n <= MAX_COUNT_TRIALS)
+
+
+def _predict_trials(text: str) -> int:
+    # the after-protocol check draws trials // 4 per axis pair, each at most MAX_COUNT_TRIALS
+    bound = 4 * MAX_COUNT_TRIALS + 3
+    return _parse(_positive_int, text, f"an integer in [1, {bound}]", lambda n: n <= bound)
 
 
 def _seed(text: str) -> int:
@@ -195,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--v", type=_strength, required=True, help="system-ancilla coupling strength")
     pre.add_argument("--readout-v", type=_strength, default=0.05, help="per-step readout strength")
     pre.add_argument("--steps", type=_steps, default=10000)
-    pre.add_argument("--trials", type=_positive_int, default=1000)
+    pre.add_argument("--trials", type=_predict_trials, default=1000)
     pre.add_argument("--seed", type=_seed, default=0)
     pre.add_argument("--out", required=True, help="output CSV path")
     pre.add_argument("--workers", type=_positive_int, default=1)
@@ -206,7 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swe.add_argument("--trials", type=_count_trials, default=50000, help="trials per grid point")
     swe.add_argument("--seed", type=_seed, default=0)
     swe.add_argument("--out", required=True, help="output CSV path")
-    swe.add_argument("--workers", type=_positive_int, default=1)
+    swe.add_argument(
+        "--workers", type=_positive_int, default=1, help="accepted and recorded; the grid points run in this process"
+    )
     swe.set_defaults(handler=_do_sweep)
     return parser
 
@@ -231,27 +240,24 @@ def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
     branch, and the empirical columns come from the 16 branch counts of its
     trials, drawn as one multinomial (trials._count_moments) from the seed
     derived from (master_seed, k): no trial is formed, the cost grows as
-    sqrt(trials), and the row does not depend on where it runs.
+    sqrt(trials), and the row does not depend on the other points.
     """
     point = Settings(v=v)
     report = _count_moments(point, trials, int(derived_seed(master_seed, k))).report()
     return v, exact_chsh(point), report.chsh, report.chsh_stderr, decomposition_verdict(report).verdict
 
 
-def run_sweep(v_values, trials: int, master_seed: int, workers: int = 1) -> dict:
+def run_sweep(v_values, trials: int, master_seed: int) -> dict:
     """The sweep of `trials` trials of default_settings(v) per grid point.
 
     Returns columns keyed by SWEEP_HEADER, one entry per point, as
     _sweep_point computes it from the point's branch counts, not from its
-    trials. With workers > 1 the points run in one process pool of
-    min(workers, points) workers, each point whole in one worker, which
-    returns its row; every point uses a seed derived from (master_seed,
-    point index), so the columns are the same for every worker count and
-    evaluation order.
+    trials.  The points run one after another in this process: a point is
+    16 branch counts and takes a few ms, less than starting a process pool
+    would.  Every point uses a seed derived from (master_seed, point
+    index), so the columns do not depend on the evaluation order.
     """
-    v_values = list(v_values)
-    point = partial(_sweep_point, trials=trials, master_seed=master_seed)
-    rows = list(_pool_map(point, range(len(v_values)), v_values, workers=workers))
+    rows = [_sweep_point(k, v, trials, master_seed) for k, v in enumerate(v_values)]
     return {name: [row[i] for row in rows] for i, name in enumerate(SWEEP_HEADER)}
 
 
@@ -335,7 +341,6 @@ def _do_predict(ns: argparse.Namespace) -> int:
     started = _now()
     settings = prediction_settings(ns.v)
     readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
-    # first, so that a trial count past MAX_COUNT_TRIALS per axis pair fails before the file is written
     post = post_protocol_chsh(settings, readout, max(8, ns.trials), ns.seed)
     # one pass, as in simulate: each chunk's matches are counted as it is written, then it is let go
     task = partial(_predict_range, settings, readout, master_seed=ns.seed)
@@ -365,7 +370,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
 
 def _do_sweep(ns: argparse.Namespace) -> int:
     started = _now()
-    columns = run_sweep(ns.v_grid, ns.trials, ns.seed, workers=ns.workers)
+    columns = run_sweep(ns.v_grid, ns.trials, ns.seed)
     emit_sweep(columns, ns.out)
     manifest_path = _write_manifest(ns, started)
     _emit(

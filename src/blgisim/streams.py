@@ -87,7 +87,7 @@ def derived_seed(master_seed: int, trial_index) -> "int | np.ndarray":
     finalizer over a golden-ratio index walk.
 
     cli's sweep seeds grid point k with derived_seed(master_seed, k), so
-    every point draws its own stream whichever worker runs it.  Accepts
+    every point draws its own stream, apart from the other points.  Accepts
     scalar or integer array indices.
     """
     idx = np.asarray(trial_index, dtype=_U64)

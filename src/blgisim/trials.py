@@ -704,8 +704,8 @@ _COUNT_BLOCKS = 4
 # or an after-protocol axis pair.  Its binomial windows grow as sqrt(trials),
 # widest at p = 1/2.  A fresh process (Linux, numpy 2.4) that imports
 # blgisim.cli and draws the counts of the law (1/2, 1/2, 0, ...) peaked at
-# 59.7 MB of VmHWM at this bound, 64.0 MB at 7 * 10**8 and 69.1 MB at 10**9,
-# where tracemalloc put 33 MB in the draw; the MAX_STEPS windows keep to 64 MB.
+# 48.5 MB of VmHWM at this bound, 50.6 MB at 7 * 10**8 and 53.3 MB at 10**9,
+# where tracemalloc put 16.7 MB in the draw; the MAX_STEPS windows keep to 64 MB.
 MAX_COUNT_TRIALS = 5 * 10**8
 
 
@@ -721,7 +721,10 @@ def _binomial_window(n: int, p: float) -> tuple:
     end is such a term or reaches 0 or n; then it is cut to the terms
     above that bound and divided by their sum.  So the cost grows as
     sqrt(n p q), not n, and a kept term has the bits of the same term of
-    the full (n + 1)-term recurrence before the division.
+    the full (n + 1)-term recurrence before the division.  The span is
+    the one array held throughout; the ratios take one temporary as long
+    as one side of the mode, and the cut a one-byte mask, so the peak is
+    about 1.7 times the pmf's bytes.
     """
     q = 1.0 - p
     mode = min(int((n + 1) * p), n)
@@ -729,27 +732,31 @@ def _binomial_window(n: int, p: float) -> tuple:
     while True:
         lo = max(mode - half, 0)
         w = np.arange(lo, min(mode + half, n) + 1, dtype=float)  # k
-        rest = n - w  # n - k
         at = mode - lo
         up, down = w[at + 1:], w[:at]
-        # above the mode P(k)/P(k-1) = (n - k + 1) p / (k q); q = 0 leaves up empty
-        rest[at + 1:] += 1.0
-        np.divide(rest[at + 1:], up, out=up)
+        # above the mode P(k)/P(k-1) = (n - k + 1) p / (k q); q = 0 leaves up empty.
+        # Every k, n - k and n - k + 1 is an integer below 2**53, so exact in float64
+        # however it is formed, and each side holds one temporary of its own length.
+        np.divide(n + 1.0 - up, up, out=up)
         if q > 0.0:
             up *= p / q
         # below it P(k)/P(k+1) = (k + 1) q / ((n - k) p)
+        rest = n - down
         down += 1.0
-        down /= rest[:at]
+        down /= rest
         down *= q / p
+        del rest  # w alone is held from here on
         w[at] = 1.0
         np.cumprod(w[at:], out=w[at:])
         np.cumprod(w[at::-1], out=w[at::-1])
         cut = math.ldexp(float(w.sum()), -1076)
         if (lo == 0 or w[0] <= cut) and (lo + len(w) == n + 1 or w[-1] <= cut):
-            kept = np.flatnonzero(w > cut)
-            pmf = w[kept[0]:kept[-1] + 1]
+            # the first and last kept terms, from a mask of one byte per term, not an index of eight
+            above = w > cut
+            first, last = int(np.argmax(above)), len(w) - 1 - int(np.argmax(above[::-1]))
+            pmf = w[first:last + 1]
             pmf /= pmf.sum()
-            return lo + int(kept[0]), pmf
+            return lo + first, pmf
         half *= 2
 
 

@@ -218,8 +218,8 @@ def test_criterion_8_outputs_are_byte_identical_everywhere(tmp_path):
     assert main(pre + ["--out", str(pb), "--workers", "3"]) == 0
     assert pa.read_bytes() == pb.read_bytes()
 
-    # sweep rows: rerun, and the grid points in one pool, with fewer and
-    # with more workers than points
+    # sweep rows: rerun, and at fewer and at more workers than points, which
+    # the command records but runs in its own process
     swe = ["sweep", "--v-grid", "0.2,0.9", "--trials", "4000", "--seed", "14"]
     sa, sb, sc, sd = (tmp_path / f"s{i}.csv" for i in range(1, 5))
     assert main(swe + ["--out", str(sa)]) == 0

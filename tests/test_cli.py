@@ -411,6 +411,21 @@ def test_sweep_trials_above_the_count_bound_exit_2_with_one_usage_line_and_no_fi
     assert list(tmp_path.iterdir()) == []
 
 
+def test_predict_trials_above_the_count_bound_exit_2_with_one_usage_line_and_no_file(tmp_path, capsys, monkeypatch):
+    # the after-protocol check draws trials // 4 per axis pair, at most
+    # MAX_COUNT_TRIALS each: rejected while parsing, before any work
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.chdir(tmp_path)
+    bound = 4 * MAX_COUNT_TRIALS + 3
+    assert parse_invocation(["predict", "--v", "0.5", "--trials", str(bound), "--out", "p.csv"]).trials == bound
+    argv = ["predict", "--v", "0.5", "--trials", str(bound + 1), "--out", "p.csv"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln for ln in lines if ln.startswith("usage:")] == lines[:1]
+    assert lines[1:] == [f"blgisim predict: error: argument --trials: expected an integer in [1, {bound}], got '{bound + 1}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_branch_counts_at_the_count_bound_fit_in_memory():
     # the widest windows are those of p = 1/2; run apart so that the peak
     # is the process's VmHWM, as for the MAX_STEPS windows

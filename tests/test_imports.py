@@ -143,7 +143,7 @@ def test_only_the_record_samplers_draw_branches_trial_by_trial():
 
 
 def test_one_helper_opens_every_process_pool():
-    # simulate and predict pool their chunks, sweep its grid points, all
+    # simulate and predict pool their chunks, audit its ranges, all
     # through trials._pool_map; a second call site would be a second pool path
     assert _inside(trials._pool_map, _call_sites("ProcessPoolExecutor")) == [("trials.py", True)]
 
@@ -162,6 +162,17 @@ def test_start_up_imports_no_process_pool():
     # imports it when it opens a pool, not every command at start-up
     code = "import sys, blgisim.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     assert _fresh(code) == "[]\n"
+
+
+def test_sweep_at_two_workers_imports_no_process_pool(tmp_path):
+    # its grid points run in the command's process at any --workers, so a
+    # sweep loads neither the pool nor multiprocessing
+    argv = ["sweep", "--v-grid", "0.2,0.9", "--trials", "4000", "--out", str(tmp_path / "s.csv"), "--workers", "2"]
+    code = (
+        f"import sys, blgisim.cli; assert blgisim.cli.main({argv!r}) == 0;"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    assert _fresh(code).splitlines()[-1] == "[]"  # after the command's one-line summary
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task to count threads")

@@ -2,9 +2,11 @@
 
 import collections
 import concurrent.futures
+import hashlib
 import itertools
 import math
 import multiprocessing
+import tracemalloc
 import weakref
 from concurrent.futures import Future
 
@@ -14,8 +16,9 @@ from scipy import stats
 from scipy.special import ndtri
 
 from blgisim import prediction, streams, trials
-from blgisim.cli import run_sweep
+from blgisim.cli import main
 from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
+from blgisim.records import read_sweep
 from blgisim.trials import (
     CHSH_PAIRS,
     FIELDS,
@@ -359,23 +362,19 @@ def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
         assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
 
 
-SIX_POINTS = (0.2, 0.4, 0.6, 0.8, 0.9, 1.0)
-
-
-@pytest.mark.parametrize(
-    "grid, workers, pools",
-    [(SIX_POINTS, 2, [2]), (SIX_POINTS, 10_000, [6]), (SIX_POINTS, 1, []), ((0.5,), 4, [])],
-    ids=["6_points-2_workers", "6_points-10000_workers", "6_points-1_worker", "1_point-4_workers"],
-)
-def test_run_sweep_opens_at_most_one_pool_per_call(monkeypatch, grid, workers, pools):
-    # the points share one pool, and a point that opened a pool of its own
-    # would show here as a second one
+def test_sweep_opens_no_pool_at_any_worker_count(monkeypatch, tmp_path):
+    # a grid point is 16 branch counts, a few ms, less than starting a
+    # pool: the points run in the command's process, whatever --workers says
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
-    pooled = run_sweep(grid, 70_000, master_seed=5, workers=workers)
-    assert _InlinePool.max_workers == pools
-    if pools:
-        assert pooled == run_sweep(grid, 70_000, master_seed=5)
+    argv = ["sweep", "--v-grid", "0.2,0.4,0.6,0.8,0.9,1.0", "--trials", "70000", "--seed", "5"]
+    columns = []
+    for workers in (1, 2, 10_000):
+        out = tmp_path / f"w{workers}.csv"
+        assert main([*argv, "--out", str(out), "--workers", str(workers)]) == 0
+        assert _InlinePool.max_workers == [], workers
+        columns.append(read_sweep(str(out)))
+    assert columns[1] == columns[0] and columns[2] == columns[0]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
@@ -385,9 +384,7 @@ def test_pooled_routes_run_serially_in_a_daemonic_pool_worker():
     settings = Settings(v=0.2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         table = pool.apply(simulate_trials, (settings, 20_000, 1), {"workers": 2})  # 2 chunks
-        sweep = pool.apply(run_sweep, ((0.3, 0.5), 2000, 1), {"workers": 2})
     assert table_rows(table) == table_rows(simulate_trials(settings, 20_000, 1, workers=1))
-    assert sweep == run_sweep((0.3, 0.5), 2000, 1, workers=1)
 
 
 def _law(changes: dict) -> tuple:
@@ -841,6 +838,31 @@ def test_windowed_binomial_draws_equal_the_full_tables_draws():
             for (c1, c2, t1, t2), p in branch_distribution(settings).items():
                 total += p * (hit[(c1, t1)] + hit[(c2, t2)]) / 2.0
             assert prediction.prediction_accuracy_exact(settings, readout) == total, (steps, v, coupling)
+
+
+def test_binomial_windows_keep_their_pinned_bits():
+    # the sha256 of each window's lo (int64) and pmf bytes over this grid,
+    # pinned from the route that cut the span with an int64 index of the
+    # kept terms: holding less while the window is built moves no bit
+    digest = hashlib.sha256()
+    for n in (1, 2, 7, 100, 12_345, 10**6, 10**8, trials.MAX_COUNT_TRIALS):
+        for p in (1e-9, 0.01, 0.3, 0.5, 0.77, 1 - 1e-9, 1.0):
+            lo, pmf = trials._binomial_window(n, p)
+            digest.update(np.int64(lo).tobytes() + np.ascontiguousarray(pmf).tobytes())
+    assert digest.hexdigest() == "8a27ae8071807b5e7feddca80b50a2e968f22bef43e7bb8392665f11de16df81"
+
+
+def test_binomial_window_peaks_below_two_and_a_half_of_its_pmf():
+    # numpy reports its buffers to tracemalloc: the span of k, one
+    # temporary as long as either side of the mode and a one-byte mask, not
+    # a second span and an int64 index of the kept terms (3.4x the pmf)
+    tracemalloc.start()
+    try:
+        lo, pmf = trials._binomial_window(10**8, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pmf.nbytes
 
 
 # two zero branches, the first of them -1e-14 by round-off, and the last

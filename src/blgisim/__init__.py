@@ -54,6 +54,7 @@ _EXPORTS = {
         "prediction_accuracy",
         "prediction_accuracy_exact",
         "prediction_batch",
+        "prediction_chunks",
         "prediction_settings",
     ),
     "records": (

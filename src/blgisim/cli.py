@@ -10,11 +10,15 @@ and the run manifest records the same flags.  Exit codes: 0 success, 1
 runtime or I/O failure, 2 usage error, 3 self-test failure (verify-theorem
 only).
 
-audit takes no --workers: it is audit.decomposition_test of
-records.read_record_blocks, which audits the file in byte ranges on every
-usable CPU, with the same output whatever the cut.  sweep takes --workers
-and records it in its manifest, but runs its grid points in its own
-process at any count: a point takes a few ms, less than a pool's start-up.
+simulate and predict each take their sampler's one chunk stream,
+trials.trial_chunks and prediction.prediction_chunks, through a fold
+(ChshFold, PredictionFold) to the writer, so neither holds its run; their
+--workers pools the chunks.  audit takes no --workers: it is
+audit.decomposition_test of records.read_record_blocks, which audits the
+file in byte ranges on every usable CPU, with the same output whatever
+the cut.  sweep takes --workers and records it in its manifest, but runs
+its grid points in its own process at any count: a point takes a few ms,
+less than a pool's start-up.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1, unless it is set,
 before anything loads numpy: the command runs numpy's BLAS on one thread,
@@ -54,12 +58,12 @@ from .prediction import (
     MAX_STEPS,
     PredictionFold,
     SequentialReadoutParams,
-    _predict_range,
     check_steps,
     exact_post_protocol_chsh,
     post_protocol_chsh,
     prediction_accuracy,
     prediction_accuracy_exact,
+    prediction_chunks,
     prediction_settings,
 )
 from .records import (
@@ -79,10 +83,8 @@ from .trials import (
     DegenerateBranchError,
     NoiseModel,
     Settings,
-    _TRIAL_CHUNK,
     _count_moments,
     check_strength,
-    chunk_stream,
     exact_chsh,
     trial_chunks,
 )
@@ -94,7 +96,6 @@ import shlex
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial
 
 _BELL_FLAGS = {"phi+": "phi_plus", "psi-": "psi_minus"}
 # namespace entries that are not flags: the command's name, its handler and its argv
@@ -343,8 +344,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
     readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
     post = post_protocol_chsh(settings, readout, max(8, ns.trials), ns.seed)
     # one pass, as in simulate: each chunk's matches are counted as it is written, then it is let go
-    task = partial(_predict_range, settings, readout, master_seed=ns.seed)
-    fold = PredictionFold(chunk_stream(task, ns.trials, 0, _TRIAL_CHUNK, ns.workers))
+    fold = PredictionFold(prediction_chunks(settings, readout, ns.trials, ns.seed, workers=ns.workers))
     emit_predictions(fold, ns.out)
     accuracy = prediction_accuracy(fold)
     manifest_path = _write_manifest(ns, started)

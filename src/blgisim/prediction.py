@@ -29,10 +29,12 @@ readout sequence and against the scalar step-by-step route.  A
 PredictionTable holds what its record file holds: the counts K1, K2 and
 the projective outcomes as columns, and the settings id, `steps` and
 master seed as scalars; each trajectory mean and its sign prediction is
-computed from its count on access.  prediction_batch joins the chunks of
-_predict_range into one table; cli predict takes the same chunks as a
-stream (trials.chunk_stream), and a PredictionFold counts each chunk's
-matches as it passes to the writer, so the command never holds its run.
+computed from its count on access.  prediction_chunks gives trials
+[start, start + n) as a stream of chunks of _predict_range, cut by
+trials.chunk_stream as trials.trial_chunks is, and prediction_batch is
+that stream joined into one table; cli predict takes the stream, and a
+PredictionFold counts each chunk's matches as it passes to the writer, so
+the command never holds its run.
 
 At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
 ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
@@ -68,17 +70,17 @@ from .trials import (
     RecordTable,
     Settings,
     _INTEGER,
-    _TRIAL_CHUNK,
     _binomial_window,
     _branch_counts,
     _check_seed,
     _check_settings_id,
+    _filled,
     _invert_window,
     _typed,
     branch_distribution,
     check_strength,
     chsh_combine,
-    run_chunked,
+    chunk_stream,
     sample_branches,
 )
 
@@ -235,6 +237,27 @@ def _require_same_axis(settings: Settings) -> None:
         )
 
 
+def prediction_chunks(
+    settings: Settings,
+    readout: SequentialReadoutParams,
+    n_trials: int,
+    master_seed: int,
+    start: int = 0,
+    workers: int = 1,
+):
+    """The PredictionTable chunks of prediction trials [start, start + n_trials), in order.
+
+    settings.v is the system-ancilla coupling strength; settings must have
+    a_i = b_i (the protocol couples along the axes to be tested), or
+    ValueError before any chunk runs.  Detector noise in settings is not
+    part of this protocol and is ignored.  The stream that prediction_batch
+    joins into one table, as trials.trial_chunks is simulate_trials'; cli
+    predict counts and writes each chunk as it arrives.
+    """
+    _require_same_axis(settings)
+    return chunk_stream(partial(_predict_range, settings, readout, master_seed=master_seed), n_trials, start, workers)
+
+
 def prediction_batch(
     settings: Settings,
     readout: SequentialReadoutParams,
@@ -242,18 +265,13 @@ def prediction_batch(
     master_seed: int,
     start: int = 0,
     workers: int = 1,
-    chunk: int = _TRIAL_CHUNK,
 ) -> PredictionTable:
-    """Batch of prediction trials [start, start + n_trials), chunked.
+    """Batch of prediction trials [start, start + n_trials): prediction_chunks joined into one table.
 
-    settings.v is the system-ancilla coupling strength; settings must have
-    a_i = b_i (the protocol couples along the axes to be tested).  Detector
-    noise in settings is not part of this protocol and is ignored.  Identical
-    output for every chunk size and worker count, so trial i alone is
+    Identical output for every start and worker count, so trial i alone is
     prediction_batch(settings, readout, 1, master_seed, start=i).
     """
-    _require_same_axis(settings)
-    return run_chunked(partial(_predict_range, settings, readout, master_seed=master_seed), n_trials, start, chunk, workers)
+    return _filled(prediction_chunks(settings, readout, n_trials, master_seed, start, workers), n_trials)
 
 
 class PredictionFold:

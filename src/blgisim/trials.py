@@ -25,11 +25,12 @@ index from one 5x5 moment matrix E[u u^T], u = (1, alpha1, alpha2, beta1,
 beta2), summed over the 16 branches in branch order.  The detector noise
 model and the coupling-strength check live here too.
 
-simulate_trials produces a columnar batch of trials [start, start + n),
-joined from chunks, and trial_chunks the trials [0, n) as a stream of
-those chunks; each trial reads its own counter window, so its row is identical no matter
-which start, chunking, or worker count produced it, and a single trial i
-is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
+trial_chunks gives trials [start, start + n) as a stream of chunks of
+_TRIAL_CHUNK trials (chunk_stream, which prediction.prediction_chunks
+shares), and simulate_trials is that stream joined into one columnar
+table.  Each trial reads its own counter window, so its row is identical
+no matter which start, chunk or worker count produced it, and a single
+trial i is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
 one experiment: the columns its record file stores (trial_index, raw_i,
 beta_i) and the scalars its header stores (settings id, V, master seed).
 alpha_i = raw_i / V is computed from them on access.
@@ -317,11 +318,16 @@ def _filled(parts, rows: int):
     """One table of `rows` rows from parts, an iterator of tables of one
     class and one experiment that together hold exactly that many rows.
 
-    The columns are allocated at the first part, and each part is copied
-    into the next rows and let go before the next one is taken, so no more
-    than one part is held at a time.
+    A first part that holds every row, and is the only one, is the table.
+    Otherwise the columns are allocated at the first part, and each part is
+    copied into the next rows and let go before the next one is taken, so
+    no more than one part is held at a time.
     """
     part = next(parts)
+    if len(part) == rows:
+        if next(parts, None) is not None:
+            raise ValueError(f"malformed records: more rows than the {rows} that were counted")
+        return part
     cls = type(part)
     columns = [np.empty(rows, kind) for _, kind in cls.schema]
     values = {name: set() for name in cls.scalars}
@@ -502,8 +508,15 @@ def _pool_map(task, *sequences, workers: int):
         yield from map(task, *sequences)
 
 
-def chunk_stream(task, n_trials: int, start: int, chunk: int, workers: int):
-    """The tables task(chunk_start, count) of the chunks of [start, start + n_trials), in chunk order.
+# Trials per chunk, for simulate and predict alike: a multiple of FOLD_ROWS,
+# so a stream of chunks folds as its table does.  A chunk's sampling
+# temporaries take 2.2 MB, about one core's L2 cache on a 2-core box; 1M
+# trials sample as fast as in chunks of 65536, whose temporaries take 9 MB.
+_TRIAL_CHUNK = 1 << 14
+
+
+def chunk_stream(task, n_trials: int, start: int, workers: int):
+    """The tables task(chunk_start, count) of the _TRIAL_CHUNK-trial chunks of [start, start + n_trials), in order.
 
     The chunks go through _pool_map, so with workers > 1 they run in a
     process pool of at most one worker per chunk, a window of them at a
@@ -512,33 +525,13 @@ def chunk_stream(task, n_trials: int, start: int, chunk: int, workers: int):
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    starts = range(start, start + n_trials, chunk)
-    counts = [min(chunk, start + n_trials - s) for s in starts]
+    starts = range(start, start + n_trials, _TRIAL_CHUNK)
+    counts = [min(_TRIAL_CHUNK, start + n_trials - s) for s in starts]
     return _pool_map(task, starts, counts, workers=workers)
 
 
-def run_chunked(task, n_trials: int, start: int, chunk: int, workers: int):
-    """One table of chunk_stream(task, ...): the chunks' rows in chunk order.
-
-    The table's columns are allocated once and each chunk is copied into
-    its rows as it arrives and let go (_filled), so no list of chunks is
-    held; the result is the same for every chunk size and worker count.
-    """
-    parts = chunk_stream(task, n_trials, start, chunk, workers)
-    return next(parts) if n_trials <= chunk else _filled(parts, n_trials)
-
-
-# Trials per chunk, for simulate and predict alike: a multiple of FOLD_ROWS,
-# so a stream of chunks folds as its table does.  A chunk's sampling
-# temporaries take 2.2 MB, about one core's L2 cache on a 2-core box; 1M
-# trials sample as fast as in chunks of 65536, whose temporaries take 9 MB.
-_TRIAL_CHUNK = 1 << 14
-
-
-def trial_chunks(source, n_trials: int, master_seed: int, workers: int = 1):
-    """The TrialTable chunks of trials [0, n_trials) of a Settings or Source, in order.
+def trial_chunks(source, n_trials: int, master_seed: int, start: int = 0, workers: int = 1):
+    """The TrialTable chunks of trials [start, start + n_trials) of a Settings or Source, in order.
 
     The stream that simulate_trials joins into one table, for a caller that
     takes the trials a chunk at a time (cli simulate folds and writes each
@@ -546,24 +539,17 @@ def trial_chunks(source, n_trials: int, master_seed: int, workers: int = 1):
     chunk but the last holds a multiple of FOLD_ROWS trials, so
     estimate_chsh of the stream has the bits of estimate_chsh of the table.
     """
-    task = partial(_simulate_range, source, master_seed=master_seed)
-    return chunk_stream(task, n_trials, 0, _TRIAL_CHUNK, workers)
+    return chunk_stream(partial(_simulate_range, source, master_seed=master_seed), n_trials, start, workers)
 
 
-def simulate_trials(
-    source,
-    n_trials: int,
-    master_seed: int,
-    start: int = 0,
-    workers: int = 1,
-    chunk: int = _TRIAL_CHUNK,
-) -> TrialTable:
+def simulate_trials(source, n_trials: int, master_seed: int, start: int = 0, workers: int = 1) -> TrialTable:
     """Monte Carlo batch of trials [start, start + n_trials) of a Settings or Source.
 
-    The table form of trial_chunks: its chunks joined by run_chunked.
-    Results are identical for every chunk size and worker count.
+    The table form of trial_chunks: its chunks copied into one table as
+    they arrive (_filled), so no list of chunks is held.  Results are
+    identical for every start and worker count.
     """
-    return run_chunked(partial(_simulate_range, source, master_seed=master_seed), n_trials, start, chunk, workers)
+    return _filled(trial_chunks(source, n_trials, master_seed, start, workers), n_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +614,16 @@ class ChshMoments:
 _NO_TRIALS = ChshMoments(0, np.zeros(1 + len(CHSH_PAIRS)), np.zeros(1 + len(CHSH_PAIRS)))
 
 
+def _chsh_terms(a1, a2, b1, b2) -> np.ndarray:
+    """The five CHSH terms of each trial, one row each: x, then the products of CHSH_PAIRS."""
+    return np.stack([a1 * (b1 + b2) + a2 * (b1 - b2), a1 * b1, a1 * b2, a2 * b1, a2 * b2])
+
+
 def _block_moments(table: TrialTable, start: int) -> ChshMoments:
     """The moments of rows [start, start + FOLD_ROWS) of a table, by two passes of numpy reductions."""
     rows = slice(start, start + FOLD_ROWS)
     a1, a2 = table._rescaled(table.raw1[rows]), table._rescaled(table.raw2[rows])
-    b1, b2 = table.beta1[rows], table.beta2[rows]
-    terms = np.stack([a1 * (b1 + b2) + a2 * (b1 - b2), a1 * b1, a1 * b2, a2 * b1, a2 * b2])
+    terms = _chsh_terms(a1, a2, table.beta1[rows], table.beta2[rows])
     mean = terms.sum(axis=1) / terms.shape[1]
     terms -= mean[:, None]
     terms *= terms
@@ -820,7 +810,7 @@ def _count_moments(source, n_trials: int, master_seed: int) -> ChshMoments:
     counts = _branch_counts(source.law, n_trials, u)
     r1, r2, b1, b2 = np.array(BRANCHES, dtype=float).T
     a1, a2 = ((source.raw_scale * r + source.noise.bias) / source.v for r in (r1, r2))
-    terms = np.stack([a1 * (b1 + b2) + a2 * (b1 - b2), a1 * b1, a1 * b2, a2 * b1, a2 * b2])
+    terms = _chsh_terms(a1, a2, b1, b2)
     mean = (terms * counts).sum(axis=1) / n_trials
     terms -= mean[:, None]
     terms *= terms

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from blgisim import audit
 from blgisim.audit import (
@@ -187,6 +188,41 @@ def test_decomposition_never_rejects_binary_noise_sources():
         noise = NoiseModel(sigma=float(rng.uniform(0.0, 0.5)))
         table = simulate_trials(hidden_variable_source(config, v, noise), 20_000, 300 + k)
         assert decomposition_test(table).verdict != REJECT
+
+
+def _boundary_reject_rate(source, n: int, runs: int, seed: int) -> float:
+    """The share of `runs` audits of n trials each of source that REJECT.
+
+    The trials are sampled a million at a time, and audit k reads trials
+    [k n, (k + 1) n) as its own table."""
+    per_batch = 10**6 // n
+    rejects = 0
+    for first in range(0, runs, per_batch):
+        count = min(per_batch, runs - first)
+        batch = simulate_trials(source, count * n, seed, start=first * n)
+        for k in range(count):
+            rows = slice(k * n, (k + 1) * n)
+            table = TrialTable(
+                *(getattr(batch, name)[rows] for name in TrialTable.field_names),
+                settings_id=batch.settings_id, v=batch.v, master_seed=batch.master_seed,
+            )
+            verdict = decomposition_test(table).verdict
+            assert verdict != INCONCLUSIVE
+            rejects += verdict == REJECT
+    return rejects / runs
+
+
+@pytest.mark.parametrize("n, runs", [(100, 40_000), (1000, 10_000)])
+def test_false_reject_rate_at_the_boundary_is_the_student_t_tail(n, runs):
+    # every signal -1 with unbiased Gaussian noise: x = 2 - 2 eps / V per
+    # trial, iid N(2, (2 sigma / V)^2), so S is exactly 2 and the audit's
+    # z is Student-t with n - 1 degrees of freedom; at 3 sigma its REJECT
+    # rate is the t tail, above the normal tail 0.00135 (27% above at n = 100)
+    source = hidden_variable_source(audit.HiddenVariableConfig((0,) * 4, (1,) * 4), 0.5, NoiseModel(sigma=0.3))
+    assert exact_chsh(source) == 2.0
+    tail = stats.t.sf(audit.DEFAULT_THRESHOLD_SIGMAS, n - 1)
+    rate = _boundary_reject_rate(source, n, runs, seed=n)
+    assert abs(rate - tail) <= 3.0 * math.sqrt(tail * (1.0 - tail) / runs), (rate, tail)
 
 
 def test_decomposition_validates_arguments():

@@ -6,8 +6,9 @@ TrialTable and one every PredictionTable, only those two draw branches
 trial by trial, one routine builds every binomial pmf, one helper opens every process
 pool and no command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
-record file is opened as bytes and its lines ended by one function, and
-every name the benchmark tracer patches exists.  The command line, alone
+record file is opened as bytes and its lines ended by one function, each
+record sampler is one named chunk stream, and every name the benchmark
+tracer patches exists.  The command line, alone
 in the package, sets numpy's BLAS threading, before anything loads numpy,
 and ``import blgisim`` loads no numpy."""
 
@@ -146,6 +147,29 @@ def test_one_helper_opens_every_process_pool():
     # simulate and predict pool their chunks, audit its ranges, all
     # through trials._pool_map; a second call site would be a second pool path
     assert _inside(trials._pool_map, _call_sites("ProcessPoolExecutor")) == [("trials.py", True)]
+
+
+def test_each_sampler_is_one_named_stream():
+    # trials.chunk_stream alone cuts the chunks, so the chunk size is named
+    # in trials.py alone; the command takes each sampler's stream by its
+    # public name (trial_chunks, prediction_chunks), not prediction's parts
+    chunk_sites = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "id", getattr(node, "attr", None)) == "_TRIAL_CHUNK"
+        or (isinstance(node, ast.alias) and node.name == "_TRIAL_CHUNK")
+    ]
+    assert chunk_sites and {name for name, _ in chunk_sites} == {"trials.py"}
+    cli = ast.parse(Path(blgisim.__file__).with_name("cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(cli)
+        if isinstance(node, ast.ImportFrom) and node.module == "prediction"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def _fresh(code: str, **env) -> str:
@@ -296,8 +320,8 @@ def test_every_record_file_is_opened_as_bytes():
 # simulate folds the chunks of trials.trial_chunks as they are sampled,
 # sweep folds no trials but its points' branch counts
 # (trials._count_moments), and predict counts and writes the chunks of
-# prediction._predict_range as they are sampled, so the tracer's spans for
-# these four names read 0 until they are retargeted
+# prediction.prediction_chunks as they are sampled, so the tracer's spans
+# for these four names read 0 until they are retargeted
 STALE_TRACER_TARGETS = {
     ("cli", "estimate_chsh"),
     ("cli", "prediction_batch"),

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from blgisim.prediction import (
     prediction_accuracy,
     prediction_accuracy_exact,
     prediction_batch,
+    prediction_chunks,
     prediction_settings,
 )
 from blgisim.trials import DegenerateBranchError, Settings, chsh_combine
@@ -401,16 +401,23 @@ def test_single_prediction_trial_is_deterministic():
     assert table_rows(prediction_batch(settings, readout, 1, master_seed=123, start=10)) != [rec]
 
 
-def test_prediction_batch_chunk_and_slice_invariance():
+def test_prediction_batch_start_stream_worker_and_slice_invariance():
+    # three chunks, joined serially or from a pool of three, streamed, or
+    # cut at start offsets whose chunks end at other trials than the whole's
     settings = prediction_settings(0.3)
     readout = SequentialReadoutParams(v=0.25, steps=24)
-    whole = prediction_batch(settings, readout, 777, master_seed=1, chunk=777)
-    pieces = prediction_batch(settings, readout, 777, master_seed=1, chunk=123)
-    for name in ("K1", "K2", "trajectory_mean1", "trajectory_mean2", "predicted1", "actual2"):
-        assert np.array_equal(getattr(whole, name), getattr(pieces, name))
-    tail = prediction_batch(settings, readout, 100, master_seed=1, start=677)
-    assert np.array_equal(tail.trajectory_mean1, whole.trajectory_mean1[677:])
-    for i in range(0, 777, 311):
+    n = 2 * trials._TRIAL_CHUNK + 41
+    whole = prediction_batch(settings, readout, n, master_seed=1)
+    others = [prediction_batch(settings, readout, n, master_seed=1, workers=3)]
+    others += [concat(list(prediction_chunks(settings, readout, n, 1, workers=workers))) for workers in (1, 3)]
+    cuts = (0, 123, trials._TRIAL_CHUNK + 1000, n)
+    others.append(concat([prediction_batch(settings, readout, b - a, 1, start=a) for a, b in zip(cuts, cuts[1:])]))
+    for other in others:
+        for name in ("K1", "K2", "trajectory_mean1", "trajectory_mean2", "predicted1", "actual2"):
+            assert np.array_equal(getattr(whole, name), getattr(other, name)), name
+    tail = prediction_batch(settings, readout, 100, master_seed=1, start=n - 100)
+    assert np.array_equal(tail.trajectory_mean1, whole.trajectory_mean1[n - 100:])
+    for i in (0, 311, 622, trials._TRIAL_CHUNK - 1, trials._TRIAL_CHUNK, n - 1):
         one = prediction_batch(settings, readout, 1, master_seed=1, start=i)
         for name in PredictionTable.field_names:
             assert np.array_equal(getattr(one, name), getattr(whole, name)[i : i + 1]), (i, name)
@@ -473,14 +480,32 @@ def test_accuracy_of_a_stream_or_a_fold_is_that_of_its_table():
     settings, readout = prediction_settings(0.4), SequentialReadoutParams(v=0.3, steps=40)
     n = 2 * trials._TRIAL_CHUNK + 5
     whole = prediction_accuracy(prediction_batch(settings, readout, n, master_seed=6))
-    task = partial(prediction._predict_range, settings, readout, master_seed=6)
-    assert prediction_accuracy(trials.chunk_stream(task, n, 0, trials._TRIAL_CHUNK, 1)) == whole
-    fold = PredictionFold(trials.chunk_stream(task, n, 0, trials._TRIAL_CHUNK, 2))
+    assert prediction_accuracy(prediction_chunks(settings, readout, n, 6)) == whole
+    fold = PredictionFold(prediction_chunks(settings, readout, n, 6, workers=2))
     taken = [len(block) for block in itertools.islice(fold, 1)]
     assert taken == [trials._TRIAL_CHUNK] and len(fold) == trials._TRIAL_CHUNK
     assert prediction_accuracy(fold) == whole and len(fold) == n
     with pytest.raises(ValueError, match="at least 1 record"):
         prediction_accuracy(iter(()))
+
+
+def test_prediction_chunks_refuse_unequal_axes_before_any_chunk_and_join_to_the_batch(monkeypatch):
+    readout = SequentialReadoutParams(v=0.3, steps=40)
+    calls = []
+    monkeypatch.setattr(prediction, "_predict_range", lambda *args, **kwargs: calls.append(args))
+    for bad in (replace(prediction_settings(0.4), b1=0.1), replace(prediction_settings(0.4), a2=0.0)):
+        with pytest.raises(ValueError, match="coupling axes equal to projective axes"):
+            prediction_chunks(bad, readout, 10, 1)
+        with pytest.raises(ValueError, match="coupling axes equal to projective axes"):
+            prediction_batch(bad, readout, 10, 1)
+    assert calls == []
+    monkeypatch.undo()
+    settings, n = prediction_settings(0.4), trials._TRIAL_CHUNK + 9
+    for start in (0, 5):
+        batch = prediction_batch(settings, readout, n, 2, start=start)
+        chunks = list(prediction_chunks(settings, readout, n, 2, start=start))
+        assert [len(chunk) for chunk in chunks] == [trials._TRIAL_CHUNK, 9]
+        assert table_rows(concat(chunks)) == table_rows(batch) and batch.trial_index[0] == start
 
 
 def test_accuracy_at_full_coupling_is_near_perfect():

@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from blgisim import prediction, streams, trials
 from blgisim.cli import main
-from blgisim.prediction import SequentialReadoutParams, prediction_batch, prediction_settings
+from blgisim.prediction import SequentialReadoutParams, prediction_settings
 from blgisim.records import read_sweep
 from blgisim.trials import (
     CHSH_PAIRS,
@@ -35,7 +35,6 @@ from blgisim.trials import (
     exact_chsh,
     exact_correlator,
     exact_mean,
-    run_chunked,
     sample_branches,
     simulate_trials,
     trial_chunks,
@@ -260,15 +259,20 @@ def test_projective_same_axis_repeats_outcome():
     assert np.array_equal(table.alpha2, table.beta2.astype(float))
 
 
-def test_batch_is_chunk_invariant():
+def test_batch_is_the_same_for_every_start_stream_and_worker_count():
+    # three chunks, joined serially or from a pool of three, streamed, or
+    # cut at start offsets whose chunks end at other trials than the whole's
     hidden = hidden_variable_source(hidden_variable_config(42), 0.5, NoiseModel(bias=0.1, sigma=0.25))
+    n = 2 * trials._TRIAL_CHUNK + 37
     for source in (default_settings(0.5, NoiseModel(sigma=0.25)), hidden):
-        whole = simulate_trials(source, 1000, master_seed=5, chunk=1000)
-        pieces = simulate_trials(source, 1000, master_seed=5, chunk=137)
-        pooled = simulate_trials(source, 1000, master_seed=5, chunk=137, workers=2)
-        for name in TrialTable.field_names:
-            assert np.array_equal(getattr(whole, name), getattr(pieces, name)), (source, name)
-            assert np.array_equal(getattr(whole, name), getattr(pooled, name)), (source, name)
+        whole = simulate_trials(source, n, master_seed=5)
+        others = [simulate_trials(source, n, master_seed=5, workers=3)]
+        others += [concat(list(trial_chunks(source, n, 5, workers=workers))) for workers in (1, 3)]
+        cuts = (0, 137, trials._TRIAL_CHUNK + 1000, n)
+        others.append(concat([simulate_trials(source, b - a, 5, start=a) for a, b in zip(cuts, cuts[1:])]))
+        for other in others:
+            for name in TrialTable.field_names:
+                assert np.array_equal(getattr(whole, name), getattr(other, name)), (source, name)
 
 
 def test_rows_at_chunk_edges_equal_each_trial_alone():
@@ -297,15 +301,6 @@ def test_batch_start_offset_matches_full_run():
 def test_simulate_trials_rejects_empty():
     with pytest.raises(ValueError):
         simulate_trials(default_settings(0.5), 0, master_seed=1)
-
-
-def test_samplers_reject_chunk_below_one():
-    readout = SequentialReadoutParams(v=0.2, steps=8)
-    for chunk in (0, -1, -5):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            simulate_trials(default_settings(0.5), 10, master_seed=1, chunk=chunk)
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            prediction_batch(prediction_settings(0.5), readout, 10, master_seed=1, chunk=chunk)
 
 
 # --------------------------------------------------------------- table shape
@@ -350,7 +345,7 @@ def test_pool_submits_at_most_two_items_per_worker_ahead(monkeypatch):
     assert seen == [min(2 * 3 - 1 + k, 20) for k in range(1, 21)]
 
 
-def test_run_chunked_caps_workers_at_chunk_count(monkeypatch):
+def test_chunk_stream_caps_workers_at_chunk_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     settings = default_settings(0.4, NoiseModel(sigma=0.2))
@@ -505,15 +500,16 @@ def test_estimate_chsh_matches_a_two_pass_reference(source, n):
         assert abs(estimate.stderr - products.std(ddof=1) / math.sqrt(n)) <= 1e-12 * estimate.stderr
 
 
-def test_estimate_chsh_is_the_same_for_every_chunk_and_worker_count():
+def test_estimate_chsh_is_the_same_for_every_start_cut_stream_and_worker_count():
     # the fold runs over the table's rows, whatever produced them; numpy
     # reductions, not a BLAS dot, so no thread count reorders a sum
     source = FOLD_SOURCES["noisy quantum"]
-    reports = [
-        estimate_chsh(simulate_trials(source, 3 * FOLD_ROWS + 17, master_seed=6, chunk=chunk, workers=workers))
-        for chunk in (1000, 65536, 100000)
-        for workers in (1, 3)
-    ]
+    n = 2 * trials._TRIAL_CHUNK + 17
+    reports = [estimate_chsh(simulate_trials(source, n, master_seed=6, workers=workers)) for workers in (1, 3)]
+    reports += [estimate_chsh(trial_chunks(source, n, 6, workers=workers)) for workers in (1, 3)]
+    for cut in (1000, trials._TRIAL_CHUNK + 1000):
+        pieces = [simulate_trials(source, cut, 6), simulate_trials(source, n - cut, 6, start=cut, workers=3)]
+        reports.append(estimate_chsh(concat(pieces)))
     assert all(report == reports[0] for report in reports)
 
 
@@ -545,9 +541,10 @@ def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlato
     assert 0.0019 < report.chsh_stderr < 0.0021 and quadrature > 2 * report.chsh_stderr
 
 
-def test_run_chunked_copies_each_part_into_one_table_as_it_arrives():
-    # the serial path makes a part only once the one before it is copied
-    # and let go, so no two parts are alive at once
+def test_filled_copies_each_chunk_into_one_table_as_it_arrives():
+    # the serial path makes a chunk only once the one before it is copied
+    # and let go, so no two chunks are alive at once; a stream of one
+    # chunk is that chunk, uncopied
     settings = default_settings(0.4, NoiseModel(sigma=0.2))
     live = {"now": 0, "most": 0}
 
@@ -561,9 +558,14 @@ def test_run_chunked_copies_each_part_into_one_table_as_it_arrives():
         weakref.finalize(part, release)
         return part
 
-    table = run_chunked(task, 10_000, 0, 1000, workers=1)
+    n = 3 * trials._TRIAL_CHUNK + 5
+    table = trials._filled(trials.chunk_stream(task, n, 0, workers=1), n)
     assert live["most"] == 1
-    assert table_rows(table) == table_rows(simulate_trials(settings, 10_000, 3))
+    assert table_rows(table) == table_rows(simulate_trials(settings, n, 3))
+    part = next(trials.chunk_stream(task, 1000, 7, workers=1))
+    assert trials._filled(iter([part]), 1000) is part
+    with pytest.raises(ValueError, match="malformed records: more rows than the 1000 that were counted"):
+        trials._filled(iter([part, part]), 1000)
 
 
 # -------------------------------------------------------------- exact oracle

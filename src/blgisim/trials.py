@@ -318,16 +318,11 @@ def _filled(parts, rows: int):
     """One table of `rows` rows from parts, an iterator of tables of one
     class and one experiment that together hold exactly that many rows.
 
-    A first part that holds every row, and is the only one, is the table.
-    Otherwise the columns are allocated at the first part, and each part is
-    copied into the next rows and let go before the next one is taken, so
-    no more than one part is held at a time.
+    The columns are allocated at the first part, and each part is copied
+    into the next rows and let go before the next one is taken, so no more
+    than one part is held at a time.
     """
     part = next(parts)
-    if len(part) == rows:
-        if next(parts, None) is not None:
-            raise ValueError(f"malformed records: more rows than the {rows} that were counted")
-        return part
     cls = type(part)
     columns = [np.empty(rows, kind) for _, kind in cls.schema]
     values = {name: set() for name in cls.scalars}

@@ -76,6 +76,7 @@ from .trials import (
     _check_settings_id,
     _filled,
     _invert_window,
+    _one_experiment,
     _typed,
     branch_distribution,
     check_strength,
@@ -281,11 +282,12 @@ class PredictionFold:
     predicted_i = actual_i counted into `matches` as it passes; so a
     writer can take the stream a block at a time while the count rides
     along.  len() is the number of trials counted so far, and
-    prediction_accuracy of the fold counts the blocks not yet taken.
+    prediction_accuracy of the fold counts the blocks not yet taken.  A
+    block whose scalars differ from the first block's raises ValueError.
     """
 
     def __init__(self, records) -> None:
-        self._blocks = iter((records,) if isinstance(records, PredictionTable) else records)
+        self._blocks = _one_experiment((records,) if isinstance(records, PredictionTable) else records)
         self.matches = self.trials = 0
 
     def __len__(self) -> int:

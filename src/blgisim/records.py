@@ -16,15 +16,21 @@ one at a time. The bytes equal those of formatting each field of each row
 with ``'%d'``, ``'%.17g'`` or ``'%s'`` in a text file.
 
 The reader reads bytes, ends lines where _line_ends does, and parses a
-block of rows in numpy too (see _parse_rows).  Its grammar is the writer's:
-an int is ``-?[0-9]+``, and a float ``-?[0-9]+(.[0-9]+)?`` whose digits M <
-10**17, with f <= 22 of them after the point, is M / 10**f rounded once,
-exactly (Clinger's fast path, or a remainder from Dekker's two-product; see
-_quotients), so it equals ``float(text)`` bit for bit.  A float field that
-%.17g may write but that grammar leaves out (exponent notation, inf, nan,
-more digits) is parsed by ``float()``.  A block with any other field, or a
-line of another field count, is decoded as ``open(path)`` decodes it and read
-by ``np.loadtxt``, so the text accepted and every error message are np.loadtxt's.
+block of rows in numpy too (see _parse_rows), and that kernel is the one
+grammar a record or sweep CSV may hold.  An int field is ``-?[0-9]+``, at
+most 19 digits, in the int64 range.  A float field ``-?[0-9]+(.[0-9]*)?``
+of at most 17 digits before the point and 22 after it, whose digits M <
+10**17, f of them after the point, is M / 10**f rounded once, exactly
+(Clinger's fast path, or a remainder from Dekker's two-product; see
+_quotients), so it equals ``float(text)`` bit for bit; that takes ``1.``,
+``007``, ``-0`` and ``00.5`` too, which the writer never writes.  Any other
+float field must match _FLOAT_TOKEN, ``-?(inf|nan|D(.D)?(e[+-]D)?)`` with
+D = ``[0-9]+``, the forms %.17g may write (exponent notation, inf, nan,
+more digits), and is parsed by ``float()``.  Every other field, such as
+`` 1.5``, ``+1``, ``.5``, ``1E5`` or ``NaN``, and a line of another field
+count, a blank one among them, is malformed: the block's lines are
+decoded as ``open(path)`` decodes them, and the error names the first bad
+line and field (_row_error).
 
 A record file holds one experiment, like the table it is written from, and
 holds exactly what the table holds. Line 1 (record format 2,
@@ -47,13 +53,14 @@ import io
 import json
 import os
 import re
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .prediction import PredictionTable
-from .trials import FOLD_ROWS, RecordTable, TrialTable, _filled, check_strength
+from .trials import FOLD_ROWS, RecordTable, TrialTable, _filled, _one_experiment, check_strength
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no
@@ -380,43 +387,38 @@ def _emit_table(records, cls: type, path: str) -> str:
     del first  # let go once written, as every later block is
 
     def rows():
-        for block in blocks:
-            if not isinstance(block, cls):
-                raise TypeError(f"expected a {cls.__name__} to write, got {type(block).__name__}")
-            for name, value in scalars.items():
-                if getattr(block, name) != value:
-                    raise ValueError(
-                        f"malformed records: a block of {name} {getattr(block, name)!r} "
-                        f"in a stream of {name} {value!r}"
-                    )
+        for block in _one_experiment(blocks):
             for start in range(0, len(block), _WRITE_ROWS):
                 yield [getattr(block, name)[start:start + _WRITE_ROWS] for name in cls.field_names]
 
     return _write_csv(path, cls.schema, rows(), _comment({"format": RECORD_FORMAT, **scalars}))
 
 
-def _parses(line: str, col: int, kind: str) -> bool:
-    try:
-        np.loadtxt([line], delimiter=",", comments=None, dtype=kind, usecols=[col])
-    except ValueError:
-        return False
-    return True
+def _parses(text: str, schema) -> bool:
+    """Whether _parse_rows reads text, lines each ended by a newline, as rows of schema."""
+    store = np.frombuffer(bytes(_PAD) + text.encode(_encoding()), np.uint8)
+    return _parse_rows(store, np.flatnonzero(store == _LF), schema) is not None
 
 
 def _row_error(lines, first: int, what: str, schema) -> ValueError:
-    """The error for the first of lines (file line `first` on) that does not parse."""
-    for i, line in enumerate(lines):
-        row = line.rstrip("\n")
-        fields = row.split(",")
-        if len(fields) != len(schema):
-            reason = f"expected {len(schema)} fields"
-        else:
-            bad = (c for c, (_, kind) in enumerate(schema) if kind != "str" and not _parses(line, c, kind))
-            if (col := next(bad, None)) is None:
-                continue
-            reason = f"{schema[col][0]} {fields[col]!r} does not parse as {schema[col][1]}"
-        return ValueError(f"malformed {what} CSV row at line {first + i}: {row!r}: {reason}")
-    return ValueError(f"malformed {what} CSV rows in lines {first}-{first + len(lines) - 1}")
+    """The error for the first of lines (file line `first` on) that _parse_rows does not read.
+
+    The lines do not parse together.  A line that does not parse makes
+    every run of lines that holds it fail, so the first such line is found
+    by bisecting the runs from the first line on, and then its field count
+    or the first field that does not parse alone is named.
+    """
+    at = bisect_left(range(1, len(lines)), True, key=lambda k: not _parses("".join(lines[:k]), schema))
+    row = lines[at].rstrip("\n")
+    fields = row.split(",")
+    if len(fields) != len(schema):
+        reason = f"expected {len(schema)} fields"
+    else:
+        cols = (c for c, (_, kind) in enumerate(schema) if kind != "str" and not _parses(fields[c] + "\n", [schema[c]]))
+        if (col := next(cols, None)) is None:
+            return ValueError(f"malformed {what} CSV rows in lines {first}-{first + len(lines) - 1}")
+        reason = f"{schema[col][0]} {fields[col]!r} does not parse as {schema[col][1]}"
+    return ValueError(f"malformed {what} CSV row at line {first + at}: {row!r}: {reason}")
 
 
 def _check_header(line: str, schema, what: str) -> None:
@@ -428,17 +430,18 @@ def _check_header(line: str, schema, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Row parsing, the mirror of the row text.  The file's bytes are cut into
 # blocks of _BLOCK_ROWS lines, each parsed in numpy; only header lines, str
-# fields and the blocks that go to np.loadtxt are decoded.  A numeric field
+# fields and the lines of a malformed block are decoded.  A numeric field
 # is read as the little-endian 8-byte words that end where its digits end:
 # the bytes before its digits are zeroed, and the 8 digits of each word are
 # summed inside the word (SWAR).  An int is its digits and sign.  A float
 # is the integer M of its digits, the point left out, over 10**f, f the
 # digits after the point; where M < 10**17 and f <= 22 that quotient is
-# rounded once, exactly (_quotients).  Any other float field that %.17g may
-# write (exponent notation, inf, nan, a longer mantissa) is parsed by
-# float(), which reads it as np.loadtxt does.  A block with a field of any
-# other form, or a line of another field count, is read by np.loadtxt whole
-# (_loadtxt_rows), so the text accepted and every error stay np.loadtxt's.
+# rounded once, exactly (_quotients).  Any other float field must match
+# _FLOAT_TOKEN, the forms %.17g may write (exponent notation, inf, nan, a
+# longer mantissa), and is parsed by float().  A field of any other form,
+# or a line of another field count, makes the block malformed, and
+# _row_error asks this same kernel about runs of lines and about each
+# field alone to name the first bad line and field.
 
 _COUNT_BYTES = 1 << 16  # bytes read at a time; 256 KiB held 0.5 MB more at a streamed audit's peak, no faster
 _LF, _CR = ord("\n"), ord("\r")
@@ -687,42 +690,20 @@ def _points(dots, starts, ends):
     return np.where(count == 1, dots[np.minimum(first, len(dots) - 1)], ends)
 
 
-def _loadtxt_rows(lines, schema, what: str, first: int):
-    """The numeric columns of lines as np.loadtxt reads them, one structured
-    array; a blank line, a wrong field count and a field that does not parse
-    as its kind raise ``malformed <what> CSV row at line N``."""
-    kinds = [kind for _, kind in schema]
-    usecols = [i for i, kind in enumerate(kinds) if kind != "str"]
-    dtype = np.dtype([schema[i] for i in usecols])
-    # without usecols loadtxt rejects a row of the wrong field count itself
-    usecols = usecols if len(usecols) < len(kinds) else None
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, usecols=usecols, ndmin=1)
-    except ValueError:
-        raise _row_error(lines, first, what, schema) from None
-    # loadtxt skips blank lines and, given usecols, ignores extra fields, so count both here
-    extra = usecols is not None and sum(map(str.count, lines, repeat(","))) != (len(kinds) - 1) * len(lines)
-    if len(data) != len(lines) or extra:
-        raise _row_error(lines, first, what, schema)
-    return data
-
-
 def _read_blocks(blocks, schema, what: str, first: int):
     """Yield (numeric rows, str column) per block of _line_blocks, the
     first of them file line `first`: one structured array, and a list or
-    None for a schema without a str column.  A block is parsed in numpy
-    (_parse_rows), or from its text by np.loadtxt (_loadtxt_rows) if it
-    holds a line or field that the writer does not write; both give the
-    same bits.  A blank line, a wrong field count, a field that does not
-    parse as its kind and a quoted str field raise ``malformed <what> CSV
-    row at line N``; only then is the block parsed line by line to find N.
+    None for a schema without a str column, parsed in numpy (_parse_rows).
+    A blank line, a wrong field count, a field that _parse_rows does not
+    read and a quoted str field raise ``malformed <what> CSV row at line
+    N``; only then is the block decoded line by line to find N.
     """
     kinds = [kind for _, kind in schema]
     k = kinds.index("str") if "str" in kinds else None
     for store, newlines in blocks:
         data = _parse_rows(store, newlines, schema)
         if data is None:
-            data = _loadtxt_rows(_lines(store, newlines), schema, what, first)
+            raise _row_error(_lines(store, newlines), first, what, schema)
         texts = None
         if k is not None:
             rows, encoding = store[_PAD:newlines[-1]].tobytes().split(b"\n"), _encoding()

@@ -344,6 +344,25 @@ def _filled(parts, rows: int):
     return cls(*columns, **{name: seen.pop() for name, seen in values.items()})
 
 
+def _one_experiment(blocks):
+    """blocks as they pass, each checked to be of the first one's class and
+    to hold its scalars, so that a stream of the blocks of two experiments
+    raises at the first block of the second."""
+    cls = None
+    for block in blocks:
+        if cls is None:
+            cls = type(block)
+            scalars = {name: getattr(block, name) for name in cls.scalars}
+        if not isinstance(block, cls):
+            raise TypeError(f"expected a {cls.__name__}, got {type(block).__name__}")
+        for name, value in scalars.items():
+            if getattr(block, name) != value:
+                raise ValueError(
+                    f"malformed records: a block of {name} {getattr(block, name)!r} in a stream of {name} {value!r}"
+                )
+        yield block
+
+
 class TrialTable(RecordTable):
     """Column-oriented batch of trial records at coupling strength v, from
     the stream of master_seed; alpha_i = raw_i / v is computed on access."""
@@ -516,10 +535,14 @@ def chunk_stream(task, n_trials: int, start: int, workers: int):
     The chunks go through _pool_map, so with workers > 1 they run in a
     process pool of at most one worker per chunk, a window of them at a
     time; serially each chunk is made only when it is taken.  Arguments are
-    checked at the call, before any chunk runs.
+    checked at the call, before any chunk runs: a trial_index is an int64.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not (0 <= start and start + n_trials <= 2**63):
+        raise ValueError(f"start must satisfy 0 <= start and start + n_trials <= 2**63, got start={start}")
     starts = range(start, start + n_trials, _TRIAL_CHUNK)
     counts = [min(_TRIAL_CHUNK, start + n_trials - s) for s in starts]
     return _pool_map(task, starts, counts, workers=workers)
@@ -637,11 +660,12 @@ class ChshFold:
     Every block but the last must hold a multiple of FOLD_ROWS rows, as
     trial_chunks and records.read_record_blocks yield them: then the fold
     has the bits of the fold of one table of the stream's rows.  A block
-    that follows one that breaks this raises ValueError.
+    that follows one that breaks this raises ValueError, and so does a
+    block whose scalars differ from the first block's.
     """
 
     def __init__(self, records) -> None:
-        self._blocks = iter((records,) if isinstance(records, TrialTable) else records)
+        self._blocks = _one_experiment((records,) if isinstance(records, TrialTable) else records)
         self.moments = _NO_TRIALS
 
     def __len__(self) -> int:

@@ -771,7 +771,7 @@ def test_audit_checks_a_later_range_against_its_first_row_in_the_file(tmp_path, 
 
 def test_audit_names_a_non_ascii_field_as_the_serial_read_does(tmp_path, capsys, monkeypatch):
     # a non-ASCII byte fails the numpy parse, so its block is decoded as
-    # open(path) decodes it and np.loadtxt names the row, in either range
+    # open(path) decodes it and the row and field are named, in either range
     seen = _audit_in_ranges(monkeypatch, 2)
     path = _record_file(tmp_path, 3 * FOLD_ROWS)
     _edit_fields(path, {(LATER, 1): "0.5é"})

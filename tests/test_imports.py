@@ -284,14 +284,12 @@ def test_one_writer_turns_columns_into_csv_text():
 
 def test_one_reader_turns_csv_text_into_columns():
     # records._read_blocks parses the rows of every CSV kind through
-    # records._parse_rows, and hands a block that holds text the writer
-    # never writes to np.loadtxt in records._loadtxt_rows; _parses uses
-    # np.loadtxt to name the field of a bad row.  np.loadtxt anywhere else
-    # would be a second row parser
-    loadtxt = [(name, node.lineno) for name, node in _nodes(ast.Attribute) if node.attr == "loadtxt"]
-    assert loadtxt and _outside(loadtxt, records._loadtxt_rows, records._parses) == []
-    for parser in ("_parse_rows", "_loadtxt_rows"):
-        assert _inside(records._read_blocks, _call_sites(parser)) == [("records.py", True)]
+    # records._parse_rows, and _parses asks that same kernel about one field
+    # to name the field of a bad row; np.loadtxt, or _parse_rows called
+    # anywhere else, would be a second grammar for record text
+    assert [path.name for path in PACKAGE if "loadtxt" in path.read_text()] == []
+    parses = _call_sites("_parse_rows")
+    assert len(parses) == 2 and _outside(parses, records._read_blocks, records._parses) == []
     assert _outside(_call_sites("_read_blocks"), records._table_blocks, records.read_sweep) == []
 
 

@@ -421,7 +421,7 @@ def test_sweep_round_trip(tmp_path):
 
 def test_non_ascii_sweep_text_reads_as_a_text_file_reads_it(tmp_path):
     # a verdict is decoded as open(path) decodes it; a numeric field with a
-    # non-ASCII byte is named as np.loadtxt names it on the decoded line
+    # non-ASCII byte is named on its decoded line
     columns = {
         "v": [0.1, 0.95],
         "exact_chsh": [2.82, 1.85],

@@ -8,8 +8,9 @@ rows it compacts.  The numpy row parser reads those cells back as
 its exact division is checked against correctly rounded decimals, ties
 included; a file is cut into blocks of FOLD_ROWS rows, and read whole
 into a table of its counted rows, whatever its line ends; and text the
-writer never writes reads as np.loadtxt reads it, or fails with the
-message np.loadtxt's failure gives.  Random tables of both kinds are
+writer never writes reads as int() and float() read it, or fails naming
+its line and its field count or field, and the forms np.loadtxt once read
+and no writer writes are refused.  Random tables of both kinds are
 written in record format 2, match a plain per-row writer, and read back
 bit for bit, every column and every scalar; so do sampler tables that
 span several formatting blocks with extreme raws spliced in.  Tables the
@@ -31,6 +32,7 @@ import pytest
 
 from blgisim import records
 from blgisim.audit import hidden_variable_config, hidden_variable_source
+from blgisim.cli import main
 from blgisim.prediction import MAX_STEPS, PredictionTable, SequentialReadoutParams, prediction_batch, prediction_settings
 from blgisim.records import (
     SWEEP_HEADER,
@@ -337,7 +339,7 @@ def test_sweep_text_is_the_text_file_of_per_row_formatting(tmp_path):
 def parsed(values, kind: str):
     """(cells, column): the cells the block formatter writes for one column,
     and the column the block parser reads back from them.  Every block is
-    read by the numpy parser, none handed to np.loadtxt."""
+    read by the numpy parser, none refused."""
     text = records._rows_text([np.asarray(values, kind)], [kind], "utf-8").tobytes()
     blocks = []
     for store, newlines in records._line_blocks(io.BytesIO(text[1:] + b"\n"), repeat(records._BLOCK_ROWS)):
@@ -491,7 +493,6 @@ def test_block_reader_and_row_count_take_a_crlf_split_at_a_read_edge_once(tmp_pa
 
 # -------------------------------------------- text the writer never writes
 
-TRIAL_DTYPE = np.dtype(list(TrialTable.schema))
 TRIAL_HEAD = '# {"format": 2, "master_seed": 7, "settings_id": "s", "v": 0.5}\ntrial_index,raw1,raw2,beta1,beta2\n'
 CANONICAL_ROW = ("0", "0.5", "-0.25", "1", "-1")
 NONCANONICAL = [
@@ -504,42 +505,93 @@ NONCANONICAL = [
     "0." + "0" * 21 + "1", "1." + "0" * 22, "0.1" + "0" * 22, "-0." + "1" * 23, "0." + "3" * 30,
 ]
 TOKENS = st.text(alphabet=string.digits + ".-+eE " + string.ascii_letters, max_size=12)
+PYTHON = {"int64": int, "float64": float}
 
 
-def assert_reads_as_loadtxt(rows, newline="\n"):
-    """A trial file of these rows, with these line ends, reads as np.loadtxt
-    reads the rows, bit for bit, or fails where it fails, naming the row."""
-    lines = [row + "\n" for row in rows]
+def _write_rows(tmp: str, rows, newline: str = "\n") -> str:
+    path = Path(tmp) / "rows.csv"
+    path.write_bytes((TRIAL_HEAD + "".join(row + "\n" for row in rows)).replace("\n", newline).encode())
+    return str(path)
+
+
+def assert_reads_as_python_or_names_the_row(rows, newline="\n") -> bool:
+    """A trial file of these rows, with these line ends, reads every field
+    bit for bit as int() or float() reads it, or fails naming one row
+    (its file line and text) and its field count or the field it does
+    not read, never the block's lines alone; whether it read."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rows.csv"
-        path.write_bytes((TRIAL_HEAD + "".join(lines)).replace("\n", newline).encode())
         try:
-            want = np.loadtxt(lines, delimiter=",", comments=None, dtype=TRIAL_DTYPE, ndmin=1)
-        except ValueError:
-            want = None
-        if want is None or len(want) != len(rows):
-            message = str(records._row_error(lines, 3, "trial", TrialTable.schema))
-            assert message.startswith("malformed trial CSV row")
-            with pytest.raises(ValueError) as info:
-                read_records(str(path))
-            assert str(info.value) == message
-            return
-        got = read_records(str(path))
-    for name in TRIAL_DTYPE.names:
-        assert np.array_equal(getattr(got, name).view(np.uint64), want[name].view(np.uint64)), name
+            got = read_records(_write_rows(tmp, rows, newline))
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            message = None
+    if message is not None:
+        line = re.match(r"malformed trial CSV row at line (\d+): ", message)
+        assert line, message
+        row = rows[int(line[1]) - 3]
+        fields, head = row.split(","), f"{line[0]}{row!r}: "
+        if len(fields) != len(TrialTable.schema):
+            assert message == head + "expected 5 fields"
+        else:
+            named = zip(TrialTable.schema, fields)
+            assert message in {head + f"{name} {field!r} does not parse as {kind}" for (name, kind), field in named}
+        return False
+    assert len(got) == len(rows)
+    for (name, kind), column in zip(TrialTable.schema, zip(*(row.split(",") for row in rows))):
+        want = np.array([PYTHON[kind](field) for field in column], kind)
+        assert np.array_equal(getattr(got, name).view(np.uint64), want.view(np.uint64)), name
+    return True
 
 
 @pytest.mark.parametrize("token", NONCANONICAL)
 @pytest.mark.parametrize("field", range(5))
-def test_text_the_writer_never_writes_reads_as_loadtxt_reads_it(field, token):
+def test_text_the_writer_never_writes_reads_as_python_reads_it_or_names_the_row(field, token):
     row = list(CANONICAL_ROW)
     row[field] = token
-    assert_reads_as_loadtxt([",".join(CANONICAL_ROW), ",".join(row), ",".join(CANONICAL_ROW)])
+    assert_reads_as_python_or_names_the_row([",".join(CANONICAL_ROW), ",".join(row), ",".join(CANONICAL_ROW)])
 
 
-def test_float_fields_of_every_digit_count_read_as_loadtxt_reads_them():
+# forms that no writer writes, which the reader refuses
+REFUSED = [("trial_index", "+1"), ("beta2", "+1")] + [
+    (name, token)
+    for token in (" 1.5", "1.5 ", "+1", ".5", "-.5", "1E5", "1e5", "Infinity", "NaN")
+    for name in ("raw1", "raw2")
+]
+
+
+@pytest.mark.parametrize("name, token", REFUSED)
+def test_a_form_no_writer_writes_is_refused_naming_its_line_and_field(name, token, capsys):
+    row = list(CANONICAL_ROW)
+    row[TrialTable.field_names.index(name)] = token
+    kind = dict(TrialTable.schema)[name]
+    error = f"malformed trial CSV row at line 4: {','.join(row)!r}: {name} {token!r} does not parse as {kind}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_rows(tmp, [",".join(CANONICAL_ROW), ",".join(row), ",".join(CANONICAL_ROW)])
+        with pytest.raises(ValueError) as info:
+            read_records(path)
+        assert str(info.value) == error
+        assert main(["audit", "--in", path, "--v", "0.5"]) == 1
+    assert capsys.readouterr() == ("", f"blgisim: error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "name, token, value",
+    [("raw1", "1.", 1.0), ("raw1", "007", 7.0), ("raw2", "-0", -0.0), ("raw2", "00.5", 0.5), ("trial_index", "007", 7),
+     ("beta1", "-0", 0)],
+)
+def test_the_kernel_reads_these_forms_the_writer_never_writes(name, token, value):
+    row = list(CANONICAL_ROW)
+    row[TrialTable.field_names.index(name)] = token
+    with tempfile.TemporaryDirectory() as tmp:
+        table = read_records(_write_rows(tmp, [",".join(row)]))
+    assert repr(getattr(table, name).tolist()) == repr([value])
+
+
+def test_float_fields_of_every_digit_count_read_as_float_reads_them():
     """1-30 digits before the point and 0-30 after it, in both float
-    columns: past %.17g's 17 digits and the exact division's 22."""
+    columns: past %.17g's 17 digits and the exact division's 22.  Each is
+    the exact kernel's or a form %.17g may write, so every row reads."""
     rng = np.random.default_rng(20)
     rows = []
     for whole in range(1, 31):
@@ -547,7 +599,7 @@ def test_float_fields_of_every_digit_count_read_as_loadtxt_reads_them():
             token = "".join(rng.choice(list(string.digits), whole + fraction))
             token = token[:whole] + ("." + token[whole:] if fraction else "")
             rows.append(",".join((CANONICAL_ROW[0], token, "-" + token) + CANONICAL_ROW[3:]))
-    assert_reads_as_loadtxt(rows)
+    assert assert_reads_as_python_or_names_the_row(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -555,5 +607,5 @@ def test_float_fields_of_every_digit_count_read_as_loadtxt_reads_them():
     fields=st.lists(st.one_of(TOKENS, st.sampled_from(CANONICAL_ROW + tuple(NONCANONICAL))), min_size=5, max_size=6),
     newline=st.sampled_from(["\n", "\r\n"]),
 )
-def test_any_row_reads_as_loadtxt_reads_it(fields, newline):
-    assert_reads_as_loadtxt([",".join(CANONICAL_ROW), ",".join(fields)], newline)
+def test_any_row_reads_as_python_reads_it_or_names_the_row(fields, newline):
+    assert_reads_as_python_or_names_the_row([",".join(CANONICAL_ROW), ",".join(fields)], newline)

@@ -39,7 +39,7 @@ from blgisim.trials import (
     simulate_trials,
     trial_chunks,
 )
-from blgisim.audit import HiddenVariableConfig, hidden_variable_config, hidden_variable_source
+from blgisim.audit import HiddenVariableConfig, decomposition_test, hidden_variable_config, hidden_variable_source
 from reference import (
     BELL_AMPLITUDES,
     column,
@@ -303,6 +303,39 @@ def test_simulate_trials_rejects_empty():
         simulate_trials(default_settings(0.5), 0, master_seed=1)
 
 
+READOUT = SequentialReadoutParams(v=0.3, steps=5)
+SAMPLERS = {
+    "trial_chunks": lambda n, **kw: trial_chunks(default_settings(0.5), n, 1, **kw),
+    "simulate_trials": lambda n, **kw: simulate_trials(default_settings(0.5), n, 1, **kw),
+    "prediction_chunks": lambda n, **kw: prediction.prediction_chunks(prediction_settings(0.5), READOUT, n, 1, **kw),
+    "prediction_batch": lambda n, **kw: prediction.prediction_batch(prediction_settings(0.5), READOUT, n, 1, **kw),
+}
+
+
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+def test_samplers_check_workers_and_start_before_any_chunk_runs(monkeypatch, sampler):
+    # a trial_index is an int64: a start that would wrap it past 2**63 - 1,
+    # or that no int64 holds, is refused by name, as is a worker count below 1
+    calls = []
+    monkeypatch.setattr(trials, "_simulate_range", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(prediction, "_predict_range", lambda *args, **kwargs: calls.append(args))
+    start = r"start must satisfy 0 <= start and start \+ n_trials <= 2\*\*63, got start="
+    for kwargs, error in [
+        ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"workers": -3}, "workers must be >= 1, got -3"),
+        ({"start": -1}, start + "-1"),
+        ({"start": 2**63 - 5}, start + str(2**63 - 5)),
+        ({"start": 2**64}, start + str(2**64)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            SAMPLERS[sampler](10, **kwargs)
+    assert calls == []
+    monkeypatch.undo()
+    last = SAMPLERS[sampler](10, start=2**63 - 10)
+    table = concat(list(last)) if sampler.endswith("chunks") else last
+    assert table.trial_index.tolist() == list(range(2**63 - 10, 2**63))
+
+
 # --------------------------------------------------------------- table shape
 
 
@@ -539,6 +572,25 @@ def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlato
     report = estimate_chsh(simulate_trials(default_settings(0.9), 200_000, master_seed=5))
     quadrature = chsh_combine(report.e11, report.e12, report.e21, report.e22).chsh_stderr
     assert 0.0019 < report.chsh_stderr < 0.0021 and quadrature > 2 * report.chsh_stderr
+
+
+def test_folds_refuse_the_blocks_of_two_experiments():
+    # a fold pools its blocks under the first block's scalars: pooled, V 0.2
+    # and V 0.9 gave a wrong REJECT at |S| = 2.445 +- 0.053
+    mixed = [simulate_trials(default_settings(0.2), FOLD_ROWS, 1), simulate_trials(default_settings(0.9), FOLD_ROWS, 2)]
+    error = r"^malformed records: a block of settings_id '.*;v=0.9;.*' in a stream of settings_id '.*;v=0.2;.*'$"
+    for fold in (decomposition_test, estimate_chsh):
+        with pytest.raises(ValueError, match=error):
+            fold(iter(mixed))
+    seeds = [simulate_trials(default_settings(0.2), FOLD_ROWS, 1), simulate_trials(default_settings(0.2), 10, 2)]
+    with pytest.raises(ValueError, match="^malformed records: a block of master_seed 2 in a stream of master_seed 1$"):
+        estimate_chsh(seeds)
+    readouts = [SequentialReadoutParams(v=0.3, steps=s) for s in (5, 7)]
+    steps = [prediction.prediction_batch(prediction_settings(0.5), readout, 10, 1) for readout in readouts]
+    with pytest.raises(ValueError, match="^malformed records: a block of steps 7 in a stream of steps 5$"):
+        prediction.prediction_accuracy(steps)
+    with pytest.raises(TypeError, match="^expected a TrialTable, got PredictionTable$"):
+        estimate_chsh([mixed[0], steps[0]])
 
 
 def test_filled_copies_each_chunk_into_one_table_as_it_arrives():

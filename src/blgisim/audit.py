@@ -51,6 +51,7 @@ from .trials import (
     Source,
     TrialTable,
     _block_moments,
+    _one_experiment,
     _pool_map,
     check_strength,
     estimate_chsh,
@@ -169,19 +170,11 @@ def _check_record_integrity(table: TrialTable) -> None:
             raise ValueError("malformed records: beta outside {-1, +1}")
 
 
-def _check_count(rows: int) -> None:
-    if rows < 2:
-        raise ValueError(f"need at least 2 records to test a decomposition, got {rows}")
-
-
 def _checked(blocks):
-    """Each of blocks once its v and integrity are checked; at the end, at least 2 rows must have passed."""
-    rows = 0
+    """Each of blocks once its integrity is checked."""
     for block in blocks:
         _check_record_integrity(block)
-        rows += len(block)
         yield block
-    _check_count(rows)
 
 
 def _check_threshold(threshold_sigmas) -> None:
@@ -229,7 +222,6 @@ def _audit_file(records: RecordFile) -> ChshReport:
     # the results are taken in file order, so the first error in file order is raised
     ranges = _pool_map(partial(_audit_range, records), records.ranges(parts), workers=parts)
     moments = reduce(ChshMoments.merge, chain.from_iterable(ranges))  # a range that yields no block raises
-    _check_count(moments.count)
     return moments.report()
 
 
@@ -248,17 +240,19 @@ def decomposition_test(records, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGM
       ValueError names the first trial_index out of place;
     - a TrialTable, whose v rescales its raws;
     - any other iterable of the TrialTable blocks of one experiment, folded
-      into the estimate as they come, so a stream is never held whole.
+      into the estimate as they come, so a stream is never held whole.  A
+      table or stream passes through trials._one_experiment, so a block of
+      another experiment raises ValueError, and anything but a TrialTable
+      raises TypeError.
     Each block is checked (finite raws and alphas, betas of +-1), and the
     first error in file or stream order is raised.  Fewer than 2 records
-    cannot give a standard error and raise ValueError.  The verdict is
-    decomposition_verdict's on the folded estimate.
+    cannot give a standard error and raise ValueError (ChshMoments.report).
+    The verdict is decomposition_verdict's on the folded estimate.
     """
     _check_threshold(threshold_sigmas)
     if isinstance(records, RecordFile):
         return decomposition_verdict(_audit_file(records), threshold_sigmas)
-    blocks = (records,) if isinstance(records, TrialTable) else records
-    return decomposition_verdict(estimate_chsh(_checked(blocks)), threshold_sigmas)
+    return decomposition_verdict(estimate_chsh(_checked(_one_experiment(records, TrialTable))), threshold_sigmas)
 
 
 def decomposition_verdict(report: ChshReport, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:

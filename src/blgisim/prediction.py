@@ -187,11 +187,13 @@ def _count_cdfs(steps: int, v: float) -> tuple:
     K | c ~ Binomial(steps, (1 + c v)/2) counts the +1 readout outcomes;
     the c = -1 law is the c = +1 law mirrored, K -> steps - K.  Each F_c
     is the cumsum of one pmf's nonzero window, divided by its last entry
-    so it ends at 1; F_c is 0 below lo and 1 past the window's end.
+    so it ends at 1; F_c is 0 below lo and 1 past the window's end.  Both
+    are fresh arrays: the pmf is a view of a wider span, which a cached
+    table would keep alive.
     """
     lo, pmf = _binomial_window(steps, (1.0 + v) / 2.0)
     minus = np.cumsum(pmf[::-1])
-    plus = np.cumsum(pmf, out=pmf)
+    plus = np.cumsum(pmf)
     for table in (plus, minus):
         table /= table[-1]
         table.flags.writeable = False
@@ -287,7 +289,7 @@ class PredictionFold:
     """
 
     def __init__(self, records) -> None:
-        self._blocks = _one_experiment((records,) if isinstance(records, PredictionTable) else records)
+        self._blocks = _one_experiment(records, PredictionTable)
         self.matches = self.trials = 0
 
     def __len__(self) -> int:

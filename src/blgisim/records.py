@@ -18,17 +18,17 @@ with ``'%d'``, ``'%.17g'`` or ``'%s'`` in a text file.
 The reader reads bytes, ends lines where _line_ends does, and parses a
 block of rows in numpy too (see _parse_rows), and that kernel is the one
 grammar a record or sweep CSV may hold.  An int field is ``-?[0-9]+``, at
-most 19 digits, in the int64 range.  A float field ``-?[0-9]+(.[0-9]*)?``
+most 19 digits, in the int64 range.  A float field ``-?[0-9]+(.[0-9]+)?``
 of at most 17 digits before the point and 22 after it, whose digits M <
 10**17, f of them after the point, is M / 10**f rounded once, exactly
 (Clinger's fast path, or a remainder from Dekker's two-product; see
-_quotients), so it equals ``float(text)`` bit for bit; that takes ``1.``,
+_quotients), so it equals ``float(text)`` bit for bit; that takes
 ``007``, ``-0`` and ``00.5`` too, which the writer never writes.  Any other
 float field must match _FLOAT_TOKEN, ``-?(inf|nan|D(.D)?(e[+-]D)?)`` with
 D = ``[0-9]+``, the forms %.17g may write (exponent notation, inf, nan,
 more digits), and is parsed by ``float()``.  Every other field, such as
-`` 1.5``, ``+1``, ``.5``, ``1E5`` or ``NaN``, and a line of another field
-count, a blank one among them, is malformed: the block's lines are
+`` 1.5``, ``+1``, ``.5``, ``1.``, ``1E5`` or ``NaN``, and a line of another
+field count, a blank one among them, is malformed: the block's lines are
 decoded as ``open(path)`` decodes them, and the error names the first bad
 line and field (_row_error).
 
@@ -60,7 +60,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .prediction import PredictionTable
-from .trials import FOLD_ROWS, RecordTable, TrialTable, _filled, _one_experiment, check_strength
+from .trials import FOLD_ROWS, TrialTable, _filled, _one_experiment, check_strength
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no
@@ -369,25 +369,21 @@ def _emit_table(records, cls: type, path: str) -> str:
     """Write a cls table, or a stream of the cls blocks of one experiment,
     in record format 2, _WRITE_ROWS rows at a time.
 
-    The header holds the first block's checked scalars, which are checked
-    before the file is opened; every later block must hold the same ones.
-    A table of no rows writes the two header lines only.
+    The blocks pass through _one_experiment, which names anything but a
+    cls.  The header holds the first block's checked scalars, which are
+    checked before the file is opened; every later block must hold the
+    same ones.  A table of no rows writes the two header lines only.
     """
-    # a table is a stream of one block, and so is anything else that is no stream, to be named below
-    one = isinstance(records, (RecordTable, dict)) or not hasattr(records, "__iter__")
-    blocks = iter((records,) if one else records)
+    blocks = _one_experiment(records, cls)
     first = next(blocks, None)
-    if first is None and not one:
+    if first is None:
         raise ValueError(f"malformed records: a stream of no {cls.__name__} blocks has no header to write")
-    if not isinstance(first, cls):
-        got = type(first).__name__ if one else f"a stream of {type(first).__name__}"
-        raise TypeError(f"expected a {cls.__name__} to write, got {got}")
     scalars = {name: check(getattr(first, name)) for name, check in _scalar_checks(cls).items()}
     blocks = chain((first,), blocks)
     del first  # let go once written, as every later block is
 
     def rows():
-        for block in _one_experiment(blocks):
+        for block in blocks:
             for start in range(0, len(block), _WRITE_ROWS):
                 yield [getattr(block, name)[start:start + _WRITE_ROWS] for name in cls.field_names]
 
@@ -619,6 +615,7 @@ def _float_fields(store, starts, ends, points):
     np.minimum(f, 23, out=f)
     i, ok = _digits(store, points, np.minimum(whole, 24), max(1, -(-min(longest, 17) // 8)))
     ok &= i < _INT_LIMIT[f]
+    ok &= (f > 0) | (points == ends)  # a point has a digit after it
     if longest > 17 or whole.min() < 1:
         ok &= (whole - 1).view(np.uint64) < 17
     del whole  # each array goes once used, so a block's temporaries stay near 1 MB
@@ -816,12 +813,14 @@ def emit_records(records, path: str) -> str:
     """Write a TrialTable, or a stream of the TrialTable blocks of one
     experiment (such as trials.trial_chunks), in record format 2.
 
-    A table is a stream of one block, so both take one path.  The header
+    A table is a stream of one block, so both take one path, the one
+    check of trials._one_experiment: anything but a TrialTable raises
+    TypeError, named by its type, before the file is opened, and a later
+    block with other scalars raises ``malformed records``.  The header
     holds the first block's settings id, v and master seed, which must be
     what the reader accepts, or a ValueError names the scalar before the
-    file is opened; a later block with other scalars raises ``malformed
-    records``.  Each block is written and let go before the next one is
-    taken, and the file appears at path only once the stream has ended.
+    file is opened.  Each block is written and let go before the next one
+    is taken, and the file appears at path only once the stream has ended.
     A table of no rows yields the two header lines only.
     """
     return _emit_table(records, TrialTable, path)

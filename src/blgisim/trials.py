@@ -56,6 +56,7 @@ draws trial by trial only for the two samplers of record tables.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -315,46 +316,51 @@ class RecordTable:
 
 
 def _filled(parts, rows: int):
-    """One table of `rows` rows from parts, an iterator of tables of one
-    class and one experiment that together hold exactly that many rows.
+    """One table of `rows` rows from parts, an iterator of the tables of
+    one experiment that together hold exactly that many rows, with the
+    first part's class and scalars.
 
-    The columns are allocated at the first part, and each part is copied
-    into the next rows and let go before the next one is taken, so no more
-    than one part is held at a time.
+    The parts are not checked to be one experiment: each caller joins one
+    by construction (a sampler's chunks, a record file's blocks), and a
+    stream of unknown blocks goes through _one_experiment first.  The
+    columns are allocated at the first part, and each part is copied into
+    the next rows and let go before the next one is taken, so no more than
+    one part is held at a time.
     """
     part = next(parts)
     cls = type(part)
     columns = [np.empty(rows, kind) for _, kind in cls.schema]
-    values = {name: set() for name in cls.scalars}
+    scalars = {name: getattr(part, name) for name in cls.scalars}
     at = 0
     while part is not None:
         for column, name in zip(columns, cls.field_names):
             column[at:at + len(part)] = getattr(part, name)
         at += len(part)
-        for name, seen in values.items():
-            seen.add(getattr(part, name))
         part = None  # the part goes before the next one is made
         part = next(parts, None)
     if at != rows:  # a record file that lost rows after they were counted
         raise ValueError(f"malformed records: {at} rows where {rows} were counted")
-    for name, seen in values.items():
-        if len(seen) > 1:
-            what = "settings ids" if name == "settings_id" else f"{name} values"
-            raise ValueError(f"malformed records: {len(seen)} distinct {what} in one record set")
-    return cls(*columns, **{name: seen.pop() for name, seen in values.items()})
+    return cls(*columns, **scalars)
 
 
-def _one_experiment(blocks):
-    """blocks as they pass, each checked to be of the first one's class and
-    to hold its scalars, so that a stream of the blocks of two experiments
-    raises at the first block of the second."""
-    cls = None
-    for block in blocks:
-        if cls is None:
-            cls = type(block)
-            scalars = {name: getattr(block, name) for name in cls.scalars}
+def _one_experiment(records, cls: type):
+    """The blocks of records, a cls table (a stream of one block) or an
+    iterable of cls tables, each yielded once it is a cls that holds the
+    first block's scalars.
+
+    This is the one check that blocks are one experiment: the folds, the
+    writers and the audit pass what they are given through it, so a stream
+    of the blocks of two experiments raises at the first block of the
+    second.  Anything else raises TypeError, named by its type, or for an
+    iterable by the type of the block that is no cls.
+    """
+    scalars = None
+    # a table is not iterable, so it is a stream of one block, as is anything else that is not, to be named
+    for block in records if isinstance(records, Iterable) else (records,):
         if not isinstance(block, cls):
             raise TypeError(f"expected a {cls.__name__}, got {type(block).__name__}")
+        if scalars is None:
+            scalars = {name: getattr(block, name) for name in cls.scalars}
         for name, value in scalars.items():
             if getattr(block, name) != value:
                 raise ValueError(
@@ -660,12 +666,14 @@ class ChshFold:
     Every block but the last must hold a multiple of FOLD_ROWS rows, as
     trial_chunks and records.read_record_blocks yield them: then the fold
     has the bits of the fold of one table of the stream's rows.  A block
-    that follows one that breaks this raises ValueError, and so does a
-    block whose scalars differ from the first block's.
+    that follows one that breaks this raises ValueError.  The blocks pass
+    through _one_experiment, so a block whose scalars differ from the
+    first block's raises ValueError, and anything but a TrialTable raises
+    TypeError.
     """
 
     def __init__(self, records) -> None:
-        self._blocks = _one_experiment((records,) if isinstance(records, TrialTable) else records)
+        self._blocks = _one_experiment(records, TrialTable)
         self.moments = _NO_TRIALS
 
     def __len__(self) -> int:

@@ -54,6 +54,7 @@ from blgisim.trials import (
     TrialTable,
     _field_index,
     _filled,
+    _one_experiment,
     check_strength,
 )
 
@@ -604,8 +605,9 @@ _SCALAR_DEFAULTS = {"settings_id": "s", "master_seed": 0, "v": 1.0, "steps": 1}
 
 def concat(parts: list):
     """One table of the rows of parts, tables of one class and one
-    experiment, in order (trials._filled, which refuses two experiments)."""
-    return _filled(iter(parts), sum(map(len, parts)))
+    experiment, in order: trials._one_experiment refuses two experiments,
+    and trials._filled joins the rest."""
+    return _filled(_one_experiment(parts, type(parts[0])), sum(map(len, parts)))
 
 
 def empty_table(cls, **scalars):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -320,7 +321,11 @@ def test_decomposition_rejects_mixed_settings_ids():
         simulate_trials(Settings(v=0.2), 5000, 1),
         simulate_trials(Settings(v=0.2, b1=0.0, b2=0.0), 5000, 2),
     ]
-    with pytest.raises(ValueError, match="malformed records: .*settings ids"):
+    error = (
+        f"malformed records: a block of settings_id {parts[1].settings_id!r} "
+        f"in a stream of settings_id {parts[0].settings_id!r}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         concat(parts)
 
 
@@ -342,7 +347,11 @@ def test_hidden_variable_settings_id_names_its_thresholds_and_signs():
     # two experiments and must not pool into one table
     configs = [hidden_variable_config(98), hidden_variable_config(99)]
     parts = [simulate_trials(hidden_variable_source(c, 0.5), 5000, 1) for c in configs]
-    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids"):
+    error = (
+        f"malformed records: a block of settings_id {parts[1].settings_id!r} "
+        f"in a stream of settings_id {parts[0].settings_id!r}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         concat(parts)
     for config, part in zip(configs, parts):
         assert all(f"{t:.17g}" in part.settings_id for t in config.thresholds)

@@ -198,6 +198,11 @@ def test_predict_steps_above_cap_exit_2_with_one_usage_line(capsys, monkeypatch)
             "blgisim simulate: error: argument --angles: "
             "expected four finite angles a1,a2,b1,b2 in degrees, got '0,90,inf,-45'",
         ),
+        (
+            "simulate --v 0.3 --angles a,b,c,d --out {out}",
+            "blgisim simulate: error: argument --angles: "
+            "expected four finite angles a1,a2,b1,b2 in degrees, got 'a,b,c,d'",
+        ),
     ],
 )
 def test_usage_errors_found_before_any_work_exit_2_with_one_usage_line(command, error, tmp_path, capsys, monkeypatch):
@@ -527,7 +532,7 @@ def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
     assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "blgisim: error: need at least 2 records to test a decomposition, got 1\n"
+    assert captured.err == "blgisim: error: need at least 2 records to estimate a correlator, got 1\n"
 
 
 @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])

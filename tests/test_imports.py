@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import blgisim
-from blgisim import prediction, records, trials
+from blgisim import audit, prediction, records, trials
 
 PACKAGE = sorted(Path(blgisim.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -170,6 +170,56 @@ def test_each_sampler_is_one_named_stream():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _compares_a_block_scalar(function) -> bool:
+    """Whether function compares a getattr of something other than self,
+    or loops over a table class's scalars and builds a set."""
+    compares = any(
+        isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+        and getattr(call.args[0], "id", None) != "self"
+        for node in ast.walk(function) if isinstance(node, ast.Compare)
+        for call in ast.walk(node)
+    )
+    loops = any(
+        isinstance(node, (ast.For, ast.comprehension)) and getattr(node.iter, "attr", None) == "scalars"
+        for node in ast.walk(function)
+    )
+    sets = any(
+        isinstance(node, ast.SetComp) or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "set")
+        for node in ast.walk(function)
+    )
+    return compares or (loops and sets)
+
+
+def test_one_check_makes_a_table_or_stream_into_one_experiment_s_blocks():
+    # trials._one_experiment alone turns an argument into record blocks (a
+    # table is a stream of one block) and checks that they are one
+    # experiment; the folds, the writers and the audit's table route pass
+    # their argument through it, and _filled joins the parts of one
+    # experiment unchecked.  A second such check would be a second wording
+    # of the one rule that every verdict rests on
+    one_tuples = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.IfExp)
+        and any(isinstance(side, ast.Tuple) and len(side.elts) == 1 for side in (node.body, node.orelse))
+    ]
+    assert len(one_tuples) == 1 and _outside(one_tuples, trials._one_experiment) == []
+    checks = [
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and _compares_a_block_scalar(node)
+    ]
+    assert checks == [("trials.py", "_one_experiment")]
+    sites = _call_sites("_one_experiment")
+    callers = (trials.ChshFold, prediction.PredictionFold, audit.decomposition_test, records._emit_table)
+    assert len(sites) == 4 and all(len(_outside(sites, caller)) == 3 for caller in callers)
+    # ChshMoments.report is the one check of at least 2 records
+    assert not hasattr(audit, "_check_count")
+    assert [path.name for path in MODULES if "need at least 2 records" in path.read_text()] == ["trials.py"]
 
 
 def _fresh(code: str, **env) -> str:

@@ -319,6 +319,24 @@ def test_count_tables_at_max_steps_are_accurate_and_fit_in_memory():
     assert int(peak_kb) / 1024 <= 64  # reads 0 where there is no /proc
 
 
+def test_cached_count_tables_own_their_bytes():
+    # the pmf is a view of a wider span (at these arguments 121,451 of
+    # 139,269 entries); a cached table built in that span kept all of it alive
+    steps, v = 10**7, 0.001
+    prediction._count_cdfs.cache_clear()
+    plus, minus = prediction._count_cdfs(steps, v)
+    assert prediction._count_cdfs(steps, v) == (plus, minus)  # the cached tables
+    lo, pmf = trials._binomial_window(steps, (1.0 + v) / 2.0)
+    assert len(pmf.base) > len(pmf)
+    want_minus = np.cumsum(pmf[::-1])
+    want_plus = np.cumsum(pmf, out=pmf)  # each table built as before, in the span
+    for table in (want_plus, want_minus):
+        table /= table[-1]
+    assert plus[0] == lo and minus[0] == steps - (lo + len(pmf) - 1)
+    for (_, table), want in zip((plus, minus), (want_plus, want_minus)):
+        assert table.base is None and table.tobytes() == want.tobytes()
+
+
 def test_predict_at_max_steps_fits_in_memory(tmp_path):
     # the whole command builds the two count windows once, and the exact
     # accuracy reads them: a second full-length pmf for it peaked at 343 MB,

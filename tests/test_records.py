@@ -72,13 +72,21 @@ def test_table_rejects_columns_that_do_not_match_trial_index(table_cls):
 
 
 @pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
+def test_table_takes_one_column_per_schema_name(table_cls):
+    for n in (len(table_cls.schema) - 1, len(table_cls.schema) + 1):
+        columns = (_table_columns(table_cls, 2) * 2)[:n]
+        with pytest.raises(TypeError, match=f"^{table_cls.__name__} takes 5 columns, got {n}$"):
+            table_cls(*columns, **_scalars(table_cls))
+
+
+@pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
 def test_table_holds_one_settings_id(table_cls):
     columns = _table_columns(table_cls, 2)
     for bad in (np.array(["a", "b"], dtype=object), np.array(["a", "a"], dtype=object), ["a", "a"], None):
         with pytest.raises(TypeError, match="one str per table"):
             table_cls(*columns, **_scalars(table_cls, settings_id=bad))
     one = table_cls(*columns, **_scalars(table_cls, settings_id="a"))
-    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
+    with pytest.raises(ValueError, match="^malformed records: a block of settings_id 'b' in a stream of settings_id 'a'$"):
         concat([one, table_cls(*columns, **_scalars(table_cls, settings_id="b"))])
     assert concat([one, one]).settings_id == "a"
 
@@ -97,8 +105,8 @@ def test_table_holds_one_settings_id(table_cls):
 def test_concat_rejects_tables_that_differ_in_one_scalar(table_cls, name, other):
     columns = _table_columns(table_cls, 2)
     one, two = (table_cls(*columns, **_scalars(table_cls, **change)) for change in ({}, {name: other}))
-    what = "settings ids" if name == "settings_id" else f"{name} values"
-    with pytest.raises(ValueError, match=f"^malformed records: 2 distinct {what} in one record set$"):
+    error = f"malformed records: a block of {name} {other!r} in a stream of {name} {getattr(one, name)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         concat([one, two])
     assert len(concat([two, two])) == 4
 
@@ -199,7 +207,8 @@ def test_trial_round_trip_handles_extreme_floats(tmp_path):
 def test_concat_rejects_two_experiments():
     a = simulate_trials(default_settings(0.4), 3, master_seed=1)
     b = simulate_trials(default_settings(0.9), 2, master_seed=1)
-    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids in one record set"):
+    error = f"malformed records: a block of settings_id {b.settings_id!r} in a stream of settings_id {a.settings_id!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         concat([a, b])
 
 
@@ -324,8 +333,9 @@ def test_emitters_reject_the_other_table_kind_before_opening_the_file(tmp_path, 
     wanted = "PredictionTable" if other is TrialTable else "TrialTable"
     with pytest.raises(TypeError, match=f"{wanted}.*got {other.__name__}"):
         emit(empty_table(other), str(path))
-    for wrong, named in ((None, "NoneType"), ({"v": [0.5]}, "dict"), (["v"], "a stream of str")):
-        with pytest.raises(TypeError, match=f"expected a {wanted} to write, got {named}"):
+    # a dict of sweep columns is an iterable of its keys, so it is named by its first key's type
+    for wrong, named in ((None, "NoneType"), ({"v": [0.5]}, "str"), (["v"], "str")):
+        with pytest.raises(TypeError, match=f"expected a {wanted}, got {named}"):
             emit(wrong, str(path))
     assert not path.exists()
 

@@ -49,6 +49,19 @@ def test_windows_are_chunk_invariant():
     assert np.array_equal(whole, stitched)
 
 
+@pytest.mark.parametrize(
+    "master_seed, index, error",
+    [
+        (2**64, 0, "^master_seed must be a 64-bit unsigned value, got 18446744073709551616$"),
+        (-1, 0, "^master_seed must be a 64-bit unsigned value, got -1$"),
+        (0, -1, "^index must be nonnegative, got -1$"),
+    ],
+)
+def test_stream_refuses_a_seed_outside_64_bits_and_a_negative_index(master_seed, index, error):
+    with pytest.raises(ValueError, match=error):
+        streams.stream(master_seed, streams.TRIAL_STREAM, index=index)
+
+
 def test_window_rejects_negative_count():
     with pytest.raises(ValueError):
         streams.window_uniforms(3, 0x01, 0, -1, blocks=1)

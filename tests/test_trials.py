@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import re
 import tracemalloc
 import weakref
 from concurrent.futures import Future
@@ -432,6 +433,12 @@ def test_source_refuses_a_law_that_is_not_a_probability_law(law):
         Source("bad", law, 0.5)
 
 
+@pytest.mark.parametrize("entries", [15, 17])
+def test_source_refuses_a_law_of_other_than_16_branches(entries):
+    with pytest.raises(ValueError, match=f"^a source law has 16 branch probabilities, got {entries}$"):
+        Source("short", (1 / entries,) * entries, 0.5)
+
+
 def test_source_accepts_every_hidden_variable_law_and_round_off():
     for seed in range(50):
         for index in range(10):
@@ -453,7 +460,11 @@ def test_concat_of_single_trials_equals_the_batch():
     assert table_rows(table)[3] == table_rows(singles[3])[0]
 
     other = simulate_trials(default_settings(0.3), 4, master_seed=1)
-    with pytest.raises(ValueError, match="malformed records: 2 distinct settings ids"):
+    error = (
+        f"malformed records: a block of settings_id {other.settings_id!r} "
+        f"in a stream of settings_id {table.settings_id!r}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         concat([table, other])
 
 
@@ -591,6 +602,26 @@ def test_folds_refuse_the_blocks_of_two_experiments():
         prediction.prediction_accuracy(steps)
     with pytest.raises(TypeError, match="^expected a TrialTable, got PredictionTable$"):
         estimate_chsh([mixed[0], steps[0]])
+
+
+def test_a_fold_names_anything_but_its_table_kind_by_its_type():
+    # a table is a stream of one block, and so is anything that is no
+    # iterable; an iterable is named by its first block that is no table
+    predictions = prediction.prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.3, steps=5), 10, 1)
+    trials_table = simulate_trials(default_settings(0.5), 10, 1)
+    for fold in (decomposition_test, estimate_chsh):
+        for wrong, named in ((predictions, "PredictionTable"), ([predictions], "PredictionTable"), (None, "NoneType"),
+                             ({"v": [0.5]}, "str")):
+            with pytest.raises(TypeError, match=f"^expected a TrialTable, got {named}$"):
+                fold(wrong)
+    with pytest.raises(TypeError, match="^expected a PredictionTable, got TrialTable$"):
+        prediction.prediction_accuracy(trials_table)
+
+
+def test_merging_moments_with_no_trials_on_either_side_gives_the_other_side():
+    moments = trials.ChshMoments(3, np.arange(5.0), np.ones(5))
+    none = trials.ChshMoments(0, np.zeros(5), np.zeros(5))
+    assert moments.merge(none) is moments and none.merge(moments) is moments
 
 
 def test_filled_copies_each_chunk_into_one_table_as_it_arrives():

@@ -38,7 +38,11 @@ DRAWS_PER_BLOCK = 4
 #      counts (one uniform per conditional binomial, from the pair's window
 #      of its stream), not each trial; predict's post_protocol_chsh and its
 #      stderr move, and no record byte does.
-LAYOUT_VERSION = 8
+#   9: the noise's inverse normal CDF takes its tail logs in numpy IEEE
+#      arithmetic (fdlibm's log), not the C library's log; noisy simulate
+#      raws move in their last bits, and no branch, beta, predict or sweep
+#      byte does.
+LAYOUT_VERSION = 9
 
 # Stream tags: second 64-bit word of the Philox key. Distinct per consumer
 # so no two subsystems ever share counter space under one master seed.

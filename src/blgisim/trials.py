@@ -17,7 +17,8 @@ qubit i's weak-then-projective effect for (r_i, beta_i) and T is the
 pair's real 4x4 Pauli correlation matrix, so no complex arithmetic is
 done.  No state is evolved: sample_branches draws each trial's branch with
 one uniform, and two more carry the noise through _ndtri, a numpy port of
-the cephes inverse normal CDF that returns scipy.special.ndtri's bits.
+the cephes inverse normal CDF whose tail logs are _log, fdlibm's log in
+numpy arithmetic, so a noisy record has the same bits on every platform.
 The tests check the quantum law against the dense complex-state Born rule
 of tests/reference.py, an independent matrix-root enumeration and a
 scalar Kraus chain.  The exact oracle reads every moment it reports by
@@ -118,6 +119,14 @@ _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.9388102529247444341
 _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# fdlibm's __ieee754_log: ln 2 split so that k * _LN2_HI is exact for any
+# double's exponent k, and Lg1..Lg7 of its polynomial in s^2.
+_SQRT_HALF = 0.70710678118654752440
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+       2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+       1.479819860511658591e-01)
 
 
 # Smallest probability of a branch that a caller may condition on.
@@ -422,19 +431,39 @@ def _p1evl(x: np.ndarray, coef) -> np.ndarray:
     return ans
 
 
-def _libm_log(y: np.ndarray) -> np.ndarray:
-    # math.log is the C library's log, as in cephes; np.log's SIMD loop can
-    # differ from it in the last bit.  memoryview hands over the same doubles
-    # as tolist, without building the list first.
-    return np.fromiter(map(math.log, memoryview(y)), float, len(y))
+def _log(y: np.ndarray) -> np.ndarray:
+    """Natural log of y > 0 (subnormals included), with the same bits on every platform.
+
+    fdlibm's __ieee754_log in numpy ufuncs: y = 2^k (1 + f) with 1 + f in
+    [sqrt(1/2), sqrt(2)), split exactly by frexp; s = f / (2 + f), R the
+    Lg polynomial in s^2, and log y = k ln2_hi - ((f^2/2 - (s (f^2/2 + R)
+    + k ln2_lo)) - f).  fdlibm's other branches (k = 0, tiny f, its second
+    rebuild) are not taken; within 1 ULP of math.log on _ndtri's domain all
+    the same.  numpy fuses no multiply-add and rounds each ufunc correctly,
+    so unlike the C library's log (or np.log's SIMD loop) the result does
+    not depend on the platform.
+    """
+    f, k = np.frexp(y)
+    low = f < _SQRT_HALF
+    f = np.ldexp(f, low) - 1.0
+    k = (k - low).astype(float)
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = w * (_LG[1] + w * (_LG[3] + w * _LG[5])) + z * (_LG[0] + w * (_LG[2] + w * (_LG[4] + w * _LG[6])))
+    hfsq = 0.5 * f * f
+    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of u in (0, 1), bit-equal to scipy.special.ndtri.
+    """Inverse standard normal CDF of u in (0, 1), the same bits on every platform.
 
     cephes ndtri vectorized: a rational function of (u - 1/2)^2 on the
     centre band, and in each tail (y = min(u, 1 - u) < exp(-2)) the
     asymptotic x - log(x)/x - z P(z)/Q(z) with x = sqrt(-2 log y), z = 1/x.
+    Both tail logs are _log, so the result is bit-equal to the scalar port
+    in tests/reference.py and within a few ULP of scipy.special.ndtri,
+    whose logs are the C library's.
     """
     out = np.empty_like(u)
     in_centre = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
@@ -454,7 +483,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     y = u[tail]
     upper = y > 0.5
     np.subtract(1.0, y, out=y, where=upper)
-    x = _libm_log(y)
+    x = _log(y)
     x *= -2.0
     np.sqrt(x, out=x)
     z = 1.0 / x
@@ -465,7 +494,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     if far.any():
         zf = z[far]
         x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
-    x0 = _libm_log(x)
+    x0 = _log(x)
     x0 /= x
     np.subtract(x, x0, out=x0)
     x0 -= x1

@@ -12,7 +12,8 @@ Each route after it re-derives, one operator or one draw at a time,
 something the package computes another way: the state-updating weak
 measurement, the
 system+ancilla unitary behind the weak Kraus pair, the reduced state by
-partial trace, one trial's detector noise and rescaling, one whole
+partial trace, one trial's detector noise (a scalar cephes ndtri on a
+scalar port of trials._log) and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, the closed-form
@@ -36,12 +37,23 @@ from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
-from scipy.special import ndtri
 
 from blgisim import streams
 from blgisim.prediction import PredictionTable, SequentialReadoutParams
 from blgisim.records import emit_records
 from blgisim.trials import (
+    _EXP_M2,
+    _LG,
+    _LN2_HI,
+    _LN2_LO,
+    _P0,
+    _P1,
+    _P2,
+    _Q0,
+    _Q1,
+    _Q2,
+    _SQRT_2PI,
+    _SQRT_HALF,
     BRANCHES,
     FIELDS,
     MIN_BRANCH_PROB,
@@ -383,6 +395,45 @@ def rescale(raw: float, v: float) -> float:
     return float(raw) / check_strength(v)
 
 
+def fdlibm_log(x: float) -> float:
+    """Scalar port of trials._log: fdlibm's __ieee754_log of x > 0 in Python floats."""
+    f, k = math.frexp(x)
+    if f < _SQRT_HALF:
+        f, k = 2.0 * f, k - 1
+    f -= 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = w * (_LG[1] + w * (_LG[3] + w * _LG[5])) + z * (_LG[0] + w * (_LG[2] + w * (_LG[4] + w * _LG[6])))
+    hfsq = 0.5 * f * f
+    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+
+
+def _polevl(x: float, coef) -> float:
+    """cephes polevl, coefficients highest first; p1evl is coef with a leading 1.0 prepended."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def cephes_ndtri(u: float) -> float:
+    """Scalar cephes ndtri of u in (0, 1) with fdlibm_log as its log: the oracle for trials._ndtri."""
+    y, negate = u, True
+    if y > 1.0 - _EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, (1.0, *_Q0)))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * fdlibm_log(y))
+    x0 = x - fdlibm_log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, (1.0, *q))
+    return -x if negate else x
+
+
 def apply_readout_noise(raw: float, noise: NoiseModel, rng: np.random.Generator) -> float:
     """Contaminate a raw signal: raw + bias + Gaussian(0, sigma).
 
@@ -392,7 +443,7 @@ def apply_readout_noise(raw: float, noise: NoiseModel, rng: np.random.Generator)
     sigma = 0, to keep per-trial draw budgets fixed.
     """
     u = max(rng.random(), 2.0**-53)  # keep the inverse CDF finite at u = 0
-    gaussian = noise.sigma * float(ndtri(u)) if noise.sigma > 0.0 else 0.0
+    gaussian = noise.sigma * cephes_ndtri(u) if noise.sigma > 0.0 else 0.0
     return float(raw) + noise.bias + gaussian
 
 

@@ -397,7 +397,7 @@ def test_hidden_variable_records_slice_invariance():
         (NoiseModel(), "1e95fbfb42433578ae3fc9f24282af8428e97951126bce79c99c380c557bed9a"),
         (
             NoiseModel(bias=0.05, sigma=0.3),
-            "783ff89fb2de94a8a479731d1f7e2afe637379facf4594c0e0d50adeb35f5940",
+            "cf4d6211be16c3dd364fdcb4065c137e0ef804eb98adf2c31a287477d8d11b0b",
         ),
     ],
 )
@@ -413,7 +413,7 @@ def test_hidden_variable_record_bytes_match_golden_hashes(tmp_path, noise, diges
     "noise, digest",
     [
         (NoiseModel(), "96c42c15e31fcfc597b199dcaf5fd13b9802bcdd6f91d4abc0b655c6d0f669da"),
-        (NoiseModel(bias=0.05, sigma=0.3), "f18751df95467664c58c17be7cf20674943e6117d6f5205fe79e0bb6668d67bc"),
+        (NoiseModel(bias=0.05, sigma=0.3), "d7c7c3d4e5ebd59007ca6b2d5ea1718f3fa796182472b2edd1a70043e4c9dac4"),
     ],
 )
 def test_hidden_variable_format_2_record_bytes_match_golden_hashes(tmp_path, noise, digest):

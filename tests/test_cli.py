@@ -892,7 +892,7 @@ def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):
     readout = SequentialReadoutParams(v=0.3, steps=7)
     assert summary["exact_accuracy"] == prediction_accuracy_exact(prediction_settings(0.4), readout)
     assert summary["exact_accuracy"] < summary["expected_accuracy_saturated"]
-    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 8
+    assert read_manifest(summary["manifest"]).layout_version == LAYOUT_VERSION == 9
 
 
 def test_sweep_verdict_transition(tmp_path, capsys):

@@ -538,7 +538,7 @@ GOLDEN = [
     (
         # draw layout 3: each trial's branch is drawn from the exact 16-branch law
         "simulate --v 0.2 --noise-sigma 0.3 --trials 140000 --seed 3",
-        "a4b375cb8ca3c0b4f6b8dec12b84e6492cb23e64ec975f46a67e2fdd7f6f289e",
+        "40f55ef77d60c3ed1d0b4c3eac70b538db8ffbb3e7da5d0a61b0bd125adb2cd8",
     ),
     (
         # draw layout 4: one block per trial, the branch drawn from the 16-branch law
@@ -582,7 +582,7 @@ def test_cli_record_bytes_match_golden_hashes(tmp_path, capsys, command, digest)
 GOLDEN_FORMAT_2 = [
     (
         "simulate --v 0.2 --noise-sigma 0.3 --trials 140000 --seed 3",
-        "549d8d1d8383d42f8e315f7048e38f95bf4bf4803b617d1637bae536e035fce9",
+        "a04ee05cf62d8ad6d1bc4fabeb43fa4aca3a1785b172d95ef21b3143c836a88e",
     ),
     (
         "predict --v 0.5 --readout-v 0.3 --steps 300 --trials 500 --seed 3",

@@ -43,6 +43,7 @@ from blgisim.trials import (
 from blgisim.audit import HiddenVariableConfig, decomposition_test, hidden_variable_config, hidden_variable_source
 from reference import (
     BELL_AMPLITUDES,
+    cephes_ndtri,
     column,
     concat,
     concurrence,
@@ -785,18 +786,59 @@ def test_sampled_branches_match_oracle_distribution():
     assert stats.chisquare(f_obs, f_exp).pvalue > 1e-3
 
 
-def test_ndtri_port_is_bit_equal_to_scipy():
+def _ulps(a: np.ndarray, b: np.ndarray) -> int:
+    """Largest distance in units in the last place between same-signed doubles."""
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+
+
+def _ndtri_batches() -> list:
     e2, e32 = math.exp(-2.0), math.exp(-32.0)
     # 2**-53 is the floor _noisy applies; exp(-2) and 1 - exp(-2) bound the
-    # centre band; exp(-32) is where the tail switches from P1/Q1 to P2/Q2
-    edges = [2.0**-53, np.nextafter(1.0, 0.0), 0.5, 1e-300]
+    # centre band; exp(-32) is where the tail switches from P1/Q1 to P2/Q2;
+    # 5e-324 and 2**-1022 are the least subnormal and the least normal
+    edges = [2.0**-53, np.nextafter(1.0, 0.0), 0.5, 1e-300, 5e-324, 2.0**-1022]
     for x in (e2, 1.0 - e2, e32, 1.0 - e32):
         edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
     rng = np.random.default_rng(2016)
     batches = [np.array(edges), np.exp(-40.0 * rng.random(100_000))]
-    batches += [rng.random(1_000_000) for _ in range(10)]
-    for u in batches:
-        assert np.array_equal(trials._ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+    return batches + [rng.random(1_000_000) for _ in range(10)]
+
+
+def test_ndtri_port_is_bit_equal_to_the_scalar_port():
+    # the scalar cephes ndtri of tests/reference.py, in Python floats with
+    # math.frexp; one million-value batch of the ten keeps the loop short
+    for u in _ndtri_batches()[:3]:
+        expected = np.array([cephes_ndtri(x) for x in u.tolist()])
+        assert np.array_equal(trials._ndtri(u).view(np.int64), expected.view(np.int64))
+
+
+def test_log_is_within_one_ulp_of_math_log_over_the_tail_domain():
+    # _ndtri takes the log of y in (0, exp(-2)], subnormals included, and of
+    # x = sqrt(-2 log y) in [2, sqrt(-2 log 5e-324)] = [2, 38.6]
+    rng = np.random.default_rng(36)
+    tiny = np.array([5e-324, 2.0**-1074 * 3, 2.0**-1023, 2.0**-1022, math.exp(-2.0), 2.0, 8.0])
+    for y in (
+        tiny,
+        np.exp(-rng.uniform(2.0, 744.0, 500_000)),
+        rng.integers(1, 2**52, 100_000) * 5e-324,
+        rng.uniform(2.0, 38.6, 500_000),
+    ):
+        assert _ulps(trials._log(y), np.array([math.log(x) for x in y.tolist()])) <= 1
+
+
+def test_ndtri_port_stays_within_its_ulp_bound_of_scipy():
+    # scipy's cephes ndtri takes the C library's log; the worst distance
+    # measured on these batches is pinned, and is never to be raised
+    assert max(_ulps(trials._ndtri(u), ndtri(u)) for u in _ndtri_batches()) <= 6
+
+
+def test_ndtri_keeps_its_pinned_bits():
+    # the sha256 of _ndtri's bits over a grid of exact doubles: every
+    # multiple of 2**-16 in (0, 1) and every power of two from 2**-1074 up;
+    # a noisy record's bits are these, so this holds on every platform
+    grid = np.concatenate([np.arange(1, 2**16) / 2**16, np.ldexp(1.0, -np.arange(1, 1075))])
+    digest = hashlib.sha256(trials._ndtri(grid).tobytes()).hexdigest()
+    assert digest == "726466d6c5f65abba23ccb41c50789d610f5d3dc911e2ae7129563922895d9d3"
 
 
 NOISY_SOURCES = (

@@ -8,13 +8,20 @@ Modules:
              in the two qubits' effects and the pair's Pauli correlation
              matrix), one sampler, estimators, the exact oracle, the
              detector noise model, the record table type and the
-             chunk/pool driver
+             chunk/pool driver (trial_chunks)
   audit      the binary bound, the binary+unbiased-noise rejection test and
              the hidden-variable control source
-  prediction sequential ancilla readout and the after-protocol Bell check
-  records    CSV/JSON persistence and run manifests
+  prediction sequential ancilla readout (prediction_chunks) and the
+             after-protocol Bell check
+  records    CSV/JSON persistence (read_record_blocks,
+             read_prediction_blocks) and run manifests
   cli        command-line harness; not imported here, so that
              ``python -m blgisim.cli`` runs it as a fresh module
+
+Each record kind enters and leaves the package by one route, a stream of
+blocks: trial_chunks and prediction_chunks sample them, and the emitters
+and the two block readers write and read them.  No public name joins a
+stream into one table.
 
 Each public name, and each module above but cli, is imported when it is
 first used (PEP 562), so ``import blgisim`` loads no numpy and
@@ -53,7 +60,6 @@ _EXPORTS = {
         "predict",
         "prediction_accuracy",
         "prediction_accuracy_exact",
-        "prediction_batch",
         "prediction_chunks",
         "prediction_settings",
     ),
@@ -65,9 +71,8 @@ _EXPORTS = {
         "emit_records",
         "emit_sweep",
         "read_manifest",
-        "read_predictions",
+        "read_prediction_blocks",
         "read_record_blocks",
-        "read_records",
         "read_sweep",
     ),
     "trials": (
@@ -87,7 +92,6 @@ _EXPORTS = {
         "exact_chsh",
         "exact_correlator",
         "exact_mean",
-        "simulate_trials",
         "trial_chunks",
     ),
 }

@@ -27,7 +27,7 @@ the one raised.
 
 The hidden-variable source at the bottom produces data that IS binary
 plus unbiased noise, as the consistent control for the test.  It is a law
-on the 16 (A1, A2, B1, B2) branches, so trials.simulate_trials samples it
+on the 16 (A1, A2, B1, B2) branches, so trials.trial_chunks samples it
 and trials.exact_chsh reads its exact value, as for the quantum source.
 """
 
@@ -170,13 +170,6 @@ def _check_record_integrity(table: TrialTable) -> None:
             raise ValueError("malformed records: beta outside {-1, +1}")
 
 
-def _checked(blocks):
-    """Each of blocks once its integrity is checked."""
-    for block in blocks:
-        _check_record_integrity(block)
-        yield block
-
-
 def _check_threshold(threshold_sigmas) -> None:
     if not (np.isfinite(threshold_sigmas) and threshold_sigmas > 0):
         raise ValueError(f"threshold_sigmas must be positive, got {threshold_sigmas}")
@@ -252,7 +245,8 @@ def decomposition_test(records, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGM
     _check_threshold(threshold_sigmas)
     if isinstance(records, RecordFile):
         return decomposition_verdict(_audit_file(records), threshold_sigmas)
-    return decomposition_verdict(estimate_chsh(_checked(_one_experiment(records, TrialTable))), threshold_sigmas)
+    blocks = _one_experiment(records, TrialTable, _check_record_integrity)
+    return decomposition_verdict(estimate_chsh(blocks), threshold_sigmas)
 
 
 def decomposition_verdict(report: ChshReport, threshold_sigmas: float = DEFAULT_THRESHOLD_SIGMAS) -> AuditVerdict:

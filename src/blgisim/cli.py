@@ -13,7 +13,9 @@ only).
 simulate and predict each take their sampler's one chunk stream,
 trials.trial_chunks and prediction.prediction_chunks, through a fold
 (ChshFold, PredictionFold) to the writer, so neither holds its run; their
---workers pools the chunks.  audit takes no --workers: it is
+--workers pools the chunks.  These streams and the block readers are the
+package's only routes for records, so no command joins a run into one
+table.  audit takes no --workers: it is
 audit.decomposition_test of records.read_record_blocks, which audits the
 file in byte ranges on every usable CPU, with the same output whatever
 the cut.  sweep takes --workers and records it in its manifest, but runs

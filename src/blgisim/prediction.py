@@ -31,10 +31,10 @@ the projective outcomes as columns, and the settings id, `steps` and
 master seed as scalars; each trajectory mean and its sign prediction is
 computed from its count on access.  prediction_chunks gives trials
 [start, start + n) as a stream of chunks of _predict_range, cut by
-trials.chunk_stream as trials.trial_chunks is, and prediction_batch is
-that stream joined into one table; cli predict takes the stream, and a
-PredictionFold counts each chunk's matches as it passes to the writer, so
-the command never holds its run.
+trials.chunk_stream as trials.trial_chunks is, and it is the one route by
+which prediction trials leave this module: cli predict takes the stream,
+and a PredictionFold counts each chunk's matches as it passes to the
+writer, so the command never holds its run.
 
 At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
 ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
@@ -56,6 +56,7 @@ those counts.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -74,7 +75,6 @@ from .trials import (
     _branch_counts,
     _check_seed,
     _check_settings_id,
-    _filled,
     _invert_window,
     _one_experiment,
     _typed,
@@ -253,28 +253,13 @@ def prediction_chunks(
     settings.v is the system-ancilla coupling strength; settings must have
     a_i = b_i (the protocol couples along the axes to be tested), or
     ValueError before any chunk runs.  Detector noise in settings is not
-    part of this protocol and is ignored.  The stream that prediction_batch
-    joins into one table, as trials.trial_chunks is simulate_trials'; cli
+    part of this protocol and is ignored.  Results are identical for every
+    start and worker count, so trial i alone is the one chunk of
+    prediction_chunks(settings, readout, 1, master_seed, start=i); cli
     predict counts and writes each chunk as it arrives.
     """
     _require_same_axis(settings)
     return chunk_stream(partial(_predict_range, settings, readout, master_seed=master_seed), n_trials, start, workers)
-
-
-def prediction_batch(
-    settings: Settings,
-    readout: SequentialReadoutParams,
-    n_trials: int,
-    master_seed: int,
-    start: int = 0,
-    workers: int = 1,
-) -> PredictionTable:
-    """Batch of prediction trials [start, start + n_trials): prediction_chunks joined into one table.
-
-    Identical output for every start and worker count, so trial i alone is
-    prediction_batch(settings, readout, 1, master_seed, start=i).
-    """
-    return _filled(prediction_chunks(settings, readout, n_trials, master_seed, start, workers), n_trials)
 
 
 class PredictionFold:
@@ -289,18 +274,19 @@ class PredictionFold:
     """
 
     def __init__(self, records) -> None:
-        self._blocks = _one_experiment(records, PredictionTable)
+        self._blocks = _one_experiment(records, PredictionTable, self._count)
         self.matches = self.trials = 0
 
     def __len__(self) -> int:
         return self.trials
 
     def __iter__(self):
-        for block in self._blocks:
-            self.matches += int(np.count_nonzero(block.predicted1 == block.actual1))
-            self.matches += int(np.count_nonzero(block.predicted2 == block.actual2))
-            self.trials += len(block)
-            yield block
+        return self._blocks
+
+    def _count(self, block: PredictionTable) -> None:
+        self.matches += int(np.count_nonzero(block.predicted1 == block.actual1))
+        self.matches += int(np.count_nonzero(block.predicted2 == block.actual2))
+        self.trials += len(block)
 
 
 def prediction_accuracy(records) -> AccuracyEstimate:
@@ -312,8 +298,7 @@ def prediction_accuracy(records) -> AccuracyEstimate:
     No rows have no accuracy and raise ValueError.
     """
     fold = records if isinstance(records, PredictionFold) else PredictionFold(records)
-    for _ in fold:
-        pass
+    deque(fold, maxlen=0)  # takes the blocks left, holding none once counted
     if len(fold) < 1:
         raise ValueError("need at least 1 record to estimate prediction accuracy, got 0")
     n = 2 * len(fold)

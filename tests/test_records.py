@@ -20,7 +20,7 @@ from blgisim.prediction import (
     PREDICTION_SCHEMA,
     PredictionTable,
     SequentialReadoutParams,
-    prediction_batch,
+    prediction_accuracy,
     prediction_settings,
 )
 from blgisim.records import (
@@ -31,12 +31,13 @@ from blgisim.records import (
     emit_records,
     emit_sweep,
     read_manifest,
-    read_predictions,
-    read_records,
+    read_prediction_blocks,
+    read_record_blocks,
     read_sweep,
 )
-from blgisim.trials import TRIAL_SCHEMA, NoiseModel, TrialTable, default_settings, simulate_trials
+from blgisim.trials import TRIAL_SCHEMA, NoiseModel, TrialTable, default_settings, estimate_chsh
 from reference import concat, emit_format1, empty_table, with_scalars
+from reference import prediction_batch, read_predictions, read_records, simulate_trials
 
 
 @pytest.mark.parametrize("table", [TrialTable, PredictionTable])
@@ -165,30 +166,29 @@ def test_trial_round_trip_is_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("table_cls", [TrialTable, PredictionTable])
-def test_table_read_holds_the_table_and_one_block(tmp_path, table_cls):
-    # numpy reports its buffers to tracemalloc; a read that kept every
-    # parsed block until it joined them peaked at twice the table
-    n = 300_000
+def test_streamed_read_holds_a_block_not_the_table(tmp_path, table_cls):
+    # numpy reports its buffers to tracemalloc, so the traced peak covers
+    # every parsed block and every temporary of the fold: a reader that
+    # kept its blocks, or parsed the file whole, would peak at the table
+    n, path = 300_000, str(tmp_path / "run.csv")
     if table_cls is TrialTable:
         table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), n, master_seed=4)
-        emit, read = emit_records, read_records
+        emit, read, fold = emit_records, read_record_blocks, estimate_chsh
     else:
         rng = np.random.default_rng(4)
         columns = [np.arange(n), rng.integers(0, 4, n), rng.integers(0, 4, n), *rng.choice([-1, 1], (2, n))]
         table = PredictionTable(*columns, **_scalars(PredictionTable))
-        emit, read = emit_predictions, read_predictions
-    path = tmp_path / "run.csv"
-    emit(table, str(path))
-    size = sum(getattr(table, name).nbytes for name in table.field_names)
-    assert size == 12_000_000
+        emit, read, fold = emit_predictions, read_prediction_blocks, prediction_accuracy
+    emit(table, path)
+    assert sum(getattr(table, name).nbytes for name in table.field_names) == 12_000_000  # the columns' bytes
     tracemalloc.start()
     try:
-        back = read(str(path))
+        streamed = fold(read(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(np.array_equal(getattr(back, name), getattr(table, name)) for name in table.field_names)
-    assert peak <= 1.3 * size
+    assert streamed == fold(table)
+    assert peak < 12_000_000 / 4
 
 
 def test_trial_round_trip_handles_extreme_floats(tmp_path):

@@ -33,18 +33,11 @@ import pytest
 from blgisim import records
 from blgisim.audit import hidden_variable_config, hidden_variable_source
 from blgisim.cli import main
-from blgisim.prediction import MAX_STEPS, PredictionTable, SequentialReadoutParams, prediction_batch, prediction_settings
-from blgisim.records import (
-    SWEEP_HEADER,
-    emit_predictions,
-    emit_records,
-    emit_sweep,
-    read_predictions,
-    read_records,
-    read_sweep,
-)
-from blgisim.trials import FOLD_ROWS, NO_NOISE, NoiseModel, Settings, TrialTable, default_settings, simulate_trials
+from blgisim.prediction import MAX_STEPS, PredictionTable, SequentialReadoutParams, prediction_settings
+from blgisim.records import SWEEP_HEADER, emit_predictions, emit_records, emit_sweep, read_sweep
+from blgisim.trials import FOLD_ROWS, NO_NOISE, NoiseModel, Settings, TrialTable, default_settings
 from reference import concat, crlf_split_at, table_rows
+from reference import prediction_batch, read_predictions, read_records, simulate_trials
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -425,8 +418,8 @@ def test_quotients_are_correctly_rounded_or_left_to_float():
 @pytest.mark.parametrize("rows", [records._BLOCK_ROWS - 1, records._BLOCK_ROWS, 2 * records._BLOCK_ROWS + 1])
 @pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "no final newline"])
 def test_blocks_hold_fold_rows_whatever_the_line_ends(tmp_path, rows, ending):
-    # read_records counts the rows in binary before it fills the table, so
-    # it must find the line ends that the text reader finds
+    # the block reader ends lines in binary (records._line_ends), so it must
+    # find the line ends that a text reader finds, in blocks of FOLD_ROWS rows
     table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), rows, 5)
     path = tmp_path / "trials.csv"
     emit_records(table, str(path))
@@ -456,7 +449,7 @@ def _end_lines(path, ending: str) -> None:
 @pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "no final newline"])
 def test_prediction_and_sweep_files_read_the_same_whatever_the_line_ends(tmp_path, ending):
     # every reader ends lines where records._line_ends does: the header
-    # lines, the block reader and the row count alike
+    # lines and the block reader alike
     rows = 2 * FOLD_ROWS + 1
     table = prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.3, steps=5), rows, 3)
     path = tmp_path / "predictions.csv"

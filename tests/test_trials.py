@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from blgisim import prediction, streams, trials
 from blgisim.cli import main
 from blgisim.prediction import SequentialReadoutParams, prediction_settings
-from blgisim.records import read_sweep
+from blgisim.records import emit_records, read_sweep
 from blgisim.trials import (
     CHSH_PAIRS,
     FIELDS,
@@ -37,7 +37,6 @@ from blgisim.trials import (
     exact_correlator,
     exact_mean,
     sample_branches,
-    simulate_trials,
     trial_chunks,
 )
 from blgisim.audit import HiddenVariableConfig, decomposition_test, hidden_variable_config, hidden_variable_source
@@ -64,6 +63,7 @@ from reference import (
     weak_kraus,
     weak_measure,
 )
+from reference import prediction_batch, read_records, simulate_trials
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -310,7 +310,7 @@ SAMPLERS = {
     "trial_chunks": lambda n, **kw: trial_chunks(default_settings(0.5), n, 1, **kw),
     "simulate_trials": lambda n, **kw: simulate_trials(default_settings(0.5), n, 1, **kw),
     "prediction_chunks": lambda n, **kw: prediction.prediction_chunks(prediction_settings(0.5), READOUT, n, 1, **kw),
-    "prediction_batch": lambda n, **kw: prediction.prediction_batch(prediction_settings(0.5), READOUT, n, 1, **kw),
+    "prediction_batch": lambda n, **kw: prediction_batch(prediction_settings(0.5), READOUT, n, 1, **kw),
 }
 
 
@@ -598,7 +598,7 @@ def test_folds_refuse_the_blocks_of_two_experiments():
     with pytest.raises(ValueError, match="^malformed records: a block of master_seed 2 in a stream of master_seed 1$"):
         estimate_chsh(seeds)
     readouts = [SequentialReadoutParams(v=0.3, steps=s) for s in (5, 7)]
-    steps = [prediction.prediction_batch(prediction_settings(0.5), readout, 10, 1) for readout in readouts]
+    steps = [prediction_batch(prediction_settings(0.5), readout, 10, 1) for readout in readouts]
     with pytest.raises(ValueError, match="^malformed records: a block of steps 7 in a stream of steps 5$"):
         prediction.prediction_accuracy(steps)
     with pytest.raises(TypeError, match="^expected a TrialTable, got PredictionTable$"):
@@ -608,7 +608,7 @@ def test_folds_refuse_the_blocks_of_two_experiments():
 def test_a_fold_names_anything_but_its_table_kind_by_its_type():
     # a table is a stream of one block, and so is anything that is no
     # iterable; an iterable is named by its first block that is no table
-    predictions = prediction.prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.3, steps=5), 10, 1)
+    predictions = prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.3, steps=5), 10, 1)
     trials_table = simulate_trials(default_settings(0.5), 10, 1)
     for fold in (decomposition_test, estimate_chsh):
         for wrong, named in ((predictions, "PredictionTable"), ([predictions], "PredictionTable"), (None, "NoneType"),
@@ -625,9 +625,10 @@ def test_merging_moments_with_no_trials_on_either_side_gives_the_other_side():
     assert moments.merge(none) is moments and none.merge(moments) is moments
 
 
-def test_filled_copies_each_chunk_into_one_table_as_it_arrives():
-    # the serial path makes a chunk only once the one before it is copied
-    # and let go, so no two chunks are alive at once
+def test_simulate_s_chain_holds_one_chunk_at_a_time(tmp_path):
+    # cli simulate's chain: the serial chunk stream, through ChshFold, into
+    # emit_records; each stage lets a chunk go before the next one is made,
+    # so no two chunks are alive at once
     settings = default_settings(0.4, NoiseModel(sigma=0.2))
     live = {"now": 0, "most": 0}
 
@@ -642,11 +643,16 @@ def test_filled_copies_each_chunk_into_one_table_as_it_arrives():
         return part
 
     n = 3 * trials._TRIAL_CHUNK + 5
-    table = trials._filled(trials.chunk_stream(task, n, 0, workers=1), n)
+    path = str(tmp_path / "run.csv")
+    fold = ChshFold(trials.chunk_stream(task, n, 0, workers=1))
+    emit_records(fold, path)
     assert live["most"] == 1
-    assert table_rows(table) == table_rows(simulate_trials(settings, n, 3))
-    part = next(trials.chunk_stream(task, 1000, 7, workers=1))
-    assert table_rows(trials._filled(iter([part]), 1000)) == table_rows(part)
+    table = simulate_trials(settings, n, 3)
+    assert table_rows(read_records(path)) == table_rows(table)
+    assert fold.report() == estimate_chsh(table)
+    live["most"] = 0  # and the audit of a stream, through its check and its fold
+    assert decomposition_test(trials.chunk_stream(task, n, 0, workers=1)) == decomposition_test(table)
+    assert live["most"] == 1
 
 
 # -------------------------------------------------------------- exact oracle

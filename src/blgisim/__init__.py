@@ -41,7 +41,6 @@ _EXPORTS = {
         "INCONCLUSIVE",
         "REJECT",
         "AuditVerdict",
-        "BinaryTuple",
         "EnumerationReport",
         "HiddenVariableConfig",
         "chsh_bound_check",
@@ -49,7 +48,6 @@ _EXPORTS = {
         "exhaustive_verify",
         "hidden_variable_config",
         "hidden_variable_source",
-        "per_trial_term",
     ),
     "prediction": (
         "AccuracyEstimate",

@@ -3,16 +3,19 @@
 For binary 4-tuples (a1, a2, b1, b2) the per-trial combination
 a1*b1 + a1*b2 + a2*b1 - a2*b2 factors as a1*(b1+b2) + a2*(b1-b2); one
 bracket is always 0 and the other +-2, so every trial contributes exactly
-+-2 and any sequence average is bounded by 2.  That bound is arithmetic,
-not statistical: adding independent zero-mean noise to the binary signals
-cannot move a correlation mean.  Rescaled weak-measurement data that holds
-the combination above 2 beyond statistical error therefore cannot be
-binary signals contaminated only by unbiased noise, which is exactly what
-decomposition_test checks.  It tests that one fixed-sign combination only,
-so CONSISTENT is no certificate that such a decomposition exists: at
-V = 0.2 and noise sigma 0.3 the axes 90,-180,135,-135 (degrees) audit
-CONSISTENT while the (alpha2, beta1, beta2) triangle inequality, which
-every binary-plus-noise source obeys, is broken.
++-2 and any sequence average is bounded by 2.  trials._chsh_terms forms
+that term for every estimate, and exhaustive_verify and chsh_bound_check
+take it from there too, so the self-test checks the term behind every
+verdict.  The bound is arithmetic, not statistical: adding independent
+zero-mean noise to the binary signals cannot move a correlation mean.
+Rescaled weak-measurement data that holds the combination above 2 beyond
+statistical error therefore cannot be binary signals contaminated only by
+unbiased noise, which is exactly what decomposition_test checks.  It
+tests that one fixed-sign combination only, so CONSISTENT is no
+certificate that such a decomposition exists: at V = 0.2 and noise sigma
+0.3 the axes 90,-180,135,-135 (degrees) audit CONSISTENT while the
+(alpha2, beta1, beta2) triangle inequality, which every binary-plus-noise
+source obeys, is broken.
 
 A record file, as records.read_record_blocks gives it, is audited in byte
 ranges of whole trials.FOLD_ROWS blocks, at most one per usable CPU and at
@@ -51,6 +54,7 @@ from .trials import (
     Source,
     TrialTable,
     _block_moments,
+    _chsh_terms,
     _one_experiment,
     _pool_map,
     check_strength,
@@ -64,21 +68,6 @@ DEFAULT_THRESHOLD_SIGMAS = 3.0
 CONSISTENT = "CONSISTENT"
 REJECT = "REJECT"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class BinaryTuple:
-    """One trial's worth of strictly binary outcomes."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "b1", "b2"):
-            if getattr(self, name) not in (-1, 1):
-                raise ValueError(f"{name} must be -1 or +1, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -99,49 +88,32 @@ class EnumerationReport:
     mean_term: float
 
 
-def as_binary_tuple(item) -> BinaryTuple:
-    """item as a BinaryTuple of ints; 1.0 reads as 1, while 1.7 is rejected, not truncated."""
-    if isinstance(item, BinaryTuple):
-        return item
-    a1, a2, b1, b2 = item
-    # a value outside {-1, +1} goes to BinaryTuple as it is, which rejects it by name
-    return BinaryTuple(*(int(x) if x in (-1, 1) else x for x in (a1, a2, b1, b2)))
-
-
-def per_trial_term(t: BinaryTuple) -> int:
-    """a1*b1 + a1*b2 + a2*b1 - a2*b2; exactly +2 or -2 for binary inputs."""
-    t = as_binary_tuple(t)
-    return t.a1 * t.b1 + t.a1 * t.b2 + t.a2 * t.b1 - t.a2 * t.b2
-
-
 def exhaustive_verify() -> EnumerationReport:
-    """Enumerate all 16 binary tuples and check every term is +-2.
+    """The per-trial term of each of the 16 binary tuples, as trials._chsh_terms forms it for every estimate.
 
-    The +2 and -2 branches each occur 8 times, so the terms average to 0.
-    A violation here would be a bug, not data.
+    rows holds ((a1, a2, b1, b2), term) for each of BRANCHES, in plain ints.
+    The term is sound when the +2 and -2 branches each occur 8 times, which
+    leaves no branch for another value and averages the terms to 0; the
+    caller judges the counts, so a broken term is reported, not raised.
     """
-    rows = []
-    for t in (BinaryTuple(*branch) for branch in BRANCHES):
-        term = per_trial_term(t)
-        if term not in (-2, 2):
-            raise AssertionError(f"per-trial term {term} for {t} is not +-2")
-        rows.append((t, term))
-    plus = sum(1 for _, term in rows if term == 2)
-    minus = len(rows) - plus
-    mean = sum(term for _, term in rows) / len(rows)
-    return EnumerationReport(rows=tuple(rows), plus_two=plus, minus_two=minus, mean_term=mean)
+    terms = _chsh_terms(*np.array(BRANCHES, dtype=np.int64).T)[0].tolist()
+    return EnumerationReport(
+        rows=tuple(zip(BRANCHES, terms)),
+        plus_two=terms.count(2),
+        minus_two=terms.count(-2),
+        mean_term=sum(terms) / len(terms),
+    )
 
 
 def chsh_bound_check(sequence) -> float:
-    """(1/N) |sum a1b1 + sum a1b2 + sum a2b1 - sum a2b2| for binary tuples.
+    """(1/N) |sum a1b1 + sum a1b2 + sum a2b1 - sum a2b2| for an array or iterable of binary 4-tuples.
 
     The tuples form one int64 (N, 4) array once every value is checked to
-    be -1 or +1 (1.0 is 1; 1.7 is a ValueError, not truncated), so the sums
-    are exact integers and the returned value is <= 2 with no tolerance.
+    be -1 or +1 (1.0 is 1; 1.7 is a ValueError, not truncated), and
+    trials._chsh_terms forms each trial's term, so the sums are exact
+    integers and the returned value is <= 2 with no tolerance.
     """
-    if not isinstance(sequence, np.ndarray):
-        sequence = [(t.a1, t.a2, t.b1, t.b2) if isinstance(t, BinaryTuple) else t for t in sequence]
-    values = np.asarray(sequence)
+    values = np.asarray(sequence if isinstance(sequence, np.ndarray) else list(sequence))
     if len(values) == 0:
         raise ValueError("sequence must be nonempty")
     if values.ndim != 2 or values.shape[1] != 4:
@@ -149,8 +121,7 @@ def chsh_bound_check(sequence) -> float:
     binary = (values == 1) | (values == -1)
     if not binary.all():
         raise ValueError(f"tuple values must be -1 or +1, got {values[~binary][0].item()!r}")
-    a1, a2, b1, b2 = values.astype(np.int64).T
-    return abs(int((a1 * (b1 + b2) + a2 * (b1 - b2)).sum())) / len(values)
+    return abs(int(_chsh_terms(*values.astype(np.int64).T)[0].sum())) / len(values)
 
 
 def _check_record_integrity(table: TrialTable) -> None:

@@ -295,8 +295,7 @@ def _do_verify_theorem(ns: argparse.Namespace) -> int:
     sequences = 200
     for _ in range(sequences):
         length = int(rng.integers(1, 600))
-        seq = [tuple(x) for x in rng.choice((-1, 1), size=(length, 4))]
-        worst = max(worst, chsh_bound_check(seq))
+        worst = max(worst, chsh_bound_check(rng.choice((-1, 1), size=(length, 4))))
     ok = report.plus_two == 8 and report.minus_two == 8 and report.mean_term == 0.0 and worst <= 2.0
     _emit(
         {

@@ -17,9 +17,10 @@ scalar port of trials._log) and rescaling, one whole
 trial of any source, the step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, the closed-form
-combination of a hidden-variable source, the exact moments summed one
-field product at a time, one correlator and its stderr from a table's
-column products (estimate_correlator), and the full (n + 1)-term
+combination of a hidden-variable source, one binary tuple's unfactored
+CHSH term, the exact moments summed one field product at a time, one
+correlator and its stderr from a table's column products
+(estimate_correlator), and the full (n + 1)-term
 binomial pmf that the package's windowed recurrence cuts short.  They stay independent oracles
 for the package's exact laws and batch samplers.  Ten record helpers
 close the file: a record table's rows as tuples, for whole-row
@@ -488,6 +489,12 @@ def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NO_NO
         return core + (noise.bias / v) * s[j] * (2.0 * t[j] - 1.0)
 
     return abs(pair(0, 2) + pair(0, 3) + pair(1, 2) - pair(1, 3))
+
+
+def per_trial_term(a1: int, a2: int, b1: int, b2: int) -> int:
+    """a1*b1 + a1*b2 + a2*b1 - a2*b2 of one binary tuple, unfactored: the
+    scalar route that trials._chsh_terms's a1*(b1+b2) + a2*(b1-b2) is checked against."""
+    return a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2
 
 
 def per_product_moments(source, products) -> list:

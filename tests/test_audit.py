@@ -14,14 +14,11 @@ from blgisim.audit import (
     CONSISTENT,
     INCONCLUSIVE,
     REJECT,
-    BinaryTuple,
-    as_binary_tuple,
     chsh_bound_check,
     decomposition_test,
     exhaustive_verify,
     hidden_variable_config,
     hidden_variable_source,
-    per_trial_term,
 )
 from blgisim.records import emit_records, read_record_blocks
 from blgisim.trials import (
@@ -29,11 +26,12 @@ from blgisim.trials import (
     NoiseModel,
     Settings,
     TrialTable,
+    _chsh_terms,
     default_settings,
     estimate_chsh,
     exact_chsh,
 )
-from reference import concat, emit_format1, empty_table, hidden_variable_exact_chsh, with_scalars
+from reference import concat, emit_format1, empty_table, hidden_variable_exact_chsh, per_trial_term, with_scalars
 from reference import simulate_trials
 
 
@@ -47,29 +45,27 @@ def binary_columns(table):
 
 
 def test_per_trial_term_known_cases():
-    assert per_trial_term(BinaryTuple(1, 1, 1, 1)) == 2
-    assert per_trial_term(BinaryTuple(1, -1, 1, -1)) == -2
-    assert per_trial_term(BinaryTuple(-1, -1, -1, -1)) == 2
-    assert per_trial_term((1, 1, 1, -1)) == 2
+    # trials._chsh_terms forms the term of every estimate, of the enumeration and of the bound
+    cases = {(1, 1, 1, 1): 2, (1, -1, 1, -1): -2, (-1, -1, -1, -1): 2, (1, 1, 1, -1): 2}
+    for (a1, a2, b1, b2), term in cases.items():
+        assert _chsh_terms(a1, a2, b1, b2)[0] == per_trial_term(a1, a2, b1, b2) == term
 
 
-def test_binary_tuple_validation():
-    with pytest.raises(ValueError):
-        BinaryTuple(0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        as_binary_tuple((1, 1, 2, 1))
-    with pytest.raises(ValueError, match="a1 must be -1 or \\+1, got 1.7"):
-        as_binary_tuple((1.7, -1.2, 1, 1))  # not truncated to (1, -1, 1, 1)
-    assert as_binary_tuple((1.0, -1.0, 1.0, -1.0)) == BinaryTuple(1, -1, 1, -1)
+def test_bound_check_reads_each_value_as_binary():
+    with pytest.raises(ValueError, match="got 0"):
+        chsh_bound_check([(0, 1, 1, 1)])
+    with pytest.raises(ValueError, match="got 2"):
+        chsh_bound_check([(1, 1, 2, 1)])
+    with pytest.raises(ValueError, match="must be -1 or \\+1, got 1.7"):
+        chsh_bound_check([(1.7, -1.2, 1, 1)])  # not truncated to (1, -1, 1, 1)
+    assert chsh_bound_check([(1.0, -1.0, 1.0, -1.0)]) == chsh_bound_check([(1, -1, 1, -1)]) == 2.0
 
 
 def test_per_trial_term_is_always_plus_or_minus_two():
-    rng = np.random.default_rng(71)
-    for _ in range(500):
-        a1, a2, b1, b2 = (int(x) for x in rng.choice([-1, 1], size=4))
-        term = per_trial_term((a1, a2, b1, b2))
-        assert term in (-2, 2)
-        assert term == a1 * (b1 + b2) + a2 * (b1 - b2)
+    a1, a2, b1, b2 = np.random.default_rng(71).choice([-1, 1], size=(4, 500))
+    terms = _chsh_terms(a1, a2, b1, b2)[0].tolist()
+    assert set(terms) <= {-2, 2}
+    assert terms == [per_trial_term(*t) for t in zip(a1.tolist(), a2.tolist(), b1.tolist(), b2.tolist())]
 
 
 def test_exhaustive_verify_counts():
@@ -79,6 +75,8 @@ def test_exhaustive_verify_counts():
     assert report.minus_two == 8
     assert report.mean_term == 0.0
     assert all(term in (-2, 2) for _, term in report.rows)
+    assert report.rows == tuple((branch, per_trial_term(*branch)) for branch in BRANCHES)
+    assert all(type(x) is int for branch, term in report.rows for x in (*branch, term))
 
 
 # ----------------------------------------------------------------- the bound
@@ -105,9 +103,9 @@ def test_bound_holds_for_random_sequences():
         n = int(rng.integers(1, 400))
         seq = rng.choice([-1, 1], size=(n, 4))
         assert chsh_bound_check(seq) <= 2.0
-        # the scalar loop over per-trial terms is the reference, for an array and for BinaryTuples
-        tuples = [BinaryTuple(*(int(x) for x in row)) for row in seq]
-        expected = abs(sum(per_trial_term(t) for t in tuples)) / n
+        # the scalar loop over per-trial terms is the reference, for an array and for a list of tuples
+        tuples = [tuple(int(x) for x in row) for row in seq]
+        expected = abs(sum(per_trial_term(*t) for t in tuples)) / n
         assert chsh_bound_check(seq) == chsh_bound_check(tuples) == expected
 
 

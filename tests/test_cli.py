@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import blgisim
-from blgisim import audit, cli, records
+from blgisim import audit, cli, records, trials
 from blgisim.audit import decomposition_test
 from blgisim.cli import main, parse_invocation, run_sweep
 from blgisim.prediction import (
@@ -254,6 +254,23 @@ def test_verify_theorem_reports_ok(capsys):
     assert out["plus_two"] == 8 and out["minus_two"] == 8
     assert out["tuples_enumerated"] == 16
     assert out["max_bound_value"] <= 2.0
+
+
+def test_verify_theorem_exits_3_when_the_term_breaks(monkeypatch, capsys):
+    # a term of +-1 leaves no branch at +-2: the counts decide, and the
+    # command reports the failure on its JSON line, with no traceback
+    def halved(a1, a2, b1, b2):
+        terms = trials._chsh_terms(a1, a2, b1, b2)
+        terms[0] //= 2
+        return terms
+
+    monkeypatch.setattr(audit, "_chsh_terms", halved)
+    assert main(["verify-theorem"]) == 3
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["ok"] is False
+    assert out["plus_two"] == out["minus_two"] == 0
+    assert captured.err == ""
 
 
 def test_simulate_writes_records_and_manifest(tmp_path, capsys):

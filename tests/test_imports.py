@@ -3,8 +3,9 @@ references, no package module imports scipy or does complex or dense
 linear algebra (no complex dtype or literal, kron or linalg), the package's ``__all__``
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, only those two draw branches
-trial by trial, one routine builds every binomial pmf, one helper opens every process
-pool and no command imports concurrent.futures at start-up, one writer
+trial by trial, one routine builds every binomial pmf, one function forms
+the per-trial CHSH term, one helper opens every process pool and no
+command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
 record file is opened as bytes and its lines ended by one function, each
 record sampler is one named chunk stream, no module joins a record stream
@@ -134,6 +135,19 @@ def test_one_routine_builds_every_binomial_pmf():
     assert _inside(trials._branch_counts, _call_sites("_binomial_draw")) == [("trials.py", True)]
     counts = _call_sites("_branch_counts")
     assert len(counts) == 2 and _outside(counts, trials._count_moments, prediction.post_protocol_chsh) == []
+
+
+def test_one_function_forms_the_chsh_term():
+    # trials._chsh_terms forms the per-trial term x = a1 (b1 + b2) + a2 (b1 - b2)
+    # for the estimates (_block_moments, _count_moments) and for the
+    # binary-bound self-test (exhaustive_verify, chsh_bound_check), so
+    # verify-theorem checks the term behind every verdict; no package module
+    # names the scalar route, whose reference lives in tests/reference.py
+    sites = _call_sites("_chsh_terms")
+    functions = (trials._block_moments, trials._count_moments, audit.exhaustive_verify, audit.chsh_bound_check)
+    assert len(sites) == 4 and [len(_outside(sites, function)) for function in functions] == [3] * 4
+    names = {getattr(node, key, None) for _, node in _nodes(ast.AST) for key in ("name", "asname", "id", "attr")}
+    assert not {"BinaryTuple", "as_binary_tuple", "per_trial_term"} & (names | set(blgisim.__all__))
 
 
 def test_only_the_record_samplers_draw_branches_trial_by_trial():

@@ -55,7 +55,6 @@ _EXPORTS = {
         "SequentialReadoutParams",
         "exact_post_protocol_chsh",
         "post_protocol_chsh",
-        "predict",
         "prediction_accuracy",
         "prediction_accuracy_exact",
         "prediction_chunks",
@@ -77,7 +76,6 @@ _EXPORTS = {
         "NO_NOISE",
         "ChshReport",
         "CorrelatorEstimate",
-        "DegenerateBranchError",
         "NoiseModel",
         "Settings",
         "Source",

@@ -82,7 +82,6 @@ from .streams import LAYOUT_VERSION, derived_seed
 from .trials import (
     MAX_COUNT_TRIALS,
     ChshFold,
-    DegenerateBranchError,
     NoiseModel,
     Settings,
     _count_moments,
@@ -343,7 +342,7 @@ def _do_predict(ns: argparse.Namespace) -> int:
     started = _now()
     settings = prediction_settings(ns.v)
     readout = SequentialReadoutParams(v=ns.readout_v, steps=ns.steps)
-    post = post_protocol_chsh(settings, readout, max(8, ns.trials), ns.seed)
+    post = post_protocol_chsh(settings, max(8, ns.trials), ns.seed)
     # one pass, as in simulate: each chunk's matches are counted as it is written, then it is let go
     fold = PredictionFold(prediction_chunks(settings, readout, ns.trials, ns.seed, workers=ns.workers))
     emit_predictions(fold, ns.out)
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return ns.handler(ns)
-    except (OSError, ValueError, DegenerateBranchError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"blgisim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,12 +45,11 @@ is the fold's Wilson estimate, of a table or of a stream alike.  For any
 read from the same cached CDF windows, to the accuracy the batch
 converges to.  The complementary post_protocol_chsh shows what the
 coupling costs: it reads the same law at the Bell test axes, with the
-ancilla eigenvalues summed out (or fixed, to post-select), and the pair's
-own violation decays toward the classical bound as V grows.  It forms no
-trial: each axis pair's four outcome counts are one multinomial, drawn
-by the conditional binomials of trials._branch_counts, as a sweep point
-draws its 16 branch counts, and each correlator's mean and M2 come from
-those counts.
+ancilla eigenvalues summed out, and the pair's own violation decays
+toward the classical bound as V grows.  It forms no trial: each axis
+pair's four outcome counts are one multinomial, drawn by the conditional
+binomials of trials._branch_counts, as a sweep point draws its 16 branch
+counts, and each correlator's mean and M2 come from those counts.
 """
 
 from __future__ import annotations
@@ -64,10 +63,8 @@ import numpy as np
 
 from . import streams
 from .trials import (
-    MIN_BRANCH_PROB,
     ChshReport,
     CorrelatorEstimate,
-    DegenerateBranchError,
     RecordTable,
     Settings,
     _INTEGER,
@@ -166,11 +163,6 @@ class PredictionTable(RecordTable):
     predicted2 = property(lambda self: _readout_columns(self.K2, self.steps)[1])
 
 
-def predict(mean: float) -> int:
-    """Sign rule for a trajectory mean; exact zero breaks to +1."""
-    return -1 if mean < 0 else 1
-
-
 def prediction_settings(v: float) -> Settings:
     """Same-axis protocol settings: couple and test along z and x."""
     return Settings(a1=0.0, a2=math.pi / 2, b1=0.0, b2=math.pi / 2, v=v)
@@ -212,7 +204,8 @@ def _readout_counts(c: np.ndarray, readout: SequentialReadoutParams, u: np.ndarr
 def _readout_columns(k: np.ndarray, steps: int) -> tuple:
     """(trajectory mean, prediction) columns of readouts of `steps` outcomes, K of them +1.
 
-    A mean is (2K - steps)/steps and its prediction the sign rule of predict.
+    A mean is (2K - steps)/steps and its prediction its sign, a zero mean
+    predicting +1.
     """
     mean = (2 * np.asarray(k, dtype=np.int64) - steps) / steps
     return mean, np.where(mean < 0, -1, 1)
@@ -335,77 +328,51 @@ def prediction_accuracy_exact(settings: Settings, readout: SequentialReadoutPara
 # The after-protocol Bell check on the Bell qubits alone
 
 
-def _post_pair_laws(settings: Settings, post_select) -> list:
+def _post_pair_laws(settings: Settings) -> list:
     """P(t1, t2) at each test-axis pair, in (0, 0), (0, 1), (1, 0), (1, 1) order.
 
     Each is read from the 16-branch law at coupling axes (a1, a2) and test
-    axes (theta1, theta2).  Default sums out the ancilla eigenvalues (the
-    non-selective coupling).  With post_select = (c1, c2), c_i in
-    {-1, +1}, it takes the row of ancilla i collapsed to branch c_i and
-    normalizes it, which at saturated readout is the selective Kraus branch.
+    axes (theta1, theta2), with the ancilla eigenvalues summed out: the
+    non-selective coupling, whatever the readout later finds.
     """
-    if post_select is not None:
-        c1, c2 = post_select
-        if c1 not in (-1, 1) or c2 not in (-1, 1):
-            raise ValueError(f"post_select branches must be -1 or +1, got {post_select!r}")
-    laws = []
-    for th1 in POST_TEST_AXES_1:
-        for th2 in POST_TEST_AXES_2:
-            # one (t1, t2) row per (c1, c2), both in nested (+1, -1) order
-            rows = np.array(replace(settings, b1=th1, b2=th2).law).reshape(4, 4)
-            if post_select is None:
-                laws.append(rows.sum(axis=0))
-                continue
-            row = rows[2 * (c1 < 0) + (c2 < 0)]
-            p = float(row.sum())
-            if p < MIN_BRANCH_PROB:
-                raise DegenerateBranchError(f"post-selected ancilla branch {(c1, c2)} has probability {p}")
-            laws.append(row / p)
-    return laws
+    # one (t1, t2) row per (c1, c2), both in nested (+1, -1) order
+    return [
+        np.array(replace(settings, b1=th1, b2=th2).law).reshape(4, 4).sum(axis=0)
+        for th1 in POST_TEST_AXES_1
+        for th2 in POST_TEST_AXES_2
+    ]
 
 
-def exact_post_protocol_chsh(settings: Settings, post_select=None) -> float:
+def exact_post_protocol_chsh(settings: Settings) -> float:
     """Exact combination the after-protocol Bell check converges to."""
-    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in _post_pair_laws(settings, post_select))
+    e11, e12, e21, e22 = (float(p[0] - p[1] - p[2] + p[3]) for p in _post_pair_laws(settings))
     return e11 + e12 + e21 - e22
 
 
-def post_protocol_chsh(
-    settings: Settings,
-    readout: SequentialReadoutParams,
-    n_trials: int = 40000,
-    master_seed: int = 0,
-    post_select=None,
-) -> ChshReport:
+def post_protocol_chsh(settings: Settings, n_trials: int = 40000, master_seed: int = 0) -> ChshReport:
     """Standard projective Bell check on the Bell qubits after the protocol.
 
     Estimates the four correlators at the fixed test axes from n_trials
     projective trials (n_trials // 4 per axis pair, at most
-    MAX_COUNT_TRIALS) of the marginal (or post-selected) pair law.  A
-    pair's trials are drawn as their four (t1, t2) counts, one multinomial
+    MAX_COUNT_TRIALS) of the marginal pair law.  A pair's trials are
+    drawn as their four (t1, t2) counts, one multinomial
     (trials._branch_counts) from pair k's one-block window of the
     after-protocol stream; no trial is formed.  A correlator's products
     are +-1, so its mean e and M2 = n (1 - e^2) come from the count of
     t1 t2 = +1, and its stderr is sqrt(M2 / (n - 1)) / sqrt(n), as of the
     products themselves.  The marginal distribution of the Bell pair is
-    unchanged by how the ancillas were read out, so `readout` does not
-    shift this estimate; it is accepted because post-selection is only
-    defined at saturated readout, which is validated here.  The four
-    correlators use disjoint trials, so their stderrs add in quadrature.
-    Quadrature is exact here, with no covariance term left out; it is not
-    for estimate_chsh, whose four correlators share one set of trials.
+    unchanged by how the ancillas are read out, so the check takes no
+    readout.  The four correlators use disjoint trials, so their stderrs
+    add in quadrature.  Quadrature is exact here, with no covariance term
+    left out; it is not for estimate_chsh, whose four correlators share
+    one set of trials.
     """
-    if post_select is not None and not readout.saturated:
-        raise ValueError(
-            "post-selection conditions on the readout collapse branch, which requires "
-            f"saturated readout (steps * v^2 >= {SATURATION_THRESHOLD})"
-        )
     n_per = n_trials // 4
     if n_per < 2:
         raise ValueError(f"n_trials must be >= 8 to estimate four correlators, got {n_trials}")
     u = streams.window_uniforms(master_seed, streams.POST_CHSH_STREAM, 0, 4, 1)
     estimates = []
-    for law, draws in zip(_post_pair_laws(settings, post_select), u):
+    for law, draws in zip(_post_pair_laws(settings), u):
         agree = int(_branch_counts(law, n_per, draws)[[0, 3]].sum())  # (t1, t2) = (+1, +1) or (-1, -1)
         # n products of +-1: e = (2 agree - n) / n and M2 = n (1 - e^2) = 4 agree (n - agree) / n
         stderr = 2.0 * math.sqrt(agree * (n_per - agree) / (n_per - 1)) / n_per  # sqrt(M2 / (n - 1)) / sqrt(n)

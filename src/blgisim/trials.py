@@ -132,15 +132,9 @@ _LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e
        1.479819860511658591e-01)
 
 
-# Smallest probability of a branch that a caller may condition on.
-MIN_BRANCH_PROB = 1e-15
 # How far a Source law's entries may fall below 0, and its sum stray from 1,
 # by round-off; sample_branches clips such a negative entry to 0.
 LAW_TOLERANCE = 1e-12
-
-
-class DegenerateBranchError(RuntimeError):
-    """A measurement branch to condition on has probability below MIN_BRANCH_PROB."""
 
 
 def check_strength(v: float) -> float:
@@ -167,10 +161,6 @@ class NoiseModel:
             raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
         if not (np.isfinite(self.bias) and np.isfinite(self.sigma)):
             raise ValueError("noise parameters must be finite")
-
-    @property
-    def active(self) -> bool:
-        return self.bias != 0.0 or self.sigma != 0.0
 
 
 NO_NOISE = NoiseModel()

@@ -14,7 +14,8 @@ measurement, the
 system+ancilla unitary behind the weak Kraus pair, the reduced state by
 partial trace, one trial's detector noise (a scalar cephes ndtri on a
 scalar port of trials._log) and rescaling, one whole
-trial of any source, the step-by-step sequential readout, the Bell
+trial of any source, the sign rule for one trajectory mean, the
+step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, the closed-form
 combination of a hidden-variable source, one binary tuple's unfactored
@@ -60,11 +61,9 @@ from blgisim.trials import (
     _SQRT_HALF,
     BRANCHES,
     FIELDS,
-    MIN_BRANCH_PROB,
     NO_NOISE,
     TRIAL_BLOCKS,
     CorrelatorEstimate,
-    DegenerateBranchError,
     NoiseModel,
     Settings,
     TrialTable,
@@ -309,6 +308,13 @@ def prepare_bell(kind: str) -> QuantumState:
 # ---------------------------------------------------------------------------
 # Scalar routes
 
+# Smallest probability of a sampled branch that weak_measure renormalizes by.
+MIN_BRANCH_PROB = 1e-15
+
+
+class DegenerateBranchError(RuntimeError):
+    """A sampled measurement branch has probability below MIN_BRANCH_PROB."""
+
 
 def _expect_lifted(state: QuantumState, big: np.ndarray) -> float:
     if state.is_pure:
@@ -491,6 +497,12 @@ def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NO_NO
     return abs(pair(0, 2) + pair(0, 3) + pair(1, 2) - pair(1, 3))
 
 
+def predict(mean: float) -> int:
+    """Sign rule for one trajectory mean, exact zero breaking to +1: the
+    scalar route that prediction._readout_columns's column rule is checked against."""
+    return -1 if mean < 0 else 1
+
+
 def per_trial_term(a1: int, a2: int, b1: int, b2: int) -> int:
     """a1*b1 + a1*b2 + a2*b1 - a2*b2 of one binary tuple, unfactored: the
     scalar route that trials._chsh_terms's a1*(b1+b2) + a2*(b1-b2) is checked against."""
@@ -627,28 +639,10 @@ def entanglement_curve(v_grid, axis: float = 0.0, bell_kind: str = "phi_plus") -
     return [(v, concurrence(coupled_state(v, axis, axis, bell_kind))) for v in grid]
 
 
-def post_coupling_state(settings: Settings, post_select=None) -> QuantumState:
-    """Bell pair after ancilla coupling along (a1, a2) at strength settings.v.
-
-    Default marginalizes the ancilla record (non-selective channel).  With
-    post_select = (c1, c2), c_i in {-1, +1}, the state is instead
-    conditioned on ancilla i having collapsed to branch c_i, which at
-    saturated readout applies the selective Kraus branch.
-    """
-    if post_select is None:
-        return coupled_state(settings.v, settings.a1, settings.a2, settings.bell_kind)
-    c1, c2 = post_select
-    if c1 not in (-1, 1) or c2 not in (-1, 1):
-        raise ValueError(f"post_select branches must be -1 or +1, got {post_select!r}")
-    rho = prepare_bell(settings.bell_kind).density()
-    for qubit, axis, c in ((0, settings.a1, c1), (1, settings.a2, c2)):
-        big = lift1(weak_kraus(settings.v, axis).operator(c), qubit, 2)
-        rho = big @ rho @ big.conj().T
-        p = float(np.trace(rho).real)
-        if p < MIN_BRANCH_PROB:
-            raise DegenerateBranchError(f"post-selected branch {c} on qubit {qubit} has probability {p}")
-        rho = rho / p
-    return QuantumState.from_density((rho + rho.conj().T) / 2.0)
+def post_coupling_state(settings: Settings) -> QuantumState:
+    """Bell pair after ancilla coupling along (a1, a2) at strength settings.v,
+    the ancilla record marginalized (non-selective channel)."""
+    return coupled_state(settings.v, settings.a1, settings.a2, settings.bell_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,7 @@ def test_criterion_7_prediction_accuracy_and_violation_tradeoff():
     assert post[0] > 2.0
     assert post[-1] <= 2.0
 
-    sampled = prediction.post_protocol_chsh(
-        prediction.prediction_settings(0.3), readout, n_trials=40_000, master_seed=74
-    )
+    sampled = prediction.post_protocol_chsh(prediction.prediction_settings(0.3), n_trials=40_000, master_seed=74)
     exact = prediction.exact_post_protocol_chsh(prediction.prediction_settings(0.3))
     assert abs(sampled.chsh - exact) < 4.0 * sampled.chsh_stderr
 

@@ -906,12 +906,23 @@ def test_predict_writes_records_and_summary(tmp_path, capsys):
     assert summary["expected_accuracy_saturated"] == 0.75
     assert abs(summary["exact_post_protocol_chsh"] - 2.0 * math.sqrt(2.0) * math.sqrt(0.75)) < 1e-12
     # one build of the after-protocol laws serves both figures, unchanged
-    settings, readout = prediction_settings(0.5), SequentialReadoutParams(v=0.5, steps=200)
+    settings = prediction_settings(0.5)
     assert summary["exact_post_protocol_chsh"] == exact_post_protocol_chsh(settings)
-    assert summary["post_protocol_chsh"] == post_protocol_chsh(settings, readout, 64, 5).chsh
+    assert summary["post_protocol_chsh"] == post_protocol_chsh(settings, 64, 5).chsh
     assert len(out.read_text().splitlines()) == 66  # header comment, column header, 64 rows
     manifest = read_manifest(summary["manifest"])
     assert manifest.parameters["steps"] == 200
+
+
+def test_predict_after_protocol_summary_is_pinned(tmp_path, capsys):
+    # the predict_saturated benchmark command: its after-protocol figures,
+    # fixed across commits as the golden hashes fix the CSV bytes
+    argv = ["predict", "--v", "0.5", "--readout-v", "0.05", "--steps", "10000", "--trials", "4096", "--seed", "39"]
+    assert main([*argv, "--out", str(tmp_path / "pred.csv")]) == 0
+    summary = last_json(capsys)
+    assert summary["post_protocol_chsh"] == 2.439453125
+    assert summary["post_protocol_chsh_stderr"] == 0.049553281575020806
+    assert summary["exact_post_protocol_chsh"] == 2.449489742783178
 
 
 def test_predict_reports_exact_accuracy_and_layout_version(tmp_path, capsys):

@@ -4,7 +4,8 @@ linear algebra (no complex dtype or literal, kron or linalg), the package's ``__
 lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, only those two draw branches
 trial by trial, one routine builds every binomial pmf, one function forms
-the per-trial CHSH term, one helper opens every process pool and no
+the per-trial CHSH term, the after-protocol check has one (non-selective)
+route, one helper opens every process pool and no
 command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
 record file is opened as bytes and its lines ended by one function, each
@@ -148,6 +149,18 @@ def test_one_function_forms_the_chsh_term():
     assert len(sites) == 4 and [len(_outside(sites, function)) for function in functions] == [3] * 4
     names = {getattr(node, key, None) for _, node in _nodes(ast.AST) for key in ("name", "asname", "id", "attr")}
     assert not {"BinaryTuple", "as_binary_tuple", "per_trial_term"} & (names | set(blgisim.__all__))
+
+
+def test_one_after_protocol_route():
+    # the after-protocol Bell check reads the pair's marginal law alone, so
+    # no package module defines, takes or raises what post-selection needed,
+    # and the sign rule of one trajectory mean lives only in the column rule
+    # (prediction._readout_columns); the scalar rule is tests/reference.py's
+    keys = ("name", "asname", "id", "attr", "arg")
+    names = {getattr(node, key, None) for _, node in _nodes(ast.AST) for key in keys}
+    gone = {"post_select", "DegenerateBranchError", "MIN_BRANCH_PROB", "predict"}
+    assert not gone & (names | set(blgisim.__all__))
+    assert not hasattr(trials.NoiseModel, "active")
 
 
 def test_only_the_record_samplers_draw_branches_trial_by_trial():

@@ -23,13 +23,12 @@ from blgisim.prediction import (
     SequentialReadoutParams,
     exact_post_protocol_chsh,
     post_protocol_chsh,
-    predict,
     prediction_accuracy,
     prediction_accuracy_exact,
     prediction_chunks,
     prediction_settings,
 )
-from blgisim.trials import DegenerateBranchError, Settings, chsh_combine
+from blgisim.trials import Settings, chsh_combine
 from reference import (
     BELL_AMPLITUDES,
     SIGMA_Z,
@@ -43,6 +42,7 @@ from reference import (
     full_table,
     lift1,
     post_coupling_state,
+    predict,
     sequential_weak_sequence,
     table_rows,
     weak_kraus,
@@ -614,21 +614,6 @@ def test_post_coupling_state_matches_kraus_average():
     assert np.abs(got - expected).max() < 1e-12
 
 
-def test_post_selected_state_matches_selective_branch():
-    settings = prediction_settings(0.5)
-    got = post_coupling_state(settings, post_select=(1, -1)).density()
-    psi = BELL_AMPLITUDES["phi_plus"]
-    rho = np.outer(psi, psi.conj())
-    m = lift1(weak_kraus(0.5, settings.a2).operator(-1), 1, 2) @ lift1(
-        weak_kraus(0.5, settings.a1).operator(1), 0, 2
-    )
-    branch = m @ rho @ m.conj().T
-    branch /= np.trace(branch).real
-    assert np.abs(got - branch).max() < 1e-12
-    with pytest.raises(ValueError):
-        post_coupling_state(settings, post_select=(0, 1))
-
-
 def test_weak_coupling_leaves_bell_pair_nearly_intact():
 
     state = post_coupling_state(prediction_settings(0.01))
@@ -641,10 +626,10 @@ def test_exact_post_protocol_chsh_closed_form():
         assert abs(got - closed_form_post_chsh(float(v))) < 1e-12
 
 
-def density_route_correlators(settings: Settings, post_select=None) -> list:
+def density_route_correlators(settings: Settings) -> list:
     """The four after-protocol correlators, in (e11, e12, e21, e22) order, from the
     coupled density operator and projective traces."""
-    rho = post_coupling_state(settings, post_select).density()
+    rho = post_coupling_state(settings).density()
     return [
         float(np.trace(np.kron(bloch_observable(th1), bloch_observable(th2)) @ rho).real)
         for th1 in POST_TEST_AXES_1
@@ -652,9 +637,9 @@ def density_route_correlators(settings: Settings, post_select=None) -> list:
     ]
 
 
-def density_route_post_chsh(settings: Settings, post_select=None) -> float:
+def density_route_post_chsh(settings: Settings) -> float:
     """The after-protocol combination from the coupled density operator and projective traces."""
-    corr = density_route_correlators(settings, post_select)
+    corr = density_route_correlators(settings)
     return corr[0] + corr[1] + corr[2] - corr[3]
 
 
@@ -662,25 +647,8 @@ def density_route_post_chsh(settings: Settings, post_select=None) -> float:
 def test_post_protocol_law_matches_density_route(bell_kind):
     for v in (0.05, 0.3, 0.5, 0.7071, 0.9, 0.99, 1.0):
         settings = replace(prediction_settings(v), bell_kind=bell_kind)
-        for post_select in (None, (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            got = exact_post_protocol_chsh(settings, post_select)
-            assert abs(got - density_route_post_chsh(settings, post_select)) < 1e-12, (v, post_select)
-
-
-def test_post_selecting_a_zero_probability_branch_raises():
-    # phi+ coupled along z on both qubits at V = 1: the ancillas always agree
-    settings = Settings(a1=0.0, a2=0.0, b1=0.0, b2=0.0, v=1.0)
-    saturated = SequentialReadoutParams(v=0.05, steps=10_000)
-    with pytest.raises(DegenerateBranchError):
-        post_coupling_state(settings, post_select=(1, -1))
-    with pytest.raises(DegenerateBranchError):
-        exact_post_protocol_chsh(settings, post_select=(1, -1))
-    with pytest.raises(DegenerateBranchError):
-        post_protocol_chsh(settings, saturated, n_trials=400, post_select=(1, -1))
-    agree = exact_post_protocol_chsh(settings, post_select=(1, 1))
-    assert abs(agree - density_route_post_chsh(settings, (1, 1))) < 1e-12
-    with pytest.raises(ValueError):
-        exact_post_protocol_chsh(settings, post_select=(0, 1))
+        got = exact_post_protocol_chsh(settings)
+        assert abs(got - density_route_post_chsh(settings)) < 1e-12, v
 
 
 def test_post_protocol_tradeoff_curve():
@@ -696,11 +664,10 @@ def test_post_protocol_tradeoff_curve():
 
 def test_post_protocol_chsh_sampling_matches_exact():
     settings = prediction_settings(0.5)
-    readout = SequentialReadoutParams(v=0.05, steps=10_000)
-    report = post_protocol_chsh(settings, readout, n_trials=40_000, master_seed=3)
+    report = post_protocol_chsh(settings, n_trials=40_000, master_seed=3)
     exact = exact_post_protocol_chsh(settings)
     assert abs(report.chsh - exact) < 4.0 * report.chsh_stderr
-    again = post_protocol_chsh(settings, readout, n_trials=40_000, master_seed=3)
+    again = post_protocol_chsh(settings, n_trials=40_000, master_seed=3)
     assert report == again
 
 
@@ -729,8 +696,7 @@ def _count_route_failures(reports: dict, settings: Settings) -> list:
 
 def test_post_protocol_counts_follow_the_exact_law_and_their_stderr_is_unbiased():
     settings = prediction_settings(0.5)
-    readout = SequentialReadoutParams(v=0.05, steps=10_000)
-    reports = {n: [post_protocol_chsh(settings, readout, n, seed) for seed in range(1000)] for n in (40_000, 16)}
+    reports = {n: [post_protocol_chsh(settings, n, seed) for seed in range(1000)] for n in (40_000, 16)}
     assert _count_route_failures(reports, settings) == []
 
     # the check must catch a stderr whose M2 is divided by n, not n - 1 ...
@@ -749,13 +715,7 @@ def test_post_protocol_counts_follow_the_exact_law_and_their_stderr_is_unbiased(
 
 def test_post_protocol_chsh_argument_validation():
     settings = prediction_settings(0.5)
-    saturated = SequentialReadoutParams(v=0.05, steps=10_000)
-    shallow = SequentialReadoutParams(v=0.05, steps=100)
     with pytest.raises(ValueError):
-        post_protocol_chsh(settings, saturated, n_trials=4)
+        post_protocol_chsh(settings, n_trials=4)
     with pytest.raises(ValueError, match=rf"n_trials must be an integer in \[1, {trials.MAX_COUNT_TRIALS}\]"):
-        post_protocol_chsh(settings, saturated, n_trials=4 * (trials.MAX_COUNT_TRIALS + 1))
-    with pytest.raises(ValueError):
-        post_protocol_chsh(settings, shallow, post_select=(1, 1))
-    report = post_protocol_chsh(settings, saturated, n_trials=8_000, post_select=(1, 1), master_seed=4)
-    assert abs(report.chsh) <= 2.0 * math.sqrt(2.0) + 4.0 * report.chsh_stderr
+        post_protocol_chsh(settings, n_trials=4 * (trials.MAX_COUNT_TRIALS + 1))

@@ -73,7 +73,6 @@ _EXPORTS = {
         "read_sweep",
     ),
     "trials": (
-        "NO_NOISE",
         "ChshReport",
         "CorrelatorEstimate",
         "NoiseModel",
@@ -82,12 +81,8 @@ _EXPORTS = {
         "TrialTable",
         "branch_distribution",
         "check_strength",
-        "chsh_combine",
-        "default_settings",
         "estimate_chsh",
         "exact_chsh",
-        "exact_correlator",
-        "exact_mean",
         "trial_chunks",
     ),
 }

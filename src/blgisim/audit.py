@@ -47,7 +47,6 @@ from . import streams
 from .records import RecordFile
 from .trials import (
     BRANCHES,
-    NO_NOISE,
     ChshMoments,
     ChshReport,
     NoiseModel,
@@ -276,7 +275,7 @@ def hidden_variable_config(master_seed: int, index: int = 0) -> HiddenVariableCo
     return HiddenVariableConfig(thresholds=thresholds, signs=signs, index=index)
 
 
-def hidden_variable_source(config: HiddenVariableConfig, v: float, noise: NoiseModel = NO_NOISE) -> Source:
+def hidden_variable_source(config: HiddenVariableConfig, v: float, noise: NoiseModel = NoiseModel()) -> Source:
     """config's binary signals as a source: weak channels raw_i = v * A_i + noise, projective B_j.
 
     The thresholds cut the shared lambda's range [0, 1) into at most five

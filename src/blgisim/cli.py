@@ -250,7 +250,7 @@ def _sweep_point(k: int, v: float, trials: int, master_seed: int) -> tuple:
 
 
 def run_sweep(v_values, trials: int, master_seed: int) -> dict:
-    """The sweep of `trials` trials of default_settings(v) per grid point.
+    """The sweep of `trials` trials of Settings(v=v) per grid point.
 
     Returns columns keyed by SWEEP_HEADER, one entry per point, as
     _sweep_point computes it from the point's branch counts, not from its

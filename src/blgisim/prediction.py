@@ -37,19 +37,26 @@ and a PredictionFold counts each chunk's matches as it passes to the
 writer, so the command never holds its run.
 
 At saturated readout (steps * v^2 >= 25) the readout sign misassigns the
-ancilla eigenvalue with probability about Phi(-5) ~ 2.9e-7 (see
-SATURATION_THRESHOLD), so prediction accuracy is (1 + V)/2 to that
-precision: perfect at V = 1, coin-flip as V -> 0.  prediction_accuracy
-is the fold's Wilson estimate, of a table or of a stream alike.  For any
-`steps`, prediction_accuracy_exact sums the same law, with P(sign | c)
-read from the same cached CDF windows, to the accuracy the batch
-converges to.  The complementary post_protocol_chsh shows what the
-coupling costs: it reads the same law at the Bell test axes, with the
-ancilla eigenvalues summed out, and the pair's own violation decays
-toward the classical bound as V grows.  It forms no trial: each axis
-pair's four outcome counts are one multinomial, drawn by the conditional
-binomials of trials._branch_counts, as a sweep point draws its 16 branch
-counts, and each correlator's mean and M2 come from those counts.
+ancilla eigenvalue c, P(sign != c), about as often as a 5-sigma normal
+tail, Phi(-5) = 2.87e-7: the mean is c v with spread
+sqrt((1 - v^2)/steps), about v/5.  Summed from _binomial_window at
+steps * v^2 = 25: P(sign = -1 | c = +1) is 2.68e-7 at (steps, v) =
+(10**4, 0.05) and 2.41e-7 at (2500, 0.1).  A zero mean predicts +1, so
+P(sign = +1 | c = -1) adds the tie P(K = steps/2) and reaches 2.97e-7 at
+both; averaged over c it is 2.82e-7 and 2.69e-7.  So prediction accuracy
+is (1 + V)/2 to that precision: perfect at V = 1, coin-flip as V -> 0.
+
+prediction_accuracy is the fold's Wilson estimate, of a table or of a
+stream alike.  For any `steps`, prediction_accuracy_exact sums the same
+law, with P(sign | c) read from the same cached CDF windows, to the
+accuracy the batch converges to.  The complementary post_protocol_chsh
+shows what the coupling costs: it reads the same law at the Bell test
+axes, with the ancilla eigenvalues summed out, and the pair's own
+violation decays toward the classical bound as V grows.  It forms no
+trial: each axis pair's four outcome counts are one multinomial, drawn
+by the conditional binomials of trials._branch_counts, as a sweep point
+draws its 16 branch counts, and each correlator's mean and M2 come from
+those counts.
 """
 
 from __future__ import annotations
@@ -77,20 +84,9 @@ from .trials import (
     _typed,
     branch_distribution,
     check_strength,
-    chsh_combine,
     chunk_stream,
     sample_branches,
 )
-
-# steps * v^2 at which the readout is saturated.  The readout sign then
-# misassigns the ancilla eigenvalue c, P(sign != c), about as often as a
-# 5-sigma normal tail, Phi(-5) = 2.87e-7: the mean is c v with spread
-# sqrt((1 - v^2)/steps), about v/5.  Summed from _binomial_window at
-# steps * v^2 = 25: P(sign = -1 | c = +1) is 2.68e-7 at (steps, v) =
-# (10**4, 0.05) and 2.41e-7 at (2500, 0.1).  A zero mean predicts +1, so
-# P(sign = +1 | c = -1) adds the tie P(K = steps/2) and reaches 2.97e-7 at
-# both; averaged over c it is 2.82e-7 and 2.69e-7.
-SATURATION_THRESHOLD = 25.0
 
 # Cap on the readout length, set by accuracy, not memory: the cached CDF
 # windows grow as sqrt(steps) (121,451 entries at (10**7, 0.001)), but each
@@ -124,11 +120,6 @@ class SequentialReadoutParams:
     def __post_init__(self) -> None:
         check_strength(self.v)
         object.__setattr__(self, "steps", check_steps(self.steps))
-
-    @property
-    def saturated(self) -> bool:
-        """steps * v^2 >= SATURATION_THRESHOLD: the sign misassigns c about as often as Phi(-5)."""
-        return self.steps * self.v**2 >= SATURATION_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -377,4 +368,7 @@ def post_protocol_chsh(settings: Settings, n_trials: int = 40000, master_seed: i
         # n products of +-1: e = (2 agree - n) / n and M2 = n (1 - e^2) = 4 agree (n - agree) / n
         stderr = 2.0 * math.sqrt(agree * (n_per - agree) / (n_per - 1)) / n_per  # sqrt(M2 / (n - 1)) / sqrt(n)
         estimates.append(CorrelatorEstimate((2 * agree - n_per) / n_per, stderr, n_per))
-    return chsh_combine(*estimates)
+    e11, e12, e21, e22 = estimates
+    chsh = e11.value + e12.value + e21.value - e22.value
+    stderr = math.sqrt(e11.stderr**2 + e12.stderr**2 + e21.stderr**2 + e22.stderr**2)
+    return ChshReport(e11, e12, e21, e22, chsh, stderr)

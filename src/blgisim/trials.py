@@ -82,7 +82,6 @@ BELL_CORRELATIONS = {
     "psi_minus": np.diag([1.0, -1.0, -1.0, -1.0]),
 }
 
-FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
 # The (left, right) fields of e11, e12, e21, e22.
 CHSH_PAIRS = (("alpha1", "beta1"), ("alpha1", "beta2"), ("alpha2", "beta1"), ("alpha2", "beta2"))
 # The 16 (raw1, raw2, beta1, beta2) branches in nested (+1, -1) order, raw1 outermost.
@@ -163,9 +162,6 @@ class NoiseModel:
             raise ValueError("noise parameters must be finite")
 
 
-NO_NOISE = NoiseModel()
-
-
 @dataclass(frozen=True)
 class Settings:
     """Axes (radians), coupling strength, noise, and Bell-state choice."""
@@ -175,7 +171,7 @@ class Settings:
     b1: float = DEFAULT_B1
     b2: float = DEFAULT_B2
     v: float = 1.0
-    noise: NoiseModel = NO_NOISE
+    noise: NoiseModel = NoiseModel()
     bell_kind: str = "phi_plus"
 
     raw_scale = 1.0  # a class attribute, not a field: raw_i = A_i + noise
@@ -212,7 +208,7 @@ class Source:
     settings_id: str
     law: tuple
     v: float
-    noise: NoiseModel = NO_NOISE
+    noise: NoiseModel = NoiseModel()
     raw_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -225,10 +221,6 @@ class Source:
                 f"the law of source {self.settings_id!r} is not 16 finite probabilities >= 0 that sum to 1 "
                 f"(to within {LAW_TOLERANCE:g}): {self.law}"
             )
-
-
-def default_settings(v: float, noise: NoiseModel = NO_NOISE, bell_kind: str = "phi_plus") -> Settings:
-    return Settings(v=v, noise=noise, bell_kind=bell_kind)
 
 
 @dataclass(frozen=True)
@@ -570,23 +562,6 @@ def trial_chunks(source, n_trials: int, master_seed: int, start: int = 0, worker
 # Estimation
 
 
-def chsh_combine(
-    e11: CorrelatorEstimate,
-    e12: CorrelatorEstimate,
-    e21: CorrelatorEstimate,
-    e22: CorrelatorEstimate,
-) -> ChshReport:
-    """Combine four correlators from DISJOINT sets of trials with signature (+, +, +, -).
-
-    Their stderrs add in quadrature, which holds only because the four
-    estimates are independent.  Correlators of the same trials covary, so
-    estimate_chsh takes the stderr of the per-trial term instead.
-    """
-    chsh = e11.value + e12.value + e21.value - e22.value
-    stderr = math.sqrt(e11.stderr**2 + e12.stderr**2 + e21.stderr**2 + e22.stderr**2)
-    return ChshReport(e11=e11, e12=e12, e21=e21, e22=e22, chsh=chsh, chsh_stderr=stderr)
-
-
 @dataclass(frozen=True, eq=False)
 class ChshMoments:
     """Count, mean and M2 (sum of squared deviations from the mean) of a set of trials' CHSH terms.
@@ -913,29 +888,6 @@ def _moment_matrix(source) -> np.ndarray:
         m += p * np.outer(row, row)
     m[[1, 2], [1, 2]] += (source.noise.sigma / source.v) ** 2
     return m
-
-
-def _field_index(name: str) -> int:
-    """Position of name in FIELDS; any other name is a ValueError."""
-    if name not in FIELDS:
-        raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
-    return FIELDS.index(name)
-
-
-def exact_correlator(source, left: str, right: str) -> float:
-    """E[left * right] from a Settings' or Source's 16-branch law; no sampling.
-
-    Detector noise enters analytically: independent zero-mean Gaussians drop
-    out of cross moments, bias shifts alpha means, and the same-field alpha
-    second moment picks up sigma^2.  Rescaling by 1/V is applied to alphas.
-    """
-    i, j = _field_index(left), _field_index(right)
-    return float(_moment_matrix(source)[1 + i, 1 + j])
-
-
-def exact_mean(source, field: str) -> float:
-    """E[field] from the 16-branch law (alphas include bias/V)."""
-    return float(_moment_matrix(source)[0, 1 + _field_index(field)])
 
 
 def exact_chsh(source) -> float:

@@ -18,8 +18,11 @@ trial of any source, the sign rule for one trajectory mean, the
 step-by-step sequential readout, the Bell
 pair after outcome-averaged coupling and its concurrence curve, the Bell
 pair's density operator after the ancilla coupling, the closed-form
-combination of a hidden-variable source, one binary tuple's unfactored
-CHSH term, the exact moments summed one field product at a time, one
+combination of a hidden-variable source, the saturation rule of a
+readout, one binary tuple's unfactored CHSH term, the exact moments read
+by field name from the package's moment matrix (exact_correlator,
+exact_mean) and summed one field product at a time, the quadrature
+combination of four disjoint correlators (chsh_combine), one
 correlator and its stderr from a table's column products
 (estimate_correlator), and the full (n + 1)-term
 binomial pmf that the package's windowed recurrence cuts short.  They stay independent oracles
@@ -60,14 +63,13 @@ from blgisim.trials import (
     _SQRT_2PI,
     _SQRT_HALF,
     BRANCHES,
-    FIELDS,
-    NO_NOISE,
     TRIAL_BLOCKS,
+    ChshReport,
     CorrelatorEstimate,
     NoiseModel,
     Settings,
     TrialTable,
-    _field_index,
+    _moment_matrix,
     _one_experiment,
     check_strength,
     trial_chunks,
@@ -480,7 +482,7 @@ def reference_trial(source, index: int, master_seed: int) -> tuple:
     return noisy1, noisy2, rescale(noisy1, source.v), rescale(noisy2, source.v), beta1, beta2
 
 
-def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NO_NOISE) -> float:
+def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NoiseModel()) -> float:
     """|e11 + e12 + e21 - e22| of a hidden-variable source, in closed form.
 
     For signals k and j with thresholds t and signs s under a shared
@@ -497,6 +499,12 @@ def hidden_variable_exact_chsh(config, v: float = 1.0, noise: NoiseModel = NO_NO
     return abs(pair(0, 2) + pair(0, 3) + pair(1, 2) - pair(1, 3))
 
 
+def saturated(readout: SequentialReadoutParams) -> bool:
+    """steps * v^2 >= 25: the readout sign misassigns c about as often as
+    Phi(-5), as the prediction module's docstring works out."""
+    return readout.steps * readout.v**2 >= 25
+
+
 def predict(mean: float) -> int:
     """Sign rule for one trajectory mean, exact zero breaking to +1: the
     scalar route that prediction._readout_columns's column rule is checked against."""
@@ -507,6 +515,46 @@ def per_trial_term(a1: int, a2: int, b1: int, b2: int) -> int:
     """a1*b1 + a1*b2 + a2*b1 - a2*b2 of one binary tuple, unfactored: the
     scalar route that trials._chsh_terms's a1*(b1+b2) + a2*(b1-b2) is checked against."""
     return a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2
+
+
+# The trial fields, in the order of the moment matrix's rows and columns 1 to 4.
+FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
+
+
+def _field_index(name: str) -> int:
+    """Position of name in FIELDS; any other name is a ValueError."""
+    if name not in FIELDS:
+        raise ValueError(f"unknown field {name!r}; choose one of {FIELDS}")
+    return FIELDS.index(name)
+
+
+def exact_correlator(source, left: str, right: str) -> float:
+    """E[left * right] from a Settings' or Source's 16-branch law; no sampling.
+
+    Read by name from trials._moment_matrix, the matrix exact_chsh reads.
+    Detector noise enters analytically: independent zero-mean Gaussians drop
+    out of cross moments, bias shifts alpha means, and the same-field alpha
+    second moment picks up sigma^2.  Rescaling by 1/V is applied to alphas.
+    """
+    i, j = _field_index(left), _field_index(right)
+    return float(_moment_matrix(source)[1 + i, 1 + j])
+
+
+def exact_mean(source, field: str) -> float:
+    """E[field] from the 16-branch law (alphas include bias/V), read from trials._moment_matrix."""
+    return float(_moment_matrix(source)[0, 1 + _field_index(field)])
+
+
+def chsh_combine(e11, e12, e21, e22) -> ChshReport:
+    """Combine four correlators from DISJOINT sets of trials with signature (+, +, +, -).
+
+    Their stderrs add in quadrature, which holds only because the four
+    estimates are independent; prediction.post_protocol_chsh forms the
+    same sums in the same order.
+    """
+    chsh = e11.value + e12.value + e21.value - e22.value
+    stderr = math.sqrt(e11.stderr**2 + e12.stderr**2 + e21.stderr**2 + e22.stderr**2)
+    return ChshReport(e11=e11, e12=e12, e21=e21, e22=e22, chsh=chsh, chsh_stderr=stderr)
 
 
 def per_product_moments(source, products) -> list:

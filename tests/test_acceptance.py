@@ -20,9 +20,9 @@ import numpy as np
 
 from blgisim import audit, prediction, trials
 from blgisim.cli import main
-from blgisim.trials import NoiseModel, default_settings
-from reference import QuantumState, axis_projectors, bloch_observable, entanglement_curve, lift1, nonselective_weak
-from reference import prediction_batch, simulate_trials
+from blgisim.trials import NoiseModel, Settings
+from reference import QuantumState, axis_projectors, bloch_observable, entanglement_curve, exact_correlator, lift1
+from reference import nonselective_weak, prediction_batch, saturated, simulate_trials
 
 
 def test_criterion_1_binary_bound_is_exact_and_fast():
@@ -49,7 +49,7 @@ def test_criterion_2_oracle_matches_closed_form_curve():
     start = time.perf_counter()
     for v in np.arange(0.05, 1.0000001, 0.05):
         v = float(v)
-        exact = trials.exact_chsh(default_settings(v))
+        exact = trials.exact_chsh(Settings(v=v))
         closed = math.sqrt(2.0) * (1.0 + math.sqrt(1.0 - v * v))
         assert abs(exact - closed) < 1e-9, f"v={v}: {exact} vs {closed}"
     assert time.perf_counter() - start < 1.0
@@ -57,7 +57,7 @@ def test_criterion_2_oracle_matches_closed_form_curve():
 
 def test_criterion_3_million_trials_reproduce_oracle_and_violate_bound():
     start = time.perf_counter()
-    settings = default_settings(0.2)
+    settings = Settings(v=0.2)
     table = simulate_trials(settings, 1_000_000, master_seed=20260816)
 
     report = trials.estimate_chsh(table)
@@ -68,7 +68,7 @@ def test_criterion_3_million_trials_reproduce_oracle_and_violate_bound():
         "e22": (report.e22, "alpha2", "beta2"),
     }
     for name, (est, left, right) in pairs.items():
-        exact = trials.exact_correlator(settings, left, right)
+        exact = exact_correlator(settings, left, right)
         assert abs(est.value - exact) < 4.0 * est.stderr, name
 
     assert report.chsh - 2.0 > 3.0 * report.chsh_stderr
@@ -78,7 +78,7 @@ def test_criterion_3_million_trials_reproduce_oracle_and_violate_bound():
 def test_criterion_4_auditor_separates_quantum_from_binary_noise():
     noise = NoiseModel(sigma=0.3)
 
-    quantum = simulate_trials(default_settings(0.2, noise), 1_000_000, master_seed=41)
+    quantum = simulate_trials(Settings(v=0.2, noise=noise), 1_000_000, master_seed=41)
     assert audit.decomposition_test(quantum).verdict == audit.REJECT
 
     config = audit.hidden_variable_config(99)
@@ -159,7 +159,7 @@ def test_criterion_6_entanglement_decays_but_survives_below_full_strength():
 def test_criterion_7_prediction_accuracy_and_violation_tradeoff():
     start = time.perf_counter()
     readout = prediction.SequentialReadoutParams(v=0.05, steps=10_000)
-    assert readout.saturated
+    assert saturated(readout)
 
     for v, seed in ((0.01, 71), (0.3, 72), (1.0, 73)):
         table = prediction_batch(

@@ -27,7 +27,6 @@ from blgisim.trials import (
     Settings,
     TrialTable,
     _chsh_terms,
-    default_settings,
     estimate_chsh,
     exact_chsh,
 )
@@ -124,7 +123,7 @@ def test_bound_rejects_bad_input():
 
 
 def test_decomposition_rejects_weak_coupling_quantum_records():
-    settings = default_settings(0.2, NoiseModel(sigma=0.3))
+    settings = Settings(v=0.2, noise=NoiseModel(sigma=0.3))
     table = simulate_trials(settings, 200_000, master_seed=1)
     verdict = decomposition_test(table)
     assert verdict.verdict == REJECT
@@ -135,7 +134,7 @@ def test_decomposition_rejects_weak_coupling_quantum_records():
 
 def test_decomposition_consistent_for_strong_coupling_quantum_records():
     # at v = 0.95 the exact combination is below 2, so no rejection
-    settings = default_settings(0.95)
+    settings = Settings(v=0.95)
     table = simulate_trials(settings, 100_000, master_seed=2)
     assert exact_chsh(settings) < 2.0
     assert decomposition_test(table).verdict == CONSISTENT
@@ -172,7 +171,7 @@ def test_decomposition_inconclusive_below_min_records():
 
 def test_decomposition_inconclusive_when_stderr_blows_up():
     # heavy noise at tiny coupling: rescaled spread ~ sigma/v = 6 per signal
-    settings = default_settings(0.05, NoiseModel(sigma=0.3))
+    settings = Settings(v=0.05, noise=NoiseModel(sigma=0.3))
     table = simulate_trials(settings, 150, master_seed=6)
     verdict = decomposition_test(table)
     assert verdict.verdict == INCONCLUSIVE
@@ -225,7 +224,7 @@ def test_false_reject_rate_at_the_boundary_is_the_student_t_tail(n, runs):
 
 
 def test_decomposition_validates_arguments():
-    table = simulate_trials(default_settings(0.5), 200, master_seed=7)
+    table = simulate_trials(Settings(v=0.5), 200, master_seed=7)
     with pytest.raises(ValueError):
         decomposition_test(with_scalars(table, v=0.0))
     with pytest.raises(ValueError):
@@ -288,7 +287,7 @@ def test_streamed_decomposition_test_holds_a_block_not_the_file(tmp_path, monkey
     # is held to one range, read here, by a floor of the file's size; an
     # iterator of the same blocks takes the stream route
     path = tmp_path / "run.csv"
-    table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), 300_000, master_seed=4)
+    table = simulate_trials(Settings(v=0.2, noise=NoiseModel(sigma=0.3)), 300_000, master_seed=4)
     emit_records(table, str(path))
     monkeypatch.setattr(audit, "_AUDIT_RANGE_BYTES", path.stat().st_size)
     columns = sum(getattr(table, name).nbytes for name in TrialTable.field_names)
@@ -306,7 +305,7 @@ def test_streamed_decomposition_test_holds_a_block_not_the_file(tmp_path, monkey
 
 
 def test_decomposition_needs_two_records():
-    one = simulate_trials(default_settings(0.5), 1, master_seed=7)
+    one = simulate_trials(Settings(v=0.5), 1, master_seed=7)
     for table in (empty_table(TrialTable), one):
         with pytest.raises(ValueError, match="at least 2 records"):
             decomposition_test(table)

@@ -44,7 +44,6 @@ from blgisim.trials import (
     NoiseModel,
     Settings,
     TrialTable,
-    default_settings,
     estimate_chsh,
     exact_chsh,
 )
@@ -94,7 +93,7 @@ def test_simulate_builds_its_settings_from_every_flag(tmp_path, capsys):
 def test_parse_defaults():
     ns = parse_invocation(["simulate", "--v", "1", "--out", "x.csv"])
     assert ns.trials == 100000 and ns.seed == 0 and ns.workers == 1
-    s = default_settings(1.0)
+    s = Settings(v=1.0)
     assert ns.v == s.v and ns.angles == (s.a1, s.a2, s.b1, s.b2)
     assert (ns.bell, ns.noise_sigma, ns.noise_bias) == ("phi+", 0.0, 0.0)
 
@@ -341,7 +340,7 @@ def test_streamed_audit_equals_simulate_bit_for_bit(tmp_path, capsys):
 def test_simulate_folds_and_writes_the_bits_of_its_table(tmp_path, capsys, n, workers):
     # simulate folds and writes each chunk as it arrives; the summary and
     # the file must be those of the whole table, at chunk and fold edges
-    settings = default_settings(0.2, NoiseModel(sigma=0.3))
+    settings = Settings(v=0.2, noise=NoiseModel(sigma=0.3))
     out = tmp_path / "run.csv"
     argv = ["simulate", "--v", "0.2", "--noise-sigma", "0.3", "--trials", str(n), "--seed", "6"]
     assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
@@ -489,7 +488,7 @@ def test_branch_counts_at_the_count_bound_fit_in_memory():
 def test_audit_of_a_bad_row_in_a_later_block_exits_1_with_one_line(tmp_path, capsys, line, field, error):
     # rows start at line 3, so line FOLD_ROWS + 4 is the second row of the second block
     path = tmp_path / "run.csv"
-    emit_records(simulate_trials(default_settings(0.3), 70_000, 1), str(path))
+    emit_records(simulate_trials(Settings(v=0.3), 70_000, 1), str(path))
     lines = path.read_text().splitlines()
     index, _, rest = lines[line - 1].split(",", 2)
     lines[line - 1] = f"{index},{field},{rest}"
@@ -558,7 +557,7 @@ def test_audit_errors_exit_1(tmp_path, capsys):
 def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
     # simulate refuses --trials 1, so the one-row file is written directly
     path = tmp_path / "one.csv"
-    emit_records(simulate_trials(default_settings(0.3), 1, 1), str(path))
+    emit_records(simulate_trials(Settings(v=0.3), 1, 1), str(path))
     assert main(["audit", "--in", str(path), "--v", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -569,7 +568,7 @@ def test_audit_of_one_record_exits_1_with_one_line(tmp_path, capsys):
 def test_audit_out_of_range_field_exits_1_with_one_line(tmp_path, capsys, seed):
     # the master seed, from which every per-trial seed derives, is in the header comment
     path = tmp_path / "run.csv"
-    emit_records(simulate_trials(default_settings(0.3), 20, 1), str(path))
+    emit_records(simulate_trials(Settings(v=0.3), 20, 1), str(path))
     lines = path.read_text().splitlines()
     lines[0] = lines[0].replace('"master_seed": 1,', f'"master_seed": {seed},')
     path.write_text("\n".join(lines) + "\n")
@@ -649,7 +648,7 @@ def _audit_in_ranges(monkeypatch, cpus: int) -> list:
 def _record_file(tmp_path, rows: int, ending: str = "lf") -> str:
     """The path of a noisy v = 0.2 trial file of `rows` rows with the given line ends."""
     path = str(tmp_path / "run.csv")
-    table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), rows, 3)
+    table = simulate_trials(Settings(v=0.2, noise=NoiseModel(sigma=0.3)), rows, 3)
     if ending == "crlf split at a read edge":
         crlf_split_at(path, table, records._COUNT_BYTES)
         return path

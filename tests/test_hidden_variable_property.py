@@ -3,8 +3,8 @@
 import pytest
 
 from blgisim.audit import HiddenVariableConfig, hidden_variable_source
-from blgisim.trials import NoiseModel, exact_chsh, exact_correlator
-from reference import hidden_variable_exact_chsh
+from blgisim.trials import NoiseModel, exact_chsh
+from reference import exact_correlator, hidden_variable_exact_chsh
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -5,7 +5,8 @@ lists exactly the public names it binds, one sampler builds every
 TrialTable and one every PredictionTable, only those two draw branches
 trial by trial, one routine builds every binomial pmf, one function forms
 the per-trial CHSH term, the after-protocol check has one (non-selective)
-route, one helper opens every process pool and no
+route, no package module keeps a second name for a job another name does,
+one helper opens every process pool and no
 command imports concurrent.futures at start-up, one writer
 turns columns into CSV text and one reader CSV text into columns, every
 record file is opened as bytes and its lines ended by one function, each
@@ -161,6 +162,27 @@ def test_one_after_protocol_route():
     gone = {"post_select", "DegenerateBranchError", "MIN_BRANCH_PROB", "predict"}
     assert not gone & (names | set(blgisim.__all__))
     assert not hasattr(trials.NoiseModel, "active")
+
+
+def test_one_name_per_job():
+    # Settings(...) and NoiseModel() need no alias, post_protocol_chsh sums
+    # its own four disjoint correlators, and the moments are read from
+    # trials._moment_matrix by index; the string-keyed readouts, the field
+    # table they index and the saturation rule are tests/reference.py's
+    keys = ("name", "asname", "id", "attr", "arg")
+    names = {getattr(node, key, None) for _, node in _nodes(ast.AST) for key in keys}
+    gone = {
+        "default_settings",
+        "NO_NOISE",
+        "chsh_combine",
+        "exact_correlator",
+        "exact_mean",
+        "FIELDS",
+        "_field_index",
+        "SATURATION_THRESHOLD",
+    }
+    assert not gone & (names | set(blgisim.__all__))
+    assert not hasattr(prediction.SequentialReadoutParams, "saturated")
 
 
 def test_only_the_record_samplers_draw_branches_trial_by_trial():

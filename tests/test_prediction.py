@@ -28,13 +28,14 @@ from blgisim.prediction import (
     prediction_chunks,
     prediction_settings,
 )
-from blgisim.trials import Settings, chsh_combine
+from blgisim.trials import Settings
 from reference import (
     BELL_AMPLITUDES,
     SIGMA_Z,
     QuantumState,
     axis_projectors,
     bloch_observable,
+    chsh_combine,
     concat,
     concurrence,
     empty_table,
@@ -43,6 +44,7 @@ from reference import (
     lift1,
     post_coupling_state,
     predict,
+    saturated,
     sequential_weak_sequence,
     table_rows,
     weak_kraus,
@@ -73,9 +75,9 @@ def test_readout_params_validation():
 
 
 def test_readout_saturation_threshold():
-    assert SequentialReadoutParams(v=0.05, steps=10_000).saturated
-    assert not SequentialReadoutParams(v=0.05, steps=9_999).saturated
-    assert SequentialReadoutParams(v=1.0, steps=25).saturated
+    assert saturated(SequentialReadoutParams(v=0.05, steps=10_000))
+    assert not saturated(SequentialReadoutParams(v=0.05, steps=9_999))
+    assert saturated(SequentialReadoutParams(v=1.0, steps=25))
 
 
 def test_readout_steps_are_capped():
@@ -377,7 +379,7 @@ def test_saturation_threshold_is_a_five_sigma_misassignment():
     phi_minus_5 = math.erfc(5.0 / math.sqrt(2.0)) / 2.0  # 2.87e-7
     for steps, v, wrong_plus in ((10_000, 0.05, 2.68e-7), (2_500, 0.1, 2.41e-7)):
         readout = SequentialReadoutParams(v=v, steps=steps)
-        assert math.isclose(steps * v**2, prediction.SATURATION_THRESHOLD) and readout.saturated
+        assert math.isclose(steps * v**2, 25.0) and saturated(readout)
         pmf = full_table(*trials._binomial_window(steps, (1.0 + v) / 2.0), steps)
         half = steps // 2  # both steps are even
         # c = +1 is misread when the mean is negative, K < steps/2.  c = -1
@@ -535,7 +537,7 @@ def test_accuracy_at_full_coupling_is_near_perfect():
 
 def test_accuracy_tracks_coupling_strength_when_saturated():
     readout = SequentialReadoutParams(v=0.25, steps=600)
-    assert readout.saturated
+    assert saturated(readout)
     for v, n in ((0.001, 2000), (0.4, 2000)):
         table = prediction_batch(prediction_settings(v), readout, n, master_seed=8)
         est = prediction_accuracy(table)
@@ -585,7 +587,7 @@ def test_small_chain_accuracy_matches_exact_enumeration():
 
 def test_exact_accuracy_reaches_one_plus_v_over_two_at_saturation():
     readout = SequentialReadoutParams(v=0.05, steps=10_000)
-    assert readout.saturated
+    assert saturated(readout)
     for v in (0.01, 0.3, 0.6, 1.0):
         exact = prediction_accuracy_exact(prediction_settings(v), readout)
         # the misassignment probability at steps * v^2 = 25 is below 1e-6
@@ -669,6 +671,14 @@ def test_post_protocol_chsh_sampling_matches_exact():
     assert abs(report.chsh - exact) < 4.0 * report.chsh_stderr
     again = post_protocol_chsh(settings, n_trials=40_000, master_seed=3)
     assert report == again
+
+
+def test_post_protocol_chsh_signature_and_quadrature():
+    # disjoint trials: signature (+, +, +, -), stderrs in quadrature, each summed in that order
+    for v, seed in itertools.product((0.3, 0.5, 0.9), range(4)):
+        r = post_protocol_chsh(prediction_settings(v), n_trials=4_000, master_seed=seed)
+        assert r.chsh == r.e11.value + r.e12.value + r.e21.value - r.e22.value
+        assert r.chsh_stderr == math.sqrt(r.e11.stderr**2 + r.e12.stderr**2 + r.e21.stderr**2 + r.e22.stderr**2)
 
 
 def _count_route_failures(reports: dict, settings: Settings) -> list:

@@ -35,7 +35,7 @@ from blgisim.records import (
     read_record_blocks,
     read_sweep,
 )
-from blgisim.trials import TRIAL_SCHEMA, NoiseModel, TrialTable, default_settings, estimate_chsh
+from blgisim.trials import TRIAL_SCHEMA, NoiseModel, Settings, TrialTable, estimate_chsh
 from reference import concat, emit_format1, empty_table, with_scalars
 from reference import prediction_batch, read_predictions, read_records, simulate_trials
 
@@ -153,7 +153,7 @@ def test_table_takes_exactly_its_scalars(table_cls):
 
 
 def test_trial_round_trip_is_bit_exact(tmp_path):
-    settings = default_settings(0.3, NoiseModel(bias=0.05, sigma=0.25))
+    settings = Settings(v=0.3, noise=NoiseModel(bias=0.05, sigma=0.25))
     table = simulate_trials(settings, 50, master_seed=5)
     path = tmp_path / "trials.csv"
     emit_records(table, str(path))
@@ -172,7 +172,7 @@ def test_streamed_read_holds_a_block_not_the_table(tmp_path, table_cls):
     # kept its blocks, or parsed the file whole, would peak at the table
     n, path = 300_000, str(tmp_path / "run.csv")
     if table_cls is TrialTable:
-        table = simulate_trials(default_settings(0.2, NoiseModel(sigma=0.3)), n, master_seed=4)
+        table = simulate_trials(Settings(v=0.2, noise=NoiseModel(sigma=0.3)), n, master_seed=4)
         emit, read, fold = emit_records, read_record_blocks, estimate_chsh
     else:
         rng = np.random.default_rng(4)
@@ -205,8 +205,8 @@ def test_trial_round_trip_handles_extreme_floats(tmp_path):
 
 
 def test_concat_rejects_two_experiments():
-    a = simulate_trials(default_settings(0.4), 3, master_seed=1)
-    b = simulate_trials(default_settings(0.9), 2, master_seed=1)
+    a = simulate_trials(Settings(v=0.4), 3, master_seed=1)
+    b = simulate_trials(Settings(v=0.9), 2, master_seed=1)
     error = f"malformed records: a block of settings_id {b.settings_id!r} in a stream of settings_id {a.settings_id!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         concat([a, b])
@@ -215,7 +215,7 @@ def test_concat_rejects_two_experiments():
 def test_a_stream_of_blocks_writes_the_bytes_of_their_table(tmp_path):
     # a table is a stream of one block; blocks that cut the writer's
     # 16,384-row passes anywhere give the same bytes
-    settings = default_settings(0.3, NoiseModel(sigma=0.2))
+    settings = Settings(v=0.3, noise=NoiseModel(sigma=0.2))
     edges = [0, 7, 7, 16_384 + 3, 40_000]
     blocks = (simulate_trials(settings, b - a, 4, start=a) for a, b in zip(edges, edges[1:]) if b > a)
     emit_records(blocks, str(tmp_path / "stream.csv"))
@@ -228,11 +228,11 @@ def test_a_stream_of_blocks_writes_the_bytes_of_their_table(tmp_path):
 
 def _failing_second_block(kind):
     """A stream whose first block is fine and whose second one fails as `kind`."""
-    yield simulate_trials(default_settings(0.2), 20_000, 1)
+    yield simulate_trials(Settings(v=0.2), 20_000, 1)
     if kind == "settings_id":
-        yield simulate_trials(default_settings(0.2, NoiseModel(sigma=0.1)), 5, 1, start=20_000)
+        yield simulate_trials(Settings(v=0.2, noise=NoiseModel(sigma=0.1)), 5, 1, start=20_000)
     elif kind == "master_seed":
-        yield simulate_trials(default_settings(0.2), 5, 2, start=20_000)
+        yield simulate_trials(Settings(v=0.2), 5, 2, start=20_000)
     else:
         raise RuntimeError("the sampler failed")
 
@@ -263,7 +263,7 @@ def test_a_write_keeps_what_the_path_names(tmp_path):
     # the temporary file goes beside the symlink's target, takes the mode of
     # the file it replaces, and one a dead process of this pid left is no bar;
     # a hard-linked file is written in place, so its other name sees the rows
-    table = simulate_trials(default_settings(0.2), 3, 1)
+    table = simulate_trials(Settings(v=0.2), 3, 1)
     emit_records(table, str(tmp_path / "expected.csv"))
     expected = (tmp_path / "expected.csv").read_bytes()
     (tmp_path / "data").mkdir()
@@ -279,7 +279,7 @@ def test_a_write_keeps_what_the_path_names(tmp_path):
     assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["run.csv"]
     other = tmp_path / "other.csv"
     os.link(target, other)
-    emit_records(simulate_trials(default_settings(0.2), 4, 1), str(target))
+    emit_records(simulate_trials(Settings(v=0.2), 4, 1), str(target))
     assert other.read_bytes() == target.read_bytes() != expected
     # in place, a stream that fails part way leaves an empty file, not one cut short
     with pytest.raises(RuntimeError, match="the sampler failed"):
@@ -604,7 +604,7 @@ READOUT_30 = SequentialReadoutParams(v=0.3, steps=30)
 
 def test_a_format_1_file_is_refused_with_one_line_naming_the_manifest(tmp_path, capsys):
     path = tmp_path / "old.csv"
-    emit_format1(simulate_trials(default_settings(0.4), 300, 8), str(path))
+    emit_format1(simulate_trials(Settings(v=0.4), 300, 8), str(path))
     message = (
         f"trial CSV {path} has no header comment at line 1: record format 1 is no longer read; "
         "rerun the command in its manifest"
@@ -738,7 +738,7 @@ def test_mixed_settings_ids_across_a_block_boundary(tmp_path, kind, switch):
 def _format_2_file(kind, rows=3):
     """(table, its comment line, emitter) of a format-2 file of `kind` at master seed 4."""
     if kind == "trial":
-        table = simulate_trials(default_settings(0.2), rows, master_seed=4)
+        table = simulate_trials(Settings(v=0.2), rows, master_seed=4)
         emit, field = emit_records, '"v": 0.20000000000000001'
     else:
         table = prediction_batch(prediction_settings(0.6), READOUT_30, rows, master_seed=4)
@@ -854,7 +854,7 @@ def test_format_2_reader_names_the_file_line_of_a_bad_field(tmp_path, kind, line
 def test_emitters_refuse_tables_that_format_2_cannot_reproduce(tmp_path):
     # a scalar that the reader would refuse in the header is refused before the file is opened
     path = tmp_path / "refused.csv"
-    trials = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 20, master_seed=1)
+    trials = simulate_trials(Settings(v=0.3, noise=NoiseModel(sigma=0.2)), 20, master_seed=1)
     predictions = prediction_batch(prediction_settings(0.6), READOUT_30, 20, master_seed=2)
     for table, emit, error in [
         (with_scalars(trials, v=0.0), emit_records, "coupling strength must lie in"),

@@ -35,7 +35,7 @@ from blgisim.audit import hidden_variable_config, hidden_variable_source
 from blgisim.cli import main
 from blgisim.prediction import MAX_STEPS, PredictionTable, SequentialReadoutParams, prediction_settings
 from blgisim.records import SWEEP_HEADER, emit_predictions, emit_records, emit_sweep, read_sweep
-from blgisim.trials import FOLD_ROWS, NO_NOISE, NoiseModel, Settings, TrialTable, default_settings
+from blgisim.trials import FOLD_ROWS, NoiseModel, Settings, TrialTable
 from reference import concat, crlf_split_at, table_rows
 from reference import prediction_batch, read_predictions, read_records, simulate_trials
 
@@ -270,7 +270,7 @@ def test_rows_text_is_per_row_formatting_at_every_slice_edge(rows, block):
 
 
 def test_multi_block_sampler_file_matches_per_row_formatting(tmp_path):
-    table = simulate_trials(default_settings(0.3, NoiseModel(bias=0.0, sigma=0.3)), 2 * 65536 + 7, 21)
+    table = simulate_trials(Settings(v=0.3, noise=NoiseModel(bias=0.0, sigma=0.3)), 2 * 65536 + 7, 21)
     raw1, raw2 = table.raw1.copy(), table.raw2.copy()
     rows = np.random.default_rng(8).choice(len(table), len(EDGE_LIST), replace=False)
     raw1[rows] = EDGE_LIST
@@ -287,7 +287,7 @@ def test_multi_block_sampler_file_matches_per_row_formatting(tmp_path):
 def test_exponent_notation_raws_match_per_row_formatting(tmp_path):
     # a noiseless hidden-variable source at v = 1e-5 reports raws of +-1e-5,
     # which %.17g writes in exponent notation
-    source = hidden_variable_source(hidden_variable_config(3, 0), 1e-5, NO_NOISE)
+    source = hidden_variable_source(hidden_variable_config(3, 0), 1e-5, NoiseModel())
     table = simulate_trials(source, 3000, 9)
     assert set(np.abs(table.raw1).tolist()) == {1e-5}
     path = tmp_path / "hidden.csv"
@@ -420,7 +420,7 @@ def test_quotients_are_correctly_rounded_or_left_to_float():
 def test_blocks_hold_fold_rows_whatever_the_line_ends(tmp_path, rows, ending):
     # the block reader ends lines in binary (records._line_ends), so it must
     # find the line ends that a text reader finds, in blocks of FOLD_ROWS rows
-    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), rows, 5)
+    table = simulate_trials(Settings(v=0.3, noise=NoiseModel(sigma=0.2)), rows, 5)
     path = tmp_path / "trials.csv"
     emit_records(table, str(path))
     text = path.read_bytes()
@@ -433,7 +433,7 @@ def test_blocks_hold_fold_rows_whatever_the_line_ends(tmp_path, rows, ending):
 
 
 def test_table_read_counts_a_crlf_split_between_binary_reads_once(tmp_path):
-    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 3 * FOLD_ROWS + 3, 5)
+    table = simulate_trials(Settings(v=0.3, noise=NoiseModel(sigma=0.2)), 3 * FOLD_ROWS + 3, 5)
     path = str(tmp_path / "trials.csv")
     table = crlf_split_at(path, table, records._COUNT_BYTES)
     _assert_same_table(read_records(path), table)
@@ -470,7 +470,7 @@ def test_block_reader_and_row_count_take_a_crlf_split_at_a_read_edge_once(tmp_pa
     # the CR is the last byte of one read and its LF the first of the next:
     # the block reader drops the CR and ends the line at the LF, and the
     # count and the cuts see one line end
-    table = simulate_trials(default_settings(0.3, NoiseModel(sigma=0.2)), 3 * FOLD_ROWS + 3, 5)
+    table = simulate_trials(Settings(v=0.3, noise=NoiseModel(sigma=0.2)), 3 * FOLD_ROWS + 3, 5)
     path = str(tmp_path / "trials.csv")
     table = crlf_split_at(path, table, edge)
     blocks = list(records.read_record_blocks(path))

@@ -22,7 +22,6 @@ from blgisim.prediction import SequentialReadoutParams, prediction_settings
 from blgisim.records import emit_records, read_sweep
 from blgisim.trials import (
     CHSH_PAIRS,
-    FIELDS,
     FOLD_ROWS,
     ChshFold,
     NoiseModel,
@@ -30,25 +29,25 @@ from blgisim.trials import (
     Source,
     TrialTable,
     branch_distribution,
-    chsh_combine,
-    default_settings,
     estimate_chsh,
     exact_chsh,
-    exact_correlator,
-    exact_mean,
     sample_branches,
     trial_chunks,
 )
 from blgisim.audit import HiddenVariableConfig, decomposition_test, hidden_variable_config, hidden_variable_source
 from reference import (
     BELL_AMPLITUDES,
+    FIELDS,
     cephes_ndtri,
+    chsh_combine,
     column,
     concat,
     concurrence,
     coupled_state,
     entanglement_curve,
     estimate_correlator,
+    exact_correlator,
+    exact_mean,
     full_binomial_pmf,
     full_table,
     outcome_law,
@@ -136,13 +135,13 @@ def test_settings_validation():
 
 
 def test_settings_id_is_stable_and_discriminating():
-    sid = default_settings(0.2).settings_id
+    sid = Settings(v=0.2).settings_id
     assert sid == (
         "phi_plus;a1=0;a2=1.57079632679;b1=0.785398163397;"
         "b2=-0.785398163397;v=0.2;bias=0;sigma=0"
     )
-    assert default_settings(0.3).settings_id != sid
-    assert default_settings(0.2, NoiseModel(bias=0.1)).settings_id != sid
+    assert Settings(v=0.3).settings_id != sid
+    assert Settings(v=0.2, noise=NoiseModel(bias=0.1)).settings_id != sid
     assert "," not in sid
 
 
@@ -159,7 +158,7 @@ def test_prepare_bell_states():
 
 
 def test_single_trial_is_deterministic_and_well_formed():
-    settings = default_settings(0.4, NoiseModel(bias=0.05, sigma=0.2))
+    settings = Settings(v=0.4, noise=NoiseModel(bias=0.05, sigma=0.2))
     one = simulate_trials(settings, 1, master_seed=42, start=17)
     [rec] = table_rows(one)
     assert table_rows(simulate_trials(settings, 1, master_seed=42, start=17)) == [rec]
@@ -173,7 +172,7 @@ def test_single_trial_is_deterministic_and_well_formed():
 
 
 def test_batch_rows_equal_single_trials():
-    settings = default_settings(0.7, NoiseModel(sigma=0.1))
+    settings = Settings(v=0.7, noise=NoiseModel(sigma=0.1))
     table = simulate_trials(settings, 10, master_seed=9)
     for i in range(10):
         one = simulate_trials(settings, 1, master_seed=9, start=i)
@@ -216,7 +215,7 @@ def test_scalar_kraus_chain_matches_branch_law():
     a1, a2, b1, b2 = rng.uniform(-np.pi, np.pi, 4)
     n = 4000
     for settings in (
-        default_settings(0.3),
+        Settings(v=0.3),
         Settings(a1=a1, a2=a2, b1=b1, b2=b2, v=0.7, bell_kind="psi_minus"),
         ZERO_BRANCH_SETTINGS,
     ):
@@ -266,7 +265,7 @@ def test_batch_is_the_same_for_every_start_stream_and_worker_count():
     # cut at start offsets whose chunks end at other trials than the whole's
     hidden = hidden_variable_source(hidden_variable_config(42), 0.5, NoiseModel(bias=0.1, sigma=0.25))
     n = 2 * trials._TRIAL_CHUNK + 37
-    for source in (default_settings(0.5, NoiseModel(sigma=0.25)), hidden):
+    for source in (Settings(v=0.5, noise=NoiseModel(sigma=0.25)), hidden):
         whole = simulate_trials(source, n, master_seed=5)
         others = [simulate_trials(source, n, master_seed=5, workers=3)]
         others += [concat(list(trial_chunks(source, n, 5, workers=workers))) for workers in (1, 3)]
@@ -292,7 +291,7 @@ def test_rows_at_chunk_edges_equal_each_trial_alone():
 
 
 def test_batch_start_offset_matches_full_run():
-    settings = default_settings(0.5)
+    settings = Settings(v=0.5)
     full = simulate_trials(settings, 200, master_seed=11)
     tail = simulate_trials(settings, 60, master_seed=11, start=140)
     assert np.array_equal(tail.alpha1, full.alpha1[140:])
@@ -302,13 +301,13 @@ def test_batch_start_offset_matches_full_run():
 
 def test_simulate_trials_rejects_empty():
     with pytest.raises(ValueError):
-        simulate_trials(default_settings(0.5), 0, master_seed=1)
+        simulate_trials(Settings(v=0.5), 0, master_seed=1)
 
 
 READOUT = SequentialReadoutParams(v=0.3, steps=5)
 SAMPLERS = {
-    "trial_chunks": lambda n, **kw: trial_chunks(default_settings(0.5), n, 1, **kw),
-    "simulate_trials": lambda n, **kw: simulate_trials(default_settings(0.5), n, 1, **kw),
+    "trial_chunks": lambda n, **kw: trial_chunks(Settings(v=0.5), n, 1, **kw),
+    "simulate_trials": lambda n, **kw: simulate_trials(Settings(v=0.5), n, 1, **kw),
     "prediction_chunks": lambda n, **kw: prediction.prediction_chunks(prediction_settings(0.5), READOUT, n, 1, **kw),
     "prediction_batch": lambda n, **kw: prediction_batch(prediction_settings(0.5), READOUT, n, 1, **kw),
 }
@@ -383,7 +382,7 @@ def test_pool_submits_at_most_two_items_per_worker_ahead(monkeypatch):
 def test_chunk_stream_caps_workers_at_chunk_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
-    settings = default_settings(0.4, NoiseModel(sigma=0.2))
+    settings = Settings(v=0.4, noise=NoiseModel(sigma=0.2))
     pooled = simulate_trials(settings, 20_000, master_seed=3, workers=10_000)
     assert _InlinePool.max_workers == [2]  # 20,000 trials are 2 chunks of 16,384
     serial = simulate_trials(settings, 20_000, master_seed=3, workers=1)
@@ -452,7 +451,7 @@ def test_source_accepts_every_hidden_variable_law_and_round_off():
 
 
 def test_concat_of_single_trials_equals_the_batch():
-    settings = default_settings(0.8)
+    settings = Settings(v=0.8)
     singles = [simulate_trials(settings, 1, 1, start=i) for i in range(6)]
     table = concat(singles)
     assert len(table) == 6
@@ -460,7 +459,7 @@ def test_concat_of_single_trials_equals_the_batch():
     assert table_rows(table) == table_rows(simulate_trials(settings, 6, 1))
     assert table_rows(table)[3] == table_rows(singles[3])[0]
 
-    other = simulate_trials(default_settings(0.3), 4, master_seed=1)
+    other = simulate_trials(Settings(v=0.3), 4, master_seed=1)
     error = (
         f"malformed records: a block of settings_id {other.settings_id!r} "
         f"in a stream of settings_id {table.settings_id!r}"
@@ -470,7 +469,7 @@ def test_concat_of_single_trials_equals_the_batch():
 
 
 def test_table_column_validation():
-    table = simulate_trials(default_settings(0.5), 3, master_seed=0)
+    table = simulate_trials(Settings(v=0.5), 3, master_seed=0)
     with pytest.raises(ValueError):
         column(table, "raw1")
 
@@ -479,7 +478,7 @@ def test_table_column_validation():
 
 
 def test_estimate_correlator_known_cases():
-    sid = default_settings(1.0).settings_id
+    sid = Settings(v=1.0).settings_id
 
     def records(*pairs):
         """One row per (alpha1, beta1) pair, with raw1 = alpha1 and raw2 = alpha2 = beta2 = 1."""
@@ -504,17 +503,8 @@ def test_estimate_correlator_known_cases():
         estimate_correlator(records((1.0, 1), (1.0, 1)), "alpha1", "gamma")
 
 
-def test_chsh_combine_signature_and_quadrature():
-    def ce(value, stderr):
-        return trials.CorrelatorEstimate(value=value, stderr=stderr, count=100)
-
-    report = chsh_combine(ce(0.7, 0.03), ce(0.5, 0.04), ce(0.5, 0.0), ce(-0.7, 0.0))
-    assert abs(report.chsh - 2.4) < 1e-15
-    assert abs(report.chsh_stderr - 0.05) < 1e-15
-
-
 def test_estimate_chsh_reports_consistent_combination():
-    table = simulate_trials(default_settings(0.5), 2000, master_seed=8)
+    table = simulate_trials(Settings(v=0.5), 2000, master_seed=8)
     report = estimate_chsh(table)
     total = report.e11.value + report.e12.value + report.e21.value - report.e22.value
     assert abs(report.chsh - total) < 1e-12
@@ -522,7 +512,7 @@ def test_estimate_chsh_reports_consistent_combination():
 
 
 FOLD_SOURCES = {
-    "noisy quantum": default_settings(0.5, NoiseModel(sigma=0.3)),
+    "noisy quantum": Settings(v=0.5, noise=NoiseModel(sigma=0.3)),
     "hidden variable": hidden_variable_source(hidden_variable_config(7), 0.5, NoiseModel(sigma=0.3)),
 }
 
@@ -581,7 +571,7 @@ def test_a_stream_folds_only_if_its_blocks_but_the_last_hold_whole_fold_blocks()
 def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlators():
     # the four correlators share their trials; at V = 0.9 the quadrature sum
     # of their stderrs is about twice the stderr of S
-    report = estimate_chsh(simulate_trials(default_settings(0.9), 200_000, master_seed=5))
+    report = estimate_chsh(simulate_trials(Settings(v=0.9), 200_000, master_seed=5))
     quadrature = chsh_combine(report.e11, report.e12, report.e21, report.e22).chsh_stderr
     assert 0.0019 < report.chsh_stderr < 0.0021 and quadrature > 2 * report.chsh_stderr
 
@@ -589,12 +579,12 @@ def test_chsh_stderr_is_the_per_trial_term_s_not_the_quadrature_of_the_correlato
 def test_folds_refuse_the_blocks_of_two_experiments():
     # a fold pools its blocks under the first block's scalars: pooled, V 0.2
     # and V 0.9 gave a wrong REJECT at |S| = 2.445 +- 0.053
-    mixed = [simulate_trials(default_settings(0.2), FOLD_ROWS, 1), simulate_trials(default_settings(0.9), FOLD_ROWS, 2)]
+    mixed = [simulate_trials(Settings(v=0.2), FOLD_ROWS, 1), simulate_trials(Settings(v=0.9), FOLD_ROWS, 2)]
     error = r"^malformed records: a block of settings_id '.*;v=0.9;.*' in a stream of settings_id '.*;v=0.2;.*'$"
     for fold in (decomposition_test, estimate_chsh):
         with pytest.raises(ValueError, match=error):
             fold(iter(mixed))
-    seeds = [simulate_trials(default_settings(0.2), FOLD_ROWS, 1), simulate_trials(default_settings(0.2), 10, 2)]
+    seeds = [simulate_trials(Settings(v=0.2), FOLD_ROWS, 1), simulate_trials(Settings(v=0.2), 10, 2)]
     with pytest.raises(ValueError, match="^malformed records: a block of master_seed 2 in a stream of master_seed 1$"):
         estimate_chsh(seeds)
     readouts = [SequentialReadoutParams(v=0.3, steps=s) for s in (5, 7)]
@@ -609,7 +599,7 @@ def test_a_fold_names_anything_but_its_table_kind_by_its_type():
     # a table is a stream of one block, and so is anything that is no
     # iterable; an iterable is named by its first block that is no table
     predictions = prediction_batch(prediction_settings(0.5), SequentialReadoutParams(v=0.3, steps=5), 10, 1)
-    trials_table = simulate_trials(default_settings(0.5), 10, 1)
+    trials_table = simulate_trials(Settings(v=0.5), 10, 1)
     for fold in (decomposition_test, estimate_chsh):
         for wrong, named in ((predictions, "PredictionTable"), ([predictions], "PredictionTable"), (None, "NoneType"),
                              ({"v": [0.5]}, "str")):
@@ -629,7 +619,7 @@ def test_simulate_s_chain_holds_one_chunk_at_a_time(tmp_path):
     # cli simulate's chain: the serial chunk stream, through ChshFold, into
     # emit_records; each stage lets a chunk go before the next one is made,
     # so no two chunks are alive at once
-    settings = default_settings(0.4, NoiseModel(sigma=0.2))
+    settings = Settings(v=0.4, noise=NoiseModel(sigma=0.2))
     live = {"now": 0, "most": 0}
 
     def release():
@@ -660,7 +650,7 @@ def test_simulate_s_chain_holds_one_chunk_at_a_time(tmp_path):
 
 def test_branch_distribution_is_a_probability_law():
     for v in (0.2, 1.0):
-        pmf = branch_distribution(default_settings(v))
+        pmf = branch_distribution(Settings(v=v))
         assert len(pmf) == 16
         assert all(p >= -1e-15 for p in pmf.values())
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
@@ -708,7 +698,7 @@ def test_branch_distribution_matches_matrix_root_enumeration():
 
 def test_branch_distribution_order_independence():
     # weak channels act on different qubits, so swapping them is invisible
-    settings = default_settings(0.37)
+    settings = Settings(v=0.37)
     swapped = Settings(a1=settings.a2, a2=settings.a1, b1=settings.b2, b2=settings.b1, v=settings.v)
     pmf = branch_distribution(settings)
     pmf_swapped = branch_distribution(swapped)
@@ -720,10 +710,10 @@ def test_exact_correlator_frozen_values():
     # same-qubit correlator is v-independent; cross correlator carries
     # sqrt(1 - v^2); the combination at v = 0.2 is frozen to 15 digits
     for v in (0.1, 0.5, 1.0):
-        assert abs(exact_correlator(default_settings(v), "alpha1", "beta1") - SQRT_HALF) < 1e-12
-    assert abs(exact_correlator(default_settings(0.6), "alpha1", "beta2") - 0.5656854249492381) < 1e-12
-    assert abs(exact_correlator(default_settings(1.0), "alpha1", "beta2")) < 1e-12
-    assert abs(exact_chsh(default_settings(0.2)) - 2.799854208428197) < 1e-12
+        assert abs(exact_correlator(Settings(v=v), "alpha1", "beta1") - SQRT_HALF) < 1e-12
+    assert abs(exact_correlator(Settings(v=0.6), "alpha1", "beta2") - 0.5656854249492381) < 1e-12
+    assert abs(exact_correlator(Settings(v=1.0), "alpha1", "beta2")) < 1e-12
+    assert abs(exact_chsh(Settings(v=0.2)) - 2.799854208428197) < 1e-12
 
 
 def test_exact_chsh_builds_one_law_per_call(monkeypatch):
@@ -733,7 +723,7 @@ def test_exact_chsh_builds_one_law_per_call(monkeypatch):
         calls.append(settings)
         return branch_distribution(settings)
 
-    settings = default_settings(0.45, NoiseModel(bias=0.1, sigma=0.2))
+    settings = Settings(v=0.45, noise=NoiseModel(bias=0.1, sigma=0.2))
     expected = exact_chsh(settings)
     monkeypatch.setattr(trials, "branch_distribution", counted)
     assert exact_chsh(settings) == expected
@@ -742,12 +732,12 @@ def test_exact_chsh_builds_one_law_per_call(monkeypatch):
 
 def test_exact_chsh_matches_closed_form_curve():
     for v in np.linspace(0.05, 1.0, 20):
-        assert abs(exact_chsh(default_settings(float(v))) - closed_form_chsh(float(v))) < 1e-9
+        assert abs(exact_chsh(Settings(v=float(v))) - closed_form_chsh(float(v))) < 1e-9
 
 
 def test_exact_correlators_ignore_unbiased_noise_and_bias():
-    clean = default_settings(0.4)
-    dirty = default_settings(0.4, NoiseModel(bias=0.3, sigma=0.5))
+    clean = Settings(v=0.4)
+    dirty = Settings(v=0.4, noise=NoiseModel(bias=0.3, sigma=0.5))
     for left, right in (("alpha1", "beta1"), ("alpha1", "beta2"), ("alpha2", "beta1"), ("alpha2", "beta2")):
         assert abs(exact_correlator(dirty, left, right) - exact_correlator(clean, left, right)) < 1e-12
     assert abs(exact_chsh(dirty) - exact_chsh(clean)) < 1e-12
@@ -755,20 +745,20 @@ def test_exact_correlators_ignore_unbiased_noise_and_bias():
 
 def test_exact_same_field_moment_picks_up_noise_power():
     v, sigma = 0.5, 0.3
-    clean = exact_correlator(default_settings(v), "alpha1", "alpha1")
+    clean = exact_correlator(Settings(v=v), "alpha1", "alpha1")
     assert abs(clean - 1.0 / v**2) < 1e-12
-    noisy = exact_correlator(default_settings(v, NoiseModel(sigma=sigma)), "alpha1", "alpha1")
+    noisy = exact_correlator(Settings(v=v, noise=NoiseModel(sigma=sigma)), "alpha1", "alpha1")
     assert abs(noisy - (1.0 + sigma**2) / v**2) < 1e-12
 
 
 def test_exact_means():
-    assert abs(exact_mean(default_settings(0.3), "alpha1")) < 1e-12
-    assert abs(exact_mean(default_settings(0.3), "beta2")) < 1e-12
-    shifted = default_settings(0.5, NoiseModel(bias=0.2))
+    assert abs(exact_mean(Settings(v=0.3), "alpha1")) < 1e-12
+    assert abs(exact_mean(Settings(v=0.3), "beta2")) < 1e-12
+    shifted = Settings(v=0.5, noise=NoiseModel(bias=0.2))
     assert abs(exact_mean(shifted, "alpha1") - 0.4) < 1e-12
     assert abs(exact_mean(shifted, "beta1")) < 1e-12
     with pytest.raises(ValueError):
-        exact_mean(default_settings(0.3), "raw1")
+        exact_mean(Settings(v=0.3), "raw1")
 
 
 # ----------------------------------------------------- sampling vs the oracle
@@ -776,7 +766,7 @@ def test_exact_means():
 
 def test_sampled_branches_match_oracle_distribution():
     # chi-square over all 16 (raw1, raw2, beta1, beta2) branches
-    settings = default_settings(0.3)
+    settings = Settings(v=0.3)
     table = simulate_trials(settings, 100_000, master_seed=314)
     pmf = branch_distribution(settings)
     keys = sorted(pmf)
@@ -848,7 +838,7 @@ def test_ndtri_keeps_its_pinned_bits():
 
 
 NOISY_SOURCES = (
-    default_settings(0.5, NoiseModel(bias=0.1, sigma=0.3)),
+    Settings(v=0.5, noise=NoiseModel(bias=0.1, sigma=0.3)),
     hidden_variable_source(hidden_variable_config(5), 0.4, NoiseModel(bias=-0.2, sigma=0.5)),
 )
 
